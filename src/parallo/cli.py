@@ -20,6 +20,7 @@ from .lattice import Lattice
 from .parallelohedron import Parallelohedron, classify_dual3, venkov_check
 from .polytope import Polytope
 from .report import EXIT_PARSE, EXIT_VENKOV
+from .topology import half_belt_span_d3
 
 
 def _load_input(arg: str):
@@ -96,7 +97,8 @@ def _cmd_surface(args) -> int:
     source, entry = _load_input(args.input)
     para = Parallelohedron.build(_as_polytope(source, entry))
     expected = entry.expected if entry is not None else None
-    _emit(report_mod.surface_dict(para, pi=args.pi, expected=expected))
+    span = half_belt_span_d3(para) if para.dim == 3 else None
+    _emit(report_mod.surface_dict(para, args.pi, span, expected))
     return 0
 
 

@@ -73,8 +73,7 @@ class Lattice:
         return linalg.matvec(linalg.transpose(self.basis), linalg.vec(coeffs))
 
     def to_coefficients(self, v: Vec) -> Vec:
-        x, _ = linalg.solve_linear(linalg.transpose(self.basis), v)
-        return x
+        return linalg.solve_linear(linalg.transpose(self.basis), v)
 
 
 def _integer_interval(c: Fraction, b: Fraction) -> range:
@@ -179,27 +178,12 @@ def dv_cell(lat: Lattice) -> Polytope:
     return Polytope.from_halfspaces(halfspaces, lat.dim)
 
 
-def lattice_points_near(lat: Lattice, x: Vec, r2: Fraction) -> list[Vec]:
-    """Lattice vectors t with norm_sq(t - x) <= r2 for arbitrary rational x."""
-    coeffs, _ = linalg.solve_linear(linalg.transpose(lat.basis), linalg.vec(x))
-    if coeffs is None:
-        raise GeometryError("point outside the lattice's span")
-    q = lat.coefficient_form
-    out = []
-    for k in product(*_coefficient_box(lat, r2, coeffs)):
-        kv = linalg.vec(k)
-        delta = linalg.vsub(kv, coeffs)
-        if linalg.dot(delta, linalg.matvec(q, delta)) <= r2:
-            out.append(lat.from_coefficients(kv))
-    return sorted(out)
-
-
 def covering_counts(lat: Lattice, cell: Polytope, x: Vec) -> tuple[int, int]:
     """(closed, interior) counts of translates cell + t containing x."""
     x = linalg.vec(x)
     r2 = max(lat.norm_sq(v) for v in cell.vertices)
     closed = interior = 0
-    for t in lattice_points_near(lat, x, r2):
+    for t in vectors_in_ball(lat, r2, around=x):
         p = linalg.vsub(x, t)
         if cell.contains(p):
             closed += 1

@@ -171,26 +171,22 @@ def nullspace(m: Mat) -> list[Vec]:
     return basis
 
 
-def solve_linear(a: Mat, b: Vec) -> tuple[Optional[Vec], list[Vec]]:
-    """Solve a x = b exactly.
+def solve_linear(a: Mat, b: Vec) -> Optional[Vec]:
+    """The unique exact solution of a x = b.
 
-    Returns (x, kernel_basis) with free variables of x set to zero, or
-    (None, kernel_basis) when the system is inconsistent. Raises on a
-    row-count mismatch between a and b.
+    Returns None when the system is inconsistent or its solution is not
+    unique (a has dependent columns). Raises on a row-count mismatch
+    between a and b.
     """
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} rows vs {len(b)} entries")
     if not a:
-        return (), []
+        return ()
     nc = len(a[0])
-    aug = tuple(row + (bi,) for row, bi in zip(a, b))
-    r, pivots = rref(aug)
-    if nc in pivots:
-        return None, nullspace(a)
-    x = [Fraction(0)] * nc
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][nc]
-    return tuple(x), nullspace(a)
+    r, pivots = rref(tuple(row + (bi,) for row, bi in zip(a, b)))
+    if pivots != tuple(range(nc)):
+        return None
+    return tuple(r[i][nc] for i in range(nc))
 
 
 def det(m: Mat) -> Fraction:

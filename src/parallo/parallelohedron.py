@@ -18,7 +18,6 @@ after 6 facets (three tiles meet at it rather than four).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -136,24 +135,25 @@ def _walk_belt(p: Polytope, ridge_ids_by_key, facet_centers, facets_of, start_ri
     raise _BeltWalkError("belt walk failed to close", ())
 
 
-def _ridge_facet_map(p: Polytope):
-    lat = p.face_lattice
+def _ridge_facet_map(p: Polytope) -> tuple[tuple[int, ...], ...]:
+    """Per ridge, the ids of the facets containing it."""
     facet_sets = [set(ids) for ids in p.facet_vertex_ids]
-    out = []
-    for ridge in lat.faces(p.dim - 2):
-        s = set(ridge.vertex_ids)
-        out.append(tuple(i for i, fs in enumerate(facet_sets) if s.issubset(fs)))
-    return out
+    return tuple(
+        tuple(i for i, fs in enumerate(facet_sets) if fs.issuperset(r.vertex_ids))
+        for r in p.face_lattice.faces(p.dim - 2)
+    )
 
 
 def _analyze(p: Polytope):
-    """Run the Venkov checks; return (verdict, belts, belt_of_ridge)."""
+    """Run the Venkov checks; return (verdict, belts, belt_of_ridge,
+    facet_centers, ridge_facets), the last four empty on failure."""
+    failed = ((), {}, (), ())
     witnesses = []
     ok, center = p.is_centrally_symmetric()
     if not ok:
         witnesses.append(VenkovWitness("central-symmetry",
                                        "vertex set is not centrally symmetric"))
-        return VenkovVerdict(False, tuple(witnesses)), (), {}
+        return (VenkovVerdict(False, tuple(witnesses)),) + failed
     if any(x != 0 for x in center):
         raise GeometryError("polytope must be recentered before analysis")
     for fi, ids in enumerate(p.facet_vertex_ids):
@@ -165,16 +165,14 @@ def _analyze(p: Polytope):
                 tuple(ids),
             ))
     if witnesses:
-        return VenkovVerdict(False, tuple(witnesses)), (), {}
+        return (VenkovVerdict(False, tuple(witnesses)),) + failed
 
     lat = p.face_lattice
     ridges = lat.faces(p.dim - 2)
     ridge_ids_by_key = {r.vertex_ids: i for i, r in enumerate(ridges)}
-    facet_centers = [
-        tuple(sum((p.vertices[i][k] for i in ids), Fraction(0)) / len(ids)
-              for k in range(p.dim))
-        for ids in p.facet_vertex_ids
-    ]
+    facet_centers = tuple(
+        Face(p.dim - 1, ids).center_in(p) for ids in p.facet_vertex_ids
+    )
     facets_of = _ridge_facet_map(p)
     belts = []
     belt_of_ridge: dict[int, tuple[int, int]] = {}
@@ -198,38 +196,37 @@ def _analyze(p: Polytope):
         for pos, r in enumerate(belt.ridges):
             belt_of_ridge[r] = (bid, pos)
     if witnesses:
-        return VenkovVerdict(False, tuple(witnesses)), (), {}
-    return VenkovVerdict(True), tuple(belts), belt_of_ridge
+        return (VenkovVerdict(False, tuple(witnesses)),) + failed
+    return VenkovVerdict(True), tuple(belts), belt_of_ridge, facet_centers, facets_of
 
 
 def venkov_check(p: Polytope) -> VenkovVerdict:
     """Minkowski-Venkov test: pass iff p is a parallelohedron."""
-    verdict, _, _ = _analyze(p.recentered())
-    return verdict
+    return _analyze(p.recentered())[0]
 
 
 class Parallelohedron:
     """A polytope that passed the Venkov conditions, with its tiling data."""
 
-    def __init__(self, polytope, belts, belt_of_ridge):
+    def __init__(self, polytope, belts, belt_of_ridge, facet_centers,
+                 ridge_facets):
         self.polytope = polytope
         self.belts = belts
         self.belt_of_ridge = belt_of_ridge
+        self.facet_centers = facet_centers
+        self.ridge_facets = ridge_facets
         self._finish_setup()
 
     @staticmethod
     def build(p: Polytope) -> "Parallelohedron":
         q = p.recentered()
-        verdict, belts, belt_of_ridge = _analyze(q)
+        verdict, *tiling = _analyze(q)
         if not verdict.ok:
             raise NotAParallelohedron(verdict)
-        return Parallelohedron(q, belts, belt_of_ridge)
+        return Parallelohedron(q, *tiling)
 
     def _finish_setup(self):
         p = self.polytope
-        self.facet_centers = tuple(
-            Face(p.dim - 1, ids).center_in(p) for ids in p.facet_vertex_ids
-        )
         self.facet_vectors = tuple(
             linalg.vscale(2, c) for c in self.facet_centers
         )
@@ -276,10 +273,6 @@ class Parallelohedron:
     @cached_property
     def ridges(self) -> tuple[Face, ...]:
         return self.polytope.face_lattice.faces(self.dim - 2)
-
-    @cached_property
-    def ridge_facets(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_ridge_facet_map(self.polytope))
 
     def ridge_primitive(self, ridge_id: int) -> bool:
         """True iff the ridge's belt has length 6 (three tiles meet there)."""

@@ -195,8 +195,8 @@ class Polytope:
         for subset in combinations(planes, dim):
             a = tuple(n for n, _ in subset)
             b = tuple(off for _, off in subset)
-            x, kernel = linalg.solve_linear(a, b)
-            if x is None or kernel:
+            x = linalg.solve_linear(a, b)
+            if x is None:
                 continue
             if all(linalg.dot(n, x) <= off for n, off in planes):
                 vertices.add(x)
@@ -297,6 +297,24 @@ class Polytope:
     def f_vector(self) -> tuple[int, ...]:
         return self.face_lattice.f_vector()
 
+    @cached_property
+    def facet_cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Per facet of a 3-polytope, its vertex ids in boundary-cycle
+        order: from the smallest id towards its smaller neighbour."""
+        edges = [e.vertex_ids for e in self.face_lattice.faces(1)]
+        out = []
+        for ids in self.facet_vertex_ids:
+            adj: dict[int, list[int]] = {v: [] for v in ids}
+            for a, b in edges:
+                if a in adj and b in adj:
+                    adj[a].append(b)
+                    adj[b].append(a)
+            order = [ids[0], min(adj[ids[0]])]
+            while len(order) < len(ids):
+                order.append(next(x for x in adj[order[-1]] if x != order[-2]))
+            out.append(tuple(order))
+        return tuple(out)
+
     # -- transformations ----------------------------------------------
 
     def translated(self, shift: Vec) -> "Polytope":
@@ -363,10 +381,7 @@ def affine_hull_polytope(points: list[Vec]):
             basis.append(d)
     k = len(basis)
     bt = linalg.transpose(tuple(basis))
-    coords = []
-    for p in pts:
-        x, _ = linalg.solve_linear(bt, linalg.vsub(p, p0))
-        coords.append(x)
+    coords = [linalg.solve_linear(bt, linalg.vsub(p, p0)) for p in pts]
     if k == 0:
         raise GeometryError("a single point has no hull")
     return Polytope.from_vertices(coords), k, p0, tuple(basis)

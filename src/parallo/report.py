@@ -8,6 +8,10 @@ pipeline stage that failed: 0 certified, 2 scaling inconsistency,
 3 Venkov failure, 4 form/cell mismatch (1 is reserved for parse errors
 in the CLI).
 
+For d = 3 the half-belt span is computed once per report, on the
+pi-surface, and the same block is written under both the "delta" and
+the "pi" surface.
+
 Reports are byte-stable on identical input: keys are sorted, rationals
 are canonical "p/q" strings, and the timing field is null unless
 explicitly requested.
@@ -24,13 +28,12 @@ from .lattice import Lattice, dv_cell
 from .parallelohedron import Parallelohedron, VenkovVerdict
 from .polytope import Polytope
 from .scaling import (
-    CanonicalScaling,
     ScalingWitness,
     VoronoiCertificate,
     build_ridge_graph,
-    canonical_scaling,
-    voronoi_form,
+    certify,
 )
+from .topology import HalfBeltSpan
 
 EXIT_CERTIFIED = 0
 EXIT_PARSE = 1
@@ -47,8 +50,6 @@ class VerificationReport:
     belts: tuple | None = None
     primitivity: dict | None = None
     ridge_graph: dict | None = None
-    scaling: CanonicalScaling | None = None
-    witness: ScalingWitness | None = None
     certificate: VoronoiCertificate | None = None
     topology: dict | None = None
     gram_match: dict | None = None
@@ -90,16 +91,17 @@ class VerificationReport:
             doc["primitivity"] = {str(k): v for k, v in self.primitivity.items()}
         if self.ridge_graph is not None:
             doc["ridge_graph"] = self.ridge_graph
-        if self.scaling is not None:
-            doc["scaling"] = {
-                "values": [serialize.rational_to_str(v) for v in self.scaling.values],
-                "base_facets": list(self.scaling.base_facets),
-                "components": list(self.scaling.groups),
-            }
-        if self.witness is not None:
-            doc["witness"] = _witness_dict(self.witness)
-        if self.certificate is not None:
-            doc["certificate"] = certificate_dict(self.certificate)
+        cert = self.certificate
+        if cert is not None:
+            if cert.scaling is not None:
+                doc["scaling"] = {
+                    "values": [serialize.rational_to_str(v) for v in cert.scaling.values],
+                    "base_facets": list(cert.scaling.base_facets),
+                    "components": list(cert.scaling.groups),
+                }
+            if cert.witness is not None:
+                doc["witness"] = _witness_dict(cert.witness)
+            doc["certificate"] = certificate_dict(cert)
         if self.topology is not None:
             doc["topology"] = self.topology
         if self.gram_match is not None:
@@ -176,10 +178,14 @@ def _gram_match(recovered, source) -> dict:
     }
 
 
-def surface_dict(para: Parallelohedron, pi: bool,
+def surface_dict(para: Parallelohedron, pi: bool, span: HalfBeltSpan | None,
                  expected: dict | None = None) -> dict:
     """Topology report JSON, with flags where computed values disagree
-    with stored reference values."""
+    with stored reference values.
+
+    `span` is the pi-surface half-belt span from `half_belt_span_d3`
+    (None unless d = 3); it is reported as is for either surface.
+    """
     if para.dim != 3:
         return {
             "surface": "pi" if pi else "delta",
@@ -188,27 +194,14 @@ def surface_dict(para: Parallelohedron, pi: bool,
         }
     complex_ = topology.pi_complex(para) if pi else topology.delta_complex(para)
     rep = topology.topology_report(complex_)
-    span = topology.half_belt_span_d3(para)
-    doc = {
-        "surface": rep.surface,
-        "component_count": rep.component_count,
-        "components": [
-            {
-                "cells": list(c.cell_counts),
-                "chi": c.chi,
-                "compact": c.compact,
-                "h1_rank": c.h1_rank,
-            }
-            for c in rep.components
-        ],
-        "half_belt_span": {
-            "h1_rank": span.h1_rank,
-            "span_rank": span.span_rank,
-            "spanned": span.spanned,
-            "cycles": span.n_cycles,
-        },
-        "flags": [],
+    doc = rep.as_dict()
+    doc["half_belt_span"] = {
+        "h1_rank": span.h1_rank,
+        "span_rank": span.span_rank,
+        "spanned": span.spanned,
+        "cycles": span.n_cycles,
     }
+    doc["flags"] = []
     if expected is not None:
         ref = expected.get("pi" if pi else "delta")
         if ref is not None:
@@ -253,25 +246,16 @@ def verify(source: Polytope | Lattice, name: str | None = None,
         "edges": len(graph.edges),
         "components": graph.n_components,
     }
-    result = canonical_scaling(graph)
-    if isinstance(result, ScalingWitness):
-        rep.witness = result
-        rep.certificate = VoronoiCertificate(
-            "scaling-fails", None, None, None, witness=result
-        )
-    else:
-        rep.scaling = result
-        rep.certificate = voronoi_form(para, result)
-        if rep.certificate.verdict == "certified" and source_gram is not None:
-            rep.gram_match = _gram_match(rep.certificate.gram, source_gram)
+    rep.certificate = certify(graph)
+    if rep.certificate.verdict == "certified" and source_gram is not None:
+        rep.gram_match = _gram_match(rep.certificate.gram, source_gram)
     if p.dim == 3:
+        span = topology.half_belt_span_d3(para)
         rep.topology = {
-            "delta": surface_dict(para, pi=False, expected=expected),
-            "pi": surface_dict(para, pi=True, expected=expected),
+            "delta": surface_dict(para, False, span, expected),
+            "pi": surface_dict(para, True, span, expected),
         }
     else:
-        rep.topology = {
-            "ridge_components": topology.ridge_connectivity(para),
-        }
+        rep.topology = {"ridge_components": graph.n_components}
     rep.timing_ms = (time.perf_counter() - t0) * 1e3
     return rep

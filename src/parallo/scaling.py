@@ -61,6 +61,24 @@ class Walk:
         return Walk(self.facets + other.facets[1:], self.ridges + other.ridges)
 
 
+def component_roots(n: int, pairs) -> tuple[int, ...]:
+    """Union-find over 0..n-1 joined by pairs: each index's component
+    root, which is the smallest index of its component."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return tuple(find(x) for x in range(n))
+
+
 class RidgeGraph:
     """Facets as nodes, primitive ridges as gain-weighted edges."""
 
@@ -75,22 +93,10 @@ class RidgeGraph:
             adj[b].append((a, ei))
         self.adjacency = {f: tuple(sorted(ns)) for f, ns in adj.items()}
         self.edge_of_ridge = {e.ridge: ei for ei, e in enumerate(self.edges)}
-        comp = list(range(n))
-
-        def find(x):
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        for e in self.edges:
-            ra, rb = find(e.facets[0]), find(e.facets[1])
-            if ra != rb:
-                comp[max(ra, rb)] = min(ra, rb)
-        roots = sorted({find(f) for f in range(n)})
-        label = {r: i for i, r in enumerate(roots)}
-        self.component = tuple(label[find(f)] for f in range(n))
-        self.n_components = len(roots)
+        root = component_roots(n, (e.facets for e in self.edges))
+        label = {r: i for i, r in enumerate(sorted(set(root)))}
+        self.component = tuple(label[r] for r in root)
+        self.n_components = len(label)
 
     @property
     def n_facets(self) -> int:
@@ -400,13 +406,12 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     )
 
 
-def certify(para: Parallelohedron) -> VoronoiCertificate:
-    """Full pipeline: gains -> scaling -> quadratic form -> verification."""
-    graph = build_ridge_graph(para)
+def certify(graph: RidgeGraph) -> VoronoiCertificate:
+    """Scaling -> quadratic form -> verification on a built ridge graph."""
     result = canonical_scaling(graph)
     if isinstance(result, ScalingWitness):
         return VoronoiCertificate("scaling-fails", None, None, None, witness=result)
-    return voronoi_form(para, result)
+    return voronoi_form(graph.para, result)
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,14 @@ def matrix_to_strs(m) -> list[list[str]]:
     return [vector_to_strs(row) for row in m]
 
 
-def matrix_from_strs(rows, where: str = "matrix"):
+def matrix_from_strs(rows, where: str = "matrix", size: int | None = None):
+    """Rows of rationals; with `size`, the matrix must be size x size."""
     if not isinstance(rows, list):
         raise ParseError(f"{where}: expected a list of rows")
-    return tuple(vector_from_strs(r, where) for r in rows)
+    m = tuple(vector_from_strs(r, where) for r in rows)
+    if size is not None and (len(m) != size or any(len(r) != size for r in m)):
+        raise ParseError(f"{where}: expected a {size}x{size} matrix")
+    return m
 
 
 def dumps(obj) -> str:
@@ -75,9 +79,12 @@ def polytope_to_dict(p: Polytope) -> dict:
 def polytope_from_dict(doc: dict) -> Polytope:
     if not isinstance(doc, dict):
         raise ParseError("polytope document must be a JSON object")
-    if "dim" not in doc or not isinstance(doc["dim"], int):
-        raise ParseError('polytope document needs an integer "dim" field')
-    dim = doc["dim"]
+    dim = doc.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ParseError('polytope document needs a positive integer "dim" field')
+    for key in ("vertices", "facets"):
+        if key in doc and not isinstance(doc[key], list):
+            raise ParseError(f'"{key}" must be a list')
     if "vertices" in doc:
         verts = [vector_from_strs(v, f"vertices[{i}]") for i, v in enumerate(doc["vertices"])]
         if any(len(v) != dim for v in verts):
@@ -91,6 +98,8 @@ def polytope_from_dict(doc: dict) -> Polytope:
             n = vector_from_strs(f["normal"], f"facets[{i}].normal")
             if len(n) != dim:
                 raise ParseError(f"facets[{i}]: normal length disagrees with dim")
+            if not any(n):
+                raise ParseError(f"facets[{i}]: normal is the zero vector")
             hs.append((n, rational_from_str(f["offset"], f"facets[{i}].offset")))
         return Polytope.from_halfspaces(hs, dim)
     raise ParseError('polytope document needs "vertices" or "facets"')
@@ -109,8 +118,11 @@ def lattice_to_dict(lat: Lattice) -> dict:
 def lattice_from_dict(doc: dict) -> Lattice:
     if not isinstance(doc, dict) or "basis" not in doc:
         raise ParseError('lattice document needs a "basis" field')
-    basis = matrix_from_strs(doc["basis"], "basis")
-    gram = matrix_from_strs(doc["gram"], "gram") if "gram" in doc else None
+    rows = doc["basis"]
+    if not isinstance(rows, list) or not rows:
+        raise ParseError('"basis" must be a non-empty list of rows')
+    basis = matrix_from_strs(rows, "basis", size=len(rows))
+    gram = matrix_from_strs(doc["gram"], "gram", size=len(rows)) if "gram" in doc else None
     return Lattice.create(basis, gram)
 
 
@@ -148,27 +160,6 @@ def _decimal_or_none(q: Fraction):
     return ("-" if num < 0 else "") + s[:-e] + "." + s[-e:]
 
 
-def _cyclic_facet_order(p: Polytope, facet_idx: int) -> list[int]:
-    """Vertex ids of a 2D facet in boundary-cycle order."""
-    ids = list(p.facet_vertex_ids[facet_idx])
-    lat = p.face_lattice
-    edges = [
-        e.vertex_ids
-        for e in lat.faces(1)
-        if set(e.vertex_ids).issubset(ids)
-    ]
-    adj: dict[int, list[int]] = {i: [] for i in ids}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    start = min(ids)
-    order = [start, min(adj[start])]
-    while len(order) < len(ids):
-        nxt = [x for x in adj[order[-1]] if x != order[-2]]
-        order.append(nxt[0])
-    return order
-
-
 def polytope_to_off(p: Polytope) -> str:
     if p.dim != 3:
         raise ParseError("OFF export is only defined for d = 3")
@@ -190,7 +181,6 @@ def polytope_to_off(p: Polytope) -> str:
         if exact_note:
             line += "  #exact " + " ".join(vector_to_strs(v))
         lines.append(line)
-    for i in range(p.n_facets):
-        cyc = _cyclic_facet_order(p, i)
+    for cyc in p.facet_cycles:
         lines.append(str(len(cyc)) + " " + " ".join(str(c) for c in cyc))
     return "\n".join(lines) + "\n"

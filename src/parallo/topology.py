@@ -19,18 +19,22 @@ into sectors around a center vertex with edge midpoints. In the
 subdivided 1-skeleton a facet-to-facet step across a primitive ridge is
 the two-spoke path center -> midpoint -> center, so half-belt cycles
 become genuine cellular 1-cycles whose span inside H1 can be computed
-from exact boundary matrices.
+from exact boundary matrices. Only the quotient (pi) model is built for
+the test; reports write its span under both the delta and the pi
+surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import GeometryError, UnsupportedDimensionError
+from .linalg import Vec
 from .parallelohedron import Parallelohedron
-from .scaling import build_ridge_graph
+from .scaling import build_ridge_graph, component_roots
 
 
 @dataclass(frozen=True)
@@ -192,22 +196,10 @@ def pi_complex(para: Parallelohedron) -> SurfaceComplex:
 
 def topology_report(complex_: SurfaceComplex) -> TopologyReport:
     """Components, chi_c, compactness and rational H1 rank per component."""
-    n = len(complex_.cells)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in complex_.incidence:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, root in enumerate(component_roots(len(complex_.cells),
+                                             complex_.incidence)):
+        groups.setdefault(root, []).append(i)
     comps = []
     for root in sorted(groups, key=lambda r: complex_.cells[r].key):
         members = groups[root]
@@ -233,31 +225,12 @@ def ridge_connectivity(para: Parallelohedron) -> int:
 
 def _facet_cycles(para: Parallelohedron):
     """Per facet: vertex ids and edge ids in boundary-cycle order."""
-    p = para.polytope
     edge_ids = {r.vertex_ids: i for i, r in enumerate(para.ridges)}
-    cycles = []
-    for ids in p.facet_vertex_ids:
-        fset = set(ids)
-        edges = [
-            (i, r.vertex_ids)
-            for i, r in enumerate(para.ridges)
-            if set(r.vertex_ids).issubset(fset)
-        ]
-        adj: dict[int, list[int]] = {v: [] for v in ids}
-        for _, (a, b) in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        start = min(ids)
-        vs = [start, min(adj[start])]
-        while len(vs) < len(ids):
-            nxt = [x for x in adj[vs[-1]] if x != vs[-2]]
-            vs.append(nxt[0])
-        es = [
-            edge_ids[tuple(sorted((vs[i], vs[(i + 1) % len(vs)])))]
-            for i in range(len(vs))
-        ]
-        cycles.append((tuple(vs), tuple(es)))
-    return cycles
+    return [
+        (vs, tuple(edge_ids[tuple(sorted(pair))]
+                   for pair in zip(vs, vs[1:] + vs[:1])))
+        for vs in para.polytope.facet_cycles
+    ]
 
 
 def _vertex_fans(para: Parallelohedron, facet_cycles):
@@ -472,39 +445,70 @@ class _ChainComplex:
         one_ids = {k: i for i, k in enumerate(self.one_keys)}
         self.one_ids = one_ids
 
-        # --- boundary matrices -----------------------------------------
-        n0, n1, n2 = len(self.v_ids), len(self.one_keys), len(self.two_keys)
-        b1 = [[Fraction(0)] * n1 for _ in range(n0)]
+        # --- boundary matrices, as sparse integer columns ---------------
+        self.b1_cols = []
         for k in self.one_keys:
             tail, head = ones[k]
-            col = one_ids[k]
-            b1[self.v_ids[proj0[head]]][col] += 1
-            b1[self.v_ids[proj0[tail]]][col] -= 1
-        b2 = [[Fraction(0)] * n2 for _ in range(n1)]
-        for ci, k in enumerate(self.two_keys):
+            self.b1_cols.append(_sparse(((self.v_ids[proj0[head]], 1),
+                                         (self.v_ids[proj0[tail]], -1))))
+        self.b2_cols = []
+        for k in self.two_keys:
+            terms = []
             for sign, ekey in twos[k]:
                 psign, rep = proj1[ekey]
-                b2[one_ids[rep]][ci] += sign * psign
-        self.b1 = tuple(tuple(r) for r in b1)
-        self.b2 = tuple(tuple(r) for r in b2)
+                terms.append((one_ids[rep], sign * psign))
+            self.b2_cols.append(_sparse(terms))
         self.proj1 = proj1
+        self.check_boundaries()
 
-        prod = linalg.matmul(self.b1, self.b2)
-        if any(any(x != 0 for x in row) for row in prod):
-            raise GeometryError("boundary of a boundary is nonzero")
+    def check_boundaries(self):
+        """Raise unless the boundary of every 2-cell's boundary is zero."""
+        _require_cycles(self.b1_cols, self.b2_cols,
+                        "boundary of a boundary is nonzero")
+
+    @cached_property
+    def b2_chains(self) -> tuple[Vec, ...]:
+        """The boundary of each 2-cell as a dense 1-chain."""
+        return tuple(_dense(c, len(self.one_keys)) for c in self.b2_cols)
+
+    @cached_property
+    def rank_b2(self) -> int:
+        return linalg.rank(self.b2_chains)
 
     @property
     def h1_rank(self) -> int:
-        n1 = len(self.one_keys)
-        return n1 - linalg.rank(self.b1) - linalg.rank(self.b2)
+        n0 = len(self.v_ids)
+        rank_b1 = linalg.rank(tuple(_dense(c, n0) for c in self.b1_cols))
+        return len(self.one_keys) - rank_b1 - self.rank_b2
 
-    def project_chain(self, terms) -> tuple[Fraction, ...]:
-        """Map [(coeff, delta 1-cell key)] into this complex's 1-chains."""
-        z = [Fraction(0)] * len(self.one_keys)
+    def project_chain(self, terms) -> dict[int, int]:
+        """Map [(coeff, delta 1-cell key)] to a sparse 1-chain of this complex."""
+        out = []
         for coeff, key in terms:
             sign, rep = self.proj1[key]
-            z[self.one_ids[rep]] += coeff * sign
-        return tuple(z)
+            out.append((self.one_ids[rep], coeff * sign))
+        return _sparse(out)
+
+
+def _sparse(terms) -> dict[int, int]:
+    """Sum (index, coefficient) terms into a sparse vector with no zeros."""
+    out: dict[int, int] = {}
+    for i, c in terms:
+        out[i] = out.get(i, 0) + c
+    return {i: c for i, c in out.items() if c}
+
+
+def _dense(col: dict[int, int], n: int) -> Vec:
+    return tuple(Fraction(col.get(i, 0)) for i in range(n))
+
+
+def _require_cycles(boundary_cols, chains, message: str):
+    """Raise GeometryError(message) unless every sparse chain's boundary,
+    under the boundary map given by its sparse columns, is zero."""
+    for chain in chains:
+        if _sparse((row, c * b) for cell, c in chain.items()
+                   for row, b in boundary_cols[cell].items()):
+            raise GeometryError(message)
 
 
 @dataclass(frozen=True)
@@ -513,11 +517,10 @@ class HalfBeltSpan:
     span_rank: int
     spanned: bool
     n_cycles: int
-    h1_rank_delta: int
 
 
-def half_belt_cycles(para: Parallelohedron, cut: _CutComplex,
-                     chain: _ChainComplex) -> list[tuple[Fraction, ...]]:
+def half_belt_cycles(para: Parallelohedron,
+                     chain: _ChainComplex) -> list[Vec]:
     """All half-belt walks of 6-belts as 1-cycles of the chain model."""
     pos_of_edge = chain.pos_of_edge
     cycles = []
@@ -530,27 +533,21 @@ def half_belt_cycles(para: Parallelohedron, cut: _CutComplex,
                 f_from = belt.facets[i % 6]
                 f_to = belt.facets[(i + 1) % 6]
                 rid = belt.ridges[i % 6]
-                terms.append((Fraction(1), ("s", f_from, pos_of_edge[(f_from, rid)])))
-                terms.append((Fraction(-1), ("s", f_to, pos_of_edge[(f_to, rid)])))
+                terms.append((1, ("s", f_from, pos_of_edge[(f_from, rid)])))
+                terms.append((-1, ("s", f_to, pos_of_edge[(f_to, rid)])))
             z = chain.project_chain(terms)
-            if any(x != 0 for x in linalg.matvec(chain.b1, z)):
-                raise GeometryError("half-belt chain is not a cycle")
-            cycles.append(z)
+            _require_cycles(chain.b1_cols, [z], "half-belt chain is not a cycle")
+            cycles.append(_dense(z, len(chain.one_keys)))
     return cycles
 
 
 def half_belt_span_d3(para: Parallelohedron) -> HalfBeltSpan:
     """Do half-belt cycles span the rational H1 of the pi-surface?"""
     _require_d3(para)
-    cut = _CutComplex(para)
-    chain_pi = _ChainComplex(cut, quotient=True)
-    chain_delta = _ChainComplex(cut, quotient=False)
-    cycles = half_belt_cycles(para, cut, chain_pi)
-    h1 = chain_pi.h1_rank
-    rank_b2 = linalg.rank(chain_pi.b2)
+    chain = _ChainComplex(_CutComplex(para), quotient=True)
+    cycles = half_belt_cycles(para, chain)
+    h1 = chain.h1_rank
+    span = 0
     if cycles:
-        cols = linalg.transpose(chain_pi.b2) + tuple(cycles)
-        span = linalg.rank(cols) - rank_b2
-    else:
-        span = 0
-    return HalfBeltSpan(h1, span, span == h1, len(cycles), chain_delta.h1_rank)
+        span = linalg.rank(chain.b2_chains + tuple(cycles)) - chain.rank_b2
+    return HalfBeltSpan(h1, span, span == h1, len(cycles))

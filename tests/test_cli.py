@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from parallo.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -152,3 +154,32 @@ def test_verify_a_file_round_trip(tmp_path, capsys):
     code, out2, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert json.loads(out2)["verdict"] == "certified"
+
+
+SQUARE = [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"]]
+
+
+@pytest.mark.parametrize("doc, names", [
+    ({"dim": True, "vertices": [["0"], ["1"]]}, '"dim"'),
+    ({"dim": 0, "vertices": [[]]}, '"dim"'),
+    ({"dim": -1, "vertices": SQUARE}, '"dim"'),
+    ({"dim": 2, "facets": [{"normal": ["0", "0"], "offset": "1"},
+                           {"normal": ["1", "0"], "offset": "1"}]},
+     "zero vector"),
+    ({"dim": 2, "vertices": "square"}, '"vertices"'),
+    ({"basis": [["1", "0"], ["1"]]}, "basis"),
+    ({"basis": [["1", "0"], ["0", "1"]],
+      "gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "gram"),
+    ({"basis": []}, '"basis"'),
+], ids=["bool-dim", "zero-dim", "negative-dim", "zero-normal",
+        "vertices-not-a-list", "ragged-basis", "gram-wrong-size", "empty-basis"])
+def test_malformed_documents_get_one_error_line(tmp_path, capsys, doc, names):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert names in lines[0]
+    assert "Traceback" not in err

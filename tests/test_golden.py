@@ -1,0 +1,30 @@
+"""Golden bytes: the verify report of every catalog entry and the OFF
+export of every solid, as printed by `parallo verify NAME` and
+`parallo export NAME --format off`. Refactors must leave these bytes
+alone; a deliberate change to the report format regenerates them."""
+
+import os
+
+import pytest
+
+from conftest import POLYTOPE_CATALOG, verified
+from parallo import serialize
+from parallo.catalog import catalog, catalog_names
+
+REPORTS = os.path.join(os.path.dirname(__file__), "fixtures", "reports")
+
+
+def _golden(filename: str) -> str:
+    with open(os.path.join(REPORTS, filename), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_verify_report_bytes(name):
+    assert serialize.dumps(verified(name).as_dict()) == _golden(f"{name}.json")
+
+
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG)
+def test_off_export_bytes(name):
+    off = serialize.polytope_to_off(catalog(name).polytope)
+    assert off == _golden(f"{name}.off")

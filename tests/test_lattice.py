@@ -10,7 +10,6 @@ from parallo.lattice import (
     Lattice,
     covering_counts,
     dv_cell,
-    lattice_points_near,
     relevant_vectors,
     shortest_in_coset,
     vectors_in_ball,
@@ -136,9 +135,9 @@ def test_vectors_in_ball_exactness():
     assert all(lat.norm_sq(v) <= 2 for v in ball)
 
 
-def test_lattice_points_near_shifted():
+def test_vectors_in_ball_around_shifted_center():
     lat = z3()
-    pts = lattice_points_near(lat, (F(1, 2), F(1, 2), F(1, 2)), F(3, 4))
+    pts = vectors_in_ball(lat, F(3, 4), around=(F(1, 2), F(1, 2), F(1, 2)))
     assert len(pts) == 8  # the surrounding unit cube's corners
 
 

@@ -196,7 +196,7 @@ def test_voronoi_form_cube_identity():
 
 
 def test_voronoi_form_truncated_octahedron():
-    cert = certify(built("truncated-octahedron"))
+    cert = certify(ridge_graph("truncated-octahedron"))
     assert cert.verdict == "certified"
     g = cert.gram
     scale = g[0][0]
@@ -207,7 +207,7 @@ def test_voronoi_form_truncated_octahedron():
 
 
 def test_voronoi_form_prism_block_structure():
-    cert = certify(built("hexagonal-prism"))
+    cert = certify(ridge_graph("hexagonal-prism"))
     assert cert.verdict == "certified"
     g = cert.gram
     assert g[0][2] == g[1][2] == g[2][0] == g[2][1] == 0

@@ -1,10 +1,16 @@
 import pytest
 
 from conftest import POLYTOPE_CATALOG, built
+from parallo import report, topology
 from parallo.catalog import catalog
-from parallo.errors import UnsupportedDimensionError
+from parallo.errors import GeometryError, UnsupportedDimensionError
+from parallo.parallelohedron import venkov_check
+from parallo.polytope import Polytope
 from parallo.topology import (
+    _ChainComplex,
+    _CutComplex,
     delta_complex,
+    half_belt_cycles,
     half_belt_span_d3,
     pi_complex,
     ridge_connectivity,
@@ -132,7 +138,9 @@ def test_chain_model_matches_open_surface_ranks():
         pi_rank = sum(
             c.h1_rank for c in topology_report(pi_complex(para)).components
         )
-        assert result.h1_rank_delta == delta_rank
+        # the unquotiented cut model is a test oracle only
+        delta_chain = _ChainComplex(_CutComplex(para), quotient=False)
+        assert delta_chain.h1_rank == delta_rank
         assert result.h1_rank == pi_rank
 
 
@@ -140,3 +148,87 @@ def test_half_belt_cycle_count():
     para = built("truncated-octahedron")
     result = half_belt_span_d3(para)
     assert result.n_cycles == 6 * 6  # six shifted walks per 6-belt
+
+
+# -- negative controls: each check still rejects bad data -------------------
+
+
+def _pi_chain(name):
+    return _ChainComplex(_CutComplex(built(name)), quotient=True)
+
+
+def test_corrupted_two_cell_boundary_is_rejected():
+    chain = _pi_chain("truncated-octahedron")
+    chain.check_boundaries()
+    col = chain.b2_cols[0]
+    edge = next(e for e in col if chain.b1_cols[e])
+    col[edge] += 1
+    with pytest.raises(GeometryError, match="boundary of a boundary is nonzero"):
+        chain.check_boundaries()
+
+
+def test_open_half_belt_chain_is_rejected(monkeypatch):
+    para = built("hexagonal-prism")
+    chain = _ChainComplex(_CutComplex(para), quotient=True)
+    project = chain.project_chain
+    # drop the last spoke: the walk no longer returns to a centre
+    monkeypatch.setattr(chain, "project_chain", lambda terms: project(terms[:-1]))
+    with pytest.raises(GeometryError, match="half-belt chain is not a cycle"):
+        half_belt_cycles(para, chain)
+
+
+def test_antipodal_fixed_cell_is_rejected(monkeypatch):
+    para = built("truncated-octahedron")
+
+    def identity_maps(para):
+        return ({v: v for v in range(para.polytope.n_vertices)},
+                {e: e for e in range(len(para.ridges))},
+                {f: f for f in range(para.polytope.n_facets)})
+
+    monkeypatch.setattr(topology, "_antipodal_maps", identity_maps)
+    for build in (pi_complex, half_belt_span_d3):
+        with pytest.raises(GeometryError, match="involution has a fixed cell"):
+            build(para)
+
+
+def test_kept_edge_crossing_a_cut_is_rejected(monkeypatch):
+    fans = topology._vertex_fans
+
+    def misaligned(para, facet_cycles):
+        # each facet moved one step round its vertex fan
+        return [(es, fs[1:] + fs[:1]) for es, fs in fans(para, facet_cycles)]
+
+    monkeypatch.setattr(topology, "_vertex_fans", misaligned)
+    with pytest.raises(GeometryError, match="kept edge crosses a cut"):
+        _CutComplex(built("hexagonal-prism"))
+
+
+def test_belt_of_length_eight_is_rejected():
+    octagon = [(2, 1), (1, 2), (-1, 2), (-2, 1),
+               (-2, -1), (-1, -2), (1, -2), (2, -1)]
+    prism = Polytope.from_vertices(
+        [(x, y, z) for x, y in octagon for z in (1, -1)])
+    verdict = venkov_check(prism)
+    assert not verdict.ok
+    assert {w.condition for w in verdict.witnesses} == {"belt"}
+    assert "length 8" in verdict.witnesses[0].detail
+
+
+def test_one_half_belt_span_per_verify(monkeypatch):
+    calls = {"span": 0, "chain": 0}
+    span_d3 = topology.half_belt_span_d3
+
+    def counted_span(para):
+        calls["span"] += 1
+        return span_d3(para)
+
+    class CountedChain(_ChainComplex):
+        def __init__(self, *args, **kwargs):
+            calls["chain"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(topology, "half_belt_span_d3", counted_span)
+    monkeypatch.setattr(topology, "_ChainComplex", CountedChain)
+    rep = report.verify(catalog("hexagonal-prism").polytope)
+    assert rep.verdict == "certified"
+    assert calls == {"span": 1, "chain": 1}
