@@ -2,8 +2,9 @@
 
 The cell comes out of the body-centered cubic lattice, passes the
 Venkov conditions, gets a canonical scaling from its ridge gains, and
-is finally matched against the Voronoi cell rebuilt from the recovered
-quadratic form.
+is finally proved to be the Voronoi cell under the recovered quadratic
+form: every facet is a bisector, and no short lattice vector cuts off a
+vertex.
 """
 
 from fractions import Fraction

@@ -285,18 +285,20 @@ class Parallelohedron:
     # -- dual cells -------------------------------------------------------
 
     @cached_property
-    def _dual_cell_candidates(self) -> tuple[Vec, ...]:
-        # any translate sharing a point of P has |t| <= 2 * circumradius
-        return tuple(vectors_in_ball(self.lattice, 4 * self.polytope.circumradius_sq))
+    def _translate_members(self) -> tuple[tuple[Vec, frozenset[int]], ...]:
+        """Per candidate translate t, the ids of the vertices v with
+        v - t in P; any translate sharing a point of P has
+        |t| <= 2 * circumradius."""
+        p = self.polytope
+        return tuple(
+            (t, frozenset(i for i, v in enumerate(p.vertices)
+                          if p.contains(linalg.vsub(v, t))))
+            for t in vectors_in_ball(self.lattice, 4 * p.circumradius_sq)
+        )
 
     def dual_cell(self, face: Face) -> DualCell:
-        p = self.polytope
-        pts = [p.vertices[i] for i in face.vertex_ids]
-        centers = [
-            t
-            for t in self._dual_cell_candidates
-            if all(p.contains(linalg.vsub(v, t)) for v in pts)
-        ]
+        ids = frozenset(face.vertex_ids)
+        centers = [t for t, members in self._translate_members if ids <= members]
         codim = self.dim - face.dim
         hull = None
         if codim <= 3 and len(centers) > 1:

@@ -4,7 +4,9 @@ Both descriptions (vertices and facet halfspaces <n, x> <= b) are kept,
 with facet normals canonicalized to primitive integer outward vectors.
 The dual description is computed by brute force over d-element subsets
 with exact solves: at desk scale (d <= 6, a few dozen facets) this is
-fast enough and trivially auditable.
+fast enough and trivially auditable. Boundedness of a halfspace
+intersection needs no second hull when the normals are closed under
+negation: spanning normals n, -n always positively span.
 
 The face lattice is the closure of the facet vertex-sets under
 intersection, graded from the empty face (dim -1) up to the whole
@@ -138,9 +140,17 @@ def _facets_from_points(points: list[Vec], dim: int) -> list[Halfspace]:
 
 
 def _positively_spans(normals: list[Vec], dim: int) -> bool:
-    """True iff the vectors positively span R^d (origin interior to their hull)."""
+    """True iff the vectors positively span R^d (origin interior to their hull).
+
+    A set closed under negation has its centroid at 0, so a full affine
+    rank makes 0 = (n + (-n)) / 2 interior without a hull; any other set
+    is decided by the facets of its brute-force hull.
+    """
     if affine_rank(list(normals)) < dim:
         return False
+    present = set(normals)
+    if all(linalg.vneg(n) in present for n in normals):
+        return True
     for normal, offset in _facets_from_points(list(normals), dim):
         if offset <= 0:  # origin on or outside this supporting hyperplane
             return False
@@ -380,8 +390,8 @@ def affine_hull_polytope(points: list[Vec]):
         if linalg.rank(tuple(basis) + (d,)) > len(basis):
             basis.append(d)
     k = len(basis)
-    bt = linalg.transpose(tuple(basis))
-    coords = [linalg.solve_linear(bt, linalg.vsub(p, p0)) for p in pts]
     if k == 0:
         raise GeometryError("a single point has no hull")
+    bt = linalg.transpose(tuple(basis))
+    coords = [linalg.solve_linear(bt, linalg.vsub(p, p0)) for p in pts]
     return Polytope.from_vertices(coords), k, p0, tuple(basis)

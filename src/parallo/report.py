@@ -1,12 +1,15 @@
 """End-to-end verification pipeline and machine-readable reports.
 
 verify() runs: Venkov conditions -> belts -> ridge graph -> canonical
-scaling -> quadratic-form recovery -> independent Voronoi-cell
-comparison, and collects belts, primitivity, topology (d = 3) and the
-certificate into one stable-ordered report. Exit codes follow the
-pipeline stage that failed: 0 certified, 2 scaling inconsistency,
-3 Venkov failure, 4 form/cell mismatch (1 is reserved for parse errors
-in the CLI).
+scaling -> quadratic-form recovery -> an independent inequality proof
+that the polytope is the Voronoi cell under the recovered form (every
+facet a bisector, no short lattice vector cutting a vertex), and
+collects belts, primitivity, topology (d = 3) and the certificate into
+one stable-ordered report. Exit codes follow the pipeline stage that
+failed: 0 certified, 2 scaling inconsistency, 3 Venkov failure, 4
+form/cell mismatch (1 is reserved for parse errors in the CLI). A
+"dv-mismatch" certificate carries its witness: the facet that is not a
+bisector, or the lattice vector and the vertex it cuts.
 
 For d = 3 the half-belt span is computed once per report, on the
 pi-surface, and the same block is written under both the "delta" and
@@ -28,6 +31,7 @@ from .lattice import Lattice, dv_cell
 from .parallelohedron import Parallelohedron, VenkovVerdict
 from .polytope import Polytope
 from .scaling import (
+    MismatchWitness,
     ScalingWitness,
     VoronoiCertificate,
     build_ridge_graph,
@@ -123,7 +127,15 @@ def _venkov_dict(v: VenkovVerdict) -> dict:
     }
 
 
-def _witness_dict(w: ScalingWitness) -> dict:
+def _witness_dict(w: ScalingWitness | MismatchWitness) -> dict:
+    if isinstance(w, MismatchWitness):
+        if w.kind == "facet":
+            return {"kind": w.kind, "facet": w.facet}
+        return {
+            "kind": w.kind,
+            "lattice_vector": serialize.vector_to_strs(w.lattice_vector),
+            "vertex": serialize.vector_to_strs(w.vertex),
+        }
     doc = {"kind": w.kind, "gain": serialize.rational_to_str(w.gain)}
     if w.walk is not None:
         doc["facets"] = list(w.walk.facets)

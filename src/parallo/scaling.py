@@ -15,8 +15,12 @@ G t_F = c * s(F) * n_F for all facets makes every facet hyperplane the
 G-bisector of 0 and t_F, i.e. turns the polytope into the Voronoi cell
 of its own center lattice under G. The recovery here solves that linear
 system exactly, searches the solution space for a positive-definite
-representative, and then *independently* verifies the result by
-rebuilding the Voronoi cell and comparing vertex sets.
+representative, and then *independently* proves P = Vor_G(L) with exact
+inequalities (`voronoi_mismatch`): every facet is the G-bisector of its
+facet vector (so Vor is inside P), and no lattice vector within twice
+the G-circumradius cuts a vertex (so P is inside Vor). A failure is a
+"dv-mismatch" carrying the offending facet, or the lattice vector and
+vertex.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import product
 
 from . import linalg
 from .errors import GeometryError
-from .lattice import dv_cell
+from .lattice import Lattice, vectors_in_ball
 from .linalg import Mat, Vec
 from .parallelohedron import Parallelohedron
 
@@ -291,16 +295,58 @@ def canonical_scaling(graph: RidgeGraph):
 
 
 @dataclass(frozen=True)
+class MismatchWitness:
+    """Why P is not Vor_G(L): a facet that is not the G-bisector of its
+    facet vector, or a lattice vector whose bisector cuts off a vertex."""
+
+    kind: str                      # "facet" | "cut"
+    facet: int | None = None
+    lattice_vector: Vec | None = None
+    vertex: Vec | None = None
+
+
+def voronoi_mismatch(para: Parallelohedron, lattice: Lattice) -> MismatchWitness | None:
+    """None iff the polytope is the Voronoi cell of `lattice` under its Gram.
+
+    Vor is inside P when every facet <n_F, x> <= b_F is the G-bisector
+    of its facet vector t_F: G t_F = lam * n_F with lam > 0 and
+    |t_F|^2 = 2 * lam * b_F. P is inside Vor when every vertex x has
+    2 <x, v> <= |v|^2 for all lattice v; a v with |v|^2 > 4 max |x|^2
+    cannot cut the ball holding the vertices, so a finite sweep decides.
+    """
+    p = para.polytope
+    for fi, (t, n, b) in enumerate(zip(para.facet_vectors, p.facet_normals,
+                                       p.facet_offsets)):
+        g = linalg.matvec(lattice.gram, t)
+        lead = next(i for i, x in enumerate(n) if x != 0)
+        lam = g[lead] / n[lead]
+        if (lam <= 0 or g != linalg.vscale(lam, n)
+                or lattice.norm_sq(t) != 2 * lam * b):
+            return MismatchWitness("facet", facet=fi)
+    r2 = max(lattice.norm_sq(x) for x in p.vertices)
+    ball = [(v, linalg.matvec(lattice.gram, v), lattice.norm_sq(v))
+            for v in vectors_in_ball(lattice, 4 * r2)]
+    for x in p.vertices:
+        for v, gv, v2 in ball:
+            if 2 * linalg.dot(x, gv) > v2:
+                return MismatchWitness("cut", lattice_vector=v, vertex=x)
+    return None
+
+
+@dataclass(frozen=True)
 class VoronoiCertificate:
-    """Outcome of the quadratic-form recovery and its verification."""
+    """Outcome of the quadratic-form recovery and its verification.
+
+    `witness` explains a failure: a ScalingWitness for "scaling-fails",
+    a MismatchWitness for "dv-mismatch", otherwise None.
+    """
 
     verdict: str  # "certified" | "scaling-fails" | "form-not-pd" | "dv-mismatch"
     scaling: CanonicalScaling | None
     gram: Mat | None
     component_factors: tuple[Fraction, ...] | None
-    witness: ScalingWitness | None = None
+    witness: ScalingWitness | MismatchWitness | None = None
     solution_basis: tuple[Vec, ...] = ()
-    voronoi_vertices: tuple[Vec, ...] = ()
 
 
 def _sym_from_upper(entries: Vec, d: int) -> Mat:
@@ -352,8 +398,10 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
 
     Solves G t_F = c_k(F) * s(F) * n_F over symmetric G and one positive
     factor per merged scaling component, picks a positive-definite
-    solution, then rebuilds the Voronoi cell of the center lattice under
-    G and requires its vertex set to equal the polytope's exactly.
+    solution, then proves P = Vor_G(L) for the center lattice L with
+    `voronoi_mismatch`: each facet is the G-bisector of its facet vector,
+    and no lattice vector in the ball of twice the G-circumradius cuts a
+    vertex. A failed check gives "dv-mismatch" with its witness.
     """
     p = para.polytope
     d = p.dim
@@ -392,17 +440,10 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     u = linalg.scale_to_content_one(u)
     gram = _sym_from_upper(u[:n_upper], d)
     factors = u[n_upper:]
-    cell = dv_cell(para.lattice.with_gram(gram))
-    if cell.vertices != p.vertices:
-        return VoronoiCertificate(
-            "dv-mismatch", scaling, gram, factors,
-            solution_basis=tuple(basis),
-            voronoi_vertices=cell.vertices,
-        )
+    mismatch = voronoi_mismatch(para, para.lattice.with_gram(gram))
     return VoronoiCertificate(
-        "certified", scaling, gram, factors,
-        solution_basis=tuple(basis),
-        voronoi_vertices=cell.vertices,
+        "certified" if mismatch is None else "dv-mismatch", scaling, gram,
+        factors, witness=mismatch, solution_basis=tuple(basis),
     )
 
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: hulls come from
 scipy's floating-point qhull, lattice minima from a plain exhaustive
-coefficient sweep, and unimodular maps from explicit elementary
-operations.
+coefficient sweep, dual cells from a per-face sweep over translates, and
+unimodular maps from explicit elementary operations.
 """
 
 from fractions import Fraction
@@ -13,6 +13,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from parallo import linalg
+from parallo.lattice import vectors_in_ball
 
 
 def hull_counts(points) -> tuple[int, int]:
@@ -90,4 +91,19 @@ def ridge_image_map(para_p, para_q, a, shift):
             for i in r.vertex_ids
         )
         out.append(q_ids[img])
+    return out
+
+
+def dual_cell_centers(para, faces):
+    """Per face, the translates t whose cell P + t contains it, by testing
+    each vertex of the face against each t in the ball of twice the
+    circumradius."""
+    p = para.polytope
+    ball = vectors_in_ball(para.lattice, 4 * p.circumradius_sq)
+    out = []
+    for face in faces:
+        pts = [p.vertices[i] for i in face.vertex_ids]
+        out.append(tuple(sorted(
+            t for t in ball if all(p.contains(linalg.vsub(v, t)) for v in pts)
+        )))
     return out

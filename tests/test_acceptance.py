@@ -20,7 +20,7 @@ from oracles import random_unimodular, ridge_image_map
 from parallo import linalg
 from parallo.catalog import catalog
 from parallo.cli import main as cli_main
-from parallo.lattice import Lattice, covering_counts
+from parallo.lattice import Lattice, covering_counts, dv_cell
 from parallo.parallelohedron import Parallelohedron, dual3_census
 from parallo.polytope import Polytope
 from parallo.scaling import (
@@ -279,7 +279,10 @@ def test_criterion_7_soundness_cross_check():
             entry = catalog(name)
             para = built(name)
             cert = rep.certificate
-            assert cert.voronoi_vertices == para.polytope.vertices
+            # oracle for the inequality proof in voronoi_form: rebuild
+            # the Voronoi cell under the recovered form
+            rebuilt = dv_cell(para.lattice.with_gram(cert.gram))
+            assert rebuilt.vertices == para.polytope.vertices
             # tiling spot check in the plain coordinate metric: a sample
             # point is interior to exactly one translate, or (measure-zero
             # but possible with rational samples) on the shared boundary

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import built
+from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, built
+from oracles import dual_cell_centers
 from parallo import linalg
 from parallo.catalog import catalog
 from parallo.errors import DualCellAnomaly, NotAParallelohedron
@@ -115,6 +116,15 @@ def test_dual_cell_center_counts():
     cube = built("cube")
     for cell in cube.dual_cells(3):
         assert len(cell.centers) == 8
+
+
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG)
+def test_dual_cells_match_per_face_sweep(name):
+    para = built(name)
+    for codim in range(1, min(3, para.dim) + 1):
+        faces = para.polytope.face_lattice.faces(para.dim - codim)
+        swept = dual_cell_centers(para, faces)
+        assert [c.centers for c in para.dual_cells(codim)] == swept
 
 
 def test_dual3_censuses():

@@ -3,10 +3,15 @@ from fractions import Fraction
 import pytest
 
 from oracles import facet_image_map, hull_counts, random_unimodular
-from parallo import linalg
+from parallo import linalg, polytope
 from parallo.catalog import catalog
 from parallo.errors import GeometryError
-from parallo.polytope import Polytope, central_symmetry
+from parallo.polytope import (
+    Polytope,
+    affine_hull_polytope,
+    affine_rank,
+    central_symmetry,
+)
 
 F = Fraction
 
@@ -153,6 +158,58 @@ def test_unbounded_and_degenerate_inputs_rejected():
         )  # a segment: empty interior
     with pytest.raises(GeometryError):
         Polytope.from_vertices([(0, 0), (1, 0), (2, 0)])
+
+
+def _brute_positively_spans(normals, dim):
+    """Origin interior to the brute-force hull of the normals."""
+    if affine_rank(normals) < dim:
+        return False
+    return all(b > 0 for _, b in polytope._facets_from_points(normals, dim))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_symmetric_normals_positively_span_without_a_hull(rng, dim,
+                                                          monkeypatch):
+    cases = []
+    for trial in range(12):
+        # every third set lies in a coordinate hyperplane: rank < dim
+        free = dim - 1 if trial % 3 == 2 else dim
+        half = set()
+        while len(half) < rng.randint(dim, dim + 2):
+            v = [F(rng.randint(-2, 2)) for _ in range(free)] + [F(0)] * (dim - free)
+            if any(v):
+                half.add(tuple(v))
+        normals = sorted(half | {linalg.vneg(v) for v in half})
+        cases.append((normals, _brute_positively_spans(normals, dim)))
+    assert {expected for _, expected in cases} == {True, False}
+
+    def no_hull(*args):
+        raise AssertionError("symmetric normals need no hull")
+
+    monkeypatch.setattr(polytope, "_facets_from_points", no_hull)
+    for normals, expected in cases:
+        assert polytope._positively_spans(normals, dim) == expected
+
+
+def test_boundedness_controls():
+    e = [linalg.vec(row) for row in linalg.identity(3)]
+    # non-symmetric and bounded: a simplex
+    simplex = Polytope.from_halfspaces(
+        [((1, 1, 1), F(1))] + [(linalg.vneg(x), F(0)) for x in e], 3)
+    assert simplex.n_vertices == 4
+    # non-symmetric and unbounded: the -e3 side is open
+    open_box = [(x, F(1)) for x in e] + [(linalg.vneg(x), F(1)) for x in e[:2]]
+    with pytest.raises(GeometryError, match="halfspace intersection is unbounded"):
+        Polytope.from_halfspaces(open_box, 3)
+    # symmetric but spanning only a plane
+    slab = [(linalg.vscale(s, x), F(1)) for x in e[:2] for s in (1, -1)]
+    with pytest.raises(GeometryError, match="do not span the space"):
+        Polytope.from_halfspaces(slab, 3)
+
+
+def test_affine_hull_of_a_single_point():
+    with pytest.raises(GeometryError, match="a single point has no hull"):
+        affine_hull_polytope([linalg.vec([1, 2])])
 
 
 def test_recentered():

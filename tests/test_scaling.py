@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,12 @@ from conftest import POLYTOPE_CATALOG, built, ridge_graph
 from oracles import random_unimodular, ridge_image_map
 from parallo import linalg
 from parallo.errors import GeometryError
+from parallo.lattice import Lattice, vectors_in_ball
 from parallo.parallelohedron import Parallelohedron
+from parallo.report import certificate_dict
 from parallo.scaling import (
     CanonicalScaling,
+    MismatchWitness,
     ScalingWitness,
     Walk,
     build_ridge_graph,
@@ -19,6 +23,7 @@ from parallo.scaling import (
     local_cycle_check,
     ridge_dependence,
     voronoi_form,
+    voronoi_mismatch,
 )
 
 F = Fraction
@@ -216,6 +221,52 @@ def test_voronoi_form_prism_block_structure():
     assert (g[0][0], g[0][1], g[1][1]) == (2 * scale, scale, 2 * scale)
     assert g[2][2] > 0
     assert len(cert.solution_basis) == 2
+
+
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG)
+def test_voronoi_mismatch_accepts_the_recovered_form(name):
+    para = built(name)
+    gram = certify(ridge_graph(name)).gram
+    assert voronoi_mismatch(para, para.lattice.with_gram(gram)) is None
+
+
+def test_voronoi_mismatch_names_a_facet_under_a_perturbed_form():
+    para = built("truncated-octahedron")
+    gram = [list(row) for row in certify(ridge_graph("truncated-octahedron")).gram]
+    gram[0][1] += F(1, 7)
+    gram[1][0] += F(1, 7)
+    lat = para.lattice.with_gram(gram)
+    witness = voronoi_mismatch(para, lat)
+    assert isinstance(witness, MismatchWitness) and witness.kind == "facet"
+    t = para.facet_vectors[witness.facet]
+    n = para.polytope.facet_normals[witness.facet]
+    # G t is not a positive multiple of the facet normal
+    assert linalg.rank((linalg.matvec(lat.gram, t), n)) == 2
+
+
+def test_voronoi_mismatch_finds_a_cut_by_a_finer_lattice():
+    cube = built("cube")  # vertices (+-1/2, +-1/2, +-1/2), facet vectors +-e_i
+    half = Lattice.create([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]])
+    witness = voronoi_mismatch(cube, half)
+    assert isinstance(witness, MismatchWitness) and witness.kind == "cut"
+    v, x = witness.lattice_vector, witness.vertex
+    assert x in cube.polytope.vertices
+    assert v in vectors_in_ball(half, 3)  # 4 * max |x|^2
+    assert 2 * half.inner(x, v) > half.norm_sq(v)
+
+
+def test_dv_mismatch_certificate_reports_its_witness():
+    cert = certify(ridge_graph("cube"))
+    assert "witness" not in certificate_dict(cert)
+    cut = MismatchWitness("cut", lattice_vector=(F(1, 2), F(0), F(0)),
+                          vertex=(F(1, 2), F(1, 2), F(1, 2)))
+    doc = certificate_dict(replace(cert, verdict="dv-mismatch", witness=cut))
+    assert doc["verdict"] == "dv-mismatch"
+    assert doc["witness"] == {"kind": "cut", "lattice_vector": ["1/2", "0", "0"],
+                              "vertex": ["1/2", "1/2", "1/2"]}
+    facet = MismatchWitness("facet", facet=3)
+    doc = certificate_dict(replace(cert, verdict="dv-mismatch", witness=facet))
+    assert doc["witness"] == {"kind": "facet", "facet": 3}
 
 
 def test_local_cycle_checks():
