@@ -114,6 +114,10 @@ def vectors_in_ball(lat: Lattice, r2: Fraction, around: Vec | None = None,
     q = lat.coefficient_form
     out = []
     axes = _coefficient_box(lat, r2, center)
+    # Q(k - center) <= r2 on integers: Q scaled by qs, k - center by cs
+    qi, qs = linalg.integer_rows(q)
+    (ci,), cs = linalg.integer_rows([center])
+    bound = r2 * qs * cs * cs
     if parity is not None:
         axes = [
             range(
@@ -124,10 +128,10 @@ def vectors_in_ball(lat: Lattice, r2: Fraction, around: Vec | None = None,
             for i, r in enumerate(axes)
         ]
     for k in product(*axes):
-        kv = linalg.vec(k)
-        delta = linalg.vsub(kv, center)
-        if linalg.dot(delta, linalg.matvec(q, delta)) <= r2:
-            out.append(lat.from_coefficients(kv))
+        delta = [cs * a - c for a, c in zip(k, ci)]
+        if sum(a * sum(x * y for x, y in zip(row, delta))
+               for a, row in zip(delta, qi)) <= bound:
+            out.append(lat.from_coefficients(k))
     return sorted(out)
 
 

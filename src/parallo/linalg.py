@@ -3,7 +3,16 @@
 Vectors are tuples of Fraction, matrices are tuples of row tuples.
 Everything here is pure, immutable and exact; no floating point is used
 anywhere, so results can serve as certificates. Sized for desk-scale
-geometry (dimensions up to ~6, a few dozen rows), not for performance.
+geometry (dimensions up to ~6, a few dozen rows).
+
+Ranks, determinants, cofactor vectors and Cramer solves run on integer
+rows through one fraction-free elimination (Bareiss 1968): every
+intermediate entry is a minor of the input, so each division is exact
+and no Fraction is built in the inner loop. A rational row is first
+scaled by the lcm of its denominators, which keeps its rank and scales
+a determinant by a known positive factor. `rref` and what reads it
+(`nullspace`, `solve_linear`, `inverse`) stay on Fractions, because
+callers read their normalized rational results.
 
 Kernel and solution-space bases are normalized to integer entries with
 content 1 and a positive leading entry, so identical inputs always
@@ -117,8 +126,101 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
+def integer_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
+    """The rows times their least common denominator s, as integer
+    lists, and s."""
+    rows = list(rows)
+    s = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (s // x.denominator) for x in r] for r in rows], s
+
+
+def _row_scaled(m: Mat) -> tuple[list[list[int]], int]:
+    """Each row times its own least common denominator, and the product
+    of those positive row scales."""
+    rows, scale = [], 1
+    for r in m:
+        s = math.lcm(*(x.denominator for x in r))
+        rows.append([x.numerator * (s // x.denominator) for x in r])
+        scale *= s
+    return rows, scale
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free row echelon form of an integer matrix, in place.
+
+    After the k-th pivot, each entry below it is the determinant of the
+    (k+1)-square submatrix on the pivot rows and columns so far plus its
+    own row and column (Sylvester's identity), so the division by the
+    previous pivot is exact. Returns the pivot columns and the sign of
+    the row permutation; for a nonsingular square matrix the last pivot
+    times that sign is the determinant.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(r + 1, nr):
+            f = rows[i][c]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, sign
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix; consumes the rows. The
+    elimination leaves every row past the rank zero, so a singular
+    matrix reads 0 in its last entry."""
+    _, sign = _bareiss(rows)
+    return sign * rows[-1][-1] if rows else 1
+
+
+def int_cofactors(rows: list[list[int]]) -> list[int]:
+    """The signed maximal minors of an (n-1) x n integer matrix: an
+    integer vector orthogonal to every row, zero exactly when the rows
+    are linearly dependent."""
+    return [
+        (-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows])
+        for j in range(len(rows) + 1)
+    ]
+
+
+def int_cramer(a: list[list[int]], b: list[int]) -> tuple[list[int], int]:
+    """Cramer's rule over the integers for a square system a x = b:
+    (num, det) with x = num / det and det > 0, or ([], 0) when a is
+    singular. One elimination of [a | b], then back substitution on
+    num = det * x, whose entries are integers (Cramer), so every
+    division is exact."""
+    n = len(a)
+    rows = [r + [bi] for r, bi in zip(a, b)]
+    pivots, _ = _bareiss(rows)
+    if pivots[:n] != list(range(n)):
+        return [], 0
+    det = rows[-1][n - 1] if n else 1
+    num = [0] * n
+    for i in reversed(range(n)):
+        r = rows[i]
+        s = det * r[n] - sum(r[j] * num[j] for j in range(i + 1, n))
+        num[i] = s // r[i]
+    if det < 0:
+        return [-x for x in num], -det
+    return num, det
+
+
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_bareiss(_row_scaled(m)[0])[0])
 
 
 def normalize_primitive(v: Vec) -> Vec:
@@ -126,13 +228,8 @@ def normalize_primitive(v: Vec) -> Vec:
     positive leading entry. Zero vectors pass through unchanged."""
     if all(x == 0 for x in v):
         return vec(v)
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+    (ints,), _ = _row_scaled((v,))
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)
     if lead < 0:
@@ -193,22 +290,8 @@ def det(m: Mat) -> Fraction:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in m]
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
+    rows, scale = _row_scaled(m)
+    return Fraction(_int_det(rows), scale)
 
 
 def inverse(m: Mat) -> Mat:
@@ -279,11 +362,7 @@ def lattice_basis_from_generators(vectors: Sequence[Vec]) -> Mat:
     """Basis (HNF rows) of the lattice of integer combinations of vectors."""
     if not vectors:
         return ()
-    lcm = 1
-    for v in vectors:
-        for x in v:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    int_rows = [[int(x * lcm) for x in v] for v in vectors]
+    int_rows, lcm = integer_rows(vectors)
     hnf = _hnf_rows(int_rows)
     return tuple(tuple(Fraction(x, lcm) for x in row) for row in hnf)
 

@@ -249,16 +249,12 @@ class Parallelohedron:
         self._check_neighbors()
 
     def _check_neighbors(self):
-        """P and P + t_F must intersect in exactly the facet F."""
+        """P and P + t_F must intersect in exactly the facet F: the row
+        of t_F in the translate table must be the facet's vertex ids (a
+        facet vector with no row lies outside the 2R ball and fails)."""
         p = self.polytope
         for fi, t in enumerate(self.facet_vectors):
-            facet_ids = set(p.facet_vertex_ids[fi])
-            shared = {
-                i
-                for i, v in enumerate(p.vertices)
-                if p.contains(linalg.vsub(v, t))
-            }
-            if shared != facet_ids:
+            if self._translate_members.get(t) != set(p.facet_vertex_ids[fi]):
                 raise GeometryError(
                     f"facet vector of facet {fi} does not reproduce the facet "
                     "as the neighbor intersection"
@@ -285,20 +281,32 @@ class Parallelohedron:
     # -- dual cells -------------------------------------------------------
 
     @cached_property
-    def _translate_members(self) -> tuple[tuple[Vec, frozenset[int]], ...]:
+    def _translate_members(self) -> dict[Vec, frozenset[int]]:
         """Per candidate translate t, the ids of the vertices v with
-        v - t in P; any translate sharing a point of P has
-        |t| <= 2 * circumradius."""
+        v - t in P, that is <n, v> <= b + <n, t> on every facet (n, b);
+        any translate sharing a point of P has |t| <= 2 * circumradius."""
         p = self.polytope
-        return tuple(
-            (t, frozenset(i for i, v in enumerate(p.vertices)
-                          if p.contains(linalg.vsub(v, t))))
-            for t in vectors_in_ball(self.lattice, 4 * p.circumradius_sq)
-        )
+        ball = vectors_in_ball(self.lattice, 4 * p.circumradius_sq)
+        # one integer scale for vertices, translates and offsets
+        (*points, offsets), _ = linalg.integer_rows(
+            p.vertices + tuple(ball) + (p.facet_offsets,))
+        normals, _ = linalg.integer_rows(p.facet_normals)
+        heights = [[sum(x * y for x, y in zip(n, v)) for n in normals]
+                   for v in points[:p.n_vertices]]
+        out = {}
+        for t, st in zip(ball, points[p.n_vertices:]):
+            caps = [b + sum(x * y for x, y in zip(n, st))
+                    for n, b in zip(normals, offsets)]
+            out[t] = frozenset(
+                i for i, h in enumerate(heights)
+                if all(x <= c for x, c in zip(h, caps))
+            )
+        return out
 
     def dual_cell(self, face: Face) -> DualCell:
         ids = frozenset(face.vertex_ids)
-        centers = [t for t, members in self._translate_members if ids <= members]
+        centers = [t for t, members in self._translate_members.items()
+                   if ids <= members]
         codim = self.dim - face.dim
         hull = None
         if codim <= 3 and len(centers) > 1:

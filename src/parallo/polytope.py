@@ -3,10 +3,13 @@
 Both descriptions (vertices and facet halfspaces <n, x> <= b) are kept,
 with facet normals canonicalized to primitive integer outward vectors.
 The dual description is computed by brute force over d-element subsets
-with exact solves: at desk scale (d <= 6, a few dozen facets) this is
-fast enough and trivially auditable. Boundedness of a halfspace
-intersection needs no second hull when the normals are closed under
-negation: spanning normals n, -n always positively span.
+on integer rows: a subset's hyperplane is the cofactor vector of its
+point differences and a subset's vertex comes from Cramer's rule, both
+through `linalg`'s fraction-free elimination, so the results are exact
+and trivially auditable at desk scale (d <= 6, a few dozen facets).
+Boundedness of a halfspace intersection needs no second hull when the
+normals are closed under negation: spanning normals n, -n always
+positively span.
 
 The face lattice is the closure of the facet vertex-sets under
 intersection, graded from the empty face (dim -1) up to the whole
@@ -15,6 +18,7 @@ polytope (dim d). Faces are identified with their vertex-index sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -91,19 +95,6 @@ class FaceLattice:
         ]
 
 
-def _hyperplane_through(points: list[Vec], dim: int):
-    """Unique hyperplane <n, x> = b through the points, or None."""
-    rows = tuple(p + (Fraction(-1),) for p in points)
-    kernel = linalg.nullspace(rows)
-    if len(kernel) != 1:
-        return None
-    nb = kernel[0]
-    normal, offset = nb[:dim], nb[dim]
-    if all(x == 0 for x in normal):
-        return None
-    return normal, offset
-
-
 def _canonical_halfspace(normal: Vec, offset: Fraction) -> Halfspace:
     """Scale so the normal is a primitive integer vector (same direction)."""
     prim = linalg.normalize_primitive(normal)
@@ -116,21 +107,41 @@ def _canonical_halfspace(normal: Vec, offset: Fraction) -> Halfspace:
 
 
 def _facets_from_points(points: list[Vec], dim: int) -> list[Halfspace]:
-    """Supporting hyperplanes touching in a (d-1)-dimensional set."""
+    """Supporting hyperplanes of a full-dimensional point set touching it
+    in a (d-1)-dimensional set.
+
+    The points are scaled to integers once; each d-subset's normal is the
+    cofactor vector of its difference rows (zero when the subset is
+    affinely dependent), and the side test stops at the first pair of
+    points on opposite sides.
+    """
+    ints, scale = linalg.integer_rows(points)
     candidates: dict[Halfspace, None] = {}
-    for subset in combinations(range(len(points)), dim):
-        hp = _hyperplane_through([points[i] for i in subset], dim)
-        if hp is None:
+    for subset in combinations(ints, dim):
+        p0 = subset[0]
+        normal = linalg.int_cofactors(
+            [[a - b for a, b in zip(q, p0)] for q in subset[1:]])
+        if not any(normal):
             continue
-        normal, offset = hp
-        vals = [linalg.dot(normal, p) - offset for p in points]
-        if all(v <= 0 for v in vals):
-            pass
-        elif all(v >= 0 for v in vals):
-            normal, offset = linalg.vneg(normal), -offset
+        offset = sum(n * x for n, x in zip(normal, p0))
+        side = 0
+        for q in ints:
+            v = sum(n * x for n, x in zip(normal, q)) - offset
+            if v > 0:
+                if side < 0:
+                    break
+                side = 1
+            elif v < 0:
+                if side > 0:
+                    break
+                side = -1
         else:
-            continue
-        candidates[_canonical_halfspace(normal, offset)] = None
+            if side > 0:
+                normal, offset = [-n for n in normal], -offset
+            g = math.gcd(*normal)
+            key = (tuple(Fraction(n // g) for n in normal),
+                   Fraction(offset, g * scale))
+            candidates[key] = None
     facets = []
     for normal, offset in candidates:
         on = [p for p in points if linalg.dot(normal, p) == offset]
@@ -201,15 +212,19 @@ class Polytope:
             raise GeometryError("halfspace normals do not span the space")
         if not _positively_spans([n for n, _ in planes], dim):
             raise GeometryError("halfspace intersection is unbounded")
+        # <n, x> <= b  iff  <n, scale*x> <= scale*b, all integers
+        normals, _ = linalg.integer_rows(n for n, _ in planes)
+        (offsets,), scale = linalg.integer_rows([[b for _, b in planes]])
+        rows = list(zip(normals, offsets))
         vertices: set[Vec] = set()
-        for subset in combinations(planes, dim):
-            a = tuple(n for n, _ in subset)
-            b = tuple(off for _, off in subset)
-            x = linalg.solve_linear(a, b)
-            if x is None:
+        for subset in combinations(rows, dim):
+            num, det = linalg.int_cramer([n for n, _ in subset],
+                                         [b for _, b in subset])
+            if det == 0:
                 continue
-            if all(linalg.dot(n, x) <= off for n, off in planes):
-                vertices.add(x)
+            if all(sum(x * y for x, y in zip(n, num)) <= b * det
+                   for n, b in rows):
+                vertices.add(tuple(Fraction(x, det * scale) for x in num))
         verts = sorted(vertices)
         if affine_rank(verts) != dim:
             raise GeometryError("halfspace intersection has empty interior")

@@ -2,18 +2,21 @@
 
 These deliberately avoid the library's own code paths: hulls come from
 scipy's floating-point qhull, lattice minima from a plain exhaustive
-coefficient sweep, dual cells from a per-face sweep over translates, and
-unimodular maps from explicit elementary operations.
+coefficient sweep, dual cells from a per-face sweep over translates,
+unimodular maps from explicit elementary operations, and the
+fraction-free kernels (rank, det, both hull directions) from the plain
+`Fraction` eliminations they replaced.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from parallo import linalg
 from parallo.lattice import vectors_in_ball
+from parallo.polytope import _canonical_halfspace
 
 
 def hull_counts(points) -> tuple[int, int]:
@@ -107,3 +110,93 @@ def dual_cell_centers(para, faces):
             t for t in ball if all(p.contains(linalg.vsub(v, t)) for v in pts)
         )))
     return out
+
+
+def fraction_rank(m) -> int:
+    """Rank as the number of pivots of the Fraction RREF."""
+    return len(linalg.rref(m)[1])
+
+
+def fraction_det(m) -> Fraction:
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    n = len(m)
+    rows = [list(r) for r in m]
+    result = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            result = -result
+        result *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result
+
+
+def _fraction_affine_rank(points) -> int:
+    if not points:
+        return -1
+    p0 = points[0]
+    return fraction_rank(tuple(linalg.vsub(p, p0) for p in points[1:]))
+
+
+def _hyperplane_through(points, dim):
+    """Unique hyperplane <n, x> = b through the points, or None."""
+    rows = tuple(p + (Fraction(-1),) for p in points)
+    kernel = linalg.nullspace(rows)
+    if len(kernel) != 1:
+        return None
+    nb = kernel[0]
+    normal, offset = nb[:dim], nb[dim]
+    if all(x == 0 for x in normal):
+        return None
+    return normal, offset
+
+
+def fraction_facets_from_points(points, dim):
+    """Facet halfspaces of a full-dimensional point set: a Fraction
+    kernel per d-subset and a side test against every point."""
+    candidates = {}
+    for subset in combinations(range(len(points)), dim):
+        hp = _hyperplane_through([points[i] for i in subset], dim)
+        if hp is None:
+            continue
+        normal, offset = hp
+        vals = [linalg.dot(normal, p) - offset for p in points]
+        if all(v <= 0 for v in vals):
+            pass
+        elif all(v >= 0 for v in vals):
+            normal, offset = linalg.vneg(normal), -offset
+        else:
+            continue
+        candidates[_canonical_halfspace(normal, offset)] = None
+    facets = []
+    for normal, offset in candidates:
+        on = [p for p in points if linalg.dot(normal, p) == offset]
+        if _fraction_affine_rank(on) == dim - 1:
+            facets.append((normal, offset))
+    return sorted(facets)
+
+
+def fraction_vertices_from_halfspaces(halfspaces, dim):
+    """Sorted vertices of a bounded halfspace intersection: a Fraction
+    solve per d-subset of the canonical planes, kept when feasible."""
+    planes = sorted({
+        _canonical_halfspace(linalg.vec(n), linalg.frac(b)): None
+        for n, b in halfspaces
+    })
+    vertices = set()
+    for subset in combinations(planes, dim):
+        a = tuple(n for n, _ in subset)
+        b = tuple(off for _, off in subset)
+        x = linalg.solve_linear(a, b)
+        if x is None:
+            continue
+        if all(linalg.dot(n, x) <= off for n, off in planes):
+            vertices.add(x)
+    return sorted(vertices)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_det, fraction_rank
 from parallo import linalg
 
 F = Fraction
@@ -144,3 +145,72 @@ def test_floor_sqrt():
     assert linalg.floor_sqrt(F(0)) == 0
     assert linalg.floor_sqrt(F(35, 4)) == 2
     assert linalg.floor_sqrt(F(36, 4)) == 3
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices of 0-4 rows, often singular: a row may be
+    replaced by zeros or by a rational combination of two others."""
+    rows = draw(st.integers(0, 4))
+    cols = rows if square else draw(st.integers(0, 4))
+    m = [[draw(rational) for _ in range(cols)] for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, rows - 1))
+        j, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a, b = draw(rational), draw(rational)
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    return tuple(tuple(r) for r in m)
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_fraction_rref(m):
+    assert linalg.rank(m) == fraction_rank(m)
+
+
+@given(rational_matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_det_matches_fraction_elimination(m):
+    assert linalg.det(m) == fraction_det(m)
+
+
+def test_rank_and_det_edge_cases():
+    assert linalg.rank(()) == 0
+    assert linalg.rank(((),)) == 0
+    assert linalg.rank(linalg.mat([[0, 0, 0], [0, 0, 0]])) == 0
+    assert linalg.rank(linalg.mat([[0, F(1, 2)], [0, F(-3, 4)], [1, 0]])) == 2
+    assert linalg.det(()) == 1
+    assert linalg.det(linalg.mat([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]])) \
+        == F(1, 10) - F(1, 12)
+    assert linalg.det(linalg.mat([[0, 1], [1, 0]])) == -1
+    assert linalg.det(linalg.mat([[1, 2], [F(1, 2), 1]])) == 0
+    with pytest.raises(ValueError, match="non-square"):
+        linalg.det(linalg.mat([[1, 2]]))
+
+
+small_int_rows = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+
+
+@given(small_int_rows)
+@settings(max_examples=200, deadline=None)
+def test_int_cramer_matches_solve_linear(system):
+    a, b = system
+    num, d = linalg.int_cramer(a, b)
+    x = linalg.solve_linear(linalg.mat(a), linalg.vec(b))
+    if x is None:
+        assert (num, d) == ([], 0)
+    else:
+        assert d > 0 and tuple(F(v, d) for v in num) == x
+
+
+@given(small_int_rows)
+@settings(max_examples=200, deadline=None)
+def test_int_cofactors_are_orthogonal_and_vanish_on_dependent_rows(system):
+    a, _ = system
+    rows = a[1:]  # (n - 1) x n
+    normal = linalg.int_cofactors(rows)
+    assert all(sum(x * y for x, y in zip(r, normal)) == 0 for r in rows)
+    assert any(normal) == (fraction_rank(linalg.mat(rows)) == len(rows))

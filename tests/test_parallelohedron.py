@@ -7,7 +7,7 @@ from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, built
 from oracles import dual_cell_centers
 from parallo import linalg
 from parallo.catalog import catalog
-from parallo.errors import DualCellAnomaly, NotAParallelohedron
+from parallo.errors import DualCellAnomaly, GeometryError, NotAParallelohedron
 from parallo.parallelohedron import (
     Parallelohedron,
     classify_dual3,
@@ -101,6 +101,22 @@ def test_facet_vectors_and_neighbor_identity():
             }
             assert shared == set(p.facet_vertex_ids[fi])
 
+
+
+@pytest.mark.parametrize("centers", ["doubled", "rotated"])
+def test_neighbor_check_rejects_wrong_facet_vectors(centers):
+    """Negative controls of the neighbor check: doubled centers put each
+    t_F = 4 c_F outside the 2R ball of the coarser lattice, so it has no
+    row in the translate table; rotated centers give each facet the row
+    of another facet."""
+    cube = built("cube")
+    if centers == "doubled":
+        wrong = tuple(linalg.vscale(2, c) for c in cube.facet_centers)
+    else:
+        wrong = cube.facet_centers[1:] + cube.facet_centers[:1]
+    with pytest.raises(GeometryError, match="does not reproduce the facet"):
+        Parallelohedron(cube.polytope, cube.belts, cube.belt_of_ridge,
+                        wrong, cube.ridge_facets)
 
 def test_dual_cell_center_counts():
     para = built("truncated-octahedron")

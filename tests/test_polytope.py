@@ -1,8 +1,18 @@
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import facet_image_map, hull_counts, random_unimodular
+from oracles import (
+    facet_image_map,
+    fraction_facets_from_points,
+    fraction_vertices_from_halfspaces,
+    hull_counts,
+    random_unimodular,
+)
 from parallo import linalg, polytope
 from parallo.catalog import catalog
 from parallo.errors import GeometryError
@@ -216,3 +226,90 @@ def test_recentered():
     shifted = half_cube().translated(linalg.vec([1, 2, 3]))
     back = shifted.recentered()
     assert back.vertices == half_cube().vertices
+
+
+# -- the integer kernels against the Fraction loops they replaced ------
+
+# small integers make many coplanar subsets; fractions mix denominators
+_coordinate = st.one_of(
+    st.integers(-2, 2).map(Fraction),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+)
+
+
+@st.composite
+def point_sets(draw):
+    """A full-dimensional rational point set in d = 2, 3 or 4, with
+    midpoints (interior or boundary points) and duplicates added."""
+    dim = draw(st.integers(2, 4))
+    n = draw(st.integers(dim + 1, 9 - dim // 2))
+    pts = [tuple(draw(_coordinate) for _ in range(dim)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    for _ in range(draw(st.integers(0, 2))):
+        pts.append(draw(st.sampled_from(pts)))
+    return dim, pts
+
+
+@given(point_sets())
+@settings(max_examples=120, deadline=None)
+def test_point_hull_matches_the_fraction_loop(case):
+    dim, pts = case
+    assume(affine_rank(pts) == dim)
+    assert polytope._facets_from_points(pts, dim) == \
+        fraction_facets_from_points(pts, dim)
+
+
+@st.composite
+def symmetric_halfspaces(draw):
+    """Normals closed under negation, spanning R^d, with positive
+    rational offsets (a different one on each side)."""
+    dim = draw(st.integers(2, 4))
+    n = draw(st.integers(dim, 6 - dim // 2))
+    offset = st.fractions(min_value=Fraction(1, 6), max_value=3,
+                          max_denominator=6)
+    hs = []
+    for _ in range(n):
+        normal = tuple(draw(st.integers(-2, 2)) for _ in range(dim))
+        assume(any(normal))
+        hs.append((normal, draw(offset)))
+        hs.append((tuple(-x for x in normal), draw(offset)))
+    assume(linalg.rank(tuple(linalg.vec(h) for h, _ in hs)) == dim)
+    return dim, hs
+
+
+@given(symmetric_halfspaces())
+@settings(max_examples=120, deadline=None)
+def test_halfspace_vertices_match_the_fraction_loop(case):
+    dim, hs = case
+    assert Polytope.from_halfspaces(hs, dim).vertices == \
+        tuple(fraction_vertices_from_halfspaces(hs, dim))
+
+
+def test_six_generator_zonotope():
+    """A zonotope of n = 6 generators in general position has
+    n(n - 1) + 2 = 32 vertices and n(n - 1) = 30 facets (closed
+    formulas, f-vector (32, 60, 30)); its 64 sign sums are the input."""
+    rng = random.Random(6)
+    while True:
+        gens = [linalg.vec([rng.randint(-3, 3) for _ in range(3)])
+                for _ in range(6)]
+        if all(linalg.det(tri) != 0 for tri in combinations(gens, 3)):
+            break
+    points = [
+        tuple(sum(s * g[k] for s, g in zip(signs, gens)) for k in range(3))
+        for signs in product((-1, 1), repeat=6)
+    ]
+    z = Polytope.from_vertices(points)
+    assert (z.n_vertices, z.n_facets) == (32, 30)
+    assert z.f_vector() == (32, 60, 30)
+    assert hull_counts(points) == (32, 30)
+    # each pair of generators spans the normal of two opposite facets
+    normals = {
+        linalg.normalize_primitive(tuple(
+            a[(k + 1) % 3] * b[(k + 2) % 3] - a[(k + 2) % 3] * b[(k + 1) % 3]
+            for k in range(3)))
+        for a, b in combinations(gens, 2)
+    }
+    assert {linalg.normalize_primitive(n) for n in z.facet_normals} == normals
