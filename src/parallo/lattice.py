@@ -152,13 +152,10 @@ def shortest_in_coset(lat: Lattice, coset: Vec) -> list[Vec]:
         bound = lat.norm_sq(rep)
     else:
         bound = min(lat.norm_sq(linalg.vscale(2, row)) for row in lat.basis)
-    cands = [
-        v
-        for v in vectors_in_ball(lat, bound, parity=par)
-        if lat.norm_sq(v) > 0
-    ]
-    best = min(lat.norm_sq(v) for v in cands)
-    return sorted(v for v in cands if lat.norm_sq(v) == best)
+    norms = [(lat.norm_sq(v), v)
+             for v in vectors_in_ball(lat, bound, parity=par)]
+    best = min(n for n, _ in norms if n > 0)
+    return [v for n, v in norms if n == best]  # the ball comes sorted
 
 
 def relevant_vectors(lat: Lattice) -> list[Vec]:

@@ -5,14 +5,14 @@ Everything here is pure, immutable and exact; no floating point is used
 anywhere, so results can serve as certificates. Sized for desk-scale
 geometry (dimensions up to ~6, a few dozen rows).
 
-Ranks, determinants, cofactor vectors and Cramer solves run on integer
-rows through one fraction-free elimination (Bareiss 1968): every
-intermediate entry is a minor of the input, so each division is exact
-and no Fraction is built in the inner loop. A rational row is first
-scaled by the lcm of its denominators, which keeps its rank and scales
-a determinant by a known positive factor. `rref` and what reads it
-(`nullspace`, `solve_linear`, `inverse`) stay on Fractions, because
-callers read their normalized rational results.
+Ranks, determinants and cofactor vectors run on integer rows through
+one fraction-free elimination (Bareiss 1968): every intermediate entry
+is a minor of the input, so each division is exact and no Fraction is
+built in the inner loop. A rational row is first scaled by the lcm of
+its denominators, which keeps its rank and scales a determinant by a
+known positive factor. `rref` and what reads it (`nullspace`,
+`solve_linear`, `inverse`) stay on Fractions, because callers read
+their normalized rational results.
 
 Kernel and solution-space bases are normalized to integer entries with
 content 1 and a positive leading entry, so identical inputs always
@@ -195,28 +195,6 @@ def int_cofactors(rows: list[list[int]]) -> list[int]:
         (-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows])
         for j in range(len(rows) + 1)
     ]
-
-
-def int_cramer(a: list[list[int]], b: list[int]) -> tuple[list[int], int]:
-    """Cramer's rule over the integers for a square system a x = b:
-    (num, det) with x = num / det and det > 0, or ([], 0) when a is
-    singular. One elimination of [a | b], then back substitution on
-    num = det * x, whose entries are integers (Cramer), so every
-    division is exact."""
-    n = len(a)
-    rows = [r + [bi] for r, bi in zip(a, b)]
-    pivots, _ = _bareiss(rows)
-    if pivots[:n] != list(range(n)):
-        return [], 0
-    det = rows[-1][n - 1] if n else 1
-    num = [0] * n
-    for i in reversed(range(n)):
-        r = rows[i]
-        s = det * r[n] - sum(r[j] * num[j] for j in range(i + 1, n))
-        num[i] = s // r[i]
-    if det < 0:
-        return [-x for x in num], -det
-    return num, det
 
 
 def rank(m: Mat) -> int:

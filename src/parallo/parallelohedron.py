@@ -65,20 +65,27 @@ class Belt:
 
 @dataclass(frozen=True)
 class DualCell:
-    """Tile centers sharing a face, plus the hull of those centers."""
+    """Tile centers sharing a face of codimension `codim`."""
 
     face: Face
     centers: tuple[Vec, ...]
-    hull: Polytope | None  # in affine-hull coordinates, codim <= 3 only
+    codim: int
+
+    @cached_property
+    def hull(self) -> Polytope | None:
+        """Hull of the centers in their affine-hull coordinates, built on
+        first read; codim <= 3 only."""
+        if self.codim > 3 or len(self.centers) < 2:
+            return None
+        return affine_hull_polytope(self.centers)[0]
 
 
 def _reflect_face_ids(p: Polytope, vertex_ids, center: Vec):
     """Vertex ids of the reflection of a face through a point, or None."""
-    index = {v: i for i, v in enumerate(p.vertices)}
     out = []
     for i in vertex_ids:
         w = tuple(2 * c - x for c, x in zip(center, p.vertices[i]))
-        j = index.get(w)
+        j = p.vertex_index.get(w)
         if j is None:
             return None
         out.append(j)
@@ -307,11 +314,7 @@ class Parallelohedron:
         ids = frozenset(face.vertex_ids)
         centers = [t for t, members in self._translate_members.items()
                    if ids <= members]
-        codim = self.dim - face.dim
-        hull = None
-        if codim <= 3 and len(centers) > 1:
-            hull, k, _, _ = affine_hull_polytope(centers)
-        return DualCell(face, tuple(sorted(centers)), hull)
+        return DualCell(face, tuple(sorted(centers)), self.dim - face.dim)
 
     def dual_cells(self, codim: int) -> list[DualCell]:
         return [

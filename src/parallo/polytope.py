@@ -2,14 +2,17 @@
 
 Both descriptions (vertices and facet halfspaces <n, x> <= b) are kept,
 with facet normals canonicalized to primitive integer outward vectors.
-The dual description is computed by brute force over d-element subsets
-on integer rows: a subset's hyperplane is the cofactor vector of its
-point differences and a subset's vertex comes from Cramer's rule, both
-through `linalg`'s fraction-free elimination, so the results are exact
-and trivially auditable at desk scale (d <= 6, a few dozen facets).
-Boundedness of a halfspace intersection needs no second hull when the
-normals are closed under negation: spanning normals n, -n always
-positively span.
+The dual description comes from one routine on integer rows, the
+double-description method (`_extreme_rays`), which lists the extreme
+rays of a pointed cone {y : <a, y> >= 0}. Homogenization makes both
+directions such a cone: the facets <n, x> <= b of a point set are the
+rays (b, n) of b - <n, p> >= 0 over its points p, and the vertices of
+a halfspace intersection are the rays (t, y) of t >= 0 and
+b t - <n, y> >= 0, at x = y / t (a ray with t = 0 is a direction of
+unboundedness). Every ray is a primitive integer vector, so the results
+are exact. Boundedness of a halfspace intersection needs no second hull
+when the normals are closed under negation: spanning normals n, -n
+always positively span.
 
 The face lattice is the closure of the facet vertex-sets under
 intersection, graded from the empty face (dim -1) up to the whole
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from . import linalg
 from .errors import GeometryError
@@ -106,47 +108,105 @@ def _canonical_halfspace(normal: Vec, offset: Fraction) -> Halfspace:
     return prim, offset / scale
 
 
-def _facets_from_points(points: list[Vec], dim: int) -> list[Halfspace]:
-    """Supporting hyperplanes of a full-dimensional point set touching it
-    in a (d-1)-dimensional set.
+def _bits(z: int):
+    """Indices of the set bits of z, lowest first."""
+    while z:
+        low = z & -z
+        yield low.bit_length() - 1
+        z ^= low
 
-    The points are scaled to integers once; each d-subset's normal is the
-    cofactor vector of its difference rows (zero when the subset is
-    affinely dependent), and the side test stops at the first pair of
-    points on opposite sides.
+
+def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
+    """Extreme rays of the pointed cone {y : <a, y> >= 0 for every row a},
+    sorted, as primitive integer vectors, by double description (Motzkin
+    et al. 1953; Fukuda & Prodon 1996).
+
+    The simplicial cone of the first D independent rows has one ray per
+    basis row: the cofactor vector of the other D - 1, which vanishes on
+    them. The remaining rows are added in order; a row keeps the rays on
+    its nonnegative side and joins each positive ray p to each negative
+    ray n that is adjacent: no third ray vanishes on every row that both
+    p and n vanish on. The join <a, p> n - <a, n> p lies on the row's
+    hyperplane and vanishes on exactly those rows plus the new one.
+    """
+    dim = len(rows[0])
+    basis: list[int] = []
+    for i, a in enumerate(rows):
+        if linalg.rank(tuple(rows[j] for j in basis) + (a,)) > len(basis):
+            basis.append(i)
+            if len(basis) == dim:
+                break
+    else:
+        raise GeometryError("the cone is not pointed")
+    rays: list[list[int]] = []
+    zeros: list[int] = []  # per ray, the bit set of the rows it vanishes on
+    for i in basis:
+        ray = linalg.int_cofactors([rows[j] for j in basis if j != i])
+        if sum(x * y for x, y in zip(rows[i], ray)) < 0:
+            ray = [-x for x in ray]
+        g = math.gcd(*ray)
+        rays.append([x // g for x in ray])
+        zeros.append(sum(1 << j for j in basis if j != i))
+    done = set(basis)
+    for k, a in enumerate(rows):
+        if k in done:
+            continue
+        values = [sum(x * y for x, y in zip(a, ray)) for ray in rays]
+        # per row, the bit set of the rays that vanish on it
+        on_row: dict[int, int] = {}
+        for r, z in enumerate(zeros):
+            for j in _bits(z):
+                on_row[j] = on_row.get(j, 0) | 1 << r
+        every = (1 << len(rays)) - 1
+        pos = [r for r, v in enumerate(values) if v > 0]
+        neg = [r for r, v in enumerate(values) if v < 0]
+        new_rays, new_zeros = [], []
+        for r, v in enumerate(values):
+            if v >= 0:
+                new_rays.append(rays[r])
+                new_zeros.append(zeros[r] | (1 << k if v == 0 else 0))
+        for p in pos:
+            for n in neg:
+                common = zeros[p] & zeros[n]
+                if common.bit_count() < dim - 2:
+                    continue
+                pair = 1 << p | 1 << n
+                shared = every
+                for j in _bits(common):
+                    shared &= on_row[j]
+                    if shared == pair:
+                        break
+                if shared != pair:
+                    continue
+                ray = [values[p] * y - values[n] * x
+                       for x, y in zip(rays[p], rays[n])]
+                g = math.gcd(*ray)
+                new_rays.append([x // g for x in ray])
+                new_zeros.append(common | 1 << k)
+        rays, zeros = new_rays, new_zeros
+    return sorted(tuple(ray) for ray in rays)
+
+
+def _facets_from_points(points: list[Vec], dim: int) -> list[Halfspace]:
+    """Facet halfspaces of a full-dimensional point set, sorted.
+
+    With the points scaled to integers, the valid inequalities
+    <n, x> <= b form the cone b - <n, p> >= 0 over the points p, and its
+    extreme rays (b, n) are the facets.
     """
     ints, scale = linalg.integer_rows(points)
-    candidates: dict[Halfspace, None] = {}
-    for subset in combinations(ints, dim):
-        p0 = subset[0]
-        normal = linalg.int_cofactors(
-            [[a - b for a, b in zip(q, p0)] for q in subset[1:]])
-        if not any(normal):
-            continue
-        offset = sum(n * x for n, x in zip(normal, p0))
-        side = 0
-        for q in ints:
-            v = sum(n * x for n, x in zip(normal, q)) - offset
-            if v > 0:
-                if side < 0:
-                    break
-                side = 1
-            elif v < 0:
-                if side > 0:
-                    break
-                side = -1
-        else:
-            if side > 0:
-                normal, offset = [-n for n in normal], -offset
-            g = math.gcd(*normal)
-            key = (tuple(Fraction(n // g) for n in normal),
-                   Fraction(offset, g * scale))
-            candidates[key] = None
+    rows = [[1] + [-x for x in p] for p in ints]
     facets = []
-    for normal, offset in candidates:
-        on = [p for p in points if linalg.dot(normal, p) == offset]
-        if affine_rank(on) == dim - 1:
-            facets.append((normal, offset))
+    for ray in _extreme_rays(rows):
+        b, *normal = ray
+        g = math.gcd(*normal)
+        facets.append((tuple(Fraction(n // g) for n in normal),
+                       Fraction(b, g * scale)))
+        on = [p for p, row in zip(points, rows)
+              if not sum(a * y for a, y in zip(row, ray))]
+        if affine_rank(on) != dim - 1:
+            raise GeometryError("hull produced a supporting hyperplane "
+                                "that is not a facet")
     return sorted(facets)
 
 
@@ -155,7 +215,7 @@ def _positively_spans(normals: list[Vec], dim: int) -> bool:
 
     A set closed under negation has its centroid at 0, so a full affine
     rank makes 0 = (n + (-n)) / 2 interior without a hull; any other set
-    is decided by the facets of its brute-force hull.
+    is decided by the facets of its hull.
     """
     if affine_rank(list(normals)) < dim:
         return False
@@ -212,27 +272,25 @@ class Polytope:
             raise GeometryError("halfspace normals do not span the space")
         if not _positively_spans([n for n, _ in planes], dim):
             raise GeometryError("halfspace intersection is unbounded")
-        # <n, x> <= b  iff  <n, scale*x> <= scale*b, all integers
+        # vertices x = y / (t * scale) of <n, y> <= (scale * b) t, t >= 0
         normals, _ = linalg.integer_rows(n for n, _ in planes)
         (offsets,), scale = linalg.integer_rows([[b for _, b in planes]])
-        rows = list(zip(normals, offsets))
-        vertices: set[Vec] = set()
-        for subset in combinations(rows, dim):
-            num, det = linalg.int_cramer([n for n, _ in subset],
-                                         [b for _, b in subset])
-            if det == 0:
-                continue
-            if all(sum(x * y for x, y in zip(n, num)) <= b * det
-                   for n, b in rows):
-                vertices.add(tuple(Fraction(x, det * scale) for x in num))
+        rows = [[b] + [-x for x in n] for n, b in zip(normals, offsets)]
+        vertices = {}
+        for ray in _extreme_rays([[1] + [0] * dim] + rows):
+            t, *y = ray
+            if t == 0:
+                raise GeometryError("halfspace intersection is unbounded")
+            vertices[tuple(Fraction(x, t * scale) for x in y)] = ray
         verts = sorted(vertices)
         if affine_rank(verts) != dim:
             raise GeometryError("halfspace intersection has empty interior")
         facets = []
-        for normal, offset in planes:
-            on = [v for v in verts if linalg.dot(normal, v) == offset]
+        for plane, row in zip(planes, rows):
+            on = [v for v, ray in vertices.items()
+                  if not sum(a * y for a, y in zip(row, ray))]
             if affine_rank(on) == dim - 1:
-                facets.append((normal, offset))
+                facets.append(plane)
         return Polytope(
             dim,
             tuple(verts),
@@ -277,6 +335,11 @@ class Polytope:
                 )
             )
         return tuple(out)
+
+    @cached_property
+    def vertex_index(self) -> dict[Vec, int]:
+        """Per vertex, its index in `vertices`."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def centroid(self) -> Vec:

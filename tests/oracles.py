@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: hulls come from
 scipy's floating-point qhull, lattice minima from a plain exhaustive
 coefficient sweep, dual cells from a per-face sweep over translates,
-unimodular maps from explicit elementary operations, and the
+unimodular maps from explicit elementary operations, the
 fraction-free kernels (rank, det, both hull directions) from the plain
-`Fraction` eliminations they replaced.
+`Fraction` eliminations they replaced, and the extreme rays of a cone
+from a `Fraction` kernel per (D - 1)-subset of its rows.
 """
 
 from fractions import Fraction
@@ -200,3 +201,19 @@ def fraction_vertices_from_halfspaces(halfspaces, dim):
         if all(linalg.dot(n, x) <= off for n, off in planes):
             vertices.add(x)
     return sorted(vertices)
+
+
+def fraction_extreme_rays(rows):
+    """Sorted extreme rays of the pointed cone {y : <a, y> >= 0} as
+    primitive integer tuples: the one-dimensional Fraction kernel of each
+    (D - 1)-subset of rows, kept with the sign that satisfies every row."""
+    dim = len(rows[0])
+    rays = set()
+    for subset in combinations(rows, dim - 1):
+        kernel = linalg.nullspace(linalg.mat(subset))
+        if len(kernel) != 1:
+            continue
+        for ray in (kernel[0], linalg.vneg(kernel[0])):
+            if all(linalg.dot(linalg.vec(a), ray) >= 0 for a in rows):
+                rays.add(tuple(int(x) for x in ray))
+    return sorted(rays)

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from oracles import exhaustive_coset_minimizers
+from oracles import exhaustive_coset_minimizers, hull_counts
 from parallo import linalg
 from parallo.errors import GeometryError
 from parallo.polytope import central_symmetry
@@ -101,6 +102,24 @@ def test_dv_cell_shapes():
     assert dv_cell(z3()).f_vector() == (8, 12, 6)
     assert dv_cell(bcc()).f_vector() == (24, 36, 14)
     assert dv_cell(a2()).f_vector() == (6, 6)
+
+
+def an_star(n):
+    """The lattice A_n*: the standard basis under the inverse of the
+    Cartan matrix of A_n (the Gram matrix of its fundamental weights)."""
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0
+               for j in range(n)] for i in range(n)]
+    return Lattice.create(linalg.identity(n), linalg.inverse(linalg.mat(cartan)))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dv_cell_of_an_star_is_the_permutohedron(n):
+    """(n + 1)! vertices and 2^(n + 1) - 2 facets, the counts of the
+    n-dimensional permutohedron, and the same counts from qhull."""
+    cell = dv_cell(an_star(n))
+    counts = (math.factorial(n + 1), 2 ** (n + 1) - 2)
+    assert (cell.n_vertices, cell.n_facets) == counts
+    assert hull_counts(cell.vertices) == counts
 
 
 def test_dv_cell_central_symmetry_and_facet_centers():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, built
 from oracles import dual_cell_centers
-from parallo import linalg
+from parallo import linalg, parallelohedron, report
 from parallo.catalog import catalog
 from parallo.errors import DualCellAnomaly, GeometryError, NotAParallelohedron
 from parallo.parallelohedron import (
@@ -141,6 +141,25 @@ def test_dual_cells_match_per_face_sweep(name):
         faces = para.polytope.face_lattice.faces(para.dim - codim)
         swept = dual_cell_centers(para, faces)
         assert [c.centers for c in para.dual_cells(codim)] == swept
+
+
+def test_verify_builds_no_dual_cell_hull(monkeypatch):
+    """Primitivity reads only the center counts, so a verify of D4
+    (216 faces of codim <= 3) builds none of their hulls."""
+    calls = []
+    hull = parallelohedron.affine_hull_polytope
+
+    def counted(points):
+        calls.append(len(points))
+        return hull(points)
+
+    monkeypatch.setattr(parallelohedron, "affine_hull_polytope", counted)
+    rep = report.verify(catalog("lattice-D4").lattice)
+    assert rep.verdict == "certified" and rep.primitivity
+    assert calls == []
+    # the census reads the hulls: one per codim-3 face of the cube
+    assert dual3_census(built("cube")) == {"cube": 8}
+    assert calls == [8] * 8
 
 
 def test_dual3_censuses():

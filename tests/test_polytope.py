@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     facet_image_map,
+    fraction_extreme_rays,
     fraction_facets_from_points,
     fraction_vertices_from_halfspaces,
     hull_counts,
@@ -166,6 +168,11 @@ def test_unbounded_and_degenerate_inputs_rejected():
             [((1, 0), F(1)), ((-1, 0), F(-1)), ((0, 1), F(0)), ((0, -1), F(0))],
             2,
         )  # a segment: empty interior
+    with pytest.raises(GeometryError, match="empty interior"):
+        Polytope.from_halfspaces(
+            [((1, 0), F(1)), ((-1, 0), F(-2)), ((0, 1), F(1)), ((0, -1), F(1))],
+            2,
+        )  # infeasible: x <= 1 and x >= 2 leave only the apex of the cone
     with pytest.raises(GeometryError):
         Polytope.from_vertices([(0, 0), (1, 0), (2, 0)])
 
@@ -174,7 +181,7 @@ def _brute_positively_spans(normals, dim):
     """Origin interior to the brute-force hull of the normals."""
     if affine_rank(normals) < dim:
         return False
-    return all(b > 0 for _, b in polytope._facets_from_points(normals, dim))
+    return all(b > 0 for _, b in fraction_facets_from_points(normals, dim))
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -313,3 +320,67 @@ def test_six_generator_zonotope():
         for a, b in combinations(gens, 2)
     }
     assert {linalg.normalize_primitive(n) for n in z.facet_normals} == normals
+
+
+# -- the double-description routine ------------------------------------
+
+@st.composite
+def pointed_cones(draw):
+    """Integer rows of rank D in D = 2, 3 or 4 columns; small entries
+    make many rays with several zero rows, and some cones are {0}."""
+    dim = draw(st.integers(2, 4))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                         min_size=dim, max_size=dim + 5))
+    assume(linalg.rank(tuple(linalg.vec(r) for r in rows)) == dim)
+    return rows
+
+
+@given(pointed_cones())
+@settings(max_examples=150, deadline=None)
+def test_extreme_rays_match_the_subset_kernels(rows):
+    rays = polytope._extreme_rays(rows)
+    assert rays == fraction_extreme_rays(rows)
+    assert all(math.gcd(*ray) == 1 for ray in rays)
+
+
+def test_extreme_rays_of_small_cones():
+    # the orthant: one ray per axis
+    assert polytope._extreme_rays([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == \
+        [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    # the cone over a square: four rays, no join across a diagonal
+    square = [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]]
+    assert polytope._extreme_rays(square) == \
+        [(1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]
+    with pytest.raises(GeometryError, match="not pointed"):
+        polytope._extreme_rays([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
+
+
+@given(point_sets())
+@settings(max_examples=80, deadline=None)
+def test_halfspace_round_trip_of_a_point_hull(case):
+    dim, pts = case
+    assume(affine_rank(pts) == dim)
+    p = Polytope.from_vertices(pts)
+    q = Polytope.from_halfspaces(p.halfspaces(), dim)
+    assert q.vertices == p.vertices == \
+        tuple(fraction_vertices_from_halfspaces(p.halfspaces(), dim))
+    assert q.halfspaces() == p.halfspaces()
+
+
+def test_hull_rejects_an_unbounded_set_without_the_span_test(monkeypatch):
+    # the open box of test_boundedness_controls: with the span test
+    # switched off, the hull itself finds -e3 as a ray with t = 0
+    e = [linalg.vec(row) for row in linalg.identity(3)]
+    open_box = [(x, F(1)) for x in e] + [(linalg.vneg(x), F(1)) for x in e[:2]]
+    monkeypatch.setattr(polytope, "_positively_spans", lambda normals, dim: True)
+    with pytest.raises(GeometryError, match="halfspace intersection is unbounded"):
+        Polytope.from_halfspaces(open_box, 3)
+
+
+def test_one_dimensional_segment():
+    seg = Polytope.from_halfspaces([((2,), F(3)), ((-1,), F(1, 2))], 1)
+    assert seg.vertices == ((F(-1, 2),), (F(3, 2),))
+    assert seg.halfspaces() == [((F(-1),), F(1, 2)), ((F(1),), F(3, 2))]
+    again = Polytope.from_vertices([(F(3, 2),), (0,), (F(-1, 2),)])
+    assert again == seg
