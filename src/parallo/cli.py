@@ -2,8 +2,9 @@
 
 Commands take either a catalog name or a path to a JSON document (a
 polytope or a lattice). Output is stable-ordered JSON on stdout; exit
-codes: 0 success/certified, 1 parse error, 2 scaling inconsistency,
-3 Venkov failure, 4 quadratic-form or Voronoi-cell mismatch.
+codes: 0 success/certified, 1 parse error or unsupported input (such
+as d = 1), 2 scaling inconsistency, 3 Venkov failure, 4 quadratic-form
+or Voronoi-cell mismatch.
 """
 
 from __future__ import annotations

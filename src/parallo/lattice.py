@@ -5,10 +5,14 @@ Gram matrix G giving the ambient metric <x, y> = x^T G y. Keeping the
 metric separate from the coordinates lets hexagonal and other skew
 lattices live entirely in rational coordinates.
 
-Enumeration is exact: for any positive-definite quadratic form Q and
-bound r, the coefficients of lattice vectors with Q <= r are confined to
-a box computed from the diagonal of Q^-1 (Cauchy-Schwarz in the
-Q-inner product), so a finite sweep is guaranteed complete.
+Enumeration is exact Fincke-Pohst (Fincke & Pohst 1985; Agrell et al.
+2002) in integer coefficient space. The coefficient form Q = B G B^T is
+written once per lattice as U^T D U (U unit upper triangular, D
+diagonal) and scaled to integers, so Q(x) is a sum of squares in which
+level i depends only on the coefficients above it. Walking the levels
+from the last coordinate down, each coefficient is confined to the
+exact integer interval the remaining bound leaves it; every node works
+on Python ints, and the norms come out as integers on one scale.
 """
 
 from __future__ import annotations
@@ -65,9 +69,28 @@ class Lattice:
         return linalg.matmul(linalg.matmul(b, self.gram), linalg.transpose(b))
 
     @cached_property
-    def _coefficient_form_inverse_diag(self) -> Vec:
-        inv = linalg.inverse(self.coefficient_form)
-        return tuple(inv[i][i] for i in range(len(inv)))
+    def _ldl(self) -> tuple[list[list[int]], int, list[int], int]:
+        """The coefficient form as Q = U^T D U, U unit upper triangular
+        and D diagonal, so Q(x) = sum_i D_i (x_i + sum_{j>i} U_ij x_j)^2;
+        returned on integers: the rows of us * U, us, ds * D and ds."""
+        q = self.coefficient_form
+        d = len(q)
+        u = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        diag: list[Fraction] = []
+        for i in range(d):
+            diag.append(q[i][i] - sum(diag[k] * u[k][i] ** 2 for k in range(i)))
+            for j in range(i + 1, d):
+                u[i][j] = (q[i][j] - sum(diag[k] * u[k][i] * u[k][j]
+                                         for k in range(i))) / diag[i]
+        rows, us = linalg.integer_rows(u)
+        (diag_ints,), ds = linalg.integer_rows([diag])
+        return rows, us, diag_ints, ds
+
+    @cached_property
+    def _basis_columns(self) -> tuple[list[list[int]], int]:
+        """Rows of the basis transpose times their common denominator s,
+        and s: the ambient vector of integer coefficients k is cols k / s."""
+        return linalg.integer_rows(linalg.transpose(self.basis))
 
     def from_coefficients(self, coeffs) -> Vec:
         return linalg.matvec(linalg.transpose(self.basis), linalg.vec(coeffs))
@@ -76,25 +99,65 @@ class Lattice:
         return linalg.solve_linear(linalg.transpose(self.basis), v)
 
 
-def _integer_interval(c: Fraction, b: Fraction) -> range:
-    """All integers k with (k - c)^2 <= b, computed exactly."""
-    if b < 0:
+def _integer_interval(p: int, a: int, m: int) -> range:
+    """All integers k with (a k - p)^2 <= m, for a > 0, computed exactly."""
+    if m < 0:
         return range(0, 0)
-    p, q = c.numerator, c.denominator
-    u, w = b.numerator, b.denominator
-    n = math.isqrt(q * q * u * w)  # floor(q * sqrt(u * w))
-    d = q * w
-    hi = (p * w + n) // d
-    lo = -((-(p * w - n)) // d)
-    return range(lo, hi + 1)
+    s = math.isqrt(m)
+    return range(-((s - p) // a), (p + s) // a + 1)
 
 
-def _coefficient_box(lat: Lattice, r2: Fraction, center: Vec) -> list[range]:
-    """Integer ranges per coordinate covering {k : Q(k - center) <= r2}."""
-    return [
-        _integer_interval(center[i], qii * r2)
-        for i, qii in enumerate(lat._coefficient_form_inverse_diag)
-    ]
+def _enumerate(lat: Lattice, r2: Fraction, center: Vec | None = None,
+               parity: tuple[int, ...] | None = None
+               ) -> list[tuple[int, tuple[int, ...]]]:
+    """(N, k) for every integer k with Q(k - center) <= r2 and, if given,
+    k = parity mod 2, where N = ds * (us * cs)^2 * Q(k - center).
+
+    Fincke-Pohst: with x = k - center scaled by the denominator cs of the
+    center, level i (from the last coordinate down) sees the integer
+    Z_i = us * cs * (x_i + sum_{j>i} U_ij x_j) = a k_i - p_i, and
+    k_i ranges over the integers with (ds D_i) Z_i^2 at most what the
+    levels above left of the scaled bound.
+    """
+    rows, us, diag, ds = lat._ldl
+    d = lat.dim
+    if center is None:
+        c, cs = [0] * d, 1
+    else:
+        (c,), cs = linalg.integer_rows([center])
+    a = us * cs
+    r2 = Fraction(r2)
+    bound = r2.numerator * ds * a * a // r2.denominator
+    out: list[tuple[int, tuple[int, ...]]] = []
+    k = [0] * d
+
+    def level(i: int, used: int, lin: list[int]) -> None:
+        # lin[j] for j <= i: sum of rows[j][l] * (cs k_l - c_l) over l > i
+        p = us * c[i] - lin[i]
+        ks = _integer_interval(p, a, (bound - used) // diag[i])
+        if parity is not None:
+            ks = ks[(parity[i] - ks.start) % 2::2]
+        for ki in ks:
+            z = a * ki - p
+            k[i] = ki
+            if i == 0:
+                out.append((used + diag[0] * z * z, tuple(k)))
+            else:
+                x = cs * ki - c[i]
+                level(i - 1, used + diag[i] * z * z,
+                      [lin[j] + rows[j][i] * x for j in range(i)])
+
+    if bound >= 0:
+        level(d - 1, 0, [0] * d)
+    return out
+
+
+def _ambient_sorted(lat: Lattice, ks) -> list[Vec]:
+    """The ambient vectors of integer coefficient tuples, sorted."""
+    cols, s = lat._basis_columns
+    nums = sorted(tuple(sum(x * y for x, y in zip(col, k)) for col in cols)
+                  for k in ks)
+    return [tuple(Fraction(x, s) for x in v) for v in nums]
 
 
 def vectors_in_ball(lat: Lattice, r2: Fraction, around: Vec | None = None,
@@ -104,58 +167,44 @@ def vectors_in_ball(lat: Lattice, r2: Fraction, around: Vec | None = None,
     `parity` restricts basis coefficients to a fixed residue mod 2,
     i.e. enumerates one coset of 2L instead of all of L.
     """
-    d = lat.dim
-    if around is None:
-        center = linalg.zeros(d)
-    else:
+    center = None
+    if around is not None:
         center = lat.to_coefficients(linalg.vec(around))
         if center is None:
             raise GeometryError("center is not in the lattice's span")
+    return _ambient_sorted(lat, (k for _, k in
+                                 _enumerate(lat, r2, center, parity)))
+
+
+def _coset_minimizers(lat: Lattice, parity: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Coefficients of the vectors of minimal positive norm in parity + 2L.
+
+    The ball's radius is the norm of a member of the coset (the 0/1
+    representative, or twice a basis vector for 2L itself), so the true
+    minimum is always inside it.
+    """
     q = lat.coefficient_form
-    out = []
-    axes = _coefficient_box(lat, r2, center)
-    # Q(k - center) <= r2 on integers: Q scaled by qs, k - center by cs
-    qi, qs = linalg.integer_rows(q)
-    (ci,), cs = linalg.integer_rows([center])
-    bound = r2 * qs * cs * cs
-    if parity is not None:
-        axes = [
-            range(
-                r.start + ((parity[i] - r.start) % 2),
-                r.stop,
-                2,
-            )
-            for i, r in enumerate(axes)
-        ]
-    for k in product(*axes):
-        delta = [cs * a - c for a, c in zip(k, ci)]
-        if sum(a * sum(x * y for x, y in zip(row, delta))
-               for a, row in zip(delta, qi)) <= bound:
-            out.append(lat.from_coefficients(k))
-    return sorted(out)
+    if any(parity):
+        on = [i for i, x in enumerate(parity) if x]
+        bound = sum(q[i][j] for i in on for j in on)
+    else:
+        bound = 4 * min(q[i][i] for i in range(lat.dim))
+    hits = _enumerate(lat, bound, parity=parity)
+    best = min(n for n, _ in hits if n > 0)
+    return [k for n, k in hits if n == best]
 
 
 def shortest_in_coset(lat: Lattice, coset: Vec) -> list[Vec]:
-    """All vectors of minimal positive norm in coset + 2L.
+    """All vectors of minimal positive norm in coset + 2L, sorted.
 
     `coset` is a lattice vector (in ambient coordinates); its residue
-    mod 2L determines the search space. Exact enumeration inside a ball
-    whose radius comes from a representative of the coset, so the true
-    minimum is always inside the sweep.
+    mod 2L determines the search space.
     """
     c = lat.to_coefficients(linalg.vec(coset))
     if c is None or any(x.denominator != 1 for x in c):
         raise GeometryError("coset representative must be a lattice vector")
-    par = tuple(int(x) % 2 for x in c)
-    if any(par):
-        rep = lat.from_coefficients(par)
-        bound = lat.norm_sq(rep)
-    else:
-        bound = min(lat.norm_sq(linalg.vscale(2, row)) for row in lat.basis)
-    norms = [(lat.norm_sq(v), v)
-             for v in vectors_in_ball(lat, bound, parity=par)]
-    best = min(n for n, _ in norms if n > 0)
-    return [v for n, v in norms if n == best]  # the ball comes sorted
+    parity = tuple(int(x) % 2 for x in c)
+    return _ambient_sorted(lat, _coset_minimizers(lat, parity))
 
 
 def relevant_vectors(lat: Lattice) -> list[Vec]:
@@ -164,10 +213,10 @@ def relevant_vectors(lat: Lattice) -> list[Vec]:
     for par in product((0, 1), repeat=lat.dim):
         if not any(par):
             continue
-        mins = shortest_in_coset(lat, lat.from_coefficients(par))
+        mins = _coset_minimizers(lat, par)
         if len(mins) == 2:
             out.extend(mins)
-    return sorted(out)
+    return _ambient_sorted(lat, out)
 
 
 def dv_cell(lat: Lattice) -> Polytope:

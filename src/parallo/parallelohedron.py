@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .errors import DualCellAnomaly, GeometryError, NotAParallelohedron
+from .errors import (
+    DualCellAnomaly,
+    GeometryError,
+    NotAParallelohedron,
+    UnsupportedDimensionError,
+)
 from .lattice import Lattice, vectors_in_ball
 from .linalg import Vec
 from .polytope import (
@@ -154,6 +159,10 @@ def _ridge_facet_map(p: Polytope) -> tuple[tuple[int, ...], ...]:
 def _analyze(p: Polytope):
     """Run the Venkov checks; return (verdict, belts, belt_of_ridge,
     facet_centers, ridge_facets), the last four empty on failure."""
+    if p.dim < 2:
+        raise UnsupportedDimensionError(
+            f"dimension {p.dim} is not supported: the belt conditions "
+            "need ridges, so d >= 2")
     failed = ((), {}, (), ())
     witnesses = []
     ok, center = p.is_centrally_symmetric()

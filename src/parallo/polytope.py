@@ -325,16 +325,15 @@ class Polytope:
     @cached_property
     def facet_vertex_ids(self) -> tuple[tuple[int, ...], ...]:
         """Per facet, sorted indices of the vertices lying on it."""
-        out = []
-        for n, b in zip(self.facet_normals, self.facet_offsets):
-            out.append(
-                tuple(
-                    i
-                    for i, v in enumerate(self.vertices)
-                    if linalg.dot(n, v) == b
-                )
-            )
-        return tuple(out)
+        # <n, v> = b iff <ns n, s v> = ns (s b), all integers
+        (*points, offsets), s = linalg.integer_rows(
+            self.vertices + (self.facet_offsets,))
+        normals, ns = linalg.integer_rows(self.facet_normals)
+        return tuple(
+            tuple(i for i, v in enumerate(points)
+                  if sum(x * y for x, y in zip(n, v)) == ns * b)
+            for n, b in zip(normals, offsets)
+        )
 
     @cached_property
     def vertex_index(self) -> dict[Vec, int]:

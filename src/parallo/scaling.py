@@ -313,6 +313,9 @@ def voronoi_mismatch(para: Parallelohedron, lattice: Lattice) -> MismatchWitness
     |t_F|^2 = 2 * lam * b_F. P is inside Vor when every vertex x has
     2 <x, v> <= |v|^2 for all lattice v; a v with |v|^2 > 4 max |x|^2
     cannot cut the ball holding the vertices, so a finite sweep decides.
+    The sweep compares integers: vertices, ball vectors and G are each
+    scaled once to integer rows. It runs vertex by vertex over the sorted
+    ball, and the first cut found is the witness.
     """
     p = para.polytope
     for fi, (t, n, b) in enumerate(zip(para.facet_vectors, p.facet_normals,
@@ -323,12 +326,25 @@ def voronoi_mismatch(para: Parallelohedron, lattice: Lattice) -> MismatchWitness
         if (lam <= 0 or g != linalg.vscale(lam, n)
                 or lattice.norm_sq(t) != 2 * lam * b):
             return MismatchWitness("facet", facet=fi)
-    r2 = max(lattice.norm_sq(x) for x in p.vertices)
-    ball = [(v, linalg.matvec(lattice.gram, v), lattice.norm_sq(v))
-            for v in vectors_in_ball(lattice, 4 * r2)]
-    for x in p.vertices:
-        for v, gv, v2 in ball:
-            if 2 * linalg.dot(x, gv) > v2:
+    # on integer rows X = xs x, V = vs v and GV = gs G V:
+    # 2 <x, Gv> > <v, Gv>  iff  2 vs <X, GV> > xs <V, GV>
+    gram, gs = linalg.integer_rows(lattice.gram)
+
+    def form(y):
+        gy = [sum(a * b for a, b in zip(row, y)) for row in gram]
+        return gy, sum(a * b for a, b in zip(y, gy))
+
+    xints, xs = linalg.integer_rows(p.vertices)
+    r2 = Fraction(max(form(x)[1] for x in xints), gs * xs * xs)
+    ball = vectors_in_ball(lattice, 4 * r2)
+    vints, vs = linalg.integer_rows(ball)
+    cuts = []
+    for v in vints:
+        gv, vgv = form(v)
+        cuts.append(([2 * vs * a for a in gv], xs * vgv))
+    for x, xi in zip(p.vertices, xints):
+        for v, (gv2, cap) in zip(ball, cuts):
+            if sum(a * b for a, b in zip(xi, gv2)) > cap:
                 return MismatchWitness("cut", lattice_vector=v, vertex=x)
     return None
 

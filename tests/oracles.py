@@ -2,13 +2,17 @@
 
 These deliberately avoid the library's own code paths: hulls come from
 scipy's floating-point qhull, lattice minima from a plain exhaustive
-coefficient sweep, dual cells from a per-face sweep over translates,
-unimodular maps from explicit elementary operations, the
-fraction-free kernels (rank, det, both hull directions) from the plain
-`Fraction` eliminations they replaced, and the extreme rays of a cone
-from a `Fraction` kernel per (D - 1)-subset of its rows.
+coefficient sweep, lattice balls from a `Fraction` sweep over the
+coefficient box that bounds each coefficient by the diagonal of Q^-1,
+the Voronoi-cell inequalities from `Fraction` dot products over that
+ball, dual cells from a per-face sweep over translates, unimodular maps
+from explicit elementary operations, the fraction-free kernels (rank,
+det, both hull directions) from the plain `Fraction` eliminations they
+replaced, and the extreme rays of a cone from a `Fraction` kernel per
+(D - 1)-subset of its rows.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -18,6 +22,7 @@ from scipy.spatial import ConvexHull
 from parallo import linalg
 from parallo.lattice import vectors_in_ball
 from parallo.polytope import _canonical_halfspace
+from parallo.scaling import MismatchWitness
 
 
 def hull_counts(points) -> tuple[int, int]:
@@ -32,14 +37,17 @@ def hull_counts(points) -> tuple[int, int]:
 
 
 def exhaustive_coset_minimizers(basis, gram, parity, box=3):
-    """Minimal positive vectors of a 2L-coset by brute coefficient sweep."""
+    """Minimal positive vectors of a 2L-coset by brute coefficient sweep
+    over 2 k + parity with |k_i| <= box (or box[i], per coefficient)."""
     d = len(basis)
+    basis_t, gram = linalg.transpose(linalg.mat(basis)), linalg.mat(gram)
+    bounds = [box] * d if isinstance(box, int) else box
     best = None
     found = []
-    for k in product(range(-box, box + 1), repeat=d):
+    for k in product(*(range(-b, b + 1) for b in bounds)):
         coeffs = [2 * kk + pp for kk, pp in zip(k, parity)]
-        v = linalg.matvec(linalg.transpose(linalg.mat(basis)), linalg.vec(coeffs))
-        n = linalg.dot(v, linalg.matvec(linalg.mat(gram), v))
+        v = linalg.matvec(basis_t, linalg.vec(coeffs))
+        n = linalg.dot(v, linalg.matvec(gram, v))
         if n == 0:
             continue
         if best is None or n < best:
@@ -217,3 +225,65 @@ def fraction_extreme_rays(rows):
             if all(linalg.dot(linalg.vec(a), ray) >= 0 for a in rows):
                 rays.add(tuple(int(x) for x in ray))
     return sorted(rays)
+
+
+def _integer_interval(c, b):
+    """All integers k with (k - c)^2 <= b, for rationals c and b."""
+    if b < 0:
+        return range(0, 0)
+    c, b = Fraction(c), Fraction(b)
+    p, q = c.numerator, c.denominator
+    u, w = b.numerator, b.denominator
+    n = math.isqrt(q * q * u * w)  # floor(q * sqrt(u * w))
+    return range(-((n - p * w) // (q * w)), (p * w + n) // (q * w) + 1)
+
+
+def coefficient_box(lat, r2, center, parity=None):
+    """Integer ranges per coefficient covering {k : Q(k - center) <= r2}:
+    (k_i - c_i)^2 <= r2 (Q^-1)_ii by Cauchy-Schwarz in the Q-inner
+    product, stepped by 2 from the residue `parity` when given."""
+    inv = linalg.inverse(lat.coefficient_form)
+    axes = [_integer_interval(c, inv[i][i] * r2) for i, c in enumerate(center)]
+    if parity is not None:
+        axes = [r[(p - r.start) % 2::2] for p, r in zip(parity, axes)]
+    return axes
+
+
+def box_vectors_in_ball(lat, r2, around=None, parity=None):
+    """All lattice vectors within Q-distance r2 of `around`, sorted, by a
+    Fraction sweep over the whole coefficient box."""
+    d = lat.dim
+    basis_t = linalg.transpose(lat.basis)
+    center = (linalg.zeros(d) if around is None
+              else linalg.solve_linear(basis_t, linalg.vec(around)))
+    q = lat.coefficient_form
+    out = []
+    for k in product(*coefficient_box(lat, r2, center, parity)):
+        x = linalg.vsub(linalg.vec(k), center)
+        if linalg.dot(x, linalg.matvec(q, x)) <= r2:
+            out.append(linalg.matvec(basis_t, linalg.vec(k)))
+    return sorted(out)
+
+
+def fraction_voronoi_mismatch(para, lattice):
+    """The witness `scaling.voronoi_mismatch` must return, by `Fraction`
+    dot products: the first facet that is not the G-bisector of its
+    facet vector, else the first (vertex, lattice vector) pair, vertex by
+    vertex over the sorted box ball of 4 max |x|^2, whose bisector cuts
+    the vertex off, else None."""
+    p = para.polytope
+    for fi, (t, n, b) in enumerate(zip(para.facet_vectors, p.facet_normals,
+                                       p.facet_offsets)):
+        g = linalg.matvec(lattice.gram, t)
+        lead = next(i for i, x in enumerate(n) if x != 0)
+        lam = g[lead] / n[lead]
+        if (lam <= 0 or g != linalg.vscale(lam, n)
+                or lattice.norm_sq(t) != 2 * lam * b):
+            return MismatchWitness("facet", facet=fi)
+    r2 = max(lattice.norm_sq(x) for x in p.vertices)
+    ball = box_vectors_in_ball(lattice, 4 * r2)
+    for x in p.vertices:
+        for v in ball:
+            if 2 * lattice.inner(x, v) > lattice.norm_sq(v):
+                return MismatchWitness("cut", lattice_vector=v, vertex=x)
+    return None

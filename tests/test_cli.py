@@ -183,3 +183,34 @@ def test_malformed_documents_get_one_error_line(tmp_path, capsys, doc, names):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert names in lines[0]
     assert "Traceback" not in err
+
+
+ONE_DIMENSIONAL = {
+    "segment": {"dim": 1, "vertices": [["0"], ["1"]]},
+    "lattice": {"basis": [["1"]]},
+}
+
+
+@pytest.mark.parametrize("command", [["check"], ["verify"], ["surface"],
+                                     ["dual-cells", "--codim", "1"]],
+                         ids=["check", "verify", "surface", "dual-cells"])
+@pytest.mark.parametrize("kind", sorted(ONE_DIMENSIONAL))
+def test_one_dimensional_inputs_are_unsupported(tmp_path, capsys, kind, command):
+    """A segment tiles the line, so no Venkov verdict may reject it: d = 1
+    exits 1 with one error line instead of a confident venkov-fails."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(ONE_DIMENSIONAL[kind]))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: dimension 1 ")
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_DIMENSIONAL))
+def test_one_dimensional_inputs_still_export(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(ONE_DIMENSIONAL[kind]))
+    code, out, _ = run(capsys, "export", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dim"] == 1 and len(doc["vertices"]) == 2

@@ -1,9 +1,19 @@
 import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import exhaustive_coset_minimizers, hull_counts
+from oracles import (
+    box_vectors_in_ball,
+    coefficient_box,
+    exhaustive_coset_minimizers,
+    hull_counts,
+    random_unimodular,
+)
 from parallo import linalg
 from parallo.errors import GeometryError
 from parallo.polytope import central_symmetry
@@ -61,6 +71,27 @@ def test_shortest_in_coset_bcc_against_oracle():
     for parity in [(0, 0, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]:
         oracle = exhaustive_coset_minimizers(lat.basis, lat.gram, parity)
         assert shortest_in_coset(lat, lat.from_coefficients(parity)) == oracle
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shortest_in_coset_of_skewed_bases_against_oracle(seed):
+    """Every coset of z3, bcc, a2 and a skew 3-D Gram under random
+    unimodular basis changes, against the exhaustive sweep over a box
+    wide enough to hold the coset's 0/1 representative's ball."""
+    rng = random.Random(seed)
+    skew = Lattice.create(linalg.identity(3),
+                          [[2, F(1, 2), F(-1, 3)], [F(1, 2), 3, 1], [F(-1, 3), 1, F(5, 2)]])
+    for base in (z3(), bcc(), a2(), skew):
+        u = random_unimodular(rng, base.dim, steps=3)
+        lat = Lattice.create(linalg.matmul(u, base.basis), base.gram)
+        for parity in product((0, 1), repeat=lat.dim):
+            rep = parity if any(parity) else tuple(2 * (i == 0) for i in range(lat.dim))
+            axes = coefficient_box(lat, lat.norm_sq(lat.from_coefficients(rep)),
+                                   linalg.zeros(lat.dim))
+            box = [max(-r.start, r.stop - 1) // 2 + 1 for r in axes]
+            oracle = exhaustive_coset_minimizers(lat.basis, lat.gram, parity, box)
+            coset = lat.from_coefficients(parity)
+            assert shortest_in_coset(lat, coset) == oracle
 
 
 def test_relevant_vectors_z3():
@@ -175,3 +206,62 @@ def test_tiling_identity(rng):
             assert (interior == 1) == (closed == 1)
             interior_hits += interior
         assert interior_hits >= 190
+
+
+DENOMINATORS = (1, 2, 3, 5, 7)
+
+
+def rationals(lo, hi):
+    return st.builds(F, st.integers(lo, hi), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def skewed_balls(draw):
+    """A lattice with a sheared basis of mixed denominators and a Gram
+    L L^T of mixed denominators, a radius, and optionally an off-lattice
+    center and a residue mod 2."""
+    d = draw(st.integers(1, 5))
+    basis = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, d)) if d > 1 else 0):
+        i, j = draw(st.permutations(range(d)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        basis[i] = [a + c * b for a, b in zip(basis[i], basis[j])]
+    basis = [[x / q for x in row]
+             for row, q in zip(basis, draw(st.lists(st.sampled_from(DENOMINATORS),
+                                                     min_size=d, max_size=d)))]
+    low = [[draw(rationals(1, 3)) if i == j else draw(rationals(-1, 1)) if j < i
+            else F(0) for j in range(d)] for i in range(d)]
+    gram = linalg.matmul(low, linalg.transpose(low))
+    lat = Lattice.create(basis, gram)
+    around = draw(st.none() | st.lists(rationals(-6, 6), min_size=d, max_size=d))
+    parity = draw(st.none() | st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    scale = draw(rationals(1, 6))
+    r2 = scale * max(lat.coefficient_form[i][i] for i in range(d))
+    return (lat, r2, None if around is None else tuple(around),
+            None if parity is None else tuple(parity))
+
+
+@given(skewed_balls())
+@settings(max_examples=80, deadline=None)
+def test_vectors_in_ball_matches_the_coefficient_box(case):
+    """The pruned enumeration finds exactly the vectors of the whole
+    coefficient-box sweep, for d = 1-5, with and without a center off
+    the lattice and a residue mod 2; the radius is halved until the box
+    has at most 1,500 points, so the oracle stays quick."""
+    lat, r2, around, parity = case
+    center = (linalg.zeros(lat.dim) if around is None
+              else lat.to_coefficients(linalg.vec(around)))
+    while math.prod(len(r) for r in coefficient_box(lat, r2, center, parity)) > 1500:
+        r2 /= 2
+    assert vectors_in_ball(lat, r2, around, parity) == \
+        box_vectors_in_ball(lat, r2, around, parity)
+
+
+def test_vectors_in_ball_edge_radii():
+    lat = a2()
+    assert vectors_in_ball(lat, F(-1)) == []
+    assert vectors_in_ball(lat, 0) == [(0, 0)]
+    assert vectors_in_ball(lat, 0, parity=(1, 0)) == []
+    # the six shortest vectors have norm exactly 2
+    assert len(vectors_in_ball(lat, 2)) == 7
+    assert len(vectors_in_ball(lat, F(2) - F(1, 10 ** 9))) == 1

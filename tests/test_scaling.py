@@ -1,13 +1,14 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import POLYTOPE_CATALOG, built, ridge_graph
-from oracles import random_unimodular, ridge_image_map
+from oracles import fraction_voronoi_mismatch, random_unimodular, ridge_image_map
 from parallo import linalg
 from parallo.errors import GeometryError
-from parallo.lattice import Lattice, vectors_in_ball
+from parallo.lattice import Lattice, dv_cell, vectors_in_ball
 from parallo.parallelohedron import Parallelohedron
 from parallo.report import certificate_dict
 from parallo.scaling import (
@@ -253,6 +254,51 @@ def test_voronoi_mismatch_finds_a_cut_by_a_finer_lattice():
     assert x in cube.polytope.vertices
     assert v in vectors_in_ball(half, 3)  # 4 * max |x|^2
     assert 2 * half.inner(x, v) > half.norm_sq(v)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_voronoi_mismatch_matches_the_fraction_sweep_on_perturbed_forms(seed):
+    """The integer sweep returns the witness of the `Fraction` sweep over
+    the coefficient box: for the Voronoi cell of a lattice under a
+    randomly perturbed Gram (no witness), for that cell against a second
+    perturbation (a facet), and against finer lattices with one basis row
+    halved under the same Gram (a cut, the first in vertex-major,
+    sorted-ball order)."""
+    rng = random.Random(seed)
+    kinds = set()
+    for basis in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                  [[1, 0, 0], [0, 1, 0], [F(1, 2), F(1, 2), F(1, 2)]],
+                  [[0, 1, 1], [1, 0, 1], [1, 1, 0]]):
+        gram = perturbed(rng, linalg.identity(3))
+        lat = Lattice.create(basis, gram)
+        para = Parallelohedron.build(dv_cell(lat))
+        cases = [para.lattice.with_gram(gram),
+                 para.lattice.with_gram(perturbed(rng, gram))]
+        for i in range(3):
+            finer = [list(row) for row in para.lattice.basis]
+            finer[i] = [x / 2 for x in finer[i]]
+            cases.append(Lattice.create(finer, gram))
+        for case in cases:
+            witness = voronoi_mismatch(para, case)
+            assert witness == fraction_voronoi_mismatch(para, case)
+            kinds.add(None if witness is None else witness.kind)
+    assert kinds == {None, "facet", "cut"}
+
+
+def perturbed(rng, gram):
+    """The Gram plus a random symmetric perturbation of mixed
+    denominators, kept positive definite."""
+    d = len(gram)
+    while True:
+        out = [list(row) for row in gram]
+        for i in range(d):
+            for j in range(i, d):
+                e = F(rng.randint(-2, 2), rng.choice((3, 5, 7, 11)))
+                out[i][j] += e
+                if j != i:
+                    out[j][i] += e
+        if linalg.is_positive_definite(linalg.mat(out)):
+            return out
 
 
 def test_dv_mismatch_certificate_reports_its_witness():
