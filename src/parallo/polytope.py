@@ -10,9 +10,9 @@ rays (b, n) of b - <n, p> >= 0 over its points p, and the vertices of
 a halfspace intersection are the rays (t, y) of t >= 0 and
 b t - <n, y> >= 0, at x = y / t (a ray with t = 0 is a direction of
 unboundedness). Every ray is a primitive integer vector, so the results
-are exact. Boundedness of a halfspace intersection needs no second hull
-when the normals are closed under negation: spanning normals n, -n
-always positively span.
+are exact. Boundedness of a halfspace intersection needs no second hull:
+once the normals span, the cone is pointed, and the intersection is
+bounded exactly when no extreme ray has t = 0.
 
 The face lattice is the closure of the facet vertex-sets under
 intersection, graded from the empty face (dim -1) up to the whole
@@ -210,24 +210,6 @@ def _facets_from_points(points: list[Vec], dim: int) -> list[Halfspace]:
     return sorted(facets)
 
 
-def _positively_spans(normals: list[Vec], dim: int) -> bool:
-    """True iff the vectors positively span R^d (origin interior to their hull).
-
-    A set closed under negation has its centroid at 0, so a full affine
-    rank makes 0 = (n + (-n)) / 2 interior without a hull; any other set
-    is decided by the facets of its hull.
-    """
-    if affine_rank(list(normals)) < dim:
-        return False
-    present = set(normals)
-    if all(linalg.vneg(n) in present for n in normals):
-        return True
-    for normal, offset in _facets_from_points(list(normals), dim):
-        if offset <= 0:  # origin on or outside this supporting hyperplane
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Polytope:
     """Bounded full-dimensional convex polytope, exactly represented."""
@@ -270,8 +252,6 @@ class Polytope:
         planes = sorted(hs)
         if linalg.rank(tuple(n for n, _ in planes)) < dim:
             raise GeometryError("halfspace normals do not span the space")
-        if not _positively_spans([n for n, _ in planes], dim):
-            raise GeometryError("halfspace intersection is unbounded")
         # vertices x = y / (t * scale) of <n, y> <= (scale * b) t, t >= 0
         normals, _ = linalg.integer_rows(n for n, _ in planes)
         (offsets,), scale = linalg.integer_rows([[b for _, b in planes]])

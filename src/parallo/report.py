@@ -11,9 +11,10 @@ form/cell mismatch (1 is reserved for parse errors in the CLI). A
 "dv-mismatch" certificate carries its witness: the facet that is not a
 bisector, or the lattice vector and the vertex it cuts.
 
-For d = 3 the half-belt span is computed once per report, on the
-pi-surface, and the same block is written under both the "delta" and
-the "pi" surface.
+For d = 3 the delta complex is built once per report and quotiented
+for the pi-surface. The half-belt span is computed once, on the
+pi-surface's dual-block complex (see `topology`), and the same block is
+written under both the "delta" and the "pi" surface.
 
 Reports are byte-stable on identical input: keys are sorted, rationals
 are canonical "p/q" strings, and the timing field is null unless
@@ -191,12 +192,14 @@ def _gram_match(recovered, source) -> dict:
 
 
 def surface_dict(para: Parallelohedron, pi: bool, span: HalfBeltSpan | None,
-                 expected: dict | None = None) -> dict:
+                 expected: dict | None = None,
+                 delta: topology.SurfaceComplex | None = None) -> dict:
     """Topology report JSON, with flags where computed values disagree
     with stored reference values.
 
     `span` is the pi-surface half-belt span from `half_belt_span_d3`
     (None unless d = 3); it is reported as is for either surface.
+    `delta` is the delta complex, if the caller has built it already.
     """
     if para.dim != 3:
         return {
@@ -204,7 +207,9 @@ def surface_dict(para: Parallelohedron, pi: bool, span: HalfBeltSpan | None,
             "unsupported_dimension": True,
             "ridge_components": topology.ridge_connectivity(para),
         }
-    complex_ = topology.pi_complex(para) if pi else topology.delta_complex(para)
+    if delta is None:
+        delta = topology.delta_complex(para)
+    complex_ = topology.pi_complex(para, delta) if pi else delta
     rep = topology.topology_report(complex_)
     doc = rep.as_dict()
     doc["half_belt_span"] = {
@@ -263,9 +268,10 @@ def verify(source: Polytope | Lattice, name: str | None = None,
         rep.gram_match = _gram_match(rep.certificate.gram, source_gram)
     if p.dim == 3:
         span = topology.half_belt_span_d3(para)
+        delta = topology.delta_complex(para)
         rep.topology = {
-            "delta": surface_dict(para, False, span, expected),
-            "pi": surface_dict(para, True, span, expected),
+            "delta": surface_dict(para, False, span, expected, delta),
+            "pi": surface_dict(para, True, span, expected, delta),
         }
     else:
         rep.topology = {"ridge_components": graph.n_components}

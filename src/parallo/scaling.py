@@ -482,29 +482,24 @@ class LocalCycleCheck:
     product: Fraction | None
 
 
-def local_cycle_check(para: Parallelohedron, face,
-                      graph: RidgeGraph | None = None) -> LocalCycleCheck:
-    """Product of gains around a codim-3 face whose ridges are all primitive."""
-    lat = para.polytope.face_lattice
-    d = para.dim
-    ridge_ids = lat.superfaces(face, d - 2)
+def face_walk(para: Parallelohedron, face) -> Walk | None:
+    """Closed walk through the facets around a codim-3 face, or None when
+    the face lies on a non-primitive ridge.
+
+    The facets are those of the face's ridges; each facet must hold
+    exactly two of these ridges. The walk starts at the least facet and
+    its least ridge.
+    """
+    ridge_ids = para.polytope.face_lattice.superfaces(face, para.dim - 2)
     if any(not para.ridge_primitive(r) for r in ridge_ids):
-        return LocalCycleCheck(
-            face.vertex_ids, True,
-            "face lies on a non-primitive ridge", None, None,
-        )
-    facet_ids = {
-        fi
-        for fi in range(para.polytope.n_facets)
-        if set(face.vertex_ids).issubset(para.polytope.facet_vertex_ids[fi])
-    }
-    ridges_of_facet: dict[int, list[int]] = {fi: [] for fi in facet_ids}
+        return None
+    ridges_of_facet: dict[int, list[int]] = {}
     for r in ridge_ids:
         for fi in para.ridge_facets[r]:
-            ridges_of_facet[fi].append(r)
+            ridges_of_facet.setdefault(fi, []).append(r)
     if any(len(rs) != 2 for rs in ridges_of_facet.values()):
         raise GeometryError("face link is not a cycle")
-    start = min(facet_ids)
+    start = min(ridges_of_facet)
     facets = [start]
     ridges = [min(ridges_of_facet[start])]
     while True:
@@ -517,7 +512,18 @@ def local_cycle_check(para: Parallelohedron, face,
         r1, r2 = ridges_of_facet[nxt]
         ridges.append(r2 if r1 == rid else r1)
     facets.append(start)
-    walk = Walk(tuple(facets), tuple(ridges))
+    return Walk(tuple(facets), tuple(ridges))
+
+
+def local_cycle_check(para: Parallelohedron, face,
+                      graph: RidgeGraph | None = None) -> LocalCycleCheck:
+    """Product of gains around a codim-3 face whose ridges are all primitive."""
+    walk = face_walk(para, face)
+    if walk is None:
+        return LocalCycleCheck(
+            face.vertex_ids, True,
+            "face lies on a non-primitive ridge", None, None,
+        )
     if graph is None:
         graph = build_ridge_graph(para)
     return LocalCycleCheck(

@@ -11,30 +11,31 @@ Reports use the compactly-supported Euler characteristic chi_c
 surface the first rational Betti number is 1 - chi_c; compact
 components (nothing removed in their closure) have trivial rational H1.
 
-For the half-belt span test the open surface is replaced by a compact
-homotopy-equivalent model: cut the boundary sphere along the removed
-edge graph (removed edges are doubled, vertices split into corners, so
-the cut locus becomes boundary circles), then subdivide every facet
-into sectors around a center vertex with edge midpoints. In the
-subdivided 1-skeleton a facet-to-facet step across a primitive ridge is
-the two-spoke path center -> midpoint -> center, so half-belt cycles
-become genuine cellular 1-cycles whose span inside H1 can be computed
-from exact boundary matrices. Only the quotient (pi) model is built for
-the test; reports write its span under both the delta and the pi
-surface.
+For the half-belt span test the surface is replaced by its dual blocks.
+Removing a closed subcomplex from a cell complex leaves a space that
+deformation-retracts onto the union of the dual blocks of the remaining
+cells (Munkres 1984, Elements of Algebraic Topology, dual blocks). On a
+polytope the dual block of a face is its face of the polar, so the
+delta-surface is homotopy equivalent to the complex with one vertex per
+facet, one edge per primitive ridge, and one 2-cell per codim-3 face on
+no non-primitive ridge, bounded by the facet walk around that face.
+Its 1-skeleton is the ridge graph, so a half-belt is a walk there; its
+three steps end on the opposite facet, so it closes in the antipodal
+quotient. The antipode fixes no face, and the pi-surface's complex has
+one cell per orbit. The span of the half-belt cycles inside its
+rational H1 comes from exact ranks of sparse integer boundary columns.
+Only this quotient (pi) complex is built; reports write its span under
+both the delta and the pi surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 from .errors import GeometryError, UnsupportedDimensionError
-from .linalg import Vec
 from .parallelohedron import Parallelohedron
-from .scaling import build_ridge_graph, component_roots
+from .scaling import Walk, build_ridge_graph, component_roots, face_walk
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,12 @@ def delta_complex(para: Parallelohedron) -> SurfaceComplex:
     return SurfaceComplex("delta", tuple(cells), tuple(incidence), tuple(touches))
 
 
-def pi_complex(para: Parallelohedron) -> SurfaceComplex:
-    """Antipodal quotient of the delta complex (d = 3)."""
-    delta = delta_complex(para)
+def pi_complex(para: Parallelohedron,
+               delta: SurfaceComplex | None = None) -> SurfaceComplex:
+    """Antipodal quotient of the delta complex (d = 3), built from
+    `delta` when the caller has it."""
+    if delta is None:
+        delta = delta_complex(para)
     vmap, emap, fmap = _antipodal_maps(para)
     maps = {"v": vmap, "e": emap, "f": fmap}
 
@@ -219,275 +223,8 @@ def ridge_connectivity(para: Parallelohedron) -> int:
 
 
 # ---------------------------------------------------------------------
-# compact cut model and the half-belt span test
+# polar-dual complex and the half-belt span test
 # ---------------------------------------------------------------------
-
-
-def _facet_cycles(para: Parallelohedron):
-    """Per facet: vertex ids and edge ids in boundary-cycle order."""
-    edge_ids = {r.vertex_ids: i for i, r in enumerate(para.ridges)}
-    return [
-        (vs, tuple(edge_ids[tuple(sorted(pair))]
-                   for pair in zip(vs, vs[1:] + vs[:1])))
-        for vs in para.polytope.facet_cycles
-    ]
-
-
-def _vertex_fans(para: Parallelohedron, facet_cycles):
-    """Per vertex: cyclic fan (edges[i] between facets[i-1], facets[i])."""
-    p = para.polytope
-    edges_at: dict[int, list[int]] = {v: [] for v in range(p.n_vertices)}
-    for i, r in enumerate(para.ridges):
-        for v in r.vertex_ids:
-            edges_at[v].append(i)
-    # (facet, vertex) -> the two edges of that facet meeting the vertex
-    facet_vertex_edges = {}
-    for f, (vs, es) in enumerate(facet_cycles):
-        k = len(vs)
-        for i, v in enumerate(vs):
-            facet_vertex_edges[(f, v)] = (es[(i - 1) % k], es[i])
-    fans = []
-    for v in range(p.n_vertices):
-        e0 = min(edges_at[v])
-        f = min(para.ridge_facets[e0])
-        edge_seq = [e0]
-        facet_seq = []
-        e, cur_f = e0, f
-        while True:
-            facet_seq.append(cur_f)
-            a, b = facet_vertex_edges[(cur_f, v)]
-            e = b if a == e else a
-            fa, fb = para.ridge_facets[e]
-            cur_f = fb if fa == cur_f else fa
-            if e == e0:
-                break
-            edge_seq.append(e)
-        if len(edge_seq) != len(edges_at[v]):
-            raise GeometryError("vertex link is not a single cycle")
-        fans.append((tuple(edge_seq), tuple(facet_seq)))
-    return fans
-
-
-class _CutComplex:
-    """Compact surface-with-boundary model of the delta-surface (d = 3)."""
-
-    def __init__(self, para: Parallelohedron):
-        _require_d3(para)
-        self.para = para
-        p = para.polytope
-        self.removed = {
-            i for i in range(len(para.ridges)) if not para.ridge_primitive(i)
-        }
-        self.facet_cycles = _facet_cycles(para)
-        fans = _vertex_fans(para, self.facet_cycles)
-
-        # corners: arcs of the vertex fan between removed edges
-        self.corner_at = {}   # (vertex, facet) -> corner key
-        corner_keys = []
-        for v, (edge_seq, facet_seq) in enumerate(fans):
-            m = len(edge_seq)
-            cut_positions = [i for i, e in enumerate(edge_seq) if e in self.removed]
-            if not cut_positions:
-                key = ("c", v, frozenset(facet_seq))
-                corner_keys.append(key)
-                for f in facet_seq:
-                    self.corner_at[(v, f)] = key
-                continue
-            for idx, start in enumerate(cut_positions):
-                end = cut_positions[(idx + 1) % len(cut_positions)]
-                span = (end - start) % m or m
-                arc = [facet_seq[(start + j) % m] for j in range(span)]
-                key = ("c", v, frozenset(arc))
-                corner_keys.append(key)
-                for f in arc:
-                    self.corner_at[(v, f)] = key
-        self.corners = sorted(set(corner_keys))
-
-        # cut edges: kept edges stay single, removed edges split per facet
-        self.cut_edges = {}  # key -> (tail corner, head corner)
-        for e, ridge in enumerate(para.ridges):
-            va, vb = ridge.vertex_ids
-            if e in self.removed:
-                for f in para.ridge_facets[e]:
-                    ends = sorted([self.corner_at[(va, f)], self.corner_at[(vb, f)]])
-                    self.cut_edges[("er", e, f)] = tuple(ends)
-            else:
-                fa, fb = para.ridge_facets[e]
-                ca = self.corner_at[(va, fa)]
-                cb = self.corner_at[(vb, fa)]
-                if (self.corner_at[(va, fb)] != ca
-                        or self.corner_at[(vb, fb)] != cb):
-                    raise GeometryError("kept edge crosses a cut")
-                self.cut_edges[("e", e)] = tuple(sorted([ca, cb]))
-
-    def cut_edge_key(self, f: int, pos: int):
-        vs, es = self.facet_cycles[f]
-        e = es[pos]
-        return ("er", e, f) if e in self.removed else ("e", e)
-
-
-class _ChainComplex:
-    """Exact boundary matrices of the subdivided cut model (or its quotient)."""
-
-    def __init__(self, cut: _CutComplex, quotient: bool):
-        para = cut.para
-        self.cut = cut
-        vmap, emap, fmap = _antipodal_maps(para)
-
-        def corner_image(key):
-            _, v, facets = key
-            return ("c", vmap[v], frozenset(fmap[f] for f in facets))
-
-        def vertex0_image(key):
-            if key[0] == "c":
-                return corner_image(key)
-            if key[0] == "m":
-                return ("m", cut_edge_image(key[1]))
-            return ("ctr", fmap[key[1]])
-
-        def cut_edge_image(ekey):
-            if ekey[0] == "e":
-                return ("e", emap[ekey[1]])
-            return ("er", emap[ekey[1]], fmap[ekey[2]])
-
-        pos_of_edge = {}
-        for f, (vs, es) in enumerate(cut.facet_cycles):
-            for i, e in enumerate(es):
-                pos_of_edge[(f, e)] = i
-        self.pos_of_edge = pos_of_edge
-
-        # --- subdivided cells -----------------------------------------
-        verts0 = list(cut.corners)
-        verts0 += [("m", k) for k in sorted(cut.cut_edges)]
-        verts0 += [("ctr", f) for f in range(para.polytope.n_facets)]
-
-        ones: dict[tuple, tuple] = {}  # key -> (tail vertex key, head vertex key)
-        for ekey, (tail, head) in sorted(cut.cut_edges.items()):
-            ones[("h", ekey, 0)] = (tail, ("m", ekey))
-            ones[("h", ekey, 1)] = (("m", ekey), head)
-        for f, (vs, es) in enumerate(cut.facet_cycles):
-            for i in range(len(es)):
-                ones[("s", f, i)] = (("ctr", f), ("m", cut.cut_edge_key(f, i)))
-
-        twos: dict[tuple, list[tuple[int, tuple]]] = {}
-        for f, (vs, es) in enumerate(cut.facet_cycles):
-            k = len(vs)
-            for i in range(k):
-                corner = cut.corner_at[(vs[i], f)]
-                prev_e = cut.cut_edge_key(f, (i - 1) % k)
-                next_e = cut.cut_edge_key(f, i)
-                chain = [(1, ("s", f, (i - 1) % k))]
-                tail, head = cut.cut_edges[prev_e]
-                chain.append((1, ("h", prev_e, 1)) if head == corner
-                             else (-1, ("h", prev_e, 0)))
-                tail, head = cut.cut_edges[next_e]
-                chain.append((1, ("h", next_e, 0)) if tail == corner
-                             else (-1, ("h", next_e, 1)))
-                chain.append((-1, ("s", f, i)))
-                twos[("q", f, i)] = chain
-
-        # --- involution on subdivided 1-cells --------------------------
-        def one_image(key):
-            """Directed image: (image key, orientation sign)."""
-            tag = key[0]
-            if tag == "h":
-                _, ekey, side = key
-                ikey = cut_edge_image(ekey)
-                tail, head = cut.cut_edges[ekey]
-                itail, ihead = cut.cut_edges[ikey]
-                if corner_image(tail) == itail:
-                    return ("h", ikey, side), 1
-                if corner_image(tail) != ihead:
-                    raise GeometryError("involution broke an edge")
-                return ("h", ikey, 1 - side), -1
-            _, f, i = key
-            ikey = cut_edge_image(cut.cut_edge_key(f, i))
-            fi = fmap[f]
-            return ("s", fi, pos_of_edge[(fi, ikey[1])]), 1
-
-        # --- pick cell sets (identity or quotient) ----------------------
-        if not quotient:
-            self.v_ids = {k: i for i, k in enumerate(verts0)}
-            self.one_keys = sorted(ones)
-            self.two_keys = sorted(twos)
-            proj0 = {k: k for k in verts0}
-            proj1 = {k: (1, k) for k in ones}
-        else:
-            v_orbit = {}
-            for k in verts0:
-                ik = vertex0_image(k)
-                if ik == k:
-                    raise GeometryError("antipodal involution has a fixed cell")
-                v_orbit[k] = min(k, ik)
-            self.v_ids = {k: i for i, k in enumerate(sorted(set(v_orbit.values())))}
-            proj0 = v_orbit
-            proj1 = {}
-            for k in ones:
-                ik, sign = one_image(k)
-                rep = min(k, ik)
-                proj1[k] = (1, k) if k == rep else (sign, rep)
-            self.one_keys = sorted({proj1[k][1] for k in ones})
-            two_orbit = {}
-            for k in twos:
-                _, f, i = k
-                fi = fmap[f]
-                vs, _ = cut.facet_cycles[f]
-                ivs, _ = cut.facet_cycles[fi]
-                iv = vmap[vs[i]]
-                j = next(
-                    jj for jj, w in enumerate(ivs)
-                    if w == iv and cut.corner_at[(w, fi)]
-                    == corner_image(cut.corner_at[(vs[i], f)])
-                )
-                two_orbit[k] = min(k, ("q", fi, j))
-            self.two_keys = sorted(set(two_orbit.values()))
-
-        one_ids = {k: i for i, k in enumerate(self.one_keys)}
-        self.one_ids = one_ids
-
-        # --- boundary matrices, as sparse integer columns ---------------
-        self.b1_cols = []
-        for k in self.one_keys:
-            tail, head = ones[k]
-            self.b1_cols.append(_sparse(((self.v_ids[proj0[head]], 1),
-                                         (self.v_ids[proj0[tail]], -1))))
-        self.b2_cols = []
-        for k in self.two_keys:
-            terms = []
-            for sign, ekey in twos[k]:
-                psign, rep = proj1[ekey]
-                terms.append((one_ids[rep], sign * psign))
-            self.b2_cols.append(_sparse(terms))
-        self.proj1 = proj1
-        self.check_boundaries()
-
-    def check_boundaries(self):
-        """Raise unless the boundary of every 2-cell's boundary is zero."""
-        _require_cycles(self.b1_cols, self.b2_cols,
-                        "boundary of a boundary is nonzero")
-
-    @cached_property
-    def b2_chains(self) -> tuple[Vec, ...]:
-        """The boundary of each 2-cell as a dense 1-chain."""
-        return tuple(_dense(c, len(self.one_keys)) for c in self.b2_cols)
-
-    @cached_property
-    def rank_b2(self) -> int:
-        return linalg.rank(self.b2_chains)
-
-    @property
-    def h1_rank(self) -> int:
-        n0 = len(self.v_ids)
-        rank_b1 = linalg.rank(tuple(_dense(c, n0) for c in self.b1_cols))
-        return len(self.one_keys) - rank_b1 - self.rank_b2
-
-    def project_chain(self, terms) -> dict[int, int]:
-        """Map [(coeff, delta 1-cell key)] to a sparse 1-chain of this complex."""
-        out = []
-        for coeff, key in terms:
-            sign, rep = self.proj1[key]
-            out.append((self.one_ids[rep], coeff * sign))
-        return _sparse(out)
 
 
 def _sparse(terms) -> dict[int, int]:
@@ -498,8 +235,8 @@ def _sparse(terms) -> dict[int, int]:
     return {i: c for i, c in out.items() if c}
 
 
-def _dense(col: dict[int, int], n: int) -> Vec:
-    return tuple(Fraction(col.get(i, 0)) for i in range(n))
+def _dense(col: dict[int, int], n: int) -> tuple[int, ...]:
+    return tuple(col.get(i, 0) for i in range(n))
 
 
 def _require_cycles(boundary_cols, chains, message: str):
@@ -511,6 +248,70 @@ def _require_cycles(boundary_cols, chains, message: str):
             raise GeometryError(message)
 
 
+class _DualComplex:
+    """Boundary columns of the pi-surface's dual-block complex.
+
+    0-cells are facet orbits, 1-cells primitive-ridge orbits (an orbit's
+    least ridge, oriented as its `ridge_facets` pair) and 2-cells the
+    codim-3 faces on no non-primitive ridge, bounded by their face walks.
+    A face and its antipode give the same column up to sign.
+    """
+
+    def __init__(self, para: Parallelohedron):
+        _, emap, fmap = _antipodal_maps(para)
+        if any(x == y for cells in (emap, fmap) for x, y in cells.items()):
+            raise GeometryError("antipodal involution has a fixed cell")
+        self.para = para
+        self.emap, self.fmap = emap, fmap
+        self.edges = sorted({min(r, emap[r]) for r in range(len(para.ridges))
+                             if para.ridge_primitive(r)})
+        self.edge_ids = {r: i for i, r in enumerate(self.edges)}
+        # rows of the 1-cell columns: each facet orbit's least facet
+        self.b1_cols = [
+            _sparse(((min(b, fmap[b]), 1), (min(a, fmap[a]), -1)))
+            for a, b in (para.ridge_facets[r] for r in self.edges)
+        ]
+        roots = component_roots(
+            para.polytope.n_facets,
+            [para.ridge_facets[r] for r in self.edges] + list(fmap.items()))
+        self.rank_b1 = len(fmap) // 2 - len(set(roots))
+        walks = (face_walk(para, face)
+                 for face in para.polytope.face_lattice.faces(para.dim - 3))
+        self.b2_cols = [self.chain(w) for w in walks if w is not None]
+        self.check_boundaries()
+
+    def chain(self, walk: Walk) -> dict[int, int]:
+        """A facet walk over primitive ridges as a sparse 1-chain."""
+        terms = []
+        for f, g, r in zip(walk.facets, walk.facets[1:], walk.ridges):
+            rep = min(r, self.emap[r])
+            if rep != r:
+                f, g = self.fmap[f], self.fmap[g]
+            sign = 1 if (f, g) == self.para.ridge_facets[rep] else -1
+            terms.append((self.edge_ids[rep], sign))
+        return _sparse(terms)
+
+    def check_boundaries(self):
+        """Raise unless the boundary of every 2-cell's boundary is zero."""
+        _require_cycles(self.b1_cols, self.b2_cols,
+                        "boundary of a boundary is nonzero")
+
+    def half_belt_cycles(self) -> list[dict[int, int]]:
+        """The six shifted three-step walks of every 6-belt, each of them
+        closed in the quotient because it ends on its start's opposite."""
+        cycles = []
+        for belt in self.para.belts:
+            if belt.length != 6:
+                continue
+            for start in range(6):
+                steps = [(start + i) % 6 for i in range(4)]
+                cycles.append(self.chain(Walk(
+                    tuple(belt.facets[i] for i in steps),
+                    tuple(belt.ridges[i] for i in steps[:3]))))
+        _require_cycles(self.b1_cols, cycles, "half-belt chain is not a cycle")
+        return cycles
+
+
 @dataclass(frozen=True)
 class HalfBeltSpan:
     h1_rank: int
@@ -519,35 +320,16 @@ class HalfBeltSpan:
     n_cycles: int
 
 
-def half_belt_cycles(para: Parallelohedron,
-                     chain: _ChainComplex) -> list[Vec]:
-    """All half-belt walks of 6-belts as 1-cycles of the chain model."""
-    pos_of_edge = chain.pos_of_edge
-    cycles = []
-    for belt in para.belts:
-        if belt.length != 6:
-            continue
-        for start in range(6):
-            terms = []
-            for i in range(start, start + 3):
-                f_from = belt.facets[i % 6]
-                f_to = belt.facets[(i + 1) % 6]
-                rid = belt.ridges[i % 6]
-                terms.append((1, ("s", f_from, pos_of_edge[(f_from, rid)])))
-                terms.append((-1, ("s", f_to, pos_of_edge[(f_to, rid)])))
-            z = chain.project_chain(terms)
-            _require_cycles(chain.b1_cols, [z], "half-belt chain is not a cycle")
-            cycles.append(_dense(z, len(chain.one_keys)))
-    return cycles
-
-
 def half_belt_span_d3(para: Parallelohedron) -> HalfBeltSpan:
     """Do half-belt cycles span the rational H1 of the pi-surface?"""
     _require_d3(para)
-    chain = _ChainComplex(_CutComplex(para), quotient=True)
-    cycles = half_belt_cycles(para, chain)
-    h1 = chain.h1_rank
+    complex_ = _DualComplex(para)
+    cycles = complex_.half_belt_cycles()
+    n1 = len(complex_.edges)
+    b2 = tuple(_dense(c, n1) for c in complex_.b2_cols)
+    rank_b2 = linalg.rank(b2)
+    h1 = n1 - complex_.rank_b1 - rank_b2
     span = 0
     if cycles:
-        span = linalg.rank(chain.b2_chains + tuple(cycles)) - chain.rank_b2
+        span = linalg.rank(b2 + tuple(_dense(z, n1) for z in cycles)) - rank_b2
     return HalfBeltSpan(h1, span, span == h1, len(cycles))

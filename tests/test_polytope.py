@@ -177,37 +177,6 @@ def test_unbounded_and_degenerate_inputs_rejected():
         Polytope.from_vertices([(0, 0), (1, 0), (2, 0)])
 
 
-def _brute_positively_spans(normals, dim):
-    """Origin interior to the brute-force hull of the normals."""
-    if affine_rank(normals) < dim:
-        return False
-    return all(b > 0 for _, b in fraction_facets_from_points(normals, dim))
-
-
-@pytest.mark.parametrize("dim", [3, 4])
-def test_symmetric_normals_positively_span_without_a_hull(rng, dim,
-                                                          monkeypatch):
-    cases = []
-    for trial in range(12):
-        # every third set lies in a coordinate hyperplane: rank < dim
-        free = dim - 1 if trial % 3 == 2 else dim
-        half = set()
-        while len(half) < rng.randint(dim, dim + 2):
-            v = [F(rng.randint(-2, 2)) for _ in range(free)] + [F(0)] * (dim - free)
-            if any(v):
-                half.add(tuple(v))
-        normals = sorted(half | {linalg.vneg(v) for v in half})
-        cases.append((normals, _brute_positively_spans(normals, dim)))
-    assert {expected for _, expected in cases} == {True, False}
-
-    def no_hull(*args):
-        raise AssertionError("symmetric normals need no hull")
-
-    monkeypatch.setattr(polytope, "_facets_from_points", no_hull)
-    for normals, expected in cases:
-        assert polytope._positively_spans(normals, dim) == expected
-
-
 def test_boundedness_controls():
     e = [linalg.vec(row) for row in linalg.identity(3)]
     # non-symmetric and bounded: a simplex
@@ -222,6 +191,22 @@ def test_boundedness_controls():
     slab = [(linalg.vscale(s, x), F(1)) for x in e[:2] for s in (1, -1)]
     with pytest.raises(GeometryError, match="do not span the space"):
         Polytope.from_halfspaces(slab, 3)
+
+
+def test_a_non_symmetric_halfspace_input_builds_one_hull(monkeypatch):
+    calls = []
+    rays = polytope._extreme_rays
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rays(rows)
+
+    monkeypatch.setattr(polytope, "_extreme_rays", counted)
+    e = [linalg.vec(row) for row in linalg.identity(3)]
+    simplex = Polytope.from_halfspaces(
+        [((1, 1, 1), F(1))] + [(linalg.vneg(x), F(0)) for x in e], 3)
+    assert simplex.n_vertices == 4
+    assert len(calls) == 1
 
 
 def test_affine_hull_of_a_single_point():
@@ -368,12 +353,11 @@ def test_halfspace_round_trip_of_a_point_hull(case):
     assert q.halfspaces() == p.halfspaces()
 
 
-def test_hull_rejects_an_unbounded_set_without_the_span_test(monkeypatch):
-    # the open box of test_boundedness_controls: with the span test
-    # switched off, the hull itself finds -e3 as a ray with t = 0
+def test_hull_rejects_an_unbounded_set_without_the_span_test():
+    # the open box of test_boundedness_controls: the hull itself finds
+    # -e3 as a ray with t = 0
     e = [linalg.vec(row) for row in linalg.identity(3)]
     open_box = [(x, F(1)) for x in e] + [(linalg.vneg(x), F(1)) for x in e[:2]]
-    monkeypatch.setattr(polytope, "_positively_spans", lambda normals, dim: True)
     with pytest.raises(GeometryError, match="halfspace intersection is unbounded"):
         Polytope.from_halfspaces(open_box, 3)
 

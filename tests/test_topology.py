@@ -1,16 +1,20 @@
+import random
+
 import pytest
 
-from conftest import POLYTOPE_CATALOG, built
+import oracles
+from conftest import POLYTOPE_CATALOG, SEED, built
+from oracles import ChainComplex, CutComplex, cut_half_belt_span, random_unimodular
 from parallo import report, topology
 from parallo.catalog import catalog
 from parallo.errors import GeometryError, UnsupportedDimensionError
-from parallo.parallelohedron import venkov_check
+from parallo.lattice import dv_cell
+from parallo.parallelohedron import Parallelohedron, venkov_check
 from parallo.polytope import Polytope
+from parallo.scaling import Walk
 from parallo.topology import (
-    _ChainComplex,
-    _CutComplex,
+    _DualComplex,
     delta_complex,
-    half_belt_cycles,
     half_belt_span_d3,
     pi_complex,
     ridge_connectivity,
@@ -139,7 +143,7 @@ def test_chain_model_matches_open_surface_ranks():
             c.h1_rank for c in topology_report(pi_complex(para)).components
         )
         # the unquotiented cut model is a test oracle only
-        delta_chain = _ChainComplex(_CutComplex(para), quotient=False)
+        delta_chain = ChainComplex(CutComplex(para), quotient=False)
         assert delta_chain.h1_rank == delta_rank
         assert result.h1_rank == pi_rank
 
@@ -150,31 +154,67 @@ def test_half_belt_cycle_count():
     assert result.n_cycles == 6 * 6  # six shifted walks per 6-belt
 
 
+def _pi_h1(para) -> int:
+    return sum(c.h1_rank for c in topology_report(pi_complex(para)).components)
+
+
+def test_dual_complex_matches_the_cut_model_on_the_catalog():
+    for name in POLYTOPE_CATALOG + ("lattice-Z3", "lattice-FCC", "lattice-BCC"):
+        entry = catalog(name)
+        para = Parallelohedron.build(
+            dv_cell(entry.lattice) if entry.kind == "lattice" else entry.polytope)
+        assert half_belt_span_d3(para) == cut_half_belt_span(para), name
+
+
+def test_dual_complex_matches_the_cut_model_on_unimodular_images():
+    rng = random.Random(SEED + 7)
+    for name in POLYTOPE_CATALOG:
+        for _ in range(2):
+            image = Parallelohedron.build(built(name).polytope.apply_affine(
+                random_unimodular(rng, 3), [rng.randint(-3, 3) for _ in range(3)]))
+            span = half_belt_span_d3(image)
+            assert span == cut_half_belt_span(image), name
+            assert span.h1_rank == _pi_h1(image)
+
+
 # -- negative controls: each check still rejects bad data -------------------
 
 
-def _pi_chain(name):
-    return _ChainComplex(_CutComplex(built(name)), quotient=True)
-
-
 def test_corrupted_two_cell_boundary_is_rejected():
-    chain = _pi_chain("truncated-octahedron")
-    chain.check_boundaries()
-    col = chain.b2_cols[0]
-    edge = next(e for e in col if chain.b1_cols[e])
+    complex_ = _DualComplex(built("truncated-octahedron"))
+    complex_.check_boundaries()
+    col = complex_.b2_cols[0]
+    edge = next(e for e in col if complex_.b1_cols[e])
     col[edge] += 1
     with pytest.raises(GeometryError, match="boundary of a boundary is nonzero"):
-        chain.check_boundaries()
+        complex_.check_boundaries()
 
 
 def test_open_half_belt_chain_is_rejected(monkeypatch):
-    para = built("hexagonal-prism")
-    chain = _ChainComplex(_CutComplex(para), quotient=True)
-    project = chain.project_chain
-    # drop the last spoke: the walk no longer returns to a centre
-    monkeypatch.setattr(chain, "project_chain", lambda terms: project(terms[:-1]))
+    complex_ = _DualComplex(built("hexagonal-prism"))
+    chain = complex_.chain
+    # drop the last step: the walk ends one facet short of the opposite
+    monkeypatch.setattr(complex_, "chain", lambda walk: chain(
+        Walk(walk.facets[:-1], walk.ridges[:-1])))
     with pytest.raises(GeometryError, match="half-belt chain is not a cycle"):
-        half_belt_cycles(para, chain)
+        complex_.half_belt_cycles()
+
+
+@pytest.mark.parametrize("name", ["truncated-octahedron",
+                                  "elongated-dodecahedron"])
+def test_dropped_two_cell_breaks_the_rank_check(monkeypatch, name):
+    # the check of test_chain_model_matches_open_surface_ranks
+    para = built(name)
+    assert half_belt_span_d3(para).h1_rank == _pi_h1(para)
+    vmap, _, _ = topology._antipodal_maps(para)
+    face = next(f for f in para.polytope.face_lattice.faces(0)
+                if topology.face_walk(para, f) is not None)
+    orbit = {face.vertex_ids,
+             tuple(sorted(vmap[v] for v in face.vertex_ids))}
+    walk = topology.face_walk
+    monkeypatch.setattr(topology, "face_walk", lambda para, face: (
+        None if face.vertex_ids in orbit else walk(para, face)))
+    assert half_belt_span_d3(para).h1_rank != _pi_h1(para)
 
 
 def test_antipodal_fixed_cell_is_rejected(monkeypatch):
@@ -192,15 +232,16 @@ def test_antipodal_fixed_cell_is_rejected(monkeypatch):
 
 
 def test_kept_edge_crossing_a_cut_is_rejected(monkeypatch):
-    fans = topology._vertex_fans
+    # a control of the cut-model oracle
+    fans = oracles._vertex_fans
 
     def misaligned(para, facet_cycles):
         # each facet moved one step round its vertex fan
         return [(es, fs[1:] + fs[:1]) for es, fs in fans(para, facet_cycles)]
 
-    monkeypatch.setattr(topology, "_vertex_fans", misaligned)
+    monkeypatch.setattr(oracles, "_vertex_fans", misaligned)
     with pytest.raises(GeometryError, match="kept edge crosses a cut"):
-        _CutComplex(built("hexagonal-prism"))
+        CutComplex(built("hexagonal-prism"))
 
 
 def test_belt_of_length_eight_is_rejected():
@@ -215,20 +256,34 @@ def test_belt_of_length_eight_is_rejected():
 
 
 def test_one_half_belt_span_per_verify(monkeypatch):
-    calls = {"span": 0, "chain": 0}
+    calls = {"span": 0, "complex": 0}
     span_d3 = topology.half_belt_span_d3
 
     def counted_span(para):
         calls["span"] += 1
         return span_d3(para)
 
-    class CountedChain(_ChainComplex):
+    class CountedComplex(_DualComplex):
         def __init__(self, *args, **kwargs):
-            calls["chain"] += 1
+            calls["complex"] += 1
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(topology, "half_belt_span_d3", counted_span)
-    monkeypatch.setattr(topology, "_ChainComplex", CountedChain)
+    monkeypatch.setattr(topology, "_DualComplex", CountedComplex)
     rep = report.verify(catalog("hexagonal-prism").polytope)
     assert rep.verdict == "certified"
-    assert calls == {"span": 1, "chain": 1}
+    assert calls == {"span": 1, "complex": 1}
+
+
+def test_one_delta_complex_per_verify(monkeypatch):
+    calls = []
+    build = topology.delta_complex
+
+    def counted(para):
+        calls.append(para)
+        return build(para)
+
+    monkeypatch.setattr(topology, "delta_complex", counted)
+    rep = report.verify(catalog("hexagonal-prism").polytope)
+    assert rep.verdict == "certified"
+    assert len(calls) == 1
