@@ -10,19 +10,12 @@ the published value is 1, and the half-belt cycles span either way.
 
 from parallo.catalog import catalog
 from parallo.parallelohedron import Parallelohedron
-from parallo.topology import (
-    delta_complex,
-    half_belt_span_d3,
-    pi_complex,
-    topology_report,
-)
+from parallo.topology import surface_topology
 
 for name in ("cube", "hexagonal-prism", "rhombic-dodecahedron",
              "elongated-dodecahedron", "truncated-octahedron"):
     para = Parallelohedron.build(catalog(name).polytope)
-    delta = topology_report(delta_complex(para))
-    pi = topology_report(pi_complex(para))
-    span = half_belt_span_d3(para)
+    delta, pi, span = surface_topology(para)
     print(name)
     print("  open surface:   ",
           [(c.cell_counts, f"chi={c.chi}", f"h1={c.h1_rank}",

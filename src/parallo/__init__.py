@@ -12,7 +12,7 @@ from .lattice import Lattice, dv_cell, relevant_vectors, shortest_in_coset
 from .parallelohedron import Parallelohedron, venkov_check
 from .polytope import Polytope
 from .scaling import build_ridge_graph, canonical_scaling, voronoi_form
-from .topology import delta_complex, pi_complex, topology_report
+from .topology import surface_topology
 
 __version__ = "0.1.0"
 
@@ -22,12 +22,10 @@ __all__ = [
     "Polytope",
     "build_ridge_graph",
     "canonical_scaling",
-    "delta_complex",
     "dv_cell",
-    "pi_complex",
     "relevant_vectors",
     "shortest_in_coset",
-    "topology_report",
+    "surface_topology",
     "venkov_check",
     "voronoi_form",
     "__version__",

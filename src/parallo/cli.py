@@ -21,7 +21,6 @@ from .lattice import Lattice
 from .parallelohedron import Parallelohedron, classify_dual3, venkov_check
 from .polytope import Polytope
 from .report import EXIT_PARSE, EXIT_VENKOV
-from .topology import half_belt_span_d3
 
 
 def _load_input(arg: str):
@@ -98,8 +97,7 @@ def _cmd_surface(args) -> int:
     source, entry = _load_input(args.input)
     para = Parallelohedron.build(_as_polytope(source, entry))
     expected = entry.expected if entry is not None else None
-    span = half_belt_span_d3(para) if para.dim == 3 else None
-    _emit(report_mod.surface_dict(para, args.pi, span, expected))
+    _emit(report_mod.surface_dicts(para, expected)["pi" if args.pi else "delta"])
     return 0
 
 

@@ -291,9 +291,6 @@ class Parallelohedron:
         bid, _ = self.belt_of_ridge[ridge_id]
         return self.belts[bid].length == 6
 
-    def belt_of(self, ridge_id: int) -> Belt:
-        return self.belts[self.belt_of_ridge[ridge_id][0]]
-
     # -- dual cells -------------------------------------------------------
 
     @cached_property

@@ -88,14 +88,6 @@ class FaceLattice:
             if s.issubset(g.vertex_ids)
         ]
 
-    def subfaces(self, face: Face, dim: int) -> list[int]:
-        s = set(face.vertex_ids)
-        return [
-            i
-            for i, g in enumerate(self.faces(dim))
-            if s.issuperset(g.vertex_ids)
-        ]
-
 
 def _canonical_halfspace(normal: Vec, offset: Fraction) -> Halfspace:
     """Scale so the normal is a primitive integer vector (same direction)."""

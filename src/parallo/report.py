@@ -11,10 +11,11 @@ form/cell mismatch (1 is reserved for parse errors in the CLI). A
 "dv-mismatch" certificate carries its witness: the facet that is not a
 bisector, or the lattice vector and the vertex it cuts.
 
-For d = 3 the delta complex is built once per report and quotiented
-for the pi-surface. The half-belt span is computed once, on the
-pi-surface's dual-block complex (see `topology`), and the same block is
-written under both the "delta" and the "pi" surface.
+For d = 3 one dual-block complex (see `topology`) gives both surface
+reports and the half-belt span, which is written under both the
+"delta" and the "pi" surface. A component reads "compact" exactly when
+no ridge is non-primitive: the boundary is connected, so once anything
+is removed every component touches it.
 
 Reports are byte-stable on identical input: keys are sorted, rationals
 are canonical "p/q" strings, and the timing field is null unless
@@ -191,26 +192,8 @@ def _gram_match(recovered, source) -> dict:
     }
 
 
-def surface_dict(para: Parallelohedron, pi: bool, span: HalfBeltSpan | None,
-                 expected: dict | None = None,
-                 delta: topology.SurfaceComplex | None = None) -> dict:
-    """Topology report JSON, with flags where computed values disagree
-    with stored reference values.
-
-    `span` is the pi-surface half-belt span from `half_belt_span_d3`
-    (None unless d = 3); it is reported as is for either surface.
-    `delta` is the delta complex, if the caller has built it already.
-    """
-    if para.dim != 3:
-        return {
-            "surface": "pi" if pi else "delta",
-            "unsupported_dimension": True,
-            "ridge_components": topology.ridge_connectivity(para),
-        }
-    if delta is None:
-        delta = topology.delta_complex(para)
-    complex_ = topology.pi_complex(para, delta) if pi else delta
-    rep = topology.topology_report(complex_)
+def _surface_dict(rep: topology.TopologyReport, span: HalfBeltSpan,
+                  expected: dict | None) -> dict:
     doc = rep.as_dict()
     doc["half_belt_span"] = {
         "h1_rank": span.h1_rank,
@@ -219,23 +202,38 @@ def surface_dict(para: Parallelohedron, pi: bool, span: HalfBeltSpan | None,
         "cycles": span.n_cycles,
     }
     doc["flags"] = []
-    if expected is not None:
-        ref = expected.get("pi" if pi else "delta")
-        if ref is not None:
-            computed_ranks = sorted(c.h1_rank for c in rep.components)
-            for field_name, computed, reference in (
-                ("component_count", rep.component_count, ref["component_count"]),
-                ("h1_ranks", computed_ranks, sorted(ref["h1_ranks"])),
-            ):
-                if computed != reference:
-                    doc["flags"].append({
-                        "field": field_name,
-                        "computed": computed,
-                        "reference": reference,
-                        "reference_source": ref.get("source", "unknown"),
-                        "reference_disputed": bool(ref.get("disputed", False)),
-                    })
+    ref = (expected or {}).get(rep.surface)
+    if ref is not None:
+        computed_ranks = sorted(c.h1_rank for c in rep.components)
+        for field_name, computed, reference in (
+            ("component_count", rep.component_count, ref["component_count"]),
+            ("h1_ranks", computed_ranks, sorted(ref["h1_ranks"])),
+        ):
+            if computed != reference:
+                doc["flags"].append({
+                    "field": field_name,
+                    "computed": computed,
+                    "reference": reference,
+                    "reference_source": ref.get("source", "unknown"),
+                    "reference_disputed": bool(ref.get("disputed", False)),
+                })
     return doc
+
+
+def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
+    """The "delta" and "pi" topology reports as JSON, with flags where
+    computed values disagree with stored reference values.
+
+    Both come from one `topology.surface_topology` call, and the
+    pi-surface's half-belt span is written under either surface. For
+    d != 3 each report only gives the ridge-graph component count.
+    """
+    if para.dim != 3:
+        n = topology.ridge_connectivity(para)
+        return {kind: {"surface": kind, "unsupported_dimension": True,
+                       "ridge_components": n} for kind in ("delta", "pi")}
+    *reports, span = topology.surface_topology(para)
+    return {rep.surface: _surface_dict(rep, span, expected) for rep in reports}
 
 
 def verify(source: Polytope | Lattice, name: str | None = None,
@@ -267,12 +265,7 @@ def verify(source: Polytope | Lattice, name: str | None = None,
     if rep.certificate.verdict == "certified" and source_gram is not None:
         rep.gram_match = _gram_match(rep.certificate.gram, source_gram)
     if p.dim == 3:
-        span = topology.half_belt_span_d3(para)
-        delta = topology.delta_complex(para)
-        rep.topology = {
-            "delta": surface_dict(para, False, span, expected, delta),
-            "pi": surface_dict(para, True, span, expected, delta),
-        }
+        rep.topology = surface_dicts(para, expected)
     else:
         rep.topology = {"ridge_components": graph.n_components}
     rep.timing_ms = (time.perf_counter() - t0) * 1e3

@@ -40,9 +40,7 @@ from .parallelohedron import Parallelohedron
 class RidgeEdge:
     ridge: int                 # id into the polytope's codim-2 faces
     facets: tuple[int, int]    # belt order: gain applies facets[0] -> facets[1]
-    third_facet: int
-    alpha: tuple[Fraction, Fraction, Fraction]
-    gain: Fraction             # |alpha[1] / alpha[0]|
+    gain: Fraction             # |alpha[1] / alpha[0]| of `ridge_dependence`
 
 
 @dataclass(frozen=True)
@@ -176,9 +174,8 @@ def build_ridge_graph(para: Parallelohedron, normal_scale=None) -> RidgeGraph:
     for rid in range(len(para.ridges)):
         if not para.ridge_primitive(rid):
             continue
-        _, _, _, alpha, (f1, f2, _f3) = ridge_dependence(para, rid, normal_scale)
-        gain = abs(alpha[1] / alpha[0])
-        edges.append(RidgeEdge(rid, (f1, f2), _f3, tuple(alpha), gain))
+        _, _, _, alpha, (f1, f2, _) = ridge_dependence(para, rid, normal_scale)
+        edges.append(RidgeEdge(rid, (f1, f2), abs(alpha[1] / alpha[0])))
     return RidgeGraph(para, edges)
 
 

@@ -2,30 +2,35 @@
 
 The delta-surface is the boundary with every closed non-primitive ridge
 removed (the ridge plus its endpoint vertices); the pi-surface is its
-quotient under the antipodal map. Both are (d-1)-manifolds; for d = 3
-they are open surfaces whose open-cell decompositions are read straight
-off the face lattice.
+quotient under the antipodal map.
 
-Reports use the compactly-supported Euler characteristic chi_c
-(alternating sum of open cell counts). On a connected non-compact
-surface the first rational Betti number is 1 - chi_c; compact
-components (nothing removed in their closure) have trivial rational H1.
+One complex models both. Removing a closed subcomplex from a cell
+complex leaves a space that deformation-retracts onto the union of the
+dual blocks of the remaining cells (Munkres 1984, Elements of Algebraic
+Topology, dual blocks). On a polytope the dual block of a face is its
+face of the polar, so the delta-surface is homotopy equivalent to the
+complex with one vertex per facet, one edge per primitive ridge, and
+one 2-cell per codim-3 face on no non-primitive ridge, bounded by the
+facet walk around that face. The antipode fixes no face, and the
+pi-surface's complex has one cell per orbit.
 
-For the half-belt span test the surface is replaced by its dual blocks.
-Removing a closed subcomplex from a cell complex leaves a space that
-deformation-retracts onto the union of the dual blocks of the remaining
-cells (Munkres 1984, Elements of Algebraic Topology, dual blocks). On a
-polytope the dual block of a face is its face of the polar, so the
-delta-surface is homotopy equivalent to the complex with one vertex per
-facet, one edge per primitive ridge, and one 2-cell per codim-3 face on
-no non-primitive ridge, bounded by the facet walk around that face.
-Its 1-skeleton is the ridge graph, so a half-belt is a walk there; its
-three steps end on the opposite facet, so it closes in the antipodal
-quotient. The antipode fixes no face, and the pi-surface's complex has
-one cell per orbit. The span of the half-belt cycles inside its
-rational H1 comes from exact ranks of sparse integer boundary columns.
-Only this quotient (pi) complex is built; reports write its span under
-both the delta and the pi surface.
+Component reports. The components are the classes of facets joined by
+primitive ridges (for pi, also by antipodal pairs). Each counts its
+walked codim-3 faces, primitive ridges and facets: for d = 3 these are
+the open vertices, edges and facets of the surface, and their
+alternating sum is the compactly-supported Euler characteristic chi_c.
+The boundary is connected, so when any ridge is removed every component
+touches a removed ridge and is a non-compact surface, whose first
+rational Betti number is 1 - chi_c. A component is compact exactly when
+no ridge is non-primitive: then it is the whole sphere (or, for pi, the
+projective plane) and its rational H1 is trivial.
+
+Half-belt span. The complex's 1-skeleton is the ridge graph, so a
+half-belt is a walk there; its three steps end on the opposite facet,
+so it closes in the antipodal quotient. The span of the half-belt
+cycles inside the pi-surface's rational H1 comes from exact ranks of
+sparse integer boundary columns. Reports write this span under both the
+delta and the pi surface.
 """
 
 from __future__ import annotations
@@ -36,20 +41,6 @@ from . import linalg
 from .errors import GeometryError, UnsupportedDimensionError
 from .parallelohedron import Parallelohedron
 from .scaling import Walk, build_ridge_graph, component_roots, face_walk
-
-
-@dataclass(frozen=True)
-class SurfaceCell:
-    dim: int
-    key: tuple
-
-
-@dataclass(frozen=True)
-class SurfaceComplex:
-    kind: str  # "delta" | "pi"
-    cells: tuple[SurfaceCell, ...]
-    incidence: tuple[tuple[int, int], ...]  # (lower cell idx, higher cell idx)
-    touches_removed: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -85,6 +76,14 @@ class TopologyReport:
         }
 
 
+@dataclass(frozen=True)
+class HalfBeltSpan:
+    h1_rank: int
+    span_rank: int
+    spanned: bool
+    n_cycles: int
+
+
 def _require_d3(para: Parallelohedron):
     if para.dim != 3:
         raise UnsupportedDimensionError(
@@ -94,137 +93,18 @@ def _require_d3(para: Parallelohedron):
 
 
 def _antipodal_maps(para: Parallelohedron):
-    """Vertex, edge and facet involutions induced by x -> -x."""
-    p = para.polytope
-    vmap = {}
-    index = {v: i for i, v in enumerate(p.vertices)}
-    for i, v in enumerate(p.vertices):
-        vmap[i] = index[linalg.vneg(v)]
-    ridge_ids = {r.vertex_ids: i for i, r in enumerate(para.ridges)}
-    emap = {}
-    for i, r in enumerate(para.ridges):
-        emap[i] = ridge_ids[tuple(sorted(vmap[x] for x in r.vertex_ids))]
+    """Ridge and facet involutions induced by x -> -x: a ridge goes to
+    the ridge between the opposites of its two facets."""
     fmap = dict(enumerate(para.opposite_facet))
-    return vmap, emap, fmap
-
-
-def delta_complex(para: Parallelohedron) -> SurfaceComplex:
-    """Boundary complex minus closed non-primitive edges (d = 3)."""
-    _require_d3(para)
-    p = para.polytope
-    removed_edges = {
-        i for i in range(len(para.ridges)) if not para.ridge_primitive(i)
-    }
-    removed_vertices = {
-        v
-        for i in removed_edges
-        for v in para.ridges[i].vertex_ids
-    }
-    cells: list[SurfaceCell] = []
-    index: dict[tuple, int] = {}
-    for v in range(p.n_vertices):
-        if v not in removed_vertices:
-            index[("v", v)] = len(cells)
-            cells.append(SurfaceCell(0, ("v", v)))
-    for e in range(len(para.ridges)):
-        if e not in removed_edges:
-            index[("e", e)] = len(cells)
-            cells.append(SurfaceCell(1, ("e", e)))
-    for f in range(p.n_facets):
-        index[("f", f)] = len(cells)
-        cells.append(SurfaceCell(2, ("f", f)))
-    incidence = []
-    touches = [False] * len(cells)
-    for e, ridge in enumerate(para.ridges):
-        if e in removed_edges:
-            continue
-        ei = index[("e", e)]
-        for v in ridge.vertex_ids:
-            if v in removed_vertices:
-                touches[ei] = True
-            else:
-                incidence.append((index[("v", v)], ei))
-    for f in range(p.n_facets):
-        fi = index[("f", f)]
-        fset = set(p.facet_vertex_ids[f])
-        for v in fset:
-            if v in removed_vertices:
-                touches[fi] = True
-            else:
-                incidence.append((index[("v", v)], fi))
-        for e, ridge in enumerate(para.ridges):
-            if set(ridge.vertex_ids).issubset(fset):
-                if e in removed_edges:
-                    touches[fi] = True
-                else:
-                    incidence.append((index[("e", e)], fi))
-    return SurfaceComplex("delta", tuple(cells), tuple(incidence), tuple(touches))
-
-
-def pi_complex(para: Parallelohedron,
-               delta: SurfaceComplex | None = None) -> SurfaceComplex:
-    """Antipodal quotient of the delta complex (d = 3), built from
-    `delta` when the caller has it."""
-    if delta is None:
-        delta = delta_complex(para)
-    vmap, emap, fmap = _antipodal_maps(para)
-    maps = {"v": vmap, "e": emap, "f": fmap}
-
-    def orbit(key):
-        tag, x = key
-        y = maps[tag][x]
-        if y == x:
-            raise GeometryError("antipodal involution has a fixed cell")
-        return (tag, min(x, y), max(x, y))
-
-    cells: list[SurfaceCell] = []
-    index: dict[tuple, int] = {}
-    reps: dict[tuple, tuple] = {}
-    for cell in delta.cells:
-        o = orbit(cell.key)
-        if o not in index:
-            index[o] = len(cells)
-            cells.append(SurfaceCell(cell.dim, o))
-            reps[o] = cell.key
-    incidence = set()
-    for lo, hi in delta.incidence:
-        incidence.add((index[orbit(delta.cells[lo].key)],
-                       index[orbit(delta.cells[hi].key)]))
-    touches = [False] * len(cells)
-    for i, c in enumerate(delta.cells):
-        if delta.touches_removed[i]:
-            touches[index[orbit(c.key)]] = True
-    return SurfaceComplex("pi", tuple(cells), tuple(sorted(incidence)),
-                          tuple(touches))
-
-
-def topology_report(complex_: SurfaceComplex) -> TopologyReport:
-    """Components, chi_c, compactness and rational H1 rank per component."""
-    groups: dict[int, list[int]] = {}
-    for i, root in enumerate(component_roots(len(complex_.cells),
-                                             complex_.incidence)):
-        groups.setdefault(root, []).append(i)
-    comps = []
-    for root in sorted(groups, key=lambda r: complex_.cells[r].key):
-        members = groups[root]
-        counts = [0, 0, 0]
-        for i in members:
-            counts[complex_.cells[i].dim] += 1
-        chi = counts[0] - counts[1] + counts[2]
-        compact = not any(complex_.touches_removed[i] for i in members)
-        h1 = 0 if compact else 1 - chi
-        comps.append(ComponentReport(tuple(counts), chi, compact, h1))
-    return TopologyReport(complex_.kind, tuple(comps))
+    ridge_of = {frozenset(pair): r for r, pair in enumerate(para.ridge_facets)}
+    emap = {r: ridge_of[frozenset(fmap[f] for f in pair)]
+            for r, pair in enumerate(para.ridge_facets)}
+    return emap, fmap
 
 
 def ridge_connectivity(para: Parallelohedron) -> int:
     """Number of ridge-graph components (valid in any dimension)."""
     return build_ridge_graph(para).n_components
-
-
-# ---------------------------------------------------------------------
-# polar-dual complex and the half-belt span test
-# ---------------------------------------------------------------------
 
 
 def _sparse(terms) -> dict[int, int]:
@@ -249,35 +129,40 @@ def _require_cycles(boundary_cols, chains, message: str):
 
 
 class _DualComplex:
-    """Boundary columns of the pi-surface's dual-block complex.
+    """The delta-surface's dual-block complex and its antipodal quotient.
 
-    0-cells are facet orbits, 1-cells primitive-ridge orbits (an orbit's
-    least ridge, oriented as its `ridge_facets` pair) and 2-cells the
-    codim-3 faces on no non-primitive ridge, bounded by their face walks.
-    A face and its antipode give the same column up to sign.
+    The delta cells are the facets, the primitive ridges and the walks
+    of the codim-3 faces on no non-primitive ridge; each face is walked
+    once. The boundary columns are the quotient's: 0-cells are facet
+    orbits, 1-cells primitive-ridge orbits (an orbit's least ridge,
+    oriented as its `ridge_facets` pair) and 2-cells the walks, a face
+    and its antipode giving the same column up to sign.
     """
 
     def __init__(self, para: Parallelohedron):
-        _, emap, fmap = _antipodal_maps(para)
+        emap, fmap = _antipodal_maps(para)
         if any(x == y for cells in (emap, fmap) for x, y in cells.items()):
             raise GeometryError("antipodal involution has a fixed cell")
         self.para = para
         self.emap, self.fmap = emap, fmap
-        self.edges = sorted({min(r, emap[r]) for r in range(len(para.ridges))
-                             if para.ridge_primitive(r)})
+        self.primitive = [r for r in range(len(para.ridges))
+                          if para.ridge_primitive(r)]
+        self.edges = sorted({min(r, emap[r]) for r in self.primitive})
         self.edge_ids = {r: i for i, r in enumerate(self.edges)}
         # rows of the 1-cell columns: each facet orbit's least facet
         self.b1_cols = [
             _sparse(((min(b, fmap[b]), 1), (min(a, fmap[a]), -1)))
             for a, b in (para.ridge_facets[r] for r in self.edges)
         ]
-        roots = component_roots(
-            para.polytope.n_facets,
-            [para.ridge_facets[r] for r in self.edges] + list(fmap.items()))
-        self.rank_b1 = len(fmap) // 2 - len(set(roots))
-        walks = (face_walk(para, face)
-                 for face in para.polytope.face_lattice.faces(para.dim - 3))
-        self.b2_cols = [self.chain(w) for w in walks if w is not None]
+        n = para.polytope.n_facets
+        pairs = [para.ridge_facets[r] for r in self.primitive]
+        self.roots = {"delta": component_roots(n, pairs),
+                      "pi": component_roots(n, pairs + list(fmap.items()))}
+        self.rank_b1 = n // 2 - len(set(self.roots["pi"]))
+        faces = para.polytope.face_lattice.faces(para.dim - 3)
+        walks = (face_walk(para, face) for face in faces)
+        self.walks = [(i, w) for i, w in enumerate(walks) if w is not None]
+        self.b2_cols = [self.chain(w) for _, w in self.walks]
         self.check_boundaries()
 
     def chain(self, walk: Walk) -> dict[int, int]:
@@ -296,6 +181,35 @@ class _DualComplex:
         _require_cycles(self.b1_cols, self.b2_cols,
                         "boundary of a boundary is nonzero")
 
+    def report(self, surface: str) -> TopologyReport:
+        """Per component of the "delta" or "pi" surface: the counts of
+        walked faces, primitive ridges and facets, chi_c and rational H1.
+
+        Each component is keyed by its first cell in the order walked
+        faces ("v"), primitive ridges ("e"), facets ("f"), each by index,
+        and components sort by that key. The antipode acts freely, so a
+        pi component's counts are half those of its preimage.
+        """
+        roots = self.roots[surface]
+        orbit = 2 if surface == "pi" else 1
+        ridge_facets = self.para.ridge_facets
+        cells = ([(0, ("v", i), w.facets[0]) for i, w in self.walks]
+                 + [(1, ("e", r), ridge_facets[r][0]) for r in self.primitive]
+                 + [(2, ("f", f), f) for f in range(len(roots))])
+        keys: dict[int, tuple] = {}
+        counts: dict[int, list[int]] = {}
+        for dim, key, facet in cells:
+            keys.setdefault(roots[facet], key)
+            counts.setdefault(roots[facet], [0, 0, 0])[dim] += 1
+        compact = len(self.primitive) == len(ridge_facets)
+        comps = []
+        for root in sorted(keys, key=keys.get):
+            v, e, f = (c // orbit for c in counts[root])
+            chi = v - e + f
+            comps.append(ComponentReport(
+                (v, e, f), chi, compact, 0 if compact else 1 - chi))
+        return TopologyReport(surface, tuple(comps))
+
     def half_belt_cycles(self) -> list[dict[int, int]]:
         """The six shifted three-step walks of every 6-belt, each of them
         closed in the quotient because it ends on its start's opposite."""
@@ -311,25 +225,24 @@ class _DualComplex:
         _require_cycles(self.b1_cols, cycles, "half-belt chain is not a cycle")
         return cycles
 
+    def half_belt_span(self) -> HalfBeltSpan:
+        """Do half-belt cycles span the rational H1 of the pi-surface?"""
+        cycles = self.half_belt_cycles()
+        n1 = len(self.edges)
+        b2 = tuple(_dense(c, n1) for c in self.b2_cols)
+        rank_b2 = linalg.rank(b2)
+        h1 = n1 - self.rank_b1 - rank_b2
+        span = 0
+        if cycles:
+            span = linalg.rank(b2 + tuple(_dense(z, n1) for z in cycles)) - rank_b2
+        return HalfBeltSpan(h1, span, span == h1, len(cycles))
 
-@dataclass(frozen=True)
-class HalfBeltSpan:
-    h1_rank: int
-    span_rank: int
-    spanned: bool
-    n_cycles: int
 
-
-def half_belt_span_d3(para: Parallelohedron) -> HalfBeltSpan:
-    """Do half-belt cycles span the rational H1 of the pi-surface?"""
+def surface_topology(para: Parallelohedron
+                     ) -> tuple[TopologyReport, TopologyReport, HalfBeltSpan]:
+    """The delta and pi component reports and the pi-surface's half-belt
+    span, all read off one dual-block complex (d = 3)."""
     _require_d3(para)
     complex_ = _DualComplex(para)
-    cycles = complex_.half_belt_cycles()
-    n1 = len(complex_.edges)
-    b2 = tuple(_dense(c, n1) for c in complex_.b2_cols)
-    rank_b2 = linalg.rank(b2)
-    h1 = n1 - complex_.rank_b1 - rank_b2
-    span = 0
-    if cycles:
-        span = linalg.rank(b2 + tuple(_dense(z, n1) for z in cycles)) - rank_b2
-    return HalfBeltSpan(h1, span, span == h1, len(cycles))
+    return (complex_.report("delta"), complex_.report("pi"),
+            complex_.half_belt_span())

@@ -28,7 +28,6 @@ from parallo.polytope import _canonical_halfspace
 from parallo.scaling import MismatchWitness
 from parallo.topology import (
     HalfBeltSpan,
-    _antipodal_maps,
     _dense,
     _require_cycles,
     _require_d3,
@@ -309,6 +308,18 @@ def fraction_voronoi_mismatch(para, lattice):
 # ridge is the two-spoke path center -> midpoint -> center, so half-belt
 # walks become cellular 1-cycles of this compact homotopy-equivalent
 # model of the delta-surface (or, quotiented, of the pi-surface).
+
+
+def _antipodal_maps(para):
+    """Vertex, edge and facet involutions induced by x -> -x, the edge
+    map read off the negated vertices."""
+    p = para.polytope
+    index = {v: i for i, v in enumerate(p.vertices)}
+    vmap = {i: index[linalg.vneg(v)] for i, v in enumerate(p.vertices)}
+    ridge_ids = {r.vertex_ids: i for i, r in enumerate(para.ridges)}
+    emap = {i: ridge_ids[tuple(sorted(vmap[x] for x in r.vertex_ids))]
+            for i, r in enumerate(para.ridges)}
+    return vmap, emap, dict(enumerate(para.opposite_facet))
 
 
 def _facet_cycles(para):
@@ -600,7 +611,8 @@ def cut_half_belt_cycles(para, chain: ChainComplex) -> list:
 
 
 def cut_half_belt_span(para) -> HalfBeltSpan:
-    """`topology.half_belt_span_d3` on the quotient cut model."""
+    """The half-belt span of `topology.surface_topology` on the quotient
+    cut model."""
     _require_d3(para)
     chain = ChainComplex(CutComplex(para), quotient=True)
     cycles = cut_half_belt_cycles(para, chain)

@@ -31,11 +31,7 @@ from parallo.scaling import (
     half_belt_check,
     local_cycle_check,
 )
-from parallo.topology import (
-    delta_complex,
-    pi_complex,
-    topology_report,
-)
+from parallo.topology import surface_topology
 
 import random
 
@@ -70,29 +66,29 @@ def test_criterion_1_catalog_certification():
 
 def test_criterion_2_topology_table():
     with criterion(2, "surface topology table and discrepancy flag"):
-        rep = topology_report(delta_complex(built("cube")))
+        rep = surface_topology(built("cube"))[0]
         assert rep.component_count == 6
         assert all(c.h1_rank == 0 for c in rep.components)
 
-        rep = topology_report(delta_complex(built("hexagonal-prism")))
+        rep = surface_topology(built("hexagonal-prism"))[0]
         assert rep.component_count == 3
         assert sorted(c.h1_rank for c in rep.components) == [0, 0, 1]
 
         for name in ("rhombic-dodecahedron", "truncated-octahedron"):
-            rep = topology_report(delta_complex(built(name)))
+            rep = surface_topology(built(name))[0]
             assert rep.component_count == 1
             assert rep.components[0].compact
             assert rep.components[0].h1_rank == 0
 
-        rep = topology_report(delta_complex(built("elongated-dodecahedron")))
+        rep = surface_topology(built("elongated-dodecahedron"))[0]
         assert rep.component_count == 1
         assert rep.components[0].chi == -2
         assert rep.components[0].h1_rank == 3
 
-        rep = topology_report(pi_complex(built("cube")))
+        rep = surface_topology(built("cube"))[1]
         assert rep.component_count == 3
 
-        rep = topology_report(pi_complex(built("hexagonal-prism")))
+        rep = surface_topology(built("hexagonal-prism"))[1]
         assert rep.component_count == 2
         ranks = sorted(c.h1_rank for c in rep.components)
         chis = sorted(c.chi for c in rep.components)

@@ -1,8 +1,11 @@
 """Golden bytes: the verify report of every catalog entry and the OFF
 export of every solid, as printed by `parallo verify NAME` and
-`parallo export NAME --format off`. Refactors must leave these bytes
-alone; a deliberate change to the report format regenerates them."""
+`parallo export NAME --format off`, and the `parallo surface NAME
+[--pi]` output of every 3-D entry, which is the topology block of its
+verify report. Refactors must leave these bytes alone; a deliberate
+change to the report format regenerates them."""
 
+import json
 import os
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from conftest import POLYTOPE_CATALOG, verified
 from parallo import serialize
 from parallo.catalog import catalog, catalog_names
+from parallo.cli import main
 
 REPORTS = os.path.join(os.path.dirname(__file__), "fixtures", "reports")
 
@@ -28,3 +32,12 @@ def test_verify_report_bytes(name):
 def test_off_export_bytes(name):
     off = serialize.polytope_to_off(catalog(name).polytope)
     assert off == _golden(f"{name}.off")
+
+
+@pytest.mark.parametrize("surface", ["delta", "pi"])
+@pytest.mark.parametrize(
+    "name", POLYTOPE_CATALOG + ("lattice-Z3", "lattice-FCC", "lattice-BCC"))
+def test_surface_command_bytes(capsys, name, surface):
+    assert main(["surface", name] + (["--pi"] if surface == "pi" else [])) == 0
+    report = json.loads(_golden(f"{name}.json"))
+    assert capsys.readouterr().out == serialize.dumps(report["topology"][surface])

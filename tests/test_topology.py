@@ -12,67 +12,82 @@ from parallo.lattice import dv_cell
 from parallo.parallelohedron import Parallelohedron, venkov_check
 from parallo.polytope import Polytope
 from parallo.scaling import Walk
-from parallo.topology import (
-    _DualComplex,
-    delta_complex,
-    half_belt_span_d3,
-    pi_complex,
-    ridge_connectivity,
-    topology_report,
-)
+from parallo.topology import _DualComplex, ridge_connectivity, surface_topology
 
 
-def _counts(complex_):
-    out = [0, 0, 0]
-    for c in complex_.cells:
-        out[c.dim] += 1
-    return tuple(out)
+def _delta(para):
+    return surface_topology(para)[0]
+
+
+def _pi(para):
+    return surface_topology(para)[1]
+
+
+def _span(para):
+    return surface_topology(para)[2]
+
+
+def _counts(rep):
+    return tuple(sum(c.cell_counts[i] for c in rep.components) for i in range(3))
+
+
+def _h1(rep) -> int:
+    return sum(c.h1_rank for c in rep.components)
 
 
 def test_delta_cell_counts():
-    assert _counts(delta_complex(built("cube"))) == (0, 0, 6)
-    assert _counts(delta_complex(built("hexagonal-prism"))) == (0, 6, 8)
-    assert _counts(delta_complex(built("elongated-dodecahedron"))) == (10, 24, 12)
-    assert _counts(delta_complex(built("rhombic-dodecahedron"))) == (14, 24, 12)
-    assert _counts(delta_complex(built("truncated-octahedron"))) == (24, 36, 14)
+    assert _counts(_delta(built("cube"))) == (0, 0, 6)
+    assert _counts(_delta(built("hexagonal-prism"))) == (0, 6, 8)
+    assert _counts(_delta(built("elongated-dodecahedron"))) == (10, 24, 12)
+    assert _counts(_delta(built("rhombic-dodecahedron"))) == (14, 24, 12)
+    assert _counts(_delta(built("truncated-octahedron"))) == (24, 36, 14)
 
 
 def test_pi_cell_counts():
-    assert _counts(pi_complex(built("cube"))) == (0, 0, 3)
-    assert _counts(pi_complex(built("hexagonal-prism"))) == (0, 3, 4)
-    assert _counts(pi_complex(built("truncated-octahedron"))) == (12, 18, 7)
+    assert _counts(_pi(built("cube"))) == (0, 0, 3)
+    assert _counts(_pi(built("hexagonal-prism"))) == (0, 3, 4)
+    assert _counts(_pi(built("truncated-octahedron"))) == (12, 18, 7)
 
 
 def test_delta_reports():
-    rep = topology_report(delta_complex(built("cube")))
+    rep = _delta(built("cube"))
     assert rep.component_count == 6
     assert all(c.chi == 1 and c.h1_rank == 0 and not c.compact
                for c in rep.components)
 
-    rep = topology_report(delta_complex(built("hexagonal-prism")))
+    rep = _delta(built("hexagonal-prism"))
     assert rep.component_count == 3
     assert sorted(c.h1_rank for c in rep.components) == [0, 0, 1]
     strip = max(rep.components, key=lambda c: c.h1_rank)
     assert strip.chi == 0 and strip.cell_counts == (0, 6, 6)
+    # with a cap as facet 0, the strip still comes first: a component
+    # with a ridge sorts before one with only a facet
+    swapped = Parallelohedron.build(built("hexagonal-prism").polytope
+                                    .apply_affine([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+    assert not any(swapped.ridge_primitive(r)
+                   for r, pair in enumerate(swapped.ridge_facets) if 0 in pair)
+    delta, pi, _ = surface_topology(swapped)
+    assert [c.cell_counts for c in delta.components] == [(0, 6, 6), (0, 0, 1), (0, 0, 1)]
+    assert [c.cell_counts for c in pi.components] == [(0, 3, 3), (0, 0, 1)]
 
     for name in ("rhombic-dodecahedron", "truncated-octahedron"):
-        rep = topology_report(delta_complex(built(name)))
+        rep = _delta(built(name))
         assert rep.component_count == 1
         comp = rep.components[0]
         assert comp.compact and comp.chi == 2 and comp.h1_rank == 0
 
-    rep = topology_report(delta_complex(built("elongated-dodecahedron")))
+    rep = _delta(built("elongated-dodecahedron"))
     assert rep.component_count == 1
     comp = rep.components[0]
     assert comp.chi == -2 and comp.h1_rank == 3 and not comp.compact
 
 
 def test_pi_reports():
-    rep = topology_report(pi_complex(built("cube")))
+    rep = _pi(built("cube"))
     assert rep.component_count == 3
     assert all(c.h1_rank == 0 for c in rep.components)
 
-    rep = topology_report(pi_complex(built("hexagonal-prism")))
+    rep = _pi(built("hexagonal-prism"))
     assert rep.component_count == 2
     disk = min(rep.components, key=lambda c: c.h1_rank)
     mobius = max(rep.components, key=lambda c: c.h1_rank)
@@ -81,13 +96,13 @@ def test_pi_reports():
     assert mobius.cell_counts == (0, 3, 3)
 
     for name in ("rhombic-dodecahedron", "truncated-octahedron"):
-        rep = topology_report(pi_complex(built(name)))
+        rep = _pi(built(name))
         assert rep.component_count == 1
         assert rep.components[0].compact
         assert rep.components[0].chi == 1  # projective plane
         assert rep.components[0].h1_rank == 0
 
-    rep = topology_report(pi_complex(built("elongated-dodecahedron")))
+    rep = _pi(built("elongated-dodecahedron"))
     assert rep.component_count == 1
     comp = rep.components[0]
     assert comp.chi == -1 and not comp.compact
@@ -96,26 +111,23 @@ def test_pi_reports():
 
 def test_chi_halves_under_quotient():
     for name in POLYTOPE_CATALOG:
-        para = built(name)
-        chi_delta = sum(c.chi for c in
-                        topology_report(delta_complex(para)).components)
-        chi_pi = sum(c.chi for c in
-                     topology_report(pi_complex(para)).components)
+        delta, pi, _ = surface_topology(built(name))
+        chi_delta = sum(c.chi for c in delta.components)
+        chi_pi = sum(c.chi for c in pi.components)
         assert chi_delta == 2 * chi_pi
 
 
 def test_delta_components_match_ridge_graph():
     for name in POLYTOPE_CATALOG:
         para = built(name)
-        assert topology_report(delta_complex(para)).component_count == \
-            ridge_connectivity(para)
+        assert _delta(para).component_count == ridge_connectivity(para)
 
 
 def test_ridge_connectivity_d4():
     para = built("lattice-D4")
     assert ridge_connectivity(para) == 1
     with pytest.raises(UnsupportedDimensionError):
-        delta_complex(para)
+        surface_topology(para)
 
 
 def test_half_belt_spans():
@@ -127,7 +139,7 @@ def test_half_belt_spans():
         "elongated-dodecahedron": (2, 2, True),
     }
     for name, (h1, span, spanned) in expectations.items():
-        result = half_belt_span_d3(built(name))
+        result = _span(built(name))
         assert (result.h1_rank, result.span_rank, result.spanned) == \
             (h1, span, spanned)
 
@@ -135,27 +147,16 @@ def test_half_belt_spans():
 def test_chain_model_matches_open_surface_ranks():
     for name in POLYTOPE_CATALOG:
         para = built(name)
-        result = half_belt_span_d3(para)
-        delta_rank = sum(
-            c.h1_rank for c in topology_report(delta_complex(para)).components
-        )
-        pi_rank = sum(
-            c.h1_rank for c in topology_report(pi_complex(para)).components
-        )
+        delta, pi, result = surface_topology(para)
         # the unquotiented cut model is a test oracle only
         delta_chain = ChainComplex(CutComplex(para), quotient=False)
-        assert delta_chain.h1_rank == delta_rank
-        assert result.h1_rank == pi_rank
+        assert delta_chain.h1_rank == _h1(delta)
+        assert result.h1_rank == _h1(pi)
 
 
 def test_half_belt_cycle_count():
-    para = built("truncated-octahedron")
-    result = half_belt_span_d3(para)
+    result = _span(built("truncated-octahedron"))
     assert result.n_cycles == 6 * 6  # six shifted walks per 6-belt
-
-
-def _pi_h1(para) -> int:
-    return sum(c.h1_rank for c in topology_report(pi_complex(para)).components)
 
 
 def test_dual_complex_matches_the_cut_model_on_the_catalog():
@@ -163,7 +164,7 @@ def test_dual_complex_matches_the_cut_model_on_the_catalog():
         entry = catalog(name)
         para = Parallelohedron.build(
             dv_cell(entry.lattice) if entry.kind == "lattice" else entry.polytope)
-        assert half_belt_span_d3(para) == cut_half_belt_span(para), name
+        assert _span(para) == cut_half_belt_span(para), name
 
 
 def test_dual_complex_matches_the_cut_model_on_unimodular_images():
@@ -172,9 +173,20 @@ def test_dual_complex_matches_the_cut_model_on_unimodular_images():
         for _ in range(2):
             image = Parallelohedron.build(built(name).polytope.apply_affine(
                 random_unimodular(rng, 3), [rng.randint(-3, 3) for _ in range(3)]))
-            span = half_belt_span_d3(image)
-            assert span == cut_half_belt_span(image), name
-            assert span.h1_rank == _pi_h1(image)
+            delta, pi, span = surface_topology(image)
+            # the oracle's h1 is that of the quotient cut model
+            oracle = cut_half_belt_span(image)
+            assert span == oracle, name
+            assert _h1(pi) == oracle.h1_rank, name
+            delta_chain = ChainComplex(CutComplex(image), quotient=False)
+            assert _h1(delta) == delta_chain.h1_rank, name
+            assert delta.component_count == ridge_connectivity(image), name
+            for rep in (delta, pi):
+                # components with a vertex sort last, and facet-only ones
+                # after those with an edge
+                tags = ["v" if c.cell_counts[0] else "e" if c.cell_counts[1]
+                        else "f" for c in rep.components]
+                assert tags == sorted(tags), name
 
 
 # -- negative controls: each check still rejects bad data -------------------
@@ -203,10 +215,12 @@ def test_open_half_belt_chain_is_rejected(monkeypatch):
 @pytest.mark.parametrize("name", ["truncated-octahedron",
                                   "elongated-dodecahedron"])
 def test_dropped_two_cell_breaks_the_rank_check(monkeypatch, name):
-    # the check of test_chain_model_matches_open_surface_ranks
+    # judged by the quotient cut model: the reports' sum of 1 - chi_c
+    # comes from the same walks and would move with the span's h1
     para = built(name)
-    assert half_belt_span_d3(para).h1_rank == _pi_h1(para)
-    vmap, _, _ = topology._antipodal_maps(para)
+    oracle = ChainComplex(CutComplex(para), quotient=True).h1_rank
+    assert _span(para).h1_rank == oracle
+    vmap, _, _ = oracles._antipodal_maps(para)
     face = next(f for f in para.polytope.face_lattice.faces(0)
                 if topology.face_walk(para, f) is not None)
     orbit = {face.vertex_ids,
@@ -214,21 +228,19 @@ def test_dropped_two_cell_breaks_the_rank_check(monkeypatch, name):
     walk = topology.face_walk
     monkeypatch.setattr(topology, "face_walk", lambda para, face: (
         None if face.vertex_ids in orbit else walk(para, face)))
-    assert half_belt_span_d3(para).h1_rank != _pi_h1(para)
+    assert _span(para).h1_rank != oracle
 
 
 def test_antipodal_fixed_cell_is_rejected(monkeypatch):
     para = built("truncated-octahedron")
 
     def identity_maps(para):
-        return ({v: v for v in range(para.polytope.n_vertices)},
-                {e: e for e in range(len(para.ridges))},
+        return ({e: e for e in range(len(para.ridges))},
                 {f: f for f in range(para.polytope.n_facets)})
 
     monkeypatch.setattr(topology, "_antipodal_maps", identity_maps)
-    for build in (pi_complex, half_belt_span_d3):
-        with pytest.raises(GeometryError, match="involution has a fixed cell"):
-            build(para)
+    with pytest.raises(GeometryError, match="involution has a fixed cell"):
+        surface_topology(para)
 
 
 def test_kept_edge_crossing_a_cut_is_rejected(monkeypatch):
@@ -255,35 +267,30 @@ def test_belt_of_length_eight_is_rejected():
     assert "length 8" in verdict.witnesses[0].detail
 
 
-def test_one_half_belt_span_per_verify(monkeypatch):
-    calls = {"span": 0, "complex": 0}
-    span_d3 = topology.half_belt_span_d3
+def test_one_surface_complex_per_verify(monkeypatch):
+    calls = {"surface_topology": 0, "complex": 0}
+    walked = []
+    entry, walk = topology.surface_topology, topology.face_walk
 
-    def counted_span(para):
-        calls["span"] += 1
-        return span_d3(para)
+    def counted_entry(para):
+        calls["surface_topology"] += 1
+        return entry(para)
 
     class CountedComplex(_DualComplex):
         def __init__(self, *args, **kwargs):
             calls["complex"] += 1
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(topology, "half_belt_span_d3", counted_span)
+    def counted_walk(para, face):
+        walked.append(face.vertex_ids)
+        return walk(para, face)
+
+    monkeypatch.setattr(topology, "surface_topology", counted_entry)
     monkeypatch.setattr(topology, "_DualComplex", CountedComplex)
-    rep = report.verify(catalog("hexagonal-prism").polytope)
+    monkeypatch.setattr(topology, "face_walk", counted_walk)
+    # 10 of its 18 vertices lie on no non-primitive ridge
+    rep = report.verify(catalog("elongated-dodecahedron").polytope)
     assert rep.verdict == "certified"
-    assert calls == {"span": 1, "complex": 1}
-
-
-def test_one_delta_complex_per_verify(monkeypatch):
-    calls = []
-    build = topology.delta_complex
-
-    def counted(para):
-        calls.append(para)
-        return build(para)
-
-    monkeypatch.setattr(topology, "delta_complex", counted)
-    rep = report.verify(catalog("hexagonal-prism").polytope)
-    assert rep.verdict == "certified"
-    assert len(calls) == 1
+    assert calls == {"surface_topology": 1, "complex": 1}
+    faces = built("elongated-dodecahedron").polytope.face_lattice.faces(0)
+    assert sorted(walked) == [f.vertex_ids for f in faces]
