@@ -267,6 +267,38 @@ def test_belt_of_length_eight_is_rejected():
     assert "length 8" in verdict.witnesses[0].detail
 
 
+def test_one_half_belt_span_per_verify(monkeypatch):
+    calls = {"span": 0, "complex": 0}
+
+    class CountedComplex(_DualComplex):
+        def __init__(self, *args, **kwargs):
+            calls["complex"] += 1
+            super().__init__(*args, **kwargs)
+
+        def half_belt_span(self):
+            calls["span"] += 1
+            return super().half_belt_span()
+
+    monkeypatch.setattr(topology, "_DualComplex", CountedComplex)
+    rep = report.verify(catalog("hexagonal-prism").polytope)
+    assert rep.verdict == "certified"
+    assert calls == {"span": 1, "complex": 1}
+
+
+def test_one_delta_complex_per_verify(monkeypatch):
+    surfaces = []
+
+    class CountedComplex(_DualComplex):
+        def report(self, surface):
+            surfaces.append(surface)
+            return super().report(surface)
+
+    monkeypatch.setattr(topology, "_DualComplex", CountedComplex)
+    rep = report.verify(catalog("hexagonal-prism").polytope)
+    assert rep.verdict == "certified"
+    assert sorted(surfaces) == ["delta", "pi"]
+
+
 def test_one_surface_complex_per_verify(monkeypatch):
     calls = {"surface_topology": 0, "complex": 0}
     walked = []
