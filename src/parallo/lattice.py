@@ -8,7 +8,8 @@ lattices live entirely in rational coordinates.
 Enumeration is exact Fincke-Pohst (Fincke & Pohst 1985; Agrell et al.
 2002) in integer coefficient space. The coefficient form Q = B G B^T is
 written once per lattice as U^T D U (U unit upper triangular, D
-diagonal) and scaled to integers, so Q(x) is a sum of squares in which
+diagonal), read off the fraction-free echelon rows that `linalg`
+computes and scaled to integers, so Q(x) is a sum of squares in which
 level i depends only on the coefficients above it. Walking the levels
 from the last coordinate down, each coefficient is confined to the
 exact integer interval the remaining bound leaves it; every node works
@@ -72,16 +73,17 @@ class Lattice:
     def _ldl(self) -> tuple[list[list[int]], int, list[int], int]:
         """The coefficient form as Q = U^T D U, U unit upper triangular
         and D diagonal, so Q(x) = sum_i D_i (x_i + sum_{j>i} U_ij x_j)^2;
-        returned on integers: the rows of us * U, us, ds * D and ds."""
-        q = self.coefficient_form
-        d = len(q)
-        u = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-        diag: list[Fraction] = []
-        for i in range(d):
-            diag.append(q[i][i] - sum(diag[k] * u[k][i] ** 2 for k in range(i)))
-            for j in range(i + 1, d):
-                u[i][j] = (q[i][j] - sum(diag[k] * u[k][i] * u[k][j]
-                                         for k in range(i))) / diag[i]
+        returned on integers: the rows of us * U, us, ds * D and ds.
+
+        Read off the fraction-free echelon rows of s Q (s the common
+        denominator): Q is positive definite, so no row is swapped, row
+        i is its pivot p_i times U_i, and D_i = p_i / (p_{i-1} s).
+        """
+        rows, s = linalg.integer_rows(self.coefficient_form)
+        linalg._bareiss(rows)
+        pivots = [row[i] for i, row in enumerate(rows)]
+        u = [[Fraction(x, p) for x in row] for row, p in zip(rows, pivots)]
+        diag = [Fraction(p, q * s) for p, q in zip(pivots, [1] + pivots)]
         rows, us = linalg.integer_rows(u)
         (diag_ints,), ds = linalg.integer_rows([diag])
         return rows, us, diag_ints, ds

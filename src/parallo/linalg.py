@@ -5,14 +5,13 @@ Everything here is pure, immutable and exact; no floating point is used
 anywhere, so results can serve as certificates. Sized for desk-scale
 geometry (dimensions up to ~6, a few dozen rows).
 
-Ranks, determinants and cofactor vectors run on integer rows through
-one fraction-free elimination (Bareiss 1968): every intermediate entry
-is a minor of the input, so each division is exact and no Fraction is
-built in the inner loop. A rational row is first scaled by the lcm of
-its denominators, which keeps its rank and scales a determinant by a
-known positive factor. `rref` and what reads it (`nullspace`,
-`solve_linear`, `inverse`) stay on Fractions, because callers read
-their normalized rational results.
+All elimination is one fraction-free routine on integer rows (Bareiss
+1968; Nakos, Turner & Williams 1997): every intermediate entry is a
+minor of the input, so each division is exact. A rational row is first
+scaled by the lcm of its denominators, which keeps its rank, kernel and
+solutions and scales a determinant by a known positive factor. Rank,
+determinant and the positive-definite test read the echelon rows;
+kernels, solutions and inverses read the fully reduced rows.
 
 Kernel and solution-space bases are normalized to integer entries with
 content 1 and a positive leading entry, so identical inputs always
@@ -101,31 +100,6 @@ def is_symmetric(m: Mat) -> bool:
     return all(len(r) == len(m) for r in m) and m == transpose(m)
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in m]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
 def integer_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
     """The rows times their least common denominator s, as integer
     lists, and s."""
@@ -145,20 +119,23 @@ def _row_scaled(m: Mat) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free row echelon form of an integer matrix, in place.
+def _bareiss(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
+    """Fraction-free elimination of an integer matrix, in place.
 
     After the k-th pivot, each entry below it is the determinant of the
     (k+1)-square submatrix on the pivot rows and columns so far plus its
     own row and column (Sylvester's identity), so the division by the
-    previous pivot is exact. Returns the pivot columns and the sign of
-    the row permutation; for a nonsingular square matrix the last pivot
-    times that sign is the determinant.
+    previous pivot is exact. Returns the pivot columns and the number of
+    row swaps. Echelon row k is the k-th pivot times row k of U in an
+    LDU factorization. With `reduce`, pivot columns are also cleared
+    above the pivot by the same exact step (fraction-free Gauss-Jordan):
+    every pivot then equals the last one, D, and the rows are D times
+    the reduced row echelon form.
     """
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    sign, prev, r = 1, 1, 0
+    swaps, prev, r = 0, 1, 0
     for c in range(nc):
         if r == nr:
             break
@@ -167,34 +144,30 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            sign = -sign
+            swaps += 1
         top = rows[r]
         p = top[c]
-        for i in range(r + 1, nr):
-            f = rows[i][c]
-            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        for i in range(0 if reduce else r + 1, nr):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
         prev = p
         pivots.append(c)
         r += 1
-    return pivots, sign
+    return pivots, swaps
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix; consumes the rows. The
-    elimination leaves every row past the rank zero, so a singular
-    matrix reads 0 in its last entry."""
-    _, sign = _bareiss(rows)
-    return sign * rows[-1][-1] if rows else 1
-
-
-def int_cofactors(rows: list[list[int]]) -> list[int]:
-    """The signed maximal minors of an (n-1) x n integer matrix: an
-    integer vector orthogonal to every row, zero exactly when the rows
-    are linearly dependent."""
-    return [
-        (-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows])
-        for j in range(len(rows) + 1)
-    ]
+def int_kernel(rows: list[list[int]]) -> list[list[int]]:
+    """A kernel basis of a nonempty integer matrix, as integer vectors;
+    consumes the rows. One vector per free column f of the reduced rows
+    D R (R the reduced row echelon form): D at f and -D R[i][f] at the
+    i-th pivot column, so every entry is a Cramer minor."""
+    nc = len(rows[0])
+    pivots, _ = _bareiss(rows, reduce=True)
+    row_of = dict(zip(pivots, rows))
+    d = rows[0][pivots[0]] if pivots else 1
+    return [[d if c == f else -row_of[c][f] if c in row_of else 0
+             for c in range(nc)] for f in range(nc) if f not in row_of]
 
 
 def rank(m: Mat) -> int:
@@ -229,21 +202,11 @@ def nullspace(m: Mat) -> list[Vec]:
     """Exact basis of the kernel, normalized; empty list for trivial kernel.
 
     Basis vectors are ordered by their free-column index, one per
-    non-pivot column of the RREF.
+    non-pivot column of the reduced row echelon form.
     """
     if not m:
         return []
-    nc = len(m[0])
-    r, pivots = rref(m)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
-        basis.append(normalize_primitive(tuple(v)))
-    return basis
+    return [normalize_primitive(v) for v in int_kernel(_row_scaled(m)[0])]
 
 
 def solve_linear(a: Mat, b: Vec) -> Optional[Vec]:
@@ -258,10 +221,10 @@ def solve_linear(a: Mat, b: Vec) -> Optional[Vec]:
     if not a:
         return ()
     nc = len(a[0])
-    r, pivots = rref(tuple(row + (bi,) for row, bi in zip(a, b)))
-    if pivots != tuple(range(nc)):
+    rows, _ = _row_scaled(tuple(row + (bi,) for row, bi in zip(a, b)))
+    if _bareiss(rows, reduce=True)[0] != list(range(nc)):
         return None
-    return tuple(r[i][nc] for i in range(nc))
+    return tuple(Fraction(row[nc], row[i]) for i, row in enumerate(rows[:nc]))
 
 
 def det(m: Mat) -> Fraction:
@@ -269,31 +232,33 @@ def det(m: Mat) -> Fraction:
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
     rows, scale = _row_scaled(m)
-    return Fraction(_int_det(rows), scale)
+    _, swaps = _bareiss(rows)
+    # every row past the rank ends zero, so a singular matrix reads 0
+    return Fraction((-1) ** swaps * rows[-1][-1] if rows else 1, scale)
 
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
-    aug = tuple(row + identity(n)[i] for i, row in enumerate(m))
-    r, pivots = rref(aug)
-    if pivots != tuple(range(n)):
+    rows, _ = _row_scaled(tuple(row + e for row, e in zip(m, identity(n))))
+    if _bareiss(rows, reduce=True)[0] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in r)
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
+                 for i, row in enumerate(rows))
 
 
 def is_positive_definite(s: Mat) -> bool:
     """Sylvester's criterion: all leading principal minors positive.
 
-    Requires a symmetric matrix; raises ValueError otherwise.
+    One elimination decides it: with no row swap, the k-th pivot is the
+    k-th leading minor times the positive scales of the first k rows; a
+    swap means some leading minor is zero, and a singular matrix ends in
+    a zero row. Requires a symmetric matrix; raises ValueError otherwise.
     """
     if not is_symmetric(s):
         raise ValueError("positive definiteness requires a symmetric matrix")
-    n = len(s)
-    for k in range(1, n + 1):
-        minor = tuple(row[:k] for row in s[:k])
-        if det(minor) <= 0:
-            return False
-    return True
+    rows, _ = _row_scaled(s)
+    _, swaps = _bareiss(rows)
+    return not swaps and all(row[i] > 0 for i, row in enumerate(rows))
 
 
 def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:

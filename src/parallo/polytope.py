@@ -114,7 +114,7 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
     et al. 1953; Fukuda & Prodon 1996).
 
     The simplicial cone of the first D independent rows has one ray per
-    basis row: the cofactor vector of the other D - 1, which vanishes on
+    basis row: the integer kernel of the other D - 1, which vanishes on
     them. The remaining rows are added in order; a row keeps the rays on
     its nonnegative side and joins each positive ray p to each negative
     ray n that is adjacent: no third ray vanishes on every row that both
@@ -133,7 +133,7 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
     rays: list[list[int]] = []
     zeros: list[int] = []  # per ray, the bit set of the rows it vanishes on
     for i in basis:
-        ray = linalg.int_cofactors([rows[j] for j in basis if j != i])
+        (ray,) = linalg.int_kernel([rows[j] for j in basis if j != i])
         if sum(x * y for x, y in zip(rows[i], ray)) < 0:
             ray = [-x for x in ray]
         g = math.gcd(*ray)
@@ -179,8 +179,10 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
     return sorted(tuple(ray) for ray in rays)
 
 
-def _facets_from_points(points: list[Vec], dim: int) -> list[Halfspace]:
-    """Facet halfspaces of a full-dimensional point set, sorted.
+def _facets_from_points(points: list[Vec], dim: int
+                        ) -> list[tuple[Halfspace, list[int]]]:
+    """Facet halfspaces of a full-dimensional point set, sorted, each
+    with the indices of the points on it.
 
     With the points scaled to integers, the valid inequalities
     <n, x> <= b form the cone b - <n, p> >= 0 over the points p, and its
@@ -192,13 +194,13 @@ def _facets_from_points(points: list[Vec], dim: int) -> list[Halfspace]:
     for ray in _extreme_rays(rows):
         b, *normal = ray
         g = math.gcd(*normal)
-        facets.append((tuple(Fraction(n // g) for n in normal),
-                       Fraction(b, g * scale)))
-        on = [p for p, row in zip(points, rows)
+        on = [i for i, row in enumerate(rows)
               if not sum(a * y for a, y in zip(row, ray))]
-        if affine_rank(on) != dim - 1:
+        if affine_rank([points[i] for i in on]) != dim - 1:
             raise GeometryError("hull produced a supporting hyperplane "
                                 "that is not a facet")
+        facets.append(((tuple(Fraction(n // g) for n in normal),
+                        Fraction(b, g * scale)), on))
     return sorted(facets)
 
 
@@ -223,17 +225,18 @@ class Polytope:
             raise GeometryError("inconsistent point dimensions")
         if affine_rank(list(pts)) != dim:
             raise GeometryError("input is not full-dimensional")
-        facets = _facets_from_points(list(pts), dim)
-        vertices = []
-        for p in pts:
-            active = [n for n, b in facets if linalg.dot(n, p) == b]
-            if active and linalg.rank(tuple(active)) == dim:
-                vertices.append(p)
+        facets = _facets_from_points(pts, dim)
+        # p is a vertex iff the facets through it share no other point
+        meet = [-1] * len(pts)
+        for _, on in facets:
+            mask = sum(1 << i for i in on)
+            for i in on:
+                meet[i] &= mask
         return Polytope(
             dim,
-            tuple(sorted(vertices)),
-            tuple(n for n, _ in facets),
-            tuple(b for _, b in facets),
+            tuple(p for i, p in enumerate(pts) if meet[i] == 1 << i),
+            tuple(n for (n, _), _ in facets),
+            tuple(b for (_, b), _ in facets),
         )
 
     @staticmethod

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import GeometryError, UnsupportedDimensionError
 from .parallelohedron import Parallelohedron
-from .scaling import Walk, build_ridge_graph, component_roots, face_walk
+from .scaling import Walk, component_roots, face_walk
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,11 @@ def _antipodal_maps(para: Parallelohedron):
 
 
 def ridge_connectivity(para: Parallelohedron) -> int:
-    """Number of ridge-graph components (valid in any dimension)."""
-    return build_ridge_graph(para).n_components
+    """Number of ridge-graph components (valid in any dimension): facets
+    joined by primitive ridges, with no gains computed."""
+    pairs = (para.ridge_facets[r] for r in range(len(para.ridges))
+             if para.ridge_primitive(r))
+    return len(set(component_roots(para.polytope.n_facets, pairs)))
 
 
 def _sparse(terms) -> dict[int, int]:

@@ -6,11 +6,13 @@ coefficient sweep, lattice balls from a `Fraction` sweep over the
 coefficient box that bounds each coefficient by the diagonal of Q^-1,
 the Voronoi-cell inequalities from `Fraction` dot products over that
 ball, dual cells from a per-face sweep over translates, unimodular maps
-from explicit elementary operations, the fraction-free kernels (rank,
-det, both hull directions) from the plain `Fraction` eliminations they
-replaced, the extreme rays of a cone from a `Fraction` kernel per
-(D - 1)-subset of its rows, and the half-belt span from the compact cut
-model that the dual-block complex replaced.
+from explicit elementary operations, the fraction-free eliminations
+(rank, det, kernels, solutions, inverses, the positive-definite test,
+the LDL^T of a lattice, both hull directions) from the plain `Fraction`
+eliminations they replaced, a point hull's vertices from the rank of
+the facets through each point, the extreme rays of a cone from a
+`Fraction` kernel per (D - 1)-subset of its rows, and the half-belt
+span from the compact cut model that the dual-block complex replaced.
 """
 
 import math
@@ -131,9 +133,100 @@ def dual_cell_centers(para, faces):
     return out
 
 
+def fraction_rref(m):
+    """Reduced row echelon form by Fraction Gauss-Jordan elimination, and
+    the pivot column indices."""
+    rows = [[Fraction(x) for x in r] for r in m]
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows, pivots
+
+
 def fraction_rank(m) -> int:
     """Rank as the number of pivots of the Fraction RREF."""
-    return len(linalg.rref(m)[1])
+    return len(fraction_rref(m)[1])
+
+
+def fraction_nullspace(m):
+    """Kernel basis from the Fraction RREF, one vector per free column,
+    scaled to coprime integers with a positive leading entry."""
+    if not m:
+        return []
+    nc = len(m[0])
+    r, pivots = fraction_rref(m)
+    basis = []
+    for fc in range(nc):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i][fc]
+        den = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = math.gcd(*ints)
+        sign = 1 if next(x for x in ints if x) > 0 else -1
+        basis.append(tuple(Fraction(sign * x // g) for x in ints))
+    return basis
+
+
+def fraction_solve(a, b):
+    """The unique solution of a x = b from the Fraction RREF of [a | b],
+    or None when there is none or more than one."""
+    if not a:
+        return ()
+    nc = len(a[0])
+    r, pivots = fraction_rref([tuple(row) + (bi,) for row, bi in zip(a, b)])
+    if pivots != list(range(nc)):
+        return None
+    return tuple(r[i][nc] for i in range(nc))
+
+
+def fraction_inverse(m):
+    """Inverse from the Fraction RREF of [m | I]; None when singular."""
+    n = len(m)
+    r, pivots = fraction_rref([tuple(row) + tuple(Fraction(int(i == j)) for j in range(n))
+                               for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in r)
+
+
+def sylvester_positive_definite(s) -> bool:
+    """Every leading principal minor positive, each by `fraction_det`."""
+    return all(fraction_det([row[:k] for row in s[:k]]) > 0
+               for k in range(1, len(s) + 1))
+
+
+def fraction_ldl(q):
+    """Q = U^T D U by the Fraction recurrence: U unit upper triangular
+    as rows, and the diagonal of D."""
+    d = len(q)
+    u = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    diag = []
+    for i in range(d):
+        diag.append(q[i][i] - sum(diag[k] * u[k][i] ** 2 for k in range(i)))
+        for j in range(i + 1, d):
+            u[i][j] = (q[i][j] - sum(diag[k] * u[k][i] * u[k][j]
+                                     for k in range(i))) / diag[i]
+    return u, diag
 
 
 def fraction_det(m) -> Fraction:
@@ -167,7 +260,7 @@ def _fraction_affine_rank(points) -> int:
 def _hyperplane_through(points, dim):
     """Unique hyperplane <n, x> = b through the points, or None."""
     rows = tuple(p + (Fraction(-1),) for p in points)
-    kernel = linalg.nullspace(rows)
+    kernel = fraction_nullspace(rows)
     if len(kernel) != 1:
         return None
     nb = kernel[0]
@@ -202,6 +295,14 @@ def fraction_facets_from_points(points, dim):
     return sorted(facets)
 
 
+def fraction_point_vertices(points, facets):
+    """Sorted distinct points of a full-dimensional set at which the
+    normals of the facets through the point have full rank."""
+    dim = len(points[0])
+    return sorted(p for p in set(points) if fraction_rank(
+        [n for n, b in facets if linalg.dot(n, p) == b]) == dim)
+
+
 def fraction_vertices_from_halfspaces(halfspaces, dim):
     """Sorted vertices of a bounded halfspace intersection: a Fraction
     solve per d-subset of the canonical planes, kept when feasible."""
@@ -213,7 +314,7 @@ def fraction_vertices_from_halfspaces(halfspaces, dim):
     for subset in combinations(planes, dim):
         a = tuple(n for n, _ in subset)
         b = tuple(off for _, off in subset)
-        x = linalg.solve_linear(a, b)
+        x = fraction_solve(a, b)
         if x is None:
             continue
         if all(linalg.dot(n, x) <= off for n, off in planes):
@@ -228,7 +329,7 @@ def fraction_extreme_rays(rows):
     dim = len(rows[0])
     rays = set()
     for subset in combinations(rows, dim - 1):
-        kernel = linalg.nullspace(linalg.mat(subset))
+        kernel = fraction_nullspace(linalg.mat(subset))
         if len(kernel) != 1:
             continue
         for ray in (kernel[0], linalg.vneg(kernel[0])):
@@ -252,7 +353,7 @@ def coefficient_box(lat, r2, center, parity=None):
     """Integer ranges per coefficient covering {k : Q(k - center) <= r2}:
     (k_i - c_i)^2 <= r2 (Q^-1)_ii by Cauchy-Schwarz in the Q-inner
     product, stepped by 2 from the residue `parity` when given."""
-    inv = linalg.inverse(lat.coefficient_form)
+    inv = fraction_inverse(lat.coefficient_form)
     axes = [_integer_interval(c, inv[i][i] * r2) for i, c in enumerate(center)]
     if parity is not None:
         axes = [r[(p - r.start) % 2::2] for p, r in zip(parity, axes)]
@@ -265,7 +366,7 @@ def box_vectors_in_ball(lat, r2, around=None, parity=None):
     d = lat.dim
     basis_t = linalg.transpose(lat.basis)
     center = (linalg.zeros(d) if around is None
-              else linalg.solve_linear(basis_t, linalg.vec(around)))
+              else fraction_solve(basis_t, linalg.vec(around)))
     q = lat.coefficient_form
     out = []
     for k in product(*coefficient_box(lat, r2, center, parity)):

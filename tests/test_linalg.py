@@ -1,11 +1,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_det, fraction_rank
+from oracles import (
+    fraction_det,
+    fraction_inverse,
+    fraction_ldl,
+    fraction_nullspace,
+    fraction_rank,
+    fraction_solve,
+    sylvester_positive_definite,
+)
 from parallo import linalg
+from parallo.lattice import Lattice
 
 F = Fraction
 
@@ -62,6 +71,10 @@ def test_positive_definite_basics():
     assert linalg.is_positive_definite(linalg.identity(3))
     assert not linalg.is_positive_definite(linalg.mat([[1, 2], [2, 1]]))
     assert linalg.is_positive_definite(linalg.mat([[2, 1], [1, 2]]))
+    # a zero leading minor swaps rows to positive pivots
+    assert not linalg.is_positive_definite(linalg.mat([[0, 1], [1, 0]]))
+    assert not linalg.is_positive_definite(linalg.mat([[0, 1], [1, 2]]))
+    assert not linalg.is_positive_definite(linalg.mat([[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
         linalg.is_positive_definite(linalg.mat([[1, 2], [0, 1]]))
 
@@ -188,15 +201,80 @@ def test_rank_and_det_edge_cases():
         linalg.det(linalg.mat([[1, 2]]))
 
 
-small_int_matrices = st.integers(1, 4).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-    min_size=n, max_size=n))
-
-
-@given(small_int_matrices)
+@given(rational_matrices())
 @settings(max_examples=200, deadline=None)
-def test_int_cofactors_are_orthogonal_and_vanish_on_dependent_rows(a):
-    rows = a[1:]  # (n - 1) x n
-    normal = linalg.int_cofactors(rows)
-    assert all(sum(x * y for x, y in zip(r, normal)) == 0 for r in rows)
-    assert any(normal) == (fraction_rank(linalg.mat(rows)) == len(rows))
+def test_nullspace_matches_fraction_rref(m):
+    assert linalg.nullspace(m) == fraction_nullspace(m)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_linear_matches_fraction_rref(data):
+    """Random right-hand sides (mostly inconsistent when rows are
+    dependent) and constructed ones (always consistent)."""
+    a = data.draw(rational_matrices())
+    cols = len(a[0]) if a else 0
+    if data.draw(st.booleans()):
+        b = tuple(data.draw(rational) for _ in a)
+    else:
+        b = linalg.matvec(a, tuple(data.draw(rational) for _ in range(cols)))
+    assert linalg.solve_linear(a, b) == fraction_solve(a, b)
+
+
+@given(rational_matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_fraction_rref(m):
+    expected = fraction_inverse(m)
+    if expected is None:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.inverse(m)
+    else:
+        assert linalg.inverse(m) == expected
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices of 1-4 rows: either A A^T + c I (PD
+    for c > 0, often only semidefinite for c = 0) or random entries,
+    with diagonal entries often zero so that leading minors vanish."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        a = [[draw(rational) for _ in range(n)] for _ in range(n)]
+        c = draw(st.sampled_from([0, 0, Fraction(1, 3), 1]))
+        return tuple(tuple(sum(x * y for x, y in zip(a[i], a[j])) + c * (i == j)
+                           for j in range(n)) for i in range(n))
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.one_of(st.just(Fraction(0)), rational))
+    return tuple(tuple(r) for r in m)
+
+
+@given(symmetric_matrices())
+@settings(max_examples=300, deadline=None)
+def test_positive_definite_matches_sylvester(s):
+    assert linalg.is_positive_definite(s) == sylvester_positive_definite(s)
+
+
+def test_positive_definite_runs_one_elimination(monkeypatch):
+    real, calls = linalg._bareiss, []
+
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    s = linalg.mat([[4, 2, 1, 0], [2, 3, 1, 0], [1, 1, 2, 1], [0, 0, 1, 5]])
+    assert linalg.is_positive_definite(s)
+    assert calls == [4]
+
+
+@given(symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_ldl_matches_fraction_recurrence(gram):
+    assume(sylvester_positive_definite(gram))
+    lat = Lattice.create(linalg.identity(len(gram)), gram)
+    rows, us, diag, ds = lat._ldl
+    u, d = fraction_ldl(lat.coefficient_form)
+    assert [[Fraction(x, us) for x in row] for row in rows] == u
+    assert [Fraction(x, ds) for x in diag] == d

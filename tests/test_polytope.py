@@ -11,6 +11,7 @@ from oracles import (
     facet_image_map,
     fraction_extreme_rays,
     fraction_facets_from_points,
+    fraction_point_vertices,
     fraction_vertices_from_halfspaces,
     hull_counts,
     random_unimodular,
@@ -249,8 +250,10 @@ def point_sets(draw):
 def test_point_hull_matches_the_fraction_loop(case):
     dim, pts = case
     assume(affine_rank(pts) == dim)
-    assert polytope._facets_from_points(pts, dim) == \
-        fraction_facets_from_points(pts, dim)
+    facets = fraction_facets_from_points(pts, dim)
+    hull = Polytope.from_vertices(pts)
+    assert hull.halfspaces() == facets
+    assert list(hull.vertices) == fraction_point_vertices(pts, facets)
 
 
 @st.composite
