@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import Lattice, dv_cell
+from .lattice import Lattice
 from .polytope import Polytope
 
 F = Fraction
@@ -182,7 +182,7 @@ def catalog(name: str) -> CatalogEntry:
     if name in _LATTICES:
         basis, gram = _LATTICES[name]
         lat = Lattice.create(basis, gram)
-        return CatalogEntry(name, "lattice", dv_cell(lat), lat,
+        return CatalogEntry(name, "lattice", lat.cell, lat,
                             _LATTICE_EXPECTED[name])
     if name == "cube":
         verts = [

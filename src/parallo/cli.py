@@ -15,7 +15,7 @@ import sys
 
 from . import report as report_mod
 from . import serialize
-from .catalog import CatalogEntry, catalog, catalog_names
+from .catalog import catalog, catalog_names
 from .errors import DualCellAnomaly, ParalloError, ParseError
 from .lattice import Lattice
 from .parallelohedron import Parallelohedron, classify_dual3, venkov_check
@@ -69,17 +69,13 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _as_polytope(source, entry: CatalogEntry | None) -> Polytope:
-    if isinstance(source, Lattice):
-        from .lattice import dv_cell
-
-        return entry.polytope if entry is not None else dv_cell(source)
-    return source
+def _as_polytope(source) -> Polytope:
+    return source.cell if isinstance(source, Lattice) else source
 
 
 def _cmd_check(args) -> int:
-    source, entry = _load_input(args.input)
-    verdict = venkov_check(_as_polytope(source, entry))
+    source, _ = _load_input(args.input)
+    verdict = venkov_check(_as_polytope(source))
     _emit(report_mod._venkov_dict(verdict))
     return 0 if verdict.ok else EXIT_VENKOV
 
@@ -95,15 +91,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_surface(args) -> int:
     source, entry = _load_input(args.input)
-    para = Parallelohedron.build(_as_polytope(source, entry))
+    para = Parallelohedron.build(_as_polytope(source))
     expected = entry.expected if entry is not None else None
     _emit(report_mod.surface_dicts(para, expected)["pi" if args.pi else "delta"])
     return 0
 
 
 def _cmd_dual_cells(args) -> int:
-    source, entry = _load_input(args.input)
-    para = Parallelohedron.build(_as_polytope(source, entry))
+    source, _ = _load_input(args.input)
+    para = Parallelohedron.build(_as_polytope(source))
     codim = args.codim
     if codim < 1 or codim > min(3, para.dim):
         raise ParseError(f"--codim must be between 1 and {min(3, para.dim)}")
@@ -137,21 +133,16 @@ def _cmd_dual_cells(args) -> int:
 
 
 def _cmd_voronoi_cell(args) -> int:
-    source, entry = _load_input(args.input)
+    source, _ = _load_input(args.input)
     if not isinstance(source, Lattice):
         raise ParseError("voronoi-cell needs a lattice input")
-    cell = entry.polytope if entry is not None else None
-    if cell is None:
-        from .lattice import dv_cell
-
-        cell = dv_cell(source)
-    _emit(serialize.polytope_to_dict(cell))
+    _emit(serialize.polytope_to_dict(source.cell))
     return 0
 
 
 def _cmd_export(args) -> int:
-    source, entry = _load_input(args.input)
-    p = _as_polytope(source, entry)
+    source, _ = _load_input(args.input)
+    p = _as_polytope(source)
     if args.format == "json":
         _emit(serialize.polytope_to_dict(p), args.out)
     else:

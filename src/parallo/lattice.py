@@ -64,6 +64,11 @@ class Lattice:
         return Lattice.create(self.basis, gram)
 
     @cached_property
+    def cell(self) -> Polytope:
+        """The Voronoi cell of the origin (`dv_cell`), built on first read."""
+        return dv_cell(self)
+
+    @cached_property
     def coefficient_form(self) -> Mat:
         """Gram matrix of the basis rows under the ambient metric."""
         b = self.basis

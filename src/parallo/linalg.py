@@ -309,9 +309,3 @@ def lattice_basis_from_generators(vectors: Sequence[Vec]) -> Mat:
     hnf = _hnf_rows(int_rows)
     return tuple(tuple(Fraction(x, lcm) for x in row) for row in hnf)
 
-
-def floor_sqrt(q: Fraction) -> int:
-    """Largest integer s with s*s <= q, for q >= 0."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    return math.isqrt(q.numerator * q.denominator) // q.denominator

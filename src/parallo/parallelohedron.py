@@ -9,15 +9,19 @@ tiling can be reconstructed without ever materializing the tiling
 itself: a face of the polytope belongs to the translate by t exactly
 when all its vertices satisfy the shifted inequalities.
 
-Belts are found by walking: enter a facet through a ridge, reflect the
-ridge through the facet's center to find the parallel exit ridge, cross
-to the other facet, repeat. A ridge is primitive iff its belt closes
-after 6 facets (three tiles meet at it rather than four).
+Both symmetry conditions are read off vertex-id involutions: the point
+reflection of P, and of each facet through its center, computed once on
+one integer scaling of the vertices. Belts are found by walking: enter
+a facet through a ridge, map the ridge's vertex ids through the facet's
+involution to find the parallel exit ridge, cross to the other facet,
+repeat. A ridge is primitive iff its belt closes after 6 facets (three
+tiles meet at it rather than four).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -29,12 +33,7 @@ from .errors import (
 )
 from .lattice import Lattice, vectors_in_ball
 from .linalg import Vec
-from .polytope import (
-    Face,
-    Polytope,
-    affine_hull_polytope,
-    central_symmetry,
-)
+from .polytope import Face, Polytope, affine_hull_polytope
 
 
 @dataclass(frozen=True)
@@ -85,16 +84,16 @@ class DualCell:
         return affine_hull_polytope(self.centers)[0]
 
 
-def _reflect_face_ids(p: Polytope, vertex_ids, center: Vec):
-    """Vertex ids of the reflection of a face through a point, or None."""
-    out = []
-    for i in vertex_ids:
-        w = tuple(2 * c - x for c, x in zip(center, p.vertices[i]))
-        j = p.vertex_index.get(w)
-        if j is None:
-            return None
-        out.append(j)
-    return tuple(sorted(out))
+def _involution(rows: list[list[int]]):
+    """The point reflection of m integer rows through their centroid, as
+    the position of each row's image (None if some image is not a row),
+    and the column sums S: row x maps to x' with m x' = 2 S - m x."""
+    m = len(rows)
+    sums = [sum(col) for col in zip(*rows)]
+    at = {tuple(m * x for x in r): k for k, r in enumerate(rows)}
+    image = tuple(at.get(tuple(2 * s - m * x for s, x in zip(sums, r)))
+                  for r in rows)
+    return (None if None in image else image), sums
 
 
 class _BeltWalkError(Exception):
@@ -104,43 +103,45 @@ class _BeltWalkError(Exception):
         super().__init__(detail)
 
 
-def _walk_belt(p: Polytope, ridge_ids_by_key, facet_centers, facets_of, start_ridge):
-    """Belt through a ridge: facet cycle and aligned ridge cycle."""
+def _walk_belt(ridges, ridge_ids_by_key, mirrors, facets_of, start_ridge):
+    """Belt through a ridge: facet cycle and aligned ridge cycle; each
+    facet's vertex involution maps its entry ridge to its exit ridge."""
+
+    def mirrored(f, r):
+        return ridge_ids_by_key.get(
+            tuple(sorted(mirrors[f][i] for i in ridges[r].vertex_ids)))
+
     r0 = start_ridge
     f_pair = facets_of[r0]
     if len(f_pair) != 2:
         raise _BeltWalkError(
             f"ridge lies on {len(f_pair)} facets, expected 2",
-            p.face_lattice.faces(p.dim - 2)[r0].vertex_ids,
+            ridges[r0].vertex_ids,
         )
     f_prev, f_cur = f_pair
     facets = [f_prev, f_cur]
-    ridges = [r0]
+    belt_ridges = [r0]
     entry = r0
-    for _ in range(2 * p.n_facets + 1):
-        ridge_face = p.face_lattice.faces(p.dim - 2)[entry]
-        mirrored = _reflect_face_ids(p, ridge_face.vertex_ids, facet_centers[f_cur])
-        nxt = ridge_ids_by_key.get(mirrored)
+    for _ in range(2 * len(mirrors) + 1):
+        ridge_ids = ridges[entry].vertex_ids
+        nxt = mirrored(f_cur, entry)
         if nxt is None:
             raise _BeltWalkError(
                 "facet is not centrally symmetric around its center "
                 "(ridge reflection is not a ridge)",
-                ridge_face.vertex_ids,
+                ridge_ids,
             )
         pair = facets_of[nxt]
         if f_cur not in pair or len(pair) != 2:
-            raise _BeltWalkError("ridge incidence is not dihedral", ridge_face.vertex_ids)
+            raise _BeltWalkError("ridge incidence is not dihedral", ridge_ids)
         f_next = pair[0] if pair[1] == f_cur else pair[1]
-        ridges.append(nxt)
+        belt_ridges.append(nxt)
         if f_next == facets[0] and nxt != r0:
             # closed: the next reflection must return the starting ridge
-            back = _reflect_face_ids(
-                p, p.face_lattice.faces(p.dim - 2)[nxt].vertex_ids, facet_centers[f_next]
-            )
-            if ridge_ids_by_key.get(back) != r0:
+            if mirrored(f_next, nxt) != r0:
                 raise _BeltWalkError("belt does not close consistently",
-                                     ridge_face.vertex_ids)
-            return Belt(tuple(facets), tuple(ridges))
+                                     ridge_ids)
+            return Belt(tuple(facets), tuple(belt_ridges))
         facets.append(f_next)
         f_cur = f_next
         entry = nxt
@@ -164,31 +165,32 @@ def _analyze(p: Polytope):
             f"dimension {p.dim} is not supported: the belt conditions "
             "need ridges, so d >= 2")
     failed = ((), {}, (), ())
-    witnesses = []
-    ok, center = p.is_centrally_symmetric()
-    if not ok:
-        witnesses.append(VenkovWitness("central-symmetry",
-                                       "vertex set is not centrally symmetric"))
-        return (VenkovVerdict(False, tuple(witnesses)),) + failed
-    if any(x != 0 for x in center):
+    rows, scale = linalg.integer_rows(p.vertices)
+    image, sums = _involution(rows)
+    if image is None:
+        witness = VenkovWitness("central-symmetry",
+                                "vertex set is not centrally symmetric")
+        return (VenkovVerdict(False, (witness,)),) + failed
+    if any(sums):
         raise GeometryError("polytope must be recentered before analysis")
+    witnesses = []
+    mirrors, facet_centers = [], []
     for fi, ids in enumerate(p.facet_vertex_ids):
-        ok, _ = central_symmetry([p.vertices[i] for i in ids])
-        if not ok:
+        image, sums = _involution([rows[i] for i in ids])
+        if image is None:
             witnesses.append(VenkovWitness(
                 "facet-symmetry",
                 f"facet {fi} is not centrally symmetric",
                 tuple(ids),
             ))
+            continue
+        mirrors.append({i: ids[k] for i, k in zip(ids, image)})
+        facet_centers.append(tuple(Fraction(s, len(ids) * scale) for s in sums))
     if witnesses:
         return (VenkovVerdict(False, tuple(witnesses)),) + failed
 
-    lat = p.face_lattice
-    ridges = lat.faces(p.dim - 2)
+    ridges = p.face_lattice.faces(p.dim - 2)
     ridge_ids_by_key = {r.vertex_ids: i for i, r in enumerate(ridges)}
-    facet_centers = tuple(
-        Face(p.dim - 1, ids).center_in(p) for ids in p.facet_vertex_ids
-    )
     facets_of = _ridge_facet_map(p)
     belts = []
     belt_of_ridge: dict[int, tuple[int, int]] = {}
@@ -196,7 +198,7 @@ def _analyze(p: Polytope):
         if rid in belt_of_ridge:
             continue
         try:
-            belt = _walk_belt(p, ridge_ids_by_key, facet_centers, facets_of, rid)
+            belt = _walk_belt(ridges, ridge_ids_by_key, mirrors, facets_of, rid)
         except _BeltWalkError as exc:
             witnesses.append(VenkovWitness("belt", exc.detail, tuple(exc.face_ids)))
             continue
@@ -213,7 +215,8 @@ def _analyze(p: Polytope):
             belt_of_ridge[r] = (bid, pos)
     if witnesses:
         return (VenkovVerdict(False, tuple(witnesses)),) + failed
-    return VenkovVerdict(True), tuple(belts), belt_of_ridge, facet_centers, facets_of
+    return (VenkovVerdict(True), tuple(belts), belt_of_ridge,
+            tuple(facet_centers), facets_of)
 
 
 def venkov_check(p: Polytope) -> VenkovVerdict:
@@ -300,10 +303,7 @@ class Parallelohedron:
         any translate sharing a point of P has |t| <= 2 * circumradius."""
         p = self.polytope
         ball = vectors_in_ball(self.lattice, 4 * p.circumradius_sq)
-        # one integer scale for vertices, translates and offsets
-        (*points, offsets), _ = linalg.integer_rows(
-            p.vertices + tuple(ball) + (p.facet_offsets,))
-        normals, _ = linalg.integer_rows(p.facet_normals)
+        points, normals, offsets = p.integer_form(ball)
         heights = [[sum(x * y for x, y in zip(n, v)) for n in normals]
                    for v in points[:p.n_vertices]]
         out = {}

@@ -41,28 +41,12 @@ def affine_rank(points: list[Vec]) -> int:
     return linalg.rank(tuple(linalg.vsub(p, p0) for p in points[1:]))
 
 
-def central_symmetry(points: list[Vec]) -> tuple[bool, Vec]:
-    """Whether a point set is invariant under reflection in its centroid."""
-    n = len(points)
-    c = tuple(sum(col, Fraction(0)) / n for col in zip(*points))
-    mirrored = {tuple(2 * ci - xi for ci, xi in zip(c, p)) for p in points}
-    return mirrored == set(points), c
-
-
-def centroid(points) -> Vec:
-    pts = list(points)
-    return tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
-
-
 @dataclass(frozen=True)
 class Face:
     """A face of a polytope: its dimension and sorted vertex indices."""
 
     dim: int
     vertex_ids: tuple[int, ...]
-
-    def center_in(self, polytope: "Polytope") -> Vec:
-        return centroid(polytope.vertices[i] for i in self.vertex_ids)
 
 
 class FaceLattice:
@@ -297,34 +281,33 @@ class Polytope:
             for n, b in zip(self.facet_normals, self.facet_offsets)
         )
 
+    def integer_form(self, points=()):
+        """The vertices followed by `points` as integer rows s x, and the
+        facets <n, x> <= b as integer normals ns n and offsets ns s b, so
+        that <n, x> <= b exactly when <ns n, s x> <= ns s b."""
+        (*rows, offsets), _ = linalg.integer_rows(
+            self.vertices + tuple(points) + (self.facet_offsets,))
+        normals, ns = linalg.integer_rows(self.facet_normals)
+        return rows, normals, [ns * b for b in offsets]
+
     @cached_property
     def facet_vertex_ids(self) -> tuple[tuple[int, ...], ...]:
         """Per facet, sorted indices of the vertices lying on it."""
-        # <n, v> = b iff <ns n, s v> = ns (s b), all integers
-        (*points, offsets), s = linalg.integer_rows(
-            self.vertices + (self.facet_offsets,))
-        normals, ns = linalg.integer_rows(self.facet_normals)
+        rows, normals, offsets = self.integer_form()
         return tuple(
-            tuple(i for i, v in enumerate(points)
-                  if sum(x * y for x, y in zip(n, v)) == ns * b)
+            tuple(i for i, v in enumerate(rows)
+                  if sum(x * y for x, y in zip(n, v)) == b)
             for n, b in zip(normals, offsets)
         )
 
     @cached_property
-    def vertex_index(self) -> dict[Vec, int]:
-        """Per vertex, its index in `vertices`."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def centroid(self) -> Vec:
-        return centroid(self.vertices)
+        return tuple(sum(col, Fraction(0)) / self.n_vertices
+                     for col in zip(*self.vertices))
 
     @cached_property
     def circumradius_sq(self) -> Fraction:
         return max(linalg.dot(v, v) for v in self.vertices)
-
-    def is_centrally_symmetric(self) -> tuple[bool, Vec]:
-        return central_symmetry(list(self.vertices))
 
     # -- face lattice ------------------------------------------------
 

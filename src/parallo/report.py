@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import serialize, topology
 from .errors import NotAParallelohedron
-from .lattice import Lattice, dv_cell
+from .lattice import Lattice
 from .parallelohedron import Parallelohedron, VenkovVerdict
 from .polytope import Polytope
 from .scaling import (
@@ -243,7 +243,7 @@ def verify(source: Polytope | Lattice, name: str | None = None,
     source_gram = None
     if isinstance(source, Lattice):
         source_gram = source.gram
-        p = dv_cell(source)
+        p = source.cell
     else:
         p = source
     try:

@@ -11,8 +11,10 @@ from explicit elementary operations, the fraction-free eliminations
 the LDL^T of a lattice, both hull directions) from the plain `Fraction`
 eliminations they replaced, a point hull's vertices from the rank of
 the facets through each point, the extreme rays of a cone from a
-`Fraction` kernel per (D - 1)-subset of its rows, and the half-belt
-span from the compact cut model that the dual-block complex replaced.
+`Fraction` kernel per (D - 1)-subset of its rows, the half-belt span
+from the compact cut model that the dual-block complex replaced, and
+the point reflections of the Venkov checks from the `Fraction`
+centroid of each point set.
 """
 
 import math
@@ -81,6 +83,15 @@ def random_unimodular(rng, d: int, steps: int = 5):
         i, j = rng.sample(range(d), 2)
         m[i], m[j] = m[j], m[i]
     return tuple(tuple(row) for row in m)
+
+
+def central_symmetry(points) -> tuple[bool, tuple]:
+    """Whether a point set is invariant under reflection in its
+    `Fraction` centroid, and the centroid."""
+    n = len(points)
+    c = tuple(sum(col, Fraction(0)) / n for col in zip(*points))
+    mirrored = {tuple(2 * ci - xi for ci, xi in zip(c, p)) for p in points}
+    return mirrored == set(points), c
 
 
 def facet_image_map(p, q, a, shift):

@@ -1,8 +1,10 @@
+import functools
 import json
 import os
 
 import pytest
 
+from parallo import catalog, cli, lattice
 from parallo.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -58,6 +60,27 @@ def test_verify_certified(capsys):
                                           ["0", "0", "2"]]
     assert doc["timing_ms"] is None
     assert sorted(doc["certificate"]["scaling"]) == ["1"] * 8 + ["2"] * 6
+
+
+def test_verify_builds_a_catalog_cell_once(monkeypatch, capsys):
+    """`verify lattice-D4` builds the Voronoi cell for the catalog entry
+    and reads the same cell in the pipeline."""
+    calls = []
+    dv_cell = lattice.dv_cell
+
+    def counted(lat):
+        calls.append(lat)
+        return dv_cell(lat)
+
+    monkeypatch.setattr(lattice, "dv_cell", counted)
+    # a fresh catalog cache, so the entry is built inside this test
+    monkeypatch.setattr(cli, "catalog",
+                        functools.lru_cache(None)(catalog.catalog.__wrapped__))
+    code, out, _ = run(capsys, "verify", "lattice-D4")
+    assert code == 0 and len(calls) == 1
+    with open(os.path.join(FIXTURES, "reports", "lattice-D4.json"),
+              encoding="utf-8") as fh:
+        assert out == fh.read()
 
 
 def test_verify_exit_codes(capsys):

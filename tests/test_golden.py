@@ -1,9 +1,10 @@
 """Golden bytes: the verify report of every catalog entry and the OFF
 export of every solid, as printed by `parallo verify NAME` and
-`parallo export NAME --format off`, and the `parallo surface NAME
-[--pi]` output of every 3-D entry, which is the topology block of its
-verify report. Refactors must leave these bytes alone; a deliberate
-change to the report format regenerates them."""
+`parallo export NAME --format off`, the `parallo surface NAME [--pi]`
+output of every 3-D entry, which is the topology block of its verify
+report, and the `venkov-fails` report of one input per Venkov
+condition. Refactors must leave these bytes alone; a deliberate change
+to the report format regenerates them."""
 
 import json
 import os
@@ -15,7 +16,8 @@ from parallo import serialize
 from parallo.catalog import catalog, catalog_names
 from parallo.cli import main
 
-REPORTS = os.path.join(os.path.dirname(__file__), "fixtures", "reports")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+REPORTS = os.path.join(FIXTURES, "reports")
 
 
 def _golden(filename: str) -> str:
@@ -41,3 +43,15 @@ def test_surface_command_bytes(capsys, name, surface):
     assert main(["surface", name] + (["--pi"] if surface == "pi" else [])) == 0
     report = json.loads(_golden(f"{name}.json"))
     assert capsys.readouterr().out == serialize.dumps(report["topology"][surface])
+
+
+@pytest.mark.parametrize("fixture", [
+    "octahedron",      # 8 facet-symmetry witnesses
+    "pentagon_prism",  # central-symmetry
+    "zonotope5",       # 40 belt witnesses of length 8, one per ridge
+])
+def test_venkov_failure_report_bytes(capsys, monkeypatch, fixture):
+    # run beside the file, so the report's name is its bare file name
+    monkeypatch.chdir(FIXTURES)
+    assert main(["verify", f"{fixture}.json"]) == 3
+    assert capsys.readouterr().out == _golden(f"{fixture}.json")

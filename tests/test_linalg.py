@@ -154,12 +154,6 @@ def test_lattice_basis_from_generators():
     assert abs(linalg.det(basis)) == 2
 
 
-def test_floor_sqrt():
-    assert linalg.floor_sqrt(F(0)) == 0
-    assert linalg.floor_sqrt(F(35, 4)) == 2
-    assert linalg.floor_sqrt(F(36, 4)) == 3
-
-
 @st.composite
 def rational_matrices(draw, square=False):
     """Rational matrices of 0-4 rows, often singular: a row may be

@@ -2,9 +2,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, built
-from oracles import dual_cell_centers
+from oracles import central_symmetry, dual_cell_centers
 from parallo import linalg, parallelohedron, report
 from parallo.catalog import catalog
 from parallo.errors import DualCellAnomaly, GeometryError, NotAParallelohedron
@@ -12,6 +14,8 @@ from parallo.parallelohedron import (
     Parallelohedron,
     classify_dual3,
     dual3_census,
+    _analyze,
+    _involution,
     venkov_check,
 )
 from parallo.polytope import Polytope
@@ -44,6 +48,43 @@ def test_venkov_asymmetric_witness():
     verdict = venkov_check(skew)
     assert not verdict.ok
     assert verdict.witnesses[0].condition == "central-symmetry"
+
+
+@st.composite
+def point_sets(draw):
+    """Distinct rational points in d = 1..3: a set and its reflection
+    through a random center, then maybe one point moved."""
+    d = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    point = st.tuples(*[coord] * d)
+    half = draw(st.lists(point, min_size=1, max_size=5))
+    c = draw(point)
+    points = sorted(set(half) | {tuple(2 * ci - x for ci, x in zip(c, p))
+                                 for p in half})
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(points) - 1))
+        points[k] = tuple(x + y for x, y in zip(points[k], draw(point)))
+        assume(len(set(points)) == len(points))
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_involution_matches_the_fraction_reflection(points):
+    rows, scale = linalg.integer_rows(points)
+    image, sums = _involution(rows)
+    ok, center = central_symmetry(points)
+    assert (image is not None) == ok
+    assert tuple(F(s, len(points) * scale) for s in sums) == center
+    if ok:
+        for p, k in zip(points, image):
+            assert points[k] == tuple(2 * c - x for c, x in zip(center, p))
+
+
+def test_analyze_rejects_a_symmetric_polytope_off_the_origin():
+    cube = catalog("cube").polytope.translated((F(1, 3), 0, 0))
+    with pytest.raises(GeometryError, match="must be recentered"):
+        _analyze(cube)
 
 
 def test_belt_structure():
@@ -117,6 +158,23 @@ def test_neighbor_check_rejects_wrong_facet_vectors(centers):
     with pytest.raises(GeometryError, match="does not reproduce the facet"):
         Parallelohedron(cube.polytope, cube.belts, cube.belt_of_ridge,
                         wrong, cube.ridge_facets)
+
+def test_unnormalized_halfspaces_give_the_same_dual_cells():
+    """A cube stored with normals (1/2, 0, 0) and offsets 1/4: the
+    translate table scales normals and offsets together, as the facet
+    incidences do."""
+    cube = catalog("cube").polytope
+    halved = Polytope(
+        3, cube.vertices,
+        tuple(linalg.vscale(F(1, 2), n) for n in cube.facet_normals),
+        tuple(b / 2 for b in cube.facet_offsets),
+    )
+    assert halved.facet_vertex_ids == cube.facet_vertex_ids
+    para = Parallelohedron.build(halved)
+    for codim in (1, 2, 3):
+        assert [c.centers for c in para.dual_cells(codim)] == \
+            [c.centers for c in built("cube").dual_cells(codim)]
+
 
 def test_dual_cell_center_counts():
     para = built("truncated-octahedron")

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    central_symmetry,
     facet_image_map,
     fraction_extreme_rays,
     fraction_facets_from_points,
@@ -19,12 +20,7 @@ from oracles import (
 from parallo import linalg, polytope
 from parallo.catalog import catalog
 from parallo.errors import GeometryError
-from parallo.polytope import (
-    Polytope,
-    affine_hull_polytope,
-    affine_rank,
-    central_symmetry,
-)
+from parallo.polytope import Polytope, affine_hull_polytope, affine_rank
 
 F = Fraction
 
@@ -116,7 +112,7 @@ def test_face_lattice_is_graded():
 
 
 def test_central_symmetry():
-    ok, center = half_cube().is_centrally_symmetric()
+    ok, center = central_symmetry(list(half_cube().vertices))
     assert ok and center == linalg.zeros(3)
     ok, _ = central_symmetry([linalg.vec([0, 0]), linalg.vec([1, 0]),
                               linalg.vec([0, 1])])
