@@ -103,7 +103,7 @@ class _BeltWalkError(Exception):
         super().__init__(detail)
 
 
-def _walk_belt(ridges, ridge_ids_by_key, mirrors, facets_of, start_ridge):
+def _walk_belt(ridges, ridge_ids_by_key, mirrors, start_ridge):
     """Belt through a ridge: facet cycle and aligned ridge cycle; each
     facet's vertex involution maps its entry ridge to its exit ridge."""
 
@@ -112,7 +112,7 @@ def _walk_belt(ridges, ridge_ids_by_key, mirrors, facets_of, start_ridge):
             tuple(sorted(mirrors[f][i] for i in ridges[r].vertex_ids)))
 
     r0 = start_ridge
-    f_pair = facets_of[r0]
+    f_pair = ridges[r0].facets
     if len(f_pair) != 2:
         raise _BeltWalkError(
             f"ridge lies on {len(f_pair)} facets, expected 2",
@@ -131,7 +131,7 @@ def _walk_belt(ridges, ridge_ids_by_key, mirrors, facets_of, start_ridge):
                 "(ridge reflection is not a ridge)",
                 ridge_ids,
             )
-        pair = facets_of[nxt]
+        pair = ridges[nxt].facets
         if f_cur not in pair or len(pair) != 2:
             raise _BeltWalkError("ridge incidence is not dihedral", ridge_ids)
         f_next = pair[0] if pair[1] == f_cur else pair[1]
@@ -148,23 +148,14 @@ def _walk_belt(ridges, ridge_ids_by_key, mirrors, facets_of, start_ridge):
     raise _BeltWalkError("belt walk failed to close", ())
 
 
-def _ridge_facet_map(p: Polytope) -> tuple[tuple[int, ...], ...]:
-    """Per ridge, the ids of the facets containing it."""
-    facet_sets = [set(ids) for ids in p.facet_vertex_ids]
-    return tuple(
-        tuple(i for i, fs in enumerate(facet_sets) if fs.issuperset(r.vertex_ids))
-        for r in p.face_lattice.faces(p.dim - 2)
-    )
-
-
 def _analyze(p: Polytope):
     """Run the Venkov checks; return (verdict, belts, belt_of_ridge,
-    facet_centers, ridge_facets), the last four empty on failure."""
+    facet_centers), the last three empty on failure."""
     if p.dim < 2:
         raise UnsupportedDimensionError(
             f"dimension {p.dim} is not supported: the belt conditions "
             "need ridges, so d >= 2")
-    failed = ((), {}, (), ())
+    failed = ((), {}, ())
     rows, scale = linalg.integer_rows(p.vertices)
     image, sums = _involution(rows)
     if image is None:
@@ -191,14 +182,13 @@ def _analyze(p: Polytope):
 
     ridges = p.face_lattice.faces(p.dim - 2)
     ridge_ids_by_key = {r.vertex_ids: i for i, r in enumerate(ridges)}
-    facets_of = _ridge_facet_map(p)
     belts = []
     belt_of_ridge: dict[int, tuple[int, int]] = {}
     for rid in range(len(ridges)):
         if rid in belt_of_ridge:
             continue
         try:
-            belt = _walk_belt(ridges, ridge_ids_by_key, mirrors, facets_of, rid)
+            belt = _walk_belt(ridges, ridge_ids_by_key, mirrors, rid)
         except _BeltWalkError as exc:
             witnesses.append(VenkovWitness("belt", exc.detail, tuple(exc.face_ids)))
             continue
@@ -216,7 +206,7 @@ def _analyze(p: Polytope):
     if witnesses:
         return (VenkovVerdict(False, tuple(witnesses)),) + failed
     return (VenkovVerdict(True), tuple(belts), belt_of_ridge,
-            tuple(facet_centers), facets_of)
+            tuple(facet_centers))
 
 
 def venkov_check(p: Polytope) -> VenkovVerdict:
@@ -227,13 +217,14 @@ def venkov_check(p: Polytope) -> VenkovVerdict:
 class Parallelohedron:
     """A polytope that passed the Venkov conditions, with its tiling data."""
 
-    def __init__(self, polytope, belts, belt_of_ridge, facet_centers,
-                 ridge_facets):
+    def __init__(self, polytope, belts, belt_of_ridge, facet_centers):
         self.polytope = polytope
         self.belts = belts
         self.belt_of_ridge = belt_of_ridge
         self.facet_centers = facet_centers
-        self.ridge_facets = ridge_facets
+        # per ridge its two facets, and the ridge of each such facet pair
+        self.ridge_facets = tuple(r.facets for r in self.ridges)
+        self.ridge_of = {pair: r for r, pair in enumerate(self.ridge_facets)}
         self._finish_setup()
 
     @staticmethod

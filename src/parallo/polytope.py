@@ -15,8 +15,13 @@ once the normals span, the cone is pointed, and the intersection is
 bounded exactly when no extreme ray has t = 0.
 
 The face lattice is the closure of the facet vertex-sets under
-intersection, graded from the empty face (dim -1) up to the whole
-polytope (dim d). Faces are identified with their vertex-index sets.
+intersection, from the empty face up to the whole polytope. Each face
+carries its vertex ids and the ids of the facets that contain it, the
+meet of its vertices' facet sets (Kaibel & Pfetsch 2002, "Computing the
+face lattice of a polytope from its vertex-facet incidences"). The
+affine hull of a nonempty face is the meet of its facets' hyperplanes,
+so its dimension is d minus the rank of their normals; the empty face
+has dimension -1.
 """
 
 from __future__ import annotations
@@ -43,10 +48,13 @@ def affine_rank(points: list[Vec]) -> int:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a polytope: its dimension and sorted vertex indices."""
+    """A face of a polytope: its dimension, sorted vertex indices and
+    the sorted indices of the facets containing it (all of them for the
+    empty face)."""
 
     dim: int
     vertex_ids: tuple[int, ...]
+    facets: tuple[int, ...]
 
 
 class FaceLattice:
@@ -62,15 +70,6 @@ class FaceLattice:
     def f_vector(self) -> tuple[int, ...]:
         """Face counts for dimensions 0 .. d-1."""
         return tuple(len(self.faces(k)) for k in range(self.top_dim))
-
-    def superfaces(self, face: Face, dim: int) -> list[int]:
-        """Indices of dim-faces whose vertex set contains the face's."""
-        s = set(face.vertex_ids)
-        return [
-            i
-            for i, g in enumerate(self.faces(dim))
-            if s.issubset(g.vertex_ids)
-        ]
 
 
 def _canonical_halfspace(normal: Vec, offset: Fraction) -> Halfspace:
@@ -313,25 +312,29 @@ class Polytope:
 
     @cached_property
     def face_lattice(self) -> FaceLattice:
-        n = len(self.vertices)
-        facet_sets = [frozenset(ids) for ids in self.facet_vertex_ids]
-        found: set[frozenset] = {frozenset(range(n))}
+        facet_masks = [sum(1 << i for i in ids) for ids in self.facet_vertex_ids]
+        through = [0] * self.n_vertices  # per vertex, the bit set of its facets
+        for f, ids in enumerate(self.facet_vertex_ids):
+            for i in ids:
+                through[i] |= 1 << f
+        found = {(1 << self.n_vertices) - 1, 0}
         frontier = set(found)
         while frontier:
-            new = set()
-            for f in frontier:
-                for fs in facet_sets:
-                    g = f & fs
-                    if g not in found:
-                        new.add(g)
-            found |= new
-            frontier = new
-        found.add(frozenset())
+            frontier = {g for f in frontier for m in facet_masks
+                        if (g := f & m) not in found}
+            found |= frontier
+        normals, _ = linalg.integer_rows(self.facet_normals)
         by_dim: dict[int, list[Face]] = {}
         for vs in found:
-            ids = tuple(sorted(vs))
-            dim = affine_rank([self.vertices[i] for i in ids])
-            by_dim.setdefault(dim, []).append(Face(dim, ids))
+            ids = tuple(_bits(vs))
+            on = (1 << self.n_facets) - 1
+            for i in ids:
+                on &= through[i]
+            facets = tuple(_bits(on))
+            dim = -1
+            if ids:
+                dim = self.dim - linalg.rank([normals[f] for f in facets])
+            by_dim.setdefault(dim, []).append(Face(dim, ids, facets))
         return FaceLattice(
             {
                 dim: tuple(sorted(fs, key=lambda f: f.vertex_ids))
@@ -346,17 +349,17 @@ class Polytope:
     def facet_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Per facet of a 3-polytope, its vertex ids in boundary-cycle
         order: from the smallest id towards its smaller neighbour."""
-        edges = [e.vertex_ids for e in self.face_lattice.faces(1)]
+        adj: list[dict[int, list[int]]] = [{} for _ in range(self.n_facets)]
+        for edge in self.face_lattice.faces(1):
+            a, b = edge.vertex_ids
+            for f in edge.facets:
+                adj[f].setdefault(a, []).append(b)
+                adj[f].setdefault(b, []).append(a)
         out = []
-        for ids in self.facet_vertex_ids:
-            adj: dict[int, list[int]] = {v: [] for v in ids}
-            for a, b in edges:
-                if a in adj and b in adj:
-                    adj[a].append(b)
-                    adj[b].append(a)
-            order = [ids[0], min(adj[ids[0]])]
+        for ids, nbrs in zip(self.facet_vertex_ids, adj):
+            order = [ids[0], min(nbrs[ids[0]])]
             while len(order) < len(ids):
-                order.append(next(x for x in adj[order[-1]] if x != order[-2]))
+                order.append(next(x for x in nbrs[order[-1]] if x != order[-2]))
             out.append(tuple(order))
         return tuple(out)
 

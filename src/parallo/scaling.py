@@ -14,20 +14,22 @@ Once a canonical scaling s exists, a symmetric G with
 G t_F = c * s(F) * n_F for all facets makes every facet hyperplane the
 G-bisector of 0 and t_F, i.e. turns the polytope into the Voronoi cell
 of its own center lattice under G. The recovery here solves that linear
-system exactly, searches the solution space for a positive-definite
-representative, and then *independently* proves P = Vor_G(L) with exact
-inequalities (`voronoi_mismatch`): every facet is the G-bisector of its
-facet vector (so Vor is inside P), and no lattice vector within twice
-the G-circumradius cuts a vertex (so P is inside Vor). A failure is a
-"dv-mismatch" carrying the offending facet, or the lattice vector and
-vertex.
+system exactly and tests one candidate for positive definiteness: the
+sum of the solution basis. When the basis has one vector per merged
+scaling component, as on every input so far, the sum sets every
+component factor to 1. It then *independently* proves P = Vor_G(L)
+with exact inequalities (`voronoi_mismatch`): every facet is the
+G-bisector of its facet vector (so Vor is inside P), and no lattice
+vector within twice the G-circumradius cuts a vertex (so P is inside
+Vor). A failure is a "dv-mismatch" carrying the offending facet, or the
+lattice vector and vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 
 from . import linalg
 from .errors import GeometryError
@@ -373,45 +375,14 @@ def _sym_from_upper(entries: Vec, d: int) -> Mat:
     return tuple(tuple(row) for row in g)
 
 
-def _pd_search(basis: list[Vec], d: int, n_groups: int):
-    """First integer {1,0,-1} combination giving positive factors and PD form."""
-    n_upper = d * (d + 1) // 2
-    dim = len(basis)
-    if dim == 0:
-        return None
-    weight_sets: list[tuple[int, ...]]
-    if 3 ** dim <= 3 ** 12:
-        weight_sets = list(product((1, 0, -1), repeat=dim))
-    else:  # bounded fallback: all-ones, then sparse combinations
-        weight_sets = [(1,) * dim]
-        for i in range(dim):
-            for s in (1, -1):
-                w = [0] * dim
-                w[i] = s
-                weight_sets.append(tuple(w))
-    for w in weight_sets:
-        if not any(w):
-            continue
-        u = [Fraction(0)] * (n_upper + n_groups)
-        for wi, b in zip(w, basis):
-            if wi:
-                for k in range(len(u)):
-                    u[k] += wi * b[k]
-        factors = u[n_upper:]
-        if any(c <= 0 for c in factors):
-            continue
-        gram = _sym_from_upper(tuple(u[:n_upper]), d)
-        if linalg.is_positive_definite(gram):
-            return tuple(u)
-    return None
-
-
 def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCertificate:
     """Recover a certifying metric from a canonical scaling and verify it.
 
     Solves G t_F = c_k(F) * s(F) * n_F over symmetric G and one positive
-    factor per merged scaling component, picks a positive-definite
-    solution, then proves P = Vor_G(L) for the center lattice L with
+    factor per merged scaling component and takes the sum of the
+    solution basis; "form-not-pd", with that basis as its witness, means
+    the sum has a factor c_k <= 0 or a G that is not positive definite.
+    Otherwise it proves P = Vor_G(L) for the center lattice L with
     `voronoi_mismatch`: each facet is the G-bisector of its facet vector,
     and no lattice vector in the ball of twice the G-circumradius cuts a
     vertex. A failed check gives "dv-mismatch" with its witness.
@@ -444,8 +415,9 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
             "scaling-fails", scaling, None, None,
             witness=None, solution_basis=(),
         )
-    u = _pd_search(basis, d, n_groups)
-    if u is None:
+    u = tuple(sum(col) for col in zip(*basis))
+    if (any(c <= 0 for c in u[n_upper:])
+            or not linalg.is_positive_definite(_sym_from_upper(u[:n_upper], d))):
         return VoronoiCertificate(
             "form-not-pd", scaling, None, None,
             solution_basis=tuple(basis),
@@ -483,11 +455,12 @@ def face_walk(para: Parallelohedron, face) -> Walk | None:
     """Closed walk through the facets around a codim-3 face, or None when
     the face lies on a non-primitive ridge.
 
-    The facets are those of the face's ridges; each facet must hold
-    exactly two of these ridges. The walk starts at the least facet and
-    its least ridge.
+    The face's ridges are the pairs of its facets that hold a ridge;
+    each facet must hold exactly two of these ridges. The walk starts at
+    the least facet and its least ridge.
     """
-    ridge_ids = para.polytope.face_lattice.superfaces(face, para.dim - 2)
+    ridge_ids = [para.ridge_of[pair] for pair in combinations(face.facets, 2)
+                 if pair in para.ridge_of]
     if any(not para.ridge_primitive(r) for r in ridge_ids):
         return None
     ridges_of_facet: dict[int, list[int]] = {}

@@ -96,8 +96,7 @@ def _antipodal_maps(para: Parallelohedron):
     """Ridge and facet involutions induced by x -> -x: a ridge goes to
     the ridge between the opposites of its two facets."""
     fmap = dict(enumerate(para.opposite_facet))
-    ridge_of = {frozenset(pair): r for r, pair in enumerate(para.ridge_facets)}
-    emap = {r: ridge_of[frozenset(fmap[f] for f in pair)]
+    emap = {r: para.ridge_of[tuple(sorted(fmap[f] for f in pair))]
             for r, pair in enumerate(para.ridge_facets)}
     return emap, fmap
 

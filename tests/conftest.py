@@ -11,8 +11,10 @@ import random
 
 import pytest
 
+from parallo import linalg
 from parallo import report as report_mod
 from parallo.catalog import catalog
+from parallo.lattice import Lattice
 from parallo.parallelohedron import Parallelohedron
 from parallo.scaling import build_ridge_graph
 
@@ -59,6 +61,14 @@ def verified(name: str):
         _reports[name] = report_mod.verify(source, name=name,
                                            expected=entry.expected)
     return _reports[name]
+
+
+def an_star(n):
+    """The lattice A_n*: the standard basis under the inverse of the
+    Cartan matrix of A_n (the Gram matrix of its fundamental weights)."""
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0
+               for j in range(n)] for i in range(n)]
+    return Lattice.create(linalg.identity(n), linalg.inverse(linalg.mat(cartan)))
 
 
 @pytest.fixture

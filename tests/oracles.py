@@ -9,8 +9,10 @@ ball, dual cells from a per-face sweep over translates, unimodular maps
 from explicit elementary operations, the fraction-free eliminations
 (rank, det, kernels, solutions, inverses, the positive-definite test,
 the LDL^T of a lattice, both hull directions) from the plain `Fraction`
-eliminations they replaced, a point hull's vertices from the rank of
-the facets through each point, the extreme rays of a cone from a
+eliminations they replaced, the facets of a face and the faces above
+it from subset scans over vertex sets, a face's dimension from the
+`Fraction` affine rank of its vertices, a point hull's vertices from the
+rank of the facets through each point, the extreme rays of a cone from a
 `Fraction` kernel per (D - 1)-subset of its rows, the half-belt span
 from the compact cut model that the dual-block complex replaced, and
 the point reflections of the Venkov checks from the `Fraction`
@@ -261,11 +263,25 @@ def fraction_det(m) -> Fraction:
     return result
 
 
-def _fraction_affine_rank(points) -> int:
+def fraction_affine_rank(points) -> int:
+    """Dimension of the affine hull of a point set (-1 for empty)."""
     if not points:
         return -1
     p0 = points[0]
     return fraction_rank(tuple(linalg.vsub(p, p0) for p in points[1:]))
+
+
+def scanned_face_facets(p, vertex_ids) -> tuple[int, ...]:
+    """Ids of the facets whose vertex sets hold the given vertex ids, by a
+    subset scan over every facet."""
+    return tuple(i for i, ids in enumerate(p.facet_vertex_ids)
+                 if set(vertex_ids) <= set(ids))
+
+
+def scanned_superfaces(lattice, face, dim) -> list[int]:
+    """Indices of the dim-faces whose vertex sets hold the face's."""
+    return [i for i, g in enumerate(lattice.faces(dim))
+            if set(face.vertex_ids) <= set(g.vertex_ids)]
 
 
 def _hyperplane_through(points, dim):
@@ -301,7 +317,7 @@ def fraction_facets_from_points(points, dim):
     facets = []
     for normal, offset in candidates:
         on = [p for p in points if linalg.dot(normal, p) == offset]
-        if _fraction_affine_rank(on) == dim - 1:
+        if fraction_affine_rank(on) == dim - 1:
             facets.append((normal, offset))
     return sorted(facets)
 

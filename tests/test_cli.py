@@ -179,6 +179,15 @@ def test_verify_a_file_round_trip(tmp_path, capsys):
     assert json.loads(out2)["verdict"] == "certified"
 
 
+def test_file_report_name_is_the_path_as_typed(monkeypatch, capsys):
+    """The benchmark's report check compares `name` with the path it
+    passed, so file reports keep the path exactly as typed."""
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(FIXTURES)))
+    code, out, _ = run(capsys, "verify", "tests/fixtures/octahedron.json")
+    assert code == 3
+    assert json.loads(out)["name"] == "tests/fixtures/octahedron.json"
+
+
 SQUARE = [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"]]
 
 

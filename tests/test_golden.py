@@ -2,19 +2,20 @@
 export of every solid, as printed by `parallo verify NAME` and
 `parallo export NAME --format off`, the `parallo surface NAME [--pi]`
 output of every 3-D entry, which is the topology block of its verify
-report, and the `venkov-fails` report of one input per Venkov
-condition. Refactors must leave these bytes alone; a deliberate change
-to the report format regenerates them."""
+report, the `venkov-fails` report of one input per Venkov condition,
+and one `form-not-pd` certificate. Refactors must leave these bytes
+alone; a deliberate change to the report format regenerates them."""
 
 import json
 import os
 
 import pytest
 
-from conftest import POLYTOPE_CATALOG, verified
-from parallo import serialize
+from conftest import POLYTOPE_CATALOG, built, ridge_graph, verified
+from parallo import report, serialize
 from parallo.catalog import catalog, catalog_names
 from parallo.cli import main
+from parallo.scaling import CanonicalScaling, canonical_scaling, voronoi_form
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 REPORTS = os.path.join(FIXTURES, "reports")
@@ -55,3 +56,18 @@ def test_venkov_failure_report_bytes(capsys, monkeypatch, fixture):
     monkeypatch.chdir(FIXTURES)
     assert main(["verify", f"{fixture}.json"]) == 3
     assert capsys.readouterr().out == _golden(f"{fixture}.json")
+
+
+def test_form_not_pd_certificate_bytes():
+    """Negative control of the positive-definite test: the cube's
+    scaling with the values of facet 0's group negated admits no
+    positive-definite form, and the certificate keeps its 3-vector
+    solution basis as the witness."""
+    s = canonical_scaling(ridge_graph("cube"))
+    values = tuple(-v if g == s.groups[0] else v
+                   for v, g in zip(s.values, s.groups))
+    cert = voronoi_form(built("cube"),
+                        CanonicalScaling(values, s.base_facets, s.groups))
+    assert cert.verdict == "form-not-pd" and len(cert.solution_basis) == 3
+    assert serialize.dumps(report.certificate_dict(cert)) == \
+        _golden("cube-form-not-pd.json")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import an_star
 from oracles import (
     box_vectors_in_ball,
     central_symmetry,
@@ -133,14 +134,6 @@ def test_dv_cell_shapes():
     assert dv_cell(z3()).f_vector() == (8, 12, 6)
     assert dv_cell(bcc()).f_vector() == (24, 36, 14)
     assert dv_cell(a2()).f_vector() == (6, 6)
-
-
-def an_star(n):
-    """The lattice A_n*: the standard basis under the inverse of the
-    Cartan matrix of A_n (the Gram matrix of its fundamental weights)."""
-    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0
-               for j in range(n)] for i in range(n)]
-    return Lattice.create(linalg.identity(n), linalg.inverse(linalg.mat(cartan)))
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -156,8 +156,7 @@ def test_neighbor_check_rejects_wrong_facet_vectors(centers):
     else:
         wrong = cube.facet_centers[1:] + cube.facet_centers[:1]
     with pytest.raises(GeometryError, match="does not reproduce the facet"):
-        Parallelohedron(cube.polytope, cube.belts, cube.belt_of_ridge,
-                        wrong, cube.ridge_facets)
+        Parallelohedron(cube.polytope, cube.belts, cube.belt_of_ridge, wrong)
 
 def test_unnormalized_halfspaces_give_the_same_dual_cells():
     """A cube stored with normals (1/2, 0, 0) and offsets 1/4: the

@@ -7,19 +7,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import an_star
 from oracles import (
     central_symmetry,
     facet_image_map,
+    fraction_affine_rank,
     fraction_extreme_rays,
     fraction_facets_from_points,
     fraction_point_vertices,
     fraction_vertices_from_halfspaces,
     hull_counts,
     random_unimodular,
+    scanned_face_facets,
+    scanned_superfaces,
 )
 from parallo import linalg, polytope
-from parallo.catalog import catalog
+from parallo.catalog import catalog, catalog_names
 from parallo.errors import GeometryError
+from parallo.lattice import dv_cell
 from parallo.polytope import Polytope, affine_hull_polytope, affine_rank
 
 F = Fraction
@@ -107,8 +112,66 @@ def test_face_lattice_is_graded():
     assert [len(lat.faces(k)) for k in range(-1, 4)] == [1, 8, 12, 6, 1]
     for k in range(0, 3):
         for face in lat.faces(k):
-            supers = lat.superfaces(face, k + 1)
+            supers = scanned_superfaces(lat, face, k + 1)
             assert supers, "every proper face lies under a face one dim up"
+            assert all(set(face.facets) >= set(lat.faces(k + 1)[i].facets)
+                       for i in supers)
+
+
+def cross_polytope(d):
+    """Non-simple for d >= 3: 2^(d-1) facets meet at each vertex, and
+    for d = 4 each edge lies on 4 facets."""
+    return Polytope.from_vertices(
+        [row for e in linalg.identity(d) for row in (e, linalg.vneg(e))])
+
+
+def assert_faces_match_the_scan(p):
+    """Every face's facets are those whose vertex sets hold it, and its
+    dimension is the affine rank of its vertices."""
+    for dim, faces in p.face_lattice.faces_by_dim.items():
+        for face in faces:
+            assert face.facets == scanned_face_facets(p, face.vertex_ids)
+            assert face.dim == dim == fraction_affine_rank(
+                [p.vertices[i] for i in face.vertex_ids])
+
+
+# cheapest first, so that a failing example shrinks on a small case
+_INCIDENCE_CASES = {
+    "octahedron": lambda: cross_polytope(3),
+    "16-cell": lambda: cross_polytope(4),
+    **{name: lambda name=name: catalog(name).polytope
+       for name in catalog_names()},
+    "A4*": lambda: dv_cell(an_star(4)),
+}
+
+
+@given(st.sampled_from(list(_INCIDENCE_CASES)), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_face_facets_and_grades_match_the_subset_scan(name, mapped, rng):
+    p = _INCIDENCE_CASES[name]()
+    if mapped:
+        p = p.apply_affine(random_unimodular(rng, p.dim),
+                           [rng.randint(-2, 2) for _ in range(p.dim)])
+    assert_faces_match_the_scan(p)
+
+
+@pytest.mark.parametrize("d, f_vector, vertex_facets, edge_facets", [
+    (3, (6, 12, 8), 4, 2),
+    (4, (8, 24, 32, 16), 8, 4),
+])
+def test_cross_polytope_faces_grade_by_normal_rank(d, f_vector,
+                                                   vertex_facets, edge_facets):
+    """More facets meet at each vertex (and, for d = 4, each edge) than
+    its codimension, yet the rank of their normals still grades it."""
+    p = cross_polytope(d)
+    lat = p.face_lattice
+    assert p.f_vector() == f_vector
+    assert {len(v.facets) for v in lat.faces(0)} == {vertex_facets}
+    assert {len(e.facets) for e in lat.faces(1)} == {edge_facets}
+    assert lat.faces(-1)[0].facets == tuple(range(p.n_facets))
+    assert lat.faces(d)[0].facets == ()
+    assert_faces_match_the_scan(p)
 
 
 def test_central_symmetry():

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import POLYTOPE_CATALOG, built, ridge_graph
-from oracles import fraction_voronoi_mismatch, random_unimodular, ridge_image_map
+from oracles import (
+    fraction_voronoi_mismatch,
+    random_unimodular,
+    ridge_image_map,
+    scanned_superfaces,
+)
 from parallo import linalg
 from parallo.errors import GeometryError
 from parallo.lattice import Lattice, dv_cell, vectors_in_ball
@@ -19,6 +24,7 @@ from parallo.scaling import (
     build_ridge_graph,
     canonical_scaling,
     certify,
+    face_walk,
     gain_along_walk,
     half_belt_check,
     local_cycle_check,
@@ -334,6 +340,21 @@ def test_local_cycle_checks():
     for vertex in cube.polytope.face_lattice.faces(0):
         res = local_cycle_check(cube, vertex)
         assert res.skipped and "non-primitive" in res.reason
+
+
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG + ("lattice-D4",))
+def test_face_walk_ridges_are_the_scanned_superfaces(name):
+    """The ridges read off a codim-3 face's facet pairs are the ridges
+    whose vertex sets hold the face."""
+    para = built(name)
+    lat = para.polytope.face_lattice
+    for face in lat.faces(para.dim - 3):
+        ridges = scanned_superfaces(lat, face, para.dim - 2)
+        walk = face_walk(para, face)
+        if walk is None:
+            assert not all(para.ridge_primitive(r) for r in ridges)
+        else:
+            assert sorted(walk.ridges) == ridges
 
 
 def test_normal_rescaling_leaves_closed_products(rng):
