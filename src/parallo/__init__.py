@@ -6,27 +6,37 @@ primitive ridges, recovers the certifying positive-definite quadratic
 form, and reports belts, primitivity, dual cells and the topology of
 the delta- and pi-surfaces. All computations are in exact rational
 arithmetic so every verdict doubles as a certificate.
-"""
 
-from .lattice import Lattice, dv_cell, relevant_vectors, shortest_in_coset
-from .parallelohedron import Parallelohedron, venkov_check
-from .polytope import Polytope
-from .scaling import build_ridge_graph, canonical_scaling, voronoi_form
-from .topology import surface_topology
+The names below are imported from their stage module on first use
+(PEP 562), so `import parallo` loads no stage and a command loads only
+the stages its verdict reaches.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Lattice",
-    "Parallelohedron",
-    "Polytope",
-    "build_ridge_graph",
-    "canonical_scaling",
-    "dv_cell",
-    "relevant_vectors",
-    "shortest_in_coset",
-    "surface_topology",
-    "venkov_check",
-    "voronoi_form",
-    "__version__",
-]
+_STAGE_OF = {
+    "Lattice": "lattice",
+    "Parallelohedron": "parallelohedron",
+    "Polytope": "polytope",
+    "build_ridge_graph": "scaling",
+    "canonical_scaling": "scaling",
+    "dv_cell": "lattice",
+    "relevant_vectors": "lattice",
+    "shortest_in_coset": "lattice",
+    "surface_topology": "topology",
+    "venkov_check": "parallelohedron",
+    "voronoi_form": "scaling",
+}
+
+__all__ = [*_STAGE_OF, "__version__"]
+
+
+def __getattr__(name):
+    stage = _STAGE_OF.get(name)
+    if stage is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{stage}"), name)
+    globals()[name] = value
+    return value

@@ -17,7 +17,7 @@ either number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,13 +27,12 @@ from .polytope import Polytope
 F = Fraction
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    kind: str  # "polytope" | "lattice"
-    polytope: Polytope
-    lattice: Lattice | None  # generating lattice, when there is one
-    expected: dict
+class CatalogEntry(namedtuple("CatalogEntry",
+                              "name kind polytope lattice expected")):
+    """A named input of kind "polytope" or "lattice", its polytope, its
+    generating lattice when there is one, and its expected invariants."""
+
+    __slots__ = ()
 
 
 _HEX_PRISM_VERTICES = [

@@ -15,7 +15,6 @@ import sys
 
 from . import report as report_mod
 from . import serialize
-from .catalog import catalog, catalog_names
 from .errors import DualCellAnomaly, ParalloError, ParseError
 from .lattice import Lattice
 from .parallelohedron import Parallelohedron, classify_dual3, venkov_check
@@ -32,6 +31,8 @@ def _load_input(arg: str):
         except OSError as exc:
             raise ParseError(f"cannot read {arg}: {exc}") from exc
         return serialize.load_document(text), None
+    from .catalog import catalog
+
     try:
         entry = catalog(arg)
     except KeyError as exc:
@@ -51,6 +52,8 @@ def _emit(doc, out_path: str | None = None):
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import catalog, catalog_names
+
     if args.action == "list":
         _emit({"names": list(catalog_names())})
         return 0

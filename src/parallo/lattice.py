@@ -19,7 +19,6 @@ on Python ints, and the norms come out as integers on one scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -30,10 +29,10 @@ from .linalg import Mat, Vec
 from .polytope import Polytope
 
 
-@dataclass(frozen=True)
 class Lattice:
-    basis: Mat  # rows generate the lattice
-    gram: Mat   # ambient metric, symmetric positive definite
+    def __init__(self, basis: Mat, gram: Mat):
+        self.basis = basis  # rows generate the lattice
+        self.gram = gram    # ambient metric, symmetric positive definite
 
     @staticmethod
     def create(basis, gram=None) -> "Lattice":
@@ -233,17 +232,3 @@ def dv_cell(lat: Lattice) -> Polytope:
         normal = linalg.matvec(lat.gram, v)
         halfspaces.append((normal, lat.norm_sq(v) / 2))
     return Polytope.from_halfspaces(halfspaces, lat.dim)
-
-
-def covering_counts(lat: Lattice, cell: Polytope, x: Vec) -> tuple[int, int]:
-    """(closed, interior) counts of translates cell + t containing x."""
-    x = linalg.vec(x)
-    r2 = max(lat.norm_sq(v) for v in cell.vertices)
-    closed = interior = 0
-    for t in vectors_in_ball(lat, r2, around=x):
-        p = linalg.vsub(x, t)
-        if cell.contains(p):
-            closed += 1
-            if cell.contains(p, strict=True):
-                interior += 1
-    return closed, interior

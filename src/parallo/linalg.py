@@ -21,8 +21,8 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -209,7 +209,7 @@ def nullspace(m: Mat) -> list[Vec]:
     return [normalize_primitive(v) for v in int_kernel(_row_scaled(m)[0])]
 
 
-def solve_linear(a: Mat, b: Vec) -> Optional[Vec]:
+def solve_linear(a: Mat, b: Vec) -> Vec | None:
     """The unique exact solution of a x = b.
 
     Returns None when the system is inconsistent or its solution is not

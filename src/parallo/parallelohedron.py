@@ -20,7 +20,7 @@ tiles meet at it rather than four).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,17 +36,18 @@ from .linalg import Vec
 from .polytope import Face, Polytope, affine_hull_polytope
 
 
-@dataclass(frozen=True)
-class VenkovWitness:
-    condition: str  # "central-symmetry" | "facet-symmetry" | "belt"
-    detail: str
-    face_vertex_ids: tuple[int, ...] = ()
+class VenkovWitness(namedtuple("VenkovWitness",
+                               "condition detail face_vertex_ids",
+                               defaults=((),))):
+    """A failed condition ("central-symmetry", "facet-symmetry" or
+    "belt"), what failed, and the vertex ids of the face it failed on."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VenkovVerdict:
-    ok: bool
-    witnesses: tuple[VenkovWitness, ...] = ()
+class VenkovVerdict(namedtuple("VenkovVerdict", "ok witnesses",
+                               defaults=((),))):
+    __slots__ = ()
 
     def __str__(self):
         if self.ok:
@@ -55,25 +56,25 @@ class VenkovVerdict:
         return f"venkov: fail ({w.condition}: {w.detail})"
 
 
-@dataclass(frozen=True)
-class Belt:
-    """Cyclic facet sequence sharing parallel ridges; length 4 or 6."""
+class Belt(namedtuple("Belt", "facets ridges")):
+    """Cyclic facet sequence sharing parallel ridges; length 4 or 6.
+    facets[i] and facets[i+1] share ridges[i], an id into the face
+    lattice's faces(d-2)."""
 
-    facets: tuple[int, ...]   # cyclic; facets[i], facets[i+1] share ridges[i]
-    ridges: tuple[int, ...]   # ids into face_lattice faces(d-2)
+    __slots__ = ()
 
     @property
     def length(self) -> int:
         return len(self.facets)
 
 
-@dataclass(frozen=True)
 class DualCell:
     """Tile centers sharing a face of codimension `codim`."""
 
-    face: Face
-    centers: tuple[Vec, ...]
-    codim: int
+    def __init__(self, face: Face, centers: tuple[Vec, ...], codim: int):
+        self.face = face
+        self.centers = centers
+        self.codim = codim
 
     @cached_property
     def hull(self) -> Polytope | None:
@@ -261,7 +262,7 @@ class Parallelohedron:
     def _check_neighbors(self):
         """P and P + t_F must intersect in exactly the facet F: the row
         of t_F in the translate table must be the facet's vertex ids (a
-        facet vector with no row lies outside the 2R ball and fails)."""
+        facet vector with no row lies outside 2P and fails)."""
         p = self.polytope
         for fi, t in enumerate(self.facet_vectors):
             if self._translate_members.get(t) != set(p.facet_vertex_ids[fi]):
@@ -289,20 +290,26 @@ class Parallelohedron:
 
     @cached_property
     def _translate_members(self) -> dict[Vec, frozenset[int]]:
-        """Per candidate translate t, the ids of the vertices v with
-        v - t in P, that is <n, v> <= b + <n, t> on every facet (n, b);
-        any translate sharing a point of P has |t| <= 2 * circumradius."""
+        """Per lattice translate t in 2P, the ids of the vertices v with
+        v - t in P, that is <n, v> <= b + <n, t> on every facet (n, b).
+
+        P is centred, so P - P = 2P: P + t meets P exactly when
+        <n, t> <= 2 b on every facet. Those t lie in the ball of twice
+        the circumradius, and the other vectors of that ball get no row.
+        """
         p = self.polytope
         ball = vectors_in_ball(self.lattice, 4 * p.circumradius_sq)
         points, normals, offsets = p.integer_form(ball)
         heights = [[sum(x * y for x, y in zip(n, v)) for n in normals]
-                   for v in points[:p.n_vertices]]
+                   for v in points]
+        vertex_heights = heights[:p.n_vertices]
         out = {}
-        for t, st in zip(ball, points[p.n_vertices:]):
-            caps = [b + sum(x * y for x, y in zip(n, st))
-                    for n, b in zip(normals, offsets)]
+        for t, shift in zip(ball, heights[p.n_vertices:]):
+            if any(x > 2 * b for x, b in zip(shift, offsets)):
+                continue
+            caps = [b + x for x, b in zip(shift, offsets)]
             out[t] = frozenset(
-                i for i, h in enumerate(heights)
+                i for i, h in enumerate(vertex_heights)
                 if all(x <= c for x, c in zip(h, caps))
             )
         return out

@@ -27,7 +27,7 @@ has dimension -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -46,15 +46,12 @@ def affine_rank(points: list[Vec]) -> int:
     return linalg.rank(tuple(linalg.vsub(p, p0) for p in points[1:]))
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "dim vertex_ids facets")):
     """A face of a polytope: its dimension, sorted vertex indices and
     the sorted indices of the facets containing it (all of them for the
     empty face)."""
 
-    dim: int
-    vertex_ids: tuple[int, ...]
-    facets: tuple[int, ...]
+    __slots__ = ()
 
 
 class FaceLattice:
@@ -187,14 +184,22 @@ def _facets_from_points(points: list[Vec], dim: int
     return sorted(facets)
 
 
-@dataclass(frozen=True)
 class Polytope:
     """Bounded full-dimensional convex polytope, exactly represented."""
 
-    dim: int
-    vertices: tuple[Vec, ...]
-    facet_normals: tuple[Vec, ...]
-    facet_offsets: tuple[Fraction, ...]
+    def __init__(self, dim: int, vertices: tuple[Vec, ...],
+                 facet_normals: tuple[Vec, ...],
+                 facet_offsets: tuple[Fraction, ...]):
+        self.dim = dim
+        self.vertices = vertices
+        self.facet_normals = facet_normals
+        self.facet_offsets = facet_offsets
+
+    def __eq__(self, other):
+        if not isinstance(other, Polytope):
+            return NotImplemented
+        fields = ("dim", "vertices", "facet_normals", "facet_offsets")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
     # -- construction ------------------------------------------------
 
@@ -269,12 +274,7 @@ class Polytope:
     def halfspaces(self) -> list[Halfspace]:
         return list(zip(self.facet_normals, self.facet_offsets))
 
-    def contains(self, point: Vec, strict: bool = False) -> bool:
-        if strict:
-            return all(
-                linalg.dot(n, point) < b
-                for n, b in zip(self.facet_normals, self.facet_offsets)
-            )
+    def contains(self, point: Vec) -> bool:
         return all(
             linalg.dot(n, point) <= b
             for n, b in zip(self.facet_normals, self.facet_offsets)

@@ -25,21 +25,20 @@ explicitly requested.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from . import serialize, topology
+from . import serialize
 from .errors import NotAParallelohedron
 from .lattice import Lattice
 from .parallelohedron import Parallelohedron, VenkovVerdict
 from .polytope import Polytope
-from .scaling import (
-    MismatchWitness,
-    ScalingWitness,
-    VoronoiCertificate,
-    build_ridge_graph,
-    certify,
-)
-from .topology import HalfBeltSpan
+
+# `scaling` and `topology` are imported where a verdict first needs them;
+# these names serve the annotations only (typing.TYPE_CHECKING without
+# importing typing)
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .scaling import MismatchWitness, ScalingWitness, VoronoiCertificate
+    from .topology import HalfBeltSpan, TopologyReport
 
 EXIT_CERTIFIED = 0
 EXIT_PARSE = 1
@@ -48,18 +47,21 @@ EXIT_VENKOV = 3
 EXIT_DV_MISMATCH = 4
 
 
-@dataclass
 class VerificationReport:
-    name: str | None
-    dim: int
-    venkov: VenkovVerdict
-    belts: tuple | None = None
-    primitivity: dict | None = None
-    ridge_graph: dict | None = None
-    certificate: VoronoiCertificate | None = None
-    topology: dict | None = None
-    gram_match: dict | None = None
-    timing_ms: float | None = None
+    """What `verify` found, filled in stage by stage; every stage after
+    the Venkov checks stays None when they fail."""
+
+    def __init__(self, name: str | None, dim: int, venkov: VenkovVerdict):
+        self.name = name
+        self.dim = dim
+        self.venkov = venkov
+        self.belts: tuple | None = None
+        self.primitivity: dict | None = None
+        self.ridge_graph: dict | None = None
+        self.certificate: VoronoiCertificate | None = None
+        self.topology: dict | None = None
+        self.gram_match: dict | None = None
+        self.timing_ms: float | None = None
 
     @property
     def verdict(self) -> str:
@@ -130,6 +132,8 @@ def _venkov_dict(v: VenkovVerdict) -> dict:
 
 
 def _witness_dict(w: ScalingWitness | MismatchWitness) -> dict:
+    from .scaling import MismatchWitness
+
     if isinstance(w, MismatchWitness):
         if w.kind == "facet":
             return {"kind": w.kind, "facet": w.facet}
@@ -192,7 +196,7 @@ def _gram_match(recovered, source) -> dict:
     }
 
 
-def _surface_dict(rep: topology.TopologyReport, span: HalfBeltSpan,
+def _surface_dict(rep: TopologyReport, span: HalfBeltSpan,
                   expected: dict | None) -> dict:
     doc = rep.as_dict()
     doc["half_belt_span"] = {
@@ -228,6 +232,8 @@ def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
     pi-surface's half-belt span is written under either surface. For
     d != 3 each report only gives the ridge-graph component count.
     """
+    from . import topology
+
     if para.dim != 3:
         n = topology.ridge_connectivity(para)
         return {kind: {"surface": kind, "unsupported_dimension": True,
@@ -252,6 +258,8 @@ def verify(source: Polytope | Lattice, name: str | None = None,
         rep = VerificationReport(name, p.dim, exc.verdict)
         rep.timing_ms = (time.perf_counter() - t0) * 1e3
         return rep
+    from .scaling import build_ridge_graph, certify
+
     graph = build_ridge_graph(para)
     rep = VerificationReport(name, p.dim, VenkovVerdict(True))
     rep.belts = para.belts

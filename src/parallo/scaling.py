@@ -27,7 +27,7 @@ lattice vector and vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -38,23 +38,18 @@ from .linalg import Mat, Vec
 from .parallelohedron import Parallelohedron
 
 
-@dataclass(frozen=True)
-class RidgeEdge:
-    ridge: int                 # id into the polytope's codim-2 faces
-    facets: tuple[int, int]    # belt order: gain applies facets[0] -> facets[1]
-    gain: Fraction             # |alpha[1] / alpha[0]| of `ridge_dependence`
+class RidgeEdge(namedtuple("RidgeEdge", "ridge facets gain")):
+    """A primitive ridge (an id into the polytope's codim-2 faces), its
+    two facets in belt order, and the gain |alpha[1] / alpha[0]| of
+    `ridge_dependence`, applied from facets[0] to facets[1]."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(namedtuple("Walk", "facets ridges")):
     """Alternating facet/ridge sequence; facets[i], facets[i+1] share ridges[i]."""
 
-    facets: tuple[int, ...]
-    ridges: tuple[int, ...]
-
-    @property
-    def closed(self) -> bool:
-        return len(self.facets) > 1 and self.facets[0] == self.facets[-1]
+    __slots__ = ()
 
     def reversed(self) -> "Walk":
         return Walk(tuple(reversed(self.facets)), tuple(reversed(self.ridges)))
@@ -191,14 +186,13 @@ def gain_along_walk(graph: RidgeGraph, walk: Walk) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class ScalingWitness:
-    """A closed walk whose gain product differs from 1."""
+class ScalingWitness(namedtuple("ScalingWitness",
+                                "kind walk facet_pair gain")):
+    """A closed walk whose gain product differs from 1: a "cycle" walk,
+    or the "opposite-facet" pair forced to distinct values (with the
+    walk between them when they share a component)."""
 
-    kind: str         # "cycle" | "opposite-facet"
-    walk: Walk | None
-    facet_pair: tuple[int, int] | None
-    gain: Fraction
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "cycle":
@@ -208,13 +202,13 @@ class ScalingWitness:
                 f"values (ratio {self.gain})")
 
 
-@dataclass(frozen=True)
-class CanonicalScaling:
-    """Positive facet weights satisfying every gain constraint."""
+class CanonicalScaling(namedtuple("CanonicalScaling",
+                                  "values base_facets groups")):
+    """Positive facet weights satisfying every gain constraint, the base
+    facet of each ridge-graph component, and per facet its merged
+    component label."""
 
-    values: tuple[Fraction, ...]
-    base_facets: tuple[int, ...]     # one per ridge-graph component
-    groups: tuple[int, ...]          # facet -> merged component label
+    __slots__ = ()
 
 
 def _tree_walk(parent, f) -> Walk:
@@ -293,15 +287,13 @@ def canonical_scaling(graph: RidgeGraph):
     )
 
 
-@dataclass(frozen=True)
-class MismatchWitness:
-    """Why P is not Vor_G(L): a facet that is not the G-bisector of its
-    facet vector, or a lattice vector whose bisector cuts off a vertex."""
+class MismatchWitness(namedtuple("MismatchWitness",
+                                 "kind facet lattice_vector vertex",
+                                 defaults=(None, None, None))):
+    """Why P is not Vor_G(L): a "facet" that is not the G-bisector of its
+    facet vector, or a lattice vector whose bisector "cut"s off a vertex."""
 
-    kind: str                      # "facet" | "cut"
-    facet: int | None = None
-    lattice_vector: Vec | None = None
-    vertex: Vec | None = None
+    __slots__ = ()
 
 
 def voronoi_mismatch(para: Parallelohedron, lattice: Lattice) -> MismatchWitness | None:
@@ -348,20 +340,18 @@ def voronoi_mismatch(para: Parallelohedron, lattice: Lattice) -> MismatchWitness
     return None
 
 
-@dataclass(frozen=True)
-class VoronoiCertificate:
+class VoronoiCertificate(namedtuple(
+        "VoronoiCertificate",
+        "verdict scaling gram component_factors witness solution_basis",
+        defaults=(None, ()))):
     """Outcome of the quadratic-form recovery and its verification.
 
-    `witness` explains a failure: a ScalingWitness for "scaling-fails",
-    a MismatchWitness for "dv-mismatch", otherwise None.
+    `verdict` is "certified", "scaling-fails", "form-not-pd" or
+    "dv-mismatch". `witness` explains a failure: a ScalingWitness for
+    "scaling-fails", a MismatchWitness for "dv-mismatch", otherwise None.
     """
 
-    verdict: str  # "certified" | "scaling-fails" | "form-not-pd" | "dv-mismatch"
-    scaling: CanonicalScaling | None
-    gram: Mat | None
-    component_factors: tuple[Fraction, ...] | None
-    witness: ScalingWitness | MismatchWitness | None = None
-    solution_basis: tuple[Vec, ...] = ()
+    __slots__ = ()
 
 
 def _sym_from_upper(entries: Vec, d: int) -> Mat:
@@ -440,15 +430,11 @@ def certify(graph: RidgeGraph) -> VoronoiCertificate:
     return voronoi_form(graph.para, result)
 
 
-@dataclass(frozen=True)
-class LocalCycleCheck:
+class LocalCycleCheck(namedtuple("LocalCycleCheck",
+                                 "face_vertex_ids skipped reason walk product")):
     """Gain product around a codim-3 face, or the reason it was skipped."""
 
-    face_vertex_ids: tuple[int, ...]
-    skipped: bool
-    reason: str | None
-    walk: Walk | None
-    product: Fraction | None
+    __slots__ = ()
 
 
 def face_walk(para: Parallelohedron, face) -> Walk | None:

@@ -35,7 +35,7 @@ delta and the pi surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .errors import GeometryError, UnsupportedDimensionError
@@ -43,18 +43,16 @@ from .parallelohedron import Parallelohedron
 from .scaling import Walk, component_roots, face_walk
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    cell_counts: tuple[int, int, int]
-    chi: int
-    compact: bool
-    h1_rank: int
+class ComponentReport(namedtuple("ComponentReport",
+                                 "cell_counts chi compact h1_rank")):
+    """One surface component: its (v, e, f) cell counts, chi_c, whether
+    it is compact, and its rational H1 rank."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TopologyReport:
-    surface: str
-    components: tuple[ComponentReport, ...]
+class TopologyReport(namedtuple("TopologyReport", "surface components")):
+    __slots__ = ()
 
     @property
     def component_count(self) -> int:
@@ -76,12 +74,9 @@ class TopologyReport:
         }
 
 
-@dataclass(frozen=True)
-class HalfBeltSpan:
-    h1_rank: int
-    span_rank: int
-    spanned: bool
-    n_cycles: int
+class HalfBeltSpan(namedtuple("HalfBeltSpan",
+                              "h1_rank span_rank spanned n_cycles")):
+    __slots__ = ()
 
 
 def _require_d3(para: Parallelohedron):

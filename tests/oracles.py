@@ -5,7 +5,9 @@ scipy's floating-point qhull, lattice minima from a plain exhaustive
 coefficient sweep, lattice balls from a `Fraction` sweep over the
 coefficient box that bounds each coefficient by the diagonal of Q^-1,
 the Voronoi-cell inequalities from `Fraction` dot products over that
-ball, dual cells from a per-face sweep over translates, unimodular maps
+ball, dual cells from a per-face sweep over translates, the translate
+table from a sweep over the whole ball, tilings from counting the
+translates that cover a point, unimodular maps
 from explicit elementary operations, the fraction-free eliminations
 (rank, det, kernels, solutions, inverses, the positive-definite test,
 the LDL^T of a lattice, both hull directions) from the plain `Fraction`
@@ -144,6 +146,41 @@ def dual_cell_centers(para, faces):
             t for t in ball if all(p.contains(linalg.vsub(v, t)) for v in pts)
         )))
     return out
+
+
+def ball_translate_members(para):
+    """The nonempty rows of the translate table by a sweep over the whole
+    ball of twice the circumradius: per t, the ids of the vertices v
+    with v - t in P, by `Fraction` dot products."""
+    p = para.polytope
+    out = {}
+    for t in vectors_in_ball(para.lattice, 4 * p.circumradius_sq):
+        ids = frozenset(i for i, v in enumerate(p.vertices)
+                        if p.contains(linalg.vsub(v, t)))
+        if ids:
+            out[t] = ids
+    return out
+
+
+def covering_counts(lat, cell, x) -> tuple[int, int]:
+    """(closed, interior) counts of the lattice translates cell + t that
+    contain x."""
+    x = linalg.vec(x)
+    r2 = max(lat.norm_sq(v) for v in cell.vertices)
+    closed = interior = 0
+    for t in vectors_in_ball(lat, r2, around=x):
+        p = linalg.vsub(x, t)
+        if cell.contains(p):
+            closed += 1
+            if all(linalg.dot(n, p) < b
+                   for n, b in zip(cell.facet_normals, cell.facet_offsets)):
+                interior += 1
+    return closed, interior
+
+
+def walk_closed(walk) -> bool:
+    """Does a facet walk of at least one step end where it starts?"""
+    return len(walk.facets) > 1 and walk.facets[0] == walk.facets[-1]
 
 
 def fraction_rref(m):

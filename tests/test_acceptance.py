@@ -16,11 +16,11 @@ from conftest import (
     ridge_graph,
     verified,
 )
-from oracles import random_unimodular, ridge_image_map
+from oracles import covering_counts, random_unimodular, ridge_image_map
 from parallo import linalg
 from parallo.catalog import catalog
 from parallo.cli import main as cli_main
-from parallo.lattice import Lattice, covering_counts, dv_cell
+from parallo.lattice import Lattice, dv_cell
 from parallo.parallelohedron import Parallelohedron, dual3_census
 from parallo.polytope import Polytope
 from parallo.scaling import (

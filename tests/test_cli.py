@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from parallo import catalog, cli, lattice
+from parallo import catalog, lattice
 from parallo.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -74,7 +74,7 @@ def test_verify_builds_a_catalog_cell_once(monkeypatch, capsys):
 
     monkeypatch.setattr(lattice, "dv_cell", counted)
     # a fresh catalog cache, so the entry is built inside this test
-    monkeypatch.setattr(cli, "catalog",
+    monkeypatch.setattr(catalog, "catalog",
                         functools.lru_cache(None)(catalog.catalog.__wrapped__))
     code, out, _ = run(capsys, "verify", "lattice-D4")
     assert code == 0 and len(calls) == 1

@@ -12,6 +12,7 @@ from oracles import (
     box_vectors_in_ball,
     central_symmetry,
     coefficient_box,
+    covering_counts,
     exhaustive_coset_minimizers,
     hull_counts,
     random_unimodular,
@@ -20,7 +21,6 @@ from parallo import linalg
 from parallo.errors import GeometryError
 from parallo.lattice import (
     Lattice,
-    covering_counts,
     dv_cell,
     relevant_vectors,
     shortest_in_coset,

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, built
-from oracles import central_symmetry, dual_cell_centers
+from oracles import ball_translate_members, central_symmetry, dual_cell_centers
 from parallo import linalg, parallelohedron, report
 from parallo.catalog import catalog
 from parallo.errors import DualCellAnomaly, GeometryError, NotAParallelohedron
@@ -198,6 +198,24 @@ def test_dual_cells_match_per_face_sweep(name):
         faces = para.polytope.face_lattice.faces(para.dim - codim)
         swept = dual_cell_centers(para, faces)
         assert [c.centers for c in para.dual_cells(codim)] == swept
+
+
+SKEW = ((2, 1, 1), (3, 2, 2), (3, 1, 2))  # unimodular
+
+
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG
+                         + ("elongated-dodecahedron-skewed",))
+def test_translate_table_matches_a_whole_ball_sweep(name):
+    """Skipping the ball vectors outside 2P loses no translate that meets
+    P: the table has exactly the nonempty rows of a sweep over the whole
+    ball of twice the circumradius, on every catalog entry and on a
+    skewed image."""
+    if name.endswith("-skewed"):
+        p = catalog("elongated-dodecahedron").polytope.apply_affine(SKEW)
+        para = Parallelohedron.build(p)
+    else:
+        para = built(name)
+    assert para._translate_members == ball_translate_members(para)
 
 
 def test_verify_builds_no_dual_cell_hull(monkeypatch):

@@ -1,5 +1,7 @@
 """The runtime stays stdlib-only: importing every `parallo` module loads
-nothing from outside the standard library."""
+nothing from outside the standard library. And start-up stays lean:
+importing the CLI generates no code, and each stage is imported only
+when a verdict first needs it."""
 
 import json
 import os
@@ -34,3 +36,65 @@ def test_every_module_imports_only_the_standard_library():
         and m.split(".")[0] not in sys.stdlib_module_names
     )
     assert outside == []
+
+
+# -- start-up: each stage is imported when a verdict first needs it ----
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ZONOTOPE = os.path.join(ROOT, "tests", "fixtures", "zonotope5.json")
+# `dataclasses` imports `inspect` and builds methods with `exec`; `typing`
+# would serve annotations only
+HEAVY_STDLIB = {"dataclasses", "inspect", "typing"}
+LATER_STAGES = {"parallo.scaling", "parallo.topology", "parallo.catalog"}
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules loaded once `code` has run in a fresh `python -S`."""
+    src = os.path.dirname(os.path.dirname(parallo.__file__))
+    script = (code + "\nimport json, sys\n"
+              "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=ROOT, check=True,
+    )
+    return set(json.loads(out.stderr.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_later_stage_and_no_code_generator():
+    loaded = modules_after("import parallo.cli")
+    assert loaded & (HEAVY_STDLIB | LATER_STAGES) == set()
+
+
+def test_a_venkov_rejection_loads_neither_scaling_nor_topology():
+    loaded = modules_after(
+        "from parallo import cli\n"
+        f"assert cli.main(['verify', {ZONOTOPE!r}]) == 3")
+    assert {"parallo.scaling", "parallo.topology"}.isdisjoint(loaded)
+    assert "parallo.catalog" not in loaded
+
+
+def test_a_certified_3d_verdict_loads_scaling_and_topology():
+    loaded = modules_after(
+        "from parallo import cli\n"
+        "assert cli.main(['verify', 'truncated-octahedron']) == 0")
+    assert {"parallo.scaling", "parallo.topology", "parallo.catalog"} <= loaded
+    assert loaded & HEAVY_STDLIB == set()
+
+
+def test_every_exported_name_resolves():
+    modules_after(
+        "import parallo\n"
+        "for name in parallo.__all__:\n"
+        "    assert getattr(parallo, name) is not None, name\n"
+        "scope = {}\n"
+        "exec('from parallo import *', scope)\n"
+        "assert set(parallo.__all__) <= set(scope)\n"
+        "from parallo import Lattice, Polytope, surface_topology\n"
+        "from parallo.topology import surface_topology as same\n"
+        "assert surface_topology is same\n"
+        "try:\n"
+        "    parallo.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown names must raise AttributeError')\n")

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +9,7 @@ from oracles import (
     random_unimodular,
     ridge_image_map,
     scanned_superfaces,
+    walk_closed,
 )
 from parallo import linalg
 from parallo.errors import GeometryError
@@ -186,16 +186,14 @@ def test_scaling_satisfies_every_edge():
 def test_canonical_scaling_witness_on_doctored_gains():
     graph = ridge_graph("truncated-octahedron")
     bad_edges = list(graph.edges)
-    from dataclasses import replace
-
-    bad_edges[0] = replace(bad_edges[0], gain=bad_edges[0].gain * 3)
+    bad_edges[0] = bad_edges[0]._replace(gain=bad_edges[0].gain * 3)
     from parallo.scaling import RidgeGraph
 
     bad = RidgeGraph(graph.para, bad_edges)
     witness = canonical_scaling(bad)
     assert isinstance(witness, ScalingWitness)
     if witness.walk is not None and witness.kind == "cycle":
-        assert witness.walk.closed
+        assert walk_closed(witness.walk)
     assert witness.gain != 1
 
 
@@ -312,12 +310,12 @@ def test_dv_mismatch_certificate_reports_its_witness():
     assert "witness" not in certificate_dict(cert)
     cut = MismatchWitness("cut", lattice_vector=(F(1, 2), F(0), F(0)),
                           vertex=(F(1, 2), F(1, 2), F(1, 2)))
-    doc = certificate_dict(replace(cert, verdict="dv-mismatch", witness=cut))
+    doc = certificate_dict(cert._replace(verdict="dv-mismatch", witness=cut))
     assert doc["verdict"] == "dv-mismatch"
     assert doc["witness"] == {"kind": "cut", "lattice_vector": ["1/2", "0", "0"],
                               "vertex": ["1/2", "1/2", "1/2"]}
     facet = MismatchWitness("facet", facet=3)
-    doc = certificate_dict(replace(cert, verdict="dv-mismatch", witness=facet))
+    doc = certificate_dict(cert._replace(verdict="dv-mismatch", witness=facet))
     assert doc["witness"] == {"kind": "facet", "facet": 3}
 
 
