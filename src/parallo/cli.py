@@ -4,12 +4,13 @@ Commands take either a catalog name or a path to a JSON document (a
 polytope or a lattice). Output is stable-ordered JSON on stdout; exit
 codes: 0 success/certified, 1 parse error or unsupported input (such
 as d = 1), 2 scaling inconsistency, 3 Venkov failure, 4 quadratic-form
-or Voronoi-cell mismatch.
+or Voronoi-cell mismatch. Usage errors are parse errors too: one
+`error:` line and exit code 1. The arguments are read from one command
+table, `COMMANDS`, which also gives the `--help` texts.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -54,12 +55,12 @@ def _emit(doc, out_path: str | None = None):
 def _cmd_catalog(args) -> int:
     from .catalog import catalog, catalog_names
 
-    if args.action == "list":
+    if args["action"] == "list":
         _emit({"names": list(catalog_names())})
         return 0
-    entry = catalog(args.name) if args.name in catalog_names() else None
+    entry = catalog(args["name"]) if args["name"] in catalog_names() else None
     if entry is None:
-        raise ParseError(f"unknown catalog name {args.name!r}")
+        raise ParseError(f"unknown catalog name {args['name']!r}")
     doc = {
         "name": entry.name,
         "kind": entry.kind,
@@ -77,33 +78,34 @@ def _as_polytope(source) -> Polytope:
 
 
 def _cmd_check(args) -> int:
-    source, _ = _load_input(args.input)
+    source, _ = _load_input(args["input"])
     verdict = venkov_check(_as_polytope(source))
     _emit(report_mod._venkov_dict(verdict))
     return 0 if verdict.ok else EXIT_VENKOV
 
 
 def _cmd_verify(args) -> int:
-    source, entry = _load_input(args.input)
+    source, entry = _load_input(args["input"])
     expected = entry.expected if entry is not None else None
-    name = entry.name if entry is not None else args.input
+    name = entry.name if entry is not None else args["input"]
     rep = report_mod.verify(source, name=name, expected=expected)
-    _emit(rep.as_dict(include_timing=args.timing))
+    _emit(rep.as_dict(include_timing=args["timing"]))
     return rep.exit_code
 
 
 def _cmd_surface(args) -> int:
-    source, entry = _load_input(args.input)
+    source, entry = _load_input(args["input"])
     para = Parallelohedron.build(_as_polytope(source))
     expected = entry.expected if entry is not None else None
-    _emit(report_mod.surface_dicts(para, expected)["pi" if args.pi else "delta"])
+    reports = report_mod.surface_dicts(para, expected)
+    _emit(reports["pi" if args["pi"] else "delta"])
     return 0
 
 
 def _cmd_dual_cells(args) -> int:
-    source, _ = _load_input(args.input)
+    source, _ = _load_input(args["input"])
     para = Parallelohedron.build(_as_polytope(source))
-    codim = args.codim
+    codim = args["codim"]
     if codim < 1 or codim > min(3, para.dim):
         raise ParseError(f"--codim must be between 1 and {min(3, para.dim)}")
     cells = para.dual_cells(codim)
@@ -136,7 +138,7 @@ def _cmd_dual_cells(args) -> int:
 
 
 def _cmd_voronoi_cell(args) -> int:
-    source, _ = _load_input(args.input)
+    source, _ = _load_input(args["input"])
     if not isinstance(source, Lattice):
         raise ParseError("voronoi-cell needs a lattice input")
     _emit(serialize.polytope_to_dict(source.cell))
@@ -144,72 +146,144 @@ def _cmd_voronoi_cell(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    source, _ = _load_input(args.input)
+    source, _ = _load_input(args["input"])
     p = _as_polytope(source)
-    if args.format == "json":
-        _emit(serialize.polytope_to_dict(p), args.out)
+    if args["format"] == "json":
+        _emit(serialize.polytope_to_dict(p), args["out"])
     else:
         text = serialize.polytope_to_off(p)
-        if args.out and args.out != "-":
-            with open(args.out, "w", encoding="utf-8") as fh:
+        if args["out"] and args["out"] != "-":
+            with open(args["out"], "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="parallo",
-        description="Exact verification of parallelohedra and their "
-                    "Voronoi-form certificates.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+_REQUIRED = object()
 
-    p = sub.add_parser("catalog", help="list or show built-in inputs")
-    p.add_argument("action", choices=["list", "show"])
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(func=_cmd_catalog)
+# command -> (handler, summary, arguments, options). An argument is
+# (name, how it is read); one whose name ends in "?" may be left out. An
+# option is "--name": (how its value is read, or None for a flag; its
+# default, or _REQUIRED). A value is read as `str`, `int` or one of a
+# tuple of words.
+COMMANDS = {
+    "catalog": (_cmd_catalog, "list or show built-in inputs",
+                (("action", ("list", "show")), ("name?", str)), {}),
+    "check": (_cmd_check, "run only the Venkov conditions",
+              (("input", str),), {}),
+    "verify": (_cmd_verify, "full certification pipeline",
+               (("input", str),), {"--timing": (None, False)}),
+    "surface": (_cmd_surface, "delta/pi surface topology report",
+                (("input", str),), {"--pi": (None, False)}),
+    "dual-cells": (_cmd_dual_cells, "dual-cell census at a codimension",
+                   (("input", str),), {"--codim": (int, _REQUIRED)}),
+    "voronoi-cell": (_cmd_voronoi_cell, "Voronoi cell of a lattice",
+                     (("input", str),), {}),
+    "export": (_cmd_export, "write polytope as JSON or OFF",
+               (("input", str),),
+               {"--format": (("off", "json"), "json"), "--out": (str, None)}),
+}
 
-    p = sub.add_parser("check", help="run only the Venkov conditions")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("verify", help="full certification pipeline")
-    p.add_argument("input")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall-clock timing (breaks byte stability)")
-    p.set_defaults(func=_cmd_verify)
+def _word(name: str, read) -> str:
+    return "|".join(read) if isinstance(read, tuple) else name.upper()
 
-    p = sub.add_parser("surface", help="delta/pi surface topology report")
-    p.add_argument("input")
-    p.add_argument("--pi", action="store_true", help="report the pi-surface")
-    p.set_defaults(func=_cmd_surface)
 
-    p = sub.add_parser("dual-cells", help="dual-cell census at a codimension")
-    p.add_argument("input")
-    p.add_argument("--codim", type=int, required=True)
-    p.set_defaults(func=_cmd_dual_cells)
+def _synopsis(command: str) -> str:
+    _, _, arguments, options = COMMANDS[command]
+    words = [command]
+    for name, read in arguments:
+        word = _word(name.rstrip("?"), read)
+        words.append(f"[{word}]" if name.endswith("?") else word)
+    for key, (read, default) in options.items():
+        word = key if read is None else f"{key} {_word(key[2:], read)}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return "usage: parallo " + " ".join(words)
 
-    p = sub.add_parser("voronoi-cell", help="Voronoi cell of a lattice")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_voronoi_cell)
 
-    p = sub.add_parser("export", help="write polytope as JSON or OFF")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["off", "json"], default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_export)
-    return ap
+def _help(command: str | None = None) -> str:
+    if command is not None:
+        return f"{_synopsis(command)}\n\n{COMMANDS[command][1]}"
+    width = max(map(len, COMMANDS))
+    return "\n".join([
+        "usage: parallo COMMAND [ARGS]", "",
+        "Exact verification of parallelohedra and their Voronoi-form "
+        "certificates.", "", "commands:",
+        *(f"  {name:<{width}}  {spec[1]}" for name, spec in COMMANDS.items()),
+        "", "`parallo COMMAND --help` describes one command."])
+
+
+def _value(read, text: str, what: str):
+    if read is str or isinstance(read, tuple) and text in read:
+        return text
+    if read is int:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be "
+                     + ("an integer" if read is int else " or ".join(read))
+                     + f", not {text!r}")
+
+
+def _parse(argv: list[str]):
+    """(handler, arguments) for a command line, or None once a help text
+    is printed; a usage error raises ParseError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_help())
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ParseError(f"{what} (see parallo --help)")
+    command, *rest = argv
+    handler, _, arguments, options = COMMANDS[command]
+    if "-h" in rest or "--help" in rest:
+        print(_help(command))
+        return None
+    args = {key[2:]: default for key, (_, default) in options.items()}
+    values = []
+    tokens = iter(rest)
+    for token in tokens:
+        key, eq, text = token.partition("=")
+        if key not in options:
+            if token.startswith("-") and token != "-":
+                raise ParseError(f"{command}: unknown option {key}")
+            values.append(token)
+            continue
+        read = options[key][0]
+        if read is None:
+            if eq:
+                raise ParseError(f"{command}: {key} takes no value")
+            args[key[2:]] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise ParseError(f"{command}: {key} needs a value")
+        args[key[2:]] = _value(read, text, f"{command}: {key}")
+    if not (sum(not name.endswith("?") for name, _ in arguments)
+            <= len(values) <= len(arguments)):
+        raise ParseError(_synopsis(command))
+    for k, (name, read) in enumerate(arguments):
+        name = name.rstrip("?")
+        args[name] = (_value(read, values[k], f"{command}: {name}")
+                      if k < len(values) else None)
+    missing = [key for key, value in args.items() if value is _REQUIRED]
+    if missing:
+        raise ParseError(f"{command}: --{missing[0]} is required")
+    return handler, args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; every usage or input error is one `error:`
+    line on stderr and exit code 1."""
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:
+            return 0
+        handler, args = parsed
+        return handler(args)
     except ParalloError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import mul
 
 from . import linalg
 from .errors import GeometryError
@@ -59,9 +60,6 @@ class Lattice:
     def norm_sq(self, x: Vec) -> Fraction:
         return self.inner(x, x)
 
-    def with_gram(self, gram) -> "Lattice":
-        return Lattice.create(self.basis, gram)
-
     @cached_property
     def cell(self) -> Polytope:
         """The Voronoi cell of the origin (`dv_cell`), built on first read."""
@@ -69,9 +67,14 @@ class Lattice:
 
     @cached_property
     def coefficient_form(self) -> Mat:
-        """Gram matrix of the basis rows under the ambient metric."""
-        b = self.basis
-        return linalg.matmul(linalg.matmul(b, self.gram), linalg.transpose(b))
+        """Gram matrix of the basis rows under the ambient metric:
+        B G B^T, computed as B' G' B'^T / (bs^2 gs) on the integer rows
+        B' = bs B and G' = gs G."""
+        b, bs = linalg.integer_rows(self.basis)
+        g, gs = linalg.integer_rows(self.gram)
+        bg = [[sum(map(mul, row, col)) for col in zip(*g)] for row in b]
+        return tuple(tuple(Fraction(sum(map(mul, r, c)), bs * bs * gs)
+                           for c in b) for r in bg)
 
     @cached_property
     def _ldl(self) -> tuple[list[list[int]], int, list[int], int]:
@@ -161,7 +164,7 @@ def _enumerate(lat: Lattice, r2: Fraction, center: Vec | None = None,
 def _ambient_sorted(lat: Lattice, ks) -> list[Vec]:
     """The ambient vectors of integer coefficient tuples, sorted."""
     cols, s = lat._basis_columns
-    nums = sorted(tuple(sum(x * y for x, y in zip(col, k)) for col in cols)
+    nums = sorted(tuple(sum(map(mul, col, k)) for col in cols)
                   for k in ks)
     return [tuple(Fraction(x, s) for x in v) for v in nums]
 
@@ -226,9 +229,14 @@ def relevant_vectors(lat: Lattice) -> list[Vec]:
 
 
 def dv_cell(lat: Lattice) -> Polytope:
-    """Voronoi cell of the origin: {x : <x, v> <= <v, v>/2 for relevant v}."""
+    """Voronoi cell of the origin: {x : <x, v> <= <v, v>/2 for relevant v}.
+
+    On integer rows V = vs v and GV = gs G V, the halfspace of v is
+    <GV, x> <= <V, GV> / (2 vs), the same one scaled by gs vs > 0."""
+    gram, _ = linalg.integer_rows(lat.gram)
+    rows, vs = linalg.integer_rows(relevant_vectors(lat))
     halfspaces = []
-    for v in relevant_vectors(lat):
-        normal = linalg.matvec(lat.gram, v)
-        halfspaces.append((normal, lat.norm_sq(v) / 2))
+    for v in rows:
+        gv = [sum(map(mul, row, v)) for row in gram]
+        halfspaces.append((gv, Fraction(sum(map(mul, v, gv)), 2 * vs)))
     return Polytope.from_halfspaces(halfspaces, lat.dim)

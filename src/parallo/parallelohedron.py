@@ -20,9 +20,11 @@ tiles meet at it rather than four).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .lattice import Lattice, vectors_in_ball
 from .linalg import Vec
-from .polytope import Face, Polytope, affine_hull_polytope
+from .polytope import Face, Polytope, _bits, affine_hull_polytope
 
 
 class VenkovWitness(namedtuple("VenkovWitness",
@@ -261,11 +263,12 @@ class Parallelohedron:
 
     def _check_neighbors(self):
         """P and P + t_F must intersect in exactly the facet F: the row
-        of t_F in the translate table must be the facet's vertex ids (a
-        facet vector with no row lies outside 2P and fails)."""
+        of t_F in the translate table must be the bit set of the facet's
+        vertices (a facet vector with no row lies outside 2P and fails)."""
         p = self.polytope
         for fi, t in enumerate(self.facet_vectors):
-            if self._translate_members.get(t) != set(p.facet_vertex_ids[fi]):
+            if self._translate_members.get(t) != sum(
+                    1 << i for i in p.facet_vertex_ids[fi]):
                 raise GeometryError(
                     f"facet vector of facet {fi} does not reproduce the facet "
                     "as the neighbor intersection"
@@ -289,35 +292,58 @@ class Parallelohedron:
     # -- dual cells -------------------------------------------------------
 
     @cached_property
-    def _translate_members(self) -> dict[Vec, frozenset[int]]:
-        """Per lattice translate t in 2P, the ids of the vertices v with
-        v - t in P, that is <n, v> <= b + <n, t> on every facet (n, b).
+    def _translate_members(self) -> dict[Vec, int]:
+        """Per lattice translate t in 2P, the bit set of the vertices v
+        with v - t in P, that is <n, v> <= b + <n, t> on every facet
+        (n, b).
 
         P is centred, so P - P = 2P: P + t meets P exactly when
         <n, t> <= 2 b on every facet. Those t lie in the ball of twice
         the circumradius, and the other vectors of that ball get no row.
+        Each facet sorts the vertex heights <n, v> once; the vertices
+        under a cap are then a prefix, found by bisection, and a row is
+        the AND of one prefix per facet.
         """
         p = self.polytope
         ball = vectors_in_ball(self.lattice, 4 * p.circumradius_sq)
         points, normals, offsets = p.integer_form(ball)
-        heights = [[sum(x * y for x, y in zip(n, v)) for n in normals]
-                   for v in points]
-        vertex_heights = heights[:p.n_vertices]
+        vertices, shifts = points[:p.n_vertices], points[p.n_vertices:]
+        levels = []  # per facet: sorted heights, and the prefix bit sets
+        for n in normals:
+            heights = sorted((sum(map(mul, n, v)), i)
+                             for i, v in enumerate(vertices))
+            prefix = [0]
+            for _, i in heights:
+                prefix.append(prefix[-1] | 1 << i)
+            levels.append(([h for h, _ in heights], prefix))
         out = {}
-        for t, shift in zip(ball, heights[p.n_vertices:]):
-            if any(x > 2 * b for x, b in zip(shift, offsets)):
+        for t, v in zip(ball, shifts):
+            caps = [b + sum(map(mul, n, v)) for n, b in zip(normals, offsets)]
+            if any(c > 3 * b for c, b in zip(caps, offsets)):
                 continue
-            caps = [b + x for x, b in zip(shift, offsets)]
-            out[t] = frozenset(
-                i for i, h in enumerate(vertex_heights)
-                if all(x <= c for x, c in zip(h, caps))
-            )
+            members = -1
+            for c, (heights, prefix) in zip(caps, levels):
+                members &= prefix[bisect_right(heights, c)]
+            out[t] = members
         return out
 
+    @cached_property
+    def _rows_at(self) -> tuple[tuple[Vec, ...], list[int]]:
+        """The translates of `_translate_members` in order, and per vertex
+        the bit set of the rows that hold it."""
+        at = [0] * self.polytope.n_vertices
+        for j, members in enumerate(self._translate_members.values()):
+            for i in _bits(members):
+                at[i] |= 1 << j
+        return tuple(self._translate_members), at
+
     def dual_cell(self, face: Face) -> DualCell:
-        ids = frozenset(face.vertex_ids)
-        centers = [t for t, members in self._translate_members.items()
-                   if ids <= members]
+        """The translates whose rows hold every vertex of the face."""
+        translates, at = self._rows_at
+        rows = (1 << len(translates)) - 1
+        for i in face.vertex_ids:
+            rows &= at[i]
+        centers = [translates[j] for j in _bits(rows)]
         return DualCell(face, tuple(sorted(centers)), self.dim - face.dim)
 
     def dual_cells(self, codim: int) -> list[DualCell]:
@@ -334,37 +360,6 @@ class Parallelohedron:
                 len(c.centers) == k + 1 for c in self.dual_cells(k)
             )
         return out
-
-    def tiling_facet_normals_at(self, face: Face) -> list[Vec]:
-        """Normals (up to sign) of all tiling facets containing the face."""
-        cell = self.dual_cell(face)
-        vec_to_facet = {t: i for i, t in enumerate(self.facet_vectors)}
-        lines = set()
-        for t1 in cell.centers:
-            for t2 in cell.centers:
-                if t1 == t2:
-                    continue
-                fi = vec_to_facet.get(linalg.vsub(t2, t1))
-                if fi is not None:
-                    lines.add(linalg.normalize_primitive(
-                        self.polytope.facet_normals[fi]))
-        return sorted(lines)
-
-    def is_k_irreducible(self, k: int):
-        """No codim-k face splits its tiling-facet normals into two
-        subsets with linearly independent spans. Returns (bool, witness)."""
-        if k <= 1:
-            raise ValueError("irreducibility is defined for k > 1")
-        for face in self.polytope.face_lattice.faces(self.dim - k):
-            lines = self.tiling_facet_normals_at(face)
-            m = len(lines)
-            total = linalg.rank(tuple(lines))
-            for mask in range(1, 2 ** (m - 1)):
-                n1 = [lines[i] for i in range(m) if mask >> i & 1]
-                n2 = [lines[i] for i in range(m) if not mask >> i & 1]
-                if linalg.rank(tuple(n1)) + linalg.rank(tuple(n2)) == total:
-                    return False, (face, tuple(n1), tuple(n2))
-        return True, None
 
 
 DUAL3_TYPES = {

@@ -19,9 +19,12 @@ intersection, from the empty face up to the whole polytope. Each face
 carries its vertex ids and the ids of the facets that contain it, the
 meet of its vertices' facet sets (Kaibel & Pfetsch 2002, "Computing the
 face lattice of a polytope from its vertex-facet incidences"). The
-affine hull of a nonempty face is the meet of its facets' hyperplanes,
-so its dimension is d minus the rank of their normals; the empty face
-has dimension -1.
+grades come from the incidences alone: the empty face has dimension -1,
+and any other face one more than the largest dimension among its
+intersections with the facets that do not contain it, since its own
+facets are among those intersections. Only the facets that meet a face
+can cut it down to a nonempty face, so both the closure and the grading
+look at those alone.
 """
 
 from __future__ import annotations
@@ -30,20 +33,13 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .errors import GeometryError
 from .linalg import Mat, Vec
 
 Halfspace = tuple[Vec, Fraction]  # (normal, offset): <normal, x> <= offset
-
-
-def affine_rank(points: list[Vec]) -> int:
-    """Dimension of the affine hull of a point set (-1 for empty)."""
-    if not points:
-        return -1
-    p0 = points[0]
-    return linalg.rank(tuple(linalg.vsub(p, p0) for p in points[1:]))
 
 
 class Face(namedtuple("Face", "dim vertex_ids facets")):
@@ -88,10 +84,11 @@ def _bits(z: int):
         z ^= low
 
 
-def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
+def _extreme_rays(rows: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the pointed cone {y : <a, y> >= 0 for every row a},
-    sorted, as primitive integer vectors, by double description (Motzkin
-    et al. 1953; Fukuda & Prodon 1996).
+    sorted, as primitive integer vectors, each with the bit set of the
+    rows it vanishes on, by double description (Motzkin et al. 1953;
+    Fukuda & Prodon 1996).
 
     The simplicial cone of the first D independent rows has one ray per
     basis row: the integer kernel of the other D - 1, which vanishes on
@@ -114,7 +111,7 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
     zeros: list[int] = []  # per ray, the bit set of the rows it vanishes on
     for i in basis:
         (ray,) = linalg.int_kernel([rows[j] for j in basis if j != i])
-        if sum(x * y for x, y in zip(rows[i], ray)) < 0:
+        if sum(map(mul, rows[i], ray)) < 0:
             ray = [-x for x in ray]
         g = math.gcd(*ray)
         rays.append([x // g for x in ray])
@@ -123,7 +120,7 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
     for k, a in enumerate(rows):
         if k in done:
             continue
-        values = [sum(x * y for x, y in zip(a, ray)) for ray in rays]
+        values = [sum(map(mul, a, ray)) for ray in rays]
         # per row, the bit set of the rays that vanish on it
         on_row: dict[int, int] = {}
         for r, z in enumerate(zeros):
@@ -156,27 +153,27 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
                 new_rays.append([x // g for x in ray])
                 new_zeros.append(common | 1 << k)
         rays, zeros = new_rays, new_zeros
-    return sorted(tuple(ray) for ray in rays)
+    return sorted(zip(map(tuple, rays), zeros))
 
 
 def _facets_from_points(points: list[Vec], dim: int
-                        ) -> list[tuple[Halfspace, list[int]]]:
+                        ) -> list[tuple[Halfspace, int]]:
     """Facet halfspaces of a full-dimensional point set, sorted, each
-    with the indices of the points on it.
+    with the bit set of the points on it.
 
     With the points scaled to integers, the valid inequalities
     <n, x> <= b form the cone b - <n, p> >= 0 over the points p, and its
-    extreme rays (b, n) are the facets.
+    extreme rays (b, n) are the facets. Rows (1, -p) have rank one more
+    than the affine rank of their points p.
     """
     ints, scale = linalg.integer_rows(points)
     rows = [[1] + [-x for x in p] for p in ints]
+    if linalg.rank(rows) != dim + 1:
+        raise GeometryError("input is not full-dimensional")
     facets = []
-    for ray in _extreme_rays(rows):
-        b, *normal = ray
+    for (b, *normal), on in _extreme_rays(rows):
         g = math.gcd(*normal)
-        on = [i for i, row in enumerate(rows)
-              if not sum(a * y for a, y in zip(row, ray))]
-        if affine_rank([points[i] for i in on]) != dim - 1:
+        if linalg.rank([rows[i] for i in _bits(on)]) != dim:
             raise GeometryError("hull produced a supporting hyperplane "
                                 "that is not a facet")
         facets.append(((tuple(Fraction(n // g) for n in normal),
@@ -211,15 +208,12 @@ class Polytope:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise GeometryError("inconsistent point dimensions")
-        if affine_rank(list(pts)) != dim:
-            raise GeometryError("input is not full-dimensional")
         facets = _facets_from_points(pts, dim)
         # p is a vertex iff the facets through it share no other point
         meet = [-1] * len(pts)
         for _, on in facets:
-            mask = sum(1 << i for i in on)
-            for i in on:
-                meet[i] &= mask
+            for i in _bits(on):
+                meet[i] &= on
         return Polytope(
             dim,
             tuple(p for i, p in enumerate(pts) if meet[i] == 1 << i),
@@ -233,30 +227,25 @@ class Polytope:
         for normal, offset in halfspaces:
             hs[_canonical_halfspace(linalg.vec(normal), linalg.frac(offset))] = None
         planes = sorted(hs)
-        if linalg.rank(tuple(n for n, _ in planes)) < dim:
+        normals, _ = linalg.integer_rows(n for n, _ in planes)
+        if linalg.rank(normals) < dim:
             raise GeometryError("halfspace normals do not span the space")
         # vertices x = y / (t * scale) of <n, y> <= (scale * b) t, t >= 0
-        normals, _ = linalg.integer_rows(n for n, _ in planes)
         (offsets,), scale = linalg.integer_rows([[b for _, b in planes]])
         rows = [[b] + [-x for x in n] for n, b in zip(normals, offsets)]
-        vertices = {}
-        for ray in _extreme_rays([[1] + [0] * dim] + rows):
-            t, *y = ray
-            if t == 0:
-                raise GeometryError("halfspace intersection is unbounded")
-            vertices[tuple(Fraction(x, t * scale) for x in y)] = ray
-        verts = sorted(vertices)
-        if affine_rank(verts) != dim:
+        rays = _extreme_rays([[1] + [0] * dim] + rows)
+        if any(ray[0] == 0 for ray, _ in rays):
+            raise GeometryError("halfspace intersection is unbounded")
+        # the affine rank of vertices is the rank of their rays (t, y), less 1
+        if linalg.rank([ray for ray, _ in rays]) != dim + 1:
             raise GeometryError("halfspace intersection has empty interior")
-        facets = []
-        for plane, row in zip(planes, rows):
-            on = [v for v, ray in vertices.items()
-                  if not sum(a * y for a, y in zip(row, ray))]
-            if affine_rank(on) == dim - 1:
-                facets.append(plane)
+        # plane k is row k + 1, after t >= 0
+        facets = [plane for k, plane in enumerate(planes, 1) if linalg.rank(
+            [ray for ray, on in rays if on >> k & 1]) == dim]
         return Polytope(
             dim,
-            tuple(verts),
+            tuple(sorted(tuple(Fraction(x, t * scale) for x in y)
+                         for (t, *y), _ in rays)),
             tuple(n for n, _ in facets),
             tuple(b for _, b in facets),
         )
@@ -274,12 +263,6 @@ class Polytope:
     def halfspaces(self) -> list[Halfspace]:
         return list(zip(self.facet_normals, self.facet_offsets))
 
-    def contains(self, point: Vec) -> bool:
-        return all(
-            linalg.dot(n, point) <= b
-            for n, b in zip(self.facet_normals, self.facet_offsets)
-        )
-
     def integer_form(self, points=()):
         """The vertices followed by `points` as integer rows s x, and the
         facets <n, x> <= b as integer normals ns n and offsets ns s b, so
@@ -294,8 +277,7 @@ class Polytope:
         """Per facet, sorted indices of the vertices lying on it."""
         rows, normals, offsets = self.integer_form()
         return tuple(
-            tuple(i for i, v in enumerate(rows)
-                  if sum(x * y for x, y in zip(n, v)) == b)
+            tuple(i for i, v in enumerate(rows) if sum(map(mul, n, v)) == b)
             for n, b in zip(normals, offsets)
         )
 
@@ -306,7 +288,8 @@ class Polytope:
 
     @cached_property
     def circumradius_sq(self) -> Fraction:
-        return max(linalg.dot(v, v) for v in self.vertices)
+        rows, s = linalg.integer_rows(self.vertices)
+        return Fraction(max(sum(x * x for x in v) for v in rows), s * s)
 
     # -- face lattice ------------------------------------------------
 
@@ -317,24 +300,34 @@ class Polytope:
         for f, ids in enumerate(self.facet_vertex_ids):
             for i in ids:
                 through[i] |= 1 << f
-        found = {(1 << self.n_vertices) - 1, 0}
-        frontier = set(found)
+        # per face: its vertex ids, the facets containing it, and the
+        # facets that meet it without containing it. Every face below it
+        # is an intersection with one of the latter, so the closure walks
+        # down from the whole polytope through those alone.
+        every = (1 << self.n_facets) - 1
+        found = {0: ((), every, 0)}
+        frontier = {(1 << self.n_vertices) - 1}
         while frontier:
-            frontier = {g for f in frontier for m in facet_masks
-                        if (g := f & m) not in found}
-            found |= frontier
-        normals, _ = linalg.integer_rows(self.facet_normals)
-        by_dim: dict[int, list[Face]] = {}
-        for vs in found:
-            ids = tuple(_bits(vs))
-            on = (1 << self.n_facets) - 1
-            for i in ids:
-                on &= through[i]
-            facets = tuple(_bits(on))
-            dim = -1
-            if ids:
-                dim = self.dim - linalg.rank([normals[f] for f in facets])
-            by_dim.setdefault(dim, []).append(Face(dim, ids, facets))
+            below = set()
+            for vs in frontier:
+                ids = tuple(_bits(vs))
+                on, near = every, 0
+                for i in ids:
+                    on &= through[i]
+                    near |= through[i]
+                meeting = near & ~on
+                found[vs] = ids, on, meeting
+                below.update(vs & facet_masks[f] for f in _bits(meeting))
+            frontier = below.difference(found)
+        # a proper face has fewer vertices, so it is graded first; any
+        # other facet meets a nonempty face in the empty face
+        grade = {0: -1}
+        by_dim = {-1: [Face(-1, (), tuple(range(self.n_facets)))]}
+        for vs in sorted(found, key=int.bit_count)[1:]:
+            ids, on, meeting = found[vs]
+            dim = grade[vs] = 1 + max(
+                (grade[vs & facet_masks[f]] for f in _bits(meeting)), default=-1)
+            by_dim.setdefault(dim, []).append(Face(dim, ids, tuple(_bits(on))))
         return FaceLattice(
             {
                 dim: tuple(sorted(fs, key=lambda f: f.vertex_ids))
@@ -378,6 +371,10 @@ class Polytope:
         )
 
     def recentered(self) -> "Polytope":
+        """The translate with centroid 0: `self` when it already has it,
+        since every constructor stores its vertices sorted."""
+        if not any(self.centroid):
+            return self
         return self.translated(linalg.vneg(self.centroid))
 
     def apply_affine(self, a: Mat, shift: Vec | None = None) -> "Polytope":

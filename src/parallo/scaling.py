@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import linalg
 from .errors import GeometryError
@@ -40,8 +41,8 @@ from .parallelohedron import Parallelohedron
 
 class RidgeEdge(namedtuple("RidgeEdge", "ridge facets gain")):
     """A primitive ridge (an id into the polytope's codim-2 faces), its
-    two facets in belt order, and the gain |alpha[1] / alpha[0]| of
-    `ridge_dependence`, applied from facets[0] to facets[1]."""
+    two facets in belt order, and the gain applied from facets[0] to
+    facets[1] (see `build_ridge_graph`)."""
 
     __slots__ = ()
 
@@ -114,66 +115,47 @@ class RidgeGraph:
         raise GeometryError("facets do not match the ridge")
 
 
-def ridge_dependence(para: Parallelohedron, ridge_id: int,
-                     normal_scale=None):
-    """Normals of the three tiling facets at a primitive ridge and the
-    unique dependence among them.
+def build_ridge_graph(para: Parallelohedron) -> RidgeGraph:
+    """One node per facet, one gain-weighted edge per primitive ridge.
 
-    Returns (n1, n2, n3, alpha, (f1, f2, f3)): f1, f2 are the two facets
-    of the polytope containing the ridge (in belt order), f3 the belt
-    successor whose translate supplies the third tiling facet. alpha is
-    the kernel vector normalized to integer content 1.
-
-    `normal_scale` optionally rescales each facet's canonical normal by
-    a positive rational (index -> factor); gains of closed walks are
-    invariant under this, which the test suite exercises.
+    Each primitive ridge lies in one 6-belt, whose facets are F0, F1, F2
+    and their opposites F3, F4, F5, so its normals are n0, n1, n2 and
+    their negatives. At the ridge between F_i and F_(i+1) the three
+    tiling facets are F_i, F_(i+1), F_(i+2); one dependence
+    a0 n0 + a1 n1 + a2 n2 = 0 therefore serves all six ridges, and the
+    gain from F_i to F_(i+1) is |a_(i+1) / a_i| with indices mod 3. Each
+    ridge still checks t_i - t_(i+1) = +-t_(i+2) on its facet vectors.
     """
-    bid, pos = para.belt_of_ridge[ridge_id]
-    belt = para.belts[bid]
-    if belt.length != 6:
-        raise GeometryError(f"ridge {ridge_id} is not primitive (belt length 4)")
-    m = belt.length
-    f1, f2 = belt.facets[pos], belt.facets[(pos + 1) % m]
-    f3 = belt.facets[(pos + 2) % m]
-    t1, t2 = para.facet_vectors[f1], para.facet_vectors[f2]
-    t3 = para.facet_vectors[f3]
-    diff = linalg.vsub(t1, t2)
-    if diff != t3 and diff != linalg.vneg(t3):
-        raise GeometryError(
-            "belt successor does not carry the neighbor-difference direction"
-        )
-
-    def normal(fi):
-        n = para.polytope.facet_normals[fi]
-        if normal_scale is not None and fi in normal_scale:
-            factor = linalg.frac(normal_scale[fi])
-            if factor <= 0:
-                raise ValueError("normal rescaling must be positive")
-            n = linalg.vscale(factor, n)
-        return n
-
-    n1, n2, n3 = normal(f1), normal(f2), normal(f3)
-    columns = linalg.transpose((n1, n2, n3))
-    kernel = linalg.nullspace(columns)
-    if len(kernel) != 1:
-        raise GeometryError(
-            "normals at the ridge do not have a unique linear dependence"
-        )
-    alpha = kernel[0]
-    if any(a == 0 for a in alpha):
-        raise GeometryError("degenerate dependence at a primitive ridge")
-    return n1, n2, n3, alpha, (f1, f2, f3)
-
-
-def build_ridge_graph(para: Parallelohedron, normal_scale=None) -> RidgeGraph:
-    """One node per facet, one gain-weighted edge per primitive ridge."""
-    edges = []
-    for rid in range(len(para.ridges)):
-        if not para.ridge_primitive(rid):
+    normals, _ = linalg.integer_rows(para.polytope.facet_normals)
+    vectors, _ = linalg.integer_rows(para.facet_vectors)
+    edge_of = {}
+    for belt in para.belts:
+        if belt.length != 6:
             continue
-        _, _, _, alpha, (f1, f2, _) = ridge_dependence(para, rid, normal_scale)
-        edges.append(RidgeEdge(rid, (f1, f2), abs(alpha[1] / alpha[0])))
-    return RidgeGraph(para, edges)
+        f = belt.facets
+        if any(para.opposite_facet[f[i]] != f[i + 3] for i in range(3)):
+            raise GeometryError("a 6-belt does not end in the opposites of "
+                                "its first three facets")
+        kernel = linalg.int_kernel([list(col) for col in zip(
+            *(normals[fi] for fi in f[:3]))])
+        if len(kernel) != 1:
+            raise GeometryError(
+                "normals at the ridge do not have a unique linear dependence"
+            )
+        alpha = kernel[0]
+        if not all(alpha):
+            raise GeometryError("degenerate dependence at a primitive ridge")
+        for i, rid in enumerate(belt.ridges):
+            t1, t2, t3 = (vectors[f[(i + k) % 6]] for k in range(3))
+            diff = [x - y for x, y in zip(t1, t2)]
+            if diff != t3 and diff != [-x for x in t3]:
+                raise GeometryError(
+                    "belt successor does not carry the neighbor-difference "
+                    "direction"
+                )
+            gain = Fraction(abs(alpha[(i + 1) % 3]), abs(alpha[i % 3]))
+            edge_of[rid] = RidgeEdge(rid, (f[i], f[(i + 1) % 6]), gain)
+    return RidgeGraph(para, [edge_of[rid] for rid in sorted(edge_of)])
 
 
 def gain_along_walk(graph: RidgeGraph, walk: Walk) -> Fraction:
@@ -304,27 +286,33 @@ def voronoi_mismatch(para: Parallelohedron, lattice: Lattice) -> MismatchWitness
     |t_F|^2 = 2 * lam * b_F. P is inside Vor when every vertex x has
     2 <x, v> <= |v|^2 for all lattice v; a v with |v|^2 > 4 max |x|^2
     cannot cut the ball holding the vertices, so a finite sweep decides.
-    The sweep compares integers: vertices, ball vectors and G are each
-    scaled once to integer rows. It runs vertex by vertex over the sorted
-    ball, and the first cut found is the witness.
+    Both checks compare integers: G, the facet vectors, each facet's
+    (n, b), the vertices and the ball vectors are scaled once to integer
+    rows. The sweep runs vertex by vertex over the sorted ball, and the
+    first cut found is the witness.
     """
     p = para.polytope
-    for fi, (t, n, b) in enumerate(zip(para.facet_vectors, p.facet_normals,
-                                       p.facet_offsets)):
-        g = linalg.matvec(lattice.gram, t)
-        lead = next(i for i, x in enumerate(n) if x != 0)
-        lam = g[lead] / n[lead]
-        if (lam <= 0 or g != linalg.vscale(lam, n)
-                or lattice.norm_sq(t) != 2 * lam * b):
-            return MismatchWitness("facet", facet=fi)
-    # on integer rows X = xs x, V = vs v and GV = gs G V:
-    # 2 <x, Gv> > <v, Gv>  iff  2 vs <X, GV> > xs <V, GV>
     gram, gs = linalg.integer_rows(lattice.gram)
 
     def form(y):
-        gy = [sum(a * b for a, b in zip(row, y)) for row in gram]
-        return gy, sum(a * b for a, b in zip(y, gy))
+        gy = [sum(map(mul, row, y)) for row in gram]
+        return gy, sum(map(mul, y, gy))
 
+    # with T = ts t, GT = gs ts G t and (N, B) = c (n, b) for one c > 0:
+    # G t = lam n, lam > 0  iff  GT = mu N, mu > 0, and then
+    # <t, G t> = 2 lam b  iff  <T, GT> N_k = 2 ts GT_k B at any N_k != 0
+    tints, ts = linalg.integer_rows(para.facet_vectors)
+    facets, _ = linalg.integer_rows(
+        n + (b,) for n, b in zip(p.facet_normals, p.facet_offsets))
+    for fi, (t, (*n, b)) in enumerate(zip(tints, facets)):
+        gt, tgt = form(t)
+        k = next(i for i, x in enumerate(n) if x != 0)
+        if (gt[k] * n[k] <= 0
+                or any(g * n[k] != x * gt[k] for g, x in zip(gt, n))
+                or tgt * n[k] != 2 * ts * gt[k] * b):
+            return MismatchWitness("facet", facet=fi)
+    # on integer rows X = xs x, V = vs v and GV = gs G V:
+    # 2 <x, Gv> > <v, Gv>  iff  2 vs <X, GV> > xs <V, GV>
     xints, xs = linalg.integer_rows(p.vertices)
     r2 = Fraction(max(form(x)[1] for x in xints), gs * xs * xs)
     ball = vectors_in_ball(lattice, 4 * r2)
@@ -335,7 +323,7 @@ def voronoi_mismatch(para: Parallelohedron, lattice: Lattice) -> MismatchWitness
         cuts.append(([2 * vs * a for a in gv], xs * vgv))
     for x, xi in zip(p.vertices, xints):
         for v, (gv2, cap) in zip(ball, cuts):
-            if sum(a * b for a, b in zip(xi, gv2)) > cap:
+            if sum(map(mul, xi, gv2)) > cap:
                 return MismatchWitness("cut", lattice_vector=v, vertex=x)
     return None
 
@@ -387,19 +375,27 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
         for j in range(i, d):
             upper_index[(i, j)] = k
             k += 1
+    # on integer rows T = ts t and N = ns n, the equations of facet F
+    # times ts ns den(s(F)) > 0; its opposite has t and n negated and,
+    # once scaled, the same s and k, so one block serves the pair
+    tints, ts = linalg.integer_rows(para.facet_vectors)
+    normals, ns = linalg.integer_rows(p.facet_normals)
     rows = []
-    for fi in range(p.n_facets):
-        t = para.facet_vectors[fi]
-        nrm = p.facet_normals[fi]
-        s = scaling.values[fi]
+    for fi, fo in enumerate(para.opposite_facet):
+        if fo < fi:
+            continue
+        s, k = scaling.values[fi], scaling.groups[fi]
+        if (s, k) != (scaling.values[fo], scaling.groups[fo]):
+            raise GeometryError(f"opposite facets {fi} and {fo} differ in "
+                                "scaling value or group")
+        t = [ns * s.denominator * x for x in tints[fi]]
         for r in range(d):
-            row = [Fraction(0)] * (n_upper + n_groups)
+            row = [0] * (n_upper + n_groups)
             for j in range(d):
-                a, b = min(r, j), max(r, j)
-                row[upper_index[(a, b)]] += t[j]
-            row[n_upper + scaling.groups[fi]] = -s * nrm[r]
-            rows.append(tuple(row))
-    basis = linalg.nullspace(tuple(rows))
+                row[upper_index[min(r, j), max(r, j)]] += t[j]
+            row[n_upper + k] = -ts * s.numerator * normals[fi][r]
+            rows.append(row)
+    basis = linalg.nullspace(rows)
     if not basis:
         return VoronoiCertificate(
             "scaling-fails", scaling, None, None,
@@ -415,7 +411,8 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     u = linalg.scale_to_content_one(u)
     gram = _sym_from_upper(u[:n_upper], d)
     factors = u[n_upper:]
-    mismatch = voronoi_mismatch(para, para.lattice.with_gram(gram))
+    # the basis is nonsingular and `gram` positive definite, as tested above
+    mismatch = voronoi_mismatch(para, Lattice(para.lattice.basis, gram))
     return VoronoiCertificate(
         "certified" if mismatch is None else "dv-mismatch", scaling, gram,
         factors, witness=mismatch, solution_basis=tuple(basis),
@@ -428,13 +425,6 @@ def certify(graph: RidgeGraph) -> VoronoiCertificate:
     if isinstance(result, ScalingWitness):
         return VoronoiCertificate("scaling-fails", None, None, None, witness=result)
     return voronoi_form(graph.para, result)
-
-
-class LocalCycleCheck(namedtuple("LocalCycleCheck",
-                                 "face_vertex_ids skipped reason walk product")):
-    """Gain product around a codim-3 face, or the reason it was skipped."""
-
-    __slots__ = ()
 
 
 def face_walk(para: Parallelohedron, face) -> Walk | None:
@@ -469,29 +459,3 @@ def face_walk(para: Parallelohedron, face) -> Walk | None:
         ridges.append(r2 if r1 == rid else r1)
     facets.append(start)
     return Walk(tuple(facets), tuple(ridges))
-
-
-def local_cycle_check(para: Parallelohedron, face,
-                      graph: RidgeGraph | None = None) -> LocalCycleCheck:
-    """Product of gains around a codim-3 face whose ridges are all primitive."""
-    walk = face_walk(para, face)
-    if walk is None:
-        return LocalCycleCheck(
-            face.vertex_ids, True,
-            "face lies on a non-primitive ridge", None, None,
-        )
-    if graph is None:
-        graph = build_ridge_graph(para)
-    return LocalCycleCheck(
-        face.vertex_ids, False, None, walk, gain_along_walk(graph, walk)
-    )
-
-
-def half_belt_check(graph: RidgeGraph, belt) -> Fraction:
-    """Gain product over three consecutive edges of a 6-belt (expect 1)."""
-    if belt.length != 6:
-        raise GeometryError("half-belt products need a belt of length 6")
-    total = Fraction(1)
-    for i in range(3):
-        total *= graph.gain(belt.facets[i], belt.facets[i + 1], belt.ridges[i])
-    return total

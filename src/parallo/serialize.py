@@ -1,7 +1,9 @@
 """JSON and OFF input/output.
 
 Rationals travel as strings "p/q" (or "p" for integers) so no precision
-is ever lost. OFF export is visualization-only: coordinates whose
+is ever lost; JSON integers are read as well, JSON booleans are not. A
+rational whose digits Python would refuse to print is an error line, not
+a traceback. OFF export is visualization-only: coordinates whose
 denominators are products of 2s and 5s render as exact decimals, the
 rest get a best-effort decimal plus a `#exact` comment carrying the
 rational.
@@ -10,6 +12,7 @@ rational.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from . import linalg
@@ -18,16 +21,31 @@ from .lattice import Lattice
 from .polytope import Polytope
 
 
+# Python prints no int of more digits than its limit (4300 by default; 0
+# turns the limit off), and an exponent past it is refused before 10**e,
+# which could take hours, is computed
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def rational_to_str(q: Fraction) -> str:
     q = linalg.frac(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return (str(q.numerator) if q.denominator == 1
+                else f"{q.numerator}/{q.denominator}")
+    except ValueError as exc:  # past the digit limit
+        raise ParseError(f"a rational is too long to print ({exc})") from None
 
 
 def rational_from_str(s, where: str = "value") -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"{where}: expected rational string, got {s!r}")
+    _, e, exponent = s.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdigit() and (len(digits) > 9 or int(digits) >= _DIGITS):
+        raise ParseError(f"{where}: the exponent of {s!r} would give more "
+                         f"than {_DIGITS} digits")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -173,7 +191,11 @@ def polytope_to_off(p: Polytope) -> str:
         for x in v:
             dec = _decimal_or_none(x)
             if dec is None:
-                rendered.append(repr(float(x)))
+                try:
+                    rendered.append(repr(float(x)))
+                except OverflowError:
+                    raise ParseError("a coordinate is past the float range "
+                                     "of OFF") from None
                 exact_note.append(rational_to_str(x))
             else:
                 rendered.append(dec)

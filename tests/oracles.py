@@ -15,13 +15,15 @@ eliminations they replaced, the facets of a face and the faces above
 it from subset scans over vertex sets, a face's dimension from the
 `Fraction` affine rank of its vertices, a point hull's vertices from the
 rank of the facets through each point, the extreme rays of a cone from a
-`Fraction` kernel per (D - 1)-subset of its rows, the half-belt span
+`Fraction` kernel per (D - 1)-subset of its rows, the gains of a
+6-belt from one `Fraction` kernel per primitive ridge, the half-belt span
 from the compact cut model that the dual-block complex replaced, and
 the point reflections of the Venkov checks from the `Fraction`
 centroid of each point set.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -33,7 +35,14 @@ from parallo import linalg
 from parallo.errors import GeometryError
 from parallo.lattice import vectors_in_ball
 from parallo.polytope import _canonical_halfspace
-from parallo.scaling import MismatchWitness
+from parallo.scaling import (
+    MismatchWitness,
+    RidgeEdge,
+    RidgeGraph,
+    build_ridge_graph,
+    face_walk,
+    gain_along_walk,
+)
 from parallo.topology import (
     HalfBeltSpan,
     _dense,
@@ -143,7 +152,7 @@ def dual_cell_centers(para, faces):
     for face in faces:
         pts = [p.vertices[i] for i in face.vertex_ids]
         out.append(tuple(sorted(
-            t for t in ball if all(p.contains(linalg.vsub(v, t)) for v in pts)
+            t for t in ball if all(contains(p, linalg.vsub(v, t)) for v in pts)
         )))
     return out
 
@@ -156,7 +165,7 @@ def ball_translate_members(para):
     out = {}
     for t in vectors_in_ball(para.lattice, 4 * p.circumradius_sq):
         ids = frozenset(i for i, v in enumerate(p.vertices)
-                        if p.contains(linalg.vsub(v, t)))
+                        if contains(p, linalg.vsub(v, t)))
         if ids:
             out[t] = ids
     return out
@@ -170,7 +179,7 @@ def covering_counts(lat, cell, x) -> tuple[int, int]:
     closed = interior = 0
     for t in vectors_in_ball(lat, r2, around=x):
         p = linalg.vsub(x, t)
-        if cell.contains(p):
+        if contains(cell, p):
             closed += 1
             if all(linalg.dot(n, p) < b
                    for n, b in zip(cell.facet_normals, cell.facet_offsets)):
@@ -181,6 +190,144 @@ def covering_counts(lat, cell, x) -> tuple[int, int]:
 def walk_closed(walk) -> bool:
     """Does a facet walk of at least one step end where it starts?"""
     return len(walk.facets) > 1 and walk.facets[0] == walk.facets[-1]
+
+
+def contains(p, point) -> bool:
+    """Whether the polytope holds the point, by `Fraction` dot products."""
+    return all(linalg.dot(n, point) <= b
+               for n, b in zip(p.facet_normals, p.facet_offsets))
+
+
+# -- gains per ridge and the gain lemmas ------------------------------------
+
+
+def ridge_dependence(para, ridge_id: int, normal_scale=None):
+    """Normals of the three tiling facets at a primitive ridge and the
+    unique dependence among them, by one `Fraction` kernel per ridge.
+
+    Returns (n1, n2, n3, alpha, (f1, f2, f3)): f1, f2 are the two facets
+    of the polytope containing the ridge (in belt order), f3 the belt
+    successor whose translate supplies the third tiling facet. alpha is
+    the kernel vector normalized to integer content 1.
+
+    `normal_scale` optionally rescales each facet's canonical normal by
+    a positive rational (index -> factor); gains of closed walks are
+    invariant under this.
+    """
+    bid, pos = para.belt_of_ridge[ridge_id]
+    belt = para.belts[bid]
+    if belt.length != 6:
+        raise GeometryError(f"ridge {ridge_id} is not primitive (belt length 4)")
+    m = belt.length
+    f1, f2 = belt.facets[pos], belt.facets[(pos + 1) % m]
+    f3 = belt.facets[(pos + 2) % m]
+    t1, t2 = para.facet_vectors[f1], para.facet_vectors[f2]
+    t3 = para.facet_vectors[f3]
+    diff = linalg.vsub(t1, t2)
+    if diff != t3 and diff != linalg.vneg(t3):
+        raise GeometryError(
+            "belt successor does not carry the neighbor-difference direction"
+        )
+
+    def normal(fi):
+        n = para.polytope.facet_normals[fi]
+        if normal_scale is not None and fi in normal_scale:
+            factor = linalg.frac(normal_scale[fi])
+            if factor <= 0:
+                raise ValueError("normal rescaling must be positive")
+            n = linalg.vscale(factor, n)
+        return n
+
+    n1, n2, n3 = normal(f1), normal(f2), normal(f3)
+    kernel = fraction_nullspace(linalg.transpose((n1, n2, n3)))
+    if len(kernel) != 1:
+        raise GeometryError(
+            "normals at the ridge do not have a unique linear dependence"
+        )
+    alpha = kernel[0]
+    if any(a == 0 for a in alpha):
+        raise GeometryError("degenerate dependence at a primitive ridge")
+    return n1, n2, n3, alpha, (f1, f2, f3)
+
+
+def per_ridge_graph(para, normal_scale=None):
+    """The ridge graph with the gain of each primitive ridge read off its
+    own `ridge_dependence`, optionally on rescaled normals."""
+    edges = []
+    for rid in range(len(para.ridges)):
+        if not para.ridge_primitive(rid):
+            continue
+        _, _, _, alpha, (f1, f2, _) = ridge_dependence(para, rid, normal_scale)
+        edges.append(RidgeEdge(rid, (f1, f2), abs(alpha[1] / alpha[0])))
+    return RidgeGraph(para, edges)
+
+
+class LocalCycleCheck(namedtuple("LocalCycleCheck",
+                                 "face_vertex_ids skipped reason walk product")):
+    """Gain product around a codim-3 face, or the reason it was skipped."""
+
+    __slots__ = ()
+
+
+def local_cycle_check(para, face, graph=None) -> LocalCycleCheck:
+    """Product of gains around a codim-3 face whose ridges are all primitive."""
+    walk = face_walk(para, face)
+    if walk is None:
+        return LocalCycleCheck(
+            face.vertex_ids, True,
+            "face lies on a non-primitive ridge", None, None,
+        )
+    if graph is None:
+        graph = build_ridge_graph(para)
+    return LocalCycleCheck(
+        face.vertex_ids, False, None, walk, gain_along_walk(graph, walk)
+    )
+
+
+def half_belt_check(graph, belt) -> Fraction:
+    """Gain product over three consecutive edges of a 6-belt (expect 1)."""
+    if belt.length != 6:
+        raise GeometryError("half-belt products need a belt of length 6")
+    total = Fraction(1)
+    for i in range(3):
+        total *= graph.gain(belt.facets[i], belt.facets[i + 1], belt.ridges[i])
+    return total
+
+
+# -- k-irreducibility ---------------------------------------------------------
+
+
+def tiling_facet_normals_at(para, face) -> list:
+    """Normals (up to sign) of all tiling facets containing the face."""
+    cell = para.dual_cell(face)
+    vec_to_facet = {t: i for i, t in enumerate(para.facet_vectors)}
+    lines = set()
+    for t1 in cell.centers:
+        for t2 in cell.centers:
+            if t1 == t2:
+                continue
+            fi = vec_to_facet.get(linalg.vsub(t2, t1))
+            if fi is not None:
+                lines.add(linalg.normalize_primitive(
+                    para.polytope.facet_normals[fi]))
+    return sorted(lines)
+
+
+def is_k_irreducible(para, k: int):
+    """No codim-k face splits its tiling-facet normals into two subsets
+    with linearly independent spans. Returns (bool, witness)."""
+    if k <= 1:
+        raise ValueError("irreducibility is defined for k > 1")
+    for face in para.polytope.face_lattice.faces(para.dim - k):
+        lines = tiling_facet_normals_at(para, face)
+        m = len(lines)
+        total = linalg.rank(tuple(lines))
+        for mask in range(1, 2 ** (m - 1)):
+            n1 = [lines[i] for i in range(m) if mask >> i & 1]
+            n2 = [lines[i] for i in range(m) if not mask >> i & 1]
+            if linalg.rank(tuple(n1)) + linalg.rank(tuple(n2)) == total:
+                return False, (face, tuple(n1), tuple(n2))
+    return True, None
 
 
 def fraction_rref(m):

@@ -16,7 +16,14 @@ from conftest import (
     ridge_graph,
     verified,
 )
-from oracles import covering_counts, random_unimodular, ridge_image_map
+from oracles import (
+    covering_counts,
+    half_belt_check,
+    local_cycle_check,
+    per_ridge_graph,
+    random_unimodular,
+    ridge_image_map,
+)
 from parallo import linalg
 from parallo.catalog import catalog
 from parallo.cli import main as cli_main
@@ -28,8 +35,6 @@ from parallo.scaling import (
     build_ridge_graph,
     certify,
     gain_along_walk,
-    half_belt_check,
-    local_cycle_check,
 )
 from parallo.topology import surface_topology
 
@@ -203,7 +208,7 @@ def test_criterion_4_invariance_suite():
                 fi: F(rng.randint(1, 12), rng.randint(1, 12))
                 for fi in range(para.polytope.n_facets)
             }
-            scaled = build_ridge_graph(para, normal_scale=scale)
+            scaled = per_ridge_graph(para, normal_scale=scale)
             for belt in para.belts:
                 if belt.length != 6:
                     continue
@@ -277,7 +282,7 @@ def test_criterion_7_soundness_cross_check():
             cert = rep.certificate
             # oracle for the inequality proof in voronoi_form: rebuild
             # the Voronoi cell under the recovered form
-            rebuilt = dv_cell(para.lattice.with_gram(cert.gram))
+            rebuilt = dv_cell(Lattice.create(para.lattice.basis, cert.gram))
             assert rebuilt.vertices == para.polytope.vertices
             # tiling spot check in the plain coordinate metric: a sample
             # point is interior to exactly one translate, or (measure-zero

@@ -1,10 +1,11 @@
 import functools
 import json
 import os
+from itertools import product
 
 import pytest
 
-from parallo import catalog, lattice
+from parallo import catalog, cli, lattice
 from parallo.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -203,8 +204,11 @@ SQUARE = [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"]]
     ({"basis": [["1", "0"], ["0", "1"]],
       "gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "gram"),
     ({"basis": []}, '"basis"'),
+    ({"dim": 2, "vertices": [[0, 0], [True, 0], [0, True], [True, True]]},
+     "vertices[1]"),
 ], ids=["bool-dim", "zero-dim", "negative-dim", "zero-normal",
-        "vertices-not-a-list", "ragged-basis", "gram-wrong-size", "empty-basis"])
+        "vertices-not-a-list", "ragged-basis", "gram-wrong-size", "empty-basis",
+        "bool-coordinate"])
 def test_malformed_documents_get_one_error_line(tmp_path, capsys, doc, names):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -246,3 +250,78 @@ def test_one_dimensional_inputs_still_export(tmp_path, capsys, kind):
     assert code == 0
     doc = json.loads(out)
     assert doc["dim"] == 1 and len(doc["vertices"]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("x, says", [
+    ("1e5000", "the exponent of '1e5000' would give more than"),
+    ("12345e4298", "a rational is too long to print"),
+], ids=["exponent-past-the-digit-limit", "numerator-past-the-digit-limit"])
+def test_a_cube_past_the_digit_limit_gets_one_error_line(tmp_path, capsys,
+                                                         command, x, says):
+    """Python prints no int of more than 4300 digits. 1e5000 is refused
+    while it is still a string; 12345e4298 reads, but its numerator has
+    too many digits to print."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 3, "vertices": [
+        [f"{sign}{x}" for sign in signs]
+        for signs in product(("", "-"), repeat=3)]}))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert says in lines[0]
+
+
+def test_off_export_past_the_float_range_gets_one_error_line(tmp_path,
+                                                              capsys):
+    """10^400 / 3 has no exact decimal, and its float overflows."""
+    x = "1" + "0" * 400 + "/3"
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 3, "vertices": [
+        [f"{sign}{x}" for sign in signs]
+        for signs in product(("", "-"), repeat=3)]}))
+    code, out, err = run(capsys, "export", str(path), "--format", "off")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: a coordinate is past the float "
+                                "range of OFF"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["verify"], ["frobnicate"], ["dual-cells", "cube", "--codim", "x"],
+    ["dual-cells", "cube"], ["export", "cube", "--format", "svg"],
+    ["export", "cube", "--out"], ["verify", "cube", "--no-such-flag"],
+    ["verify", "cube", "--timing=yes"], ["verify", "cube", "cube"],
+    ["catalog", "browse"],
+], ids=["no-command", "verify-without-input", "unknown-command",
+        "codim-not-an-integer", "codim-missing", "format-not-a-choice",
+        "option-without-value", "unknown-option", "flag-with-value",
+        "extra-argument", "action-not-a-choice"])
+def test_usage_errors_get_one_error_line_and_exit_1(capsys, argv):
+    """Exit code 2 means inconsistent gain cycles, so a usage error exits
+    1 like any other input error."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]]
+                         + [[command, "--help"] for command in cli.COMMANDS]
+                         + [["verify", "cube", "-h"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: parallo ")
+    for command, spec in cli.COMMANDS.items():
+        if argv[0] == command:
+            assert all(key in out for key in spec[3])
+
+
+def test_options_go_anywhere_and_take_an_equals_sign(capsys):
+    _, before, _ = run(capsys, "export", "cube", "--format", "off")
+    _, after, _ = run(capsys, "export", "--format=off", "cube")
+    assert before == after and before.startswith("OFF\n")
+    code, out, _ = run(capsys, "dual-cells", "--codim=2", "hexagonal-prism")
+    assert code == 0
+    assert json.loads(out)["census_by_center_count"] == {"3": 6, "4": 12}

@@ -25,7 +25,7 @@ from parallo import linalg, polytope
 from parallo.catalog import catalog, catalog_names
 from parallo.errors import GeometryError
 from parallo.lattice import dv_cell
-from parallo.polytope import Polytope, affine_hull_polytope, affine_rank
+from parallo.polytope import Polytope, affine_hull_polytope
 
 F = Fraction
 
@@ -156,6 +156,21 @@ def test_face_facets_and_grades_match_the_subset_scan(name, mapped, rng):
     assert_faces_match_the_scan(p)
 
 
+@pytest.mark.parametrize("name", list(_INCIDENCE_CASES))
+def test_face_grades_match_the_fraction_affine_rank(name, rng):
+    """The grade read off the incidences is the `Fraction` affine rank of
+    the face's vertices, on every catalog cell, the cross-polytopes and
+    A4*, and on a seeded unimodular image of each."""
+    p = _INCIDENCE_CASES[name]()
+    image = p.apply_affine(random_unimodular(rng, p.dim),
+                           [rng.randint(-2, 2) for _ in range(p.dim)])
+    for q in (p, image):
+        for dim, faces in q.face_lattice.faces_by_dim.items():
+            for face in faces:
+                assert face.dim == dim == fraction_affine_rank(
+                    [q.vertices[i] for i in face.vertex_ids])
+
+
 @pytest.mark.parametrize("d, f_vector, vertex_facets, edge_facets", [
     (3, (6, 12, 8), 4, 2),
     (4, (8, 24, 32, 16), 8, 4),
@@ -163,7 +178,7 @@ def test_face_facets_and_grades_match_the_subset_scan(name, mapped, rng):
 def test_cross_polytope_faces_grade_by_normal_rank(d, f_vector,
                                                    vertex_facets, edge_facets):
     """More facets meet at each vertex (and, for d = 4, each edge) than
-    its codimension, yet the rank of their normals still grades it."""
+    its codimension, yet the incidences still grade it."""
     p = cross_polytope(d)
     lat = p.face_lattice
     assert p.f_vector() == f_vector
@@ -278,6 +293,8 @@ def test_recentered():
     shifted = half_cube().translated(linalg.vec([1, 2, 3]))
     back = shifted.recentered()
     assert back.vertices == half_cube().vertices
+    # a centred polytope is its own recentring, incidences and all
+    assert back.recentered() is back
 
 
 # -- the integer kernels against the Fraction loops they replaced ------
@@ -308,7 +325,7 @@ def point_sets(draw):
 @settings(max_examples=120, deadline=None)
 def test_point_hull_matches_the_fraction_loop(case):
     dim, pts = case
-    assume(affine_rank(pts) == dim)
+    assume(fraction_affine_rank(pts) == dim)
     facets = fraction_facets_from_points(pts, dim)
     hull = Polytope.from_vertices(pts)
     assert hull.halfspaces() == facets
@@ -387,17 +404,21 @@ def pointed_cones(draw):
 @settings(max_examples=150, deadline=None)
 def test_extreme_rays_match_the_subset_kernels(rows):
     rays = polytope._extreme_rays(rows)
-    assert rays == fraction_extreme_rays(rows)
-    assert all(math.gcd(*ray) == 1 for ray in rays)
+    assert [ray for ray, _ in rays] == fraction_extreme_rays(rows)
+    assert all(math.gcd(*ray) == 1 for ray, _ in rays)
+    # each ray carries exactly the rows it vanishes on
+    for ray, on in rays:
+        assert on == sum(1 << i for i, row in enumerate(rows)
+                         if not sum(a * y for a, y in zip(row, ray)))
 
 
 def test_extreme_rays_of_small_cones():
     # the orthant: one ray per axis
     assert polytope._extreme_rays([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == \
-        [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        [((0, 0, 1), 0b011), ((0, 1, 0), 0b101), ((1, 0, 0), 0b110)]
     # the cone over a square: four rays, no join across a diagonal
     square = [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]]
-    assert polytope._extreme_rays(square) == \
+    assert [ray for ray, _ in polytope._extreme_rays(square)] == \
         [(1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]
     with pytest.raises(GeometryError, match="not pointed"):
         polytope._extreme_rays([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
@@ -407,7 +428,7 @@ def test_extreme_rays_of_small_cones():
 @settings(max_examples=80, deadline=None)
 def test_halfspace_round_trip_of_a_point_hull(case):
     dim, pts = case
-    assume(affine_rank(pts) == dim)
+    assume(fraction_affine_rank(pts) == dim)
     p = Polytope.from_vertices(pts)
     q = Polytope.from_halfspaces(p.halfspaces(), dim)
     assert q.vertices == p.vertices == \

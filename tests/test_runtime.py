@@ -65,6 +65,15 @@ def test_importing_the_cli_loads_no_later_stage_and_no_code_generator():
     assert loaded & (HEAVY_STDLIB | LATER_STAGES) == set()
 
 
+def test_the_cli_reads_its_arguments_without_argparse():
+    """`parallo verify` reads its arguments from the command table, so
+    neither the import nor a verdict loads argparse."""
+    loaded = modules_after(
+        "from parallo import cli\n"
+        f"assert cli.main(['verify', {ZONOTOPE!r}]) == 3")
+    assert "argparse" not in loaded
+
+
 def test_a_venkov_rejection_loads_neither_scaling_nor_topology():
     loaded = modules_after(
         "from parallo import cli\n"

@@ -1,20 +1,27 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import POLYTOPE_CATALOG, built, ridge_graph
+from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, built, ridge_graph
 from oracles import (
     fraction_voronoi_mismatch,
+    half_belt_check,
+    local_cycle_check,
+    per_ridge_graph,
     random_unimodular,
+    ridge_dependence,
     ridge_image_map,
     scanned_superfaces,
     walk_closed,
 )
 from parallo import linalg
+from parallo.catalog import catalog
 from parallo.errors import GeometryError
 from parallo.lattice import Lattice, dv_cell, vectors_in_ball
 from parallo.parallelohedron import Parallelohedron
+from parallo.polytope import Polytope
 from parallo.report import certificate_dict
 from parallo.scaling import (
     CanonicalScaling,
@@ -26,9 +33,6 @@ from parallo.scaling import (
     certify,
     face_walk,
     gain_along_walk,
-    half_belt_check,
-    local_cycle_check,
-    ridge_dependence,
     voronoi_form,
     voronoi_mismatch,
 )
@@ -232,7 +236,8 @@ def test_voronoi_form_prism_block_structure():
 def test_voronoi_mismatch_accepts_the_recovered_form(name):
     para = built(name)
     gram = certify(ridge_graph(name)).gram
-    assert voronoi_mismatch(para, para.lattice.with_gram(gram)) is None
+    lat = Lattice.create(para.lattice.basis, gram)
+    assert voronoi_mismatch(para, lat) is None
 
 
 def test_voronoi_mismatch_names_a_facet_under_a_perturbed_form():
@@ -240,7 +245,7 @@ def test_voronoi_mismatch_names_a_facet_under_a_perturbed_form():
     gram = [list(row) for row in certify(ridge_graph("truncated-octahedron")).gram]
     gram[0][1] += F(1, 7)
     gram[1][0] += F(1, 7)
-    lat = para.lattice.with_gram(gram)
+    lat = Lattice.create(para.lattice.basis, gram)
     witness = voronoi_mismatch(para, lat)
     assert isinstance(witness, MismatchWitness) and witness.kind == "facet"
     t = para.facet_vectors[witness.facet]
@@ -276,8 +281,9 @@ def test_voronoi_mismatch_matches_the_fraction_sweep_on_perturbed_forms(seed):
         gram = perturbed(rng, linalg.identity(3))
         lat = Lattice.create(basis, gram)
         para = Parallelohedron.build(dv_cell(lat))
-        cases = [para.lattice.with_gram(gram),
-                 para.lattice.with_gram(perturbed(rng, gram))]
+        centers = para.lattice.basis
+        cases = [Lattice.create(centers, gram),
+                 Lattice.create(centers, perturbed(rng, gram))]
         for i in range(3):
             finer = [list(row) for row in para.lattice.basis]
             finer[i] = [x / 2 for x in finer[i]]
@@ -363,7 +369,7 @@ def test_normal_rescaling_leaves_closed_products(rng):
             fi: F(rng.randint(1, 9), rng.randint(1, 9))
             for fi in range(para.polytope.n_facets)
         }
-        scaled = build_ridge_graph(para, normal_scale=scale)
+        scaled = per_ridge_graph(para, normal_scale=scale)
         for belt in para.belts:
             if belt.length != 6:
                 continue
@@ -413,3 +419,94 @@ def test_affine_invariance_of_closed_walk_gains(rng):
                 )
                 assert gain_along_walk(graph, walk) == \
                     gain_along_walk(igraph, mapped)
+
+
+# -- the integer stages against their `Fraction` oracles -------------------
+
+A2_GRAM = [[2, -1], [-1, 2]]
+A2_A2 = Lattice.create(linalg.identity(4), [row + [0, 0] for row in A2_GRAM]
+                       + [[0, 0] + row for row in A2_GRAM])
+
+
+def skewed(p, seed):
+    """The image of a cell under a seeded unimodular map and shift."""
+    rng = random.Random(seed)
+    return p.apply_affine(random_unimodular(rng, p.dim),
+                          [rng.randint(-2, 2) for _ in range(p.dim)])
+
+
+GAIN_CASES = {
+    **{name: lambda name=name: built(name)
+       for name in POLYTOPE_CATALOG + LATTICE_CATALOG},
+    "D4-skewed": lambda: Parallelohedron.build(
+        skewed(built("lattice-D4").polytope, 1)),
+    "A2xA2-skewed": lambda: Parallelohedron.build(skewed(A2_A2.cell, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(GAIN_CASES))
+def test_belt_gains_match_the_per_ridge_kernels(name):
+    """One integer kernel per 6-belt gives every ridge the gain of its
+    own `Fraction` kernel, in the same edge order."""
+    para = GAIN_CASES[name]()
+    graph = build_ridge_graph(para)
+    assert graph.edges == per_ridge_graph(para).edges
+    assert len(graph.edges) == 6 * sum(b.length == 6 for b in para.belts)
+
+
+@pytest.mark.parametrize("name", ["truncated-octahedron", "lattice-D4"])
+@pytest.mark.parametrize("change, message", [
+    ("independent", "unique linear dependence"),
+    ("parallel", "degenerate dependence"),
+])
+def test_a_perturbed_normal_in_a_6_belt_raises(name, change, message):
+    """Negative controls: a second facet normal of a 6-belt moved off the
+    plane of the other two, or onto the first, leaves no dependence with
+    three nonzero coefficients, for the belt or for its ridges."""
+    para = copy.copy(built(name))
+    p = para.polytope
+    belt = next(b for b in para.belts if b.length == 6)
+    n0, n1, n2 = (p.facet_normals[f] for f in belt.facets[:3])
+    if change == "parallel":
+        moved = n0
+    else:
+        moved = next(m for m in (linalg.vadd(n1, e) for e in linalg.identity(p.dim))
+                     if linalg.rank((n0, m, n2)) == 3)
+    normals = list(p.facet_normals)
+    normals[belt.facets[1]] = moved
+    para.polytope = Polytope(p.dim, p.vertices, tuple(normals), p.facet_offsets)
+    with pytest.raises(GeometryError, match=message):
+        build_ridge_graph(para)
+    with pytest.raises(GeometryError):  # maybe first at another belt
+        per_ridge_graph(para)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_bisector_check_matches_the_fraction_sweep_in_4d(seed):
+    """The integer bisector check and sweep return the witness of the
+    `Fraction` ones on 4-D lattices: none for the Voronoi cell of the
+    lattice under a randomly perturbed Gram, a facet against a second
+    perturbation."""
+    rng = random.Random(seed)
+    kinds = set()
+    for lat in (catalog("lattice-D4").lattice, A2_A2):
+        gram = perturbed(rng, lat.gram)
+        para = Parallelohedron.build(dv_cell(Lattice.create(lat.basis, gram)))
+        centers = para.lattice.basis
+        for case in (Lattice.create(centers, gram),
+                     Lattice.create(centers, perturbed(rng, gram))):
+            witness = voronoi_mismatch(para, case)
+            assert witness == fraction_voronoi_mismatch(para, case)
+            kinds.add(None if witness is None else witness.kind)
+    assert kinds == {None, "facet"}
+
+
+def test_voronoi_form_rejects_opposite_facets_scaled_apart():
+    """Opposite facets share one block of equations, so a scaling that
+    gives them different values is refused rather than half-read."""
+    para = built("truncated-octahedron")
+    s = canonical_scaling(ridge_graph("truncated-octahedron"))
+    values = list(s.values)
+    values[0] *= 2
+    with pytest.raises(GeometryError, match="opposite facets 0 and"):
+        voronoi_form(para, s._replace(values=tuple(values)))
