@@ -7,11 +7,12 @@ geometry (dimensions up to ~6, a few dozen rows).
 
 All elimination is one fraction-free routine on integer rows (Bareiss
 1968; Nakos, Turner & Williams 1997): every intermediate entry is a
-minor of the input, so each division is exact. A rational row is first
-scaled by the lcm of its denominators, which keeps its rank, kernel and
-solutions and scales a determinant by a known positive factor. Rank,
-determinant and the positive-definite test read the echelon rows;
-kernels, solutions and inverses read the fully reduced rows.
+minor of the input, so each division is exact. A rational matrix is
+first scaled by the lcm s of all its denominators (`integer_rows`),
+which keeps its rank, kernel and solutions and scales an n-square
+determinant by s ** n. Rank, determinant and the positive-definite test
+read the echelon rows; kernels, solutions and inverses read the fully
+reduced rows.
 
 Kernel and solution-space bases are normalized to integer entries with
 content 1 and a positive leading entry, so identical inputs always
@@ -87,11 +88,6 @@ def matvec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
@@ -106,17 +102,6 @@ def integer_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
     rows = list(rows)
     s = math.lcm(*(x.denominator for r in rows for x in r))
     return [[x.numerator * (s // x.denominator) for x in r] for r in rows], s
-
-
-def _row_scaled(m: Mat) -> tuple[list[list[int]], int]:
-    """Each row times its own least common denominator, and the product
-    of those positive row scales."""
-    rows, scale = [], 1
-    for r in m:
-        s = math.lcm(*(x.denominator for x in r))
-        rows.append([x.numerator * (s // x.denominator) for x in r])
-        scale *= s
-    return rows, scale
 
 
 def _bareiss(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
@@ -171,7 +156,7 @@ def int_kernel(rows: list[list[int]]) -> list[list[int]]:
 
 
 def rank(m: Mat) -> int:
-    return len(_bareiss(_row_scaled(m)[0])[0])
+    return len(_bareiss(integer_rows(m)[0])[0])
 
 
 def normalize_primitive(v: Vec) -> Vec:
@@ -179,7 +164,7 @@ def normalize_primitive(v: Vec) -> Vec:
     positive leading entry. Zero vectors pass through unchanged."""
     if all(x == 0 for x in v):
         return vec(v)
-    (ints,), _ = _row_scaled((v,))
+    (ints,), _ = integer_rows((v,))
     g = math.gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)
@@ -206,7 +191,7 @@ def nullspace(m: Mat) -> list[Vec]:
     """
     if not m:
         return []
-    return [normalize_primitive(v) for v in int_kernel(_row_scaled(m)[0])]
+    return [normalize_primitive(v) for v in int_kernel(integer_rows(m)[0])]
 
 
 def solve_linear(a: Mat, b: Vec) -> Vec | None:
@@ -221,7 +206,7 @@ def solve_linear(a: Mat, b: Vec) -> Vec | None:
     if not a:
         return ()
     nc = len(a[0])
-    rows, _ = _row_scaled(tuple(row + (bi,) for row, bi in zip(a, b)))
+    rows, _ = integer_rows(row + (bi,) for row, bi in zip(a, b))
     if _bareiss(rows, reduce=True)[0] != list(range(nc)):
         return None
     return tuple(Fraction(row[nc], row[i]) for i, row in enumerate(rows[:nc]))
@@ -231,15 +216,15 @@ def det(m: Mat) -> Fraction:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    rows, scale = _row_scaled(m)
+    rows, s = integer_rows(m)
     _, swaps = _bareiss(rows)
     # every row past the rank ends zero, so a singular matrix reads 0
-    return Fraction((-1) ** swaps * rows[-1][-1] if rows else 1, scale)
+    return Fraction((-1) ** swaps * rows[-1][-1] if rows else 1, s ** n)
 
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
-    rows, _ = _row_scaled(tuple(row + e for row, e in zip(m, identity(n))))
+    rows, _ = integer_rows(row + e for row, e in zip(m, identity(n)))
     if _bareiss(rows, reduce=True)[0] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
@@ -250,13 +235,13 @@ def is_positive_definite(s: Mat) -> bool:
     """Sylvester's criterion: all leading principal minors positive.
 
     One elimination decides it: with no row swap, the k-th pivot is the
-    k-th leading minor times the positive scales of the first k rows; a
+    k-th leading minor times s ** k for the positive scale s; a
     swap means some leading minor is zero, and a singular matrix ends in
     a zero row. Requires a symmetric matrix; raises ValueError otherwise.
     """
     if not is_symmetric(s):
         raise ValueError("positive definiteness requires a symmetric matrix")
-    rows, _ = _row_scaled(s)
+    rows, _ = integer_rows(s)
     _, swaps = _bareiss(rows)
     return not swaps and all(row[i] > 0 for i, row in enumerate(rows))
 

@@ -16,6 +16,11 @@ a facet through a ridge, map the ridge's vertex ids through the facet's
 involution to find the parallel exit ridge, cross to the other facet,
 repeat. A ridge is primitive iff its belt closes after 6 facets (three
 tiles meet at it rather than four).
+
+The surface partitions of the facets are decided here and nowhere
+else: the delta-surface joins the two facets of each primitive ridge,
+and its antipodal quotient, the pi-surface, also joins each facet to
+its opposite.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import mul
 
 from . import linalg
@@ -85,6 +91,24 @@ class DualCell:
         if self.codim > 3 or len(self.centers) < 2:
             return None
         return affine_hull_polytope(self.centers)[0]
+
+
+def component_roots(n: int, pairs) -> tuple[int, ...]:
+    """Union-find over 0..n-1 joined by pairs: each index's component
+    root, which is the smallest index of its component."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return tuple(find(x) for x in range(n))
 
 
 def _involution(rows: list[list[int]]):
@@ -288,6 +312,35 @@ class Parallelohedron:
         """True iff the ridge's belt has length 6 (three tiles meet there)."""
         bid, _ = self.belt_of_ridge[ridge_id]
         return self.belts[bid].length == 6
+
+    @cached_property
+    def primitive_ridges(self) -> tuple[int, ...]:
+        return tuple(r for r in range(len(self.ridges)) if self.ridge_primitive(r))
+
+    @cached_property
+    def opposite_ridge(self) -> tuple[int, ...]:
+        """Per ridge, the ridge between the opposites of its two facets."""
+        opp = self.opposite_facet
+        return tuple(self.ridge_of[tuple(sorted((opp[a], opp[b])))]
+                     for a, b in self.ridge_facets)
+
+    # -- surface partitions -----------------------------------------------
+
+    @cached_property
+    def delta_roots(self) -> tuple[int, ...]:
+        """Per facet, the least facet of its delta-surface component: the
+        facets joined by primitive ridges."""
+        return component_roots(
+            self.polytope.n_facets,
+            (self.ridge_facets[r] for r in self.primitive_ridges))
+
+    @cached_property
+    def pi_roots(self) -> tuple[int, ...]:
+        """Per facet, the least facet of its pi-surface component: the
+        delta components joined through opposite facets."""
+        return component_roots(
+            self.polytope.n_facets,
+            chain(enumerate(self.delta_roots), enumerate(self.opposite_facet)))
 
     # -- dual cells -------------------------------------------------------
 

@@ -230,14 +230,15 @@ def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
 
     Both come from one `topology.surface_topology` call, and the
     pi-surface's half-belt span is written under either surface. For
-    d != 3 each report only gives the ridge-graph component count.
+    d != 3 each report only gives the ridge-graph component count, the
+    number of delta-surface components.
     """
-    from . import topology
-
     if para.dim != 3:
-        n = topology.ridge_connectivity(para)
+        n = len(set(para.delta_roots))
         return {kind: {"surface": kind, "unsupported_dimension": True,
                        "ridge_components": n} for kind in ("delta", "pi")}
+    from . import topology
+
     *reports, span = topology.surface_topology(para)
     return {rep.surface: _surface_dict(rep, span, expected) for rep in reports}
 

@@ -61,24 +61,6 @@ class Walk(namedtuple("Walk", "facets ridges")):
         return Walk(self.facets + other.facets[1:], self.ridges + other.ridges)
 
 
-def component_roots(n: int, pairs) -> tuple[int, ...]:
-    """Union-find over 0..n-1 joined by pairs: each index's component
-    root, which is the smallest index of its component."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return tuple(find(x) for x in range(n))
-
-
 class RidgeGraph:
     """Facets as nodes, primitive ridges as gain-weighted edges."""
 
@@ -93,10 +75,8 @@ class RidgeGraph:
             adj[b].append((a, ei))
         self.adjacency = {f: tuple(sorted(ns)) for f, ns in adj.items()}
         self.edge_of_ridge = {e.ridge: ei for ei, e in enumerate(self.edges)}
-        root = component_roots(n, (e.facets for e in self.edges))
-        label = {r: i for i, r in enumerate(sorted(set(root)))}
-        self.component = tuple(label[r] for r in root)
-        self.n_components = len(label)
+        # its components are the delta-surface's
+        self.n_components = len(set(para.delta_roots))
 
     @property
     def n_facets(self) -> int:
@@ -187,8 +167,8 @@ class ScalingWitness(namedtuple("ScalingWitness",
 class CanonicalScaling(namedtuple("CanonicalScaling",
                                   "values base_facets groups")):
     """Positive facet weights satisfying every gain constraint, the base
-    facet of each ridge-graph component, and per facet its merged
-    component label."""
+    facet of each ridge-graph component, and per facet the label of its
+    merged component (its pi-surface component)."""
 
     __slots__ = ()
 
@@ -210,18 +190,21 @@ def canonical_scaling(graph: RidgeGraph):
 
     Per component: the facet with the lexicographically least canonical
     normal gets weight 1; weights propagate along a spanning tree; every
-    non-tree edge is checked exactly. Opposite facets in one component
-    must agree automatically (asserted); across components the opposite
-    component is rescaled to match, which cannot break any gain.
+    non-tree edge is checked exactly. A component whose opposite is
+    another component rescales that one to match, which cannot break any
+    gain; then every facet must agree with its opposite, and the first
+    that does not gives an "opposite-facet" witness. The merged groups
+    are the pi-surface's components, labelled by least facet.
     """
     para = graph.para
     p = para.polytope
     n = p.n_facets
+    delta, pi, opp = para.delta_roots, para.pi_roots, para.opposite_facet
     values: list[Fraction | None] = [None] * n
     parent: list[tuple[int, int] | None] = [None] * n
     base_facets = []
-    for comp in range(graph.n_components):
-        members = [f for f in range(n) if graph.component[f] == comp]
+    for root in sorted(set(delta)):
+        members = [f for f in range(n) if delta[f] == root]
         base = min(members, key=lambda f: p.facet_normals[f])
         base_facets.append(base)
         values[base] = Fraction(1)
@@ -243,30 +226,24 @@ def canonical_scaling(graph: RidgeGraph):
                     return ScalingWitness(
                         "cycle", cycle, None, gain_along_walk(graph, cycle)
                     )
-    groups = list(graph.component)
-    for f in range(n):
-        g = para.opposite_facet[f]
-        if groups[f] == groups[g]:
-            if values[f] != values[g]:
-                walk = None
-                if graph.component[f] == graph.component[g]:
-                    walk = _tree_walk(parent, f).reversed().then(
-                        _tree_walk(parent, g))
-                return ScalingWitness(
-                    "opposite-facet", walk, (f, g), values[g] / values[f]
-                )
-        else:
-            factor = values[f] / values[g]
-            src = groups[g]
-            for h in range(n):
-                if groups[h] == src:
-                    values[h] *= factor
-                    groups[h] = groups[f]
-    labels = sorted(set(groups))
-    relabel = {old: i for i, old in enumerate(labels)}
-    return CanonicalScaling(
-        tuple(values), tuple(base_facets), tuple(relabel[g] for g in groups)
-    )
+    # the antipode maps each delta component onto one; where that is
+    # another, the least facet of their pi component rescales its image
+    factor = {f: values[f] / values[opp[f]] for f in set(pi)
+              if delta[opp[f]] != delta[f]}
+    values = [v if delta[f] == delta[pi[f]] else v * factor[pi[f]]
+              for f, v in enumerate(values)]
+    for f, g in enumerate(opp):
+        if values[f] != values[g]:
+            walk = None
+            if delta[f] == delta[g]:
+                walk = _tree_walk(parent, f).reversed().then(
+                    _tree_walk(parent, g))
+            return ScalingWitness(
+                "opposite-facet", walk, (f, g), values[g] / values[f]
+            )
+    label = {r: i for i, r in enumerate(sorted(set(pi)))}
+    return CanonicalScaling(tuple(values), tuple(base_facets),
+                            tuple(label[r] for r in pi))
 
 
 class MismatchWitness(namedtuple("MismatchWitness",

@@ -15,7 +15,8 @@ facet walk around that face. The antipode fixes no face, and the
 pi-surface's complex has one cell per orbit.
 
 Component reports. The components are the classes of facets joined by
-primitive ridges (for pi, also by antipodal pairs). Each counts its
+primitive ridges (for pi, also by antipodal pairs), which the
+parallelohedron's `delta_roots` and `pi_roots` give. Each counts its
 walked codim-3 faces, primitive ridges and facets: for d = 3 these are
 the open vertices, edges and facets of the surface, and their
 alternating sum is the compactly-supported Euler characteristic chi_c.
@@ -40,7 +41,7 @@ from collections import namedtuple
 from . import linalg
 from .errors import GeometryError, UnsupportedDimensionError
 from .parallelohedron import Parallelohedron
-from .scaling import Walk, component_roots, face_walk
+from .scaling import Walk, face_walk
 
 
 class ComponentReport(namedtuple("ComponentReport",
@@ -82,26 +83,9 @@ class HalfBeltSpan(namedtuple("HalfBeltSpan",
 def _require_d3(para: Parallelohedron):
     if para.dim != 3:
         raise UnsupportedDimensionError(
-            "surface complexes are implemented for d = 3 only; "
-            "use ridge_connectivity for other dimensions"
+            "surface complexes are implemented for d = 3 only; other "
+            "dimensions read their components off Parallelohedron.delta_roots"
         )
-
-
-def _antipodal_maps(para: Parallelohedron):
-    """Ridge and facet involutions induced by x -> -x: a ridge goes to
-    the ridge between the opposites of its two facets."""
-    fmap = dict(enumerate(para.opposite_facet))
-    emap = {r: para.ridge_of[tuple(sorted(fmap[f] for f in pair))]
-            for r, pair in enumerate(para.ridge_facets)}
-    return emap, fmap
-
-
-def ridge_connectivity(para: Parallelohedron) -> int:
-    """Number of ridge-graph components (valid in any dimension): facets
-    joined by primitive ridges, with no gains computed."""
-    pairs = (para.ridge_facets[r] for r in range(len(para.ridges))
-             if para.ridge_primitive(r))
-    return len(set(component_roots(para.polytope.n_facets, pairs)))
 
 
 def _sparse(terms) -> dict[int, int]:
@@ -137,13 +121,12 @@ class _DualComplex:
     """
 
     def __init__(self, para: Parallelohedron):
-        emap, fmap = _antipodal_maps(para)
-        if any(x == y for cells in (emap, fmap) for x, y in cells.items()):
+        emap, fmap = para.opposite_ridge, para.opposite_facet
+        if any(x == y for cells in (emap, fmap) for x, y in enumerate(cells)):
             raise GeometryError("antipodal involution has a fixed cell")
         self.para = para
         self.emap, self.fmap = emap, fmap
-        self.primitive = [r for r in range(len(para.ridges))
-                          if para.ridge_primitive(r)]
+        self.primitive = para.primitive_ridges
         self.edges = sorted({min(r, emap[r]) for r in self.primitive})
         self.edge_ids = {r: i for i, r in enumerate(self.edges)}
         # rows of the 1-cell columns: each facet orbit's least facet
@@ -151,11 +134,8 @@ class _DualComplex:
             _sparse(((min(b, fmap[b]), 1), (min(a, fmap[a]), -1)))
             for a, b in (para.ridge_facets[r] for r in self.edges)
         ]
-        n = para.polytope.n_facets
-        pairs = [para.ridge_facets[r] for r in self.primitive]
-        self.roots = {"delta": component_roots(n, pairs),
-                      "pi": component_roots(n, pairs + list(fmap.items()))}
-        self.rank_b1 = n // 2 - len(set(self.roots["pi"]))
+        self.roots = {"delta": para.delta_roots, "pi": para.pi_roots}
+        self.rank_b1 = para.polytope.n_facets // 2 - len(set(para.pi_roots))
         faces = para.polytope.face_lattice.faces(para.dim - 3)
         walks = (face_walk(para, face) for face in faces)
         self.walks = [(i, w) for i, w in enumerate(walks) if w is not None]

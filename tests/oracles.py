@@ -16,10 +16,11 @@ it from subset scans over vertex sets, a face's dimension from the
 `Fraction` affine rank of its vertices, a point hull's vertices from the
 rank of the facets through each point, the extreme rays of a cone from a
 `Fraction` kernel per (D - 1)-subset of its rows, the gains of a
-6-belt from one `Fraction` kernel per primitive ridge, the half-belt span
-from the compact cut model that the dual-block complex replaced, and
-the point reflections of the Venkov checks from the `Fraction`
-centroid of each point set.
+6-belt from one `Fraction` kernel per primitive ridge, the ridge-graph
+components from a depth-first search over those ridges, the half-belt
+span and the surface components from the compact cut model that the
+dual-block complex replaced, and the point reflections of the Venkov
+checks from the `Fraction` centroid of each point set.
 """
 
 import math
@@ -260,6 +261,29 @@ def per_ridge_graph(para, normal_scale=None):
         _, _, _, alpha, (f1, f2, _) = ridge_dependence(para, rid, normal_scale)
         edges.append(RidgeEdge(rid, (f1, f2), abs(alpha[1] / alpha[0])))
     return RidgeGraph(para, edges)
+
+
+def ridge_graph_components(para) -> int:
+    """The number of components of the graph on the facets whose edges
+    are the primitive ridges of `per_ridge_graph`, by depth-first search."""
+    neighbors = {f: [] for f in range(para.polytope.n_facets)}
+    for e in per_ridge_graph(para).edges:
+        a, b = e.facets
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    seen, count = set(), 0
+    for f in neighbors:
+        if f in seen:
+            continue
+        count += 1
+        seen.add(f)
+        stack = [f]
+        while stack:
+            for g in neighbors[stack.pop()]:
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    return count
 
 
 class LocalCycleCheck(namedtuple("LocalCycleCheck",
@@ -886,11 +910,19 @@ class ChainComplex:
     def rank_b2(self) -> int:
         return linalg.rank(self.b2_chains)
 
+    @cached_property
+    def rank_b1(self) -> int:
+        n0 = len(self.v_ids)
+        return linalg.rank(tuple(_dense(c, n0) for c in self.b1_cols))
+
+    @property
+    def h0_rank(self) -> int:
+        """The number of components of the model."""
+        return len(self.v_ids) - self.rank_b1
+
     @property
     def h1_rank(self) -> int:
-        n0 = len(self.v_ids)
-        rank_b1 = linalg.rank(tuple(_dense(c, n0) for c in self.b1_cols))
-        return len(self.one_keys) - rank_b1 - self.rank_b2
+        return len(self.one_keys) - self.rank_b1 - self.rank_b2
 
     def project_chain(self, terms) -> dict[int, int]:
         """Map [(coeff, delta 1-cell key)] to a sparse 1-chain of this complex."""

@@ -2,9 +2,10 @@
 export of every solid, as printed by `parallo verify NAME` and
 `parallo export NAME --format off`, the `parallo surface NAME [--pi]`
 output of every 3-D entry, which is the topology block of its verify
-report, the `venkov-fails` report of one input per Venkov condition,
-and one `form-not-pd` certificate. Refactors must leave these bytes
-alone; a deliberate change to the report format regenerates them."""
+report, and of the 2-D and 4-D lattices, the `venkov-fails` report of
+one input per Venkov condition, and one `form-not-pd` certificate.
+Refactors must leave these bytes alone; a deliberate change to the
+report format regenerates them."""
 
 import json
 import os
@@ -44,6 +45,20 @@ def test_surface_command_bytes(capsys, name, surface):
     assert main(["surface", name] + (["--pi"] if surface == "pi" else [])) == 0
     report = json.loads(_golden(f"{name}.json"))
     assert capsys.readouterr().out == serialize.dumps(report["topology"][surface])
+
+
+@pytest.mark.parametrize("surface", ["delta", "pi"])
+@pytest.mark.parametrize("name, components", [("lattice-D4", 1), ("lattice-Z2", 4)])
+def test_surface_command_bytes_beyond_d3(capsys, name, surface, components):
+    """For d != 3 `parallo surface` prints the ridge-graph component
+    count alone, under either surface."""
+    assert main(["surface", name] + (["--pi"] if surface == "pi" else [])) == 0
+    assert capsys.readouterr().out == (
+        "{\n"
+        f'  "ridge_components": {components},\n'
+        f'  "surface": "{surface}",\n'
+        '  "unsupported_dimension": true\n'
+        "}\n")
 
 
 @pytest.mark.parametrize("fixture", [

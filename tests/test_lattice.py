@@ -84,7 +84,8 @@ def test_shortest_in_coset_of_skewed_bases_against_oracle(seed):
                           [[2, F(1, 2), F(-1, 3)], [F(1, 2), 3, 1], [F(-1, 3), 1, F(5, 2)]])
     for base in (z3(), bcc(), a2(), skew):
         u = random_unimodular(rng, base.dim, steps=3)
-        lat = Lattice.create(linalg.matmul(u, base.basis), base.gram)
+        basis = [[linalg.dot(row, col) for col in zip(*base.basis)] for row in u]
+        lat = Lattice.create(basis, base.gram)
         for parity in product((0, 1), repeat=lat.dim):
             rep = parity if any(parity) else tuple(2 * (i == 0) for i in range(lat.dim))
             axes = coefficient_box(lat, lat.norm_sq(lat.from_coefficients(rep)),
@@ -224,7 +225,7 @@ def skewed_balls(draw):
                                                      min_size=d, max_size=d)))]
     low = [[draw(rationals(1, 3)) if i == j else draw(rationals(-1, 1)) if j < i
             else F(0) for j in range(d)] for i in range(d)]
-    gram = linalg.matmul(low, linalg.transpose(low))
+    gram = [[linalg.dot(a, b) for b in low] for a in low]  # low times its transpose
     lat = Lattice.create(basis, gram)
     around = draw(st.none() | st.lists(rationals(-6, 6), min_size=d, max_size=d))
     parity = draw(st.none() | st.lists(st.integers(0, 1), min_size=d, max_size=d))

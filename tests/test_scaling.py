@@ -26,6 +26,8 @@ from parallo.report import certificate_dict
 from parallo.scaling import (
     CanonicalScaling,
     MismatchWitness,
+    RidgeEdge,
+    RidgeGraph,
     ScalingWitness,
     Walk,
     build_ridge_graph,
@@ -191,14 +193,51 @@ def test_canonical_scaling_witness_on_doctored_gains():
     graph = ridge_graph("truncated-octahedron")
     bad_edges = list(graph.edges)
     bad_edges[0] = bad_edges[0]._replace(gain=bad_edges[0].gain * 3)
-    from parallo.scaling import RidgeGraph
-
     bad = RidgeGraph(graph.para, bad_edges)
     witness = canonical_scaling(bad)
     assert isinstance(witness, ScalingWitness)
     if witness.walk is not None and witness.kind == "cycle":
         assert walk_closed(witness.walk)
     assert witness.gain != 1
+
+
+def test_opposite_facet_witness_on_a_doctored_cut():
+    """Gains times 3 from the facets S whose normal's first nonzero entry
+    is positive to the rest, and times 1/3 back: every cycle still
+    closes, since it crosses the cut as often each way, but each facet
+    and its opposite lie on different sides and end a factor 3 apart."""
+    graph = ridge_graph("truncated-octahedron")
+    normals = graph.para.polytope.facet_normals
+    side = [next(x for x in n if x) > 0 for n in normals]
+    assert [f for f, s in enumerate(side) if s] == list(range(7, 14))
+    edges = [e._replace(gain=e.gain * F(3) ** (side[e.facets[0]] - side[e.facets[1]]))
+             for e in graph.edges]
+    witness = canonical_scaling(RidgeGraph(graph.para, edges))
+    assert witness == ScalingWitness(
+        "opposite-facet", Walk((0, 1, 4, 13), (2, 6, 24)), (0, 13), F(1, 3))
+    assert str(witness) == ("opposite facets (0, 13) forced to distinct "
+                            "values (ratio 1/3)")
+
+
+@pytest.mark.parametrize("opposite_gain, expected", [
+    (F(2), CanonicalScaling((1, 2, 1, 1, 2, 1), (0, 2, 3, 4), (0, 0, 1, 1, 0, 0))),
+    (F(3), ScalingWitness("opposite-facet", None, (1, 4), F(3, 2))),
+])
+def test_canonical_scaling_rescales_the_opposite_component(
+        monkeypatch, opposite_gain, expected):
+    """No catalog input has a delta component with two or more facets
+    that is not its own opposite, so the cube is given one: facets 0 and
+    1 joined by an edge of gain 2, and their opposites 5 and 4 by one of
+    the given gain. The component of 4 and 5 is rescaled to match 0 and
+    1; with a gain other than 2 no rescaling can, and the witness has no
+    walk, as its facets lie in different components."""
+    para = built("cube")
+    assert para.opposite_facet == (5, 4, 3, 2, 1, 0)
+    monkeypatch.setattr(para, "delta_roots", (0, 0, 2, 3, 4, 4))
+    monkeypatch.setattr(para, "pi_roots", (0, 0, 2, 2, 0, 0))
+    edges = [RidgeEdge(para.ridge_of[0, 1], (0, 1), F(2)),
+             RidgeEdge(para.ridge_of[4, 5], (5, 4), opposite_gain)]
+    assert canonical_scaling(RidgeGraph(para, edges)) == expected
 
 
 def test_voronoi_form_cube_identity():

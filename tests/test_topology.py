@@ -4,15 +4,21 @@ import pytest
 
 import oracles
 from conftest import POLYTOPE_CATALOG, SEED, built
-from oracles import ChainComplex, CutComplex, cut_half_belt_span, random_unimodular
-from parallo import report, topology
+from oracles import (
+    ChainComplex,
+    CutComplex,
+    cut_half_belt_span,
+    random_unimodular,
+    ridge_graph_components,
+)
+from parallo import parallelohedron, report, topology
 from parallo.catalog import catalog
 from parallo.errors import GeometryError, UnsupportedDimensionError
 from parallo.lattice import dv_cell
 from parallo.parallelohedron import Parallelohedron, venkov_check
 from parallo.polytope import Polytope
 from parallo.scaling import Walk
-from parallo.topology import _DualComplex, ridge_connectivity, surface_topology
+from parallo.topology import _DualComplex, surface_topology
 
 
 def _delta(para):
@@ -120,12 +126,16 @@ def test_chi_halves_under_quotient():
 def test_delta_components_match_ridge_graph():
     for name in POLYTOPE_CATALOG:
         para = built(name)
-        assert _delta(para).component_count == ridge_connectivity(para)
+        delta, pi, _ = surface_topology(para)
+        assert delta.component_count == ridge_graph_components(para), name
+        cut = CutComplex(para)
+        assert delta.component_count == ChainComplex(cut, quotient=False).h0_rank
+        assert pi.component_count == ChainComplex(cut, quotient=True).h0_rank
 
 
 def test_ridge_connectivity_d4():
     para = built("lattice-D4")
-    assert ridge_connectivity(para) == 1
+    assert len(set(para.delta_roots)) == ridge_graph_components(para) == 1
     with pytest.raises(UnsupportedDimensionError):
         surface_topology(para)
 
@@ -180,7 +190,7 @@ def test_dual_complex_matches_the_cut_model_on_unimodular_images():
             assert _h1(pi) == oracle.h1_rank, name
             delta_chain = ChainComplex(CutComplex(image), quotient=False)
             assert _h1(delta) == delta_chain.h1_rank, name
-            assert delta.component_count == ridge_connectivity(image), name
+            assert delta.component_count == delta_chain.h0_rank, name
             for rep in (delta, pi):
                 # components with a vertex sort last, and facet-only ones
                 # after those with an edge
@@ -233,14 +243,11 @@ def test_dropped_two_cell_breaks_the_rank_check(monkeypatch, name):
 
 def test_antipodal_fixed_cell_is_rejected(monkeypatch):
     para = built("truncated-octahedron")
-
-    def identity_maps(para):
-        return ({e: e for e in range(len(para.ridges))},
-                {f: f for f in range(para.polytope.n_facets)})
-
-    monkeypatch.setattr(topology, "_antipodal_maps", identity_maps)
-    with pytest.raises(GeometryError, match="involution has a fixed cell"):
-        surface_topology(para)
+    for cells in ("opposite_ridge", "opposite_facet"):
+        with monkeypatch.context() as patch:
+            patch.setattr(para, cells, tuple(range(len(getattr(para, cells)))))
+            with pytest.raises(GeometryError, match="involution has a fixed cell"):
+                surface_topology(para)
 
 
 def test_kept_edge_crossing_a_cut_is_rejected(monkeypatch):
@@ -326,3 +333,20 @@ def test_one_surface_complex_per_verify(monkeypatch):
     assert calls == {"surface_topology": 1, "complex": 1}
     faces = built("elongated-dodecahedron").polytope.face_lattice.faces(0)
     assert sorted(walked) == [f.vertex_ids for f in faces]
+
+
+def test_one_union_find_per_partition(monkeypatch):
+    # the delta and the pi partition, each worked out once by the
+    # parallelohedron and read by the ridge graph, the scaling and the
+    # surface complex
+    calls = []
+    roots = parallelohedron.component_roots
+
+    def counted_roots(n, pairs):
+        calls.append(n)
+        return roots(n, pairs)
+
+    monkeypatch.setattr(parallelohedron, "component_roots", counted_roots)
+    rep = report.verify(catalog("hexagonal-prism").polytope)
+    assert rep.verdict == "certified" and rep.topology is not None
+    assert calls == [8, 8]
