@@ -24,7 +24,7 @@ _STAGE_OF = {
     "relevant_vectors": "lattice",
     "shortest_in_coset": "lattice",
     "surface_topology": "topology",
-    "venkov_check": "parallelohedron",
+    "venkov_check": "venkov",
     "voronoi_form": "scaling",
 }
 

@@ -17,10 +17,9 @@ import sys
 from . import report as report_mod
 from . import serialize
 from .errors import DualCellAnomaly, ParalloError, ParseError
-from .lattice import Lattice
-from .parallelohedron import Parallelohedron, classify_dual3, venkov_check
 from .polytope import Polytope
 from .report import EXIT_PARSE, EXIT_VENKOV
+from .venkov import venkov_check
 
 
 def _load_input(arg: str):
@@ -74,7 +73,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _as_polytope(source) -> Polytope:
-    return source.cell if isinstance(source, Lattice) else source
+    return source if isinstance(source, Polytope) else source.cell
 
 
 def _cmd_check(args) -> int:
@@ -94,6 +93,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    from .parallelohedron import Parallelohedron
+
     source, entry = _load_input(args["input"])
     para = Parallelohedron.build(_as_polytope(source))
     expected = entry.expected if entry is not None else None
@@ -103,6 +104,8 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_dual_cells(args) -> int:
+    from .parallelohedron import Parallelohedron, classify_dual3
+
     source, _ = _load_input(args["input"])
     para = Parallelohedron.build(_as_polytope(source))
     codim = args["codim"]
@@ -139,7 +142,7 @@ def _cmd_dual_cells(args) -> int:
 
 def _cmd_voronoi_cell(args) -> int:
     source, _ = _load_input(args["input"])
-    if not isinstance(source, Lattice):
+    if isinstance(source, Polytope):
         raise ParseError("voronoi-cell needs a lattice input")
     _emit(serialize.polytope_to_dict(source.cell))
     return 0

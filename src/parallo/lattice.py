@@ -14,6 +14,9 @@ level i depends only on the coefficients above it. Walking the levels
 from the last coordinate down, each coefficient is confined to the
 exact integer interval the remaining bound leaves it; every node works
 on Python ints, and the norms come out as integers on one scale.
+
+The lattice generated by a set of vectors (the facet vectors of a
+parallelohedron) gets its basis from their Hermite normal form.
 """
 
 from __future__ import annotations
@@ -240,3 +243,53 @@ def dv_cell(lat: Lattice) -> Polytope:
         gv = [sum(map(mul, row, v)) for row in gram]
         halfspaces.append((gv, Fraction(sum(map(mul, v, gv)), 2 * vs)))
     return Polytope.from_halfspaces(halfspaces, lat.dim)
+
+
+def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form of an integer matrix (nonzero rows)."""
+    rows = [r[:] for r in rows if any(r)]
+    if not rows:
+        return []
+    nc = len(rows[0])
+    done: list[list[int]] = []
+    col = 0
+    while rows and col < nc:
+        work = [r for r in rows if r[col] != 0]
+        rest = [r for r in rows if r[col] == 0]
+        if not work:
+            col += 1
+            continue
+        while len(work) > 1:
+            work.sort(key=lambda r: abs(r[col]))
+            p = work[0]
+            reduced = [p]
+            for r in work[1:]:
+                q = r[col] // p[col]
+                nr = [a - q * b for a, b in zip(r, p)]
+                if nr[col] != 0:
+                    reduced.append(nr)
+                elif any(nr):
+                    rest.append(nr)
+            work = reduced
+        pivot = work[0]
+        if pivot[col] < 0:
+            pivot = [-x for x in pivot]
+        # reduce rows above so entries over the pivot lie in [0, pivot)
+        for r in done:
+            q = r[col] // pivot[col]
+            if q:
+                r[:] = [a - q * b for a, b in zip(r, pivot)]
+        done.append(pivot)
+        rows = rest
+        col += 1
+    return done
+
+
+def lattice_basis_from_generators(vectors: Mat) -> Mat:
+    """Basis (HNF rows) of the lattice of integer combinations of vectors."""
+    if not vectors:
+        return ()
+    int_rows, lcm = linalg.integer_rows(vectors)
+    hnf = _hnf_rows(int_rows)
+    return tuple(tuple(Fraction(x, lcm) for x in row) for row in hnf)
+

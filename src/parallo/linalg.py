@@ -11,8 +11,8 @@ minor of the input, so each division is exact. A rational matrix is
 first scaled by the lcm s of all its denominators (`integer_rows`),
 which keeps its rank, kernel and solutions and scales an n-square
 determinant by s ** n. Rank, determinant and the positive-definite test
-read the echelon rows; kernels, solutions and inverses read the fully
-reduced rows.
+read the echelon rows; kernels and solutions read the fully reduced
+rows.
 
 Kernel and solution-space bases are normalized to integer entries with
 content 1 and a positive leading entry, so identical inputs always
@@ -222,15 +222,6 @@ def det(m: Mat) -> Fraction:
     return Fraction((-1) ** swaps * rows[-1][-1] if rows else 1, s ** n)
 
 
-def inverse(m: Mat) -> Mat:
-    n = len(m)
-    rows, _ = integer_rows(row + e for row, e in zip(m, identity(n)))
-    if _bareiss(rows, reduce=True)[0] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
-                 for i, row in enumerate(rows))
-
-
 def is_positive_definite(s: Mat) -> bool:
     """Sylvester's criterion: all leading principal minors positive.
 
@@ -244,53 +235,4 @@ def is_positive_definite(s: Mat) -> bool:
     rows, _ = integer_rows(s)
     _, swaps = _bareiss(rows)
     return not swaps and all(row[i] > 0 for i, row in enumerate(rows))
-
-
-def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form of an integer matrix (nonzero rows)."""
-    rows = [r[:] for r in rows if any(r)]
-    if not rows:
-        return []
-    nc = len(rows[0])
-    done: list[list[int]] = []
-    col = 0
-    while rows and col < nc:
-        work = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not work:
-            col += 1
-            continue
-        while len(work) > 1:
-            work.sort(key=lambda r: abs(r[col]))
-            p = work[0]
-            reduced = [p]
-            for r in work[1:]:
-                q = r[col] // p[col]
-                nr = [a - q * b for a, b in zip(r, p)]
-                if nr[col] != 0:
-                    reduced.append(nr)
-                elif any(nr):
-                    rest.append(nr)
-            work = reduced
-        pivot = work[0]
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        # reduce rows above so entries over the pivot lie in [0, pivot)
-        for r in done:
-            q = r[col] // pivot[col]
-            if q:
-                r[:] = [a - q * b for a, b in zip(r, pivot)]
-        done.append(pivot)
-        rows = rest
-        col += 1
-    return done
-
-
-def lattice_basis_from_generators(vectors: Sequence[Vec]) -> Mat:
-    """Basis (HNF rows) of the lattice of integer combinations of vectors."""
-    if not vectors:
-        return ()
-    int_rows, lcm = integer_rows(vectors)
-    hnf = _hnf_rows(int_rows)
-    return tuple(tuple(Fraction(x, lcm) for x in row) for row in hnf)
 

@@ -10,9 +10,11 @@ rays (b, n) of b - <n, p> >= 0 over its points p, and the vertices of
 a halfspace intersection are the rays (t, y) of t >= 0 and
 b t - <n, y> >= 0, at x = y / t (a ray with t = 0 is a direction of
 unboundedness). Every ray is a primitive integer vector, so the results
-are exact. Boundedness of a halfspace intersection needs no second hull:
-once the normals span, the cone is pointed, and the intersection is
-bounded exactly when no extreme ray has t = 0.
+are exact, and it carries the rows it vanishes on: the points on a
+facet, or the planes through a vertex, which are the vertex-facet
+incidences. Boundedness of a halfspace intersection needs no second
+hull: once the normals span, the cone is pointed, and the intersection
+is bounded exactly when no extreme ray has t = 0.
 
 The face lattice is the closure of the facet vertex-sets under
 intersection, from the empty face up to the whole polytope. Each face
@@ -37,7 +39,7 @@ from operator import mul
 
 from . import linalg
 from .errors import GeometryError
-from .linalg import Mat, Vec
+from .linalg import Vec
 
 Halfspace = tuple[Vec, Fraction]  # (normal, offset): <normal, x> <= offset
 
@@ -186,11 +188,14 @@ class Polytope:
 
     def __init__(self, dim: int, vertices: tuple[Vec, ...],
                  facet_normals: tuple[Vec, ...],
-                 facet_offsets: tuple[Fraction, ...]):
+                 facet_offsets: tuple[Fraction, ...],
+                 facet_vertex_ids: tuple[tuple[int, ...], ...]):
         self.dim = dim
         self.vertices = vertices
         self.facet_normals = facet_normals
         self.facet_offsets = facet_offsets
+        # per facet, the sorted indices of the vertices lying on it
+        self.facet_vertex_ids = facet_vertex_ids
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):
@@ -214,11 +219,15 @@ class Polytope:
         for _, on in facets:
             for i in _bits(on):
                 meet[i] &= on
+        kept = [i for i in range(len(pts)) if meet[i] == 1 << i]
+        vertex_id = dict(zip(kept, range(len(kept))))
         return Polytope(
             dim,
-            tuple(p for i, p in enumerate(pts) if meet[i] == 1 << i),
+            tuple(pts[i] for i in kept),
             tuple(n for (n, _), _ in facets),
             tuple(b for (_, b), _ in facets),
+            tuple(tuple(vertex_id[i] for i in _bits(on) if i in vertex_id)
+                  for _, on in facets),
         )
 
     @staticmethod
@@ -239,15 +248,22 @@ class Polytope:
         # the affine rank of vertices is the rank of their rays (t, y), less 1
         if linalg.rank([ray for ray, _ in rays]) != dim + 1:
             raise GeometryError("halfspace intersection has empty interior")
-        # plane k is row k + 1, after t >= 0
-        facets = [plane for k, plane in enumerate(planes, 1) if linalg.rank(
-            [ray for ray, on in rays if on >> k & 1]) == dim]
+        vertices = sorted((tuple(Fraction(x, ray[0] * scale) for x in ray[1:]),
+                           ray, on) for ray, on in rays)
+        # per row, the ids of the vertices on it; plane k is row k, after
+        # t >= 0 (row 0)
+        on_row: list[list[int]] = [[] for _ in range(len(planes) + 1)]
+        for i, (_, _, on) in enumerate(vertices):
+            for k in _bits(on):
+                on_row[k].append(i)
+        facets = [(plane, tuple(ids)) for plane, ids in zip(planes, on_row[1:])
+                  if linalg.rank([vertices[i][1] for i in ids]) == dim]
         return Polytope(
             dim,
-            tuple(sorted(tuple(Fraction(x, t * scale) for x in y)
-                         for (t, *y), _ in rays)),
-            tuple(n for n, _ in facets),
-            tuple(b for _, b in facets),
+            tuple(v for v, _, _ in vertices),
+            tuple(n for (n, _), _ in facets),
+            tuple(b for (_, b), _ in facets),
+            tuple(ids for _, ids in facets),
         )
 
     # -- basic queries -----------------------------------------------
@@ -260,9 +276,6 @@ class Polytope:
     def n_facets(self) -> int:
         return len(self.facet_normals)
 
-    def halfspaces(self) -> list[Halfspace]:
-        return list(zip(self.facet_normals, self.facet_offsets))
-
     def integer_form(self, points=()):
         """The vertices followed by `points` as integer rows s x, and the
         facets <n, x> <= b as integer normals ns n and offsets ns s b, so
@@ -271,15 +284,6 @@ class Polytope:
             self.vertices + tuple(points) + (self.facet_offsets,))
         normals, ns = linalg.integer_rows(self.facet_normals)
         return rows, normals, [ns * b for b in offsets]
-
-    @cached_property
-    def facet_vertex_ids(self) -> tuple[tuple[int, ...], ...]:
-        """Per facet, sorted indices of the vertices lying on it."""
-        rows, normals, offsets = self.integer_form()
-        return tuple(
-            tuple(i for i, v in enumerate(rows) if sum(map(mul, n, v)) == b)
-            for n, b in zip(normals, offsets)
-        )
 
     @cached_property
     def centroid(self) -> Vec:
@@ -359,15 +363,18 @@ class Polytope:
     # -- transformations ----------------------------------------------
 
     def translated(self, shift: Vec) -> "Polytope":
+        """The translate by `shift`: a translation keeps the sorted vertex
+        order, and with it the facet incidences."""
         shift = linalg.vec(shift)
         return Polytope(
             self.dim,
-            tuple(sorted(linalg.vadd(v, shift) for v in self.vertices)),
+            tuple(linalg.vadd(v, shift) for v in self.vertices),
             self.facet_normals,
             tuple(
                 b + linalg.dot(n, shift)
                 for n, b in zip(self.facet_normals, self.facet_offsets)
             ),
+            self.facet_vertex_ids,
         )
 
     def recentered(self) -> "Polytope":
@@ -376,57 +383,3 @@ class Polytope:
         if not any(self.centroid):
             return self
         return self.translated(linalg.vneg(self.centroid))
-
-    def apply_affine(self, a: Mat, shift: Vec | None = None) -> "Polytope":
-        """Image under x -> a x + shift; facets re-derived and verified.
-
-        The facet of <n, x> <= b maps to the canonicalized pushforward
-        halfspace <a^-T n, y> <= b + <a^-T n, shift>; each is then
-        checked exactly against the mapped vertex set, so the result is
-        as trustworthy as a fresh enumeration at a fraction of the cost.
-        """
-        a = linalg.mat(a)
-        if linalg.det(a) == 0:
-            raise GeometryError("affine map must be invertible")
-        shift = linalg.vec(shift) if shift is not None else linalg.zeros(self.dim)
-        verts = tuple(sorted(
-            linalg.vadd(linalg.matvec(a, v), shift) for v in self.vertices
-        ))
-        inv_t = linalg.transpose(linalg.inverse(a))
-        facets = []
-        for n, b in zip(self.facet_normals, self.facet_offsets):
-            m = linalg.matvec(inv_t, n)
-            facets.append(_canonical_halfspace(m, b + linalg.dot(m, shift)))
-        facets.sort()
-        for i, (n, b) in enumerate(facets):
-            vals = [linalg.dot(n, v) for v in verts]
-            on = sum(1 for x in vals if x == b)
-            if any(x > b for x in vals) or on < self.dim:
-                raise GeometryError("affine pushforward verification failed")
-        return Polytope(
-            self.dim,
-            verts,
-            tuple(n for n, _ in facets),
-            tuple(b for _, b in facets),
-        )
-
-
-def affine_hull_polytope(points: list[Vec]):
-    """Hull of points in coordinates of their own affine hull.
-
-    Returns (polytope, rank, origin, basis_rows): the polytope lives in
-    R^rank; basis rows map its coordinates back via origin + c . basis.
-    """
-    pts = sorted(set(points))
-    p0 = pts[0]
-    basis: list[Vec] = []
-    for p in pts[1:]:
-        d = linalg.vsub(p, p0)
-        if linalg.rank(tuple(basis) + (d,)) > len(basis):
-            basis.append(d)
-    k = len(basis)
-    if k == 0:
-        raise GeometryError("a single point has no hull")
-    bt = linalg.transpose(tuple(basis))
-    coords = [linalg.solve_linear(bt, linalg.vsub(p, p0)) for p in pts]
-    return Polytope.from_vertices(coords), k, p0, tuple(basis)

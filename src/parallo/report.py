@@ -27,16 +27,16 @@ from __future__ import annotations
 import time
 
 from . import serialize
-from .errors import NotAParallelohedron
-from .lattice import Lattice
-from .parallelohedron import Parallelohedron, VenkovVerdict
 from .polytope import Polytope
+from .venkov import VenkovVerdict, _analyze
 
-# `scaling` and `topology` are imported where a verdict first needs them;
-# these names serve the annotations only (typing.TYPE_CHECKING without
-# importing typing)
+# the stages after the Venkov checks are imported where a verdict first
+# needs them; these names serve the annotations only (typing.TYPE_CHECKING
+# without importing typing)
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from .lattice import Lattice
+    from .parallelohedron import Parallelohedron
     from .scaling import MismatchWitness, ScalingWitness, VoronoiCertificate
     from .topology import HalfBeltSpan, TopologyReport
 
@@ -245,24 +245,26 @@ def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
 
 def verify(source: Polytope | Lattice, name: str | None = None,
            expected: dict | None = None) -> VerificationReport:
-    """Full certification pipeline for a polytope or a lattice's cell."""
+    """Full certification pipeline for a polytope or a lattice's cell.
+
+    The Venkov checks run once, on the recentred polytope; the tiling
+    stages are imported only once they pass."""
     t0 = time.perf_counter()
-    source_gram = None
-    if isinstance(source, Lattice):
-        source_gram = source.gram
-        p = source.cell
+    if isinstance(source, Polytope):
+        p, source_gram = source, None
     else:
-        p = source
-    try:
-        para = Parallelohedron.build(p)
-    except NotAParallelohedron as exc:
-        rep = VerificationReport(name, p.dim, exc.verdict)
+        p, source_gram = source.cell, source.gram
+    q = p.recentered()
+    verdict, *tiling = _analyze(q)
+    rep = VerificationReport(name, p.dim, verdict)
+    if not verdict.ok:
         rep.timing_ms = (time.perf_counter() - t0) * 1e3
         return rep
+    from .parallelohedron import Parallelohedron
     from .scaling import build_ridge_graph, certify
 
+    para = Parallelohedron(q, *tiling)
     graph = build_ridge_graph(para)
-    rep = VerificationReport(name, p.dim, VenkovVerdict(True))
     rep.belts = para.belts
     rep.primitivity = para.primitivity_profile()
     rep.ridge_graph = {

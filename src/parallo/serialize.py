@@ -17,8 +17,13 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ParseError
-from .lattice import Lattice
 from .polytope import Polytope
+
+# `lattice` is imported where a lattice document is read; this name
+# serves the annotations only
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .lattice import Lattice
 
 
 # Python prints no int of more digits than its limit (4300 by default; 0
@@ -134,6 +139,8 @@ def lattice_to_dict(lat: Lattice) -> dict:
 
 
 def lattice_from_dict(doc: dict) -> Lattice:
+    from .lattice import Lattice
+
     if not isinstance(doc, dict) or "basis" not in doc:
         raise ParseError('lattice document needs a "basis" field')
     rows = doc["basis"]

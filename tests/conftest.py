@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from oracles import inverse
 from parallo import linalg
 from parallo import report as report_mod
 from parallo.catalog import catalog
@@ -68,7 +69,7 @@ def an_star(n):
     Cartan matrix of A_n (the Gram matrix of its fundamental weights)."""
     cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0
                for j in range(n)] for i in range(n)]
-    return Lattice.create(linalg.identity(n), linalg.inverse(linalg.mat(cartan)))
+    return Lattice.create(linalg.identity(n), inverse(linalg.mat(cartan)))
 
 
 @pytest.fixture

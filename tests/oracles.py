@@ -19,8 +19,13 @@ rank of the facets through each point, the extreme rays of a cone from a
 6-belt from one `Fraction` kernel per primitive ridge, the ridge-graph
 components from a depth-first search over those ridges, the half-belt
 span and the surface components from the compact cut model that the
-dual-block complex replaced, and the point reflections of the Venkov
-checks from the `Fraction` centroid of each point set.
+dual-block complex replaced, the point reflections of the Venkov
+checks from the `Fraction` centroid of each point set, the belts from a
+walk out of every ridge, and the vertex-facet incidences of a hull from
+a dot product per vertex and facet.
+
+It also holds the helpers only the tests read: the image of a polytope
+under an affine map, its halfspace list and the exact matrix inverse.
 """
 
 import math
@@ -28,14 +33,15 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from parallo import linalg
-from parallo.errors import GeometryError
+from parallo.errors import GeometryError, UnsupportedDimensionError
 from parallo.lattice import vectors_in_ball
-from parallo.polytope import _canonical_halfspace
+from parallo.polytope import Polytope, _canonical_halfspace
 from parallo.scaling import (
     MismatchWitness,
     RidgeEdge,
@@ -50,6 +56,13 @@ from parallo.topology import (
     _require_cycles,
     _require_d3,
     _sparse,
+)
+from parallo.venkov import (
+    VenkovVerdict,
+    VenkovWitness,
+    _BeltWalkError,
+    _involution,
+    _walk_belt,
 )
 
 
@@ -106,6 +119,67 @@ def central_symmetry(points) -> tuple[bool, tuple]:
     c = tuple(sum(col, Fraction(0)) / n for col in zip(*points))
     mirrored = {tuple(2 * ci - xi for ci, xi in zip(c, p)) for p in points}
     return mirrored == set(points), c
+
+
+def per_ridge_analyze(p):
+    """`venkov._analyze` with a belt walk out of every ridge that no good
+    belt holds, so a belt of the wrong length is walked once per ridge."""
+    if p.dim < 2:
+        raise UnsupportedDimensionError(f"dimension {p.dim} is not supported")
+    failed = ((), {}, ())
+    rows, scale = linalg.integer_rows(p.vertices)
+    image, sums = _involution(rows)
+    if image is None:
+        witness = VenkovWitness("central-symmetry",
+                                "vertex set is not centrally symmetric")
+        return (VenkovVerdict(False, (witness,)),) + failed
+    if any(sums):
+        raise GeometryError("polytope must be recentered before analysis")
+    witnesses, mirrors, facet_centers = [], [], []
+    for fi, ids in enumerate(p.facet_vertex_ids):
+        image, sums = _involution([rows[i] for i in ids])
+        if image is None:
+            witnesses.append(VenkovWitness(
+                "facet-symmetry", f"facet {fi} is not centrally symmetric",
+                tuple(ids)))
+            continue
+        mirrors.append({i: ids[k] for i, k in zip(ids, image)})
+        facet_centers.append(tuple(Fraction(s, len(ids) * scale) for s in sums))
+    if witnesses:
+        return (VenkovVerdict(False, tuple(witnesses)),) + failed
+    ridges = p.face_lattice.faces(p.dim - 2)
+    ridge_ids_by_key = {r.vertex_ids: i for i, r in enumerate(ridges)}
+    belts, belt_of_ridge = [], {}
+    for rid in range(len(ridges)):
+        if rid in belt_of_ridge:
+            continue
+        try:
+            belt = _walk_belt(ridges, ridge_ids_by_key, mirrors, rid)
+        except _BeltWalkError as exc:
+            witnesses.append(VenkovWitness("belt", exc.detail, tuple(exc.face_ids)))
+            continue
+        if belt.length not in (4, 6):
+            witnesses.append(VenkovWitness(
+                "belt",
+                f"belt through ridge {rid} has length {belt.length}, expected 4 or 6",
+                ridges[rid].vertex_ids))
+            continue
+        for pos, r in enumerate(belt.ridges):
+            belt_of_ridge[r] = (len(belts), pos)
+        belts.append(belt)
+    if witnesses:
+        return (VenkovVerdict(False, tuple(witnesses)),) + failed
+    return (VenkovVerdict(True), tuple(belts), belt_of_ridge,
+            tuple(facet_centers))
+
+
+def dot_product_facet_vertex_ids(p) -> tuple[tuple[int, ...], ...]:
+    """Per facet, the vertices on it, by an integer dot product of every
+    vertex with every facet."""
+    rows, normals, offsets = p.integer_form()
+    return tuple(
+        tuple(i for i, v in enumerate(rows) if sum(map(mul, n, v)) == b)
+        for n, b in zip(normals, offsets))
 
 
 def facet_image_map(p, q, a, shift):
@@ -965,3 +1039,51 @@ def cut_half_belt_span(para) -> HalfBeltSpan:
     if cycles:
         span = linalg.rank(chain.b2_chains + tuple(cycles)) - chain.rank_b2
     return HalfBeltSpan(h1, span, span == h1, len(cycles))
+
+
+# -- helpers only the tests read ----------------------------------------
+
+
+def inverse(m):
+    """The exact inverse, from the fraction-free reduction of [m | I]."""
+    n = len(m)
+    rows, _ = linalg.integer_rows(row + e for row, e in zip(m, linalg.identity(n)))
+    if linalg._bareiss(rows, reduce=True)[0] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
+                 for i, row in enumerate(rows))
+
+
+def halfspaces(p) -> list:
+    return list(zip(p.facet_normals, p.facet_offsets))
+
+
+def apply_affine(p, a, shift=None):
+    """Image of p under x -> a x + shift; facets re-derived and verified.
+
+    The facet of <n, x> <= b maps to the canonicalized pushforward
+    halfspace <a^-T n, y> <= b + <a^-T n, shift>; each is then checked
+    exactly against the mapped vertex set, which also lists the vertices
+    on it.
+    """
+    a = linalg.mat(a)
+    if linalg.det(a) == 0:
+        raise GeometryError("affine map must be invertible")
+    shift = linalg.vec(shift) if shift is not None else linalg.zeros(p.dim)
+    verts = tuple(sorted(
+        linalg.vadd(linalg.matvec(a, v), shift) for v in p.vertices))
+    inv_t = linalg.transpose(inverse(a))
+    facets = []
+    for n, b in zip(p.facet_normals, p.facet_offsets):
+        m = linalg.matvec(inv_t, n)
+        facets.append(_canonical_halfspace(m, b + linalg.dot(m, shift)))
+    facets.sort()
+    incidences = []
+    for n, b in facets:
+        vals = [linalg.dot(n, v) for v in verts]
+        on = tuple(i for i, x in enumerate(vals) if x == b)
+        if any(x > b for x in vals) or len(on) < p.dim:
+            raise GeometryError("affine pushforward verification failed")
+        incidences.append(on)
+    return Polytope(p.dim, verts, tuple(n for n, _ in facets),
+                    tuple(b for _, b in facets), tuple(incidences))

@@ -17,6 +17,7 @@ from conftest import (
     verified,
 )
 from oracles import (
+    apply_affine,
     covering_counts,
     half_belt_check,
     local_cycle_check,
@@ -181,7 +182,8 @@ def test_criterion_4_invariance_suite():
             base_verdict = verified(name).verdict
             for _ in range(10):
                 a = random_unimodular(rng, 3)
-                image_p = para.polytope.apply_affine(
+                image_p = apply_affine(
+                    para.polytope,
                     a, [rng.randint(-3, 3) for _ in range(3)]
                 )
                 image = Parallelohedron.build(image_p)

@@ -1,30 +1,31 @@
+import os
+import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, built
+from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, SEED, built
 from oracles import (
+    apply_affine,
     ball_translate_members,
     central_symmetry,
     contains,
+    dot_product_facet_vertex_ids,
     dual_cell_centers,
     is_k_irreducible,
+    per_ridge_analyze,
 )
-from parallo import linalg, parallelohedron, report
+from parallo import linalg, parallelohedron, report, venkov
 from parallo.catalog import catalog
 from parallo.errors import DualCellAnomaly, GeometryError, NotAParallelohedron
-from parallo.parallelohedron import (
-    Parallelohedron,
-    classify_dual3,
-    dual3_census,
-    _analyze,
-    _involution,
-    venkov_check,
-)
+from parallo.parallelohedron import Parallelohedron, classify_dual3, dual3_census
 from parallo.polytope import Polytope
+from parallo.serialize import load_document
+from parallo.venkov import _analyze, _involution, venkov_check
 
 F = Fraction
 
@@ -91,6 +92,96 @@ def test_analyze_rejects_a_symmetric_polytope_off_the_origin():
     cube = catalog("cube").polytope.translated((F(1, 3), 0, 0))
     with pytest.raises(GeometryError, match="must be recentered"):
         _analyze(cube)
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+def fixture_polytope(name):
+    with open(os.path.join(FIXTURES, name + ".json"), encoding="utf-8") as fh:
+        return load_document(fh.read())
+
+
+def zonotope(generators):
+    return Polytope.from_vertices(
+        [tuple(map(sum, zip(*chosen, linalg.zeros(3))))
+         for k in range(len(generators) + 1)
+         for chosen in combinations(generators, k)])
+
+
+def seeded_zonotopes(seed, count=6):
+    """Zonotopes of 3 to 6 small integer generators, which may be
+    parallel or coplanar, so their belts have 4, 6 or more facets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        gens = [linalg.vec(rng.choice(range(-2, 3)) for _ in range(3))
+                for _ in range(rng.randint(3, 6))]
+        if linalg.rank(gens) == 3:
+            out.append(zonotope(gens))
+    return out
+
+
+@pytest.fixture
+def belt_walks(monkeypatch):
+    """The ridge set of every belt walk that closes."""
+    walks = []
+    walk = venkov._walk_belt
+
+    def recorded(*args):
+        belt = walk(*args)
+        walks.append(frozenset(belt.ridges))
+        return belt
+
+    monkeypatch.setattr(venkov, "_walk_belt", recorded)
+    return walks
+
+
+@pytest.mark.parametrize("case", ["octahedron", "pentagon_prism", "zonotope5",
+                                  "catalog", "seeded zonotopes"])
+def test_each_belt_is_walked_once_with_the_per_ridge_verdict(case, belt_walks):
+    """Walking each belt once, whatever its length, gives the verdict,
+    witnesses, belts and facet centers of a walk out of every ridge."""
+    if case == "catalog":
+        polytopes = [catalog(name).polytope for name in POLYTOPE_CATALOG]
+    elif case == "seeded zonotopes":
+        polytopes = seeded_zonotopes(SEED)
+    else:
+        polytopes = [fixture_polytope(case)]
+    for p in polytopes:
+        q = p.recentered()
+        belt_walks.clear()
+        assert _analyze(q) == per_ridge_analyze(q)
+        assert len(belt_walks) == len(set(belt_walks))
+
+
+def test_a_zonotope_walks_each_of_its_long_belts_once(belt_walks):
+    """The five 8-belts of a 5-generator zonotope are five walks, and
+    still one witness per ridge, in ridge order."""
+    verdict = venkov_check(fixture_polytope("zonotope5"))
+    assert len(belt_walks) == 5
+    assert [w.detail for w in verdict.witnesses] == [
+        f"belt through ridge {r} has length 8, expected 4 or 6"
+        for r in range(40)]
+
+
+@pytest.mark.parametrize("name", ["truncated-octahedron", "zonotope5"])
+def test_verify_runs_the_venkov_checks_once(name, monkeypatch):
+    """One Venkov pass per verify, whether it certifies or rejects."""
+    calls = []
+    analyze = venkov._analyze
+
+    def counted(p):
+        calls.append(p)
+        return analyze(p)
+
+    monkeypatch.setattr(report, "_analyze", counted)
+    monkeypatch.setattr(parallelohedron, "_analyze", counted)
+    source = (fixture_polytope(name) if name == "zonotope5"
+              else catalog(name).polytope)
+    rep = report.verify(source)
+    assert rep.verdict == ("venkov-fails" if name == "zonotope5" else "certified")
+    assert len(calls) == 1
 
 
 def test_belt_structure():
@@ -166,15 +257,16 @@ def test_neighbor_check_rejects_wrong_facet_vectors(centers):
 
 def test_unnormalized_halfspaces_give_the_same_dual_cells():
     """A cube stored with normals (1/2, 0, 0) and offsets 1/4: the
-    translate table scales normals and offsets together, as the facet
-    incidences do."""
+    translate table scales normals and offsets together, as the integer
+    dot-product incidences do."""
     cube = catalog("cube").polytope
     halved = Polytope(
         3, cube.vertices,
         tuple(linalg.vscale(F(1, 2), n) for n in cube.facet_normals),
         tuple(b / 2 for b in cube.facet_offsets),
+        cube.facet_vertex_ids,
     )
-    assert halved.facet_vertex_ids == cube.facet_vertex_ids
+    assert dot_product_facet_vertex_ids(halved) == cube.facet_vertex_ids
     para = Parallelohedron.build(halved)
     for codim in (1, 2, 3):
         assert [c.centers for c in para.dual_cells(codim)] == \
@@ -217,7 +309,7 @@ def test_translate_table_matches_a_whole_ball_sweep(name):
     ball of twice the circumradius, on every catalog entry and on a
     skewed image."""
     if name.endswith("-skewed"):
-        p = catalog("elongated-dodecahedron").polytope.apply_affine(SKEW)
+        p = apply_affine(catalog("elongated-dodecahedron").polytope, SKEW)
         para = Parallelohedron.build(p)
     else:
         para = built(name)

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 
 from conftest import an_star
 from oracles import (
+    apply_affine,
     central_symmetry,
+    dot_product_facet_vertex_ids,
     facet_image_map,
     fraction_affine_rank,
     fraction_extreme_rays,
     fraction_facets_from_points,
     fraction_point_vertices,
     fraction_vertices_from_halfspaces,
+    halfspaces,
     hull_counts,
     random_unimodular,
     scanned_face_facets,
@@ -25,7 +29,9 @@ from parallo import linalg, polytope
 from parallo.catalog import catalog, catalog_names
 from parallo.errors import GeometryError
 from parallo.lattice import dv_cell
-from parallo.polytope import Polytope, affine_hull_polytope
+from parallo.parallelohedron import affine_hull_polytope
+from parallo.polytope import Polytope
+from parallo.serialize import load_document
 
 F = Fraction
 
@@ -151,8 +157,8 @@ _INCIDENCE_CASES = {
 def test_face_facets_and_grades_match_the_subset_scan(name, mapped, rng):
     p = _INCIDENCE_CASES[name]()
     if mapped:
-        p = p.apply_affine(random_unimodular(rng, p.dim),
-                           [rng.randint(-2, 2) for _ in range(p.dim)])
+        p = apply_affine(p, random_unimodular(rng, p.dim),
+                         [rng.randint(-2, 2) for _ in range(p.dim)])
     assert_faces_match_the_scan(p)
 
 
@@ -162,13 +168,56 @@ def test_face_grades_match_the_fraction_affine_rank(name, rng):
     the face's vertices, on every catalog cell, the cross-polytopes and
     A4*, and on a seeded unimodular image of each."""
     p = _INCIDENCE_CASES[name]()
-    image = p.apply_affine(random_unimodular(rng, p.dim),
-                           [rng.randint(-2, 2) for _ in range(p.dim)])
+    image = apply_affine(p, random_unimodular(rng, p.dim),
+                         [rng.randint(-2, 2) for _ in range(p.dim)])
     for q in (p, image):
         for dim, faces in q.face_lattice.faces_by_dim.items():
             for face in faces:
                 assert face.dim == dim == fraction_affine_rank(
                     [q.vertices[i] for i in face.vertex_ids])
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+def fixture_polytope(name):
+    with open(os.path.join(FIXTURES, name + ".json"), encoding="utf-8") as fh:
+        return load_document(fh.read())
+
+
+@pytest.mark.parametrize("name", list(_INCIDENCE_CASES) + [
+    "fixture:" + f for f in ("octahedron", "pentagon_prism",
+                             "perturbed_prism", "zonotope5")])
+def test_hull_incidences_match_the_dot_products(name, rng):
+    """The vertex-facet incidences each hull carries are those of a dot
+    product per vertex and facet: for both hull directions, on every
+    catalog cell, the cross-polytopes, A4* and the polytope fixtures, on
+    a seeded unimodular image of each, and on their recentred copies."""
+    if name.startswith("fixture:"):
+        p = fixture_polytope(name[len("fixture:"):])
+    else:
+        p = _INCIDENCE_CASES[name]()
+    image = apply_affine(p, random_unimodular(rng, p.dim),
+                         [F(rng.randint(-4, 4), 3) for _ in range(p.dim)])
+    for q in (p, image):
+        for hull in (Polytope.from_vertices(q.vertices),
+                     Polytope.from_halfspaces(halfspaces(q), q.dim)):
+            assert hull == q
+            for r in (hull, hull.recentered()):
+                assert r.facet_vertex_ids == dot_product_facet_vertex_ids(r)
+
+
+def test_point_hull_incidences_skip_the_points_that_are_not_vertices():
+    """Edge midpoints and the centre lie on facets of the cube but are
+    not vertices, so no facet lists them."""
+    cube = half_cube()
+    points = list(cube.vertices) + [linalg.zeros(3)] + [
+        linalg.vscale(F(1, 2), linalg.vadd(a, b))
+        for a, b in combinations(cube.vertices, 2)]
+    hull = Polytope.from_vertices(points)
+    assert hull == cube
+    assert hull.facet_vertex_ids == cube.facet_vertex_ids == \
+        dot_product_facet_vertex_ids(cube)
 
 
 @pytest.mark.parametrize("d, f_vector, vertex_facets, edge_facets", [
@@ -203,9 +252,9 @@ def test_central_symmetry():
 
 def test_apply_affine_identity_and_diagonal():
     cube = half_cube()
-    same = cube.apply_affine(linalg.identity(3))
+    same = apply_affine(cube, linalg.identity(3))
     assert same.vertices == cube.vertices
-    box = cube.apply_affine(linalg.mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    box = apply_affine(cube, linalg.mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
     assert sorted(set(box.facet_offsets)) == [F(1, 2), F(1), F(3, 2)]
 
 
@@ -214,7 +263,7 @@ def test_apply_affine_face_lattice_isomorphism(rng):
     for _ in range(3):
         a = random_unimodular(rng, 3)
         shift = linalg.vec([rng.randint(-2, 2) for _ in range(3)])
-        image = prism.apply_affine(a, shift)
+        image = apply_affine(prism, a, shift)
         fmap = facet_image_map(prism, image, a, shift)
         assert sorted(fmap) == list(range(prism.n_facets))
         for fi, fj in enumerate(fmap):
@@ -224,12 +273,12 @@ def test_apply_affine_face_lattice_isomorphism(rng):
 
 def test_apply_affine_rejects_singular():
     with pytest.raises(GeometryError):
-        half_cube().apply_affine(linalg.mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+        apply_affine(half_cube(), linalg.mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
 
 
 def test_round_trip_halfspaces():
     p = catalog("truncated-octahedron").polytope
-    again = Polytope.from_halfspaces(p.halfspaces(), p.dim)
+    again = Polytope.from_halfspaces(halfspaces(p), p.dim)
     assert again.vertices == p.vertices
     assert again.facet_normals == p.facet_normals
     assert again.facet_offsets == p.facet_offsets
@@ -328,7 +377,7 @@ def test_point_hull_matches_the_fraction_loop(case):
     assume(fraction_affine_rank(pts) == dim)
     facets = fraction_facets_from_points(pts, dim)
     hull = Polytope.from_vertices(pts)
-    assert hull.halfspaces() == facets
+    assert halfspaces(hull) == facets
     assert list(hull.vertices) == fraction_point_vertices(pts, facets)
 
 
@@ -430,10 +479,10 @@ def test_halfspace_round_trip_of_a_point_hull(case):
     dim, pts = case
     assume(fraction_affine_rank(pts) == dim)
     p = Polytope.from_vertices(pts)
-    q = Polytope.from_halfspaces(p.halfspaces(), dim)
+    q = Polytope.from_halfspaces(halfspaces(p), dim)
     assert q.vertices == p.vertices == \
-        tuple(fraction_vertices_from_halfspaces(p.halfspaces(), dim))
-    assert q.halfspaces() == p.halfspaces()
+        tuple(fraction_vertices_from_halfspaces(halfspaces(p), dim))
+    assert halfspaces(q) == halfspaces(p)
 
 
 def test_hull_rejects_an_unbounded_set_without_the_span_test():
@@ -448,6 +497,6 @@ def test_hull_rejects_an_unbounded_set_without_the_span_test():
 def test_one_dimensional_segment():
     seg = Polytope.from_halfspaces([((2,), F(3)), ((-1,), F(1, 2))], 1)
     assert seg.vertices == ((F(-1, 2),), (F(3, 2),))
-    assert seg.halfspaces() == [((F(-1),), F(1, 2)), ((F(1),), F(3, 2))]
+    assert halfspaces(seg) == [((F(-1),), F(1, 2)), ((F(1),), F(3, 2))]
     again = Polytope.from_vertices([(F(3, 2),), (0,), (F(-1, 2),)])
     assert again == seg

@@ -42,10 +42,13 @@ def test_every_module_imports_only_the_standard_library():
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ZONOTOPE = os.path.join(ROOT, "tests", "fixtures", "zonotope5.json")
+OCTAHEDRON = os.path.join(ROOT, "tests", "fixtures", "octahedron.json")
 # `dataclasses` imports `inspect` and builds methods with `exec`; `typing`
 # would serve annotations only
 HEAVY_STDLIB = {"dataclasses", "inspect", "typing"}
-LATER_STAGES = {"parallo.scaling", "parallo.topology", "parallo.catalog"}
+LATER_STAGES = {"parallo.lattice", "parallo.parallelohedron", "parallo.scaling",
+                "parallo.topology", "parallo.catalog"}
+TILING_STAGES = {"parallo.lattice", "parallo.parallelohedron"}
 
 
 def modules_after(code: str) -> set[str]:
@@ -74,20 +77,41 @@ def test_the_cli_reads_its_arguments_without_argparse():
     assert "argparse" not in loaded
 
 
-def test_a_venkov_rejection_loads_neither_scaling_nor_topology():
+def rejection_loads(path: str) -> set[str]:
     loaded = modules_after(
         "from parallo import cli\n"
-        f"assert cli.main(['verify', {ZONOTOPE!r}]) == 3")
-    assert {"parallo.scaling", "parallo.topology"}.isdisjoint(loaded)
-    assert "parallo.catalog" not in loaded
+        f"assert cli.main(['verify', {path!r}]) == 3")
+    assert "parallo.venkov" in loaded
+    return loaded
+
+
+def test_a_venkov_rejection_loads_neither_scaling_nor_topology():
+    """A belt rejection stops at `venkov`: no lattice, tiling, scaling,
+    topology or catalog code is loaded."""
+    assert rejection_loads(ZONOTOPE) & LATER_STAGES == set()
+
+
+def test_a_facet_symmetry_rejection_loads_no_later_stage():
+    assert rejection_loads(OCTAHEDRON) & LATER_STAGES == set()
 
 
 def test_a_certified_3d_verdict_loads_scaling_and_topology():
     loaded = modules_after(
         "from parallo import cli\n"
         "assert cli.main(['verify', 'truncated-octahedron']) == 0")
-    assert {"parallo.scaling", "parallo.topology", "parallo.catalog"} <= loaded
+    assert LATER_STAGES <= loaded
     assert loaded & HEAVY_STDLIB == set()
+
+
+def test_a_lattice_document_loads_the_lattice_and_tiling_stages(tmp_path):
+    """The negative control of the rejection test: reading a lattice
+    document loads `lattice`, and certifying its cell `parallelohedron`."""
+    doc = tmp_path / "z2.json"
+    doc.write_text(json.dumps({"basis": [["1", "0"], ["0", "1"]]}))
+    loaded = modules_after(
+        "from parallo import cli\n"
+        f"assert cli.main(['verify', {str(doc)!r}]) == 0")
+    assert TILING_STAGES <= loaded
 
 
 def test_every_exported_name_resolves():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, built, ridge_graph
 from oracles import (
+    apply_affine,
     fraction_voronoi_mismatch,
     half_belt_check,
     local_cycle_check,
@@ -428,7 +429,7 @@ def test_affine_invariance_of_closed_walk_gains(rng):
         graph = ridge_graph(name)
         for _ in range(3):
             a = random_unimodular(rng, 3)
-            image = Parallelohedron.build(para.polytope.apply_affine(a))
+            image = Parallelohedron.build(apply_affine(para.polytope, a))
             igraph = build_ridge_graph(image)
             rmap = ridge_image_map(para, image, a, linalg.zeros(3))
             fmap = {}
@@ -470,8 +471,8 @@ A2_A2 = Lattice.create(linalg.identity(4), [row + [0, 0] for row in A2_GRAM]
 def skewed(p, seed):
     """The image of a cell under a seeded unimodular map and shift."""
     rng = random.Random(seed)
-    return p.apply_affine(random_unimodular(rng, p.dim),
-                          [rng.randint(-2, 2) for _ in range(p.dim)])
+    return apply_affine(p, random_unimodular(rng, p.dim),
+                        [rng.randint(-2, 2) for _ in range(p.dim)])
 
 
 GAIN_CASES = {
@@ -513,7 +514,8 @@ def test_a_perturbed_normal_in_a_6_belt_raises(name, change, message):
                      if linalg.rank((n0, m, n2)) == 3)
     normals = list(p.facet_normals)
     normals[belt.facets[1]] = moved
-    para.polytope = Polytope(p.dim, p.vertices, tuple(normals), p.facet_offsets)
+    para.polytope = Polytope(p.dim, p.vertices, tuple(normals), p.facet_offsets,
+                             p.facet_vertex_ids)
     with pytest.raises(GeometryError, match=message):
         build_ridge_graph(para)
     with pytest.raises(GeometryError):  # maybe first at another belt

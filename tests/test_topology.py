@@ -7,6 +7,7 @@ from conftest import POLYTOPE_CATALOG, SEED, built
 from oracles import (
     ChainComplex,
     CutComplex,
+    apply_affine,
     cut_half_belt_span,
     random_unimodular,
     ridge_graph_components,
@@ -15,10 +16,11 @@ from parallo import parallelohedron, report, topology
 from parallo.catalog import catalog
 from parallo.errors import GeometryError, UnsupportedDimensionError
 from parallo.lattice import dv_cell
-from parallo.parallelohedron import Parallelohedron, venkov_check
+from parallo.parallelohedron import Parallelohedron
 from parallo.polytope import Polytope
 from parallo.scaling import Walk
 from parallo.topology import _DualComplex, surface_topology
+from parallo.venkov import venkov_check
 
 
 def _delta(para):
@@ -68,8 +70,8 @@ def test_delta_reports():
     assert strip.chi == 0 and strip.cell_counts == (0, 6, 6)
     # with a cap as facet 0, the strip still comes first: a component
     # with a ridge sorts before one with only a facet
-    swapped = Parallelohedron.build(built("hexagonal-prism").polytope
-                                    .apply_affine([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+    swapped = Parallelohedron.build(apply_affine(
+        built("hexagonal-prism").polytope, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
     assert not any(swapped.ridge_primitive(r)
                    for r, pair in enumerate(swapped.ridge_facets) if 0 in pair)
     delta, pi, _ = surface_topology(swapped)
@@ -181,7 +183,7 @@ def test_dual_complex_matches_the_cut_model_on_unimodular_images():
     rng = random.Random(SEED + 7)
     for name in POLYTOPE_CATALOG:
         for _ in range(2):
-            image = Parallelohedron.build(built(name).polytope.apply_affine(
+            image = Parallelohedron.build(apply_affine(built(name).polytope,
                 random_unimodular(rng, 3), [rng.randint(-3, 3) for _ in range(3)]))
             delta, pi, span = surface_topology(image)
             # the oracle's h1 is that of the quotient cut model
