@@ -22,11 +22,11 @@ print("Voronoi cell of BCC:", cell.n_vertices, "vertices,",
 para = Parallelohedron.build(cell)
 print("belt lengths:", sorted(b.length for b in para.belts))
 
-graph = build_ridge_graph(para)
-print("ridge graph:", len(graph.edges), "edges,",
-      graph.n_components, "component(s)")
+gains = build_ridge_graph(para)  # primitive ridge id -> gain across it
+print("ridge graph:", len(gains), "edges,",
+      len(set(para.delta_roots)), "component(s)")
 
-scaling = canonical_scaling(graph)
+scaling = canonical_scaling(para, gains)
 print("canonical scaling per facet:")
 for fi, value in enumerate(scaling.values):
     kind = "hexagon" if sum(abs(x) for x in cell.facet_normals[fi]) == 3 \

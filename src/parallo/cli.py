@@ -16,7 +16,7 @@ import sys
 
 from . import report as report_mod
 from . import serialize
-from .errors import DualCellAnomaly, ParalloError, ParseError
+from .errors import ParalloError, ParseError
 from .polytope import Polytope
 from .report import EXIT_PARSE, EXIT_VENKOV
 from .venkov import venkov_check
@@ -54,6 +54,8 @@ def _emit(doc, out_path: str | None = None):
 def _cmd_catalog(args) -> int:
     from .catalog import catalog, catalog_names
 
+    if (args["name"] is None) != (args["action"] == "list"):
+        raise ParseError(_synopsis("catalog"))
     if args["action"] == "list":
         _emit({"names": list(catalog_names())})
         return 0
@@ -104,40 +106,31 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_dual_cells(args) -> int:
-    from .parallelohedron import Parallelohedron, classify_dual3
+    from .parallelohedron import Parallelohedron, dual3_census
 
     source, _ = _load_input(args["input"])
     para = Parallelohedron.build(_as_polytope(source))
     codim = args["codim"]
     if codim < 1 or codim > min(3, para.dim):
         raise ParseError(f"--codim must be between 1 and {min(3, para.dim)}")
-    cells = para.dual_cells(codim)
-    doc: dict = {"codim": codim, "cells": len(cells)}
     if codim == 3:
-        census: dict[str, int] = {}
-        anomalies = []
-        for cell in cells:
-            try:
-                kind = classify_dual3(cell)
-            except DualCellAnomaly as exc:
-                anomalies.append({
-                    "face_vertex_ids": list(cell.face.vertex_ids),
-                    "detail": str(exc),
-                })
-                continue
-            census[kind] = census.get(kind, 0) + 1
-        doc["census"] = dict(sorted(census.items()))
+        census, anomalies = dual3_census(para)
+        doc: dict = {"codim": codim,
+                     "cells": sum(census.values()) + len(anomalies),
+                     "census": census}
         if anomalies:
             # loud: these would contradict the dual-cell dimension expectation
             doc["anomalies"] = anomalies
-    else:
-        by_count: dict[str, int] = {}
-        for cell in cells:
-            key = str(len(cell.centers))
-            by_count[key] = by_count.get(key, 0) + 1
-        doc["census_by_center_count"] = dict(sorted(by_count.items()))
-    _emit(doc)
-    return 0 if not doc.get("anomalies") else 4
+        _emit(doc)
+        return 4 if anomalies else 0
+    cells = para.dual_cells(codim)
+    by_count: dict[str, int] = {}
+    for cell in cells:
+        key = str(len(cell.centers))
+        by_count[key] = by_count.get(key, 0) + 1
+    _emit({"codim": codim, "cells": len(cells),
+           "census_by_center_count": dict(sorted(by_count.items()))})
+    return 0
 
 
 def _cmd_voronoi_cell(args) -> int:

@@ -119,45 +119,38 @@ def _integer_interval(p: int, a: int, m: int) -> range:
     return range(-((s - p) // a), (p + s) // a + 1)
 
 
-def _enumerate(lat: Lattice, r2: Fraction, center: Vec | None = None,
+def _enumerate(lat: Lattice, r2: Fraction,
                parity: tuple[int, ...] | None = None
                ) -> list[tuple[int, tuple[int, ...]]]:
-    """(N, k) for every integer k with Q(k - center) <= r2 and, if given,
-    k = parity mod 2, where N = ds * (us * cs)^2 * Q(k - center).
+    """(N, k) for every integer k with Q(k) <= r2 and, if given,
+    k = parity mod 2, where N = ds * us^2 * Q(k).
 
-    Fincke-Pohst: with x = k - center scaled by the denominator cs of the
-    center, level i (from the last coordinate down) sees the integer
-    Z_i = us * cs * (x_i + sum_{j>i} U_ij x_j) = a k_i - p_i, and
+    Fincke-Pohst: level i (from the last coordinate down) sees the
+    integer Z_i = us * (k_i + sum_{j>i} U_ij k_j) = us k_i - p_i, and
     k_i ranges over the integers with (ds D_i) Z_i^2 at most what the
     levels above left of the scaled bound.
     """
     rows, us, diag, ds = lat._ldl
     d = lat.dim
-    if center is None:
-        c, cs = [0] * d, 1
-    else:
-        (c,), cs = linalg.integer_rows([center])
-    a = us * cs
     r2 = Fraction(r2)
-    bound = r2.numerator * ds * a * a // r2.denominator
+    bound = r2.numerator * ds * us * us // r2.denominator
     out: list[tuple[int, tuple[int, ...]]] = []
     k = [0] * d
 
     def level(i: int, used: int, lin: list[int]) -> None:
-        # lin[j] for j <= i: sum of rows[j][l] * (cs k_l - c_l) over l > i
-        p = us * c[i] - lin[i]
-        ks = _integer_interval(p, a, (bound - used) // diag[i])
+        # lin[j] for j <= i: sum of rows[j][l] * k_l over l > i
+        p = -lin[i]
+        ks = _integer_interval(p, us, (bound - used) // diag[i])
         if parity is not None:
             ks = ks[(parity[i] - ks.start) % 2::2]
         for ki in ks:
-            z = a * ki - p
+            z = us * ki - p
             k[i] = ki
             if i == 0:
                 out.append((used + diag[0] * z * z, tuple(k)))
             else:
-                x = cs * ki - c[i]
                 level(i - 1, used + diag[i] * z * z,
-                      [lin[j] + rows[j][i] * x for j in range(i)])
+                      [lin[j] + rows[j][i] * ki for j in range(i)])
 
     if bound >= 0:
         level(d - 1, 0, [0] * d)
@@ -172,20 +165,9 @@ def _ambient_sorted(lat: Lattice, ks) -> list[Vec]:
     return [tuple(Fraction(x, s) for x in v) for v in nums]
 
 
-def vectors_in_ball(lat: Lattice, r2: Fraction, around: Vec | None = None,
-                    parity: tuple[int, ...] | None = None) -> list[Vec]:
-    """All lattice vectors v with norm_sq(v - around) <= r2, sorted.
-
-    `parity` restricts basis coefficients to a fixed residue mod 2,
-    i.e. enumerates one coset of 2L instead of all of L.
-    """
-    center = None
-    if around is not None:
-        center = lat.to_coefficients(linalg.vec(around))
-        if center is None:
-            raise GeometryError("center is not in the lattice's span")
-    return _ambient_sorted(lat, (k for _, k in
-                                 _enumerate(lat, r2, center, parity)))
+def vectors_in_ball(lat: Lattice, r2: Fraction) -> list[Vec]:
+    """All lattice vectors v with norm_sq(v) <= r2, sorted."""
+    return _ambient_sorted(lat, (k for _, k in _enumerate(lat, r2)))
 
 
 def _coset_minimizers(lat: Lattice, parity: tuple[int, ...]) -> list[tuple[int, ...]]:

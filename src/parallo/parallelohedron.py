@@ -294,10 +294,18 @@ def classify_dual3(cell: DualCell) -> str:
     return kind
 
 
-def dual3_census(para: Parallelohedron) -> dict[str, int]:
-    """Count dual 3-cell types over all codim-3 faces of the polytope."""
+def dual3_census(para: Parallelohedron) -> tuple[dict[str, int], list[dict]]:
+    """Count dual 3-cell types over all codim-3 faces of the polytope, and
+    list each cell that fits none of them (its face's vertex ids and the
+    reason)."""
     census: dict[str, int] = {}
+    anomalies = []
     for cell in para.dual_cells(3):
-        kind = classify_dual3(cell)
+        try:
+            kind = classify_dual3(cell)
+        except DualCellAnomaly as exc:
+            anomalies.append({"face_vertex_ids": list(cell.face.vertex_ids),
+                              "detail": str(exc)})
+            continue
         census[kind] = census.get(kind, 0) + 1
-    return dict(sorted(census.items()))
+    return dict(sorted(census.items())), anomalies

@@ -8,7 +8,10 @@ normals around every ridge sum to zero must multiply by exactly this
 factor when traveling i -> j. Weights compatible with all gains exist
 iff the product of gains around every closed walk in the ridge graph
 (facets as nodes, primitive ridges as edges) equals 1; the walk check
-over a spanning tree covers the whole cycle space.
+over a spanning tree covers the whole cycle space. The graph is the
+parallelohedron's own: its gains are one table keyed by primitive ridge
+id and oriented from `ridge_facets[r][0]` to `ridge_facets[r][1]`, like
+the 1-cells of the surface complex (`topology._DualComplex`).
 
 Once a canonical scaling s exists, a symmetric G with
 G t_F = c * s(F) * n_F for all facets makes every facet hyperplane the
@@ -39,14 +42,6 @@ from .linalg import Mat, Vec
 from .parallelohedron import Parallelohedron
 
 
-class RidgeEdge(namedtuple("RidgeEdge", "ridge facets gain")):
-    """A primitive ridge (an id into the polytope's codim-2 faces), its
-    two facets in belt order, and the gain applied from facets[0] to
-    facets[1] (see `build_ridge_graph`)."""
-
-    __slots__ = ()
-
-
 class Walk(namedtuple("Walk", "facets ridges")):
     """Alternating facet/ridge sequence; facets[i], facets[i+1] share ridges[i]."""
 
@@ -61,42 +56,9 @@ class Walk(namedtuple("Walk", "facets ridges")):
         return Walk(self.facets + other.facets[1:], self.ridges + other.ridges)
 
 
-class RidgeGraph:
-    """Facets as nodes, primitive ridges as gain-weighted edges."""
-
-    def __init__(self, para: Parallelohedron, edges: list[RidgeEdge]):
-        self.para = para
-        self.edges = tuple(edges)
-        n = para.polytope.n_facets
-        adj: dict[int, list[tuple[int, int]]] = {f: [] for f in range(n)}
-        for ei, e in enumerate(self.edges):
-            a, b = e.facets
-            adj[a].append((b, ei))
-            adj[b].append((a, ei))
-        self.adjacency = {f: tuple(sorted(ns)) for f, ns in adj.items()}
-        self.edge_of_ridge = {e.ridge: ei for ei, e in enumerate(self.edges)}
-        # its components are the delta-surface's
-        self.n_components = len(set(para.delta_roots))
-
-    @property
-    def n_facets(self) -> int:
-        return self.para.polytope.n_facets
-
-    def gain(self, f_from: int, f_to: int, ridge: int) -> Fraction:
-        """Gain across a primitive ridge, directed f_from -> f_to."""
-        ei = self.edge_of_ridge.get(ridge)
-        if ei is None:
-            raise GeometryError(f"ridge {ridge} is not primitive")
-        e = self.edges[ei]
-        if (f_from, f_to) == e.facets:
-            return e.gain
-        if (f_to, f_from) == e.facets:
-            return 1 / e.gain
-        raise GeometryError("facets do not match the ridge")
-
-
-def build_ridge_graph(para: Parallelohedron) -> RidgeGraph:
-    """One node per facet, one gain-weighted edge per primitive ridge.
+def build_ridge_graph(para: Parallelohedron) -> dict[int, Fraction]:
+    """The gain of every primitive ridge r, from facet
+    `para.ridge_facets[r][0]` to facet `para.ridge_facets[r][1]`.
 
     Each primitive ridge lies in one 6-belt, whose facets are F0, F1, F2
     and their opposites F3, F4, F5, so its normals are n0, n1, n2 and
@@ -108,7 +70,7 @@ def build_ridge_graph(para: Parallelohedron) -> RidgeGraph:
     """
     normals, _ = linalg.integer_rows(para.polytope.facet_normals)
     vectors, _ = linalg.integer_rows(para.facet_vectors)
-    edge_of = {}
+    gains = {}
     for belt in para.belts:
         if belt.length != 6:
             continue
@@ -134,18 +96,8 @@ def build_ridge_graph(para: Parallelohedron) -> RidgeGraph:
                     "direction"
                 )
             gain = Fraction(abs(alpha[(i + 1) % 3]), abs(alpha[i % 3]))
-            edge_of[rid] = RidgeEdge(rid, (f[i], f[(i + 1) % 6]), gain)
-    return RidgeGraph(para, [edge_of[rid] for rid in sorted(edge_of)])
-
-
-def gain_along_walk(graph: RidgeGraph, walk: Walk) -> Fraction:
-    """Product of directed gains along a walk in the ridge graph."""
-    if len(walk.facets) != len(walk.ridges) + 1:
-        raise ValueError("walk has mismatched facet/ridge counts")
-    total = Fraction(1)
-    for i, rid in enumerate(walk.ridges):
-        total *= graph.gain(walk.facets[i], walk.facets[i + 1], rid)
-    return total
+            gains[rid] = gain if para.ridge_facets[rid][0] == f[i] else 1 / gain
+    return dict(sorted(gains.items()))
 
 
 class ScalingWitness(namedtuple("ScalingWitness",
@@ -185,7 +137,7 @@ def _tree_walk(parent, f) -> Walk:
     return Walk(tuple(reversed(facets)), tuple(reversed(ridges)))
 
 
-def canonical_scaling(graph: RidgeGraph):
+def canonical_scaling(para: Parallelohedron, gains: dict[int, Fraction]):
     """Construct facet weights from the gains, or return a witness.
 
     Per component: the facet with the lexicographically least canonical
@@ -196,10 +148,17 @@ def canonical_scaling(graph: RidgeGraph):
     that does not gives an "opposite-facet" witness. The merged groups
     are the pi-surface's components, labelled by least facet.
     """
-    para = graph.para
     p = para.polytope
     n = p.n_facets
     delta, pi, opp = para.delta_roots, para.pi_roots, para.opposite_facet
+    # per facet (neighbour, ridge, gain to it), by neighbour then ridge
+    neighbors: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
+    for rid, gain in gains.items():
+        a, b = para.ridge_facets[rid]
+        neighbors[a].append((b, rid, gain))
+        neighbors[b].append((a, rid, 1 / gain))
+    for ns in neighbors:
+        ns.sort()
     values: list[Fraction | None] = [None] * n
     parent: list[tuple[int, int] | None] = [None] * n
     base_facets = []
@@ -211,21 +170,18 @@ def canonical_scaling(graph: RidgeGraph):
         queue = [base]
         while queue:
             f = queue.pop(0)
-            for g, ei in graph.adjacency[f]:
-                edge = graph.edges[ei]
-                gain = graph.gain(f, g, edge.ridge)
+            for g, rid, gain in neighbors[f]:
                 if values[g] is None:
                     values[g] = values[f] * gain
-                    parent[g] = (f, edge.ridge)
+                    parent[g] = (f, rid)
                     queue.append(g)
                 elif values[g] != values[f] * gain:
-                    to_f = _tree_walk(parent, f)
-                    from_g = _tree_walk(parent, g).reversed()
-                    cycle = to_f.then(
-                        Walk((f, g), (edge.ridge,))).then(from_g)
+                    # values[f] and values[g] are the tree products from
+                    # the base, so this is the product around the cycle
+                    cycle = _tree_walk(parent, f).then(Walk((f, g), (rid,))) \
+                        .then(_tree_walk(parent, g).reversed())
                     return ScalingWitness(
-                        "cycle", cycle, None, gain_along_walk(graph, cycle)
-                    )
+                        "cycle", cycle, None, values[f] * gain / values[g])
     # the antipode maps each delta component onto one; where that is
     # another, the least facet of their pi component rescales its image
     factor = {f: values[f] / values[opp[f]] for f in set(pi)
@@ -396,12 +352,12 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     )
 
 
-def certify(graph: RidgeGraph) -> VoronoiCertificate:
-    """Scaling -> quadratic form -> verification on a built ridge graph."""
-    result = canonical_scaling(graph)
+def certify(para: Parallelohedron) -> VoronoiCertificate:
+    """Ridge gains -> scaling -> quadratic form -> verification."""
+    result = canonical_scaling(para, build_ridge_graph(para))
     if isinstance(result, ScalingWitness):
         return VoronoiCertificate("scaling-fails", None, None, None, witness=result)
-    return voronoi_form(graph.para, result)
+    return voronoi_form(para, result)
 
 
 def face_walk(para: Parallelohedron, face) -> Walk | None:

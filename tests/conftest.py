@@ -2,7 +2,7 @@
 
 PARALLO_SEED fixes every randomized property test; building the bigger
 catalog entries (especially the d = 4 cell) is expensive, so built
-parallelohedra, ridge graphs and verification reports are cached per
+parallelohedra, ridge gain tables and verification reports are cached per
 session and shared across test modules.
 """
 
@@ -22,7 +22,7 @@ from parallo.scaling import build_ridge_graph
 SEED = int(os.environ.get("PARALLO_SEED", "20260810"))
 
 _built = {}
-_graphs = {}
+_gains = {}
 _reports = {}
 
 POLYTOPE_CATALOG = (
@@ -49,10 +49,11 @@ def built(name: str) -> Parallelohedron:
     return _built[name]
 
 
-def ridge_graph(name: str):
-    if name not in _graphs:
-        _graphs[name] = build_ridge_graph(built(name))
-    return _graphs[name]
+def ridge_graph(name: str) -> dict:
+    """`build_ridge_graph` of the built entry: primitive ridge -> gain."""
+    if name not in _gains:
+        _gains[name] = build_ridge_graph(built(name))
+    return _gains[name]
 
 
 def verified(name: str):

@@ -25,7 +25,8 @@ walk out of every ridge, and the vertex-facet incidences of a hull from
 a dot product per vertex and facet.
 
 It also holds the helpers only the tests read: the image of a polytope
-under an affine map, its halfspace list and the exact matrix inverse.
+under an affine map, its halfspace list, the exact matrix inverse, and
+the neighbours and walk products of a ridge-gain table.
 """
 
 import math
@@ -42,14 +43,7 @@ from parallo import linalg
 from parallo.errors import GeometryError, UnsupportedDimensionError
 from parallo.lattice import vectors_in_ball
 from parallo.polytope import Polytope, _canonical_halfspace
-from parallo.scaling import (
-    MismatchWitness,
-    RidgeEdge,
-    RidgeGraph,
-    build_ridge_graph,
-    face_walk,
-    gain_along_walk,
-)
+from parallo.scaling import MismatchWitness, Walk, build_ridge_graph, face_walk
 from parallo.topology import (
     HalfBeltSpan,
     _dense,
@@ -252,7 +246,7 @@ def covering_counts(lat, cell, x) -> tuple[int, int]:
     x = linalg.vec(x)
     r2 = max(lat.norm_sq(v) for v in cell.vertices)
     closed = interior = 0
-    for t in vectors_in_ball(lat, r2, around=x):
+    for t in box_vectors_in_ball(lat, r2, around=x):
         p = linalg.vsub(x, t)
         if contains(cell, p):
             closed += 1
@@ -325,26 +319,54 @@ def ridge_dependence(para, ridge_id: int, normal_scale=None):
     return n1, n2, n3, alpha, (f1, f2, f3)
 
 
-def per_ridge_graph(para, normal_scale=None):
-    """The ridge graph with the gain of each primitive ridge read off its
-    own `ridge_dependence`, optionally on rescaled normals."""
-    edges = []
+def per_ridge_graph(para, normal_scale=None) -> dict:
+    """The gains of `build_ridge_graph`, each read off its ridge's own
+    `ridge_dependence`, optionally on rescaled normals, and oriented from
+    `ridge_facets[r][0]` to `ridge_facets[r][1]`."""
+    gains = {}
     for rid in range(len(para.ridges)):
         if not para.ridge_primitive(rid):
             continue
         _, _, _, alpha, (f1, f2, _) = ridge_dependence(para, rid, normal_scale)
-        edges.append(RidgeEdge(rid, (f1, f2), abs(alpha[1] / alpha[0])))
-    return RidgeGraph(para, edges)
+        gain = abs(alpha[1] / alpha[0])
+        gains[rid] = gain if para.ridge_facets[rid][0] == f1 else 1 / gain
+    return gains
+
+
+def ridge_neighbors(para, gains) -> dict:
+    """Per facet its (neighbour facet, ridge) pairs across the ridges of
+    `gains`, sorted."""
+    neighbors = {f: [] for f in range(para.polytope.n_facets)}
+    for rid in gains:
+        a, b = para.ridge_facets[rid]
+        neighbors[a].append((b, rid))
+        neighbors[b].append((a, rid))
+    return {f: sorted(ns) for f, ns in neighbors.items()}
+
+
+def walk_gain(para, gains, walk) -> Fraction:
+    """Product of the directed gains along a walk: a ridge's gain from
+    `ridge_facets[r][0]` to `ridge_facets[r][1]`, its inverse the other
+    way."""
+    if len(walk.facets) != len(walk.ridges) + 1:
+        raise ValueError("walk has mismatched facet/ridge counts")
+    total = Fraction(1)
+    for f, g, rid in zip(walk.facets, walk.facets[1:], walk.ridges):
+        if rid not in gains:
+            raise GeometryError(f"ridge {rid} is not primitive")
+        if (f, g) == para.ridge_facets[rid]:
+            total *= gains[rid]
+        elif (g, f) == para.ridge_facets[rid]:
+            total /= gains[rid]
+        else:
+            raise GeometryError("facets do not match the ridge")
+    return total
 
 
 def ridge_graph_components(para) -> int:
     """The number of components of the graph on the facets whose edges
     are the primitive ridges of `per_ridge_graph`, by depth-first search."""
-    neighbors = {f: [] for f in range(para.polytope.n_facets)}
-    for e in per_ridge_graph(para).edges:
-        a, b = e.facets
-        neighbors[a].append(b)
-        neighbors[b].append(a)
+    neighbors = ridge_neighbors(para, per_ridge_graph(para))
     seen, count = set(), 0
     for f in neighbors:
         if f in seen:
@@ -353,7 +375,7 @@ def ridge_graph_components(para) -> int:
         seen.add(f)
         stack = [f]
         while stack:
-            for g in neighbors[stack.pop()]:
+            for g, _ in neighbors[stack.pop()]:
                 if g not in seen:
                     seen.add(g)
                     stack.append(g)
@@ -367,7 +389,7 @@ class LocalCycleCheck(namedtuple("LocalCycleCheck",
     __slots__ = ()
 
 
-def local_cycle_check(para, face, graph=None) -> LocalCycleCheck:
+def local_cycle_check(para, face, gains=None) -> LocalCycleCheck:
     """Product of gains around a codim-3 face whose ridges are all primitive."""
     walk = face_walk(para, face)
     if walk is None:
@@ -375,21 +397,18 @@ def local_cycle_check(para, face, graph=None) -> LocalCycleCheck:
             face.vertex_ids, True,
             "face lies on a non-primitive ridge", None, None,
         )
-    if graph is None:
-        graph = build_ridge_graph(para)
+    if gains is None:
+        gains = build_ridge_graph(para)
     return LocalCycleCheck(
-        face.vertex_ids, False, None, walk, gain_along_walk(graph, walk)
+        face.vertex_ids, False, None, walk, walk_gain(para, gains, walk)
     )
 
 
-def half_belt_check(graph, belt) -> Fraction:
+def half_belt_check(para, gains, belt) -> Fraction:
     """Gain product over three consecutive edges of a 6-belt (expect 1)."""
     if belt.length != 6:
         raise GeometryError("half-belt products need a belt of length 6")
-    total = Fraction(1)
-    for i in range(3):
-        total *= graph.gain(belt.facets[i], belt.facets[i + 1], belt.ridges[i])
-    return total
+    return walk_gain(para, gains, Walk(belt.facets[:4], belt.ridges[:3]))
 
 
 # -- k-irreducibility ---------------------------------------------------------

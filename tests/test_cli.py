@@ -40,6 +40,16 @@ def test_catalog_show_unknown(capsys):
     assert "unknown catalog name" in err
 
 
+@pytest.mark.parametrize("argv", [["catalog", "show"], ["catalog", "list", "cube"]],
+                         ids=["show-without-name", "list-with-name"])
+def test_catalog_name_misuse_gets_the_usage_line(capsys, argv):
+    """`show` needs a NAME and `list` takes none; either mistake is a
+    usage error, with the command's usage line."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: usage: parallo catalog list|show [NAME]\n"
+
+
 def test_check_pass_and_fail(capsys):
     code, out, _ = run(capsys, "check", "cube")
     assert code == 0 and json.loads(out)["ok"]
@@ -144,6 +154,26 @@ def test_dual_cells_command(capsys):
     assert doc["census_by_center_count"] == {"3": 6, "4": 12}
     code, _, err = run(capsys, "dual-cells", "cube", "--codim", "9")
     assert code == 1
+
+
+def test_dual_cells_reports_anomalies_and_exits_4(monkeypatch, capsys):
+    """A dual 3-cell that matches none of the reference types is listed,
+    not counted, and the command exits 4: with the tetrahedron taken out
+    of the table, every one of the truncated octahedron's 24 cells is
+    an anomaly."""
+    from parallo import parallelohedron
+
+    monkeypatch.setattr(parallelohedron, "DUAL3_TYPES", {
+        key: kind for key, kind in parallelohedron.DUAL3_TYPES.items()
+        if kind != "tetrahedron"})
+    code, out, _ = run(capsys, "dual-cells", "truncated-octahedron",
+                       "--codim", "3")
+    assert code == 4
+    doc = json.loads(out)
+    assert (doc["cells"], doc["census"], len(doc["anomalies"])) == (24, {}, 24)
+    assert all("matches none of the five reference types" in a["detail"]
+               for a in doc["anomalies"])
+    assert len({tuple(a["face_vertex_ids"]) for a in doc["anomalies"]}) == 24
 
 
 def test_voronoi_cell_command(capsys):

@@ -2,7 +2,8 @@
 export of every solid, as printed by `parallo verify NAME` and
 `parallo export NAME --format off`, the `parallo surface NAME [--pi]`
 output of every 3-D entry, which is the topology block of its verify
-report, and of the 2-D and 4-D lattices, the `venkov-fails` report of
+report, and of the 2-D and 4-D lattices, the `parallo dual-cells NAME
+--codim k` output of every entry, the `venkov-fails` report of
 one input per Venkov condition, and one `form-not-pd` certificate.
 Refactors must leave these bytes alone; a deliberate change to the
 report format regenerates them."""
@@ -61,6 +62,20 @@ def test_surface_command_bytes_beyond_d3(capsys, name, surface, components):
         "}\n")
 
 
+def _dual_cell_cases():
+    goldens = json.loads(_golden("dual-cells.json"))
+    return [(name, int(k), doc) for name, by_codim in goldens.items()
+            for k, doc in by_codim.items()]
+
+
+@pytest.mark.parametrize("name, codim, doc", _dual_cell_cases())
+def test_dual_cells_command_bytes(capsys, name, codim, doc):
+    """`parallo dual-cells NAME --codim k` for every catalog entry and
+    every k <= min(3, d), against `dual-cells.json`."""
+    assert main(["dual-cells", name, "--codim", str(codim)]) == 0
+    assert capsys.readouterr().out == serialize.dumps(doc)
+
+
 @pytest.mark.parametrize("fixture", [
     "octahedron",      # 8 facet-symmetry witnesses
     "pentagon_prism",  # central-symmetry
@@ -78,7 +93,7 @@ def test_form_not_pd_certificate_bytes():
     scaling with the values of facet 0's group negated admits no
     positive-definite form, and the certificate keeps its 3-vector
     solution basis as the witness."""
-    s = canonical_scaling(ridge_graph("cube"))
+    s = canonical_scaling(built("cube"), ridge_graph("cube"))
     values = tuple(-v if g == s.groups[0] else v
                    for v, g in zip(s.values, s.groups))
     cert = voronoi_form(built("cube"),

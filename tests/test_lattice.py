@@ -21,6 +21,8 @@ from parallo import linalg
 from parallo.errors import GeometryError
 from parallo.lattice import (
     Lattice,
+    _ambient_sorted,
+    _enumerate,
     dv_cell,
     relevant_vectors,
     shortest_in_coset,
@@ -179,12 +181,6 @@ def test_vectors_in_ball_exactness():
     assert all(lat.norm_sq(v) <= 2 for v in ball)
 
 
-def test_vectors_in_ball_around_shifted_center():
-    lat = z3()
-    pts = vectors_in_ball(lat, F(3, 4), around=(F(1, 2), F(1, 2), F(1, 2)))
-    assert len(pts) == 8  # the surrounding unit cube's corners
-
-
 def test_tiling_identity(rng):
     for lat in (z3(), bcc(), a2()):
         cell = dv_cell(lat)
@@ -212,8 +208,8 @@ def rationals(lo, hi):
 @st.composite
 def skewed_balls(draw):
     """A lattice with a sheared basis of mixed denominators and a Gram
-    L L^T of mixed denominators, a radius, and optionally an off-lattice
-    center and a residue mod 2."""
+    L L^T of mixed denominators, a radius, and optionally a residue
+    mod 2."""
     d = draw(st.integers(1, 5))
     basis = [[F(int(i == j)) for j in range(d)] for i in range(d)]
     for _ in range(draw(st.integers(0, d)) if d > 1 else 0):
@@ -227,35 +223,41 @@ def skewed_balls(draw):
             else F(0) for j in range(d)] for i in range(d)]
     gram = [[linalg.dot(a, b) for b in low] for a in low]  # low times its transpose
     lat = Lattice.create(basis, gram)
-    around = draw(st.none() | st.lists(rationals(-6, 6), min_size=d, max_size=d))
     parity = draw(st.none() | st.lists(st.integers(0, 1), min_size=d, max_size=d))
     scale = draw(rationals(1, 6))
     r2 = scale * max(lat.coefficient_form[i][i] for i in range(d))
-    return (lat, r2, None if around is None else tuple(around),
-            None if parity is None else tuple(parity))
+    return lat, r2, None if parity is None else tuple(parity)
+
+
+def _enumerated(lat, r2, parity=None):
+    """The ambient vectors of `_enumerate`, sorted (the coset sweep that
+    `shortest_in_coset` reads when given a parity)."""
+    return _ambient_sorted(lat, (k for _, k in _enumerate(lat, r2, parity)))
 
 
 @given(skewed_balls())
 @settings(max_examples=80, deadline=None)
 def test_vectors_in_ball_matches_the_coefficient_box(case):
     """The pruned enumeration finds exactly the vectors of the whole
-    coefficient-box sweep, for d = 1-5, with and without a center off
-    the lattice and a residue mod 2; the radius is halved until the box
-    has at most 1,500 points, so the oracle stays quick."""
-    lat, r2, around, parity = case
-    center = (linalg.zeros(lat.dim) if around is None
-              else lat.to_coefficients(linalg.vec(around)))
-    while math.prod(len(r) for r in coefficient_box(lat, r2, center, parity)) > 1500:
+    coefficient-box sweep, for d = 1-5, over the lattice and over one
+    coset of 2L; the radius is halved until the box has at most 1,500
+    points, so the oracle stays quick."""
+    lat, r2, parity = case
+    center = linalg.zeros(lat.dim)
+    while math.prod(len(r) for r in coefficient_box(lat, r2, center)) > 1500:
         r2 /= 2
-    assert vectors_in_ball(lat, r2, around, parity) == \
-        box_vectors_in_ball(lat, r2, around, parity)
+    assert vectors_in_ball(lat, r2) == _enumerated(lat, r2) == \
+        box_vectors_in_ball(lat, r2)
+    if parity is not None:
+        assert _enumerated(lat, r2, parity) == \
+            box_vectors_in_ball(lat, r2, parity=parity)
 
 
 def test_vectors_in_ball_edge_radii():
     lat = a2()
     assert vectors_in_ball(lat, F(-1)) == []
     assert vectors_in_ball(lat, 0) == [(0, 0)]
-    assert vectors_in_ball(lat, 0, parity=(1, 0)) == []
+    assert _enumerated(lat, 0, parity=(1, 0)) == []
     # the six shortest vectors have norm exactly 2
     assert len(vectors_in_ball(lat, 2)) == 7
     assert len(vectors_in_ball(lat, F(2) - F(1, 10 ** 9))) == 1

@@ -333,7 +333,7 @@ def test_verify_builds_no_dual_cell_hull(monkeypatch):
     assert rep.verdict == "certified" and rep.primitivity
     assert calls == []
     # the census reads the hulls: one per codim-3 face of the cube
-    assert dual3_census(built("cube")) == {"cube": 8}
+    assert dual3_census(built("cube")) == ({"cube": 8}, [])
     assert calls == [8] * 8
 
 
@@ -347,8 +347,8 @@ def test_dual3_censuses():
     }
     seen_types = set()
     for name, expected in expectations.items():
-        census = dual3_census(built(name))
-        assert census == expected
+        census, anomalies = dual3_census(built(name))
+        assert census == expected and anomalies == []
         seen_types |= set(census)
     assert seen_types == {
         "cube", "triangular prism", "octahedron", "tetrahedron",

@@ -14,8 +14,10 @@ from oracles import (
     random_unimodular,
     ridge_dependence,
     ridge_image_map,
+    ridge_neighbors,
     scanned_superfaces,
     walk_closed,
+    walk_gain,
 )
 from parallo import linalg
 from parallo.catalog import catalog
@@ -27,15 +29,12 @@ from parallo.report import certificate_dict
 from parallo.scaling import (
     CanonicalScaling,
     MismatchWitness,
-    RidgeEdge,
-    RidgeGraph,
     ScalingWitness,
     Walk,
     build_ridge_graph,
     canonical_scaling,
     certify,
     face_walk,
-    gain_along_walk,
     voronoi_form,
     voronoi_mismatch,
 )
@@ -53,23 +52,26 @@ def _square_facets(p):
             if sorted(map(abs, n)) == [0, 0, 1]]
 
 
-def _find_edge(graph, n_from, n_to):
-    """Ridge-graph edge whose facet normals are the given pair."""
-    p = graph.para.polytope
-    for e in graph.edges:
-        pair = (p.facet_normals[e.facets[0]], p.facet_normals[e.facets[1]])
-        if pair == (linalg.vec(n_from), linalg.vec(n_to)):
-            return e
-        if pair == (linalg.vec(n_to), linalg.vec(n_from)):
-            return e
-    raise AssertionError("no such edge")
+def _find_ridge(para, gains, n_from, n_to):
+    """Primitive ridge whose two facet normals are the given pair."""
+    p = para.polytope
+    wanted = {linalg.vec(n_from), linalg.vec(n_to)}
+    for rid in gains:
+        if {p.facet_normals[f] for f in para.ridge_facets[rid]} == wanted:
+            return rid
+    raise AssertionError("no such ridge")
+
+
+def _gain(para, gains, f_from, f_to, rid):
+    """The gain across one ridge, directed f_from -> f_to."""
+    return walk_gain(para, gains, Walk((f_from, f_to), (rid,)))
 
 
 def test_ridge_dependence_truncated_octahedron():
     para = built("truncated-octahedron")
-    graph = ridge_graph("truncated-octahedron")
-    e = _find_edge(graph, (1, 1, 1), (1, 1, -1))
-    n1, n2, n3, alpha, facets = ridge_dependence(para, e.ridge)
+    rid = _find_ridge(para, ridge_graph("truncated-octahedron"),
+                      (1, 1, 1), (1, 1, -1))
+    n1, n2, n3, alpha, facets = ridge_dependence(para, rid)
     assert {n1, n2} == {linalg.vec((1, 1, 1)), linalg.vec((1, 1, -1))}
     assert n3 in (linalg.vec((0, 0, 1)), linalg.vec((0, 0, -1)))
     # unique dependence, normalized: alpha entries (1, -1, +-2)
@@ -79,58 +81,62 @@ def test_ridge_dependence_truncated_octahedron():
 
 
 def test_gain_values_truncated_octahedron():
-    p = built("truncated-octahedron").polytope
-    graph = ridge_graph("truncated-octahedron")
-    e = _find_edge(graph, (1, 1, 1), (1, 1, -1))
-    a, b = e.facets
-    assert graph.gain(a, b, e.ridge) == 1
-    hexes = set(_hex_facets(p))
-    e2 = _find_edge(graph, (1, 1, 1), (0, 0, 1))
-    hx, sq = e2.facets if e2.facets[0] in hexes else tuple(reversed(e2.facets))
-    assert graph.gain(hx, sq, e2.ridge) == 2
-    assert graph.gain(sq, hx, e2.ridge) == F(1, 2)
+    para = built("truncated-octahedron")
+    gains = ridge_graph("truncated-octahedron")
+    rid = _find_ridge(para, gains, (1, 1, 1), (1, 1, -1))
+    a, b = para.ridge_facets[rid]
+    assert gains[rid] == _gain(para, gains, a, b, rid) == 1
+    hexes = set(_hex_facets(para.polytope))
+    rid = _find_ridge(para, gains, (1, 1, 1), (0, 0, 1))
+    a, b = para.ridge_facets[rid]
+    hx, sq = (a, b) if a in hexes else (b, a)
+    assert _gain(para, gains, hx, sq, rid) == 2
+    assert _gain(para, gains, sq, hx, rid) == F(1, 2)
+    # the table holds the gain from the ridge's first facet to its second
+    assert gains[rid] == (2 if a == hx else F(1, 2))
 
 
 def test_gain_reciprocity_everywhere():
     for name in POLYTOPE_CATALOG:
-        graph = ridge_graph(name)
-        for e in graph.edges:
-            a, b = e.facets
-            assert graph.gain(a, b, e.ridge) * graph.gain(b, a, e.ridge) == 1
+        para, gains = built(name), ridge_graph(name)
+        for rid in gains:
+            a, b = para.ridge_facets[rid]
+            assert _gain(para, gains, a, b, rid) * \
+                _gain(para, gains, b, a, rid) == 1
 
 
 def test_backtrack_gain_is_one():
     for name in POLYTOPE_CATALOG:
-        graph = ridge_graph(name)
-        for e in graph.edges[:5]:
-            a, b = e.facets
-            walk = Walk((a, b, a), (e.ridge, e.ridge))
-            assert gain_along_walk(graph, walk) == 1
+        para, gains = built(name), ridge_graph(name)
+        for rid in list(gains)[:5]:
+            a, b = para.ridge_facets[rid]
+            walk = Walk((a, b, a), (rid, rid))
+            assert walk_gain(para, gains, walk) == 1
 
 
 def test_half_belt_and_full_belt_gains():
     for name in POLYTOPE_CATALOG:
         para = built(name)
-        graph = ridge_graph(name)
+        gains = ridge_graph(name)
         for belt in para.belts:
             if belt.length != 6:
                 continue
-            assert half_belt_check(graph, belt) == 1
+            assert half_belt_check(para, gains, belt) == 1
             loop = Walk(belt.facets + (belt.facets[0],), belt.ridges)
-            assert gain_along_walk(graph, loop) == 1
+            assert walk_gain(para, gains, loop) == 1
         for belt in para.belts:
             if belt.length == 4:
                 with pytest.raises(GeometryError):
-                    half_belt_check(graph, belt)
+                    half_belt_check(para, gains, belt)
                 break
 
 
 def test_walk_multiplicativity(rng):
     for name in POLYTOPE_CATALOG:
-        graph = ridge_graph(name)
-        if not graph.edges:
+        para, gains = built(name), ridge_graph(name)
+        if not gains:
             continue
-        adjacency = graph.adjacency
+        adjacency = ridge_neighbors(para, gains)
         for _ in range(100):
             start = rng.choice([f for f, ns in adjacency.items() if ns])
             facets, ridges = [start], []
@@ -138,68 +144,84 @@ def test_walk_multiplicativity(rng):
                 nbrs = adjacency[facets[-1]]
                 if not nbrs:
                     break
-                g, ei = rng.choice(nbrs)
+                g, rid = rng.choice(nbrs)
                 facets.append(g)
-                ridges.append(graph.edges[ei].ridge)
+                ridges.append(rid)
             if len(ridges) < 2:
                 continue
             cut = rng.randint(1, len(ridges) - 1)
             w1 = Walk(tuple(facets[: cut + 1]), tuple(ridges[:cut]))
             w2 = Walk(tuple(facets[cut:]), tuple(ridges[cut:]))
             whole = w1.then(w2)
-            assert gain_along_walk(graph, whole) == \
-                gain_along_walk(graph, w1) * gain_along_walk(graph, w2)
+            assert walk_gain(para, gains, whole) == \
+                walk_gain(para, gains, w1) * walk_gain(para, gains, w2)
 
 
 def test_ridge_graph_shapes():
-    cube = ridge_graph("cube")
-    assert len(cube.edges) == 0 and cube.n_components == 6
-    prism = ridge_graph("hexagonal-prism")
-    assert len(prism.edges) == 6 and prism.n_components == 3
-    degrees = [len(prism.adjacency[f]) for f in range(8)]
-    assert sorted(degrees) == [0, 0, 2, 2, 2, 2, 2, 2]
-    to = ridge_graph("truncated-octahedron")
-    assert len(to.edges) == 36 and to.n_components == 1
+    def shape(name):
+        para, gains = built(name), ridge_graph(name)
+        assert list(gains) == list(para.primitive_ridges)
+        return len(gains), len(set(para.delta_roots))
+
+    assert shape("cube") == (0, 6)
+    assert shape("hexagonal-prism") == (6, 3)
+    prism = ridge_neighbors(built("hexagonal-prism"), ridge_graph("hexagonal-prism"))
+    assert sorted(len(ns) for ns in prism.values()) == [0, 0, 2, 2, 2, 2, 2, 2]
+    assert shape("truncated-octahedron") == (36, 1)
 
 
 def test_canonical_scaling_values():
-    cube = canonical_scaling(ridge_graph("cube"))
+    cube = canonical_scaling(built("cube"), ridge_graph("cube"))
     assert isinstance(cube, CanonicalScaling)
     assert set(cube.values) == {F(1)}
 
-    to_graph = ridge_graph("truncated-octahedron")
-    s = canonical_scaling(to_graph)
-    p = built("truncated-octahedron").polytope
-    assert all(s.values[fi] == 1 for fi in _hex_facets(p))
-    assert all(s.values[fi] == 2 for fi in _square_facets(p))
+    para = built("truncated-octahedron")
+    s = canonical_scaling(para, ridge_graph("truncated-octahedron"))
+    assert all(s.values[fi] == 1 for fi in _hex_facets(para.polytope))
+    assert all(s.values[fi] == 2 for fi in _square_facets(para.polytope))
 
-    prism = canonical_scaling(ridge_graph("hexagonal-prism"))
+    prism = canonical_scaling(built("hexagonal-prism"),
+                              ridge_graph("hexagonal-prism"))
     assert set(prism.values) == {F(1)}
 
 
 def test_scaling_satisfies_every_edge():
     for name in POLYTOPE_CATALOG:
-        graph = ridge_graph(name)
-        s = canonical_scaling(graph)
+        para, gains = built(name), ridge_graph(name)
+        s = canonical_scaling(para, gains)
         assert isinstance(s, CanonicalScaling)
-        for e in graph.edges:
-            a, b = e.facets
-            assert s.values[b] == s.values[a] * graph.gain(a, b, e.ridge)
-        para = built(name)
-        for f in range(graph.n_facets):
+        for rid, gain in gains.items():
+            a, b = para.ridge_facets[rid]
+            assert s.values[b] == s.values[a] * gain
+        for f in range(para.polytope.n_facets):
             assert s.values[f] == s.values[para.opposite_facet[f]]
 
 
 def test_canonical_scaling_witness_on_doctored_gains():
-    graph = ridge_graph("truncated-octahedron")
-    bad_edges = list(graph.edges)
-    bad_edges[0] = bad_edges[0]._replace(gain=bad_edges[0].gain * 3)
-    bad = RidgeGraph(graph.para, bad_edges)
-    witness = canonical_scaling(bad)
-    assert isinstance(witness, ScalingWitness)
-    if witness.walk is not None and witness.kind == "cycle":
-        assert walk_closed(witness.walk)
-    assert witness.gain != 1
+    para = built("truncated-octahedron")
+    bad = dict(ridge_graph("truncated-octahedron"))
+    first = next(iter(bad))
+    bad[first] *= 3
+    witness = canonical_scaling(para, bad)
+    assert isinstance(witness, ScalingWitness) and witness.kind == "cycle"
+    assert walk_closed(witness.walk)
+    assert witness.gain != 1 and witness.gain == walk_gain(para, bad, witness.walk)
+
+
+def test_an_inverted_gain_gives_a_cycle_witness():
+    """Negative control of the orientation convention: a gain read the
+    wrong way round, from the ridge's second facet to its first, breaks
+    a cycle through that ridge, and the witness's gain is the product of
+    the doctored gains along its walk."""
+    para = built("truncated-octahedron")
+    gains = ridge_graph("truncated-octahedron")
+    rid = next(r for r, g in gains.items() if g != 1)
+    bad = {**gains, rid: 1 / gains[rid]}
+    witness = canonical_scaling(para, bad)
+    assert isinstance(witness, ScalingWitness) and witness.kind == "cycle"
+    assert walk_closed(witness.walk) and rid in witness.walk.ridges
+    assert witness.gain == walk_gain(para, bad, witness.walk) != 1
+    assert walk_gain(para, gains, witness.walk) == 1
 
 
 def test_opposite_facet_witness_on_a_doctored_cut():
@@ -207,13 +229,15 @@ def test_opposite_facet_witness_on_a_doctored_cut():
     is positive to the rest, and times 1/3 back: every cycle still
     closes, since it crosses the cut as often each way, but each facet
     and its opposite lie on different sides and end a factor 3 apart."""
-    graph = ridge_graph("truncated-octahedron")
-    normals = graph.para.polytope.facet_normals
+    para = built("truncated-octahedron")
+    normals = para.polytope.facet_normals
     side = [next(x for x in n if x) > 0 for n in normals]
     assert [f for f, s in enumerate(side) if s] == list(range(7, 14))
-    edges = [e._replace(gain=e.gain * F(3) ** (side[e.facets[0]] - side[e.facets[1]]))
-             for e in graph.edges]
-    witness = canonical_scaling(RidgeGraph(graph.para, edges))
+    gains = {}
+    for rid, gain in ridge_graph("truncated-octahedron").items():
+        a, b = para.ridge_facets[rid]
+        gains[rid] = gain * F(3) ** (side[a] - side[b])
+    witness = canonical_scaling(para, gains)
     assert witness == ScalingWitness(
         "opposite-facet", Walk((0, 1, 4, 13), (2, 6, 24)), (0, 13), F(1, 3))
     assert str(witness) == ("opposite facets (0, 13) forced to distinct "
@@ -228,29 +252,28 @@ def test_canonical_scaling_rescales_the_opposite_component(
         monkeypatch, opposite_gain, expected):
     """No catalog input has a delta component with two or more facets
     that is not its own opposite, so the cube is given one: facets 0 and
-    1 joined by an edge of gain 2, and their opposites 5 and 4 by one of
-    the given gain. The component of 4 and 5 is rescaled to match 0 and
-    1; with a gain other than 2 no rescaling can, and the witness has no
-    walk, as its facets lie in different components."""
+    1 joined by a ridge of gain 2, and their opposites 5 and 4 by one of
+    the given gain from 5 to 4. The component of 4 and 5 is rescaled to
+    match 0 and 1; with a gain other than 2 no rescaling can, and the
+    witness has no walk, as its facets lie in different components."""
     para = built("cube")
     assert para.opposite_facet == (5, 4, 3, 2, 1, 0)
     monkeypatch.setattr(para, "delta_roots", (0, 0, 2, 3, 4, 4))
     monkeypatch.setattr(para, "pi_roots", (0, 0, 2, 2, 0, 0))
-    edges = [RidgeEdge(para.ridge_of[0, 1], (0, 1), F(2)),
-             RidgeEdge(para.ridge_of[4, 5], (5, 4), opposite_gain)]
-    assert canonical_scaling(RidgeGraph(para, edges)) == expected
+    gains = {para.ridge_of[0, 1]: F(2), para.ridge_of[4, 5]: 1 / opposite_gain}
+    assert canonical_scaling(para, gains) == expected
 
 
 def test_voronoi_form_cube_identity():
     para = built("cube")
-    s = canonical_scaling(ridge_graph("cube"))
+    s = canonical_scaling(para, ridge_graph("cube"))
     cert = voronoi_form(para, s)
     assert cert.verdict == "certified"
     assert cert.gram == linalg.identity(3)
 
 
 def test_voronoi_form_truncated_octahedron():
-    cert = certify(ridge_graph("truncated-octahedron"))
+    cert = certify(built("truncated-octahedron"))
     assert cert.verdict == "certified"
     g = cert.gram
     scale = g[0][0]
@@ -261,7 +284,7 @@ def test_voronoi_form_truncated_octahedron():
 
 
 def test_voronoi_form_prism_block_structure():
-    cert = certify(ridge_graph("hexagonal-prism"))
+    cert = certify(built("hexagonal-prism"))
     assert cert.verdict == "certified"
     g = cert.gram
     assert g[0][2] == g[1][2] == g[2][0] == g[2][1] == 0
@@ -275,14 +298,14 @@ def test_voronoi_form_prism_block_structure():
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG)
 def test_voronoi_mismatch_accepts_the_recovered_form(name):
     para = built(name)
-    gram = certify(ridge_graph(name)).gram
+    gram = certify(built(name)).gram
     lat = Lattice.create(para.lattice.basis, gram)
     assert voronoi_mismatch(para, lat) is None
 
 
 def test_voronoi_mismatch_names_a_facet_under_a_perturbed_form():
     para = built("truncated-octahedron")
-    gram = [list(row) for row in certify(ridge_graph("truncated-octahedron")).gram]
+    gram = [list(row) for row in certify(built("truncated-octahedron")).gram]
     gram[0][1] += F(1, 7)
     gram[1][0] += F(1, 7)
     lat = Lattice.create(para.lattice.basis, gram)
@@ -352,7 +375,7 @@ def perturbed(rng, gram):
 
 
 def test_dv_mismatch_certificate_reports_its_witness():
-    cert = certify(ridge_graph("cube"))
+    cert = certify(built("cube"))
     assert "witness" not in certificate_dict(cert)
     cut = MismatchWitness("cut", lattice_vector=(F(1, 2), F(0), F(0)),
                           vertex=(F(1, 2), F(1, 2), F(1, 2)))
@@ -367,16 +390,16 @@ def test_dv_mismatch_certificate_reports_its_witness():
 
 def test_local_cycle_checks():
     para = built("truncated-octahedron")
-    graph = ridge_graph("truncated-octahedron")
+    gains = ridge_graph("truncated-octahedron")
     lat = para.polytope.face_lattice
     for vertex in lat.faces(0):
-        res = local_cycle_check(para, vertex, graph)
+        res = local_cycle_check(para, vertex, gains)
         assert not res.skipped and res.product == 1
     rd = built("rhombic-dodecahedron")
-    rd_graph = ridge_graph("rhombic-dodecahedron")
+    rd_gains = ridge_graph("rhombic-dodecahedron")
     degrees = set()
     for vertex in rd.polytope.face_lattice.faces(0):
-        res = local_cycle_check(rd, vertex, rd_graph)
+        res = local_cycle_check(rd, vertex, rd_gains)
         assert not res.skipped and res.product == 1
         degrees.add(len(res.walk.ridges))
     assert degrees == {3, 4}
@@ -404,7 +427,7 @@ def test_face_walk_ridges_are_the_scanned_superfaces(name):
 def test_normal_rescaling_leaves_closed_products(rng):
     for name in ("truncated-octahedron", "elongated-dodecahedron"):
         para = built(name)
-        graph = ridge_graph(name)
+        gains = ridge_graph(name)
         scale = {
             fi: F(rng.randint(1, 9), rng.randint(1, 9))
             for fi in range(para.polytope.n_facets)
@@ -414,23 +437,23 @@ def test_normal_rescaling_leaves_closed_products(rng):
             if belt.length != 6:
                 continue
             loop = Walk(belt.facets + (belt.facets[0],), belt.ridges)
-            assert gain_along_walk(scaled, loop) == \
-                gain_along_walk(graph, loop) == 1
+            assert walk_gain(para, scaled, loop) == \
+                walk_gain(para, gains, loop) == 1
         # random closed walks: out along tree of edges, back the same way
-        for e in graph.edges[:10]:
-            a, b = e.facets
-            walk = Walk((a, b, a), (e.ridge, e.ridge))
-            assert gain_along_walk(scaled, walk) == 1
+        for rid in list(gains)[:10]:
+            a, b = para.ridge_facets[rid]
+            walk = Walk((a, b, a), (rid, rid))
+            assert walk_gain(para, scaled, walk) == 1
 
 
 def test_affine_invariance_of_closed_walk_gains(rng):
     for name in ("hexagonal-prism", "truncated-octahedron"):
         para = built(name)
-        graph = ridge_graph(name)
+        gains = ridge_graph(name)
         for _ in range(3):
             a = random_unimodular(rng, 3)
             image = Parallelohedron.build(apply_affine(para.polytope, a))
-            igraph = build_ridge_graph(image)
+            igains = build_ridge_graph(image)
             rmap = ridge_image_map(para, image, a, linalg.zeros(3))
             fmap = {}
             for rid, irid in enumerate(rmap):
@@ -457,8 +480,8 @@ def test_affine_invariance_of_closed_walk_gains(rng):
                     tuple(fmap[f] for f in walk.facets),
                     tuple(rmap[r] for r in walk.ridges),
                 )
-                assert gain_along_walk(graph, walk) == \
-                    gain_along_walk(igraph, mapped)
+                assert walk_gain(para, gains, walk) == \
+                    walk_gain(image, igains, mapped)
 
 
 # -- the integer stages against their `Fraction` oracles -------------------
@@ -481,17 +504,24 @@ GAIN_CASES = {
     "D4-skewed": lambda: Parallelohedron.build(
         skewed(built("lattice-D4").polytope, 1)),
     "A2xA2-skewed": lambda: Parallelohedron.build(skewed(A2_A2.cell, 2)),
+    # the 3-D cells under seeded unimodular maps
+    **{f"{name}-skewed": lambda name=name, seed=seed: Parallelohedron.build(
+        skewed(built(name).polytope, seed))
+       for seed, name in enumerate(
+           POLYTOPE_CATALOG + ("lattice-Z3", "lattice-FCC", "lattice-BCC"), 3)},
 }
 
 
 @pytest.mark.parametrize("name", list(GAIN_CASES))
 def test_belt_gains_match_the_per_ridge_kernels(name):
     """One integer kernel per 6-belt gives every ridge the gain of its
-    own `Fraction` kernel, in the same edge order."""
+    own `Fraction` kernel, in the same ridge order and oriented from the
+    ridge's first facet to its second."""
     para = GAIN_CASES[name]()
-    graph = build_ridge_graph(para)
-    assert graph.edges == per_ridge_graph(para).edges
-    assert len(graph.edges) == 6 * sum(b.length == 6 for b in para.belts)
+    gains = build_ridge_graph(para)
+    assert list(gains.items()) == list(per_ridge_graph(para).items())
+    assert list(gains) == list(para.primitive_ridges)
+    assert len(gains) == 6 * sum(b.length == 6 for b in para.belts)
 
 
 @pytest.mark.parametrize("name", ["truncated-octahedron", "lattice-D4"])
@@ -546,7 +576,7 @@ def test_voronoi_form_rejects_opposite_facets_scaled_apart():
     """Opposite facets share one block of equations, so a scaling that
     gives them different values is refused rather than half-read."""
     para = built("truncated-octahedron")
-    s = canonical_scaling(ridge_graph("truncated-octahedron"))
+    s = canonical_scaling(para, ridge_graph("truncated-octahedron"))
     values = list(s.values)
     values[0] *= 2
     with pytest.raises(GeometryError, match="opposite facets 0 and"):
