@@ -18,7 +18,7 @@ from . import report as report_mod
 from . import serialize
 from .errors import ParalloError, ParseError
 from .polytope import Polytope
-from .report import EXIT_PARSE, EXIT_VENKOV
+from .report import EXIT_CODES, EXIT_PARSE
 from .venkov import venkov_check
 
 
@@ -43,12 +43,17 @@ def _load_input(arg: str):
 
 
 def _emit(doc, out_path: str | None = None):
-    text = serialize.dumps(doc)
-    if out_path and out_path != "-":
+    """Write a document (a dict as JSON, text as is) to stdout, or to
+    `out_path` unless that is "-"."""
+    text = doc if isinstance(doc, str) else serialize.dumps(doc)
+    if not out_path or out_path == "-":
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _cmd_catalog(args) -> int:
@@ -81,17 +86,18 @@ def _as_polytope(source) -> Polytope:
 def _cmd_check(args) -> int:
     source, _ = _load_input(args["input"])
     verdict = venkov_check(_as_polytope(source))
-    _emit(report_mod._venkov_dict(verdict))
-    return 0 if verdict.ok else EXIT_VENKOV
+    _emit(report_mod.venkov_dict(verdict))
+    return 0 if verdict.ok else EXIT_CODES["venkov-fails"]
 
 
 def _cmd_verify(args) -> int:
     source, entry = _load_input(args["input"])
     expected = entry.expected if entry is not None else None
     name = entry.name if entry is not None else args["input"]
-    rep = report_mod.verify(source, name=name, expected=expected)
-    _emit(rep.as_dict(include_timing=args["timing"]))
-    return rep.exit_code
+    doc = report_mod.verify(source, name=name, expected=expected,
+                            timing=args["timing"])
+    _emit(doc)
+    return doc["exit_code"]
 
 
 def _cmd_surface(args) -> int:
@@ -109,10 +115,10 @@ def _cmd_dual_cells(args) -> int:
     from .parallelohedron import Parallelohedron, dual3_census
 
     source, _ = _load_input(args["input"])
-    para = Parallelohedron.build(_as_polytope(source))
     codim = args["codim"]
-    if codim < 1 or codim > min(3, para.dim):
-        raise ParseError(f"--codim must be between 1 and {min(3, para.dim)}")
+    if not 1 <= codim <= min(3, source.dim):
+        raise ParseError(f"--codim must be between 1 and {min(3, source.dim)}")
+    para = Parallelohedron.build(_as_polytope(source))
     if codim == 3:
         census, anomalies = dual3_census(para)
         doc: dict = {"codim": codim,
@@ -144,15 +150,8 @@ def _cmd_voronoi_cell(args) -> int:
 def _cmd_export(args) -> int:
     source, _ = _load_input(args["input"])
     p = _as_polytope(source)
-    if args["format"] == "json":
-        _emit(serialize.polytope_to_dict(p), args["out"])
-    else:
-        text = serialize.polytope_to_off(p)
-        if args["out"] and args["out"] != "-":
-            with open(args["out"], "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    _emit(serialize.polytope_to_dict(p) if args["format"] == "json"
+          else serialize.polytope_to_off(p), args["out"])
     return 0
 
 

@@ -1,15 +1,19 @@
-"""End-to-end verification pipeline and machine-readable reports.
+"""End-to-end verification pipeline and every printed JSON shape.
 
 verify() runs: Venkov conditions -> belts -> ridge graph -> canonical
 scaling -> quadratic-form recovery -> an independent inequality proof
 that the polytope is the Voronoi cell under the recovered form (every
-facet a bisector, no short lattice vector cutting a vertex), and
-collects belts, primitivity, topology (d = 3) and the certificate into
-one stable-ordered report. Exit codes follow the pipeline stage that
-failed: 0 certified, 2 scaling inconsistency, 3 Venkov failure, 4
-form/cell mismatch (1 is reserved for parse errors in the CLI). A
-"dv-mismatch" certificate carries its witness: the facet that is not a
-bisector, or the lattice vector and the vertex it cuts.
+facet a bisector, no short lattice vector cutting a vertex). It builds
+the document `parallo verify` prints in one pass, writing each key once
+the stage that owns it has run: belts, primitivity, topology (d = 3)
+and the certificate appear only once the Venkov checks pass. The
+verdict is the certificate's, or "venkov-fails", and one table,
+`EXIT_CODES`, gives its exit code: 0 certified, 2 scaling
+inconsistency, 3 Venkov failure, 4 form/cell mismatch (1 is reserved
+for parse errors in the CLI). A "dv-mismatch" certificate carries its
+witness: the facet that is not a bisector, or the lattice vector and
+the vertex it cuts. The `check` and `surface` documents are
+`venkov_dict` and `surface_dicts`.
 
 For d = 3 one dual-block complex (see `topology`) gives both surface
 reports and the half-belt span, which is written under both the
@@ -40,84 +44,13 @@ if TYPE_CHECKING:
     from .scaling import MismatchWitness, ScalingWitness, VoronoiCertificate
     from .topology import HalfBeltSpan, TopologyReport
 
-EXIT_CERTIFIED = 0
+# the exit code of each verdict; 1 is the CLI's, for parse and usage errors
+EXIT_CODES = {"certified": 0, "scaling-fails": 2, "venkov-fails": 3,
+              "form-not-pd": 4, "dv-mismatch": 4}
 EXIT_PARSE = 1
-EXIT_SCALING = 2
-EXIT_VENKOV = 3
-EXIT_DV_MISMATCH = 4
 
 
-class VerificationReport:
-    """What `verify` found, filled in stage by stage; every stage after
-    the Venkov checks stays None when they fail."""
-
-    def __init__(self, name: str | None, dim: int, venkov: VenkovVerdict):
-        self.name = name
-        self.dim = dim
-        self.venkov = venkov
-        self.belts: tuple | None = None
-        self.primitivity: dict | None = None
-        self.ridge_graph: dict | None = None
-        self.certificate: VoronoiCertificate | None = None
-        self.topology: dict | None = None
-        self.gram_match: dict | None = None
-        self.timing_ms: float | None = None
-
-    @property
-    def verdict(self) -> str:
-        if not self.venkov.ok:
-            return "venkov-fails"
-        if self.certificate is None:
-            return "scaling-fails"
-        return self.certificate.verdict
-
-    @property
-    def exit_code(self) -> int:
-        return {
-            "certified": EXIT_CERTIFIED,
-            "scaling-fails": EXIT_SCALING,
-            "venkov-fails": EXIT_VENKOV,
-            "form-not-pd": EXIT_DV_MISMATCH,
-            "dv-mismatch": EXIT_DV_MISMATCH,
-        }[self.verdict]
-
-    def as_dict(self, include_timing: bool = False) -> dict:
-        doc: dict = {
-            "name": self.name,
-            "dim": self.dim,
-            "verdict": self.verdict,
-            "exit_code": self.exit_code,
-            "venkov": _venkov_dict(self.venkov),
-            "timing_ms": round(self.timing_ms, 3) if include_timing else None,
-        }
-        if self.belts is not None:
-            doc["belts"] = [
-                {"length": b.length, "facets": list(b.facets)}
-                for b in self.belts
-            ]
-        if self.primitivity is not None:
-            doc["primitivity"] = {str(k): v for k, v in self.primitivity.items()}
-        if self.ridge_graph is not None:
-            doc["ridge_graph"] = self.ridge_graph
-        cert = self.certificate
-        if cert is not None:
-            if cert.scaling is not None:
-                doc["scaling"] = {
-                    "values": [serialize.rational_to_str(v) for v in cert.scaling.values],
-                    "base_facets": list(cert.scaling.base_facets),
-                    "components": list(cert.scaling.groups),
-                }
-            if cert.witness is not None:
-                doc["witness"] = _witness_dict(cert.witness)
-            doc["certificate"] = certificate_dict(cert)
-        if self.topology is not None:
-            doc["topology"] = self.topology
-        if self.gram_match is not None:
-            doc["gram_match"] = self.gram_match
-        return doc
-
-
-def _venkov_dict(v: VenkovVerdict) -> dict:
+def venkov_dict(v: VenkovVerdict) -> dict:
     return {
         "ok": v.ok,
         "witnesses": [
@@ -198,14 +131,22 @@ def _gram_match(recovered, source) -> dict:
 
 def _surface_dict(rep: TopologyReport, span: HalfBeltSpan,
                   expected: dict | None) -> dict:
-    doc = rep.as_dict()
-    doc["half_belt_span"] = {
-        "h1_rank": span.h1_rank,
-        "span_rank": span.span_rank,
-        "spanned": span.spanned,
-        "cycles": span.n_cycles,
+    doc = {
+        "surface": rep.surface,
+        "component_count": rep.component_count,
+        "components": [
+            {
+                "cells": list(c.cell_counts),
+                "chi": c.chi,
+                "compact": c.compact,
+                "h1_rank": c.h1_rank,
+            }
+            for c in rep.components
+        ],
+        "half_belt_span": dict(
+            zip(("h1_rank", "span_rank", "spanned", "cycles"), span)),
+        "flags": [],
     }
-    doc["flags"] = []
     ref = (expected or {}).get(rep.surface)
     if ref is not None:
         computed_ranks = sorted(c.h1_rank for c in rep.components)
@@ -244,40 +185,54 @@ def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
 
 
 def verify(source: Polytope | Lattice, name: str | None = None,
-           expected: dict | None = None) -> VerificationReport:
-    """Full certification pipeline for a polytope or a lattice's cell.
+           expected: dict | None = None, timing: bool = False) -> dict:
+    """The report `parallo verify` prints, for a polytope or a lattice's
+    cell; `timing_ms` is null unless `timing` is set.
 
     The Venkov checks run once, on the recentred polytope; the tiling
-    stages are imported only once they pass."""
+    stages are imported, and their keys written, only once they pass."""
     t0 = time.perf_counter()
     if isinstance(source, Polytope):
         p, source_gram = source, None
     else:
         p, source_gram = source.cell, source.gram
     q = p.recentered()
-    verdict, *tiling = _analyze(q)
-    rep = VerificationReport(name, p.dim, verdict)
-    if not verdict.ok:
-        rep.timing_ms = (time.perf_counter() - t0) * 1e3
-        return rep
-    from .parallelohedron import Parallelohedron
-    from .scaling import certify
+    venkov, *tiling = _analyze(q)
+    doc: dict = {"name": name, "dim": p.dim, "venkov": venkov_dict(venkov)}
+    verdict = "venkov-fails"
+    if venkov.ok:
+        from .parallelohedron import Parallelohedron
+        from .scaling import certify
 
-    para = Parallelohedron(q, *tiling)
-    components = len(set(para.delta_roots))
-    rep.belts = para.belts
-    rep.primitivity = para.primitivity_profile()
-    rep.ridge_graph = {
-        "nodes": p.n_facets,
-        "edges": len(para.primitive_ridges),
-        "components": components,
-    }
-    rep.certificate = certify(para)
-    if rep.certificate.verdict == "certified" and source_gram is not None:
-        rep.gram_match = _gram_match(rep.certificate.gram, source_gram)
-    if p.dim == 3:
-        rep.topology = surface_dicts(para, expected)
-    else:
-        rep.topology = {"ridge_components": components}
-    rep.timing_ms = (time.perf_counter() - t0) * 1e3
-    return rep
+        para = Parallelohedron(q, *tiling)
+        components = len(set(para.delta_roots))
+        doc["belts"] = [{"length": b.length, "facets": list(b.facets)}
+                        for b in para.belts]
+        doc["primitivity"] = {
+            str(k): v for k, v in para.primitivity_profile().items()}
+        doc["ridge_graph"] = {
+            "nodes": p.n_facets,
+            "edges": len(para.primitive_ridges),
+            "components": components,
+        }
+        cert = certify(para)
+        verdict = cert.verdict
+        if cert.scaling is not None:
+            doc["scaling"] = {
+                "values": [serialize.rational_to_str(v)
+                           for v in cert.scaling.values],
+                "base_facets": list(cert.scaling.base_facets),
+                "components": list(cert.scaling.groups),
+            }
+        if cert.witness is not None:
+            doc["witness"] = _witness_dict(cert.witness)
+        doc["certificate"] = certificate_dict(cert)
+        if verdict == "certified" and source_gram is not None:
+            doc["gram_match"] = _gram_match(cert.gram, source_gram)
+        doc["topology"] = (surface_dicts(para, expected) if p.dim == 3
+                           else {"ridge_components": components})
+    doc["verdict"] = verdict
+    doc["exit_code"] = EXIT_CODES[verdict]
+    doc["timing_ms"] = (round((time.perf_counter() - t0) * 1e3, 3)
+                        if timing else None)
+    return doc

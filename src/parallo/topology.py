@@ -59,21 +59,6 @@ class TopologyReport(namedtuple("TopologyReport", "surface components")):
     def component_count(self) -> int:
         return len(self.components)
 
-    def as_dict(self) -> dict:
-        return {
-            "surface": self.surface,
-            "component_count": self.component_count,
-            "components": [
-                {
-                    "cells": list(c.cell_counts),
-                    "chi": c.chi,
-                    "compact": c.compact,
-                    "h1_rank": c.h1_rank,
-                }
-                for c in self.components
-            ],
-        }
-
 
 class HalfBeltSpan(namedtuple("HalfBeltSpan",
                               "h1_rank span_rank spanned n_cycles")):

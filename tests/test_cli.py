@@ -73,6 +73,26 @@ def test_verify_certified(capsys):
     assert sorted(doc["certificate"]["scaling"]) == ["1"] * 8 + ["2"] * 6
 
 
+
+@pytest.mark.parametrize("name, fixture, exit_code", [
+    ("cube", None, 0), ("octahedron.json", "octahedron", 3)])
+def test_verify_timing_changes_only_timing_ms(monkeypatch, capsys, name,
+                                              fixture, exit_code):
+    """`--timing` fills `timing_ms` with a non-negative number of
+    milliseconds, rounded to 3 decimals; every other key is the golden's."""
+    monkeypatch.chdir(FIXTURES)  # a file report's name is the path as typed
+    code, out, _ = run(capsys, "verify", name, "--timing")
+    assert code == exit_code
+    doc = json.loads(out)
+    with open(os.path.join(FIXTURES, "reports", f"{fixture or name}.json"),
+              encoding="utf-8") as fh:
+        golden = json.load(fh)
+    timing = doc.pop("timing_ms")
+    assert golden.pop("timing_ms") is None
+    assert doc == golden
+    assert isinstance(timing, float) and timing >= 0
+    assert round(timing, 3) == timing
+
 def test_verify_builds_a_catalog_cell_once(monkeypatch, capsys):
     """`verify lattice-D4` builds the Voronoi cell for the catalog entry
     and reads the same cell in the pipeline."""
@@ -156,6 +176,29 @@ def test_dual_cells_command(capsys):
     assert code == 1
 
 
+def test_dual_cells_checks_codim_before_the_venkov_checks(monkeypatch,
+                                                          capsys):
+    """The input's dimension alone decides the --codim range, so an
+    out-of-range value is the error even for an input Venkov rejects,
+    and it runs no Venkov check."""
+    from parallo import parallelohedron, report, venkov
+
+    calls = []
+    analyze = venkov._analyze
+
+    def counted(p):
+        calls.append(p)
+        return analyze(p)
+
+    for module in (venkov, parallelohedron, report):
+        monkeypatch.setattr(module, "_analyze", counted)
+    for name in (os.path.join(FIXTURES, "zonotope5.json"), "lattice-D4"):
+        code, out, err = run(capsys, "dual-cells", name, "--codim", "9")
+        assert (code, out) == (1, "")
+        assert err == "error: --codim must be between 1 and 3\n"
+    assert calls == []
+
+
 def test_dual_cells_reports_anomalies_and_exits_4(monkeypatch, capsys):
     """A dual 3-cell that matches none of the reference types is listed,
     not counted, and the command exits 4: with the tetrahedron taken out
@@ -198,6 +241,26 @@ def test_export_json_and_off(tmp_path, capsys):
     code, out, _ = run(capsys, "export", "cube", "--format", "off")
     assert code == 0
     assert out.startswith("OFF\n8 6 12\n")
+    off_path = tmp_path / "cube.off"
+    code, out, _ = run(capsys, "export", "cube", "--format", "off",
+                       "--out", str(off_path))
+    assert (code, out) == (0, "")
+    with open(os.path.join(FIXTURES, "reports", "cube.off"),
+              encoding="utf-8") as fh:
+        assert off_path.read_text() == fh.read()
+
+
+@pytest.mark.parametrize("target", [".", "missing/dir/x.off"],
+                         ids=["a-directory", "a-missing-directory"])
+@pytest.mark.parametrize("fmt", ["json", "off"])
+def test_export_to_an_unwritable_path_gets_one_error_line(tmp_path, capsys,
+                                                          target, fmt):
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, "export", "cube", "--format", fmt,
+                         "--out", path)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: ")
 
 
 def test_verify_a_file_round_trip(tmp_path, capsys):

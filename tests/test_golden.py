@@ -30,7 +30,7 @@ def _golden(filename: str) -> str:
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_verify_report_bytes(name):
-    assert serialize.dumps(verified(name).as_dict()) == _golden(f"{name}.json")
+    assert serialize.dumps(verified(name)) == _golden(f"{name}.json")
 
 
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG)

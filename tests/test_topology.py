@@ -290,7 +290,7 @@ def test_one_half_belt_span_per_verify(monkeypatch):
 
     monkeypatch.setattr(topology, "_DualComplex", CountedComplex)
     rep = report.verify(catalog("hexagonal-prism").polytope)
-    assert rep.verdict == "certified"
+    assert rep["verdict"] == "certified"
     assert calls == {"span": 1, "complex": 1}
 
 
@@ -304,7 +304,7 @@ def test_one_delta_complex_per_verify(monkeypatch):
 
     monkeypatch.setattr(topology, "_DualComplex", CountedComplex)
     rep = report.verify(catalog("hexagonal-prism").polytope)
-    assert rep.verdict == "certified"
+    assert rep["verdict"] == "certified"
     assert sorted(surfaces) == ["delta", "pi"]
 
 
@@ -331,7 +331,7 @@ def test_one_surface_complex_per_verify(monkeypatch):
     monkeypatch.setattr(topology, "face_walk", counted_walk)
     # 10 of its 18 vertices lie on no non-primitive ridge
     rep = report.verify(catalog("elongated-dodecahedron").polytope)
-    assert rep.verdict == "certified"
+    assert rep["verdict"] == "certified"
     assert calls == {"surface_topology": 1, "complex": 1}
     faces = built("elongated-dodecahedron").polytope.face_lattice.faces(0)
     assert sorted(walked) == [f.vertex_ids for f in faces]
@@ -350,5 +350,5 @@ def test_one_union_find_per_partition(monkeypatch):
 
     monkeypatch.setattr(parallelohedron, "component_roots", counted_roots)
     rep = report.verify(catalog("hexagonal-prism").polytope)
-    assert rep.verdict == "certified" and rep.topology is not None
+    assert rep["verdict"] == "certified" and "topology" in rep
     assert calls == [8, 8]
