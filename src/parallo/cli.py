@@ -46,14 +46,23 @@ def _emit(doc, out_path: str | None = None):
     """Write a document (a dict as JSON, text as is) to stdout, or to
     `out_path` unless that is "-"."""
     text = doc if isinstance(doc, str) else serialize.dumps(doc)
-    if not out_path or out_path == "-":
-        sys.stdout.write(text)
-        return
+    to_stdout = not out_path or out_path == "-"
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise ParseError(f"cannot write {out_path}: {exc}") from exc
+        if not to_stdout:
+            raise ParseError(f"cannot write {out_path}: {exc}") from exc
+        # the flush at exit would retry the unwritten bytes and fail again:
+        # send them to the null device, as the Python docs do for SIGPIPE
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise ParseError(f"cannot write stdout: {exc}") from exc
 
 
 def _cmd_catalog(args) -> int:
@@ -226,7 +235,7 @@ def _parse(argv: list[str]):
     """(handler, arguments) for a command line, or None once a help text
     is printed; a usage error raises ParseError."""
     if argv[:1] in (["-h"], ["--help"]):
-        print(_help())
+        _emit(_help() + "\n")
         return None
     if not argv or argv[0] not in COMMANDS:
         what = f"unknown command {argv[0]!r}" if argv else "no command given"
@@ -234,7 +243,7 @@ def _parse(argv: list[str]):
     command, *rest = argv
     handler, _, arguments, options = COMMANDS[command]
     if "-h" in rest or "--help" in rest:
-        print(_help(command))
+        _emit(_help(command) + "\n")
         return None
     args = {key[2:]: default for key, (_, default) in options.items()}
     values = []

@@ -90,10 +90,9 @@ def component_roots(n: int, pairs) -> tuple[int, ...]:
 class Parallelohedron:
     """A polytope that passed the Venkov conditions, with its tiling data."""
 
-    def __init__(self, polytope, belts, belt_of_ridge, facet_centers):
+    def __init__(self, polytope, belts, facet_centers):
         self.polytope = polytope
         self.belts = belts
-        self.belt_of_ridge = belt_of_ridge
         self.facet_centers = facet_centers
         # per ridge its two facets, and the ridge of each such facet pair
         self.ridge_facets = tuple(r.facets for r in self.ridges)
@@ -154,14 +153,10 @@ class Parallelohedron:
     def ridges(self) -> tuple[Face, ...]:
         return self.polytope.face_lattice.faces(self.dim - 2)
 
-    def ridge_primitive(self, ridge_id: int) -> bool:
-        """True iff the ridge's belt has length 6 (three tiles meet there)."""
-        bid, _ = self.belt_of_ridge[ridge_id]
-        return self.belts[bid].length == 6
-
     @cached_property
-    def primitive_ridges(self) -> tuple[int, ...]:
-        return tuple(r for r in range(len(self.ridges)) if self.ridge_primitive(r))
+    def primitive_ridges(self) -> frozenset[int]:
+        """The ridges of the 6-belts: three tiles meet at each."""
+        return frozenset(r for b in self.belts if b.length == 6 for r in b.ridges)
 
     @cached_property
     def opposite_ridge(self) -> tuple[int, ...]:

@@ -76,8 +76,8 @@ def _witness_dict(w: ScalingWitness | MismatchWitness) -> dict:
             "vertex": serialize.vector_to_strs(w.vertex),
         }
     doc = {"kind": w.kind, "gain": serialize.rational_to_str(w.gain)}
-    if w.walk is not None:
-        doc["facets"] = list(w.walk.facets)
+    if w.facets is not None:
+        doc["facets"] = list(w.facets)
     if w.facet_pair is not None:
         doc["facet_pair"] = list(w.facet_pair)
     return doc

@@ -8,7 +8,8 @@ normals around every ridge sum to zero must multiply by exactly this
 factor when traveling i -> j. Weights compatible with all gains exist
 iff the product of gains around every closed walk in the ridge graph
 (facets as nodes, primitive ridges as edges) equals 1; the walk check
-over a spanning tree covers the whole cycle space. The graph is the
+over a spanning tree covers the whole cycle space. A walk is its facet
+sequence: two facets meet in at most one ridge. The graph is the
 parallelohedron's own: its gains are one table keyed by primitive ridge
 id and oriented from `ridge_facets[r][0]` to `ridge_facets[r][1]`, like
 the 1-cells of the surface complex (`topology._DualComplex`).
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 
 from . import linalg
@@ -40,20 +40,6 @@ from .errors import GeometryError
 from .lattice import Lattice, vectors_in_ball
 from .linalg import Mat, Vec
 from .parallelohedron import Parallelohedron
-
-
-class Walk(namedtuple("Walk", "facets ridges")):
-    """Alternating facet/ridge sequence; facets[i], facets[i+1] share ridges[i]."""
-
-    __slots__ = ()
-
-    def reversed(self) -> "Walk":
-        return Walk(tuple(reversed(self.facets)), tuple(reversed(self.ridges)))
-
-    def then(self, other: "Walk") -> "Walk":
-        if self.facets[-1] != other.facets[0]:
-            raise ValueError("walks do not compose")
-        return Walk(self.facets + other.facets[1:], self.ridges + other.ridges)
 
 
 def build_ridge_graph(para: Parallelohedron) -> dict[int, Fraction]:
@@ -101,16 +87,16 @@ def build_ridge_graph(para: Parallelohedron) -> dict[int, Fraction]:
 
 
 class ScalingWitness(namedtuple("ScalingWitness",
-                                "kind walk facet_pair gain")):
-    """A closed walk whose gain product differs from 1: a "cycle" walk,
+                                "kind facets facet_pair gain")):
+    """A closed facet walk whose gain product differs from 1: a "cycle",
     or the "opposite-facet" pair forced to distinct values (with the
-    walk between them when they share a component)."""
+    facet walk between them when they share a component)."""
 
     __slots__ = ()
 
     def __str__(self):
         if self.kind == "cycle":
-            return (f"violating cycle through facets {self.walk.facets} "
+            return (f"violating cycle through facets {self.facets} "
                     f"with gain {self.gain}")
         return (f"opposite facets {self.facet_pair} forced to distinct "
                 f"values (ratio {self.gain})")
@@ -125,16 +111,13 @@ class CanonicalScaling(namedtuple("CanonicalScaling",
     __slots__ = ()
 
 
-def _tree_walk(parent, f) -> Walk:
-    """Walk from a component's base facet to f along spanning-tree edges."""
-    facets = [f]
-    ridges = []
-    while parent[f] is not None:
-        pf, rid = parent[f]
-        facets.append(pf)
-        ridges.append(rid)
-        f = pf
-    return Walk(tuple(reversed(facets)), tuple(reversed(ridges)))
+def _tree_path(parent, f) -> tuple[int, ...]:
+    """The facets from a component's base facet to f along spanning-tree
+    edges."""
+    path = [f]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 def canonical_scaling(para: Parallelohedron, gains: dict[int, Fraction]):
@@ -151,16 +134,16 @@ def canonical_scaling(para: Parallelohedron, gains: dict[int, Fraction]):
     p = para.polytope
     n = p.n_facets
     delta, pi, opp = para.delta_roots, para.pi_roots, para.opposite_facet
-    # per facet (neighbour, ridge, gain to it), by neighbour then ridge
-    neighbors: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
+    # per facet (neighbour, gain to it), by neighbour
+    neighbors: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for rid, gain in gains.items():
         a, b = para.ridge_facets[rid]
-        neighbors[a].append((b, rid, gain))
-        neighbors[b].append((a, rid, 1 / gain))
+        neighbors[a].append((b, gain))
+        neighbors[b].append((a, 1 / gain))
     for ns in neighbors:
         ns.sort()
     values: list[Fraction | None] = [None] * n
-    parent: list[tuple[int, int] | None] = [None] * n
+    parent: list[int | None] = [None] * n
     base_facets = []
     for root in sorted(set(delta)):
         members = [f for f in range(n) if delta[f] == root]
@@ -170,16 +153,15 @@ def canonical_scaling(para: Parallelohedron, gains: dict[int, Fraction]):
         queue = [base]
         while queue:
             f = queue.pop(0)
-            for g, rid, gain in neighbors[f]:
+            for g, gain in neighbors[f]:
                 if values[g] is None:
                     values[g] = values[f] * gain
-                    parent[g] = (f, rid)
+                    parent[g] = f
                     queue.append(g)
                 elif values[g] != values[f] * gain:
                     # values[f] and values[g] are the tree products from
                     # the base, so this is the product around the cycle
-                    cycle = _tree_walk(parent, f).then(Walk((f, g), (rid,))) \
-                        .then(_tree_walk(parent, g).reversed())
+                    cycle = _tree_path(parent, f) + _tree_path(parent, g)[::-1]
                     return ScalingWitness(
                         "cycle", cycle, None, values[f] * gain / values[g])
     # the antipode maps each delta component onto one; where that is
@@ -192,8 +174,7 @@ def canonical_scaling(para: Parallelohedron, gains: dict[int, Fraction]):
         if values[f] != values[g]:
             walk = None
             if delta[f] == delta[g]:
-                walk = _tree_walk(parent, f).reversed().then(
-                    _tree_walk(parent, g))
+                walk = _tree_path(parent, f)[::-1] + _tree_path(parent, g)[1:]
             return ScalingWitness(
                 "opposite-facet", walk, (f, g), values[g] / values[f]
             )
@@ -358,37 +339,3 @@ def certify(para: Parallelohedron) -> VoronoiCertificate:
     if isinstance(result, ScalingWitness):
         return VoronoiCertificate("scaling-fails", None, None, None, witness=result)
     return voronoi_form(para, result)
-
-
-def face_walk(para: Parallelohedron, face) -> Walk | None:
-    """Closed walk through the facets around a codim-3 face, or None when
-    the face lies on a non-primitive ridge.
-
-    The face's ridges are the pairs of its facets that hold a ridge;
-    each facet must hold exactly two of these ridges. The walk starts at
-    the least facet and its least ridge.
-    """
-    ridge_ids = [para.ridge_of[pair] for pair in combinations(face.facets, 2)
-                 if pair in para.ridge_of]
-    if any(not para.ridge_primitive(r) for r in ridge_ids):
-        return None
-    ridges_of_facet: dict[int, list[int]] = {}
-    for r in ridge_ids:
-        for fi in para.ridge_facets[r]:
-            ridges_of_facet.setdefault(fi, []).append(r)
-    if any(len(rs) != 2 for rs in ridges_of_facet.values()):
-        raise GeometryError("face link is not a cycle")
-    start = min(ridges_of_facet)
-    facets = [start]
-    ridges = [min(ridges_of_facet[start])]
-    while True:
-        rid = ridges[-1]
-        a, b = para.ridge_facets[rid]
-        nxt = b if a == facets[-1] else a
-        if nxt == start:
-            break
-        facets.append(nxt)
-        r1, r2 = ridges_of_facet[nxt]
-        ridges.append(r2 if r1 == rid else r1)
-    facets.append(start)
-    return Walk(tuple(facets), tuple(ridges))

@@ -157,6 +157,8 @@ def load_document(text: str) -> Polytope | Lattice:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply to read") from None
     if isinstance(doc, dict) and "basis" in doc:
         return lattice_from_dict(doc)
     return polytope_from_dict(doc)

@@ -37,11 +37,11 @@ delta and the pi surface.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
 from . import linalg
 from .errors import GeometryError, UnsupportedDimensionError
 from .parallelohedron import Parallelohedron
-from .scaling import Walk, face_walk
 
 
 class ComponentReport(namedtuple("ComponentReport",
@@ -71,6 +71,34 @@ def _require_d3(para: Parallelohedron):
             "surface complexes are implemented for d = 3 only; other "
             "dimensions read their components off Parallelohedron.delta_roots"
         )
+
+
+def face_walk(para: Parallelohedron, face) -> tuple[int, ...] | None:
+    """The closed facet walk around a codim-3 face, or None when the face
+    lies on a non-primitive ridge.
+
+    The face's ridges are the pairs of its facets that hold a ridge;
+    each facet must hold exactly two of these ridges. The walk starts at
+    the least facet and crosses its least ridge first.
+    """
+    ridge_ids = sorted(para.ridge_of[pair]
+                       for pair in combinations(face.facets, 2)
+                       if pair in para.ridge_of)
+    if not para.primitive_ridges.issuperset(ridge_ids):
+        return None
+    neighbors: dict[int, list[int]] = {}
+    for r in ridge_ids:
+        a, b = para.ridge_facets[r]
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+    if any(len(ns) != 2 for ns in neighbors.values()):
+        raise GeometryError("face link is not a cycle")
+    start = min(neighbors)
+    walk = [start, neighbors[start][0]]
+    while walk[-1] != start:
+        a, b = neighbors[walk[-1]]
+        walk.append(b if a == walk[-2] else a)
+    return tuple(walk)
 
 
 def _sparse(terms) -> dict[int, int]:
@@ -111,7 +139,7 @@ class _DualComplex:
             raise GeometryError("antipodal involution has a fixed cell")
         self.para = para
         self.emap, self.fmap = emap, fmap
-        self.primitive = para.primitive_ridges
+        self.primitive = sorted(para.primitive_ridges)
         self.edges = sorted({min(r, emap[r]) for r in self.primitive})
         self.edge_ids = {r: i for i, r in enumerate(self.edges)}
         # rows of the 1-cell columns: each facet orbit's least facet
@@ -127,10 +155,11 @@ class _DualComplex:
         self.b2_cols = [self.chain(w) for _, w in self.walks]
         self.check_boundaries()
 
-    def chain(self, walk: Walk) -> dict[int, int]:
+    def chain(self, walk: tuple[int, ...]) -> dict[int, int]:
         """A facet walk over primitive ridges as a sparse 1-chain."""
         terms = []
-        for f, g, r in zip(walk.facets, walk.facets[1:], walk.ridges):
+        for f, g in zip(walk, walk[1:]):
+            r = self.para.ridge_of[min(f, g), max(f, g)]
             rep = min(r, self.emap[r])
             if rep != r:
                 f, g = self.fmap[f], self.fmap[g]
@@ -155,7 +184,7 @@ class _DualComplex:
         roots = self.roots[surface]
         orbit = 2 if surface == "pi" else 1
         ridge_facets = self.para.ridge_facets
-        cells = ([(0, ("v", i), w.facets[0]) for i, w in self.walks]
+        cells = ([(0, ("v", i), w[0]) for i, w in self.walks]
                  + [(1, ("e", r), ridge_facets[r][0]) for r in self.primitive]
                  + [(2, ("f", f), f) for f in range(len(roots))])
         keys: dict[int, tuple] = {}
@@ -175,15 +204,9 @@ class _DualComplex:
     def half_belt_cycles(self) -> list[dict[int, int]]:
         """The six shifted three-step walks of every 6-belt, each of them
         closed in the quotient because it ends on its start's opposite."""
-        cycles = []
-        for belt in self.para.belts:
-            if belt.length != 6:
-                continue
-            for start in range(6):
-                steps = [(start + i) % 6 for i in range(4)]
-                cycles.append(self.chain(Walk(
-                    tuple(belt.facets[i] for i in steps),
-                    tuple(belt.ridges[i] for i in steps[:3]))))
+        cycles = [self.chain((belt.facets * 2)[s:s + 4])
+                  for belt in self.para.belts if belt.length == 6
+                  for s in range(6)]
         _require_cycles(self.b1_cols, cycles, "half-belt chain is not a cycle")
         return cycles
 

@@ -124,13 +124,13 @@ def _walk_belt(ridges, ridge_ids_by_key, mirrors, start_ridge):
 
 
 def _analyze(p: Polytope):
-    """Run the Venkov checks; return (verdict, belts, belt_of_ridge,
-    facet_centers), the last three empty on failure."""
+    """Run the Venkov checks; return (verdict, belts, facet_centers), the
+    last two empty on failure."""
     if p.dim < 2:
         raise UnsupportedDimensionError(
             f"dimension {p.dim} is not supported: the belt conditions "
             "need ridges, so d >= 2")
-    failed = ((), {}, ())
+    failed = ((), ())
     rows, scale = linalg.integer_rows(p.vertices)
     image, sums = _involution(rows)
     if image is None:
@@ -158,35 +158,28 @@ def _analyze(p: Polytope):
     ridges = p.face_lattice.faces(p.dim - 2)
     ridge_ids_by_key = {r.vertex_ids: i for i, r in enumerate(ridges)}
     belts = []
-    belt_of_ridge: dict[int, tuple[int, int]] = {}
-    walked: dict[int, Belt] = {}  # per ridge, its belt of a wrong length
+    walked: dict[int, Belt] = {}  # per ridge, the belt through it
     for rid in range(len(ridges)):
-        if rid in belt_of_ridge:
-            continue
-        belt = walked.get(rid)
-        if belt is None:
+        if rid not in walked:
             try:
                 belt = _walk_belt(ridges, ridge_ids_by_key, mirrors, rid)
             except _BeltWalkError as exc:
                 witnesses.append(VenkovWitness("belt", exc.detail,
                                                tuple(exc.face_ids)))
                 continue
-        if belt.length not in (4, 6):
             walked.update(dict.fromkeys(belt.ridges, belt))
+            if belt.length in (4, 6):
+                belts.append(belt)
+        length = walked[rid].length
+        if length not in (4, 6):
             witnesses.append(VenkovWitness(
                 "belt",
-                f"belt through ridge {rid} has length {belt.length}, expected 4 or 6",
+                f"belt through ridge {rid} has length {length}, expected 4 or 6",
                 ridges[rid].vertex_ids,
             ))
-            continue
-        bid = len(belts)
-        belts.append(belt)
-        for pos, r in enumerate(belt.ridges):
-            belt_of_ridge[r] = (bid, pos)
     if witnesses:
         return (VenkovVerdict(False, tuple(witnesses)),) + failed
-    return (VenkovVerdict(True), tuple(belts), belt_of_ridge,
-            tuple(facet_centers))
+    return VenkovVerdict(True), tuple(belts), tuple(facet_centers)
 
 
 def venkov_check(p: Polytope) -> VenkovVerdict:

@@ -43,13 +43,14 @@ from parallo import linalg
 from parallo.errors import GeometryError, UnsupportedDimensionError
 from parallo.lattice import vectors_in_ball
 from parallo.polytope import Polytope, _canonical_halfspace
-from parallo.scaling import MismatchWitness, Walk, build_ridge_graph, face_walk
+from parallo.scaling import MismatchWitness, build_ridge_graph
 from parallo.topology import (
     HalfBeltSpan,
     _dense,
     _require_cycles,
     _require_d3,
     _sparse,
+    face_walk,
 )
 from parallo.venkov import (
     VenkovVerdict,
@@ -120,7 +121,7 @@ def per_ridge_analyze(p):
     belt holds, so a belt of the wrong length is walked once per ridge."""
     if p.dim < 2:
         raise UnsupportedDimensionError(f"dimension {p.dim} is not supported")
-    failed = ((), {}, ())
+    failed = ((), ())
     rows, scale = linalg.integer_rows(p.vertices)
     image, sums = _involution(rows)
     if image is None:
@@ -143,9 +144,9 @@ def per_ridge_analyze(p):
         return (VenkovVerdict(False, tuple(witnesses)),) + failed
     ridges = p.face_lattice.faces(p.dim - 2)
     ridge_ids_by_key = {r.vertex_ids: i for i, r in enumerate(ridges)}
-    belts, belt_of_ridge = [], {}
+    belts, in_belt = [], set()
     for rid in range(len(ridges)):
-        if rid in belt_of_ridge:
+        if rid in in_belt:
             continue
         try:
             belt = _walk_belt(ridges, ridge_ids_by_key, mirrors, rid)
@@ -158,13 +159,11 @@ def per_ridge_analyze(p):
                 f"belt through ridge {rid} has length {belt.length}, expected 4 or 6",
                 ridges[rid].vertex_ids))
             continue
-        for pos, r in enumerate(belt.ridges):
-            belt_of_ridge[r] = (len(belts), pos)
+        in_belt.update(belt.ridges)
         belts.append(belt)
     if witnesses:
         return (VenkovVerdict(False, tuple(witnesses)),) + failed
-    return (VenkovVerdict(True), tuple(belts), belt_of_ridge,
-            tuple(facet_centers))
+    return VenkovVerdict(True), tuple(belts), tuple(facet_centers)
 
 
 def dot_product_facet_vertex_ids(p) -> tuple[tuple[int, ...], ...]:
@@ -258,7 +257,7 @@ def covering_counts(lat, cell, x) -> tuple[int, int]:
 
 def walk_closed(walk) -> bool:
     """Does a facet walk of at least one step end where it starts?"""
-    return len(walk.facets) > 1 and walk.facets[0] == walk.facets[-1]
+    return len(walk) > 1 and walk[0] == walk[-1]
 
 
 def contains(p, point) -> bool:
@@ -283,8 +282,8 @@ def ridge_dependence(para, ridge_id: int, normal_scale=None):
     a positive rational (index -> factor); gains of closed walks are
     invariant under this.
     """
-    bid, pos = para.belt_of_ridge[ridge_id]
-    belt = para.belts[bid]
+    belt, pos = next((b, b.ridges.index(ridge_id)) for b in para.belts
+                     if ridge_id in b.ridges)
     if belt.length != 6:
         raise GeometryError(f"ridge {ridge_id} is not primitive (belt length 4)")
     m = belt.length
@@ -325,7 +324,7 @@ def per_ridge_graph(para, normal_scale=None) -> dict:
     `ridge_facets[r][0]` to `ridge_facets[r][1]`."""
     gains = {}
     for rid in range(len(para.ridges)):
-        if not para.ridge_primitive(rid):
+        if rid not in para.primitive_ridges:
             continue
         _, _, _, alpha, (f1, f2, _) = ridge_dependence(para, rid, normal_scale)
         gain = abs(alpha[1] / alpha[0])
@@ -334,32 +333,37 @@ def per_ridge_graph(para, normal_scale=None) -> dict:
 
 
 def ridge_neighbors(para, gains) -> dict:
-    """Per facet its (neighbour facet, ridge) pairs across the ridges of
-    `gains`, sorted."""
+    """Per facet its neighbour facets across the ridges of `gains`,
+    sorted."""
     neighbors = {f: [] for f in range(para.polytope.n_facets)}
     for rid in gains:
         a, b = para.ridge_facets[rid]
-        neighbors[a].append((b, rid))
-        neighbors[b].append((a, rid))
+        neighbors[a].append(b)
+        neighbors[b].append(a)
     return {f: sorted(ns) for f, ns in neighbors.items()}
 
 
+def walk_ridges(para, walk) -> list[int]:
+    """The ridge crossed at each step of a facet walk: the one between
+    consecutive facets f and g, `ridge_of[min(f, g), max(f, g)]`."""
+    ridges = []
+    for f, g in zip(walk, walk[1:]):
+        rid = para.ridge_of.get((min(f, g), max(f, g)))
+        if rid is None:
+            raise GeometryError(f"facets {f} and {g} share no ridge")
+        ridges.append(rid)
+    return ridges
+
+
 def walk_gain(para, gains, walk) -> Fraction:
-    """Product of the directed gains along a walk: a ridge's gain from
-    `ridge_facets[r][0]` to `ridge_facets[r][1]`, its inverse the other
-    way."""
-    if len(walk.facets) != len(walk.ridges) + 1:
-        raise ValueError("walk has mismatched facet/ridge counts")
+    """Product of the directed gains along a facet walk: a ridge's gain
+    from `ridge_facets[r][0]` to `ridge_facets[r][1]`, its inverse the
+    other way."""
     total = Fraction(1)
-    for f, g, rid in zip(walk.facets, walk.facets[1:], walk.ridges):
+    for f, rid in zip(walk, walk_ridges(para, walk)):
         if rid not in gains:
             raise GeometryError(f"ridge {rid} is not primitive")
-        if (f, g) == para.ridge_facets[rid]:
-            total *= gains[rid]
-        elif (g, f) == para.ridge_facets[rid]:
-            total /= gains[rid]
-        else:
-            raise GeometryError("facets do not match the ridge")
+        total *= gains[rid] if f == para.ridge_facets[rid][0] else 1 / gains[rid]
     return total
 
 
@@ -375,7 +379,7 @@ def ridge_graph_components(para) -> int:
         seen.add(f)
         stack = [f]
         while stack:
-            for g, _ in neighbors[stack.pop()]:
+            for g in neighbors[stack.pop()]:
                 if g not in seen:
                     seen.add(g)
                     stack.append(g)
@@ -408,7 +412,7 @@ def half_belt_check(para, gains, belt) -> Fraction:
     """Gain product over three consecutive edges of a 6-belt (expect 1)."""
     if belt.length != 6:
         raise GeometryError("half-belt products need a belt of length 6")
-    return walk_gain(para, gains, Walk(belt.facets[:4], belt.ridges[:3]))
+    return walk_gain(para, gains, belt.facets[:4])
 
 
 # -- k-irreducibility ---------------------------------------------------------
@@ -803,9 +807,7 @@ class CutComplex:
         _require_d3(para)
         self.para = para
         p = para.polytope
-        self.removed = {
-            i for i in range(len(para.ridges)) if not para.ridge_primitive(i)
-        }
+        self.removed = set(range(len(para.ridges))) - para.primitive_ridges
         self.facet_cycles = _facet_cycles(para)
         fans = _vertex_fans(para, self.facet_cycles)
 

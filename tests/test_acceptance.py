@@ -23,7 +23,6 @@ from oracles import (
     local_cycle_check,
     per_ridge_graph,
     random_unimodular,
-    ridge_image_map,
     ridge_neighbors,
     walk_gain,
 )
@@ -33,7 +32,7 @@ from parallo.cli import main as cli_main
 from parallo.lattice import Lattice, dv_cell
 from parallo.parallelohedron import Parallelohedron, dual3_census
 from parallo.polytope import Polytope
-from parallo.scaling import Walk, build_ridge_graph, certify
+from parallo.scaling import build_ridge_graph, certify
 from parallo.topology import surface_topology
 
 import random
@@ -115,16 +114,14 @@ def test_criterion_3_gain_lemma_suite():
             gains = ridge_graph(name)
             for rid in gains:
                 a, b = para.ridge_facets[rid]
-                assert walk_gain(para, gains, Walk((a, b), (rid,))) * \
-                    walk_gain(para, gains, Walk((b, a), (rid,))) == 1
-                back = Walk((a, b, a), (rid, rid))
-                assert walk_gain(para, gains, back) == 1
+                assert walk_gain(para, gains, (a, b)) * \
+                    walk_gain(para, gains, (b, a)) == 1
+                assert walk_gain(para, gains, (a, b, a)) == 1
             for belt in para.belts:
                 if belt.length != 6:
                     continue
                 assert half_belt_check(para, gains, belt) == 1
-                loop = Walk(belt.facets + (belt.facets[0],), belt.ridges)
-                assert walk_gain(para, gains, loop) == 1
+                assert walk_gain(para, gains, belt.facets + belt.facets[:1]) == 1
             for face in para.polytope.face_lattice.faces(para.dim - 3):
                 res = local_cycle_check(para, face, gains)
                 if not res.skipped:
@@ -136,20 +133,17 @@ def test_criterion_3_gain_lemma_suite():
                 start = rng.choice(
                     [f for f, ns in adjacency.items() if ns]
                 )
-                facets, ridges = [start], []
+                facets = [start]
                 for _ in range(rng.randint(2, 8)):
                     nbrs = adjacency[facets[-1]]
                     if not nbrs:
                         break
-                    g, rid = rng.choice(nbrs)
-                    facets.append(g)
-                    ridges.append(rid)
-                if len(ridges) < 2:
+                    facets.append(rng.choice(nbrs))
+                if len(facets) < 3:
                     continue
-                cut = rng.randint(1, len(ridges) - 1)
-                w1 = Walk(tuple(facets[:cut + 1]), tuple(ridges[:cut]))
-                w2 = Walk(tuple(facets[cut:]), tuple(ridges[cut:]))
-                assert walk_gain(para, gains, w1.then(w2)) == \
+                cut = rng.randint(1, len(facets) - 2)
+                w1, w2 = tuple(facets[:cut + 1]), tuple(facets[cut:])
+                assert walk_gain(para, gains, tuple(facets)) == \
                     walk_gain(para, gains, w1) * walk_gain(para, gains, w2)
                 checked += 1
 
@@ -185,20 +179,13 @@ def test_criterion_4_invariance_suite():
                 image = Parallelohedron.build(image_p)
                 igains = build_ridge_graph(image)
                 assert certify(image).verdict == base_verdict == "certified"
-                rmap = ridge_image_map(para, image, a, linalg.zeros(3))
                 fmap = _facet_map_under(para, image, linalg.mat(a))
                 for belt in para.belts:
                     if belt.length != 6:
                         continue
-                    for walk in (
-                        Walk(belt.facets + (belt.facets[0],), belt.ridges),
-                        Walk(belt.facets[:4], belt.ridges[:3]),
-                        Walk(belt.facets[:3], belt.ridges[:2]),
-                    ):
-                        mapped = Walk(
-                            tuple(fmap[f] for f in walk.facets),
-                            tuple(rmap[r] for r in walk.ridges),
-                        )
+                    for walk in (belt.facets + belt.facets[:1],
+                                 belt.facets[:4], belt.facets[:3]):
+                        mapped = tuple(fmap[f] for f in walk)
                         assert walk_gain(para, gains, walk) == \
                             walk_gain(image, igains, mapped)
             # per-facet positive rescaling of normals
@@ -210,7 +197,7 @@ def test_criterion_4_invariance_suite():
             for belt in para.belts:
                 if belt.length != 6:
                     continue
-                loop = Walk(belt.facets + (belt.facets[0],), belt.ridges)
+                loop = belt.facets + belt.facets[:1]
                 assert walk_gain(para, scaled, loop) == \
                     walk_gain(para, gains, loop)
             for face in para.polytope.face_lattice.faces(para.dim - 3):

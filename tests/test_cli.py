@@ -1,10 +1,13 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+import parallo
 from parallo import catalog, cli, lattice
 from parallo.cli import main
 
@@ -312,6 +315,37 @@ def test_malformed_documents_get_one_error_line(tmp_path, capsys, doc, names):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert names in lines[0]
     assert "Traceback" not in err
+
+
+def test_a_deeply_nested_document_gets_one_error_line(tmp_path, capsys):
+    """`json` reads nesting by recursion, so 100000 open brackets raise
+    RecursionError inside the parser."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: invalid JSON: nested too deeply to read"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("command", [["export", "cube"], ["verify", "cube"],
+                                     ["verify", "--help"]])
+def test_a_full_stdout_gets_one_error_line(command):
+    """Every write to /dev/full fails with ENOSPC. The report's write and
+    flush fail inside the CLI, and the flush at exit must not fail again:
+    one error line, exit code 1. Buffered stdout, as in a plain shell."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(parallo.__file__))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "parallo.cli", *command],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 ONE_DIMENSIONAL = {

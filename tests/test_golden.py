@@ -4,17 +4,19 @@ export of every solid, as printed by `parallo verify NAME` and
 output of every 3-D entry, which is the topology block of its verify
 report, and of the 2-D and 4-D lattices, the `parallo dual-cells NAME
 --codim k` output of every entry, the `venkov-fails` report of
-one input per Venkov condition, and one `form-not-pd` certificate.
+one input per Venkov condition, the `scaling-fails` report of two
+doctored gain tables, and one `form-not-pd` certificate.
 Refactors must leave these bytes alone; a deliberate change to the
 report format regenerates them."""
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from conftest import POLYTOPE_CATALOG, built, ridge_graph, verified
-from parallo import report, serialize
+from parallo import report, scaling, serialize
 from parallo.catalog import catalog, catalog_names
 from parallo.cli import main
 from parallo.scaling import CanonicalScaling, canonical_scaling, voronoi_form
@@ -86,6 +88,37 @@ def test_venkov_failure_report_bytes(capsys, monkeypatch, fixture):
     monkeypatch.chdir(FIXTURES)
     assert main(["verify", f"{fixture}.json"]) == 3
     assert capsys.readouterr().out == _golden(f"{fixture}.json")
+
+
+def _first_gain_tripled(para, gains):
+    first = next(iter(gains))
+    return {**gains, first: 3 * gains[first]}
+
+
+def _cut_by_three(para, gains):
+    """Gains times 3 from the facets whose normal's first nonzero entry
+    is positive to the rest, and times 1/3 back: every cycle closes, but
+    each facet ends a factor 3 from its opposite."""
+    side = [next(x for x in n if x) > 0 for n in para.polytope.facet_normals]
+    return {rid: gain * Fraction(3) ** (side[a] - side[b])
+            for rid, gain in gains.items()
+            for a, b in (para.ridge_facets[rid],)}
+
+
+@pytest.mark.parametrize("doctor, golden", [
+    (_first_gain_tripled, "truncated-octahedron-scaling-fails-cycle.json"),
+    (_cut_by_three, "truncated-octahedron-scaling-fails-opposite.json"),
+], ids=["cycle", "opposite-facet"])
+def test_scaling_fails_report_bytes(monkeypatch, doctor, golden):
+    """The `scaling-fails` report of the truncated octahedron under a
+    doctored gain table: its witness walk, gain and exit code 2."""
+    build = scaling.build_ridge_graph
+    monkeypatch.setattr(scaling, "build_ridge_graph",
+                        lambda para: doctor(para, build(para)))
+    doc = report.verify(catalog("truncated-octahedron").polytope,
+                        name="truncated-octahedron")
+    assert (doc["verdict"], doc["exit_code"]) == ("scaling-fails", 2)
+    assert serialize.dumps(doc) == _golden(golden)
 
 
 def test_form_not_pd_certificate_bytes():

@@ -209,19 +209,16 @@ def test_belt_structure():
 
 
 def test_ridge_primitive():
-    cube = built("cube")
-    assert not any(cube.ridge_primitive(r) for r in range(len(cube.ridges)))
+    assert built("cube").primitive_ridges == frozenset()
     prism = built("hexagonal-prism")
-    vertical = [
-        r for r in range(len(prism.ridges)) if prism.ridge_primitive(r)
-    ]
+    vertical = prism.primitive_ridges
     assert len(vertical) == 6
     for r in vertical:
         a, b = (prism.polytope.vertices[i]
                 for i in prism.ridges[r].vertex_ids)
         assert a[:2] == b[:2]  # vertical edges of the prism
     rd = built("rhombic-dodecahedron")
-    assert all(rd.ridge_primitive(r) for r in range(len(rd.ridges)))
+    assert rd.primitive_ridges == frozenset(range(len(rd.ridges)))
 
 
 def test_facet_vectors_and_neighbor_identity():
@@ -253,7 +250,7 @@ def test_neighbor_check_rejects_wrong_facet_vectors(centers):
     else:
         wrong = cube.facet_centers[1:] + cube.facet_centers[:1]
     with pytest.raises(GeometryError, match="does not reproduce the facet"):
-        Parallelohedron(cube.polytope, cube.belts, cube.belt_of_ridge, wrong)
+        Parallelohedron(cube.polytope, cube.belts, wrong)
 
 def test_unnormalized_halfspaces_give_the_same_dual_cells():
     """A cube stored with normals (1/2, 0, 0) and offsets 1/4: the
@@ -379,7 +376,7 @@ def test_primitivity_matches_belt_lengths():
     for name in ("hexagonal-prism", "elongated-dodecahedron"):
         para = built(name)
         for rid, cell in enumerate(para.dual_cells(2)):
-            assert (len(cell.centers) == 3) == para.ridge_primitive(rid)
+            assert (len(cell.centers) == 3) == (rid in para.primitive_ridges)
 
 
 def test_k_irreducibility():

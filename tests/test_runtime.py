@@ -103,6 +103,16 @@ def test_a_certified_3d_verdict_loads_scaling_and_topology():
     assert loaded & HEAVY_STDLIB == set()
 
 
+def test_a_surface_report_loads_topology_but_not_scaling():
+    """The face walks of the surface complex are `topology`'s own, so a
+    surface report loads no gain or scaling code."""
+    loaded = modules_after(
+        "from parallo import cli\n"
+        "assert cli.main(['surface', 'cube']) == 0")
+    assert "parallo.topology" in loaded
+    assert "parallo.scaling" not in loaded
+
+
 def test_a_lattice_document_loads_the_lattice_and_tiling_stages(tmp_path):
     """The negative control of the rejection test: reading a lattice
     document loads `lattice`, and certifying its cell `parallelohedron`."""

@@ -18,6 +18,7 @@ from oracles import (
     scanned_superfaces,
     walk_closed,
     walk_gain,
+    walk_ridges,
 )
 from parallo import linalg
 from parallo.catalog import catalog
@@ -30,14 +31,13 @@ from parallo.scaling import (
     CanonicalScaling,
     MismatchWitness,
     ScalingWitness,
-    Walk,
     build_ridge_graph,
     canonical_scaling,
     certify,
-    face_walk,
     voronoi_form,
     voronoi_mismatch,
 )
+from parallo.topology import face_walk
 
 F = Fraction
 
@@ -62,11 +62,6 @@ def _find_ridge(para, gains, n_from, n_to):
     raise AssertionError("no such ridge")
 
 
-def _gain(para, gains, f_from, f_to, rid):
-    """The gain across one ridge, directed f_from -> f_to."""
-    return walk_gain(para, gains, Walk((f_from, f_to), (rid,)))
-
-
 def test_ridge_dependence_truncated_octahedron():
     para = built("truncated-octahedron")
     rid = _find_ridge(para, ridge_graph("truncated-octahedron"),
@@ -85,13 +80,13 @@ def test_gain_values_truncated_octahedron():
     gains = ridge_graph("truncated-octahedron")
     rid = _find_ridge(para, gains, (1, 1, 1), (1, 1, -1))
     a, b = para.ridge_facets[rid]
-    assert gains[rid] == _gain(para, gains, a, b, rid) == 1
+    assert gains[rid] == walk_gain(para, gains, (a, b)) == 1
     hexes = set(_hex_facets(para.polytope))
     rid = _find_ridge(para, gains, (1, 1, 1), (0, 0, 1))
     a, b = para.ridge_facets[rid]
     hx, sq = (a, b) if a in hexes else (b, a)
-    assert _gain(para, gains, hx, sq, rid) == 2
-    assert _gain(para, gains, sq, hx, rid) == F(1, 2)
+    assert walk_gain(para, gains, (hx, sq)) == 2
+    assert walk_gain(para, gains, (sq, hx)) == F(1, 2)
     # the table holds the gain from the ridge's first facet to its second
     assert gains[rid] == (2 if a == hx else F(1, 2))
 
@@ -101,8 +96,8 @@ def test_gain_reciprocity_everywhere():
         para, gains = built(name), ridge_graph(name)
         for rid in gains:
             a, b = para.ridge_facets[rid]
-            assert _gain(para, gains, a, b, rid) * \
-                _gain(para, gains, b, a, rid) == 1
+            assert walk_gain(para, gains, (a, b)) * \
+                walk_gain(para, gains, (b, a)) == 1
 
 
 def test_backtrack_gain_is_one():
@@ -110,8 +105,18 @@ def test_backtrack_gain_is_one():
         para, gains = built(name), ridge_graph(name)
         for rid in list(gains)[:5]:
             a, b = para.ridge_facets[rid]
-            walk = Walk((a, b, a), (rid, rid))
-            assert walk_gain(para, gains, walk) == 1
+            assert walk_gain(para, gains, (a, b, a)) == 1
+
+
+def test_walk_gain_rejects_a_step_off_the_primitive_ridges():
+    """Negative controls of the walk oracle: a facet and its opposite
+    share no ridge, and every ridge of the cube lies in a 4-belt."""
+    para, gains = built("truncated-octahedron"), ridge_graph("truncated-octahedron")
+    with pytest.raises(GeometryError, match="share no ridge"):
+        walk_gain(para, gains, (0, para.opposite_facet[0]))
+    cube = built("cube")
+    with pytest.raises(GeometryError, match="is not primitive"):
+        walk_gain(cube, ridge_graph("cube"), cube.ridge_facets[0])
 
 
 def test_half_belt_and_full_belt_gains():
@@ -122,8 +127,7 @@ def test_half_belt_and_full_belt_gains():
             if belt.length != 6:
                 continue
             assert half_belt_check(para, gains, belt) == 1
-            loop = Walk(belt.facets + (belt.facets[0],), belt.ridges)
-            assert walk_gain(para, gains, loop) == 1
+            assert walk_gain(para, gains, belt.facets + belt.facets[:1]) == 1
         for belt in para.belts:
             if belt.length == 4:
                 with pytest.raises(GeometryError):
@@ -139,28 +143,24 @@ def test_walk_multiplicativity(rng):
         adjacency = ridge_neighbors(para, gains)
         for _ in range(100):
             start = rng.choice([f for f, ns in adjacency.items() if ns])
-            facets, ridges = [start], []
+            facets = [start]
             for _ in range(rng.randint(1, 6)):
                 nbrs = adjacency[facets[-1]]
                 if not nbrs:
                     break
-                g, rid = rng.choice(nbrs)
-                facets.append(g)
-                ridges.append(rid)
-            if len(ridges) < 2:
+                facets.append(rng.choice(nbrs))
+            if len(facets) < 3:
                 continue
-            cut = rng.randint(1, len(ridges) - 1)
-            w1 = Walk(tuple(facets[: cut + 1]), tuple(ridges[:cut]))
-            w2 = Walk(tuple(facets[cut:]), tuple(ridges[cut:]))
-            whole = w1.then(w2)
-            assert walk_gain(para, gains, whole) == \
+            cut = rng.randint(1, len(facets) - 2)
+            w1, w2 = tuple(facets[: cut + 1]), tuple(facets[cut:])
+            assert walk_gain(para, gains, tuple(facets)) == \
                 walk_gain(para, gains, w1) * walk_gain(para, gains, w2)
 
 
 def test_ridge_graph_shapes():
     def shape(name):
         para, gains = built(name), ridge_graph(name)
-        assert list(gains) == list(para.primitive_ridges)
+        assert list(gains) == sorted(para.primitive_ridges)
         return len(gains), len(set(para.delta_roots))
 
     assert shape("cube") == (0, 6)
@@ -204,8 +204,8 @@ def test_canonical_scaling_witness_on_doctored_gains():
     bad[first] *= 3
     witness = canonical_scaling(para, bad)
     assert isinstance(witness, ScalingWitness) and witness.kind == "cycle"
-    assert walk_closed(witness.walk)
-    assert witness.gain != 1 and witness.gain == walk_gain(para, bad, witness.walk)
+    assert walk_closed(witness.facets)
+    assert witness.gain != 1 and witness.gain == walk_gain(para, bad, witness.facets)
 
 
 def test_an_inverted_gain_gives_a_cycle_witness():
@@ -219,9 +219,10 @@ def test_an_inverted_gain_gives_a_cycle_witness():
     bad = {**gains, rid: 1 / gains[rid]}
     witness = canonical_scaling(para, bad)
     assert isinstance(witness, ScalingWitness) and witness.kind == "cycle"
-    assert walk_closed(witness.walk) and rid in witness.walk.ridges
-    assert witness.gain == walk_gain(para, bad, witness.walk) != 1
-    assert walk_gain(para, gains, witness.walk) == 1
+    assert walk_closed(witness.facets)
+    assert rid in walk_ridges(para, witness.facets)
+    assert witness.gain == walk_gain(para, bad, witness.facets) != 1
+    assert walk_gain(para, gains, witness.facets) == 1
 
 
 def test_opposite_facet_witness_on_a_doctored_cut():
@@ -239,7 +240,7 @@ def test_opposite_facet_witness_on_a_doctored_cut():
         gains[rid] = gain * F(3) ** (side[a] - side[b])
     witness = canonical_scaling(para, gains)
     assert witness == ScalingWitness(
-        "opposite-facet", Walk((0, 1, 4, 13), (2, 6, 24)), (0, 13), F(1, 3))
+        "opposite-facet", (0, 1, 4, 13), (0, 13), F(1, 3))
     assert str(witness) == ("opposite facets (0, 13) forced to distinct "
                             "values (ratio 1/3)")
 
@@ -401,7 +402,7 @@ def test_local_cycle_checks():
     for vertex in rd.polytope.face_lattice.faces(0):
         res = local_cycle_check(rd, vertex, rd_gains)
         assert not res.skipped and res.product == 1
-        degrees.add(len(res.walk.ridges))
+        degrees.add(len(res.walk) - 1)
     assert degrees == {3, 4}
     cube = built("cube")
     for vertex in cube.polytope.face_lattice.faces(0):
@@ -419,9 +420,9 @@ def test_face_walk_ridges_are_the_scanned_superfaces(name):
         ridges = scanned_superfaces(lat, face, para.dim - 2)
         walk = face_walk(para, face)
         if walk is None:
-            assert not all(para.ridge_primitive(r) for r in ridges)
+            assert not para.primitive_ridges.issuperset(ridges)
         else:
-            assert sorted(walk.ridges) == ridges
+            assert sorted(walk_ridges(para, walk)) == ridges
 
 
 def test_normal_rescaling_leaves_closed_products(rng):
@@ -436,14 +437,13 @@ def test_normal_rescaling_leaves_closed_products(rng):
         for belt in para.belts:
             if belt.length != 6:
                 continue
-            loop = Walk(belt.facets + (belt.facets[0],), belt.ridges)
+            loop = belt.facets + belt.facets[:1]
             assert walk_gain(para, scaled, loop) == \
                 walk_gain(para, gains, loop) == 1
         # random closed walks: out along tree of edges, back the same way
         for rid in list(gains)[:10]:
             a, b = para.ridge_facets[rid]
-            walk = Walk((a, b, a), (rid, rid))
-            assert walk_gain(para, scaled, walk) == 1
+            assert walk_gain(para, scaled, (a, b, a)) == 1
 
 
 def test_affine_invariance_of_closed_walk_gains(rng):
@@ -475,11 +475,8 @@ def test_affine_invariance_of_closed_walk_gains(rng):
             for belt in para.belts:
                 if belt.length != 6:
                     continue
-                walk = Walk(belt.facets[:4], belt.ridges[:3])
-                mapped = Walk(
-                    tuple(fmap[f] for f in walk.facets),
-                    tuple(rmap[r] for r in walk.ridges),
-                )
+                walk = belt.facets[:4]
+                mapped = tuple(fmap[f] for f in walk)
                 assert walk_gain(para, gains, walk) == \
                     walk_gain(image, igains, mapped)
 
@@ -520,7 +517,7 @@ def test_belt_gains_match_the_per_ridge_kernels(name):
     para = GAIN_CASES[name]()
     gains = build_ridge_graph(para)
     assert list(gains.items()) == list(per_ridge_graph(para).items())
-    assert list(gains) == list(para.primitive_ridges)
+    assert list(gains) == sorted(para.primitive_ridges)
     assert len(gains) == 6 * sum(b.length == 6 for b in para.belts)
 
 

@@ -18,7 +18,6 @@ from parallo.errors import GeometryError, UnsupportedDimensionError
 from parallo.lattice import dv_cell
 from parallo.parallelohedron import Parallelohedron
 from parallo.polytope import Polytope
-from parallo.scaling import Walk
 from parallo.topology import _DualComplex, surface_topology
 from parallo.venkov import venkov_check
 
@@ -72,7 +71,7 @@ def test_delta_reports():
     # with a ridge sorts before one with only a facet
     swapped = Parallelohedron.build(apply_affine(
         built("hexagonal-prism").polytope, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
-    assert not any(swapped.ridge_primitive(r)
+    assert not any(r in swapped.primitive_ridges
                    for r, pair in enumerate(swapped.ridge_facets) if 0 in pair)
     delta, pi, _ = surface_topology(swapped)
     assert [c.cell_counts for c in delta.components] == [(0, 6, 6), (0, 0, 1), (0, 0, 1)]
@@ -218,8 +217,7 @@ def test_open_half_belt_chain_is_rejected(monkeypatch):
     complex_ = _DualComplex(built("hexagonal-prism"))
     chain = complex_.chain
     # drop the last step: the walk ends one facet short of the opposite
-    monkeypatch.setattr(complex_, "chain", lambda walk: chain(
-        Walk(walk.facets[:-1], walk.ridges[:-1])))
+    monkeypatch.setattr(complex_, "chain", lambda walk: chain(walk[:-1]))
     with pytest.raises(GeometryError, match="half-belt chain is not a cycle"):
         complex_.half_belt_cycles()
 
