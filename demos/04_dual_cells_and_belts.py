@@ -19,6 +19,7 @@ for name in ("cube", "hexagonal-prism", "rhombic-dodecahedron",
     print("  belts by length:", belts)
     print("  primitivity by codim:", para.primitivity_profile())
     print("  dual 3-cell census:", dual3_census(para)[0])
-    facet_cell = para.dual_cells(1)[0]
+    facet = para.polytope.face_lattice.faces(para.dim - 1)[0]
     print("  a facet's dual cell has centers:",
-          [tuple(str(x) for x in t) for t in facet_cell.centers])
+          [tuple(str(x) for x in t)
+           for t in para.centers(para.dual_cell(facet))])

@@ -138,12 +138,12 @@ def _cmd_dual_cells(args) -> int:
             doc["anomalies"] = anomalies
         _emit(doc)
         return 4 if anomalies else 0
-    cells = para.dual_cells(codim)
+    faces = para.polytope.face_lattice.faces(para.dim - codim)
     by_count: dict[str, int] = {}
-    for cell in cells:
-        key = str(len(cell.centers))
+    for face in faces:
+        key = str(para.dual_cell(face).bit_count())
         by_count[key] = by_count.get(key, 0) + 1
-    _emit({"codim": codim, "cells": len(cells),
+    _emit({"codim": codim, "cells": len(faces),
            "census_by_center_count": dict(sorted(by_count.items()))})
     return 0
 

@@ -119,6 +119,11 @@ def _integer_interval(p: int, a: int, m: int) -> range:
     return range(-((s - p) // a), (p + s) // a + 1)
 
 
+# Fincke-Pohst nodes one enumeration may visit: E6's translate ball needs
+# about 660,000, and a cell of aspect ratio a about 2 a.
+_NODE_BUDGET = 10**6
+
+
 def _enumerate(lat: Lattice, r2: Fraction,
                parity: tuple[int, ...] | None = None
                ) -> list[tuple[int, tuple[int, ...]]]:
@@ -128,7 +133,8 @@ def _enumerate(lat: Lattice, r2: Fraction,
     Fincke-Pohst: level i (from the last coordinate down) sees the
     integer Z_i = us * (k_i + sum_{j>i} U_ij k_j) = us k_i - p_i, and
     k_i ranges over the integers with (ds D_i) Z_i^2 at most what the
-    levels above left of the scaled bound.
+    levels above left of the scaled bound. Each level's candidates are
+    counted against `_NODE_BUDGET` before they are walked.
     """
     rows, us, diag, ds = lat._ldl
     d = lat.dim
@@ -136,13 +142,21 @@ def _enumerate(lat: Lattice, r2: Fraction,
     bound = r2.numerator * ds * us * us // r2.denominator
     out: list[tuple[int, tuple[int, ...]]] = []
     k = [0] * d
+    left = _NODE_BUDGET
 
     def level(i: int, used: int, lin: list[int]) -> None:
         # lin[j] for j <= i: sum of rows[j][l] * k_l over l > i
+        nonlocal left
         p = -lin[i]
         ks = _integer_interval(p, us, (bound - used) // diag[i])
         if parity is not None:
             ks = ks[(parity[i] - ks.start) % 2::2]
+        # len() overflows on a huge range
+        left -= max(0, (ks.stop - ks.start + ks.step - 1) // ks.step)
+        if left < 0:
+            raise GeometryError(
+                f"lattice enumeration needs more than {_NODE_BUDGET} nodes; "
+                "the cell is too large or too thin")
         for ki in ks:
             z = us * ki - p
             k[i] = ki

@@ -7,8 +7,9 @@ t_F = 2*c_F, the facet vectors generate the tile-center lattice, and
 local stars of the tiling can be reconstructed without ever
 materializing the tiling itself: a face of the polytope belongs to the
 translate by t exactly when all its vertices satisfy the shifted
-inequalities. A ridge is primitive iff its belt has 6 facets (three
-tiles meet at it rather than four).
+inequalities. So a face's dual cell, the tiles that hold it, is a bit
+set over the translates, and a codim-k face is primitive when k + 1 of
+its bits are set; a ridge is primitive iff its belt has 6 facets.
 
 The surface partitions of the facets are decided here and nowhere
 else: the delta-surface joins the two facets of each primitive ridge,
@@ -29,44 +30,6 @@ from .lattice import Lattice, lattice_basis_from_generators, vectors_in_ball
 from .linalg import Vec
 from .polytope import Face, Polytope, _bits
 from .venkov import _analyze
-
-
-def affine_hull_polytope(points: list[Vec]):
-    """Hull of points in coordinates of their own affine hull.
-
-    Returns (polytope, rank, origin, basis_rows): the polytope lives in
-    R^rank; basis rows map its coordinates back via origin + c . basis.
-    """
-    pts = sorted(set(points))
-    p0 = pts[0]
-    basis: list[Vec] = []
-    for p in pts[1:]:
-        d = linalg.vsub(p, p0)
-        if linalg.rank(tuple(basis) + (d,)) > len(basis):
-            basis.append(d)
-    k = len(basis)
-    if k == 0:
-        raise GeometryError("a single point has no hull")
-    bt = linalg.transpose(tuple(basis))
-    coords = [linalg.solve_linear(bt, linalg.vsub(p, p0)) for p in pts]
-    return Polytope.from_vertices(coords), k, p0, tuple(basis)
-
-
-class DualCell:
-    """Tile centers sharing a face of codimension `codim`."""
-
-    def __init__(self, face: Face, centers: tuple[Vec, ...], codim: int):
-        self.face = face
-        self.centers = centers
-        self.codim = codim
-
-    @cached_property
-    def hull(self) -> Polytope | None:
-        """Hull of the centers in their affine-hull coordinates, built on
-        first read; codim <= 3 only."""
-        if self.codim > 3 or len(self.centers) < 2:
-            return None
-        return affine_hull_polytope(self.centers)[0]
 
 
 def component_roots(n: int, pairs) -> tuple[int, ...]:
@@ -91,13 +54,26 @@ class Parallelohedron:
     """A polytope that passed the Venkov conditions, with its tiling data."""
 
     def __init__(self, polytope, belts, facet_centers):
-        self.polytope = polytope
+        p = self.polytope = polytope
         self.belts = belts
         self.facet_centers = facet_centers
         # per ridge its two facets, and the ridge of each such facet pair
         self.ridge_facets = tuple(r.facets for r in self.ridges)
         self.ridge_of = {pair: r for r, pair in enumerate(self.ridge_facets)}
-        self._finish_setup()
+        self.facet_vectors = tuple(linalg.vscale(2, c) for c in facet_centers)
+        # opposite facet: normal negated, same offset (we are centered)
+        planes = tuple(zip(p.facet_normals, p.facet_offsets))
+        key = {plane: i for i, plane in enumerate(planes)}
+        try:
+            self.opposite_facet = tuple(key[linalg.vneg(n), b] for n, b in planes)
+        except KeyError:
+            raise GeometryError(
+                "facet pairing failed on a symmetric polytope") from None
+        basis = lattice_basis_from_generators(self.facet_vectors)
+        if len(basis) != p.dim:
+            raise GeometryError("facet vectors do not span a full-rank lattice")
+        self.lattice = Lattice.create(basis)
+        self._check_neighbors()
 
     @staticmethod
     def build(p: Polytope) -> "Parallelohedron":
@@ -106,29 +82,6 @@ class Parallelohedron:
         if not verdict.ok:
             raise NotAParallelohedron(verdict)
         return Parallelohedron(q, *tiling)
-
-    def _finish_setup(self):
-        p = self.polytope
-        self.facet_vectors = tuple(
-            linalg.vscale(2, c) for c in self.facet_centers
-        )
-        # opposite facet: normal negated, same offset (we are centered)
-        key = {
-            (n, b): i
-            for i, (n, b) in enumerate(zip(p.facet_normals, p.facet_offsets))
-        }
-        opp = []
-        for n, b in zip(p.facet_normals, p.facet_offsets):
-            j = key.get((linalg.vneg(n), b))
-            if j is None:
-                raise GeometryError("facet pairing failed on a symmetric polytope")
-            opp.append(j)
-        self.opposite_facet = tuple(opp)
-        basis = lattice_basis_from_generators(self.facet_vectors)
-        if len(basis) != p.dim:
-            raise GeometryError("facet vectors do not span a full-rank lattice")
-        self.lattice = Lattice.create(basis)
-        self._check_neighbors()
 
     def _check_neighbors(self):
         """P and P + t_F must intersect in exactly the facet F: the row
@@ -187,9 +140,9 @@ class Parallelohedron:
 
     @cached_property
     def _translate_members(self) -> dict[Vec, int]:
-        """Per lattice translate t in 2P, the bit set of the vertices v
-        with v - t in P, that is <n, v> <= b + <n, t> on every facet
-        (n, b).
+        """Per lattice translate t in 2P, in sorted order, the bit set of
+        the vertices v with v - t in P, that is <n, v> <= b + <n, t> on
+        every facet (n, b).
 
         P is centred, so P - P = 2P: P + t meets P exactly when
         <n, t> <= 2 b on every facet. Those t lie in the ball of twice
@@ -231,29 +184,26 @@ class Parallelohedron:
                 at[i] |= 1 << j
         return tuple(self._translate_members), at
 
-    def dual_cell(self, face: Face) -> DualCell:
-        """The translates whose rows hold every vertex of the face."""
+    def dual_cell(self, face: Face) -> int:
+        """The face's dual cell: the bit set of the translate-table rows
+        that hold every vertex of the face, one bit per tile."""
         translates, at = self._rows_at
         rows = (1 << len(translates)) - 1
         for i in face.vertex_ids:
             rows &= at[i]
-        centers = [translates[j] for j in _bits(rows)]
-        return DualCell(face, tuple(sorted(centers)), self.dim - face.dim)
+        return rows
 
-    def dual_cells(self, codim: int) -> list[DualCell]:
-        return [
-            self.dual_cell(f)
-            for f in self.polytope.face_lattice.faces(self.dim - codim)
-        ]
+    def centers(self, cell: int) -> tuple[Vec, ...]:
+        """The tile centers of a dual cell, sorted (the table's order)."""
+        translates, _ = self._rows_at
+        return tuple(translates[j] for j in _bits(cell))
 
     def primitivity_profile(self) -> dict[int, bool]:
         """codim k -> every codim-k face lies in exactly k+1 tiles (k <= 3)."""
-        out = {}
-        for k in range(1, min(3, self.dim) + 1):
-            out[k] = all(
-                len(c.centers) == k + 1 for c in self.dual_cells(k)
-            )
-        return out
+        faces = self.polytope.face_lattice.faces
+        return {k: all(self.dual_cell(f).bit_count() == k + 1
+                       for f in faces(self.dim - k))
+                for k in range(1, min(3, self.dim) + 1)}
 
 
 DUAL3_TYPES = {
@@ -265,25 +215,28 @@ DUAL3_TYPES = {
 }
 
 
-def classify_dual3(cell: DualCell) -> str:
-    """Combinatorial type of a dual 3-cell hull among the five types."""
-    if cell.hull is None or cell.hull.dim != 3:
+def classify_dual3(centers: tuple[Vec, ...]) -> str:
+    """Combinatorial type of a dual 3-cell hull among the five types.
+
+    The hull is taken on the pivot coordinates of the centers'
+    differences: projecting onto them is injective on the affine hull,
+    so it keeps the hull's combinatorics."""
+    rows, _ = linalg.integer_rows(centers)
+    pivots, _ = linalg._bareiss(
+        [[a - b for a, b in zip(r, rows[0])] for r in rows[1:]])
+    if len(pivots) != 3:
         raise DualCellAnomaly(
-            f"dual cell hull is {0 if cell.hull is None else cell.hull.dim}"
-            "-dimensional, expected 3",
-            centers=cell.centers,
-        )
-    hull = cell.hull
-    signature = (
-        hull.n_vertices,
-        tuple(sorted(len(ids) for ids in hull.facet_vertex_ids)),
-    )
+            f"dual cell hull is {len(pivots)}-dimensional, expected 3",
+            centers=centers)
+    hull = Polytope.from_vertices([[r[j] for j in pivots] for r in rows])
+    signature = (hull.n_vertices,
+                 tuple(sorted(len(ids) for ids in hull.facet_vertex_ids)))
     kind = DUAL3_TYPES.get(signature)
     if kind is None:
         raise DualCellAnomaly(
             f"dual 3-cell signature {signature} matches none of the five "
             "reference types",
-            centers=cell.centers,
+            centers=centers,
             detail=signature,
         )
     return kind
@@ -295,11 +248,11 @@ def dual3_census(para: Parallelohedron) -> tuple[dict[str, int], list[dict]]:
     reason)."""
     census: dict[str, int] = {}
     anomalies = []
-    for cell in para.dual_cells(3):
+    for face in para.polytope.face_lattice.faces(para.dim - 3):
         try:
-            kind = classify_dual3(cell)
+            kind = classify_dual3(para.centers(para.dual_cell(face)))
         except DualCellAnomaly as exc:
-            anomalies.append({"face_vertex_ids": list(cell.face.vertex_ids),
+            anomalies.append({"face_vertex_ids": list(face.vertex_ids),
                               "detail": str(exc)})
             continue
         census[kind] = census.get(kind, 0) + 1

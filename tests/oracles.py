@@ -5,10 +5,11 @@ scipy's floating-point qhull, lattice minima from a plain exhaustive
 coefficient sweep, lattice balls from a `Fraction` sweep over the
 coefficient box that bounds each coefficient by the diagonal of Q^-1,
 the Voronoi-cell inequalities from `Fraction` dot products over that
-ball, dual cells from a per-face sweep over translates, the translate
-table from a sweep over the whole ball, tilings from counting the
-translates that cover a point, unimodular maps
-from explicit elementary operations, the fraction-free eliminations
+ball, dual cells from a per-face sweep over translates, dual 3-cell
+hulls from `Fraction` coordinates in each cell's own affine hull, the
+translate table from a sweep over the whole ball, tilings from counting
+the translates that cover a point, unimodular maps from explicit
+elementary operations, the fraction-free eliminations
 (rank, det, kernels, solutions, inverses, the positive-definite test,
 the LDL^T of a lattice, both hull directions) from the plain `Fraction`
 eliminations they replaced, the facets of a face and the faces above
@@ -213,16 +214,52 @@ def ridge_image_map(para_p, para_q, a, shift):
 def dual_cell_centers(para, faces):
     """Per face, the translates t whose cell P + t contains it, by testing
     each vertex of the face against each t in the ball of twice the
-    circumradius."""
+    circumradius: v - t lies in P when <n, t> >= <n, v> - b on every
+    facet (n, b), with both dot products in `Fraction`s."""
     p = para.polytope
     ball = vectors_in_ball(para.lattice, 4 * p.circumradius_sq)
-    out = []
-    for face in faces:
-        pts = [p.vertices[i] for i in face.vertex_ids]
-        out.append(tuple(sorted(
-            t for t in ball if all(contains(p, linalg.vsub(v, t)) for v in pts)
-        )))
-    return out
+    planes = [([linalg.dot(n, v) - b for v in p.vertices],
+               [linalg.dot(n, t) for t in ball])
+              for n, b in zip(p.facet_normals, p.facet_offsets)]
+    holding = [frozenset(t for j, t in enumerate(ball)
+                         if all(nt[j] >= low[i] for low, nt in planes))
+               for i in range(p.n_vertices)]
+    return [tuple(sorted(frozenset.intersection(
+        *(holding[i] for i in face.vertex_ids)))) for face in faces]
+
+
+def affine_hull_polytope(points):
+    """Hull of points in coordinates of their own affine hull, by
+    `Fraction` solves on a greedy basis of differences.
+
+    Returns (polytope, rank, origin, basis_rows): the polytope lives in
+    R^rank; basis rows map its coordinates back via origin + c . basis.
+    """
+    pts = sorted(set(points))
+    p0 = pts[0]
+    basis = []
+    for p in pts[1:]:
+        d = linalg.vsub(p, p0)
+        if linalg.rank(tuple(basis) + (d,)) > len(basis):
+            basis.append(d)
+    k = len(basis)
+    if k == 0:
+        raise GeometryError("a single point has no hull")
+    bt = linalg.transpose(tuple(basis))
+    coords = [linalg.solve_linear(bt, linalg.vsub(p, p0)) for p in pts]
+    return Polytope.from_vertices(coords), k, p0, tuple(basis)
+
+
+def dual3_signature(centers):
+    """(affine rank, hull signature) of a dual cell's centers, from the
+    hull in affine-hull coordinates; the signature is None below rank 3."""
+    if len(centers) < 2:
+        return 0, None
+    hull, k, _, _ = affine_hull_polytope(centers)
+    if k != 3:
+        return k, None
+    return k, (hull.n_vertices,
+               tuple(sorted(len(ids) for ids in hull.facet_vertex_ids)))
 
 
 def ball_translate_members(para):
@@ -420,11 +457,11 @@ def half_belt_check(para, gains, belt) -> Fraction:
 
 def tiling_facet_normals_at(para, face) -> list:
     """Normals (up to sign) of all tiling facets containing the face."""
-    cell = para.dual_cell(face)
+    centers = para.centers(para.dual_cell(face))
     vec_to_facet = {t: i for i, t in enumerate(para.facet_vectors)}
     lines = set()
-    for t1 in cell.centers:
-        for t2 in cell.centers:
+    for t1 in centers:
+        for t2 in centers:
             if t1 == t2:
                 continue
             fi = vec_to_facet.get(linalg.vsub(t2, t1))

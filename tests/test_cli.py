@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parallo
 from parallo import catalog, cli, lattice
@@ -452,3 +456,73 @@ def test_options_go_anywhere_and_take_an_equals_sign(capsys):
     code, out, _ = run(capsys, "dual-cells", "--codim=2", "hexagonal-prism")
     assert code == 0
     assert json.loads(out)["census_by_center_count"] == {"3": 6, "4": 12}
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"], ["check"], ["surface"], ["dual-cells", "--codim", "1"],
+    ["voronoi-cell"], ["export"]])
+@pytest.mark.parametrize("aspect", ["1000000", "1e4000"])
+def test_a_thin_lattice_gets_one_error_line(tmp_path, capsys, command, aspect):
+    """The Voronoi cell of a thin lattice is a long rectangle: every
+    command stops at the enumeration budget instead of hanging."""
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"basis": [[aspect, 0], [0, 1]]}))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: lattice enumeration needs more than 1000000 nodes; "
+        "the cell is too large or too thin"]
+
+
+RATIONALS = st.builds(lambda p, q: str(p) if q == 1 else f"{p}/{q}",
+                      st.integers(-4, 4), st.integers(1, 3))
+ENTRIES = st.one_of(RATIONALS, RATIONALS, st.integers(-3, 3), st.booleans(),
+                    st.floats(-2, 2), st.sampled_from(["x", "", "1/0", None]),
+                    st.lists(st.integers(0, 1), max_size=2))
+
+
+@st.composite
+def documents(draw):
+    """A polytope or lattice document of dimension 1-3: mostly well
+    formed, with some ragged rows and some boolean, float, string or
+    nested entries."""
+    d = draw(st.integers(1, 3))
+    entries = draw(st.sampled_from([RATIONALS, ENTRIES]))
+
+    def rows(n):
+        return draw(st.lists(st.lists(entries, min_size=d - draw(
+            st.sampled_from([0, 0, 0, 1])), max_size=d), min_size=n, max_size=n))
+
+    kind = draw(st.sampled_from(["vertices", "facets", "lattice"]))
+    if kind == "lattice":
+        doc = {"basis": rows(d)}
+        if draw(st.booleans()):
+            doc["gram"] = rows(d)
+        return doc
+    if kind == "vertices":
+        return {"dim": d, "vertices": rows(draw(st.integers(1, 2 ** d + 2)))}
+    return {"dim": d, "facets": [
+        {"normal": normal, "offset": draw(entries)}
+        for normal in rows(draw(st.integers(1, 2 * d + 2)))]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@given(doc=documents())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_verify_on_generated_documents_exits_with_a_known_code(fuzz_path, doc):
+    """Every document ends in an exit code of 0-4, and an error in one
+    `error:` line; nothing escapes `main`."""
+    fuzz_path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(fuzz_path)])
+    assert code in range(5)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err.getvalue() == "" and json.loads(out.getvalue())

@@ -17,7 +17,7 @@ from oracles import (
     hull_counts,
     random_unimodular,
 )
-from parallo import linalg
+from parallo import lattice, linalg, report
 from parallo.errors import GeometryError
 from parallo.lattice import (
     Lattice,
@@ -261,3 +261,33 @@ def test_vectors_in_ball_edge_radii():
     # the six shortest vectors have norm exactly 2
     assert len(vectors_in_ball(lat, 2)) == 7
     assert len(vectors_in_ball(lat, F(2) - F(1, 10 ** 9))) == 1
+
+
+def test_enumeration_counts_every_candidate_against_the_budget(monkeypatch):
+    """The Z^2 ball of radius 1 has 3 candidates on the top level and
+    1 + 3 + 1 below it: 8 nodes pass the budget and 7 do not."""
+    monkeypatch.setattr(lattice, "_NODE_BUDGET", 8)
+    assert len(vectors_in_ball(Lattice.create(linalg.identity(2)), 1)) == 5
+    monkeypatch.setattr(lattice, "_NODE_BUDGET", 7)
+    with pytest.raises(GeometryError, match="more than 7 nodes"):
+        vectors_in_ball(Lattice.create(linalg.identity(2)), 1)
+
+
+def d_n(n):
+    """The lattice D_n: the standard basis under the Cartan matrix of D_n
+    (the Gram matrix of its simple roots)."""
+    edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        cartan[i][j] = cartan[j][i] = -1
+    return Lattice.create(linalg.identity(n), cartan)
+
+
+def test_inputs_within_the_budget_still_certify():
+    """Aspect 10^3 and D5 (about 16,000 nodes for its translate ball)
+    stay within the budget. D_n has 2^n + 2n vertices and 2n(n - 1)
+    facets."""
+    d5 = d_n(5)
+    assert (d5.cell.n_vertices, d5.cell.n_facets) == (42, 40)
+    for lat in (Lattice.create([[1000, 0], [0, 1]]), d5):
+        assert report.verify(lat)["verdict"] == "certified"

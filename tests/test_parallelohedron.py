@@ -15,6 +15,7 @@ from oracles import (
     central_symmetry,
     contains,
     dot_product_facet_vertex_ids,
+    dual3_signature,
     dual_cell_centers,
     is_k_irreducible,
     per_ridge_analyze,
@@ -22,7 +23,12 @@ from oracles import (
 from parallo import linalg, parallelohedron, report, venkov
 from parallo.catalog import catalog
 from parallo.errors import DualCellAnomaly, GeometryError, NotAParallelohedron
-from parallo.parallelohedron import Parallelohedron, classify_dual3, dual3_census
+from parallo.parallelohedron import (
+    DUAL3_TYPES,
+    Parallelohedron,
+    classify_dual3,
+    dual3_census,
+)
 from parallo.polytope import Polytope
 from parallo.serialize import load_document
 from parallo.venkov import _analyze, _involution, venkov_check
@@ -252,6 +258,24 @@ def test_neighbor_check_rejects_wrong_facet_vectors(centers):
     with pytest.raises(GeometryError, match="does not reproduce the facet"):
         Parallelohedron(cube.polytope, cube.belts, wrong)
 
+
+def dual_cells(para, codim):
+    """The centers of the dual cell of every codim face, in face order."""
+    return [para.centers(para.dual_cell(f))
+            for f in para.polytope.face_lattice.faces(para.dim - codim)]
+
+
+SKEW = ((2, 1, 1), (3, 2, 2), (3, 1, 2))  # unimodular
+
+
+def built_or_skewed(name):
+    """The built catalog entry, or for NAME-skewed its image under SKEW."""
+    if name.endswith("-skewed"):
+        p = catalog(name[:-len("-skewed")]).polytope
+        return Parallelohedron.build(apply_affine(p, SKEW))
+    return built(name)
+
+
 def test_unnormalized_halfspaces_give_the_same_dual_cells():
     """A cube stored with normals (1/2, 0, 0) and offsets 1/4: the
     translate table scales normals and offsets together, as the integer
@@ -266,36 +290,32 @@ def test_unnormalized_halfspaces_give_the_same_dual_cells():
     assert dot_product_facet_vertex_ids(halved) == cube.facet_vertex_ids
     para = Parallelohedron.build(halved)
     for codim in (1, 2, 3):
-        assert [c.centers for c in para.dual_cells(codim)] == \
-            [c.centers for c in built("cube").dual_cells(codim)]
+        assert dual_cells(para, codim) == dual_cells(built("cube"), codim)
 
 
 def test_dual_cell_center_counts():
     para = built("truncated-octahedron")
-    p = para.polytope
-    for cell in para.dual_cells(1):
-        assert len(cell.centers) == 2
-        assert linalg.zeros(3) in cell.centers
-    for cell in para.dual_cells(2):
-        assert len(cell.centers) == 3  # all ridges primitive here
+    for centers in dual_cells(para, 1):
+        assert len(centers) == 2
+        assert linalg.zeros(3) in centers
+    ridges = para.polytope.face_lattice.faces(1)
+    assert all(para.dual_cell(r).bit_count() == 3 for r in ridges)  # all primitive
     prism = built("hexagonal-prism")
-    ridge_counts = Counter(len(c.centers) for c in prism.dual_cells(2))
+    ridge_counts = Counter(len(c) for c in dual_cells(prism, 2))
     assert ridge_counts == Counter({4: 12, 3: 6})
     cube = built("cube")
-    for cell in cube.dual_cells(3):
-        assert len(cell.centers) == 8
+    for centers in dual_cells(cube, 3):
+        assert len(centers) == 8
 
 
-@pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG)
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG
+                         + ("elongated-dodecahedron-skewed",))
 def test_dual_cells_match_per_face_sweep(name):
-    para = built(name)
+    para = built_or_skewed(name)
     for codim in range(1, min(3, para.dim) + 1):
         faces = para.polytope.face_lattice.faces(para.dim - codim)
         swept = dual_cell_centers(para, faces)
-        assert [c.centers for c in para.dual_cells(codim)] == swept
-
-
-SKEW = ((2, 1, 1), (3, 2, 2), (3, 1, 2))  # unimodular
+        assert dual_cells(para, codim) == swept
 
 
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG
@@ -305,11 +325,7 @@ def test_translate_table_matches_a_whole_ball_sweep(name):
     P: the table has exactly the nonempty rows of a sweep over the whole
     ball of twice the circumradius, on every catalog entry and on a
     skewed image."""
-    if name.endswith("-skewed"):
-        p = apply_affine(catalog("elongated-dodecahedron").polytope, SKEW)
-        para = Parallelohedron.build(p)
-    else:
-        para = built(name)
+    para = built_or_skewed(name)
     assert para._translate_members == {
         t: sum(1 << i for i in ids)
         for t, ids in ball_translate_members(para).items()}
@@ -317,15 +333,15 @@ def test_translate_table_matches_a_whole_ball_sweep(name):
 
 def test_verify_builds_no_dual_cell_hull(monkeypatch):
     """Primitivity reads only the center counts, so a verify of D4
-    (216 faces of codim <= 3) builds none of their hulls."""
+    (216 faces of codim <= 3) classifies none of their hulls."""
     calls = []
-    hull = parallelohedron.affine_hull_polytope
+    classify = parallelohedron.classify_dual3
 
-    def counted(points):
-        calls.append(len(points))
-        return hull(points)
+    def counted(centers):
+        calls.append(len(centers))
+        return classify(centers)
 
-    monkeypatch.setattr(parallelohedron, "affine_hull_polytope", counted)
+    monkeypatch.setattr(parallelohedron, "classify_dual3", counted)
     rep = report.verify(catalog("lattice-D4").lattice)
     assert rep["verdict"] == "certified" and rep["primitivity"]
     assert calls == []
@@ -353,11 +369,65 @@ def test_dual3_censuses():
     }
 
 
+def reference_dual3(centers) -> str:
+    """The type, or the anomaly text, that the hull in affine-hull
+    coordinates gives."""
+    rank, signature = dual3_signature(centers)
+    if rank != 3:
+        return f"dual cell hull is {rank}-dimensional, expected 3"
+    return parallelohedron.DUAL3_TYPES.get(
+        signature, f"dual 3-cell signature {signature} matches none of the "
+        "five reference types")
+
+
+def classified(centers) -> str:
+    try:
+        return classify_dual3(centers)
+    except DualCellAnomaly as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG
+                         + tuple(f"{n}-skewed" for n in POLYTOPE_CATALOG)
+                         + ("lattice-D4", "lattice-FCC", "lattice-BCC"))
+def test_classify_dual3_matches_the_affine_hull_reference(name):
+    """The hull on the pivot coordinates has the type (or anomaly text)
+    of the hull in the cell's own affine-hull coordinates, for every
+    face of codim 1-3; every codim-3 cell has one of the five types."""
+    para = built_or_skewed(name)
+    for codim in (1, 2, 3):
+        for centers in dual_cells(para, codim):
+            assert classified(centers) == reference_dual3(centers)
+    assert all(classified(c) in DUAL3_TYPES.values()
+               for c in dual_cells(para, 3))
+
+
 def test_classify_dual3_rejects_flat_cells():
+    """Negative controls: a facet's cell is a segment and a cube ridge's
+    cell a square."""
     para = built("cube")
-    facet_cell = para.dual_cells(1)[0]
-    with pytest.raises(DualCellAnomaly):
-        classify_dual3(facet_cell)
+    for codim in (1, 2):
+        with pytest.raises(DualCellAnomaly,
+                           match=f"hull is {codim}-dimensional, expected 3"):
+            classify_dual3(dual_cells(para, codim)[0])
+
+
+def test_classify_dual3_reads_a_single_center_as_0_dimensional():
+    with pytest.raises(DualCellAnomaly,
+                       match="hull is 0-dimensional, expected 3"):
+        classify_dual3((linalg.vec([1, 2, 3]),))
+
+
+def test_classify_dual3_unknown_signature_matches_the_reference(monkeypatch):
+    """With the tetrahedron taken out of the table, every cell of the
+    truncated octahedron is an anomaly, with the reference's text."""
+    monkeypatch.setattr(parallelohedron, "DUAL3_TYPES", {
+        key: kind for key, kind in DUAL3_TYPES.items()
+        if kind != "tetrahedron"})
+    for centers in dual_cells(built("truncated-octahedron"), 3):
+        text = classified(centers)
+        assert "(4, (3, 3, 3, 3)) matches none" in text
+        assert text == reference_dual3(centers)
 
 
 def test_primitivity_profiles():
@@ -370,13 +440,20 @@ def test_primitivity_profiles():
     }
     for name, profile in expectations.items():
         assert built(name).primitivity_profile() == profile
+    # a skewed image, against the per-face sweep's center counts
+    para = built_or_skewed("elongated-dodecahedron-skewed")
+    faces = para.polytope.face_lattice.faces
+    swept = {k: all(len(c) == k + 1 for c in dual_cell_centers(para, faces(3 - k)))
+             for k in (1, 2, 3)}
+    assert para.primitivity_profile() == swept == {1: True, 2: False, 3: False}
 
 
 def test_primitivity_matches_belt_lengths():
     for name in ("hexagonal-prism", "elongated-dodecahedron"):
         para = built(name)
-        for rid, cell in enumerate(para.dual_cells(2)):
-            assert (len(cell.centers) == 3) == (rid in para.primitive_ridges)
+        for rid, ridge in enumerate(para.ridges):
+            assert ((para.dual_cell(ridge).bit_count() == 3)
+                    == (rid in para.primitive_ridges))
 
 
 def test_k_irreducibility():

@@ -29,7 +29,6 @@ from parallo import linalg, polytope
 from parallo.catalog import catalog, catalog_names
 from parallo.errors import GeometryError
 from parallo.lattice import dv_cell
-from parallo.parallelohedron import affine_hull_polytope
 from parallo.polytope import Polytope
 from parallo.serialize import load_document
 
@@ -331,11 +330,6 @@ def test_a_non_symmetric_halfspace_input_builds_one_hull(monkeypatch):
         [((1, 1, 1), F(1))] + [(linalg.vneg(x), F(0)) for x in e], 3)
     assert simplex.n_vertices == 4
     assert len(calls) == 1
-
-
-def test_affine_hull_of_a_single_point():
-    with pytest.raises(GeometryError, match="a single point has no hull"):
-        affine_hull_polytope([linalg.vec([1, 2])])
 
 
 def test_recentered():
