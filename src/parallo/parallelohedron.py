@@ -149,7 +149,9 @@ class Parallelohedron:
         the circumradius, and the other vectors of that ball get no row.
         Each facet sorts the vertex heights <n, v> once; the vertices
         under a cap are then a prefix, found by bisection, and a row is
-        the AND of one prefix per facet.
+        the AND of one prefix per facet. The Voronoi proof
+        (`scaling.voronoi_mismatch`) sweeps the same rows, so this is
+        the one lattice enumeration of a run once the cell exists.
         """
         p = self.polytope
         ball = vectors_in_ball(self.lattice, 4 * p.circumradius_sq)

@@ -105,28 +105,12 @@ def certificate_dict(cert: VoronoiCertificate) -> dict:
 
 
 def _gram_match(recovered, source) -> dict:
-    """Is recovered == q * source for one positive rational q?"""
-    scale = None
-    for i in range(len(source)):
-        for j in range(len(source)):
-            if source[i][j] != 0:
-                scale = recovered[i][j] / source[i][j]
-                break
-        if scale is not None:
-            break
-    matched = (
-        scale is not None
-        and scale > 0
-        and all(
-            recovered[i][j] == scale * source[i][j]
-            for i in range(len(source))
-            for j in range(len(source))
-        )
-    )
-    return {
-        "matched": matched,
-        "scale": serialize.rational_to_str(scale) if scale is not None else None,
-    }
+    """Is recovered == q * source for one positive rational q? Both are
+    positive definite, so q can only be the ratio of their first entries."""
+    scale = recovered[0][0] / source[0][0]
+    return {"matched": all(r == scale * x for rr, xs in zip(recovered, source)
+                           for r, x in zip(rr, xs)),
+            "scale": serialize.rational_to_str(scale)}
 
 
 def _surface_dict(rep: TopologyReport, span: HalfBeltSpan,

@@ -24,9 +24,11 @@ scaling component, as on every input so far, the sum sets every
 component factor to 1. It then *independently* proves P = Vor_G(L)
 with exact inequalities (`voronoi_mismatch`): every facet is the
 G-bisector of its facet vector (so Vor is inside P), and no lattice
-vector within twice the G-circumradius cuts a vertex (so P is inside
-Vor). A failure is a "dv-mismatch" carrying the offending facet, or the
-lattice vector and vertex.
+vector of 2P, a row of the parallelohedron's translate table, cuts a
+vertex (so P is inside Vor). No second enumeration is needed: once
+Vor is inside P, every facet vector of Vor lies in 2P. A failure is a
+"dv-mismatch" carrying the offending facet, or the lattice vector and
+vertex.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from operator import mul
 
 from . import linalg
 from .errors import GeometryError
-from .lattice import Lattice, vectors_in_ball
 from .linalg import Mat, Vec
 from .parallelohedron import Parallelohedron
 
@@ -192,21 +193,26 @@ class MismatchWitness(namedtuple("MismatchWitness",
     __slots__ = ()
 
 
-def voronoi_mismatch(para: Parallelohedron, lattice: Lattice) -> MismatchWitness | None:
-    """None iff the polytope is the Voronoi cell of `lattice` under its Gram.
+def voronoi_mismatch(para: Parallelohedron, gram: Mat) -> MismatchWitness | None:
+    """None iff the polytope is the Voronoi cell of its center lattice
+    under the positive definite `gram`.
 
     Vor is inside P when every facet <n_F, x> <= b_F is the G-bisector
     of its facet vector t_F: G t_F = lam * n_F with lam > 0 and
     |t_F|^2 = 2 * lam * b_F. P is inside Vor when every vertex x has
-    2 <x, v> <= |v|^2 for all lattice v; a v with |v|^2 > 4 max |x|^2
-    cannot cut the ball holding the vertices, so a finite sweep decides.
+    2 <x, v> <= |v|^2 for every facet vector v of Vor. Each such v has
+    v/2 on its facet (Voronoi 1908; Conway & Sloane, ch. 21), so once
+    the bisector check has put Vor inside P, v/2 lies in P and v in 2P:
+    the rows of the translate table, the lattice vectors of 2P, hold
+    every v that could cut a vertex. The sweep is sound only after the
+    bisector check passes, so it runs second.
     Both checks compare integers: G, the facet vectors, each facet's
-    (n, b), the vertices and the ball vectors are scaled once to integer
-    rows. The sweep runs vertex by vertex over the sorted ball, and the
+    (n, b), the vertices and the table rows are scaled once to integer
+    rows. The sweep runs vertex by vertex over the sorted table, and the
     first cut found is the witness.
     """
     p = para.polytope
-    gram, gs = linalg.integer_rows(lattice.gram)
+    gram, _ = linalg.integer_rows(gram)
 
     def form(y):
         gy = [sum(map(mul, row, y)) for row in gram]
@@ -228,15 +234,14 @@ def voronoi_mismatch(para: Parallelohedron, lattice: Lattice) -> MismatchWitness
     # on integer rows X = xs x, V = vs v and GV = gs G V:
     # 2 <x, Gv> > <v, Gv>  iff  2 vs <X, GV> > xs <V, GV>
     xints, xs = linalg.integer_rows(p.vertices)
-    r2 = Fraction(max(form(x)[1] for x in xints), gs * xs * xs)
-    ball = vectors_in_ball(lattice, 4 * r2)
-    vints, vs = linalg.integer_rows(ball)
+    table = tuple(para._translate_members)
+    vints, vs = linalg.integer_rows(table)
     cuts = []
     for v in vints:
         gv, vgv = form(v)
         cuts.append(([2 * vs * a for a in gv], xs * vgv))
     for x, xi in zip(p.vertices, xints):
-        for v, (gv2, cap) in zip(ball, cuts):
+        for v, (gv2, cap) in zip(table, cuts):
             if sum(map(mul, xi, gv2)) > cap:
                 return MismatchWitness("cut", lattice_vector=v, vertex=x)
     return None
@@ -276,7 +281,7 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     the sum has a factor c_k <= 0 or a G that is not positive definite.
     Otherwise it proves P = Vor_G(L) for the center lattice L with
     `voronoi_mismatch`: each facet is the G-bisector of its facet vector,
-    and no lattice vector in the ball of twice the G-circumradius cuts a
+    and no row of the translate table (the lattice vectors of 2P) cuts a
     vertex. A failed check gives "dv-mismatch" with its witness.
     """
     p = para.polytope
@@ -325,8 +330,8 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     u = linalg.scale_to_content_one(u)
     gram = _sym_from_upper(u[:n_upper], d)
     factors = u[n_upper:]
-    # the basis is nonsingular and `gram` positive definite, as tested above
-    mismatch = voronoi_mismatch(para, Lattice(para.lattice.basis, gram))
+    # `gram` is positive definite, as tested above
+    mismatch = voronoi_mismatch(para, gram)
     return VoronoiCertificate(
         "certified" if mismatch is None else "dv-mismatch", scaling, gram,
         factors, witness=mismatch, solution_basis=tuple(basis),

@@ -746,11 +746,12 @@ def box_vectors_in_ball(lat, r2, around=None, parity=None):
 
 
 def fraction_voronoi_mismatch(para, lattice):
-    """The witness `scaling.voronoi_mismatch` must return, by `Fraction`
-    dot products: the first facet that is not the G-bisector of its
-    facet vector, else the first (vertex, lattice vector) pair, vertex by
-    vertex over the sorted box ball of 4 max |x|^2, whose bisector cuts
-    the vertex off, else None."""
+    """The witness of the Voronoi proof by `Fraction` dot products, read
+    off the whole G-ball of `lattice` rather than the translate table
+    `scaling.voronoi_mismatch` sweeps: the first facet that is not the
+    G-bisector of its facet vector, else the first (vertex, lattice
+    vector) pair, vertex by vertex over the sorted box ball of
+    4 max |x|^2, whose bisector cuts the vertex off, else None."""
     p = para.polytope
     for fi, (t, n, b) in enumerate(zip(para.facet_vectors, p.facet_normals,
                                        p.facet_offsets)):

@@ -20,8 +20,8 @@ from oracles import (
     walk_gain,
     walk_ridges,
 )
-from parallo import linalg
-from parallo.catalog import catalog
+from parallo import lattice, linalg, report
+from parallo.catalog import catalog, catalog_names
 from parallo.errors import GeometryError
 from parallo.lattice import Lattice, dv_cell, vectors_in_ball
 from parallo.parallelohedron import Parallelohedron
@@ -299,9 +299,7 @@ def test_voronoi_form_prism_block_structure():
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG)
 def test_voronoi_mismatch_accepts_the_recovered_form(name):
     para = built(name)
-    gram = certify(built(name)).gram
-    lat = Lattice.create(para.lattice.basis, gram)
-    assert voronoi_mismatch(para, lat) is None
+    assert voronoi_mismatch(para, certify(built(name)).gram) is None
 
 
 def test_voronoi_mismatch_names_a_facet_under_a_perturbed_form():
@@ -309,34 +307,118 @@ def test_voronoi_mismatch_names_a_facet_under_a_perturbed_form():
     gram = [list(row) for row in certify(built("truncated-octahedron")).gram]
     gram[0][1] += F(1, 7)
     gram[1][0] += F(1, 7)
-    lat = Lattice.create(para.lattice.basis, gram)
-    witness = voronoi_mismatch(para, lat)
+    witness = voronoi_mismatch(para, gram)
     assert isinstance(witness, MismatchWitness) and witness.kind == "facet"
     t = para.facet_vectors[witness.facet]
     n = para.polytope.facet_normals[witness.facet]
     # G t is not a positive multiple of the facet normal
-    assert linalg.rank((linalg.matvec(lat.gram, t), n)) == 2
+    assert linalg.rank((linalg.matvec(gram, t), n)) == 2
+
+
+def doctored(para, lattice):
+    """A copy of `para` whose translate table is rebuilt over `lattice`:
+    a negative control for the vertex sweep, which reads only that table
+    (the facet vectors, and so the bisector check, stay as they are)."""
+    para = copy.copy(para)
+    para.lattice = lattice
+    for cached in ("_translate_members", "_rows_at"):
+        para.__dict__.pop(cached, None)
+    return para
 
 
 def test_voronoi_mismatch_finds_a_cut_by_a_finer_lattice():
     cube = built("cube")  # vertices (+-1/2, +-1/2, +-1/2), facet vectors +-e_i
     half = Lattice.create([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]])
-    witness = voronoi_mismatch(cube, half)
+    witness = voronoi_mismatch(doctored(cube, half), half.gram)
     assert isinstance(witness, MismatchWitness) and witness.kind == "cut"
     v, x = witness.lattice_vector, witness.vertex
     assert x in cube.polytope.vertices
     assert v in vectors_in_ball(half, 3)  # 4 * max |x|^2
     assert 2 * half.inner(x, v) > half.norm_sq(v)
+    assert voronoi_mismatch(cube, half.gram) is None  # the true table
+
+
+def assert_matches_the_oracle(para, lattice):
+    """`voronoi_mismatch` under the Gram of `lattice` against the oracle's
+    sweep over the whole G-ball of `lattice`, and the witness kind (or
+    None). Over the cell's own table the witness is the oracle's. Over a
+    table doctored to a finer lattice a cut names the oracle's vertex,
+    as both sweeps hold every facet vector of Vor once the bisector check
+    passes, but its vector may differ, so that vector must cut the
+    vertex."""
+    expected = fraction_voronoi_mismatch(para, lattice)
+    own = lattice.basis == para.lattice.basis
+    witness = voronoi_mismatch(para if own else doctored(para, lattice),
+                               lattice.gram)
+    if own or witness is None or witness.kind == "facet":
+        assert witness == expected
+    else:
+        assert expected.kind == "cut" and witness.vertex == expected.vertex
+        x, v = witness.vertex, witness.lattice_vector
+        assert 2 * lattice.inner(x, v) > lattice.norm_sq(v)
+    return None if witness is None else witness.kind
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_certified_verify_enumerates_the_lattice_once(name, monkeypatch):
+    """Once the cell exists, `verify` runs one Fincke-Pohst enumeration,
+    the translate table's: the Voronoi proof sweeps that table instead
+    of a second ball."""
+    entry = catalog(name)  # a lattice entry's cell is built here
+    calls = []
+    enumerate_ = lattice._enumerate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_enumerate", counted)
+    source = entry.lattice if entry.kind == "lattice" else entry.polytope
+    assert report.verify(source, name=name)["verdict"] == "certified"
+    assert len(calls) == 1
+
+
+def _z4_basis_change():
+    """Z4 under a seeded unimodular basis change: its table, L in 2P, has
+    81 vectors, and the G-ball of 4 max |x|^2 has 89 (the +-2 e_i)."""
+    lat = Lattice.create(random_unimodular(random.Random(4), 4),
+                         linalg.identity(4))
+    return Parallelohedron.build(lat.cell)
+
+
+@pytest.mark.parametrize("name", [*POLYTOPE_CATALOG, *LATTICE_CATALOG, "Z4"])
+def test_voronoi_mismatch_matches_the_oracle_on_the_recovered_forms(name):
+    """The recovered form gives no witness, as the oracle does; the form
+    with its first off-diagonal entry moved names the oracle's facet, and
+    a table doctored to the lattice with the first basis row halved cuts
+    the oracle's vertex."""
+    para = _z4_basis_change() if name == "Z4" else built(name)
+    gram = certify(para).gram
+    moved = [list(row) for row in gram]
+    moved[0][1] += F(1, 7)
+    moved[1][0] += F(1, 7)
+    centers = para.lattice.basis
+    if name == "Z4":
+        ball = vectors_in_ball(Lattice(centers, gram), 4 * max(
+            linalg.dot(x, linalg.matvec(gram, x)) for x in para.polytope.vertices))
+        assert len(para._translate_members) == 81 and len(ball) == 89
+        assert set(para._translate_members) < set(ball)
+    finer = [[x / 2 for x in centers[0]], *centers[1:]]
+    assert [assert_matches_the_oracle(para, lat) for lat in (
+        Lattice.create(centers, gram),
+        Lattice.create(centers, moved),
+        Lattice.create(finer, gram),
+    )] == [None, "facet", "cut"]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_voronoi_mismatch_matches_the_fraction_sweep_on_perturbed_forms(seed):
-    """The integer sweep returns the witness of the `Fraction` sweep over
-    the coefficient box: for the Voronoi cell of a lattice under a
-    randomly perturbed Gram (no witness), for that cell against a second
-    perturbation (a facet), and against finer lattices with one basis row
-    halved under the same Gram (a cut, the first in vertex-major,
-    sorted-ball order)."""
+    """The integer sweep agrees with the `Fraction` sweep over the
+    coefficient box: for the Voronoi cell of a lattice under a randomly
+    perturbed Gram (no witness), for that cell against a second
+    perturbation (a facet), and over tables doctored to finer lattices
+    with one basis row halved under the same Gram (a cut of the same
+    vertex)."""
     rng = random.Random(seed)
     kinds = set()
     for basis in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -353,9 +435,7 @@ def test_voronoi_mismatch_matches_the_fraction_sweep_on_perturbed_forms(seed):
             finer[i] = [x / 2 for x in finer[i]]
             cases.append(Lattice.create(finer, gram))
         for case in cases:
-            witness = voronoi_mismatch(para, case)
-            assert witness == fraction_voronoi_mismatch(para, case)
-            kinds.add(None if witness is None else witness.kind)
+            kinds.add(assert_matches_the_oracle(para, case))
     assert kinds == {None, "facet", "cut"}
 
 
@@ -563,9 +643,7 @@ def test_bisector_check_matches_the_fraction_sweep_in_4d(seed):
         centers = para.lattice.basis
         for case in (Lattice.create(centers, gram),
                      Lattice.create(centers, perturbed(rng, gram))):
-            witness = voronoi_mismatch(para, case)
-            assert witness == fraction_voronoi_mismatch(para, case)
-            kinds.add(None if witness is None else witness.kind)
+            kinds.add(assert_matches_the_oracle(para, case))
     assert kinds == {None, "facet"}
 
 
