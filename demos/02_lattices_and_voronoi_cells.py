@@ -33,4 +33,7 @@ print()
 d4 = Lattice.create([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
 cell4 = dv_cell(d4)
 print("the D4 cell (d = 4):", cell4.n_vertices, "vertices,",
-      cell4.n_facets, "facets, f-vector", cell4.f_vector())
+      cell4.n_facets, "facets")
+for codim in (1, 2, 3):
+    faces = cell4.face_lattice.faces(cell4.dim - codim)
+    print(f"  codim {codim}: {len(faces)} faces")

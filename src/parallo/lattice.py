@@ -156,7 +156,7 @@ def _enumerate(lat: Lattice, r2: Fraction,
         if left < 0:
             raise GeometryError(
                 f"lattice enumeration needs more than {_NODE_BUDGET} nodes; "
-                "the cell is too large or too thin")
+                "the input is too large, too thin or too skewed")
         for ki in ks:
             z = us * ki - p
             k[i] = ki

@@ -16,17 +16,13 @@ incidences. Boundedness of a halfspace intersection needs no second
 hull: once the normals span, the cone is pointed, and the intersection
 is bounded exactly when no extreme ray has t = 0.
 
-The face lattice is the closure of the facet vertex-sets under
-intersection, from the empty face up to the whole polytope. Each face
-carries its vertex ids and the ids of the facets that contain it, the
-meet of its vertices' facet sets (Kaibel & Pfetsch 2002, "Computing the
-face lattice of a polytope from its vertex-facet incidences"). The
-grades come from the incidences alone: the empty face has dimension -1,
-and any other face one more than the largest dimension among its
-intersections with the facets that do not contain it, since its own
-facets are among those intersections. Only the facets that meet a face
-can cut it down to a nonempty face, so both the closure and the grading
-look at those alone.
+The face lattice holds the faces of codim 1 to min(3, d), the ones the
+certificate reads. It walks down from the facets: the faces a face
+covers are its inclusion-maximal proper intersections with the facets
+that meet it, so each level is one codim (Kaibel & Pfetsch 2002,
+"Computing the face lattice of a polytope from its vertex-facet
+incidences"). Each face carries its vertex ids and the ids of the
+facets that contain it, the meet of its vertices' facet sets.
 """
 
 from __future__ import annotations
@@ -46,25 +42,21 @@ Halfspace = tuple[Vec, Fraction]  # (normal, offset): <normal, x> <= offset
 
 class Face(namedtuple("Face", "dim vertex_ids facets")):
     """A face of a polytope: its dimension, sorted vertex indices and
-    the sorted indices of the facets containing it (all of them for the
-    empty face)."""
+    the sorted indices of the facets containing it."""
 
     __slots__ = ()
 
 
 class FaceLattice:
-    """All faces graded by dimension, with containment queries."""
+    """The faces of codim 1 to min(3, d), by dimension."""
 
     def __init__(self, faces_by_dim: dict[int, tuple[Face, ...]]):
         self.faces_by_dim = faces_by_dim
-        self.top_dim = max(faces_by_dim)
 
     def faces(self, dim: int) -> tuple[Face, ...]:
-        return self.faces_by_dim.get(dim, ())
-
-    def f_vector(self) -> tuple[int, ...]:
-        """Face counts for dimensions 0 .. d-1."""
-        return tuple(len(self.faces(k)) for k in range(self.top_dim))
+        """The faces of one dimension, sorted by vertex ids; a dimension
+        that was not built raises KeyError."""
+        return self.faces_by_dim[dim]
 
 
 def _canonical_halfspace(normal: Vec, offset: Fraction) -> Halfspace:
@@ -304,43 +296,32 @@ class Polytope:
         for f, ids in enumerate(self.facet_vertex_ids):
             for i in ids:
                 through[i] |= 1 << f
-        # per face: its vertex ids, the facets containing it, and the
-        # facets that meet it without containing it. Every face below it
-        # is an intersection with one of the latter, so the closure walks
-        # down from the whole polytope through those alone.
-        every = (1 << self.n_facets) - 1
-        found = {0: ((), every, 0)}
-        frontier = {(1 << self.n_vertices) - 1}
-        while frontier:
-            below = set()
-            for vs in frontier:
+        by_dim = {}
+        level = set(facet_masks)
+        last = self.dim - min(3, self.dim)
+        for dim in range(self.dim - 1, last - 1, -1):
+            faces, below = [], set()
+            for vs in level:
                 ids = tuple(_bits(vs))
-                on, near = every, 0
+                on, near = -1, 0
                 for i in ids:
                     on &= through[i]
                     near |= through[i]
-                meeting = near & ~on
-                found[vs] = ids, on, meeting
-                below.update(vs & facet_masks[f] for f in _bits(meeting))
-            frontier = below.difference(found)
-        # a proper face has fewer vertices, so it is graded first; any
-        # other facet meets a nonempty face in the empty face
-        grade = {0: -1}
-        by_dim = {-1: [Face(-1, (), tuple(range(self.n_facets)))]}
-        for vs in sorted(found, key=int.bit_count)[1:]:
-            ids, on, meeting = found[vs]
-            dim = grade[vs] = 1 + max(
-                (grade[vs & facet_masks[f]] for f in _bits(meeting)), default=-1)
-            by_dim.setdefault(dim, []).append(Face(dim, ids, tuple(_bits(on))))
-        return FaceLattice(
-            {
-                dim: tuple(sorted(fs, key=lambda f: f.vertex_ids))
-                for dim, fs in by_dim.items()
-            }
-        )
-
-    def f_vector(self) -> tuple[int, ...]:
-        return self.face_lattice.f_vector()
+                faces.append(Face(dim, ids, tuple(_bits(on))))
+                if dim == last:
+                    continue
+                # the faces it covers: its maximal cuts by the facets that
+                # meet it without containing it. A superset is the larger
+                # integer, so it comes first.
+                kept = []
+                for c in sorted({vs & facet_masks[f] for f in _bits(near & ~on)},
+                                reverse=True):
+                    if not any(c & k == c for k in kept):
+                        kept.append(c)
+                below.update(kept)
+            by_dim[dim] = tuple(sorted(faces, key=lambda f: f.vertex_ids))
+            level = below
+        return FaceLattice(by_dim)
 
     @cached_property
     def facet_cycles(self) -> tuple[tuple[int, ...], ...]:

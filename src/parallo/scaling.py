@@ -261,17 +261,6 @@ class VoronoiCertificate(namedtuple(
     __slots__ = ()
 
 
-def _sym_from_upper(entries: Vec, d: int) -> Mat:
-    g = [[Fraction(0)] * d for _ in range(d)]
-    k = 0
-    for i in range(d):
-        for j in range(i, d):
-            g[i][j] = entries[k]
-            g[j][i] = entries[k]
-            k += 1
-    return tuple(tuple(row) for row in g)
-
-
 def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCertificate:
     """Recover a certifying metric from a canonical scaling and verify it.
 
@@ -286,14 +275,16 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     """
     p = para.polytope
     d = p.dim
-    n_upper = d * (d + 1) // 2
+    # the unknowns: G's upper triangle, then one factor per group
+    upper = {ij: k for k, ij in enumerate(
+        (i, j) for i in range(d) for j in range(i, d))}
+    n_upper = len(upper)
     n_groups = len(set(scaling.groups))
-    upper_index = {}
-    k = 0
-    for i in range(d):
-        for j in range(i, d):
-            upper_index[(i, j)] = k
-            k += 1
+
+    def sym(u: Vec) -> Mat:
+        return tuple(tuple(u[upper[min(i, j), max(i, j)]] for j in range(d))
+                     for i in range(d))
+
     # on integer rows T = ts t and N = ns n, the equations of facet F
     # times ts ns den(s(F)) > 0; its opposite has t and n negated and,
     # once scaled, the same s and k, so one block serves the pair
@@ -311,7 +302,7 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
         for r in range(d):
             row = [0] * (n_upper + n_groups)
             for j in range(d):
-                row[upper_index[min(r, j), max(r, j)]] += t[j]
+                row[upper[min(r, j), max(r, j)]] += t[j]
             row[n_upper + k] = -ts * s.numerator * normals[fi][r]
             rows.append(row)
     basis = linalg.nullspace(rows)
@@ -322,13 +313,13 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
         )
     u = tuple(sum(col) for col in zip(*basis))
     if (any(c <= 0 for c in u[n_upper:])
-            or not linalg.is_positive_definite(_sym_from_upper(u[:n_upper], d))):
+            or not linalg.is_positive_definite(sym(u))):
         return VoronoiCertificate(
             "form-not-pd", scaling, None, None,
             solution_basis=tuple(basis),
         )
     u = linalg.scale_to_content_one(u)
-    gram = _sym_from_upper(u[:n_upper], d)
+    gram = sym(u)
     factors = u[n_upper:]
     # `gram` is positive definite, as tested above
     mismatch = voronoi_mismatch(para, gram)

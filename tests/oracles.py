@@ -14,9 +14,11 @@ elementary operations, the fraction-free eliminations
 the LDL^T of a lattice, both hull directions) from the plain `Fraction`
 eliminations they replaced, the facets of a face and the faces above
 it from subset scans over vertex sets, a face's dimension from the
-`Fraction` affine rank of its vertices, a point hull's vertices from the
-rank of the facets through each point, the extreme rays of a cone from a
-`Fraction` kernel per (D - 1)-subset of its rows, the gains of a
+`Fraction` affine rank of its vertices, every face (down to the empty
+face, graded in a second pass) from the full intersection closure of
+the facets, a point hull's vertices from the rank of the facets
+through each point, the extreme rays of a cone from a `Fraction`
+kernel per (D - 1)-subset of its rows, the gains of a
 6-belt from one `Fraction` kernel per primitive ridge, the ridge-graph
 components from a depth-first search over those ridges, the half-belt
 span and the surface components from the compact cut model that the
@@ -43,7 +45,13 @@ from scipy.spatial import ConvexHull
 from parallo import linalg
 from parallo.errors import GeometryError, UnsupportedDimensionError
 from parallo.lattice import vectors_in_ball
-from parallo.polytope import Polytope, _canonical_halfspace
+from parallo.polytope import (
+    Face,
+    FaceLattice,
+    Polytope,
+    _bits,
+    _canonical_halfspace,
+)
 from parallo.scaling import MismatchWitness, build_ridge_graph
 from parallo.topology import (
     HalfBeltSpan,
@@ -624,6 +632,58 @@ def scanned_superfaces(lattice, face, dim) -> list[int]:
     """Indices of the dim-faces whose vertex sets hold the face's."""
     return [i for i, g in enumerate(lattice.faces(dim))
             if set(face.vertex_ids) <= set(g.vertex_ids)]
+
+
+def full_face_lattice(p) -> FaceLattice:
+    """Every face, from the empty face (-1) up to p itself (d), by the
+    intersection closure of the facet vertex sets walked down from p; a
+    face's grade is one more than the largest grade of its cuts by the
+    facets that meet it without containing it."""
+    facet_masks = [sum(1 << i for i in ids) for ids in p.facet_vertex_ids]
+    through = [0] * p.n_vertices  # per vertex, the bit set of its facets
+    for f, ids in enumerate(p.facet_vertex_ids):
+        for i in ids:
+            through[i] |= 1 << f
+    # per face: its vertex ids, the facets containing it, and the
+    # facets that meet it without containing it. Every face below it
+    # is an intersection with one of the latter, so the closure walks
+    # down from the whole polytope through those alone.
+    every = (1 << p.n_facets) - 1
+    found = {0: ((), every, 0)}
+    frontier = {(1 << p.n_vertices) - 1}
+    while frontier:
+        below = set()
+        for vs in frontier:
+            ids = tuple(_bits(vs))
+            on, near = every, 0
+            for i in ids:
+                on &= through[i]
+                near |= through[i]
+            meeting = near & ~on
+            found[vs] = ids, on, meeting
+            below.update(vs & facet_masks[f] for f in _bits(meeting))
+        frontier = below.difference(found)
+    # a proper face has fewer vertices, so it is graded first; any
+    # other facet meets a nonempty face in the empty face
+    grade = {0: -1}
+    by_dim = {-1: [Face(-1, (), tuple(range(p.n_facets)))]}
+    for vs in sorted(found, key=int.bit_count)[1:]:
+        ids, on, meeting = found[vs]
+        dim = grade[vs] = 1 + max(
+            (grade[vs & facet_masks[f]] for f in _bits(meeting)), default=-1)
+        by_dim.setdefault(dim, []).append(Face(dim, ids, tuple(_bits(on))))
+    return FaceLattice(
+        {
+            dim: tuple(sorted(fs, key=lambda f: f.vertex_ids))
+            for dim, fs in by_dim.items()
+        }
+    )
+
+
+def f_vector(p) -> tuple[int, ...]:
+    """Face counts for dimensions 0 .. d-1, from the full face lattice."""
+    lattice = full_face_lattice(p)
+    return tuple(len(lattice.faces(k)) for k in range(p.dim))
 
 
 def _hyperplane_through(points, dim):

@@ -471,7 +471,7 @@ def test_a_thin_lattice_gets_one_error_line(tmp_path, capsys, command, aspect):
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         "error: lattice enumeration needs more than 1000000 nodes; "
-        "the cell is too large or too thin"]
+        "the input is too large, too thin or too skewed"]
 
 
 RATIONALS = st.builds(lambda p, q: str(p) if q == 1 else f"{p}/{q}",

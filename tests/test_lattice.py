@@ -14,6 +14,7 @@ from oracles import (
     coefficient_box,
     covering_counts,
     exhaustive_coset_minimizers,
+    f_vector,
     hull_counts,
     random_unimodular,
 )
@@ -134,9 +135,9 @@ def test_relevant_vectors_pairing_and_parity():
 
 
 def test_dv_cell_shapes():
-    assert dv_cell(z3()).f_vector() == (8, 12, 6)
-    assert dv_cell(bcc()).f_vector() == (24, 36, 14)
-    assert dv_cell(a2()).f_vector() == (6, 6)
+    assert f_vector(dv_cell(z3())) == (8, 12, 6)
+    assert f_vector(dv_cell(bcc())) == (24, 36, 14)
+    assert f_vector(dv_cell(a2())) == (6, 6)
 
 
 @pytest.mark.parametrize("n", [4, 5])

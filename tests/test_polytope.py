@@ -13,12 +13,14 @@ from oracles import (
     apply_affine,
     central_symmetry,
     dot_product_facet_vertex_ids,
+    f_vector,
     facet_image_map,
     fraction_affine_rank,
     fraction_extreme_rays,
     fraction_facets_from_points,
     fraction_point_vertices,
     fraction_vertices_from_halfspaces,
+    full_face_lattice,
     halfspaces,
     hull_counts,
     random_unimodular,
@@ -104,7 +106,7 @@ def test_face_lattice_counts_against_hull_oracle():
         ("hexagonal-prism", (12, 18, 8)),
     ]:
         p = catalog(name).polytope
-        assert p.f_vector() == counts
+        assert f_vector(p) == counts
         nv, nf = hull_counts(p.vertices)
         assert (nv, nf) == (counts[0], counts[2])
         # Euler relation for 3-polytopes
@@ -113,7 +115,7 @@ def test_face_lattice_counts_against_hull_oracle():
 
 def test_face_lattice_is_graded():
     cube = half_cube()
-    lat = cube.face_lattice
+    lat = full_face_lattice(cube)
     assert [len(lat.faces(k)) for k in range(-1, 4)] == [1, 8, 12, 6, 1]
     for k in range(0, 3):
         for face in lat.faces(k):
@@ -176,6 +178,33 @@ def test_face_grades_match_the_fraction_affine_rank(name, rng):
                     [q.vertices[i] for i in face.vertex_ids])
 
 
+@pytest.mark.parametrize("name", list(_INCIDENCE_CASES))
+def test_face_lattice_matches_the_full_closure_to_codim_3(name, rng):
+    """The faces of codim 1 to min(3, d) are those of the full closure,
+    with the same vertex ids, facets, grade and order, on every catalog
+    cell (d = 2 stops at the vertices), the cross-polytopes and A4*, and
+    on a seeded unimodular image of each; no other dimension is built."""
+    p = _INCIDENCE_CASES[name]()
+    image = apply_affine(p, random_unimodular(rng, p.dim),
+                         [rng.randint(-2, 2) for _ in range(p.dim)])
+    for q in (p, image):
+        built = q.face_lattice.faces_by_dim
+        dims = [q.dim - k for k in range(1, min(3, q.dim) + 1)]
+        assert list(built) == dims
+        full = full_face_lattice(q)
+        for dim in dims:
+            assert built[dim] == full.faces(dim)
+
+
+def test_faces_of_a_dimension_not_built_raise():
+    """Only codim 1 to min(3, d) is built: the cube has no empty face
+    and the 24-cell no vertices to hand out."""
+    with pytest.raises(KeyError):
+        catalog("cube").polytope.face_lattice.faces(-1)
+    with pytest.raises(KeyError):
+        catalog("lattice-D4").polytope.face_lattice.faces(0)
+
+
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
@@ -228,8 +257,8 @@ def test_cross_polytope_faces_grade_by_normal_rank(d, f_vector,
     """More facets meet at each vertex (and, for d = 4, each edge) than
     its codimension, yet the incidences still grade it."""
     p = cross_polytope(d)
-    lat = p.face_lattice
-    assert p.f_vector() == f_vector
+    lat = full_face_lattice(p)
+    assert tuple(len(lat.faces(k)) for k in range(d)) == f_vector
     assert {len(v.facets) for v in lat.faces(0)} == {vertex_facets}
     assert {len(e.facets) for e in lat.faces(1)} == {edge_facets}
     assert lat.faces(-1)[0].facets == tuple(range(p.n_facets))
@@ -417,7 +446,7 @@ def test_six_generator_zonotope():
     ]
     z = Polytope.from_vertices(points)
     assert (z.n_vertices, z.n_facets) == (32, 30)
-    assert z.f_vector() == (32, 60, 30)
+    assert f_vector(z) == (32, 60, 30)
     assert hull_counts(points) == (32, 30)
     # each pair of generators spans the normal of two opposite facets
     normals = {
