@@ -13,7 +13,9 @@ computes and scaled to integers, so Q(x) is a sum of squares in which
 level i depends only on the coefficients above it. Walking the levels
 from the last coordinate down, each coefficient is confined to the
 exact integer interval the remaining bound leaves it; every node works
-on Python ints, and the norms come out as integers on one scale.
+on Python ints, and the norms come out as integers on one scale. One
+ball of radius sum_i D_i holds the minima of every class of L/2L, and so
+the relevant vectors (Babai 1986; `_coset_minima`).
 
 The lattice generated by a set of vectors (the facet vectors of a
 parallelohedron) gets its basis from their Hermite normal form.
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from operator import mul
 
 from . import linalg
@@ -119,16 +120,13 @@ def _integer_interval(p: int, a: int, m: int) -> range:
     return range(-((s - p) // a), (p + s) // a + 1)
 
 
-# Fincke-Pohst nodes one enumeration may visit: E6's translate ball needs
-# about 660,000, and a cell of aspect ratio a about 2 a.
+# Fincke-Pohst nodes one enumeration may visit: the relevant vectors of a
+# cell of aspect ratio a need about 4 a, and E8's about 51,000.
 _NODE_BUDGET = 10**6
 
 
-def _enumerate(lat: Lattice, r2: Fraction,
-               parity: tuple[int, ...] | None = None
-               ) -> list[tuple[int, tuple[int, ...]]]:
-    """(N, k) for every integer k with Q(k) <= r2 and, if given,
-    k = parity mod 2, where N = ds * us^2 * Q(k).
+def _enumerate(lat: Lattice, r2: Fraction) -> list[tuple[int, tuple[int, ...]]]:
+    """(N, k) for every integer k with Q(k) <= r2, where N = ds * us^2 * Q(k).
 
     Fincke-Pohst: level i (from the last coordinate down) sees the
     integer Z_i = us * (k_i + sum_{j>i} U_ij k_j) = us k_i - p_i, and
@@ -149,10 +147,8 @@ def _enumerate(lat: Lattice, r2: Fraction,
         nonlocal left
         p = -lin[i]
         ks = _integer_interval(p, us, (bound - used) // diag[i])
-        if parity is not None:
-            ks = ks[(parity[i] - ks.start) % 2::2]
         # len() overflows on a huge range
-        left -= max(0, (ks.stop - ks.start + ks.step - 1) // ks.step)
+        left -= max(0, ks.stop - ks.start)
         if left < 0:
             raise GeometryError(
                 f"lattice enumeration needs more than {_NODE_BUDGET} nodes; "
@@ -184,47 +180,44 @@ def vectors_in_ball(lat: Lattice, r2: Fraction) -> list[Vec]:
     return _ambient_sorted(lat, (k for _, k in _enumerate(lat, r2)))
 
 
-def _coset_minimizers(lat: Lattice, parity: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Coefficients of the vectors of minimal positive norm in parity + 2L.
+def _coset_minima(lat: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Per class of L/2L, keyed by its coefficients mod 2, the
+    coefficients of its members of least positive norm.
 
-    The ball's radius is the norm of a member of the coset (the 0/1
-    representative, or twice a basis vector for 2L itself), so the true
-    minimum is always inside it.
+    One ball of radius sum_i D_i holds them all. For v in a class other
+    than 2L, Babai's nearest-plane rounding of v/2 from the last level
+    gives a lattice point w with |x_i + sum_{j>i} U_ij x_j| <= 1/2 at
+    every level for x = v/2 - w. So Q(x) <= sum_i D_i / 4, which also
+    bounds the squared covering radius, and v - 2w is a nonzero member
+    of norm at most sum_i D_i. The ball holds L's shortest vectors too,
+    as Q(e_0) = D_0, and 2L's minima are twice those.
     """
-    q = lat.coefficient_form
-    if any(parity):
-        on = [i for i, x in enumerate(parity) if x]
-        bound = sum(q[i][j] for i in on for j in on)
-    else:
-        bound = 4 * min(q[i][i] for i in range(lat.dim))
-    hits = _enumerate(lat, bound, parity=parity)
-    best = min(n for n, _ in hits if n > 0)
-    return [k for n, k in hits if n == best]
+    _, _, diag, ds = lat._ldl
+    hits = sorted(_enumerate(lat, Fraction(sum(diag), ds)))[1:]  # no origin
+    least, minima = {}, {}
+    for n, k in hits:
+        c = tuple(x % 2 for x in k)
+        if least.setdefault(c, n) == n:
+            minima.setdefault(c, []).append(k)
+    minima[(0,) * lat.dim] = [tuple(2 * x for x in k)
+                              for n, k in hits if n == hits[0][0]]
+    return minima
 
 
 def shortest_in_coset(lat: Lattice, coset: Vec) -> list[Vec]:
-    """All vectors of minimal positive norm in coset + 2L, sorted.
-
-    `coset` is a lattice vector (in ambient coordinates); its residue
-    mod 2L determines the search space.
-    """
+    """All vectors of minimal positive norm in coset + 2L, sorted, for
+    a lattice vector `coset` in ambient coordinates."""
     c = lat.to_coefficients(linalg.vec(coset))
     if c is None or any(x.denominator != 1 for x in c):
         raise GeometryError("coset representative must be a lattice vector")
-    parity = tuple(int(x) % 2 for x in c)
-    return _ambient_sorted(lat, _coset_minimizers(lat, parity))
+    return _ambient_sorted(lat, _coset_minima(lat)[tuple(int(x) % 2 for x in c)])
 
 
 def relevant_vectors(lat: Lattice) -> list[Vec]:
-    """Facet vectors of the Voronoi cell: strict +-pair minimizers per coset."""
-    out = []
-    for par in product((0, 1), repeat=lat.dim):
-        if not any(par):
-            continue
-        mins = _coset_minimizers(lat, par)
-        if len(mins) == 2:
-            out.extend(mins)
-    return _ambient_sorted(lat, out)
+    """Facet vectors of the Voronoi cell: the minima of each class other
+    than 2L whose minimum is a single +- pair (Voronoi 1908)."""
+    return _ambient_sorted(lat, (k for c, ks in _coset_minima(lat).items()
+                                 if any(c) and len(ks) == 2 for k in ks))
 
 
 def dv_cell(lat: Lattice) -> Polytope:

@@ -20,6 +20,7 @@ its opposite.
 from __future__ import annotations
 
 from bisect import bisect_right
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import mul
@@ -145,16 +146,27 @@ class Parallelohedron:
         every facet (n, b).
 
         P is centred, so P - P = 2P: P + t meets P exactly when
-        <n, t> <= 2 b on every facet. Those t lie in the ball of twice
-        the circumradius, and the other vectors of that ball get no row.
-        Each facet sorts the vertex heights <n, v> once; the vertices
-        under a cap are then a prefix, found by bisection, and a row is
-        the AND of one prefix per facet. The Voronoi proof
-        (`scaling.voronoi_mismatch`) sweeps the same rows, so this is
-        the one lattice enumeration of a run once the cell exists.
+        <n, t> <= 2 b on every facet. Those t lie in 2E, for E the
+        ellipsoid x^T S^-1 x <= r, S = sum v v^T over the vertices and r
+        its largest value on them; the other vectors of 2E get no row.
+        A linear map of P carries E to its image's E, so skew coordinates
+        do not grow the ball; the form D S^-1, D > 0, is read off the
+        reduced rows of [S | I]. Each facet sorts the vertex heights
+        <n, v> once; the vertices under a cap are then a prefix, found by
+        bisection, and a row is the AND of one prefix per facet. The
+        Voronoi proof (`scaling.voronoi_mismatch`) sweeps the same rows,
+        so this is the run's one lattice enumeration once the cell exists.
         """
-        p = self.polytope
-        ball = vectors_in_ball(self.lattice, 4 * p.circumradius_sq)
+        p, d = self.polytope, self.dim
+        rows, s = linalg.integer_rows(p.vertices)
+        cols = list(zip(*rows))
+        aug = [[sum(map(mul, a, b)) for b in cols] + [int(i == j) for j in range(d)]
+               for i, a in enumerate(cols)]
+        linalg._bareiss(aug, reduce=True)
+        form = [row[d:] for row in aug]
+        r = max(sum(map(mul, v, (sum(map(mul, f, v)) for f in form))) for v in rows)
+        ball = vectors_in_ball(Lattice(self.lattice.basis, form),
+                               Fraction(4 * r, s * s))
         points, normals, offsets = p.integer_form(ball)
         vertices, shifts = points[:p.n_vertices], points[p.n_vertices:]
         levels = []  # per facet: sorted heights, and the prefix bit sets

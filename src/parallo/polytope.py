@@ -282,11 +282,6 @@ class Polytope:
         return tuple(sum(col, Fraction(0)) / self.n_vertices
                      for col in zip(*self.vertices))
 
-    @cached_property
-    def circumradius_sq(self) -> Fraction:
-        rows, s = linalg.integer_rows(self.vertices)
-        return Fraction(max(sum(x * x for x in v) for v in rows), s * s)
-
     # -- face lattice ------------------------------------------------
 
     @cached_property

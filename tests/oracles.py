@@ -219,13 +219,18 @@ def ridge_image_map(para_p, para_q, a, shift):
     return out
 
 
+def circumradius_sq(p):
+    """The largest squared Euclidean norm of a vertex of p."""
+    return max(linalg.dot(v, v) for v in p.vertices)
+
+
 def dual_cell_centers(para, faces):
     """Per face, the translates t whose cell P + t contains it, by testing
     each vertex of the face against each t in the ball of twice the
     circumradius: v - t lies in P when <n, t> >= <n, v> - b on every
     facet (n, b), with both dot products in `Fraction`s."""
     p = para.polytope
-    ball = vectors_in_ball(para.lattice, 4 * p.circumradius_sq)
+    ball = vectors_in_ball(para.lattice, 4 * circumradius_sq(p))
     planes = [([linalg.dot(n, v) - b for v in p.vertices],
                [linalg.dot(n, t) for t in ball])
               for n, b in zip(p.facet_normals, p.facet_offsets)]
@@ -276,7 +281,7 @@ def ball_translate_members(para):
     with v - t in P, by `Fraction` dot products."""
     p = para.polytope
     out = {}
-    for t in vectors_in_ball(para.lattice, 4 * p.circumradius_sq):
+    for t in vectors_in_ball(para.lattice, 4 * circumradius_sq(p)):
         ids = frozenset(i for i, v in enumerate(p.vertices)
                         if contains(p, linalg.vsub(v, t)))
         if ids:

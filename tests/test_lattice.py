@@ -1,13 +1,14 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import an_star
+from conftest import LATTICE_CATALOG, an_star
 from oracles import (
     box_vectors_in_ball,
     central_symmetry,
@@ -16,14 +17,15 @@ from oracles import (
     exhaustive_coset_minimizers,
     f_vector,
     hull_counts,
+    inverse,
     random_unimodular,
 )
 from parallo import lattice, linalg, report
+from parallo.catalog import catalog
 from parallo.errors import GeometryError
 from parallo.lattice import (
     Lattice,
     _ambient_sorted,
-    _enumerate,
     dv_cell,
     relevant_vectors,
     shortest_in_coset,
@@ -207,10 +209,9 @@ def rationals(lo, hi):
 
 
 @st.composite
-def skewed_balls(draw):
+def skewed_lattices(draw):
     """A lattice with a sheared basis of mixed denominators and a Gram
-    L L^T of mixed denominators, a radius, and optionally a residue
-    mod 2."""
+    L L^T of mixed denominators."""
     d = draw(st.integers(1, 5))
     basis = [[F(int(i == j)) for j in range(d)] for i in range(d)]
     for _ in range(draw(st.integers(0, d)) if d > 1 else 0):
@@ -223,45 +224,78 @@ def skewed_balls(draw):
     low = [[draw(rationals(1, 3)) if i == j else draw(rationals(-1, 1)) if j < i
             else F(0) for j in range(d)] for i in range(d)]
     gram = [[linalg.dot(a, b) for b in low] for a in low]  # low times its transpose
-    lat = Lattice.create(basis, gram)
-    parity = draw(st.none() | st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    return Lattice.create(basis, gram)
+
+
+@st.composite
+def skewed_balls(draw):
+    """A skewed lattice and a radius."""
+    lat = draw(skewed_lattices())
     scale = draw(rationals(1, 6))
-    r2 = scale * max(lat.coefficient_form[i][i] for i in range(d))
-    return lat, r2, None if parity is None else tuple(parity)
-
-
-def _enumerated(lat, r2, parity=None):
-    """The ambient vectors of `_enumerate`, sorted (the coset sweep that
-    `shortest_in_coset` reads when given a parity)."""
-    return _ambient_sorted(lat, (k for _, k in _enumerate(lat, r2, parity)))
+    return lat, scale * max(lat.coefficient_form[i][i] for i in range(lat.dim))
 
 
 @given(skewed_balls())
 @settings(max_examples=80, deadline=None)
 def test_vectors_in_ball_matches_the_coefficient_box(case):
     """The pruned enumeration finds exactly the vectors of the whole
-    coefficient-box sweep, for d = 1-5, over the lattice and over one
-    coset of 2L; the radius is halved until the box has at most 1,500
-    points, so the oracle stays quick."""
-    lat, r2, parity = case
+    coefficient-box sweep, for d = 1-5; the radius is halved until the
+    box has at most 1,500 points, so the oracle stays quick."""
+    lat, r2 = case
     center = linalg.zeros(lat.dim)
     while math.prod(len(r) for r in coefficient_box(lat, r2, center)) > 1500:
         r2 /= 2
-    assert vectors_in_ball(lat, r2) == _enumerated(lat, r2) == \
-        box_vectors_in_ball(lat, r2)
-    if parity is not None:
-        assert _enumerated(lat, r2, parity) == \
-            box_vectors_in_ball(lat, r2, parity=parity)
+    assert vectors_in_ball(lat, r2) == box_vectors_in_ball(lat, r2)
 
 
 def test_vectors_in_ball_edge_radii():
     lat = a2()
     assert vectors_in_ball(lat, F(-1)) == []
     assert vectors_in_ball(lat, 0) == [(0, 0)]
-    assert _enumerated(lat, 0, parity=(1, 0)) == []
     # the six shortest vectors have norm exactly 2
     assert len(vectors_in_ball(lat, 2)) == 7
     assert len(vectors_in_ball(lat, F(2) - F(1, 10 ** 9))) == 1
+
+
+def _ball_radius(lat):
+    """sum_i D_i, the radius of the one ball `_coset_minima` enumerates."""
+    _, _, diag, ds = lat._ldl
+    return F(sum(diag), ds)
+
+
+@given(skewed_lattices())
+@settings(max_examples=40, deadline=None)
+def test_coset_minima_match_the_coefficient_box(lat):
+    """Every class of L/2L gets its minima from the one ball: the
+    coefficient-box sweep of the class, within the norm `_coset_minima`
+    found, finds no shorter member and the same minima, and so does the
+    exhaustive coset sweep over that box. Only the lattices whose
+    sum_i D_i ball has a box of at most 10,000 points are swept, so the
+    oracles stay quick."""
+    d, center = lat.dim, linalg.zeros(lat.dim)
+    assume(math.prod(len(r) for r in coefficient_box(lat, _ball_radius(lat), center))
+           <= 10_000)
+    minima = lattice._coset_minima(lat)
+    assert sorted(minima) == list(product((0, 1), repeat=d))
+    for parity, ks in minima.items():
+        found = _ambient_sorted(lat, ks)
+        least = lat.norm_sq(found[0])
+        assert {lat.norm_sq(v) for v in found} == {least}
+        members = [v for v in box_vectors_in_ball(lat, least, parity=parity) if any(v)]
+        assert found == members
+        box = [max(-r.start, r.stop - 1) // 2 + 1
+               for r in coefficient_box(lat, least, center)]
+        assert exhaustive_coset_minimizers(lat.basis, lat.gram, parity, box) == found
+
+
+def test_a_quarter_of_the_ball_misses_relevant_vectors(monkeypatch):
+    """Negative control: a ball of radius sum_i D_i / 4 is too small;
+    Z3 (sum D_i = 3) loses all six relevant vectors, and BCC and A2
+    lose all of theirs too."""
+    enumerate_ = lattice._enumerate
+    monkeypatch.setattr(lattice, "_enumerate", lambda lat, r2: enumerate_(lat, r2 / 4))
+    for lat in (z3(), bcc(), a2()):
+        assert relevant_vectors(lat) == []
 
 
 def test_enumeration_counts_every_candidate_against_the_budget(monkeypatch):
@@ -285,10 +319,44 @@ def d_n(n):
 
 
 def test_inputs_within_the_budget_still_certify():
-    """Aspect 10^3 and D5 (about 16,000 nodes for its translate ball)
+    """Aspect 10^3 (about 4,000 nodes for its relevant vectors) and D5
     stay within the budget. D_n has 2^n + 2n vertices and 2n(n - 1)
     facets."""
     d5 = d_n(5)
     assert (d5.cell.n_vertices, d5.cell.n_facets) == (42, 40)
     for lat in (Lattice.create([[1000, 0], [0, 1]]), d5):
         assert report.verify(lat)["verdict"] == "certified"
+
+
+def test_e7_star_certifies():
+    """E7*: the standard basis under the inverse of the E7 Cartan matrix
+    (the Gram matrix of its fundamental weights). One ball gives its 182
+    relevant vectors, 56 of norm 3/2 and 126 of norm 2, and its cell
+    has 576 vertices."""
+    edges = {(0, 2), (2, 3), (3, 4), (4, 5), (1, 3), (5, 6)}
+    cartan = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0
+               for j in range(7)] for i in range(7)]
+    lat = Lattice.create(linalg.identity(7), inverse(linalg.mat(cartan)))
+    norms = Counter(map(lat.norm_sq, relevant_vectors(lat)))
+    assert norms == {F(3, 2): 56, F(2): 126}
+    assert (lat.cell.n_vertices, lat.cell.n_facets) == (576, 182)
+    assert report.verify(lat)["verdict"] == "certified"
+
+
+@pytest.mark.parametrize("name", LATTICE_CATALOG)
+def test_a_lattice_verify_enumerates_the_lattice_twice(name, monkeypatch):
+    """A whole `verify` of a fresh `Lattice`, whose cell is built inside
+    the count, runs two Fincke-Pohst enumerations: the one ball of the
+    relevant vectors and the translate table's."""
+    entry = catalog(name)
+    calls = []
+    enumerate_ = lattice._enumerate
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_(*args)
+
+    monkeypatch.setattr(lattice, "_enumerate", counted)
+    lat = Lattice.create(entry.lattice.basis, entry.lattice.gram)
+    assert report.verify(lat, name=name)["verdict"] == "certified"
+    assert len(calls) == 2

@@ -268,11 +268,17 @@ def dual_cells(para, codim):
 SKEW = ((2, 1, 1), (3, 2, 2), (3, 1, 2))  # unimodular
 
 
+def shear(k):
+    return ((1, k, 0), (0, 1, k), (0, 0, 1))
+
+
 def built_or_skewed(name):
-    """The built catalog entry, or for NAME-skewed its image under SKEW."""
-    if name.endswith("-skewed"):
-        p = catalog(name[:-len("-skewed")]).polytope
-        return Parallelohedron.build(apply_affine(p, SKEW))
+    """The built catalog entry, or its image: NAME-skewed under SKEW,
+    NAME-shearK under `shear(K)`."""
+    base, _, kind = name.rpartition("-")
+    if kind == "skewed" or kind.startswith("shear"):
+        a = SKEW if kind == "skewed" else shear(int(kind[len("shear"):]))
+        return Parallelohedron.build(apply_affine(catalog(base).polytope, a))
     return built(name)
 
 
@@ -318,17 +324,68 @@ def test_dual_cells_match_per_face_sweep(name):
         assert dual_cells(para, codim) == swept
 
 
+def whole_ball_table(name):
+    """The translate table of a sweep over the whole Euclidean ball of
+    twice the circumradius (`ball_translate_members`), as bit sets. A
+    shear's own ball is too large to sweep (382,269 vectors at k = 30),
+    so its table is the unsheared entry's, carried over by the shear:
+    t goes to A t, and vertex v to the vertex A v."""
+    base, _, kind = name.rpartition("-")
+    if not kind.startswith("shear"):
+        return {t: sum(1 << i for i in ids)
+                for t, ids in ball_translate_members(built_or_skewed(name)).items()}
+    a = linalg.mat(shear(int(kind[len("shear"):])))
+    source = built(base).polytope.vertices
+    image = built_or_skewed(name).polytope.vertices
+    return {linalg.matvec(a, t):
+            sum(1 << image.index(linalg.matvec(a, source[i])) for i in ids)
+            for t, ids in ball_translate_members(built(base)).items()}
+
+
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG
-                         + ("elongated-dodecahedron-skewed",))
+                         + tuple(f"{n}-skewed" for n in POLYTOPE_CATALOG)
+                         + ("elongated-dodecahedron-shear30",
+                            "elongated-dodecahedron-shear60"))
 def test_translate_table_matches_a_whole_ball_sweep(name):
     """Skipping the ball vectors outside 2P loses no translate that meets
     P: the table has exactly the nonempty rows of a sweep over the whole
-    ball of twice the circumradius, on every catalog entry and on a
-    skewed image."""
-    para = built_or_skewed(name)
-    assert para._translate_members == {
-        t: sum(1 << i for i in ids)
-        for t, ids in ball_translate_members(para).items()}
+    ball of twice the circumradius, on every catalog entry, on their
+    skewed images and on two shears."""
+    assert built_or_skewed(name)._translate_members == whole_ball_table(name)
+
+
+@pytest.mark.parametrize("k", [30, 60])
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG)
+def test_a_shear_does_not_grow_the_translate_ball(name, k, monkeypatch):
+    """The translate ball is an ellipsoid that moves with the polytope:
+    each 3-D type sheared by `shear(k)` enumerates as many vectors as at
+    k = 0 (17 for the elongated dodecahedron), and certifies."""
+    sizes = []
+    vectors_in_ball = parallelohedron.vectors_in_ball
+
+    def counted(lat, r2):
+        ball = vectors_in_ball(lat, r2)
+        sizes.append(len(ball))
+        return ball
+
+    monkeypatch.setattr(parallelohedron, "vectors_in_ball", counted)
+    for a in (shear(0), shear(k)):
+        image = apply_affine(catalog(name).polytope, a)
+        assert report.verify(image)["verdict"] == "certified"
+    assert sizes[0] == sizes[1]
+    assert name != "elongated-dodecahedron" or sizes[0] == 17
+
+
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG)
+def test_the_ellipsoid_of_p_alone_loses_facet_vectors(name, monkeypatch):
+    """Negative control: the ellipsoid E around P, 2E with a quarter of
+    its squared radius, misses translates that meet P, so the
+    facet-vector check fails on every catalog entry."""
+    vectors_in_ball = parallelohedron.vectors_in_ball
+    monkeypatch.setattr(parallelohedron, "vectors_in_ball",
+                        lambda lat, r2: vectors_in_ball(lat, r2 / 4))
+    with pytest.raises(GeometryError, match="does not reproduce the facet"):
+        Parallelohedron.build(catalog(name).polytope)
 
 
 def test_verify_builds_no_dual_cell_hull(monkeypatch):
