@@ -7,6 +7,9 @@ lattices live entirely in rational coordinates.
 
 Enumeration is exact Fincke-Pohst (Fincke & Pohst 1985; Agrell et al.
 2002) in integer coefficient space. The coefficient form Q = B G B^T is
+first LLL-reduced (`_lll`), so the work depends on the lattice, not on
+the basis that names it; `basis` stays as given, and the enumeration's
+coefficients are read in the reduced basis. The reduced form is
 written once per lattice as U^T D U (U unit upper triangular, D
 diagonal), read off the fraction-free echelon rows that `linalg`
 computes and scaled to integers, so Q(x) is a sum of squares in which
@@ -18,7 +21,8 @@ ball of radius sum_i D_i holds the minima of every class of L/2L, and so
 the relevant vectors (Babai 1986; `_coset_minima`).
 
 The lattice generated by a set of vectors (the facet vectors of a
-parallelohedron) gets its basis from their Hermite normal form.
+parallelohedron) gets its basis from the Hermite normal form of their
+integer rows.
 """
 
 from __future__ import annotations
@@ -81,35 +85,76 @@ class Lattice:
                            for c in b) for r in bg)
 
     @cached_property
-    def _ldl(self) -> tuple[list[list[int]], int, list[int], int]:
-        """The coefficient form as Q = U^T D U, U unit upper triangular
-        and D diagonal, so Q(x) = sum_i D_i (x_i + sum_{j>i} U_ij x_j)^2;
-        returned on integers: the rows of us * U, us, ds * D and ds.
+    def _reduction(self) -> tuple[list[list[int]], list, list, int]:
+        """(U, mu, bs, s): `_lll` of s Q, s the common denominator of Q.
+        The rows of U B are a reduced basis of the lattice."""
+        form, s = linalg.integer_rows(self.coefficient_form)
+        return (*_lll(form), s)
 
-        Read off the fraction-free echelon rows of s Q (s the common
-        denominator): Q is positive definite, so no row is swapped, row
-        i is its pivot p_i times U_i, and D_i = p_i / (p_{i-1} s).
-        """
-        rows, s = linalg.integer_rows(self.coefficient_form)
-        linalg._bareiss(rows)
-        pivots = [row[i] for i, row in enumerate(rows)]
-        u = [[Fraction(x, p) for x in row] for row, p in zip(rows, pivots)]
-        diag = [Fraction(p, q * s) for p, q in zip(pivots, [1] + pivots)]
-        rows, us = linalg.integer_rows(u)
-        (diag_ints,), ds = linalg.integer_rows([diag])
-        return rows, us, diag_ints, ds
+    @cached_property
+    def _ldl(self) -> tuple[list[list[int]], int, list[int], int]:
+        """The reduced form U Q U^T as V^T D V, V_ij = mu_ji and
+        D_i = bs_i / s (`_reduction`), so Q(x) = sum_i D_i (x_i +
+        sum_{j>i} V_ij x_j)^2 in reduced coefficients; on integers: the
+        rows of us * V, us, ds * D and ds."""
+        _, mu, bs, s = self._reduction
+        rows, us = linalg.integer_rows(zip(*mu))
+        (diag,), ds = linalg.integer_rows([bs])
+        return rows, us, diag, ds * s
 
     @cached_property
     def _basis_columns(self) -> tuple[list[list[int]], int]:
-        """Rows of the basis transpose times their common denominator s,
-        and s: the ambient vector of integer coefficients k is cols k / s."""
-        return linalg.integer_rows(linalg.transpose(self.basis))
+        """Rows of the reduced basis's transpose (U B)^T times their common
+        denominator s, and s: the ambient vector of integer coefficients
+        k in the reduced basis is cols k / s."""
+        u, *_ = self._reduction
+        cols, s = linalg.integer_rows(linalg.transpose(self.basis))
+        return [[sum(map(mul, col, row)) for row in u] for col in cols], s
 
     def from_coefficients(self, coeffs) -> Vec:
         return linalg.matvec(linalg.transpose(self.basis), linalg.vec(coeffs))
 
     def to_coefficients(self, v: Vec) -> Vec:
         return linalg.solve_linear(linalg.transpose(self.basis), v)
+
+
+def _lll(g: list[list[int]]):
+    """LLL reduction (Lenstra, Lenstra & Lovasz 1982; Cohen, GTM 138,
+    Alg. 2.6.3, delta = 3/4) of the basis b with positive definite Gram
+    matrix g, which it consumes: the unimodular integer rows U of the
+    reduced basis sum_j U_ij b_j, and its exact Gram-Schmidt data mu
+    (rows, 1 on the diagonal) and bs_i = |b*_i|^2. The first mu and bs
+    come off the echelon rows of g: row i is its pivot p_i times column
+    i of mu, and bs_i = p_i / p_(i-1)."""
+    d = len(g)
+    linalg._bareiss(g)
+    pivots = [row[i] for i, row in enumerate(g)]
+    mu = [[Fraction(x, p) for x, p in zip(col, pivots)] for col in zip(*g)]
+    bs = [Fraction(p, q) for p, q in zip(pivots, [1] + pivots)]
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    k = 1
+    while k < d:
+        for j in range(k - 1, -1, -1):  # size reduction
+            q = round(mu[k][j])
+            if q:
+                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                mu[k] = [a - q * b for a, b in zip(mu[k], mu[j])]
+        m = mu[k][k - 1]
+        if bs[k] >= (Fraction(3, 4) - m * m) * bs[k - 1]:
+            k += 1
+            continue
+        b = bs[k] + m * m * bs[k - 1]  # bs_(k-1) once swapped
+        u[k], u[k - 1] = u[k - 1], u[k]
+        mu[k], mu[k - 1] = mu[k - 1], mu[k]
+        mu[k - 1][k - 1:k + 1] = 1, 0
+        mu[k][k - 1:k + 1] = m * bs[k - 1] / b, 1
+        bs[k], bs[k - 1] = bs[k - 1] * bs[k] / b, b
+        for row in mu[k + 1:]:
+            t = row[k]
+            row[k] = row[k - 1] - m * t
+            row[k - 1] = t + mu[k][k - 1] * row[k]
+        k = max(k - 1, 1)
+    return u, mu, bs
 
 
 def _integer_interval(p: int, a: int, m: int) -> range:
@@ -181,8 +226,9 @@ def vectors_in_ball(lat: Lattice, r2: Fraction) -> list[Vec]:
 
 
 def _coset_minima(lat: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Per class of L/2L, keyed by its coefficients mod 2, the
-    coefficients of its members of least positive norm.
+    """Per class of L/2L, keyed by its coefficients mod 2 in the given
+    basis, the coefficients in the reduced basis (`_basis_columns`) of
+    its members of least positive norm.
 
     One ball of radius sum_i D_i holds them all. For v in a class other
     than 2L, Babai's nearest-plane rounding of v/2 from the last level
@@ -201,7 +247,10 @@ def _coset_minima(lat: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
             minima.setdefault(c, []).append(k)
     minima[(0,) * lat.dim] = [tuple(2 * x for x in k)
                               for n, k in hits if n == hits[0][0]]
-    return minima
+    u, *_ = lat._reduction
+    given = list(zip(*u))  # k U: the same vector's given coefficients
+    return {tuple(sum(map(mul, col, c)) % 2 for col in given): ks
+            for c, ks in minima.items()}
 
 
 def shortest_in_coset(lat: Lattice, coset: Vec) -> list[Vec]:
@@ -274,11 +323,8 @@ def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     return done
 
 
-def lattice_basis_from_generators(vectors: Mat) -> Mat:
-    """Basis (HNF rows) of the lattice of integer combinations of vectors."""
-    if not vectors:
-        return ()
-    int_rows, lcm = linalg.integer_rows(vectors)
-    hnf = _hnf_rows(int_rows)
-    return tuple(tuple(Fraction(x, lcm) for x in row) for row in hnf)
+def lattice_basis_from_generators(rows: list[list[int]], s: int) -> Mat:
+    """Basis (HNF rows) of the lattice of integer combinations of the
+    vectors rows / s, given as `linalg.integer_rows` writes them."""
+    return tuple(tuple(Fraction(x, s) for x in row) for row in _hnf_rows(rows))
 

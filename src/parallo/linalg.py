@@ -33,9 +33,7 @@ def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4', or Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

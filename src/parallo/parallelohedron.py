@@ -62,6 +62,7 @@ class Parallelohedron:
         self.ridge_facets = tuple(r.facets for r in self.ridges)
         self.ridge_of = {pair: r for r, pair in enumerate(self.ridge_facets)}
         self.facet_vectors = tuple(linalg.vscale(2, c) for c in facet_centers)
+        self.facet_vector_rows = linalg.integer_rows(self.facet_vectors)
         # opposite facet: normal negated, same offset (we are centered)
         planes = tuple(zip(p.facet_normals, p.facet_offsets))
         key = {plane: i for i, plane in enumerate(planes)}
@@ -70,7 +71,7 @@ class Parallelohedron:
         except KeyError:
             raise GeometryError(
                 "facet pairing failed on a symmetric polytope") from None
-        basis = lattice_basis_from_generators(self.facet_vectors)
+        basis = lattice_basis_from_generators(*self.facet_vector_rows)
         if len(basis) != p.dim:
             raise GeometryError("facet vectors do not span a full-rank lattice")
         self.lattice = Lattice.create(basis)
@@ -158,7 +159,7 @@ class Parallelohedron:
         so this is the run's one lattice enumeration once the cell exists.
         """
         p, d = self.polytope, self.dim
-        rows, s = linalg.integer_rows(p.vertices)
+        rows, s, normals, _, offsets = p.integer_form
         cols = list(zip(*rows))
         aug = [[sum(map(mul, a, b)) for b in cols] + [int(i == j) for j in range(d)]
                for i, a in enumerate(cols)]
@@ -167,24 +168,25 @@ class Parallelohedron:
         r = max(sum(map(mul, v, (sum(map(mul, f, v)) for f in form))) for v in rows)
         ball = vectors_in_ball(Lattice(self.lattice.basis, form),
                                Fraction(4 * r, s * s))
-        points, normals, offsets = p.integer_form(ball)
-        vertices, shifts = points[:p.n_vertices], points[p.n_vertices:]
+        shifts, ts = linalg.integer_rows(ball)
         levels = []  # per facet: sorted heights, and the prefix bit sets
         for n in normals:
             heights = sorted((sum(map(mul, n, v)), i)
-                             for i, v in enumerate(vertices))
+                             for i, v in enumerate(rows))
             prefix = [0]
             for _, i in heights:
                 prefix.append(prefix[-1] | 1 << i)
             levels.append(([h for h, _ in heights], prefix))
         out = {}
         for t, v in zip(ball, shifts):
-            caps = [b + sum(map(mul, n, v)) for n, b in zip(normals, offsets)]
-            if any(c > 3 * b for c, b in zip(caps, offsets)):
+            # <n, t> <= 2 b iff s <N, T> <= 2 ts B (N = ns n, T = ts t),
+            # and v - t is in P iff <N, s v> <= B + s <N, T> / ts
+            dots = [s * sum(map(mul, n, v)) for n in normals]
+            if any(x > 2 * ts * b for x, b in zip(dots, offsets)):
                 continue
             members = -1
-            for c, (heights, prefix) in zip(caps, levels):
-                members &= prefix[bisect_right(heights, c)]
+            for x, b, (heights, prefix) in zip(dots, offsets, levels):
+                members &= prefix[bisect_right(heights, b + x // ts)]
             out[t] = members
         return out
 

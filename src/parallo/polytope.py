@@ -268,14 +268,16 @@ class Polytope:
     def n_facets(self) -> int:
         return len(self.facet_normals)
 
-    def integer_form(self, points=()):
-        """The vertices followed by `points` as integer rows s x, and the
-        facets <n, x> <= b as integer normals ns n and offsets ns s b, so
-        that <n, x> <= b exactly when <ns n, s x> <= ns s b."""
-        (*rows, offsets), _ = linalg.integer_rows(
-            self.vertices + tuple(points) + (self.facet_offsets,))
+    @cached_property
+    def integer_form(self):
+        """(rows, s, normals, ns, offsets): the vertices as integer rows
+        s x and the facets <n, x> <= b as integer normals ns n and
+        offsets ns s b, so <n, x> <= b exactly when <ns n, s x> <= ns s b;
+        every stage that compares the two in integers reads it."""
+        (*rows, offsets), s = linalg.integer_rows(
+            self.vertices + (self.facet_offsets,))
         normals, ns = linalg.integer_rows(self.facet_normals)
-        return rows, normals, [ns * b for b in offsets]
+        return rows, s, normals, ns, [ns * b for b in offsets]
 
     @cached_property
     def centroid(self) -> Vec:

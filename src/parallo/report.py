@@ -21,16 +21,16 @@ reports and the half-belt span, which is written under both the
 no ridge is non-primitive: the boundary is connected, so once anything
 is removed every component touches it.
 
-Reports are byte-stable on identical input: keys are sorted, rationals
-are canonical "p/q" strings, and the timing field is null unless
-explicitly requested.
+The documents hold the pipeline's own exact values; the one JSON
+encoder, which the CLI calls, writes each rational as its canonical
+"p/q" string. Reports are byte-stable on identical input: keys are
+sorted, and the timing field is null unless explicitly requested.
 """
 
 from __future__ import annotations
 
 import time
 
-from . import serialize
 from .polytope import Polytope
 from .venkov import VenkovVerdict, _analyze
 
@@ -51,56 +51,21 @@ EXIT_PARSE = 1
 
 
 def venkov_dict(v: VenkovVerdict) -> dict:
-    return {
-        "ok": v.ok,
-        "witnesses": [
-            {
-                "condition": w.condition,
-                "detail": w.detail,
-                "face_vertex_ids": list(w.face_vertex_ids),
-            }
-            for w in v.witnesses
-        ],
-    }
+    return {"ok": v.ok, "witnesses": [w._asdict() for w in v.witnesses]}
 
 
 def _witness_dict(w: ScalingWitness | MismatchWitness) -> dict:
-    from .scaling import MismatchWitness
-
-    if isinstance(w, MismatchWitness):
-        if w.kind == "facet":
-            return {"kind": w.kind, "facet": w.facet}
-        return {
-            "kind": w.kind,
-            "lattice_vector": serialize.vector_to_strs(w.lattice_vector),
-            "vertex": serialize.vector_to_strs(w.vertex),
-        }
-    doc = {"kind": w.kind, "gain": serialize.rational_to_str(w.gain)}
-    if w.facets is not None:
-        doc["facets"] = list(w.facets)
-    if w.facet_pair is not None:
-        doc["facet_pair"] = list(w.facet_pair)
-    return doc
+    return {k: x for k, x in w._asdict().items() if x is not None}
 
 
 def certificate_dict(cert: VoronoiCertificate) -> dict:
-    doc: dict = {"verdict": cert.verdict}
+    doc = {k: x for k, x in cert._asdict().items() if x is not None}
     if cert.scaling is not None:
-        doc["scaling"] = [
-            serialize.rational_to_str(v) for v in cert.scaling.values
-        ]
-    if cert.gram is not None:
-        doc["gram"] = serialize.matrix_to_strs(cert.gram)
-    if cert.component_factors is not None:
-        doc["component_factors"] = [
-            serialize.rational_to_str(c) for c in cert.component_factors
-        ]
+        doc["scaling"] = cert.scaling.values
     if cert.witness is not None:
         doc["witness"] = _witness_dict(cert.witness)
-    if cert.verdict == "form-not-pd":
-        doc["solution_basis"] = [
-            serialize.vector_to_strs(b) for b in cert.solution_basis
-        ]
+    if cert.verdict != "form-not-pd":
+        del doc["solution_basis"]
     return doc
 
 
@@ -110,7 +75,7 @@ def _gram_match(recovered, source) -> dict:
     scale = recovered[0][0] / source[0][0]
     return {"matched": all(r == scale * x for rr, xs in zip(recovered, source)
                            for r, x in zip(rr, xs)),
-            "scale": serialize.rational_to_str(scale)}
+            "scale": scale}
 
 
 def _surface_dict(rep: TopologyReport, span: HalfBeltSpan,
@@ -120,7 +85,7 @@ def _surface_dict(rep: TopologyReport, span: HalfBeltSpan,
         "component_count": rep.component_count,
         "components": [
             {
-                "cells": list(c.cell_counts),
+                "cells": c.cell_counts,
                 "chi": c.chi,
                 "compact": c.compact,
                 "h1_rank": c.h1_rank,
@@ -190,7 +155,7 @@ def verify(source: Polytope | Lattice, name: str | None = None,
 
         para = Parallelohedron(q, *tiling)
         components = len(set(para.delta_roots))
-        doc["belts"] = [{"length": b.length, "facets": list(b.facets)}
+        doc["belts"] = [{"length": b.length, "facets": b.facets}
                         for b in para.belts]
         doc["primitivity"] = {
             str(k): v for k, v in para.primitivity_profile().items()}
@@ -202,12 +167,8 @@ def verify(source: Polytope | Lattice, name: str | None = None,
         cert = certify(para)
         verdict = cert.verdict
         if cert.scaling is not None:
-            doc["scaling"] = {
-                "values": [serialize.rational_to_str(v)
-                           for v in cert.scaling.values],
-                "base_facets": list(cert.scaling.base_facets),
-                "components": list(cert.scaling.groups),
-            }
+            doc["scaling"] = dict(zip(("values", "base_facets", "components"),
+                                      cert.scaling))
         if cert.witness is not None:
             doc["witness"] = _witness_dict(cert.witness)
         doc["certificate"] = certificate_dict(cert)

@@ -55,8 +55,8 @@ def build_ridge_graph(para: Parallelohedron) -> dict[int, Fraction]:
     gain from F_i to F_(i+1) is |a_(i+1) / a_i| with indices mod 3. Each
     ridge still checks t_i - t_(i+1) = +-t_(i+2) on its facet vectors.
     """
-    normals, _ = linalg.integer_rows(para.polytope.facet_normals)
-    vectors, _ = linalg.integer_rows(para.facet_vectors)
+    _, _, normals, _, _ = para.polytope.integer_form
+    vectors, _ = para.facet_vector_rows
     gains = {}
     for belt in para.belts:
         if belt.length != 6:
@@ -218,22 +218,20 @@ def voronoi_mismatch(para: Parallelohedron, gram: Mat) -> MismatchWitness | None
         gy = [sum(map(mul, row, y)) for row in gram]
         return gy, sum(map(mul, y, gy))
 
-    # with T = ts t, GT = gs ts G t and (N, B) = c (n, b) for one c > 0:
-    # G t = lam n, lam > 0  iff  GT = mu N, mu > 0, and then
-    # <t, G t> = 2 lam b  iff  <T, GT> N_k = 2 ts GT_k B at any N_k != 0
-    tints, ts = linalg.integer_rows(para.facet_vectors)
-    facets, _ = linalg.integer_rows(
-        n + (b,) for n, b in zip(p.facet_normals, p.facet_offsets))
-    for fi, (t, (*n, b)) in enumerate(zip(tints, facets)):
+    # with T = ts t, GT = gs ts G t and (N, B) = (ns n, ns xs b) from
+    # `integer_form`: G t = lam n, lam > 0  iff  GT = mu N, mu > 0, and
+    # then <t, G t> = 2 lam b  iff  <T, GT> N_k xs = 2 ts GT_k B at N_k != 0
+    xints, xs, normals, _, offsets = p.integer_form
+    tints, ts = para.facet_vector_rows
+    for fi, (t, n, b) in enumerate(zip(tints, normals, offsets)):
         gt, tgt = form(t)
         k = next(i for i, x in enumerate(n) if x != 0)
         if (gt[k] * n[k] <= 0
                 or any(g * n[k] != x * gt[k] for g, x in zip(gt, n))
-                or tgt * n[k] != 2 * ts * gt[k] * b):
+                or tgt * n[k] * xs != 2 * ts * gt[k] * b):
             return MismatchWitness("facet", facet=fi)
-    # on integer rows X = xs x, V = vs v and GV = gs G V:
+    # on integer rows X, V = vs v and GV = gs G V:
     # 2 <x, Gv> > <v, Gv>  iff  2 vs <X, GV> > xs <V, GV>
-    xints, xs = linalg.integer_rows(p.vertices)
     table = tuple(para._translate_members)
     vints, vs = linalg.integer_rows(table)
     cuts = []
@@ -288,8 +286,8 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     # on integer rows T = ts t and N = ns n, the equations of facet F
     # times ts ns den(s(F)) > 0; its opposite has t and n negated and,
     # once scaled, the same s and k, so one block serves the pair
-    tints, ts = linalg.integer_rows(para.facet_vectors)
-    normals, ns = linalg.integer_rows(p.facet_normals)
+    tints, ts = para.facet_vector_rows
+    _, _, normals, ns, _ = p.integer_form
     rows = []
     for fi, fo in enumerate(para.opposite_facet):
         if fo < fi:

@@ -1,12 +1,15 @@
 """JSON and OFF input/output.
 
 Rationals travel as strings "p/q" (or "p" for integers) so no precision
-is ever lost; JSON integers are read as well, JSON booleans are not. A
-rational whose digits Python would refuse to print is an error line, not
-a traceback. OFF export is visualization-only: coordinates whose
-denominators are products of 2s and 5s render as exact decimals, the
-rest get a best-effort decimal plus a `#exact` comment carrying the
-rational.
+is ever lost; JSON integers are read as well, JSON booleans are not.
+`dumps` is the one place a rational is written: the documents the
+program builds carry its own `Fraction` values, and `json.dumps` hands
+each one to `rational_to_str`. Any other value JSON cannot hold is a
+TypeError, and a rational whose digits Python would refuse to print is
+an error line, not a traceback. OFF export is visualization-only:
+coordinates whose denominators are products of 2s and 5s render as exact
+decimals, the rest get a best-effort decimal plus a `#exact` comment
+carrying the rational.
 """
 
 from __future__ import annotations
@@ -57,18 +60,10 @@ def rational_from_str(s, where: str = "value") -> Fraction:
         raise ParseError(f"{where}: bad rational {s!r} ({exc})") from exc
 
 
-def vector_to_strs(v) -> list[str]:
-    return [rational_to_str(x) for x in v]
-
-
 def vector_from_strs(xs, where: str = "vector"):
     if not isinstance(xs, list):
         raise ParseError(f"{where}: expected a list")
     return tuple(rational_from_str(x, where) for x in xs)
-
-
-def matrix_to_strs(m) -> list[list[str]]:
-    return [vector_to_strs(row) for row in m]
 
 
 def matrix_from_strs(rows, where: str = "matrix", size: int | None = None):
@@ -82,7 +77,9 @@ def matrix_from_strs(rows, where: str = "matrix", size: int | None = None):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The document as sorted, indented JSON, each Fraction as "p/q"."""
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      default=rational_to_str) + "\n"
 
 
 # -- polytopes --------------------------------------------------------
@@ -91,11 +88,9 @@ def dumps(obj) -> str:
 def polytope_to_dict(p: Polytope) -> dict:
     return {
         "dim": p.dim,
-        "vertices": [vector_to_strs(v) for v in p.vertices],
-        "facets": [
-            {"normal": vector_to_strs(n), "offset": rational_to_str(b)}
-            for n, b in zip(p.facet_normals, p.facet_offsets)
-        ],
+        "vertices": p.vertices,
+        "facets": [{"normal": n, "offset": b}
+                   for n, b in zip(p.facet_normals, p.facet_offsets)],
     }
 
 
@@ -132,10 +127,7 @@ def polytope_from_dict(doc: dict) -> Polytope:
 
 
 def lattice_to_dict(lat: Lattice) -> dict:
-    return {
-        "basis": matrix_to_strs(lat.basis),
-        "gram": matrix_to_strs(lat.gram),
-    }
+    return {"basis": lat.basis, "gram": lat.gram}
 
 
 def lattice_from_dict(doc: dict) -> Lattice:
@@ -210,7 +202,7 @@ def polytope_to_off(p: Polytope) -> str:
                 rendered.append(dec)
         line = " ".join(rendered)
         if exact_note:
-            line += "  #exact " + " ".join(vector_to_strs(v))
+            line += "  #exact " + " ".join(map(rational_to_str, v))
         lines.append(line)
     for cyc in p.facet_cycles:
         lines.append(str(len(cyc)) + " " + " ".join(str(c) for c in cyc))

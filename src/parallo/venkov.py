@@ -131,7 +131,7 @@ def _analyze(p: Polytope):
             f"dimension {p.dim} is not supported: the belt conditions "
             "need ridges, so d >= 2")
     failed = ((), ())
-    rows, scale = linalg.integer_rows(p.vertices)
+    rows, scale, *_ = p.integer_form
     image, sums = _involution(rows)
     if image is None:
         witness = VenkovWitness("central-symmetry",

@@ -178,7 +178,7 @@ def per_ridge_analyze(p):
 def dot_product_facet_vertex_ids(p) -> tuple[tuple[int, ...], ...]:
     """Per facet, the vertices on it, by an integer dot product of every
     vertex with every facet."""
-    rows, normals, offsets = p.integer_form()
+    rows, _, normals, _, offsets = p.integer_form
     return tuple(
         tuple(i for i, v in enumerate(rows) if sum(map(mul, n, v)) == b)
         for n, b in zip(normals, offsets))
@@ -595,6 +595,15 @@ def fraction_ldl(q):
             u[i][j] = (q[i][j] - sum(diag[k] * u[k][i] * u[k][j]
                                      for k in range(i))) / diag[i]
     return u, diag
+
+
+def reduced_form(lat):
+    """U Q U^T by Fractions, for the coefficient form Q of `lat` and the
+    unimodular rows U of its LLL reduction (`Lattice._reduction`)."""
+    u, *_ = lat._reduction
+    q = lat.coefficient_form
+    return [[sum(a * q[i][j] * b for i, a in enumerate(x) for j, b in enumerate(y))
+             for y in u] for x in u]
 
 
 def fraction_det(m) -> Fraction:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -16,11 +17,14 @@ from oracles import (
     covering_counts,
     exhaustive_coset_minimizers,
     f_vector,
+    fraction_det,
+    fraction_ldl,
     hull_counts,
     inverse,
     random_unimodular,
+    reduced_form,
 )
-from parallo import lattice, linalg, report
+from parallo import lattice, linalg, report, serialize
 from parallo.catalog import catalog
 from parallo.errors import GeometryError
 from parallo.lattice import (
@@ -360,3 +364,106 @@ def test_a_lattice_verify_enumerates_the_lattice_twice(name, monkeypatch):
     lat = Lattice.create(entry.lattice.basis, entry.lattice.gram)
     assert report.verify(lat, name=name)["verdict"] == "certified"
     assert len(calls) == 2
+
+
+@given(skewed_lattices())
+@settings(max_examples=60, deadline=None)
+def test_lll_reduction_is_unimodular_and_reduced(lat):
+    """The reduction U has |det U| = 1, so the rows of U B generate the
+    same lattice. The Gram-Schmidt data it keeps are exact: the Fraction
+    LDL oracle of U Q U^T, whose U_ji (j < i) are the coefficients
+    mu_ij and whose D_i are the squared norms |b*_i|^2, gives the same
+    mu and bs / s. By them the basis is LLL-reduced with delta = 3/4."""
+    u, mu, bs, s = lat._reduction
+    assert abs(fraction_det(linalg.mat(u))) == 1
+    v, norms = fraction_ldl(reduced_form(lat))
+    d = lat.dim
+    assert [[mu[i][j] for j in range(i)] for i in range(d)] == \
+        [[v[j][i] for j in range(i)] for i in range(d)]
+    assert [F(x, s) for x in bs] == norms
+    assert all(abs(mu[i][j]) <= F(1, 2) for i in range(d) for j in range(i))
+    assert all(norms[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, d))
+
+
+@pytest.mark.parametrize("name", LATTICE_CATALOG)
+def test_a_doubled_reduced_row_fails_the_unimodular_check(name, monkeypatch):
+    """Negative control: a reduction with one row doubled has
+    |det U| = 2. Its rows span a sublattice of index 2, and the
+    enumeration over it misses vectors the unreduced box sweep finds."""
+    entry = catalog(name).lattice  # built, and cached, unpatched
+    lll = lattice._lll
+
+    def doubled(g):
+        u, *gram_schmidt = lll(g)
+        u[-1] = [2 * x for x in u[-1]]
+        return (u, *gram_schmidt)
+
+    monkeypatch.setattr(lattice, "_lll", doubled)
+    lat = Lattice.create(entry.basis, entry.gram)
+    u, *_ = lat._reduction
+    assert abs(fraction_det(linalg.mat(u))) == 2
+    r2 = 2 * max(lat.norm_sq(b) for b in lat.basis)
+    assert vectors_in_ball(lat, r2) != box_vectors_in_ball(lat, r2)
+
+
+@pytest.mark.parametrize("name", LATTICE_CATALOG)
+def test_reduced_enumeration_matches_the_unreduced_box(name):
+    """The enumeration in reduced coordinates finds exactly the vectors
+    of the Fraction sweep over the given basis's coefficient box, on the
+    catalog lattice and on three seeded small shears of its basis."""
+    entry = catalog(name).lattice
+    rng = random.Random(name)
+    r2 = 2 * max(entry.norm_sq(b) for b in entry.basis)
+    bases = [entry.basis] + [
+        [[linalg.dot(row, col) for col in zip(*entry.basis)]
+         for row in random_unimodular(rng, entry.dim, steps=4)]
+        for _ in range(3)]
+    for basis in bases:
+        lat = Lattice.create(basis, entry.gram)
+        assert vectors_in_ball(lat, r2) == box_vectors_in_ball(lat, r2)
+        assert relevant_vectors(lat) == relevant_vectors(entry)
+
+
+def _heavy_shear(rng, d, c=500):
+    """A seeded unimodular R L, R unit upper and L unit lower triangular
+    with entries in [-c, c]: its entries reach d c^2 = 10^6 at d = 4."""
+    r = [[1 if i == j else rng.randint(-c, c) if i < j else 0 for j in range(d)]
+         for i in range(d)]
+    l = [[1 if i == j else rng.randint(-c, c) if i > j else 0 for j in range(d)]
+         for i in range(d)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*l)] for row in r]
+
+
+_A2 = [[2, 1], [1, 2]]
+PLAIN_BASES = {
+    "Z2": Lattice.create(linalg.identity(2)),
+    "Z4": Lattice.create(linalg.identity(4)),
+    "D4": catalog("lattice-D4").lattice,
+    "A2+A2": Lattice.create(linalg.identity(4), [r + [0, 0] for r in _A2]
+                            + [[0, 0] + r for r in _A2]),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_BASES)
+def test_heavily_sheared_bases_certify_like_the_plain_basis(name):
+    """Seeded shears with entries up to 10^6 (and Z2's ((1, 2010), (0, 1)),
+    refused as "too skewed" before the reduction) certify, with a report
+    byte-identical to the plain basis's apart from `name`, in well under
+    a second each (2-21 ms measured in process on a shared 2-vCPU VM)."""
+    plain = PLAIN_BASES[name]
+    want = serialize.dumps(report.verify(plain))
+    assert '"certified"' in want
+    rng = random.Random(f"shear:{name}")
+    shears = [_heavy_shear(rng, plain.dim) for _ in range(3)]
+    if name == "Z2":
+        shears.append([[1, 2010], [0, 1]])
+    for u in shears:
+        assert 2000 <= max(abs(x) for row in u for x in row) <= 10 ** 6
+        basis = [[linalg.dot(row, col) for col in zip(*plain.basis)] for row in u]
+        lat = Lattice.create(basis, plain.gram)
+        start = time.perf_counter()
+        doc = report.verify(lat, name="sheared")
+        seconds = time.perf_counter() - start
+        assert serialize.dumps({**doc, "name": None}) == want
+        assert seconds < 1

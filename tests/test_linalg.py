@@ -12,6 +12,7 @@ from oracles import (
     fraction_rank,
     fraction_solve,
     inverse,
+    reduced_form,
     sylvester_positive_definite,
 )
 from parallo import linalg
@@ -147,9 +148,10 @@ def test_normalize_primitive():
 
 def test_lattice_basis_from_generators():
     gens = [linalg.vec([1, 0]), linalg.vec([0, 1]), linalg.vec([1, 1])]
-    assert lattice_basis_from_generators(gens) == linalg.identity(2)
+    basis = lattice_basis_from_generators(*linalg.integer_rows(gens))
+    assert basis == linalg.identity(2)
     gens = [linalg.vec([2, 0]), linalg.vec([1, 1])]
-    basis = lattice_basis_from_generators(gens)
+    basis = lattice_basis_from_generators(*linalg.integer_rows(gens))
     assert len(basis) == 2
     # index-2 sublattice of Z^2
     assert abs(linalg.det(basis)) == 2
@@ -270,6 +272,6 @@ def test_ldl_matches_fraction_recurrence(gram):
     assume(sylvester_positive_definite(gram))
     lat = Lattice.create(linalg.identity(len(gram)), gram)
     rows, us, diag, ds = lat._ldl
-    u, d = fraction_ldl(lat.coefficient_form)
+    u, d = fraction_ldl(reduced_form(lat))  # `_ldl` factors U Q U^T
     assert [[Fraction(x, us) for x in row] for row in rows] == u
     assert [Fraction(x, ds) for x in diag] == d

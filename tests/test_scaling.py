@@ -1,5 +1,7 @@
 import copy
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from oracles import (
     walk_gain,
     walk_ridges,
 )
-from parallo import lattice, linalg, report
+from parallo import lattice, linalg, report, serialize
 from parallo.catalog import catalog, catalog_names
 from parallo.errors import GeometryError
 from parallo.lattice import Lattice, dv_cell, vectors_in_ball
@@ -378,6 +380,35 @@ def test_a_certified_verify_enumerates_the_lattice_once(name, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG)
+def test_a_verify_scales_each_exact_table_to_integers_once(name, monkeypatch):
+    """Over one `verify`, `linalg.integer_rows` receives the recentred
+    polytope's vertices, its facet normals and the facet vectors at most
+    once each: `Polytope.integer_form` and `facet_vector_rows` keep the
+    scaled rows for every stage. A table equal to another, such as the
+    cube's normals and facet vectors, may be read once for each."""
+    polytope = catalog(name).polytope
+    para = Parallelohedron.build(Polytope.from_vertices(polytope.vertices))
+    tables = {"vertices": para.polytope.vertices,
+              "facet normals": para.polytope.facet_normals,
+              "facet vectors": para.facet_vectors}
+    budget = Counter(tables.values())
+    received = []
+    integer_rows = linalg.integer_rows
+
+    def recorded(rows):
+        rows = [tuple(r) for r in rows]
+        received.append(rows)
+        return integer_rows(rows)
+
+    fresh = Polytope.from_vertices(polytope.vertices)
+    monkeypatch.setattr(linalg, "integer_rows", recorded)
+    assert report.verify(fresh, name=name)["verdict"] == "certified"
+    for what, table in tables.items():
+        reads = sum(rows[:len(table)] == list(table) for rows in received)
+        assert 0 < reads <= budget[table], what
+
+
 def _z4_basis_change():
     """Z4 under a seeded unimodular basis change: its table, L in 2P, has
     81 vectors, and the G-ball of 4 max |x|^2 has 89 (the +-2 e_i)."""
@@ -460,7 +491,8 @@ def test_dv_mismatch_certificate_reports_its_witness():
     assert "witness" not in certificate_dict(cert)
     cut = MismatchWitness("cut", lattice_vector=(F(1, 2), F(0), F(0)),
                           vertex=(F(1, 2), F(1, 2), F(1, 2)))
-    doc = certificate_dict(cert._replace(verdict="dv-mismatch", witness=cut))
+    doc = json.loads(serialize.dumps(
+        certificate_dict(cert._replace(verdict="dv-mismatch", witness=cut))))
     assert doc["verdict"] == "dv-mismatch"
     assert doc["witness"] == {"kind": "cut", "lattice_vector": ["1/2", "0", "0"],
                               "vertex": ["1/2", "1/2", "1/2"]}

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,9 +25,14 @@ def test_rational_strings():
         serialize.rational_from_str(0.5)
 
 
+def printed(doc):
+    """The document as `dumps` prints it, read back as JSON."""
+    return json.loads(serialize.dumps(doc))
+
+
 def test_polytope_round_trip_via_vertices():
     p = catalog("truncated-octahedron").polytope
-    doc = serialize.polytope_to_dict(p)
+    doc = printed(serialize.polytope_to_dict(p))
     q = serialize.polytope_from_dict({"dim": 3, "vertices": doc["vertices"]})
     assert q.vertices == p.vertices
     assert q.facet_normals == p.facet_normals
@@ -34,9 +40,27 @@ def test_polytope_round_trip_via_vertices():
 
 def test_polytope_round_trip_via_facets():
     p = catalog("cube").polytope
-    doc = serialize.polytope_to_dict(p)
+    doc = printed(serialize.polytope_to_dict(p))
     q = serialize.polytope_from_dict({"dim": 3, "facets": doc["facets"]})
     assert q.vertices == p.vertices
+
+
+def test_dumps_writes_each_rational_once_and_refuses_other_objects():
+    assert printed({"a": F(3), "b": 3, "c": (F(-1, 2), F(0))}) == {
+        "a": "3", "b": 3, "c": ["-1/2", "0"]}
+    assert serialize.dumps([F(3), 3]) == '[\n  "3",\n  3\n]\n'
+    # negative controls: JSON cannot hold these, and no rational reads them
+    for bad in (object(), {1, 2}, {"x": [F(1), object()]}):
+        with pytest.raises(TypeError):
+            serialize.dumps(bad)
+
+
+def test_dumps_refuses_a_rational_past_the_digit_limit():
+    huge = F(10 ** serialize._DIGITS + 1, 3)
+    with pytest.raises(ParseError, match="too long to print"):
+        serialize.dumps({"x": huge})
+    with pytest.raises(ParseError, match="too long to print"):
+        serialize.dumps({"x": [F(1), F(1, 10 ** serialize._DIGITS)]})
 
 
 def test_polytope_parse_errors():
@@ -56,8 +80,8 @@ def test_polytope_parse_errors():
 
 def test_lattice_documents():
     lat = catalog("lattice-A2-gram").lattice
-    doc = serialize.lattice_to_dict(lat)
-    again = serialize.lattice_from_dict(doc)
+    again = serialize.load_document(
+        serialize.dumps(serialize.lattice_to_dict(lat)))
     assert again.basis == lat.basis and again.gram == lat.gram
     default = serialize.lattice_from_dict({"basis": [["1", "0"], ["0", "1"]]})
     assert isinstance(default, Lattice)
