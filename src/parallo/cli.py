@@ -280,7 +280,8 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    """Run one command line; every usage or input error is one `error:`
+    """Run one command line; every usage or input error, and any
+    ValueError (such as a non-square matrix in `linalg`), is one `error:`
     line on stderr and exit code 1."""
     try:
         parsed = _parse(sys.argv[1:] if argv is None else list(argv))
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
             return 0
         handler, args = parsed
         return handler(args)
-    except ParalloError as exc:
+    except (ParalloError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

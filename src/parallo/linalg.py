@@ -11,12 +11,8 @@ minor of the input, so each division is exact. A rational matrix is
 first scaled by the lcm s of all its denominators (`integer_rows`),
 which keeps its rank, kernel and solutions and scales an n-square
 determinant by s ** n. Rank, determinant and the positive-definite test
-read the echelon rows; kernels and solutions read the fully reduced
-rows.
-
-Kernel and solution-space bases are normalized to integer entries with
-content 1 and a positive leading entry, so identical inputs always
-produce byte-identical outputs.
+read the echelon rows; kernels (`int_kernel`, on integer rows) and
+solutions read the fully reduced rows.
 """
 
 from __future__ import annotations
@@ -157,39 +153,10 @@ def rank(m: Mat) -> int:
     return len(_bareiss(integer_rows(m)[0])[0])
 
 
-def normalize_primitive(v: Vec) -> Vec:
-    """Scale a nonzero rational vector to integer entries, content 1,
-    positive leading entry. Zero vectors pass through unchanged."""
-    if all(x == 0 for x in v):
-        return vec(v)
-    (ints,), _ = integer_rows((v,))
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return vec(ints)
-
-
-def scale_to_content_one(v: Vec) -> Vec:
-    """Like normalize_primitive but keeps the original sign."""
-    w = normalize_primitive(v)
-    lead_v = next((x for x in v if x != 0), Fraction(0))
-    lead_w = next((x for x in w if x != 0), Fraction(0))
-    if lead_v != 0 and (lead_v < 0) != (lead_w < 0):
-        return vneg(w)
-    return w
-
-
-def nullspace(m: Mat) -> list[Vec]:
-    """Exact basis of the kernel, normalized; empty list for trivial kernel.
-
-    Basis vectors are ordered by their free-column index, one per
-    non-pivot column of the reduced row echelon form.
-    """
-    if not m:
-        return []
-    return [normalize_primitive(v) for v in int_kernel(integer_rows(m)[0])]
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer vector divided by its content, sign kept."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def solve_linear(a: Mat, b: Vec) -> Vec | None:

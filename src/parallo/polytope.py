@@ -59,17 +59,6 @@ class FaceLattice:
         return self.faces_by_dim[dim]
 
 
-def _canonical_halfspace(normal: Vec, offset: Fraction) -> Halfspace:
-    """Scale so the normal is a primitive integer vector (same direction)."""
-    prim = linalg.normalize_primitive(normal)
-    lead = next(i for i, x in enumerate(prim) if x != 0)
-    scale = normal[lead] / prim[lead]
-    if scale < 0:
-        prim = linalg.vneg(prim)
-        scale = -scale
-    return prim, offset / scale
-
-
 def _bits(z: int):
     """Indices of the set bits of z, lowest first."""
     while z:
@@ -93,22 +82,17 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
     hyperplane and vanishes on exactly those rows plus the new one.
     """
     dim = len(rows[0])
-    basis: list[int] = []
-    for i, a in enumerate(rows):
-        if linalg.rank(tuple(rows[j] for j in basis) + (a,)) > len(basis):
-            basis.append(i)
-            if len(basis) == dim:
-                break
-    else:
+    # the first independent rows are the pivot columns of the transpose
+    basis, _ = linalg._bareiss([list(col) for col in zip(*rows)])
+    if len(basis) < dim:
         raise GeometryError("the cone is not pointed")
-    rays: list[list[int]] = []
+    rays: list[tuple[int, ...]] = []
     zeros: list[int] = []  # per ray, the bit set of the rows it vanishes on
     for i in basis:
         (ray,) = linalg.int_kernel([rows[j] for j in basis if j != i])
         if sum(map(mul, rows[i], ray)) < 0:
             ray = [-x for x in ray]
-        g = math.gcd(*ray)
-        rays.append([x // g for x in ray])
+        rays.append(linalg.primitive(ray))
         zeros.append(sum(1 << j for j in basis if j != i))
     done = set(basis)
     for k, a in enumerate(rows):
@@ -141,13 +125,12 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
                         break
                 if shared != pair:
                     continue
-                ray = [values[p] * y - values[n] * x
-                       for x, y in zip(rays[p], rays[n])]
-                g = math.gcd(*ray)
-                new_rays.append([x // g for x in ray])
+                new_rays.append(linalg.primitive([
+                    values[p] * y - values[n] * x
+                    for x, y in zip(rays[p], rays[n])]))
                 new_zeros.append(common | 1 << k)
         rays, zeros = new_rays, new_zeros
-    return sorted(zip(map(tuple, rays), zeros))
+    return sorted(zip(rays, zeros))
 
 
 def _facets_from_points(points: list[Vec], dim: int
@@ -224,24 +207,29 @@ class Polytope:
 
     @staticmethod
     def from_halfspaces(halfspaces, dim: int) -> "Polytope":
-        hs: dict[Halfspace, None] = {}
-        for normal, offset in halfspaces:
-            hs[_canonical_halfspace(linalg.vec(normal), linalg.frac(offset))] = None
-        planes = sorted(hs)
-        normals, _ = linalg.integer_rows(n for n, _ in planes)
-        if linalg.rank(normals) < dim:
+        # <n, x> <= b as the integer row (B, N) = s (b, n); the plane, with
+        # the primitive normal N / g and offset B / g for the content g of
+        # N, keys its row of the cone t >= 0, B t - <N, y> >= 0, whose rays
+        # (t, y) give the vertices y / t
+        ints, _ = linalg.integer_rows(linalg.vec((*n, b)) for n, b in halfspaces)
+        row_of = {}
+        for *n, b in ints:
+            g = math.gcd(*n)
+            if not g:
+                raise GeometryError("a halfspace normal is the zero vector")
+            row_of[tuple(x // g for x in n), Fraction(b, g)] = [b] + [-x for x in n]
+        planes = sorted(row_of)
+        rows = [row_of[plane] for plane in planes]
+        if linalg.rank([row[1:] for row in rows]) < dim:
             raise GeometryError("halfspace normals do not span the space")
-        # vertices x = y / (t * scale) of <n, y> <= (scale * b) t, t >= 0
-        (offsets,), scale = linalg.integer_rows([[b for _, b in planes]])
-        rows = [[b] + [-x for x in n] for n, b in zip(normals, offsets)]
         rays = _extreme_rays([[1] + [0] * dim] + rows)
         if any(ray[0] == 0 for ray, _ in rays):
             raise GeometryError("halfspace intersection is unbounded")
         # the affine rank of vertices is the rank of their rays (t, y), less 1
         if linalg.rank([ray for ray, _ in rays]) != dim + 1:
             raise GeometryError("halfspace intersection has empty interior")
-        vertices = sorted((tuple(Fraction(x, ray[0] * scale) for x in ray[1:]),
-                           ray, on) for ray, on in rays)
+        vertices = sorted((tuple(Fraction(x, ray[0]) for x in ray[1:]), ray, on)
+                          for ray, on in rays)
         # per row, the ids of the vertices on it; plane k is row k, after
         # t >= 0 (row 0)
         on_row: list[list[int]] = [[] for _ in range(len(planes) + 1)]
@@ -253,7 +241,7 @@ class Polytope:
         return Polytope(
             dim,
             tuple(v for v, _, _ in vertices),
-            tuple(n for (n, _), _ in facets),
+            tuple(linalg.vec(n) for (n, _), _ in facets),
             tuple(b for (_, b), _ in facets),
             tuple(ids for _, ids in facets),
         )

@@ -303,27 +303,31 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
                 row[upper[min(r, j), max(r, j)]] += t[j]
             row[n_upper + k] = -ts * s.numerator * normals[fi][r]
             rows.append(row)
-    basis = linalg.nullspace(rows)
+    # the kernel, each vector primitive with a positive leading entry
+    basis = []
+    for v in linalg.int_kernel(rows):
+        v = linalg.primitive(v)
+        basis.append(v if next(filter(None, v)) > 0 else tuple(-x for x in v))
     if not basis:
         return VoronoiCertificate(
             "scaling-fails", scaling, None, None,
             witness=None, solution_basis=(),
         )
-    u = tuple(sum(col) for col in zip(*basis))
+    solution_basis = tuple(map(linalg.vec, basis))
+    u = tuple(map(sum, zip(*basis)))
     if (any(c <= 0 for c in u[n_upper:])
             or not linalg.is_positive_definite(sym(u))):
         return VoronoiCertificate(
-            "form-not-pd", scaling, None, None,
-            solution_basis=tuple(basis),
+            "form-not-pd", scaling, None, None, solution_basis=solution_basis,
         )
-    u = linalg.scale_to_content_one(u)
+    u = linalg.vec(linalg.primitive(u))
     gram = sym(u)
     factors = u[n_upper:]
     # `gram` is positive definite, as tested above
     mismatch = voronoi_mismatch(para, gram)
     return VoronoiCertificate(
         "certified" if mismatch is None else "dv-mismatch", scaling, gram,
-        factors, witness=mismatch, solution_basis=tuple(basis),
+        factors, witness=mismatch, solution_basis=solution_basis,
     )
 
 

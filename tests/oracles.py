@@ -50,7 +50,6 @@ from parallo.polytope import (
     FaceLattice,
     Polytope,
     _bits,
-    _canonical_halfspace,
 )
 from parallo.scaling import MismatchWitness, build_ridge_graph
 from parallo.topology import (
@@ -479,8 +478,9 @@ def tiling_facet_normals_at(para, face) -> list:
                 continue
             fi = vec_to_facet.get(linalg.vsub(t2, t1))
             if fi is not None:
-                lines.add(linalg.normalize_primitive(
-                    para.polytope.facet_normals[fi]))
+                n = para.polytope.facet_normals[fi]
+                lines.add(max(fraction_primitive(n),
+                              fraction_primitive(linalg.vneg(n))))
     return sorted(lines)
 
 
@@ -530,6 +530,22 @@ def fraction_rref(m):
 def fraction_rank(m) -> int:
     """Rank as the number of pivots of the Fraction RREF."""
     return len(fraction_rref(m)[1])
+
+
+def fraction_primitive(v):
+    """The primitive integer vector, as Fractions, in the direction of a
+    nonzero rational vector."""
+    den = math.lcm(*(x.denominator for x in v))
+    g = math.gcd(*(int(x * den) for x in v))
+    return tuple(x * Fraction(den, g) for x in v)
+
+
+def fraction_canonical_halfspace(normal, offset):
+    """The halfspace <normal, x> <= offset, scaled so that its normal is
+    the primitive integer vector in the same direction."""
+    prim = fraction_primitive(normal)
+    scale = next(p / n for p, n in zip(prim, normal) if n)
+    return prim, offset * scale
 
 
 def fraction_nullspace(m):
@@ -729,7 +745,7 @@ def fraction_facets_from_points(points, dim):
             normal, offset = linalg.vneg(normal), -offset
         else:
             continue
-        candidates[_canonical_halfspace(normal, offset)] = None
+        candidates[fraction_canonical_halfspace(normal, offset)] = None
     facets = []
     for normal, offset in candidates:
         on = [p for p in points if linalg.dot(normal, p) == offset]
@@ -750,7 +766,7 @@ def fraction_vertices_from_halfspaces(halfspaces, dim):
     """Sorted vertices of a bounded halfspace intersection: a Fraction
     solve per d-subset of the canonical planes, kept when feasible."""
     planes = sorted({
-        _canonical_halfspace(linalg.vec(n), linalg.frac(b)): None
+        fraction_canonical_halfspace(linalg.vec(n), linalg.frac(b)): None
         for n, b in halfspaces
     })
     vertices = set()
@@ -1209,7 +1225,7 @@ def apply_affine(p, a, shift=None):
     facets = []
     for n, b in zip(p.facet_normals, p.facet_offsets):
         m = linalg.matvec(inv_t, n)
-        facets.append(_canonical_halfspace(m, b + linalg.dot(m, shift)))
+        facets.append(fraction_canonical_halfspace(m, b + linalg.dot(m, shift)))
     facets.sort()
     incidences = []
     for n, b in facets:

@@ -331,6 +331,30 @@ def test_a_deeply_nested_document_gets_one_error_line(tmp_path, capsys):
     assert err.splitlines() == ["error: invalid JSON: nested too deeply to read"]
 
 
+def test_a_value_error_from_a_stage_gets_one_error_line(monkeypatch, capsys):
+    """`linalg` raises ValueError on a malformed matrix; from any stage,
+    it is one error line and exit code 1, not a traceback."""
+    from parallo import linalg
+
+    def refused(m):
+        raise ValueError("positive definiteness requires a symmetric matrix")
+
+    monkeypatch.setattr(linalg, "is_positive_definite", refused)
+    code, out, err = run(capsys, "verify", "cube")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: positive definiteness requires a symmetric matrix"]
+
+
+def test_a_document_that_is_not_utf8_gets_one_error_line(tmp_path, capsys):
+    """Reading the file raises UnicodeDecodeError, a ValueError."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: 'utf-8' codec")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs the /dev/full device")
 @pytest.mark.parametrize("command", [["export", "cube"], ["verify", "cube"],

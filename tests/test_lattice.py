@@ -19,6 +19,7 @@ from oracles import (
     f_vector,
     fraction_det,
     fraction_ldl,
+    fraction_primitive,
     hull_counts,
     inverse,
     random_unimodular,
@@ -166,7 +167,7 @@ def test_dv_cell_central_symmetry_and_facet_centers():
             normal = linalg.matvec(lat.gram, v)
             matches = [
                 fi for fi, n in enumerate(cell.facet_normals)
-                if linalg.scale_to_content_one(normal) == n
+                if fraction_primitive(normal) == n
                 and linalg.dot(n, linalg.vscale(F(1, 2), v)) == cell.facet_offsets[fi]
             ]
             assert len(matches) == 1

@@ -48,14 +48,30 @@ def test_solve_dimension_mismatch():
         linalg.solve_linear(linalg.identity(2), linalg.vec([1, 2, 3]))
 
 
+def kernel(m):
+    """`int_kernel` of a rational matrix, each vector made primitive with
+    a positive leading entry, as Fractions: the form of
+    `fraction_nullspace`."""
+    if not m:
+        return []
+    basis = []
+    for v in linalg.int_kernel(linalg.integer_rows(m)[0]):
+        v = linalg.primitive(v)
+        basis.append(linalg.vec(v if next(filter(None, v)) > 0
+                                else [-x for x in v]))
+    return basis
+
+
 def test_nullspace_hexagon_normals():
-    rows = linalg.mat([[1, 0], [0, 1], [-1, -1]])
-    assert linalg.nullspace(linalg.transpose(rows)) == [linalg.vec([1, 1, 1])]
+    rows = [[1, 0], [0, 1], [-1, -1]]
+    (v,) = linalg.int_kernel([list(col) for col in zip(*rows)])
+    assert linalg.primitive(v) in ((1, 1, 1), (-1, -1, -1))
+    assert kernel(linalg.transpose(linalg.mat(rows))) == [linalg.vec([1, 1, 1])]
 
 
 def test_nullspace_belt_normals():
     cols = linalg.transpose(linalg.mat([[1, 1, 1], [1, 1, -1], [0, 0, 1]]))
-    basis = linalg.nullspace(cols)
+    basis = kernel(cols)
     assert basis == [linalg.vec([1, -1, -2])]
     # substitution check: 1*(1,1,1) - 1*(1,1,-1) - 2*(0,0,1) = 0
     combo = [
@@ -66,7 +82,7 @@ def test_nullspace_belt_normals():
 
 
 def test_nullspace_identity_trivial():
-    assert linalg.nullspace(linalg.identity(3)) == []
+    assert linalg.int_kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
 
 
 def test_positive_definite_basics():
@@ -137,13 +153,16 @@ def test_solve_reproduces_constructed_solutions(mx):
 @settings(max_examples=150, deadline=None)
 def test_nullspace_dimension_theorem(mx):
     a, _ = mx
-    assert linalg.rank(a) + len(linalg.nullspace(a)) == len(a[0])
+    basis = linalg.int_kernel(linalg.integer_rows(a)[0])
+    assert linalg.rank(a) + len(basis) == len(a[0])
+    assert all(not any(linalg.matvec(a, v)) for v in basis)
 
 
-def test_normalize_primitive():
-    assert linalg.normalize_primitive(linalg.vec([F(1, 2), F(-1, 3)])) == \
-        linalg.vec([3, -2])
-    assert linalg.normalize_primitive(linalg.vec([-2, 4])) == linalg.vec([1, -2])
+def test_primitive():
+    assert linalg.primitive([3, -6, 9]) == (1, -2, 3)
+    assert linalg.primitive([-4, 6]) == (-2, 3)
+    assert linalg.primitive([0, -5, 0]) == (0, -1, 0)
+    assert linalg.primitive([7]) == (1,)
 
 
 def test_lattice_basis_from_generators():
@@ -201,7 +220,7 @@ def test_rank_and_det_edge_cases():
 @given(rational_matrices())
 @settings(max_examples=200, deadline=None)
 def test_nullspace_matches_fraction_rref(m):
-    assert linalg.nullspace(m) == fraction_nullspace(m)
+    assert kernel(m) == fraction_nullspace(m)
 
 
 @given(st.data())

@@ -29,7 +29,7 @@ from parallo.parallelohedron import (
     classify_dual3,
     dual3_census,
 )
-from parallo.polytope import Polytope
+from parallo.polytope import FaceLattice, Polytope
 from parallo.serialize import load_document
 from parallo.venkov import _analyze, _involution, venkov_check
 
@@ -169,6 +169,77 @@ def test_a_zonotope_walks_each_of_its_long_belts_once(belt_walks):
     assert [w.detail for w in verdict.witnesses] == [
         f"belt through ridge {r} has length 8, expected 4 or 6"
         for r in range(40)]
+
+
+def cube_belt_tables():
+    """The ridges, ridge ids by vertex ids and facet mirrors that
+    `_analyze` hands to `_walk_belt`, for the cube, as lists to doctor."""
+    p = catalog("cube").polytope
+    ridges = list(p.face_lattice.faces(1))
+    keys = {r.vertex_ids: i for i, r in enumerate(ridges)}
+    at = {v: i for i, v in enumerate(p.vertices)}
+    mirrors = []
+    for ids in p.facet_vertex_ids:
+        twice_center = [2 * sum(col) / len(ids)
+                        for col in zip(*(p.vertices[i] for i in ids))]
+        mirrors.append({i: at[tuple(c - x for c, x in zip(twice_center,
+                                                           p.vertices[i]))]
+                        for i in ids})
+    return ridges, keys, mirrors
+
+
+@pytest.mark.parametrize("case, detail", [
+    ("three facets", "ridge lies on 3 facets, expected 2"),
+    ("no mirror ridge", "facet is not centrally symmetric around its center "
+                        "(ridge reflection is not a ridge)"),
+    ("one-sided exit", "ridge incidence is not dihedral"),
+    ("start facet fixed", "belt does not close consistently"),
+    ("every facet fixed", "belt walk failed to close"),
+])
+def test_walk_belt_rejects_doctored_tables(case, detail):
+    """Each way a belt walk can fail, reached from ridge 0 of the cube.
+    The tables as built walk its 4-belt; a mirror that fixes its facet
+    sends the walk back through the ridge it entered by."""
+    ridges, keys, mirrors = cube_belt_tables()
+    belt = venkov._walk_belt(ridges, keys, mirrors, 0)
+    assert belt.length == 4 and belt.ridges[0] == 0
+    first, second = ridges[0].facets
+    exit_key = tuple(sorted(mirrors[second][i] for i in ridges[0].vertex_ids))
+    face_ids = ridges[0].vertex_ids
+    if case == "three facets":
+        ridges[0] = ridges[0]._replace(facets=(first, second, belt.facets[2]))
+    elif case == "no mirror ridge":
+        del keys[exit_key]
+    elif case == "one-sided exit":
+        ridges[keys[exit_key]] = ridges[keys[exit_key]]._replace(facets=(second,))
+    elif case == "start facet fixed":
+        mirrors[first] = dict(zip(mirrors[first], mirrors[first]))
+        face_ids = ridges[belt.ridges[-2]].vertex_ids  # entering the last facet
+    else:
+        mirrors = [dict(zip(m, m)) for m in mirrors]
+        face_ids = ()
+    with pytest.raises(venkov._BeltWalkError) as caught:
+        venkov._walk_belt(ridges, keys, mirrors, 0)
+    assert (caught.value.detail, caught.value.face_ids) == (detail, face_ids)
+
+
+def test_analyze_turns_a_failed_belt_walk_into_a_belt_witness(monkeypatch):
+    """A cube whose ridge 0 is doctored onto a third facet: the walk out
+    of it fails, and so does every walk that reaches it, each as a belt
+    witness; no belts and no facet centers are returned."""
+    q = catalog("cube").polytope.recentered()
+    by_dim = dict(q.face_lattice.faces_by_dim)
+    ridges = list(by_dim[1])
+    third = next(f for f in range(q.n_facets) if f not in ridges[0].facets)
+    ridges[0] = ridges[0]._replace(facets=ridges[0].facets + (third,))
+    by_dim[1] = tuple(ridges)
+    monkeypatch.setattr(q, "face_lattice", FaceLattice(by_dim))
+    verdict, belts, centers = _analyze(q)
+    assert not verdict.ok and (belts, centers) == ((), ())
+    assert verdict.witnesses[0] == venkov.VenkovWitness(
+        "belt", "ridge lies on 3 facets, expected 2", ridges[0].vertex_ids)
+    assert {w.condition for w in verdict.witnesses} == {"belt"}
+    assert (verdict, belts, centers) == per_ridge_analyze(q)
 
 
 @pytest.mark.parametrize("name", ["truncated-octahedron", "zonotope5"])

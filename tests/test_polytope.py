@@ -325,6 +325,10 @@ def test_unbounded_and_degenerate_inputs_rejected():
             [((1, 0), F(1)), ((-1, 0), F(-2)), ((0, 1), F(1)), ((0, -1), F(1))],
             2,
         )  # infeasible: x <= 1 and x >= 2 leave only the apex of the cone
+    with pytest.raises(GeometryError, match="normal is the zero vector"):
+        Polytope.from_halfspaces(
+            [((1, 0), F(1)), ((-1, 0), F(1)), ((0, 1), F(1)), ((0, -1), F(1)),
+             ((0, 0), F(1))], 2)
     with pytest.raises(GeometryError):
         Polytope.from_vertices([(0, 0), (1, 0), (2, 0)])
 
@@ -448,14 +452,14 @@ def test_six_generator_zonotope():
     assert (z.n_vertices, z.n_facets) == (32, 30)
     assert f_vector(z) == (32, 60, 30)
     assert hull_counts(points) == (32, 30)
-    # each pair of generators spans the normal of two opposite facets
-    normals = {
-        linalg.normalize_primitive(tuple(
-            a[(k + 1) % 3] * b[(k + 2) % 3] - a[(k + 2) % 3] * b[(k + 1) % 3]
-            for k in range(3)))
-        for a, b in combinations(gens, 2)
-    }
-    assert {linalg.normalize_primitive(n) for n in z.facet_normals} == normals
+    # each pair of generators spans the normals of two opposite facets
+    normals = set()
+    for a, b in combinations(gens, 2):
+        n = linalg.primitive([int(a[(k + 1) % 3] * b[(k + 2) % 3]
+                                  - a[(k + 2) % 3] * b[(k + 1) % 3])
+                              for k in range(3)])
+        normals |= {n, tuple(-x for x in n)}
+    assert set(z.facet_normals) == normals
 
 
 # -- the double-description routine ------------------------------------

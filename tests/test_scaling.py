@@ -33,6 +33,7 @@ from parallo.scaling import (
     CanonicalScaling,
     MismatchWitness,
     ScalingWitness,
+    VoronoiCertificate,
     build_ridge_graph,
     canonical_scaling,
     certify,
@@ -688,3 +689,36 @@ def test_voronoi_form_rejects_opposite_facets_scaled_apart():
     values[0] *= 2
     with pytest.raises(GeometryError, match="opposite facets 0 and"):
         voronoi_form(para, s._replace(values=tuple(values)))
+
+
+def _one_pair_tripled(name):
+    """The entry's canonical scaling with facet 0 and its opposite
+    multiplied by 3."""
+    para = built(name)
+    s = canonical_scaling(para, ridge_graph(name))
+    values = list(s.values)
+    for f in (0, para.opposite_facet[0]):
+        values[f] *= 3
+    return para, s._replace(values=tuple(values))
+
+
+def test_voronoi_form_with_no_solution_is_a_scaling_failure():
+    """On the truncated octahedron every facet is in one scaling group,
+    so tripling one opposite pair leaves G t_F = c s(F) n_F with only the
+    zero solution: "scaling-fails" with no form, basis or witness."""
+    para, s = _one_pair_tripled("truncated-octahedron")
+    assert voronoi_form(para, s) == VoronoiCertificate(
+        "scaling-fails", s, None, None, witness=None, solution_basis=())
+
+
+def test_voronoi_form_on_a_tripled_cube_axis_still_certifies():
+    """Negative control: each axis of the cube is its own scaling group,
+    so a tripled pair of facets only triples its axis of the form."""
+    para, s = _one_pair_tripled("cube")
+    axis = next(i for i, x in enumerate(para.polytope.facet_normals[0]) if x)
+    cert = voronoi_form(para, s)
+    assert cert.verdict == "certified" and cert.witness is None
+    assert cert.gram == tuple(tuple(3 if i == j == axis else int(i == j)
+                                    for j in range(3)) for i in range(3))
+    assert cert.component_factors == (1, 1, 1)
+    assert len(cert.solution_basis) == 3
