@@ -15,14 +15,15 @@ from parallo.topology import surface_topology
 for name in ("cube", "hexagonal-prism", "rhombic-dodecahedron",
              "elongated-dodecahedron", "truncated-octahedron"):
     para = Parallelohedron.build(catalog(name).polytope)
+    # the report's surface blocks and its half_belt_span block
     delta, pi, span = surface_topology(para)
     print(name)
     print("  open surface:   ",
-          [(c.cell_counts, f"chi={c.chi}", f"h1={c.h1_rank}",
-            "compact" if c.compact else "open")
-           for c in delta.components])
+          [(c["cells"], f"chi={c['chi']}", f"h1={c['h1_rank']}",
+            "compact" if c["compact"] else "open")
+           for c in delta["components"]])
     print("  antipodal side: ",
-          [(c.cell_counts, f"chi={c.chi}", f"h1={c.h1_rank}")
-           for c in pi.components])
-    print(f"  half-belt span: rank {span.span_rank} of h1 {span.h1_rank}"
-          f" -> spanned={span.spanned}")
+          [(c["cells"], f"chi={c['chi']}", f"h1={c['h1_rank']}")
+           for c in pi["components"]])
+    print(f"  half-belt span: rank {span['span_rank']} of h1 {span['h1_rank']}"
+          f" -> spanned={span['spanned']}")

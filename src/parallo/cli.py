@@ -94,9 +94,9 @@ def _as_polytope(source) -> Polytope:
 
 def _cmd_check(args) -> int:
     source, _ = _load_input(args["input"])
-    verdict = venkov_check(_as_polytope(source))
-    _emit(report_mod.venkov_dict(verdict))
-    return 0 if verdict.ok else EXIT_CODES["venkov-fails"]
+    venkov = venkov_check(_as_polytope(source))
+    _emit(venkov)
+    return 0 if venkov["ok"] else EXIT_CODES["venkov-fails"]
 
 
 def _cmd_verify(args) -> int:

@@ -18,11 +18,7 @@ class UnsupportedDimensionError(ParalloError):
 
 
 class NotAParallelohedron(ParalloError):
-    """Venkov conditions failed; carries the verdict with its witness."""
-
-    def __init__(self, verdict):
-        self.verdict = verdict
-        super().__init__(str(verdict))
+    """Venkov conditions failed; the message names the first witness."""
 
 
 class DualCellAnomaly(ParalloError):
@@ -31,10 +27,5 @@ class DualCellAnomaly(ParalloError):
     On valid parallelohedron input this should be impossible; seeing it
     means either corrupted input or a counterexample to the expectation
     that dual k-cell hulls are k-dimensional of the known types, so it
-    is raised loudly with the full cell data attached.
+    is raised loudly, its message naming what failed.
     """
-
-    def __init__(self, message, centers=None, detail=None):
-        self.centers = centers
-        self.detail = detail
-        super().__init__(message)

@@ -80,9 +80,11 @@ class Parallelohedron:
     @staticmethod
     def build(p: Polytope) -> "Parallelohedron":
         q = p.recentered()
-        verdict, *tiling = _analyze(q)
-        if not verdict.ok:
-            raise NotAParallelohedron(verdict)
+        venkov, *tiling = _analyze(q)
+        if not venkov["ok"]:
+            w = venkov["witnesses"][0]
+            raise NotAParallelohedron(
+                f"venkov: fail ({w['condition']}: {w['detail']})")
         return Parallelohedron(q, *tiling)
 
     def _check_neighbors(self):
@@ -153,8 +155,9 @@ class Parallelohedron:
         A linear map of P carries E to its image's E, so skew coordinates
         do not grow the ball; the form D S^-1, D > 0, is read off the
         reduced rows of [S | I]. Each facet sorts the vertex heights
-        <n, v> once; the vertices under a cap are then a prefix, found by
-        bisection, and a row is the AND of one prefix per facet. The
+        <n, v> once and keeps one prefix bit set per distinct height; the
+        vertices under a cap are then a prefix, found by bisection, and a
+        row is the AND of one prefix per facet. The
         Voronoi proof (`scaling.voronoi_mismatch`) sweeps the same rows,
         so this is the run's one lattice enumeration once the cell exists.
         """
@@ -169,14 +172,17 @@ class Parallelohedron:
         ball = vectors_in_ball(Lattice(self.lattice.basis, form),
                                Fraction(4 * r, s * s))
         shifts, ts = linalg.integer_rows(ball)
-        levels = []  # per facet: sorted heights, and the prefix bit sets
+        levels = []  # per facet: its distinct heights, and the prefix bit sets
         for n in normals:
-            heights = sorted((sum(map(mul, n, v)), i)
-                             for i, v in enumerate(rows))
-            prefix = [0]
-            for _, i in heights:
-                prefix.append(prefix[-1] | 1 << i)
-            levels.append(([h for h, _ in heights], prefix))
+            heights, prefix = [], [0]
+            for h, i in sorted((sum(map(mul, n, v)), i)
+                               for i, v in enumerate(rows)):
+                if heights and heights[-1] == h:
+                    prefix[-1] |= 1 << i
+                else:
+                    heights.append(h)
+                    prefix.append(prefix[-1] | 1 << i)
+            levels.append((heights, prefix))
         out = {}
         for t, v in zip(ball, shifts):
             # <n, t> <= 2 b iff s <N, T> <= 2 ts B (N = ns n, T = ts t),
@@ -242,8 +248,7 @@ def classify_dual3(centers: tuple[Vec, ...]) -> str:
         [[a - b for a, b in zip(r, rows[0])] for r in rows[1:]])
     if len(pivots) != 3:
         raise DualCellAnomaly(
-            f"dual cell hull is {len(pivots)}-dimensional, expected 3",
-            centers=centers)
+            f"dual cell hull is {len(pivots)}-dimensional, expected 3")
     hull = Polytope.from_vertices([[r[j] for j in pivots] for r in rows])
     signature = (hull.n_vertices,
                  tuple(sorted(len(ids) for ids in hull.facet_vertex_ids)))
@@ -251,10 +256,7 @@ def classify_dual3(centers: tuple[Vec, ...]) -> str:
     if kind is None:
         raise DualCellAnomaly(
             f"dual 3-cell signature {signature} matches none of the five "
-            "reference types",
-            centers=centers,
-            detail=signature,
-        )
+            "reference types")
     return kind
 
 

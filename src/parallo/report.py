@@ -1,25 +1,27 @@
-"""End-to-end verification pipeline and every printed JSON shape.
+"""End-to-end verification pipeline: the blocks of the stages, assembled.
 
 verify() runs: Venkov conditions -> belts -> ridge graph -> canonical
 scaling -> quadratic-form recovery -> an independent inequality proof
 that the polytope is the Voronoi cell under the recovered form (every
-facet a bisector, no short lattice vector cutting a vertex). It builds
-the document `parallo verify` prints in one pass, writing each key once
-the stage that owns it has run: belts, primitivity, topology (d = 3)
-and the certificate appear only once the Venkov checks pass. The
-verdict is the certificate's, or "venkov-fails", and one table,
-`EXIT_CODES`, gives its exit code: 0 certified, 2 scaling
-inconsistency, 3 Venkov failure, 4 form/cell mismatch (1 is reserved
-for parse errors in the CLI). A "dv-mismatch" certificate carries its
-witness: the facet that is not a bisector, or the lattice vector and
-the vertex it cuts. The `check` and `surface` documents are
-`venkov_dict` and `surface_dicts`.
+facet a bisector, no short lattice vector cutting a vertex). Each stage
+returns its block of the report in the shape it is printed, and owns
+that shape: `venkov` (`venkov._analyze`; `check` prints the same block),
+`scaling` and `certificate` (`scaling.certify`), and the surface blocks
+and their half-belt span (`topology.surface_topology`).
+This module only assembles them, in one pass, writing each key once the
+stage that owns it has run: belts, primitivity, topology (d = 3) and the
+certificate appear only once the Venkov checks pass. The verdict is the
+certificate's, or "venkov-fails", and one table, `EXIT_CODES`, gives
+its exit code: 0 certified, 2 scaling inconsistency, 3 Venkov failure,
+4 form/cell mismatch (1 is reserved for parse errors in the CLI). A
+failure witness of the certificate is also written at the top level.
+The `surface` documents are `surface_dicts`.
 
 For d = 3 one dual-block complex (see `topology`) gives both surface
-reports and the half-belt span, which is written under both the
-"delta" and the "pi" surface. A component reads "compact" exactly when
-no ridge is non-primitive: the boundary is connected, so once anything
-is removed every component touches it.
+blocks and the half-belt span, which is written under both the "delta"
+and the "pi" surface. A component reads "compact" exactly when no ridge
+is non-primitive: the boundary is connected, so once anything is
+removed every component touches it.
 
 The documents hold the pipeline's own exact values; the one JSON
 encoder, which the CLI calls, writes each rational as its canonical
@@ -32,7 +34,7 @@ from __future__ import annotations
 import time
 
 from .polytope import Polytope
-from .venkov import VenkovVerdict, _analyze
+from .venkov import _analyze
 
 # the stages after the Venkov checks are imported where a verdict first
 # needs them; these names serve the annotations only (typing.TYPE_CHECKING
@@ -41,32 +43,11 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .lattice import Lattice
     from .parallelohedron import Parallelohedron
-    from .scaling import MismatchWitness, ScalingWitness, VoronoiCertificate
-    from .topology import HalfBeltSpan, TopologyReport
 
 # the exit code of each verdict; 1 is the CLI's, for parse and usage errors
 EXIT_CODES = {"certified": 0, "scaling-fails": 2, "venkov-fails": 3,
               "form-not-pd": 4, "dv-mismatch": 4}
 EXIT_PARSE = 1
-
-
-def venkov_dict(v: VenkovVerdict) -> dict:
-    return {"ok": v.ok, "witnesses": [w._asdict() for w in v.witnesses]}
-
-
-def _witness_dict(w: ScalingWitness | MismatchWitness) -> dict:
-    return {k: x for k, x in w._asdict().items() if x is not None}
-
-
-def certificate_dict(cert: VoronoiCertificate) -> dict:
-    doc = {k: x for k, x in cert._asdict().items() if x is not None}
-    if cert.scaling is not None:
-        doc["scaling"] = cert.scaling.values
-    if cert.witness is not None:
-        doc["witness"] = _witness_dict(cert.witness)
-    if cert.verdict != "form-not-pd":
-        del doc["solution_basis"]
-    return doc
 
 
 def _gram_match(recovered, source) -> dict:
@@ -78,40 +59,27 @@ def _gram_match(recovered, source) -> dict:
             "scale": scale}
 
 
-def _surface_dict(rep: TopologyReport, span: HalfBeltSpan,
-                  expected: dict | None) -> dict:
-    doc = {
-        "surface": rep.surface,
-        "component_count": rep.component_count,
-        "components": [
-            {
-                "cells": c.cell_counts,
-                "chi": c.chi,
-                "compact": c.compact,
-                "h1_rank": c.h1_rank,
-            }
-            for c in rep.components
-        ],
-        "half_belt_span": dict(
-            zip(("h1_rank", "span_rank", "spanned", "cycles"), span)),
-        "flags": [],
-    }
-    ref = (expected or {}).get(rep.surface)
+def _surface_dict(block: dict, span: dict, expected: dict | None) -> dict:
+    """A surface block with the half-belt span, and flags where its
+    values disagree with the stored reference values."""
+    flags = []
+    ref = (expected or {}).get(block["surface"])
     if ref is not None:
-        computed_ranks = sorted(c.h1_rank for c in rep.components)
+        computed_ranks = sorted(c["h1_rank"] for c in block["components"])
         for field_name, computed, reference in (
-            ("component_count", rep.component_count, ref["component_count"]),
+            ("component_count", block["component_count"],
+             ref["component_count"]),
             ("h1_ranks", computed_ranks, sorted(ref["h1_ranks"])),
         ):
             if computed != reference:
-                doc["flags"].append({
+                flags.append({
                     "field": field_name,
                     "computed": computed,
                     "reference": reference,
                     "reference_source": ref.get("source", "unknown"),
                     "reference_disputed": bool(ref.get("disputed", False)),
                 })
-    return doc
+    return {**block, "half_belt_span": span, "flags": flags}
 
 
 def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
@@ -129,8 +97,8 @@ def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
                        "ridge_components": n} for kind in ("delta", "pi")}
     from . import topology
 
-    *reports, span = topology.surface_topology(para)
-    return {rep.surface: _surface_dict(rep, span, expected) for rep in reports}
+    *blocks, span = topology.surface_topology(para)
+    return {b["surface"]: _surface_dict(b, span, expected) for b in blocks}
 
 
 def verify(source: Polytope | Lattice, name: str | None = None,
@@ -147,9 +115,9 @@ def verify(source: Polytope | Lattice, name: str | None = None,
         p, source_gram = source.cell, source.gram
     q = p.recentered()
     venkov, *tiling = _analyze(q)
-    doc: dict = {"name": name, "dim": p.dim, "venkov": venkov_dict(venkov)}
+    doc: dict = {"name": name, "dim": p.dim, "venkov": venkov}
     verdict = "venkov-fails"
-    if venkov.ok:
+    if venkov["ok"]:
         from .parallelohedron import Parallelohedron
         from .scaling import certify
 
@@ -164,16 +132,15 @@ def verify(source: Polytope | Lattice, name: str | None = None,
             "edges": len(para.primitive_ridges),
             "components": components,
         }
-        cert = certify(para)
-        verdict = cert.verdict
-        if cert.scaling is not None:
-            doc["scaling"] = dict(zip(("values", "base_facets", "components"),
-                                      cert.scaling))
-        if cert.witness is not None:
-            doc["witness"] = _witness_dict(cert.witness)
-        doc["certificate"] = certificate_dict(cert)
+        scaling, cert = certify(para)
+        verdict = cert["verdict"]
+        if scaling is not None:
+            doc["scaling"] = scaling
+        if "witness" in cert:
+            doc["witness"] = cert["witness"]
+        doc["certificate"] = cert
         if verdict == "certified" and source_gram is not None:
-            doc["gram_match"] = _gram_match(cert.gram, source_gram)
+            doc["gram_match"] = _gram_match(cert["gram"], source_gram)
         doc["topology"] = (surface_dicts(para, expected) if p.dim == 3
                            else {"ridge_components": components})
     doc["verdict"] = verdict

@@ -33,7 +33,6 @@ vertex.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -87,31 +86,6 @@ def build_ridge_graph(para: Parallelohedron) -> dict[int, Fraction]:
     return dict(sorted(gains.items()))
 
 
-class ScalingWitness(namedtuple("ScalingWitness",
-                                "kind facets facet_pair gain")):
-    """A closed facet walk whose gain product differs from 1: a "cycle",
-    or the "opposite-facet" pair forced to distinct values (with the
-    facet walk between them when they share a component)."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        if self.kind == "cycle":
-            return (f"violating cycle through facets {self.facets} "
-                    f"with gain {self.gain}")
-        return (f"opposite facets {self.facet_pair} forced to distinct "
-                f"values (ratio {self.gain})")
-
-
-class CanonicalScaling(namedtuple("CanonicalScaling",
-                                  "values base_facets groups")):
-    """Positive facet weights satisfying every gain constraint, the base
-    facet of each ridge-graph component, and per facet the label of its
-    merged component (its pi-surface component)."""
-
-    __slots__ = ()
-
-
 def _tree_path(parent, f) -> tuple[int, ...]:
     """The facets from a component's base facet to f along spanning-tree
     edges."""
@@ -122,15 +96,23 @@ def _tree_path(parent, f) -> tuple[int, ...]:
 
 
 def canonical_scaling(para: Parallelohedron, gains: dict[int, Fraction]):
-    """Construct facet weights from the gains, or return a witness.
+    """Construct facet weights from the gains: the report's `scaling`
+    block and None, or None and a witness.
 
-    Per component: the facet with the lexicographically least canonical
-    normal gets weight 1; weights propagate along a spanning tree; every
-    non-tree edge is checked exactly. A component whose opposite is
-    another component rescales that one to match, which cannot break any
-    gain; then every facet must agree with its opposite, and the first
-    that does not gives an "opposite-facet" witness. The merged groups
-    are the pi-surface's components, labelled by least facet.
+    The block holds positive facet weights satisfying every gain
+    constraint ("values"), the base facet of each ridge-graph component
+    ("base_facets") and per facet the label of its merged component, its
+    pi-surface component ("components"). Per component: the facet with
+    the lexicographically least canonical normal gets weight 1; weights
+    propagate along a spanning tree; every non-tree edge is checked
+    exactly, and the first that fails gives a "cycle" witness: the
+    closed facet walk ("facets") and its gain product ("gain"). A
+    component whose opposite is another component rescales that one to
+    match, which cannot break any gain; then every facet must agree with
+    its opposite, and the first that does not gives an "opposite-facet"
+    witness: the pair ("facet_pair"), its ratio, and the facet walk
+    between them when they share a component. The merged components are
+    labelled by least facet.
     """
     p = para.polytope
     n = p.n_facets
@@ -163,8 +145,8 @@ def canonical_scaling(para: Parallelohedron, gains: dict[int, Fraction]):
                     # values[f] and values[g] are the tree products from
                     # the base, so this is the product around the cycle
                     cycle = _tree_path(parent, f) + _tree_path(parent, g)[::-1]
-                    return ScalingWitness(
-                        "cycle", cycle, None, values[f] * gain / values[g])
+                    return None, {"kind": "cycle", "facets": cycle,
+                                  "gain": values[f] * gain / values[g]}
     # the antipode maps each delta component onto one; where that is
     # another, the least facet of their pi component rescales its image
     factor = {f: values[f] / values[opp[f]] for f in set(pi)
@@ -173,29 +155,22 @@ def canonical_scaling(para: Parallelohedron, gains: dict[int, Fraction]):
               for f, v in enumerate(values)]
     for f, g in enumerate(opp):
         if values[f] != values[g]:
-            walk = None
+            witness = {"kind": "opposite-facet", "facet_pair": (f, g),
+                       "gain": values[g] / values[f]}
             if delta[f] == delta[g]:
-                walk = _tree_path(parent, f)[::-1] + _tree_path(parent, g)[1:]
-            return ScalingWitness(
-                "opposite-facet", walk, (f, g), values[g] / values[f]
-            )
+                witness["facets"] = (_tree_path(parent, f)[::-1]
+                                     + _tree_path(parent, g)[1:])
+            return None, witness
     label = {r: i for i, r in enumerate(sorted(set(pi)))}
-    return CanonicalScaling(tuple(values), tuple(base_facets),
-                            tuple(label[r] for r in pi))
+    return {"values": tuple(values), "base_facets": tuple(base_facets),
+            "components": tuple(label[r] for r in pi)}, None
 
 
-class MismatchWitness(namedtuple("MismatchWitness",
-                                 "kind facet lattice_vector vertex",
-                                 defaults=(None, None, None))):
-    """Why P is not Vor_G(L): a "facet" that is not the G-bisector of its
-    facet vector, or a lattice vector whose bisector "cut"s off a vertex."""
-
-    __slots__ = ()
-
-
-def voronoi_mismatch(para: Parallelohedron, gram: Mat) -> MismatchWitness | None:
+def voronoi_mismatch(para: Parallelohedron, gram: Mat) -> dict | None:
     """None iff the polytope is the Voronoi cell of its center lattice
-    under the positive definite `gram`.
+    under the positive definite `gram`; otherwise the witness: a "facet"
+    that is not the G-bisector of its facet vector, or a lattice vector
+    whose bisector "cut"s off a vertex.
 
     Vor is inside P when every facet <n_F, x> <= b_F is the G-bisector
     of its facet vector t_F: G t_F = lam * n_F with lam > 0 and
@@ -229,7 +204,7 @@ def voronoi_mismatch(para: Parallelohedron, gram: Mat) -> MismatchWitness | None
         if (gt[k] * n[k] <= 0
                 or any(g * n[k] != x * gt[k] for g, x in zip(gt, n))
                 or tgt * n[k] * xs != 2 * ts * gt[k] * b):
-            return MismatchWitness("facet", facet=fi)
+            return {"kind": "facet", "facet": fi}
     # on integer rows X, V = vs v and GV = gs G V:
     # 2 <x, Gv> > <v, Gv>  iff  2 vs <X, GV> > xs <V, GV>
     table = tuple(para._translate_members)
@@ -241,35 +216,25 @@ def voronoi_mismatch(para: Parallelohedron, gram: Mat) -> MismatchWitness | None
     for x, xi in zip(p.vertices, xints):
         for v, (gv2, cap) in zip(table, cuts):
             if sum(map(mul, xi, gv2)) > cap:
-                return MismatchWitness("cut", lattice_vector=v, vertex=x)
+                return {"kind": "cut", "lattice_vector": v, "vertex": x}
     return None
 
 
-class VoronoiCertificate(namedtuple(
-        "VoronoiCertificate",
-        "verdict scaling gram component_factors witness solution_basis",
-        defaults=(None, ()))):
-    """Outcome of the quadratic-form recovery and its verification.
-
-    `verdict` is "certified", "scaling-fails", "form-not-pd" or
-    "dv-mismatch". `witness` explains a failure: a ScalingWitness for
-    "scaling-fails", a MismatchWitness for "dv-mismatch", otherwise None.
-    """
-
-    __slots__ = ()
-
-
-def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCertificate:
-    """Recover a certifying metric from a canonical scaling and verify it.
+def voronoi_form(para: Parallelohedron, scaling: dict) -> dict:
+    """Recover a certifying metric from a canonical scaling block and
+    verify it; return the report's `certificate` block.
 
     Solves G t_F = c_k(F) * s(F) * n_F over symmetric G and one positive
     factor per merged scaling component and takes the sum of the
-    solution basis; "form-not-pd", with that basis as its witness, means
-    the sum has a factor c_k <= 0 or a G that is not positive definite.
-    Otherwise it proves P = Vor_G(L) for the center lattice L with
+    solution basis; "form-not-pd", with that basis ("solution_basis") as
+    its witness, means the sum has a factor c_k <= 0 or a G that is not
+    positive definite, and no basis at all is "scaling-fails". Otherwise
+    it proves P = Vor_G(L) for the center lattice L with
     `voronoi_mismatch`: each facet is the G-bisector of its facet vector,
     and no row of the translate table (the lattice vectors of 2P) cuts a
-    vertex. A failed check gives "dv-mismatch" with its witness.
+    vertex. The block then holds the form ("gram") and the component
+    factors, and "certified", or "dv-mismatch" with the failed check as
+    its "witness". Every block carries the scaling values ("scaling").
     """
     p = para.polytope
     d = p.dim
@@ -277,7 +242,8 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     upper = {ij: k for k, ij in enumerate(
         (i, j) for i in range(d) for j in range(i, d))}
     n_upper = len(upper)
-    n_groups = len(set(scaling.groups))
+    values, groups = scaling["values"], scaling["components"]
+    n_groups = len(set(groups))
 
     def sym(u: Vec) -> Mat:
         return tuple(tuple(u[upper[min(i, j), max(i, j)]] for j in range(d))
@@ -292,8 +258,8 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
     for fi, fo in enumerate(para.opposite_facet):
         if fo < fi:
             continue
-        s, k = scaling.values[fi], scaling.groups[fi]
-        if (s, k) != (scaling.values[fo], scaling.groups[fo]):
+        s, k = values[fi], groups[fi]
+        if (s, k) != (values[fo], groups[fo]):
             raise GeometryError(f"opposite facets {fi} and {fo} differ in "
                                 "scaling value or group")
         t = [ns * s.denominator * x for x in tints[fi]]
@@ -309,31 +275,28 @@ def voronoi_form(para: Parallelohedron, scaling: CanonicalScaling) -> VoronoiCer
         v = linalg.primitive(v)
         basis.append(v if next(filter(None, v)) > 0 else tuple(-x for x in v))
     if not basis:
-        return VoronoiCertificate(
-            "scaling-fails", scaling, None, None,
-            witness=None, solution_basis=(),
-        )
-    solution_basis = tuple(map(linalg.vec, basis))
+        return {"verdict": "scaling-fails", "scaling": values}
     u = tuple(map(sum, zip(*basis)))
     if (any(c <= 0 for c in u[n_upper:])
             or not linalg.is_positive_definite(sym(u))):
-        return VoronoiCertificate(
-            "form-not-pd", scaling, None, None, solution_basis=solution_basis,
-        )
+        return {"verdict": "form-not-pd", "scaling": values,
+                "solution_basis": tuple(map(linalg.vec, basis))}
     u = linalg.vec(linalg.primitive(u))
     gram = sym(u)
-    factors = u[n_upper:]
+    cert = {"verdict": "certified", "scaling": values, "gram": gram,
+            "component_factors": u[n_upper:]}
     # `gram` is positive definite, as tested above
     mismatch = voronoi_mismatch(para, gram)
-    return VoronoiCertificate(
-        "certified" if mismatch is None else "dv-mismatch", scaling, gram,
-        factors, witness=mismatch, solution_basis=solution_basis,
-    )
+    if mismatch is not None:
+        cert.update(verdict="dv-mismatch", witness=mismatch)
+    return cert
 
 
-def certify(para: Parallelohedron) -> VoronoiCertificate:
-    """Ridge gains -> scaling -> quadratic form -> verification."""
-    result = canonical_scaling(para, build_ridge_graph(para))
-    if isinstance(result, ScalingWitness):
-        return VoronoiCertificate("scaling-fails", None, None, None, witness=result)
-    return voronoi_form(para, result)
+def certify(para: Parallelohedron) -> tuple[dict | None, dict]:
+    """Ridge gains -> scaling -> quadratic form -> verification: the
+    report's `scaling` block (None when there is no scaling) and its
+    `certificate` block."""
+    scaling, witness = canonical_scaling(para, build_ridge_graph(para))
+    if witness is not None:
+        return None, {"verdict": "scaling-fails", "witness": witness}
+    return scaling, voronoi_form(para, scaling)

@@ -36,33 +36,11 @@ delta and the pi surface.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
 
 from . import linalg
 from .errors import GeometryError, UnsupportedDimensionError
 from .parallelohedron import Parallelohedron
-
-
-class ComponentReport(namedtuple("ComponentReport",
-                                 "cell_counts chi compact h1_rank")):
-    """One surface component: its (v, e, f) cell counts, chi_c, whether
-    it is compact, and its rational H1 rank."""
-
-    __slots__ = ()
-
-
-class TopologyReport(namedtuple("TopologyReport", "surface components")):
-    __slots__ = ()
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-
-class HalfBeltSpan(namedtuple("HalfBeltSpan",
-                              "h1_rank span_rank spanned n_cycles")):
-    __slots__ = ()
 
 
 def _require_d3(para: Parallelohedron):
@@ -172,9 +150,10 @@ class _DualComplex:
         _require_cycles(self.b1_cols, self.b2_cols,
                         "boundary of a boundary is nonzero")
 
-    def report(self, surface: str) -> TopologyReport:
-        """Per component of the "delta" or "pi" surface: the counts of
-        walked faces, primitive ridges and facets, chi_c and rational H1.
+    def report(self, surface: str) -> dict:
+        """The report block of the "delta" or "pi" surface: per component
+        the counts of walked faces, primitive ridges and facets ("cells"),
+        chi_c, whether it is compact, and its rational H1 rank.
 
         Each component is keyed by its first cell in the order walked
         faces ("v"), primitive ridges ("e"), facets ("f"), each by index,
@@ -197,9 +176,10 @@ class _DualComplex:
         for root in sorted(keys, key=keys.get):
             v, e, f = (c // orbit for c in counts[root])
             chi = v - e + f
-            comps.append(ComponentReport(
-                (v, e, f), chi, compact, 0 if compact else 1 - chi))
-        return TopologyReport(surface, tuple(comps))
+            comps.append({"cells": (v, e, f), "chi": chi, "compact": compact,
+                          "h1_rank": 0 if compact else 1 - chi})
+        return {"surface": surface, "component_count": len(comps),
+                "components": comps}
 
     def half_belt_cycles(self) -> list[dict[int, int]]:
         """The six shifted three-step walks of every 6-belt, each of them
@@ -210,8 +190,9 @@ class _DualComplex:
         _require_cycles(self.b1_cols, cycles, "half-belt chain is not a cycle")
         return cycles
 
-    def half_belt_span(self) -> HalfBeltSpan:
-        """Do half-belt cycles span the rational H1 of the pi-surface?"""
+    def half_belt_span(self) -> dict:
+        """Do half-belt cycles span the rational H1 of the pi-surface? The
+        report's `half_belt_span` block."""
         cycles = self.half_belt_cycles()
         n1 = len(self.edges)
         b2 = tuple(_dense(c, n1) for c in self.b2_cols)
@@ -220,13 +201,13 @@ class _DualComplex:
         span = 0
         if cycles:
             span = linalg.rank(b2 + tuple(_dense(z, n1) for z in cycles)) - rank_b2
-        return HalfBeltSpan(h1, span, span == h1, len(cycles))
+        return {"h1_rank": h1, "span_rank": span, "spanned": span == h1,
+                "cycles": len(cycles)}
 
 
-def surface_topology(para: Parallelohedron
-                     ) -> tuple[TopologyReport, TopologyReport, HalfBeltSpan]:
-    """The delta and pi component reports and the pi-surface's half-belt
-    span, all read off one dual-block complex (d = 3)."""
+def surface_topology(para: Parallelohedron) -> tuple[dict, dict, dict]:
+    """The delta and pi surface blocks and the pi-surface's half-belt
+    span block, all read off one dual-block complex (d = 3)."""
     _require_d3(para)
     complex_ = _DualComplex(para)
     return (complex_.report("delta"), complex_.report("pi"),

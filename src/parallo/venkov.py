@@ -27,24 +27,15 @@ from .errors import GeometryError, UnsupportedDimensionError
 from .polytope import Polytope
 
 
-class VenkovWitness(namedtuple("VenkovWitness",
-                               "condition detail face_vertex_ids",
-                               defaults=((),))):
+def _witness(condition, detail, face_vertex_ids=()) -> dict:
     """A failed condition ("central-symmetry", "facet-symmetry" or
     "belt"), what failed, and the vertex ids of the face it failed on."""
+    return {"condition": condition, "detail": detail,
+            "face_vertex_ids": tuple(face_vertex_ids)}
 
-    __slots__ = ()
 
-
-class VenkovVerdict(namedtuple("VenkovVerdict", "ok witnesses",
-                               defaults=((),))):
-    __slots__ = ()
-
-    def __str__(self):
-        if self.ok:
-            return "venkov: pass"
-        w = self.witnesses[0]
-        return f"venkov: fail ({w.condition}: {w.detail})"
+def _failed(witnesses):
+    return {"ok": False, "witnesses": witnesses}, (), ()
 
 
 class Belt(namedtuple("Belt", "facets ridges")):
@@ -124,19 +115,18 @@ def _walk_belt(ridges, ridge_ids_by_key, mirrors, start_ridge):
 
 
 def _analyze(p: Polytope):
-    """Run the Venkov checks; return (verdict, belts, facet_centers), the
+    """Run the Venkov checks; return the report's `venkov` block (`ok`
+    and the failure witnesses), the belts and the facet centers, the
     last two empty on failure."""
     if p.dim < 2:
         raise UnsupportedDimensionError(
             f"dimension {p.dim} is not supported: the belt conditions "
             "need ridges, so d >= 2")
-    failed = ((), ())
     rows, scale, *_ = p.integer_form
     image, sums = _involution(rows)
     if image is None:
-        witness = VenkovWitness("central-symmetry",
-                                "vertex set is not centrally symmetric")
-        return (VenkovVerdict(False, (witness,)),) + failed
+        return _failed([_witness("central-symmetry",
+                                 "vertex set is not centrally symmetric")])
     if any(sums):
         raise GeometryError("polytope must be recentered before analysis")
     witnesses = []
@@ -144,16 +134,13 @@ def _analyze(p: Polytope):
     for fi, ids in enumerate(p.facet_vertex_ids):
         image, sums = _involution([rows[i] for i in ids])
         if image is None:
-            witnesses.append(VenkovWitness(
-                "facet-symmetry",
-                f"facet {fi} is not centrally symmetric",
-                tuple(ids),
-            ))
+            witnesses.append(_witness(
+                "facet-symmetry", f"facet {fi} is not centrally symmetric", ids))
             continue
         mirrors.append({i: ids[k] for i, k in zip(ids, image)})
         facet_centers.append(tuple(Fraction(s, len(ids) * scale) for s in sums))
     if witnesses:
-        return (VenkovVerdict(False, tuple(witnesses)),) + failed
+        return _failed(witnesses)
 
     ridges = p.face_lattice.faces(p.dim - 2)
     ridge_ids_by_key = {r.vertex_ids: i for i, r in enumerate(ridges)}
@@ -164,24 +151,24 @@ def _analyze(p: Polytope):
             try:
                 belt = _walk_belt(ridges, ridge_ids_by_key, mirrors, rid)
             except _BeltWalkError as exc:
-                witnesses.append(VenkovWitness("belt", exc.detail,
-                                               tuple(exc.face_ids)))
+                witnesses.append(_witness("belt", exc.detail, exc.face_ids))
                 continue
             walked.update(dict.fromkeys(belt.ridges, belt))
             if belt.length in (4, 6):
                 belts.append(belt)
         length = walked[rid].length
         if length not in (4, 6):
-            witnesses.append(VenkovWitness(
+            witnesses.append(_witness(
                 "belt",
                 f"belt through ridge {rid} has length {length}, expected 4 or 6",
                 ridges[rid].vertex_ids,
             ))
     if witnesses:
-        return (VenkovVerdict(False, tuple(witnesses)),) + failed
-    return VenkovVerdict(True), tuple(belts), tuple(facet_centers)
+        return _failed(witnesses)
+    return {"ok": True, "witnesses": []}, tuple(belts), tuple(facet_centers)
 
 
-def venkov_check(p: Polytope) -> VenkovVerdict:
-    """Minkowski-Venkov test: pass iff p is a parallelohedron."""
+def venkov_check(p: Polytope) -> dict:
+    """Minkowski-Venkov test, as the `venkov` block of the report: `ok`
+    iff p is a parallelohedron, else a witness per failure."""
     return _analyze(p.recentered())[0]

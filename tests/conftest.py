@@ -18,8 +18,10 @@ from parallo.catalog import catalog
 from parallo.lattice import Lattice
 from parallo.parallelohedron import Parallelohedron
 from parallo.scaling import build_ridge_graph
+from parallo.serialize import load_document
 
 SEED = int(os.environ.get("PARALLO_SEED", "20260810"))
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 _built = {}
 _gains = {}
@@ -63,6 +65,12 @@ def verified(name: str):
         _reports[name] = report_mod.verify(source, name=name,
                                            expected=entry.expected)
     return _reports[name]
+
+
+def fixture_polytope(name: str):
+    """The polytope of tests/fixtures/NAME.json."""
+    with open(os.path.join(FIXTURES, name + ".json"), encoding="utf-8") as fh:
+        return load_document(fh.read())
 
 
 def an_star(n):

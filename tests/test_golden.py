@@ -19,7 +19,7 @@ from conftest import POLYTOPE_CATALOG, built, ridge_graph, verified
 from parallo import report, scaling, serialize
 from parallo.catalog import catalog, catalog_names
 from parallo.cli import main
-from parallo.scaling import CanonicalScaling, canonical_scaling, voronoi_form
+from parallo.scaling import canonical_scaling, voronoi_form
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 REPORTS = os.path.join(FIXTURES, "reports")
@@ -126,11 +126,10 @@ def test_form_not_pd_certificate_bytes():
     scaling with the values of facet 0's group negated admits no
     positive-definite form, and the certificate keeps its 3-vector
     solution basis as the witness."""
-    s = canonical_scaling(built("cube"), ridge_graph("cube"))
-    values = tuple(-v if g == s.groups[0] else v
-                   for v, g in zip(s.values, s.groups))
-    cert = voronoi_form(built("cube"),
-                        CanonicalScaling(values, s.base_facets, s.groups))
-    assert cert.verdict == "form-not-pd" and len(cert.solution_basis) == 3
-    assert serialize.dumps(report.certificate_dict(cert)) == \
-        _golden("cube-form-not-pd.json")
+    s, _ = canonical_scaling(built("cube"), ridge_graph("cube"))
+    groups = s["components"]
+    values = tuple(-v if g == groups[0] else v
+                   for v, g in zip(s["values"], groups))
+    cert = voronoi_form(built("cube"), {**s, "values": values})
+    assert cert["verdict"] == "form-not-pd" and len(cert["solution_basis"]) == 3
+    assert serialize.dumps(cert) == _golden("cube-form-not-pd.json")

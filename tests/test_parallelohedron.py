@@ -1,4 +1,3 @@
-import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, SEED, built
+from conftest import (
+    LATTICE_CATALOG,
+    POLYTOPE_CATALOG,
+    SEED,
+    an_star,
+    built,
+    fixture_polytope,
+)
 from oracles import (
     apply_affine,
     ball_translate_members,
@@ -30,7 +36,6 @@ from parallo.parallelohedron import (
     dual3_census,
 )
 from parallo.polytope import FaceLattice, Polytope
-from parallo.serialize import load_document
 from parallo.venkov import _analyze, _involution, venkov_check
 
 F = Fraction
@@ -39,7 +44,7 @@ F = Fraction
 def test_venkov_pass_on_catalog():
     for name in ("cube", "hexagonal-prism", "rhombic-dodecahedron",
                  "elongated-dodecahedron", "truncated-octahedron"):
-        assert venkov_check(catalog(name).polytope).ok
+        assert venkov_check(catalog(name).polytope)["ok"]
 
 
 def test_venkov_octahedron_witness():
@@ -47,8 +52,8 @@ def test_venkov_octahedron_witness():
         [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     )
     verdict = venkov_check(octa)
-    assert not verdict.ok
-    assert verdict.witnesses[0].condition == "facet-symmetry"
+    assert not verdict["ok"]
+    assert verdict["witnesses"][0]["condition"] == "facet-symmetry"
     with pytest.raises(NotAParallelohedron):
         Parallelohedron.build(octa)
 
@@ -59,8 +64,8 @@ def test_venkov_asymmetric_witness():
          (0, 0, 1), (2, 0, 1), (0, 2, 1), (2, 3, 1)]
     )
     verdict = venkov_check(skew)
-    assert not verdict.ok
-    assert verdict.witnesses[0].condition == "central-symmetry"
+    assert not verdict["ok"]
+    assert verdict["witnesses"][0]["condition"] == "central-symmetry"
 
 
 @st.composite
@@ -98,14 +103,6 @@ def test_analyze_rejects_a_symmetric_polytope_off_the_origin():
     cube = catalog("cube").polytope.translated((F(1, 3), 0, 0))
     with pytest.raises(GeometryError, match="must be recentered"):
         _analyze(cube)
-
-
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
-
-
-def fixture_polytope(name):
-    with open(os.path.join(FIXTURES, name + ".json"), encoding="utf-8") as fh:
-        return load_document(fh.read())
 
 
 def zonotope(generators):
@@ -166,7 +163,7 @@ def test_a_zonotope_walks_each_of_its_long_belts_once(belt_walks):
     still one witness per ridge, in ridge order."""
     verdict = venkov_check(fixture_polytope("zonotope5"))
     assert len(belt_walks) == 5
-    assert [w.detail for w in verdict.witnesses] == [
+    assert [w["detail"] for w in verdict["witnesses"]] == [
         f"belt through ridge {r} has length 8, expected 4 or 6"
         for r in range(40)]
 
@@ -235,10 +232,11 @@ def test_analyze_turns_a_failed_belt_walk_into_a_belt_witness(monkeypatch):
     by_dim[1] = tuple(ridges)
     monkeypatch.setattr(q, "face_lattice", FaceLattice(by_dim))
     verdict, belts, centers = _analyze(q)
-    assert not verdict.ok and (belts, centers) == ((), ())
-    assert verdict.witnesses[0] == venkov.VenkovWitness(
-        "belt", "ridge lies on 3 facets, expected 2", ridges[0].vertex_ids)
-    assert {w.condition for w in verdict.witnesses} == {"belt"}
+    assert not verdict["ok"] and (belts, centers) == ((), ())
+    assert verdict["witnesses"][0] == {
+        "condition": "belt", "detail": "ridge lies on 3 facets, expected 2",
+        "face_vertex_ids": ridges[0].vertex_ids}
+    assert {w["condition"] for w in verdict["witnesses"]} == {"belt"}
     assert (verdict, belts, centers) == per_ridge_analyze(q)
 
 
@@ -345,7 +343,9 @@ def shear(k):
 
 def built_or_skewed(name):
     """The built catalog entry, or its image: NAME-skewed under SKEW,
-    NAME-shearK under `shear(K)`."""
+    NAME-shearK under `shear(K)`; or the cell of A5*."""
+    if name == "A5*":
+        return Parallelohedron.build(an_star(5).cell)
     base, _, kind = name.rpartition("-")
     if kind == "skewed" or kind.startswith("shear"):
         a = SKEW if kind == "skewed" else shear(int(kind[len("shear"):]))
@@ -416,12 +416,14 @@ def whole_ball_table(name):
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG
                          + tuple(f"{n}-skewed" for n in POLYTOPE_CATALOG)
                          + ("elongated-dodecahedron-shear30",
-                            "elongated-dodecahedron-shear60"))
+                            "elongated-dodecahedron-shear60", "A5*"))
 def test_translate_table_matches_a_whole_ball_sweep(name):
     """Skipping the ball vectors outside 2P loses no translate that meets
     P: the table has exactly the nonempty rows of a sweep over the whole
     ball of twice the circumradius, on every catalog entry, on their
-    skewed images and on two shears."""
+    skewed images, on two shears and on A5*, whose 720 vertices take 6
+    to 10 distinct heights on each of its 62 facets, so that most of its
+    prefix bit sets merge."""
     assert built_or_skewed(name)._translate_members == whole_ball_table(name)
 
 

@@ -1,5 +1,4 @@
 import math
-import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import an_star
+from conftest import an_star, fixture_polytope
 from oracles import (
     apply_affine,
     central_symmetry,
@@ -32,7 +31,6 @@ from parallo.catalog import catalog, catalog_names
 from parallo.errors import GeometryError
 from parallo.lattice import dv_cell
 from parallo.polytope import Polytope
-from parallo.serialize import load_document
 
 F = Fraction
 
@@ -203,14 +201,6 @@ def test_faces_of_a_dimension_not_built_raise():
         catalog("cube").polytope.face_lattice.faces(-1)
     with pytest.raises(KeyError):
         catalog("lattice-D4").polytope.face_lattice.faces(0)
-
-
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
-
-
-def fixture_polytope(name):
-    with open(os.path.join(FIXTURES, name + ".json"), encoding="utf-8") as fh:
-        return load_document(fh.read())
 
 
 @pytest.mark.parametrize("name", list(_INCIDENCE_CASES) + [

@@ -22,18 +22,13 @@ from oracles import (
     walk_gain,
     walk_ridges,
 )
-from parallo import lattice, linalg, report, serialize
+from parallo import lattice, linalg, report, scaling, serialize
 from parallo.catalog import catalog, catalog_names
 from parallo.errors import GeometryError
 from parallo.lattice import Lattice, dv_cell, vectors_in_ball
 from parallo.parallelohedron import Parallelohedron
 from parallo.polytope import Polytope
-from parallo.report import certificate_dict
 from parallo.scaling import (
-    CanonicalScaling,
-    MismatchWitness,
-    ScalingWitness,
-    VoronoiCertificate,
     build_ridge_graph,
     canonical_scaling,
     certify,
@@ -174,30 +169,30 @@ def test_ridge_graph_shapes():
 
 
 def test_canonical_scaling_values():
-    cube = canonical_scaling(built("cube"), ridge_graph("cube"))
-    assert isinstance(cube, CanonicalScaling)
-    assert set(cube.values) == {F(1)}
+    cube, witness = canonical_scaling(built("cube"), ridge_graph("cube"))
+    assert witness is None
+    assert set(cube["values"]) == {F(1)}
 
     para = built("truncated-octahedron")
-    s = canonical_scaling(para, ridge_graph("truncated-octahedron"))
-    assert all(s.values[fi] == 1 for fi in _hex_facets(para.polytope))
-    assert all(s.values[fi] == 2 for fi in _square_facets(para.polytope))
+    s, _ = canonical_scaling(para, ridge_graph("truncated-octahedron"))
+    assert all(s["values"][fi] == 1 for fi in _hex_facets(para.polytope))
+    assert all(s["values"][fi] == 2 for fi in _square_facets(para.polytope))
 
-    prism = canonical_scaling(built("hexagonal-prism"),
-                              ridge_graph("hexagonal-prism"))
-    assert set(prism.values) == {F(1)}
+    prism, _ = canonical_scaling(built("hexagonal-prism"),
+                                 ridge_graph("hexagonal-prism"))
+    assert set(prism["values"]) == {F(1)}
 
 
 def test_scaling_satisfies_every_edge():
     for name in POLYTOPE_CATALOG:
         para, gains = built(name), ridge_graph(name)
-        s = canonical_scaling(para, gains)
-        assert isinstance(s, CanonicalScaling)
+        s, witness = canonical_scaling(para, gains)
+        assert witness is None
         for rid, gain in gains.items():
             a, b = para.ridge_facets[rid]
-            assert s.values[b] == s.values[a] * gain
+            assert s["values"][b] == s["values"][a] * gain
         for f in range(para.polytope.n_facets):
-            assert s.values[f] == s.values[para.opposite_facet[f]]
+            assert s["values"][f] == s["values"][para.opposite_facet[f]]
 
 
 def test_canonical_scaling_witness_on_doctored_gains():
@@ -205,10 +200,10 @@ def test_canonical_scaling_witness_on_doctored_gains():
     bad = dict(ridge_graph("truncated-octahedron"))
     first = next(iter(bad))
     bad[first] *= 3
-    witness = canonical_scaling(para, bad)
-    assert isinstance(witness, ScalingWitness) and witness.kind == "cycle"
-    assert walk_closed(witness.facets)
-    assert witness.gain != 1 and witness.gain == walk_gain(para, bad, witness.facets)
+    s, witness = canonical_scaling(para, bad)
+    assert s is None and witness["kind"] == "cycle"
+    assert walk_closed(witness["facets"])
+    assert witness["gain"] != 1 and witness["gain"] == walk_gain(para, bad, witness["facets"])
 
 
 def test_an_inverted_gain_gives_a_cycle_witness():
@@ -220,12 +215,12 @@ def test_an_inverted_gain_gives_a_cycle_witness():
     gains = ridge_graph("truncated-octahedron")
     rid = next(r for r, g in gains.items() if g != 1)
     bad = {**gains, rid: 1 / gains[rid]}
-    witness = canonical_scaling(para, bad)
-    assert isinstance(witness, ScalingWitness) and witness.kind == "cycle"
-    assert walk_closed(witness.facets)
-    assert rid in walk_ridges(para, witness.facets)
-    assert witness.gain == walk_gain(para, bad, witness.facets) != 1
-    assert walk_gain(para, gains, witness.facets) == 1
+    s, witness = canonical_scaling(para, bad)
+    assert s is None and witness["kind"] == "cycle"
+    assert walk_closed(witness["facets"])
+    assert rid in walk_ridges(para, witness["facets"])
+    assert witness["gain"] == walk_gain(para, bad, witness["facets"]) != 1
+    assert walk_gain(para, gains, witness["facets"]) == 1
 
 
 def test_opposite_facet_witness_on_a_doctored_cut():
@@ -241,16 +236,16 @@ def test_opposite_facet_witness_on_a_doctored_cut():
     for rid, gain in ridge_graph("truncated-octahedron").items():
         a, b = para.ridge_facets[rid]
         gains[rid] = gain * F(3) ** (side[a] - side[b])
-    witness = canonical_scaling(para, gains)
-    assert witness == ScalingWitness(
-        "opposite-facet", (0, 1, 4, 13), (0, 13), F(1, 3))
-    assert str(witness) == ("opposite facets (0, 13) forced to distinct "
-                            "values (ratio 1/3)")
+    assert canonical_scaling(para, gains) == (None, {
+        "kind": "opposite-facet", "facets": (0, 1, 4, 13),
+        "facet_pair": (0, 13), "gain": F(1, 3)})
 
 
 @pytest.mark.parametrize("opposite_gain, expected", [
-    (F(2), CanonicalScaling((1, 2, 1, 1, 2, 1), (0, 2, 3, 4), (0, 0, 1, 1, 0, 0))),
-    (F(3), ScalingWitness("opposite-facet", None, (1, 4), F(3, 2))),
+    (F(2), ({"values": (1, 2, 1, 1, 2, 1), "base_facets": (0, 2, 3, 4),
+             "components": (0, 0, 1, 1, 0, 0)}, None)),
+    (F(3), (None, {"kind": "opposite-facet", "facet_pair": (1, 4),
+                   "gain": F(3, 2)})),
 ])
 def test_canonical_scaling_rescales_the_opposite_component(
         monkeypatch, opposite_gain, expected):
@@ -270,16 +265,16 @@ def test_canonical_scaling_rescales_the_opposite_component(
 
 def test_voronoi_form_cube_identity():
     para = built("cube")
-    s = canonical_scaling(para, ridge_graph("cube"))
+    s, _ = canonical_scaling(para, ridge_graph("cube"))
     cert = voronoi_form(para, s)
-    assert cert.verdict == "certified"
-    assert cert.gram == linalg.identity(3)
+    assert cert["verdict"] == "certified"
+    assert cert["gram"] == linalg.identity(3)
 
 
 def test_voronoi_form_truncated_octahedron():
-    cert = certify(built("truncated-octahedron"))
-    assert cert.verdict == "certified"
-    g = cert.gram
+    _, cert = certify(built("truncated-octahedron"))
+    assert cert["verdict"] == "certified"
+    g = cert["gram"]
     scale = g[0][0]
     assert scale > 0
     assert g == tuple(
@@ -287,33 +282,51 @@ def test_voronoi_form_truncated_octahedron():
     )
 
 
-def test_voronoi_form_prism_block_structure():
-    cert = certify(built("hexagonal-prism"))
-    assert cert.verdict == "certified"
-    g = cert.gram
+def solved(monkeypatch, para, s):
+    """`voronoi_form(para, s)`, and the size of the solution basis it
+    summed: the kernel of its linear system, which a certified
+    certificate does not carry."""
+    kernels = []
+    int_kernel = linalg.int_kernel
+
+    def spied(rows):
+        kernels.append(int_kernel(rows))
+        return kernels[-1]
+
+    monkeypatch.setattr(linalg, "int_kernel", spied)
+    cert = voronoi_form(para, s)
+    return cert, len(kernels[-1])
+
+
+def test_voronoi_form_prism_block_structure(monkeypatch):
+    para = built("hexagonal-prism")
+    s, _ = canonical_scaling(para, ridge_graph("hexagonal-prism"))
+    cert, basis_size = solved(monkeypatch, para, s)
+    assert cert["verdict"] == "certified"
+    g = cert["gram"]
     assert g[0][2] == g[1][2] == g[2][0] == g[2][1] == 0
     # hexagon block proportional to the generating hexagonal metric
     scale = g[0][0] / 2
     assert (g[0][0], g[0][1], g[1][1]) == (2 * scale, scale, 2 * scale)
     assert g[2][2] > 0
-    assert len(cert.solution_basis) == 2
+    assert basis_size == 2
 
 
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG)
 def test_voronoi_mismatch_accepts_the_recovered_form(name):
     para = built(name)
-    assert voronoi_mismatch(para, certify(built(name)).gram) is None
+    assert voronoi_mismatch(para, certify(built(name))[1]["gram"]) is None
 
 
 def test_voronoi_mismatch_names_a_facet_under_a_perturbed_form():
     para = built("truncated-octahedron")
-    gram = [list(row) for row in certify(built("truncated-octahedron")).gram]
+    gram = [list(row) for row in certify(built("truncated-octahedron"))[1]["gram"]]
     gram[0][1] += F(1, 7)
     gram[1][0] += F(1, 7)
     witness = voronoi_mismatch(para, gram)
-    assert isinstance(witness, MismatchWitness) and witness.kind == "facet"
-    t = para.facet_vectors[witness.facet]
-    n = para.polytope.facet_normals[witness.facet]
+    assert witness["kind"] == "facet"
+    t = para.facet_vectors[witness["facet"]]
+    n = para.polytope.facet_normals[witness["facet"]]
     # G t is not a positive multiple of the facet normal
     assert linalg.rank((linalg.matvec(gram, t), n)) == 2
 
@@ -333,8 +346,8 @@ def test_voronoi_mismatch_finds_a_cut_by_a_finer_lattice():
     cube = built("cube")  # vertices (+-1/2, +-1/2, +-1/2), facet vectors +-e_i
     half = Lattice.create([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]])
     witness = voronoi_mismatch(doctored(cube, half), half.gram)
-    assert isinstance(witness, MismatchWitness) and witness.kind == "cut"
-    v, x = witness.lattice_vector, witness.vertex
+    assert witness["kind"] == "cut"
+    v, x = witness["lattice_vector"], witness["vertex"]
     assert x in cube.polytope.vertices
     assert v in vectors_in_ball(half, 3)  # 4 * max |x|^2
     assert 2 * half.inner(x, v) > half.norm_sq(v)
@@ -353,13 +366,13 @@ def assert_matches_the_oracle(para, lattice):
     own = lattice.basis == para.lattice.basis
     witness = voronoi_mismatch(para if own else doctored(para, lattice),
                                lattice.gram)
-    if own or witness is None or witness.kind == "facet":
+    if own or witness is None or witness["kind"] == "facet":
         assert witness == expected
     else:
-        assert expected.kind == "cut" and witness.vertex == expected.vertex
-        x, v = witness.vertex, witness.lattice_vector
+        assert expected["kind"] == "cut" and witness["vertex"] == expected["vertex"]
+        x, v = witness["vertex"], witness["lattice_vector"]
         assert 2 * lattice.inner(x, v) > lattice.norm_sq(v)
-    return None if witness is None else witness.kind
+    return None if witness is None else witness["kind"]
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -425,7 +438,7 @@ def test_voronoi_mismatch_matches_the_oracle_on_the_recovered_forms(name):
     a table doctored to the lattice with the first basis row halved cuts
     the oracle's vertex."""
     para = _z4_basis_change() if name == "Z4" else built(name)
-    gram = certify(para).gram
+    gram = certify(para)[1]["gram"]
     moved = [list(row) for row in gram]
     moved[0][1] += F(1, 7)
     moved[1][0] += F(1, 7)
@@ -487,19 +500,23 @@ def perturbed(rng, gram):
             return out
 
 
-def test_dv_mismatch_certificate_reports_its_witness():
-    cert = certify(built("cube"))
-    assert "witness" not in certificate_dict(cert)
-    cut = MismatchWitness("cut", lattice_vector=(F(1, 2), F(0), F(0)),
-                          vertex=(F(1, 2), F(1, 2), F(1, 2)))
-    doc = json.loads(serialize.dumps(
-        certificate_dict(cert._replace(verdict="dv-mismatch", witness=cut))))
-    assert doc["verdict"] == "dv-mismatch"
-    assert doc["witness"] == {"kind": "cut", "lattice_vector": ["1/2", "0", "0"],
-                              "vertex": ["1/2", "1/2", "1/2"]}
-    facet = MismatchWitness("facet", facet=3)
-    doc = certificate_dict(cert._replace(verdict="dv-mismatch", witness=facet))
-    assert doc["witness"] == {"kind": "facet", "facet": 3}
+def test_dv_mismatch_certificate_reports_its_witness(monkeypatch):
+    """The certificate carries the witness of a failed Voronoi proof: a
+    cut found over a table doctored to the half lattice, and a facet."""
+    cube = built("cube")
+    s, _ = canonical_scaling(cube, ridge_graph("cube"))
+    assert "witness" not in voronoi_form(cube, s)
+    half = Lattice.create([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]])
+    doc = json.loads(serialize.dumps(voronoi_form(doctored(cube, half), s)))
+    assert (doc["verdict"], doc["gram"]) == ("dv-mismatch",
+                                             [["1", "0", "0"], ["0", "1", "0"],
+                                              ["0", "0", "1"]])
+    assert doc["witness"] == {"kind": "cut", "lattice_vector": ["-1", "-1", "-1/2"],
+                              "vertex": ["-1/2", "-1/2", "-1/2"]}
+    facet = {"kind": "facet", "facet": 3}
+    monkeypatch.setattr(scaling, "voronoi_mismatch", lambda para, gram: facet)
+    doc = voronoi_form(cube, s)
+    assert (doc["verdict"], doc["witness"]) == ("dv-mismatch", facet)
 
 
 def test_local_cycle_checks():
@@ -684,22 +701,22 @@ def test_voronoi_form_rejects_opposite_facets_scaled_apart():
     """Opposite facets share one block of equations, so a scaling that
     gives them different values is refused rather than half-read."""
     para = built("truncated-octahedron")
-    s = canonical_scaling(para, ridge_graph("truncated-octahedron"))
-    values = list(s.values)
+    s, _ = canonical_scaling(para, ridge_graph("truncated-octahedron"))
+    values = list(s["values"])
     values[0] *= 2
     with pytest.raises(GeometryError, match="opposite facets 0 and"):
-        voronoi_form(para, s._replace(values=tuple(values)))
+        voronoi_form(para, {**s, "values": tuple(values)})
 
 
 def _one_pair_tripled(name):
     """The entry's canonical scaling with facet 0 and its opposite
     multiplied by 3."""
     para = built(name)
-    s = canonical_scaling(para, ridge_graph(name))
-    values = list(s.values)
+    s, _ = canonical_scaling(para, ridge_graph(name))
+    values = list(s["values"])
     for f in (0, para.opposite_facet[0]):
         values[f] *= 3
-    return para, s._replace(values=tuple(values))
+    return para, {**s, "values": tuple(values)}
 
 
 def test_voronoi_form_with_no_solution_is_a_scaling_failure():
@@ -707,18 +724,18 @@ def test_voronoi_form_with_no_solution_is_a_scaling_failure():
     so tripling one opposite pair leaves G t_F = c s(F) n_F with only the
     zero solution: "scaling-fails" with no form, basis or witness."""
     para, s = _one_pair_tripled("truncated-octahedron")
-    assert voronoi_form(para, s) == VoronoiCertificate(
-        "scaling-fails", s, None, None, witness=None, solution_basis=())
+    assert voronoi_form(para, s) == {"verdict": "scaling-fails",
+                                     "scaling": s["values"]}
 
 
-def test_voronoi_form_on_a_tripled_cube_axis_still_certifies():
+def test_voronoi_form_on_a_tripled_cube_axis_still_certifies(monkeypatch):
     """Negative control: each axis of the cube is its own scaling group,
     so a tripled pair of facets only triples its axis of the form."""
     para, s = _one_pair_tripled("cube")
     axis = next(i for i, x in enumerate(para.polytope.facet_normals[0]) if x)
-    cert = voronoi_form(para, s)
-    assert cert.verdict == "certified" and cert.witness is None
-    assert cert.gram == tuple(tuple(3 if i == j == axis else int(i == j)
+    cert, basis_size = solved(monkeypatch, para, s)
+    assert cert["verdict"] == "certified" and "witness" not in cert
+    assert cert["gram"] == tuple(tuple(3 if i == j == axis else int(i == j)
                                     for j in range(3)) for i in range(3))
-    assert cert.component_factors == (1, 1, 1)
-    assert len(cert.solution_basis) == 3
+    assert cert["component_factors"] == (1, 1, 1)
+    assert basis_size == 3

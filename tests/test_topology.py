@@ -35,11 +35,11 @@ def _span(para):
 
 
 def _counts(rep):
-    return tuple(sum(c.cell_counts[i] for c in rep.components) for i in range(3))
+    return tuple(sum(c["cells"][i] for c in rep["components"]) for i in range(3))
 
 
 def _h1(rep) -> int:
-    return sum(c.h1_rank for c in rep.components)
+    return sum(c["h1_rank"] for c in rep["components"])
 
 
 def test_delta_cell_counts():
@@ -58,15 +58,15 @@ def test_pi_cell_counts():
 
 def test_delta_reports():
     rep = _delta(built("cube"))
-    assert rep.component_count == 6
-    assert all(c.chi == 1 and c.h1_rank == 0 and not c.compact
-               for c in rep.components)
+    assert rep["component_count"] == 6
+    assert all(c["chi"] == 1 and c["h1_rank"] == 0 and not c["compact"]
+               for c in rep["components"])
 
     rep = _delta(built("hexagonal-prism"))
-    assert rep.component_count == 3
-    assert sorted(c.h1_rank for c in rep.components) == [0, 0, 1]
-    strip = max(rep.components, key=lambda c: c.h1_rank)
-    assert strip.chi == 0 and strip.cell_counts == (0, 6, 6)
+    assert rep["component_count"] == 3
+    assert sorted(c["h1_rank"] for c in rep["components"]) == [0, 0, 1]
+    strip = max(rep["components"], key=lambda c: c["h1_rank"])
+    assert strip["chi"] == 0 and strip["cells"] == (0, 6, 6)
     # with a cap as facet 0, the strip still comes first: a component
     # with a ridge sorts before one with only a facet
     swapped = Parallelohedron.build(apply_affine(
@@ -74,53 +74,53 @@ def test_delta_reports():
     assert not any(r in swapped.primitive_ridges
                    for r, pair in enumerate(swapped.ridge_facets) if 0 in pair)
     delta, pi, _ = surface_topology(swapped)
-    assert [c.cell_counts for c in delta.components] == [(0, 6, 6), (0, 0, 1), (0, 0, 1)]
-    assert [c.cell_counts for c in pi.components] == [(0, 3, 3), (0, 0, 1)]
+    assert [c["cells"] for c in delta["components"]] == [(0, 6, 6), (0, 0, 1), (0, 0, 1)]
+    assert [c["cells"] for c in pi["components"]] == [(0, 3, 3), (0, 0, 1)]
 
     for name in ("rhombic-dodecahedron", "truncated-octahedron"):
         rep = _delta(built(name))
-        assert rep.component_count == 1
-        comp = rep.components[0]
-        assert comp.compact and comp.chi == 2 and comp.h1_rank == 0
+        assert rep["component_count"] == 1
+        comp = rep["components"][0]
+        assert comp["compact"] and comp["chi"] == 2 and comp["h1_rank"] == 0
 
     rep = _delta(built("elongated-dodecahedron"))
-    assert rep.component_count == 1
-    comp = rep.components[0]
-    assert comp.chi == -2 and comp.h1_rank == 3 and not comp.compact
+    assert rep["component_count"] == 1
+    comp = rep["components"][0]
+    assert comp["chi"] == -2 and comp["h1_rank"] == 3 and not comp["compact"]
 
 
 def test_pi_reports():
     rep = _pi(built("cube"))
-    assert rep.component_count == 3
-    assert all(c.h1_rank == 0 for c in rep.components)
+    assert rep["component_count"] == 3
+    assert all(c["h1_rank"] == 0 for c in rep["components"])
 
     rep = _pi(built("hexagonal-prism"))
-    assert rep.component_count == 2
-    disk = min(rep.components, key=lambda c: c.h1_rank)
-    mobius = max(rep.components, key=lambda c: c.h1_rank)
-    assert disk.h1_rank == 0 and disk.chi == 1
-    assert mobius.h1_rank == 1 and mobius.chi == 0
-    assert mobius.cell_counts == (0, 3, 3)
+    assert rep["component_count"] == 2
+    disk = min(rep["components"], key=lambda c: c["h1_rank"])
+    mobius = max(rep["components"], key=lambda c: c["h1_rank"])
+    assert disk["h1_rank"] == 0 and disk["chi"] == 1
+    assert mobius["h1_rank"] == 1 and mobius["chi"] == 0
+    assert mobius["cells"] == (0, 3, 3)
 
     for name in ("rhombic-dodecahedron", "truncated-octahedron"):
         rep = _pi(built(name))
-        assert rep.component_count == 1
-        assert rep.components[0].compact
-        assert rep.components[0].chi == 1  # projective plane
-        assert rep.components[0].h1_rank == 0
+        assert rep["component_count"] == 1
+        assert rep["components"][0]["compact"]
+        assert rep["components"][0]["chi"] == 1  # projective plane
+        assert rep["components"][0]["h1_rank"] == 0
 
     rep = _pi(built("elongated-dodecahedron"))
-    assert rep.component_count == 1
-    comp = rep.components[0]
-    assert comp.chi == -1 and not comp.compact
-    assert comp.h1_rank == 2  # 1 - chi; the literature value 1 is disputed
+    assert rep["component_count"] == 1
+    comp = rep["components"][0]
+    assert comp["chi"] == -1 and not comp["compact"]
+    assert comp["h1_rank"] == 2  # 1 - chi; the literature value 1 is disputed
 
 
 def test_chi_halves_under_quotient():
     for name in POLYTOPE_CATALOG:
         delta, pi, _ = surface_topology(built(name))
-        chi_delta = sum(c.chi for c in delta.components)
-        chi_pi = sum(c.chi for c in pi.components)
+        chi_delta = sum(c["chi"] for c in delta["components"])
+        chi_pi = sum(c["chi"] for c in pi["components"])
         assert chi_delta == 2 * chi_pi
 
 
@@ -128,10 +128,10 @@ def test_delta_components_match_ridge_graph():
     for name in POLYTOPE_CATALOG:
         para = built(name)
         delta, pi, _ = surface_topology(para)
-        assert delta.component_count == ridge_graph_components(para), name
+        assert delta["component_count"] == ridge_graph_components(para), name
         cut = CutComplex(para)
-        assert delta.component_count == ChainComplex(cut, quotient=False).h0_rank
-        assert pi.component_count == ChainComplex(cut, quotient=True).h0_rank
+        assert delta["component_count"] == ChainComplex(cut, quotient=False).h0_rank
+        assert pi["component_count"] == ChainComplex(cut, quotient=True).h0_rank
 
 
 def test_ridge_connectivity_d4():
@@ -151,7 +151,7 @@ def test_half_belt_spans():
     }
     for name, (h1, span, spanned) in expectations.items():
         result = _span(built(name))
-        assert (result.h1_rank, result.span_rank, result.spanned) == \
+        assert (result["h1_rank"], result["span_rank"], result["spanned"]) == \
             (h1, span, spanned)
 
 
@@ -162,12 +162,12 @@ def test_chain_model_matches_open_surface_ranks():
         # the unquotiented cut model is a test oracle only
         delta_chain = ChainComplex(CutComplex(para), quotient=False)
         assert delta_chain.h1_rank == _h1(delta)
-        assert result.h1_rank == _h1(pi)
+        assert result["h1_rank"] == _h1(pi)
 
 
 def test_half_belt_cycle_count():
     result = _span(built("truncated-octahedron"))
-    assert result.n_cycles == 6 * 6  # six shifted walks per 6-belt
+    assert result["cycles"] == 6 * 6  # six shifted walks per 6-belt
 
 
 def test_dual_complex_matches_the_cut_model_on_the_catalog():
@@ -188,15 +188,15 @@ def test_dual_complex_matches_the_cut_model_on_unimodular_images():
             # the oracle's h1 is that of the quotient cut model
             oracle = cut_half_belt_span(image)
             assert span == oracle, name
-            assert _h1(pi) == oracle.h1_rank, name
+            assert _h1(pi) == oracle["h1_rank"], name
             delta_chain = ChainComplex(CutComplex(image), quotient=False)
             assert _h1(delta) == delta_chain.h1_rank, name
-            assert delta.component_count == delta_chain.h0_rank, name
+            assert delta["component_count"] == delta_chain.h0_rank, name
             for rep in (delta, pi):
                 # components with a vertex sort last, and facet-only ones
                 # after those with an edge
-                tags = ["v" if c.cell_counts[0] else "e" if c.cell_counts[1]
-                        else "f" for c in rep.components]
+                tags = ["v" if c["cells"][0] else "e" if c["cells"][1]
+                        else "f" for c in rep["components"]]
                 assert tags == sorted(tags), name
 
 
@@ -229,7 +229,7 @@ def test_dropped_two_cell_breaks_the_rank_check(monkeypatch, name):
     # comes from the same walks and would move with the span's h1
     para = built(name)
     oracle = ChainComplex(CutComplex(para), quotient=True).h1_rank
-    assert _span(para).h1_rank == oracle
+    assert _span(para)["h1_rank"] == oracle
     vmap, _, _ = oracles._antipodal_maps(para)
     face = next(f for f in para.polytope.face_lattice.faces(0)
                 if topology.face_walk(para, f) is not None)
@@ -238,7 +238,7 @@ def test_dropped_two_cell_breaks_the_rank_check(monkeypatch, name):
     walk = topology.face_walk
     monkeypatch.setattr(topology, "face_walk", lambda para, face: (
         None if face.vertex_ids in orbit else walk(para, face)))
-    assert _span(para).h1_rank != oracle
+    assert _span(para)["h1_rank"] != oracle
 
 
 def test_antipodal_fixed_cell_is_rejected(monkeypatch):
@@ -269,9 +269,9 @@ def test_belt_of_length_eight_is_rejected():
     prism = Polytope.from_vertices(
         [(x, y, z) for x, y in octagon for z in (1, -1)])
     verdict = venkov_check(prism)
-    assert not verdict.ok
-    assert {w.condition for w in verdict.witnesses} == {"belt"}
-    assert "length 8" in verdict.witnesses[0].detail
+    assert not verdict["ok"]
+    assert {w["condition"] for w in verdict["witnesses"]} == {"belt"}
+    assert "length 8" in verdict["witnesses"][0]["detail"]
 
 
 def test_one_half_belt_span_per_verify(monkeypatch):
