@@ -166,9 +166,7 @@ _LATTICE_EXPECTED = {
     },
 }
 
-POLYTOPE_NAMES = tuple(sorted(_POLYTOPE_EXPECTED))
-LATTICE_NAMES = tuple(sorted(_LATTICES))
-NAMES = tuple(sorted(POLYTOPE_NAMES + LATTICE_NAMES))
+NAMES = tuple(sorted((*_POLYTOPE_EXPECTED, *_LATTICES)))
 
 
 def catalog_names() -> tuple[str, ...]:

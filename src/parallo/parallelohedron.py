@@ -1,10 +1,10 @@
 """Parallelohedron structure: tiling data, dual cells, surface partitions.
 
 A polytope gets here only once it has passed the Venkov conditions
-(`venkov`), which also give its belts and facet centers. Then each
-facet F determines the neighbor translate via the facet vector
-t_F = 2*c_F, the facet vectors generate the tile-center lattice, and
-local stars of the tiling can be reconstructed without ever
+(`venkov`), which also centre it and give its belts and its facet
+vectors t_F = 2*c_F. Then each facet F determines the neighbor
+translate by t_F, the facet vectors generate the tile-center lattice,
+and local stars of the tiling can be reconstructed without ever
 materializing the tiling itself: a face of the polytope belongs to the
 translate by t exactly when all its vertices satisfy the shifted
 inequalities. So a face's dual cell, the tiles that hold it, is a bit
@@ -52,16 +52,15 @@ def component_roots(n: int, pairs) -> tuple[int, ...]:
 
 
 class Parallelohedron:
-    """A polytope that passed the Venkov conditions, with its tiling data."""
+    """A centred polytope past the Venkov conditions, with its tiling data."""
 
-    def __init__(self, polytope, belts, facet_centers):
+    def __init__(self, polytope, belts, facet_vectors):
         p = self.polytope = polytope
         self.belts = belts
-        self.facet_centers = facet_centers
+        self.facet_vectors = facet_vectors
         # per ridge its two facets, and the ridge of each such facet pair
         self.ridge_facets = tuple(r.facets for r in self.ridges)
         self.ridge_of = {pair: r for r, pair in enumerate(self.ridge_facets)}
-        self.facet_vectors = tuple(linalg.vscale(2, c) for c in facet_centers)
         self.facet_vector_rows = linalg.integer_rows(self.facet_vectors)
         # opposite facet: normal negated, same offset (we are centered)
         planes = tuple(zip(p.facet_normals, p.facet_offsets))
@@ -74,18 +73,18 @@ class Parallelohedron:
         basis = lattice_basis_from_generators(*self.facet_vector_rows)
         if len(basis) != p.dim:
             raise GeometryError("facet vectors do not span a full-rank lattice")
-        self.lattice = Lattice.create(basis)
+        # d HNF rows with distinct pivot columns: a nonsingular basis
+        self.lattice = Lattice(basis, linalg.identity(p.dim))
         self._check_neighbors()
 
     @staticmethod
     def build(p: Polytope) -> "Parallelohedron":
-        q = p.recentered()
-        venkov, *tiling = _analyze(q)
+        venkov, *tiling = _analyze(p)
         if not venkov["ok"]:
             w = venkov["witnesses"][0]
             raise NotAParallelohedron(
                 f"venkov: fail ({w['condition']}: {w['detail']})")
-        return Parallelohedron(q, *tiling)
+        return Parallelohedron(*tiling)
 
     def _check_neighbors(self):
         """P and P + t_F must intersect in exactly the facet F: the row

@@ -267,11 +267,6 @@ class Polytope:
         normals, ns = linalg.integer_rows(self.facet_normals)
         return rows, s, normals, ns, [ns * b for b in offsets]
 
-    @cached_property
-    def centroid(self) -> Vec:
-        return tuple(sum(col, Fraction(0)) / self.n_vertices
-                     for col in zip(*self.vertices))
-
     # -- face lattice ------------------------------------------------
 
     @cached_property
@@ -342,10 +337,3 @@ class Polytope:
             ),
             self.facet_vertex_ids,
         )
-
-    def recentered(self) -> "Polytope":
-        """The translate with centroid 0: `self` when it already has it,
-        since every constructor stores its vertices sorted."""
-        if not any(self.centroid):
-            return self
-        return self.translated(linalg.vneg(self.centroid))

@@ -106,22 +106,22 @@ def verify(source: Polytope | Lattice, name: str | None = None,
     """The report `parallo verify` prints, for a polytope or a lattice's
     cell; `timing_ms` is null unless `timing` is set.
 
-    The Venkov checks run once, on the recentred polytope; the tiling
-    stages are imported, and their keys written, only once they pass."""
+    The Venkov checks run once, on the polytope as given, and hand the
+    tiling stages its translate centred at the origin; those stages are
+    imported, and their keys written, only once the checks pass."""
     t0 = time.perf_counter()
     if isinstance(source, Polytope):
         p, source_gram = source, None
     else:
         p, source_gram = source.cell, source.gram
-    q = p.recentered()
-    venkov, *tiling = _analyze(q)
+    venkov, *tiling = _analyze(p)
     doc: dict = {"name": name, "dim": p.dim, "venkov": venkov}
     verdict = "venkov-fails"
     if venkov["ok"]:
         from .parallelohedron import Parallelohedron
         from .scaling import certify
 
-        para = Parallelohedron(q, *tiling)
+        para = Parallelohedron(*tiling)
         components = len(set(para.delta_roots))
         doc["belts"] = [{"length": b.length, "facets": b.facets}
                         for b in para.belts]

@@ -28,10 +28,11 @@ projective plane) and its rational H1 is trivial.
 
 Half-belt span. The complex's 1-skeleton is the ridge graph, so a
 half-belt is a walk there; its three steps end on the opposite facet,
-so it closes in the antipodal quotient. The span of the half-belt
-cycles inside the pi-surface's rational H1 comes from exact ranks of
-sparse integer boundary columns. Reports write this span under both the
-delta and the pi surface.
+so it closes in the antipodal quotient. Its span in the pi-surface's
+rational H1 comes from one elimination of the 2-cell columns followed
+by the cycles: the pivots among the 2-cells count the rank of the
+boundary map, the others the span. Reports write this span under both
+the delta and the pi surface.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ def _sparse(terms) -> dict[int, int]:
     for i, c in terms:
         out[i] = out.get(i, 0) + c
     return {i: c for i, c in out.items() if c}
-
-
-def _dense(col: dict[int, int], n: int) -> tuple[int, ...]:
-    return tuple(col.get(i, 0) for i in range(n))
 
 
 def _require_cycles(boundary_cols, chains, message: str):
@@ -194,13 +191,12 @@ class _DualComplex:
         """Do half-belt cycles span the rational H1 of the pi-surface? The
         report's `half_belt_span` block."""
         cycles = self.half_belt_cycles()
-        n1 = len(self.edges)
-        b2 = tuple(_dense(c, n1) for c in self.b2_cols)
-        rank_b2 = linalg.rank(b2)
-        h1 = n1 - self.rank_b1 - rank_b2
-        span = 0
-        if cycles:
-            span = linalg.rank(b2 + tuple(_dense(z, n1) for z in cycles)) - rank_b2
+        cols = self.b2_cols + cycles
+        pivots, _ = linalg._bareiss([[c.get(i, 0) for c in cols]
+                                     for i in range(len(self.edges))])
+        rank_b2 = sum(c < len(self.b2_cols) for c in pivots)
+        h1 = len(self.edges) - self.rank_b1 - rank_b2
+        span = len(pivots) - rank_b2
         return {"h1_rank": h1, "span_rank": span, "spanned": span == h1,
                 "cycles": len(cycles)}
 

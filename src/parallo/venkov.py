@@ -9,12 +9,16 @@ face lattice, so a rejection loads no lattice or tiling code (see
 
 Both symmetry conditions are read off vertex-id involutions: the point
 reflection of P, and of each facet through its center, computed once on
-one integer scaling of the vertices. Belts are found by walking: enter
-a facet through a ridge, map the ridge's vertex ids through the facet's
-involution to find the parallel exit ridge, cross to the other facet,
-repeat. Each belt is walked once, from its least ridge, whatever its
-length; a ridge is primitive iff its belt closes after 6 facets (three
-tiles meet at it rather than four).
+one integer scaling of the vertices. The column sums of the first give
+P's centre of symmetry, so this stage also fixes the tiling frame: it
+translates P once to put that centre at the origin, and hands the
+tiling stages that polytope with its facet vectors t_F = 2 c_F, twice
+the facet centers (Venkov 1954; McMullen 1980). Belts are found by
+walking: enter a facet through a ridge, map the ridge's vertex ids
+through the facet's involution to find the parallel exit ridge, cross
+to the other facet, repeat. Each belt is walked once, from its least
+ridge, whatever its length; a ridge is primitive iff its belt closes
+after 6 facets (three tiles meet at it rather than four).
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import linalg
-from .errors import GeometryError, UnsupportedDimensionError
+from .errors import UnsupportedDimensionError
 from .polytope import Polytope
 
 
@@ -34,8 +37,8 @@ def _witness(condition, detail, face_vertex_ids=()) -> dict:
             "face_vertex_ids": tuple(face_vertex_ids)}
 
 
-def _failed(witnesses):
-    return {"ok": False, "witnesses": witnesses}, (), ()
+def _failed(p, witnesses):
+    return {"ok": False, "witnesses": witnesses}, p, (), ()
 
 
 class Belt(namedtuple("Belt", "facets ridges")):
@@ -115,9 +118,11 @@ def _walk_belt(ridges, ridge_ids_by_key, mirrors, start_ridge):
 
 
 def _analyze(p: Polytope):
-    """Run the Venkov checks; return the report's `venkov` block (`ok`
-    and the failure witnesses), the belts and the facet centers, the
-    last two empty on failure."""
+    """Run the Venkov checks on any polytope; return the report's
+    `venkov` block (`ok` and the failure witnesses), the polytope with
+    its centre of symmetry at the origin (`p` itself when it is there
+    already, or when there is none), its belts and its facet vectors
+    t_F = 2 c_F, the last two empty on failure."""
     if p.dim < 2:
         raise UnsupportedDimensionError(
             f"dimension {p.dim} is not supported: the belt conditions "
@@ -125,12 +130,14 @@ def _analyze(p: Polytope):
     rows, scale, *_ = p.integer_form
     image, sums = _involution(rows)
     if image is None:
-        return _failed([_witness("central-symmetry",
-                                 "vertex set is not centrally symmetric")])
+        return _failed(p, [_witness("central-symmetry",
+                                    "vertex set is not centrally symmetric")])
     if any(sums):
-        raise GeometryError("polytope must be recentered before analysis")
+        # the centre is S / (m s); a translation keeps the vertex order
+        p = p.translated(tuple(Fraction(-x, len(rows) * scale) for x in sums))
+        rows, scale, *_ = p.integer_form
     witnesses = []
-    mirrors, facet_centers = [], []
+    mirrors, facet_vectors = [], []
     for fi, ids in enumerate(p.facet_vertex_ids):
         image, sums = _involution([rows[i] for i in ids])
         if image is None:
@@ -138,9 +145,10 @@ def _analyze(p: Polytope):
                 "facet-symmetry", f"facet {fi} is not centrally symmetric", ids))
             continue
         mirrors.append({i: ids[k] for i, k in zip(ids, image)})
-        facet_centers.append(tuple(Fraction(s, len(ids) * scale) for s in sums))
+        facet_vectors.append(tuple(Fraction(2 * s, len(ids) * scale)
+                                   for s in sums))
     if witnesses:
-        return _failed(witnesses)
+        return _failed(p, witnesses)
 
     ridges = p.face_lattice.faces(p.dim - 2)
     ridge_ids_by_key = {r.vertex_ids: i for i, r in enumerate(ridges)}
@@ -164,11 +172,11 @@ def _analyze(p: Polytope):
                 ridges[rid].vertex_ids,
             ))
     if witnesses:
-        return _failed(witnesses)
-    return {"ok": True, "witnesses": []}, tuple(belts), tuple(facet_centers)
+        return _failed(p, witnesses)
+    return {"ok": True, "witnesses": []}, p, tuple(belts), tuple(facet_vectors)
 
 
 def venkov_check(p: Polytope) -> dict:
     """Minkowski-Venkov test, as the `venkov` block of the report: `ok`
     iff p is a parallelohedron, else a witness per failure."""
-    return _analyze(p.recentered())[0]
+    return _analyze(p)[0]

@@ -53,7 +53,6 @@ from parallo.polytope import (
 )
 from parallo.scaling import build_ridge_graph
 from parallo.topology import (
-    _dense,
     _require_cycles,
     _require_d3,
     _sparse,
@@ -66,6 +65,11 @@ from parallo.venkov import (
     _walk_belt,
     _witness,
 )
+
+
+def _dense(col: dict[int, int], n: int) -> tuple[int, ...]:
+    """A sparse integer column as a dense tuple of length n."""
+    return tuple(col.get(i, 0) for i in range(n))
 
 
 def hull_counts(points) -> tuple[int, int]:
@@ -125,27 +129,29 @@ def central_symmetry(points) -> tuple[bool, tuple]:
 
 def per_ridge_analyze(p):
     """`venkov._analyze` with a belt walk out of every ridge that no good
-    belt holds, so a belt of the wrong length is walked once per ridge."""
+    belt holds, so a belt of the wrong length is walked once per ridge;
+    the centre and the facet vectors come from `Fraction` centroids."""
     if p.dim < 2:
         raise UnsupportedDimensionError(f"dimension {p.dim} is not supported")
-    rows, scale = linalg.integer_rows(p.vertices)
-    image, sums = _involution(rows)
-    if image is None:
-        return _failed([_witness("central-symmetry",
-                                 "vertex set is not centrally symmetric")])
-    if any(sums):
-        raise GeometryError("polytope must be recentered before analysis")
-    witnesses, mirrors, facet_centers = [], [], []
+    symmetric, center = central_symmetry(p.vertices)
+    if not symmetric:
+        return _failed(p, [_witness("central-symmetry",
+                                    "vertex set is not centrally symmetric")])
+    if any(center):
+        p = p.translated(linalg.vneg(center))
+    rows, _ = linalg.integer_rows(p.vertices)
+    witnesses, mirrors, facet_vectors = [], [], []
     for fi, ids in enumerate(p.facet_vertex_ids):
-        image, sums = _involution([rows[i] for i in ids])
+        image, _ = _involution([rows[i] for i in ids])
         if image is None:
             witnesses.append(_witness(
                 "facet-symmetry", f"facet {fi} is not centrally symmetric", ids))
             continue
         mirrors.append({i: ids[k] for i, k in zip(ids, image)})
-        facet_centers.append(tuple(Fraction(s, len(ids) * scale) for s in sums))
+        _, c = central_symmetry([p.vertices[i] for i in ids])
+        facet_vectors.append(linalg.vscale(2, c))
     if witnesses:
-        return _failed(witnesses)
+        return _failed(p, witnesses)
     ridges = p.face_lattice.faces(p.dim - 2)
     ridge_ids_by_key = {r.vertex_ids: i for i, r in enumerate(ridges)}
     belts, in_belt = [], set()
@@ -166,8 +172,8 @@ def per_ridge_analyze(p):
         in_belt.update(belt.ridges)
         belts.append(belt)
     if witnesses:
-        return _failed(witnesses)
-    return {"ok": True, "witnesses": []}, tuple(belts), tuple(facet_centers)
+        return _failed(p, witnesses)
+    return {"ok": True, "witnesses": []}, p, tuple(belts), tuple(facet_vectors)
 
 
 def dot_product_facet_vertex_ids(p) -> tuple[tuple[int, ...], ...]:

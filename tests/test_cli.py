@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parallo
+from conftest import POLYTOPE_CATALOG, fixture_polytope
 from parallo import catalog, cli, lattice
 from parallo.cli import main
 
@@ -405,6 +407,44 @@ def test_one_dimensional_inputs_still_export(tmp_path, capsys, kind):
     assert code == 0
     doc = json.loads(out)
     assert doc["dim"] == 1 and len(doc["vertices"]) == 2
+
+
+def test_a_flat_vertex_document_gets_one_error_line(tmp_path, capsys):
+    """Four coplanar points with "dim": 3 have no 3-dimensional hull."""
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"dim": 3, "vertices": [
+        ["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"]]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: input is not full-dimensional\n"
+
+
+SHIFTED_COMMANDS = [["verify"], ["check"], ["surface"], ["surface", "--pi"]] + [
+    ["dual-cells", "--codim", str(k)] for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name", POLYTOPE_CATALOG + (
+    "fixture:octahedron", "fixture:zonotope5", "fixture:pentagon_prism"))
+def test_a_shifted_input_gives_the_same_output(tmp_path, monkeypatch, capsys,
+                                               name):
+    """The Venkov stage puts the centre of symmetry at the origin, so a
+    copy shifted by a rational vector prints the same bytes and exit code
+    as the original for every command; both documents are read as
+    `p.json`, so even the report's name agrees."""
+    p = (fixture_polytope(name[len("fixture:"):]) if name.startswith("fixture:")
+         else catalog.catalog(name).polytope)
+    shift = (F(1, 3), F(-2), F(5, 7))
+    for label, offset in (("original", (0, 0, 0)), ("shifted", shift)):
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "p.json").write_text(json.dumps({
+            "dim": 3, "vertices": [[str(x + t) for x, t in zip(v, offset)]
+                                   for v in p.vertices]}))
+    for command in SHIFTED_COMMANDS:
+        outputs = []
+        for label in ("original", "shifted"):
+            monkeypatch.chdir(tmp_path / label)
+            outputs.append(run(capsys, command[0], "p.json", *command[1:]))
+        assert outputs[0] == outputs[1], command
 
 
 @pytest.mark.parametrize("command", ["verify", "export"])

@@ -203,6 +203,18 @@ def test_det_matches_fraction_elimination(m):
     assert linalg.det(m) == fraction_det(m)
 
 
+@given(st.integers(0, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), max_size=5)))
+@settings(max_examples=200, deadline=None)
+def test_bareiss_pivots_are_the_greedy_independent_columns(rows):
+    """The pivot columns below k count the rank of the first k columns,
+    for every k: the half-belt span reads two ranks off one elimination."""
+    pivots, _ = linalg._bareiss([list(r) for r in rows])
+    for k in range(len(rows[0]) + 1 if rows else 1):
+        assert sum(c < k for c in pivots) == linalg.rank(
+            tuple(tuple(r[:k]) for r in rows))
+
+
 def test_rank_and_det_edge_cases():
     assert linalg.rank(()) == 0
     assert linalg.rank(((),)) == 0

@@ -99,10 +99,27 @@ def test_involution_matches_the_fraction_reflection(points):
             assert points[k] == tuple(2 * c - x for c, x in zip(center, p))
 
 
-def test_analyze_rejects_a_symmetric_polytope_off_the_origin():
-    cube = catalog("cube").polytope.translated((F(1, 3), 0, 0))
-    with pytest.raises(GeometryError, match="must be recentered"):
-        _analyze(cube)
+def test_analyze_centres_a_shifted_polytope():
+    """A shifted half cube comes back translated onto the centred one,
+    with the facet vectors of the centred cube, t_F = 2 c_F."""
+    cube = catalog("cube").polytope  # [-1/2, 1/2]^3
+    verdict, q, belts, vectors = _analyze(cube.translated((F(1, 3), -2, F(5, 7))))
+    assert verdict["ok"] and q == cube
+    assert sorted(vectors) == sorted(
+        tuple(F(s) if i == j else F(0) for j in range(3))
+        for i in range(3) for s in (-1, 1))
+    assert len(belts) == 3
+
+
+def test_analyze_keeps_a_centred_polytope():
+    """A centred input is handed on as the same object, on success and
+    on failure."""
+    cube = catalog("cube").polytope
+    assert _analyze(cube)[1] is cube
+    octahedron = fixture_polytope("octahedron")
+    verdict, q, belts, vectors = _analyze(octahedron)
+    assert not verdict["ok"] and q is octahedron
+    assert (belts, vectors) == ((), ())
 
 
 def zonotope(generators):
@@ -144,7 +161,8 @@ def belt_walks(monkeypatch):
                                   "catalog", "seeded zonotopes"])
 def test_each_belt_is_walked_once_with_the_per_ridge_verdict(case, belt_walks):
     """Walking each belt once, whatever its length, gives the verdict,
-    witnesses, belts and facet centers of a walk out of every ridge."""
+    witnesses, centred polytope, belts and facet vectors of a walk out
+    of every ridge."""
     if case == "catalog":
         polytopes = [catalog(name).polytope for name in POLYTOPE_CATALOG]
     elif case == "seeded zonotopes":
@@ -152,9 +170,8 @@ def test_each_belt_is_walked_once_with_the_per_ridge_verdict(case, belt_walks):
     else:
         polytopes = [fixture_polytope(case)]
     for p in polytopes:
-        q = p.recentered()
         belt_walks.clear()
-        assert _analyze(q) == per_ridge_analyze(q)
+        assert _analyze(p) == per_ridge_analyze(p)
         assert len(belt_walks) == len(set(belt_walks))
 
 
@@ -223,21 +240,21 @@ def test_walk_belt_rejects_doctored_tables(case, detail):
 def test_analyze_turns_a_failed_belt_walk_into_a_belt_witness(monkeypatch):
     """A cube whose ridge 0 is doctored onto a third facet: the walk out
     of it fails, and so does every walk that reaches it, each as a belt
-    witness; no belts and no facet centers are returned."""
-    q = catalog("cube").polytope.recentered()
+    witness; no belts and no facet vectors are returned."""
+    q = catalog("cube").polytope
     by_dim = dict(q.face_lattice.faces_by_dim)
     ridges = list(by_dim[1])
     third = next(f for f in range(q.n_facets) if f not in ridges[0].facets)
     ridges[0] = ridges[0]._replace(facets=ridges[0].facets + (third,))
     by_dim[1] = tuple(ridges)
     monkeypatch.setattr(q, "face_lattice", FaceLattice(by_dim))
-    verdict, belts, centers = _analyze(q)
-    assert not verdict["ok"] and (belts, centers) == ((), ())
+    verdict, centred, belts, vectors = _analyze(q)
+    assert not verdict["ok"] and centred is q and (belts, vectors) == ((), ())
     assert verdict["witnesses"][0] == {
         "condition": "belt", "detail": "ridge lies on 3 facets, expected 2",
         "face_vertex_ids": ridges[0].vertex_ids}
     assert {w["condition"] for w in verdict["witnesses"]} == {"belt"}
-    assert (verdict, belts, centers) == per_ridge_analyze(q)
+    assert (verdict, centred, belts, vectors) == per_ridge_analyze(q)
 
 
 @pytest.mark.parametrize("name", ["truncated-octahedron", "zonotope5"])
@@ -313,17 +330,17 @@ def test_facet_vectors_and_neighbor_identity():
 
 
 
-@pytest.mark.parametrize("centers", ["doubled", "rotated"])
-def test_neighbor_check_rejects_wrong_facet_vectors(centers):
-    """Negative controls of the neighbor check: doubled centers put each
-    t_F = 4 c_F outside the 2R ball of the coarser lattice, so it has no
-    row in the translate table; rotated centers give each facet the row
-    of another facet."""
+@pytest.mark.parametrize("vectors", ["doubled", "rotated"])
+def test_neighbor_check_rejects_wrong_facet_vectors(vectors):
+    """Negative controls of the neighbor check: doubled vectors put each
+    2 t_F = 4 c_F outside the 2R ball of the coarser lattice, so it has
+    no row in the translate table; rotated vectors give each facet the
+    row of another facet."""
     cube = built("cube")
-    if centers == "doubled":
-        wrong = tuple(linalg.vscale(2, c) for c in cube.facet_centers)
+    if vectors == "doubled":
+        wrong = tuple(linalg.vscale(2, t) for t in cube.facet_vectors)
     else:
-        wrong = cube.facet_centers[1:] + cube.facet_centers[:1]
+        wrong = cube.facet_vectors[1:] + cube.facet_vectors[:1]
     with pytest.raises(GeometryError, match="does not reproduce the facet"):
         Parallelohedron(cube.polytope, cube.belts, wrong)
 
