@@ -1,10 +1,14 @@
 """Built-in reference inputs with frozen expected invariants.
 
-Five three-dimensional parallelohedra (one per combinatorial type) plus
-the lattices whose Voronoi cells exercise the pipeline in d = 2, 3, 4.
-Skew cells (hexagonal prism, rhombic and elongated dodecahedra) are
-realized with rational coordinates; the metric that makes them "round"
-lives in the lattice Gram matrix, never in the coordinates.
+One table, `_ENTRIES`, gives every input as a lattice: a basis and a
+Gram matrix (the identity when None). The five entries of kind
+"polytope" are the three-dimensional parallelohedra, one per
+combinatorial type, each the Voronoi cell of its lattice
+(`Lattice.cell`); the entries of kind "lattice" exercise the pipeline
+in d = 2, 3, 4. Skew cells (hexagonal prism, rhombic and elongated
+dodecahedra) are realized with rational coordinates; the metric that
+makes them "round" lives in the lattice Gram matrix, never in the
+coordinates.
 
 Every expected value carries a provenance tag: "definitional" (forced
 by the construction), "literature" (stated in published work on these
@@ -22,53 +26,39 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import Lattice
-from .polytope import Polytope
 
 F = Fraction
 
 
 class CatalogEntry(namedtuple("CatalogEntry",
                               "name kind polytope lattice expected")):
-    """A named input of kind "polytope" or "lattice", its polytope, its
-    generating lattice when there is one, and its expected invariants."""
+    """A named input of kind "polytope" (a solid, verified as a polytope)
+    or "lattice" (verified as a lattice), its lattice, that lattice's
+    Voronoi cell as its polytope, and its expected invariants."""
 
     __slots__ = ()
 
 
-_HEX_PRISM_VERTICES = [
-    (F(1, 3), F(1, 3), F(s, 2)) for s in (-1, 1)
-] + [
-    (F(-1, 3), F(-1, 3), F(s, 2)) for s in (-1, 1)
-] + [
-    (F(2, 3), F(-1, 3), F(s, 2)) for s in (-1, 1)
-] + [
-    (F(-2, 3), F(1, 3), F(s, 2)) for s in (-1, 1)
-] + [
-    (F(-1, 3), F(2, 3), F(s, 2)) for s in (-1, 1)
-] + [
-    (F(1, 3), F(-2, 3), F(s, 2)) for s in (-1, 1)
-]
-
-_ELONGATED_DODECA_VERTICES = [
-    (F(sx, 2), F(sy, 2), F(sz, 4)) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)
-] + [
-    (F(sx, 2), F(0), F(sz, 2)) for sx in (-1, 1) for sz in (-1, 1)
-] + [
-    (F(0), F(sy, 2), F(sz, 2)) for sy in (-1, 1) for sz in (-1, 1)
-] + [
-    (F(0), F(0), F(sz * 3, 4)) for sz in (-1, 1)
-]
-
-_LATTICES = {
-    "lattice-Z2": ([[1, 0], [0, 1]], None),
-    "lattice-Z3": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], None),
-    "lattice-A2-gram": ([[1, 0], [0, 1]], [[2, 1], [1, 2]]),
-    "lattice-FCC": ([[1, 1, 0], [1, 0, 1], [0, 1, 1]], None),
-    "lattice-BCC": ([[1, 0, 0], [0, 1, 0], [F(1, 2), F(1, 2), F(1, 2)]], None),
-    "lattice-D4": (
-        [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]],
-        None,
-    ),
+# name -> (kind, basis, gram or None). The solids are the Voronoi cells
+# of Z^3, the hexagonal lattice times Z, FCC, a body-centred tetragonal
+# lattice and BCC.
+_FCC = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+_BCC = [[1, 0, 0], [0, 1, 0], [F(1, 2), F(1, 2), F(1, 2)]]
+_I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_ENTRIES = {
+    "cube": ("polytope", _I3, None),
+    "hexagonal-prism": ("polytope", _I3, [[2, 1, 0], [1, 2, 0], [0, 0, 1]]),
+    "rhombic-dodecahedron": ("polytope", _FCC, None),
+    "elongated-dodecahedron": (
+        "polytope", [[1, 0, 0], [0, 1, 0], [F(1, 2), F(1, 2), 1]], None),
+    "truncated-octahedron": ("polytope", _BCC, None),
+    "lattice-Z2": ("lattice", [[1, 0], [0, 1]], None),
+    "lattice-Z3": ("lattice", _I3, None),
+    "lattice-A2-gram": ("lattice", [[1, 0], [0, 1]], [[2, 1], [1, 2]]),
+    "lattice-FCC": ("lattice", _FCC, None),
+    "lattice-BCC": ("lattice", _BCC, None),
+    "lattice-D4": ("lattice", [[1, -1, 0, 0], [0, 1, -1, 0],
+                               [0, 0, 1, -1], [0, 0, 1, 1]], None),
 }
 
 _POLYTOPE_EXPECTED = {
@@ -166,7 +156,7 @@ _LATTICE_EXPECTED = {
     },
 }
 
-NAMES = tuple(sorted((*_POLYTOPE_EXPECTED, *_LATTICES)))
+NAMES = tuple(sorted(_ENTRIES))
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -175,41 +165,11 @@ def catalog_names() -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def catalog(name: str) -> CatalogEntry:
-    """Exact rational realization of a built-in reference input."""
-    if name in _LATTICES:
-        basis, gram = _LATTICES[name]
-        lat = Lattice.create(basis, gram)
-        return CatalogEntry(name, "lattice", lat.cell, lat,
-                            _LATTICE_EXPECTED[name])
-    if name == "cube":
-        verts = [
-            (F(sx, 2), F(sy, 2), F(sz, 2))
-            for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)
-        ]
-        return CatalogEntry(name, "polytope", Polytope.from_vertices(verts),
-                            catalog("lattice-Z3").lattice,
-                            _POLYTOPE_EXPECTED[name])
-    if name == "hexagonal-prism":
-        lat = Lattice.create(
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            [[2, 1, 0], [1, 2, 0], [0, 0, 1]],
-        )
-        return CatalogEntry(name, "polytope",
-                            Polytope.from_vertices(_HEX_PRISM_VERTICES),
-                            lat, _POLYTOPE_EXPECTED[name])
-    if name == "rhombic-dodecahedron":
-        fcc = catalog("lattice-FCC")
-        return CatalogEntry(name, "polytope", fcc.polytope, fcc.lattice,
-                            _POLYTOPE_EXPECTED[name])
-    if name == "elongated-dodecahedron":
-        lat = Lattice.create([[1, 0, 0], [0, 1, 0], [F(1, 2), F(1, 2), 1]])
-        return CatalogEntry(name, "polytope",
-                            Polytope.from_vertices(_ELONGATED_DODECA_VERTICES),
-                            lat, _POLYTOPE_EXPECTED[name])
-    if name == "truncated-octahedron":
-        bcc = catalog("lattice-BCC")
-        return CatalogEntry(name, "polytope", bcc.polytope, bcc.lattice,
-                            _POLYTOPE_EXPECTED[name])
-    raise KeyError(
-        f"unknown catalog name {name!r}; choose from {', '.join(NAMES)}"
-    )
+    """Exact rational realization of a built-in reference input: its
+    lattice and that lattice's Voronoi cell; KeyError for a name not in
+    `NAMES`."""
+    kind, basis, gram = _ENTRIES[name]
+    lat = Lattice.create(basis, gram)
+    expected = (_POLYTOPE_EXPECTED if kind == "polytope"
+                else _LATTICE_EXPECTED)[name]
+    return CatalogEntry(name, kind, lat.cell, lat, expected)

@@ -31,12 +31,12 @@ def _load_input(arg: str):
         except OSError as exc:
             raise ParseError(f"cannot read {arg}: {exc}") from exc
         return serialize.load_document(text), None
-    from .catalog import catalog
+    from .catalog import catalog, catalog_names
 
-    try:
-        entry = catalog(arg)
-    except KeyError as exc:
-        raise ParseError(str(exc.args[0])) from exc
+    if arg not in catalog_names():
+        raise ParseError(f"no such file or catalog name {arg!r}; catalog "
+                         f"names: {', '.join(catalog_names())}")
+    entry = catalog(arg)
     if entry.kind == "lattice":
         return entry.lattice, entry
     return entry.polytope, entry
@@ -81,9 +81,8 @@ def _cmd_catalog(args) -> int:
         "kind": entry.kind,
         "expected": entry.expected,
         "polytope": serialize.polytope_to_dict(entry.polytope),
+        "lattice": serialize.lattice_to_dict(entry.lattice),
     }
-    if entry.lattice is not None:
-        doc["lattice"] = serialize.lattice_to_dict(entry.lattice)
     _emit(doc)
     return 0
 

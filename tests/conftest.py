@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from generators import a_edges, cartan
 from oracles import inverse
 from parallo import linalg
 from parallo import report as report_mod
@@ -76,9 +77,7 @@ def fixture_polytope(name: str):
 def an_star(n):
     """The lattice A_n*: the standard basis under the inverse of the
     Cartan matrix of A_n (the Gram matrix of its fundamental weights)."""
-    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0
-               for j in range(n)] for i in range(n)]
-    return Lattice.create(linalg.identity(n), inverse(linalg.mat(cartan)))
+    return Lattice.create(linalg.identity(n), inverse(cartan(n, a_edges(n))))
 
 
 @pytest.fixture

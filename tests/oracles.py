@@ -39,9 +39,6 @@ from functools import cached_property
 from itertools import combinations, product
 from operator import mul
 
-import numpy as np
-from scipy.spatial import ConvexHull
-
 from parallo import linalg
 from parallo.errors import GeometryError, UnsupportedDimensionError
 from parallo.lattice import vectors_in_ball
@@ -74,6 +71,9 @@ def _dense(col: dict[int, int], n: int) -> tuple[int, ...]:
 
 def hull_counts(points) -> tuple[int, int]:
     """(n_vertices, n_facets) from floating-point qhull."""
+    import numpy as np
+    from scipy.spatial import ConvexHull
+
     arr = np.array([[float(x) for x in p] for p in points], dtype=float)
     hull = ConvexHull(arr)
     # qhull reports simplicial facets; merge coplanar ones by hyperplane
@@ -285,6 +285,8 @@ def ball_translate_members(para):
     denominator, so the comparisons are exact, and numpy makes them one
     array operation per ball vector (A5* has 893 ball vectors and 720
     vertices)."""
+    import numpy as np
+
     def scaled(rows):
         den = math.lcm(*(x.denominator for r in rows for x in r))
         ints = [[int(x * den) for x in r] for r in rows]

@@ -49,6 +49,17 @@ def test_catalog_show_unknown(capsys):
     assert "unknown catalog name" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "check", "export"])
+def test_a_missing_input_file_gets_one_error_line(capsys, command):
+    """An argument that is neither a file nor a catalog name is reported
+    as such, with the catalog names, and not as an unknown name."""
+    code, out, err = run(capsys, command, "no/such/file.json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no such file or catalog name "
+                          "'no/such/file.json'; catalog names: cube, ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["catalog", "show"], ["catalog", "list", "cube"]],
                          ids=["show-without-name", "list-with-name"])
 def test_catalog_name_misuse_gets_the_usage_line(capsys, argv):

@@ -1,11 +1,13 @@
 """Golden bytes: the verify report of every catalog entry and the OFF
 export of every solid, as printed by `parallo verify NAME` and
-`parallo export NAME --format off`, the `parallo surface NAME [--pi]`
-output of every 3-D entry, which is the topology block of its verify
-report, and of the 2-D and 4-D lattices, the `parallo dual-cells NAME
---codim k` output of every entry, the `venkov-fails` report of
-one input per Venkov condition, the `scaling-fails` report of two
-doctored gain tables, and one `form-not-pd` certificate.
+`parallo export NAME --format off`, the `parallo catalog show NAME`
+output of every entry (its cell's facets, its lattice and its expected
+invariants), the `parallo surface NAME [--pi]` output of every 3-D
+entry, which is the topology block of its verify report, and of the
+2-D and 4-D lattices, the `parallo dual-cells NAME --codim k` output of
+every entry, the `venkov-fails` report of one input per Venkov
+condition, the `scaling-fails` report of two doctored gain tables, and
+one `form-not-pd` certificate.
 Refactors must leave these bytes alone; a deliberate change to the
 report format regenerates them."""
 
@@ -39,6 +41,12 @@ def test_verify_report_bytes(name):
 def test_off_export_bytes(name):
     off = serialize.polytope_to_off(catalog(name).polytope)
     assert off == _golden(f"{name}.off")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_show_bytes(capsys, name):
+    assert main(["catalog", "show", name]) == 0
+    assert capsys.readouterr().out == _golden(f"{name}.catalog.json")
 
 
 @pytest.mark.parametrize("surface", ["delta", "pi"])

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import LATTICE_CATALOG, an_star
+from generators import E_EDGES, cartan, d_edges
 from oracles import (
     box_vectors_in_ball,
     central_symmetry,
@@ -316,11 +317,7 @@ def test_enumeration_counts_every_candidate_against_the_budget(monkeypatch):
 def d_n(n):
     """The lattice D_n: the standard basis under the Cartan matrix of D_n
     (the Gram matrix of its simple roots)."""
-    edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
-    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        cartan[i][j] = cartan[j][i] = -1
-    return Lattice.create(linalg.identity(n), cartan)
+    return Lattice.create(linalg.identity(n), cartan(n, d_edges(n)))
 
 
 def test_inputs_within_the_budget_still_certify():
@@ -338,10 +335,7 @@ def test_e7_star_certifies():
     (the Gram matrix of its fundamental weights). One ball gives its 182
     relevant vectors, 56 of norm 3/2 and 126 of norm 2, and its cell
     has 576 vertices."""
-    edges = {(0, 2), (2, 3), (3, 4), (4, 5), (1, 3), (5, 6)}
-    cartan = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0
-               for j in range(7)] for i in range(7)]
-    lat = Lattice.create(linalg.identity(7), inverse(linalg.mat(cartan)))
+    lat = Lattice.create(linalg.identity(7), inverse(cartan(7, E_EDGES)))
     norms = Counter(map(lat.norm_sq, relevant_vectors(lat)))
     assert norms == {F(3, 2): 56, F(2): 126}
     assert (lat.cell.n_vertices, lat.cell.n_facets) == (576, 182)

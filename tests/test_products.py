@@ -25,8 +25,7 @@ from parallo.catalog import catalog
 def factor(name: str):
     if name == "segment":
         return SEGMENT
-    entry = catalog(name)
-    return entry.lattice.cell if entry.kind == "lattice" else entry.polytope
+    return catalog(name).polytope
 
 
 @cache
