@@ -12,9 +12,11 @@ b t - <n, y> >= 0, at x = y / t (a ray with t = 0 is a direction of
 unboundedness). Every ray is a primitive integer vector, so the results
 are exact, and it carries the rows it vanishes on: the points on a
 facet, or the planes through a vertex, which are the vertex-facet
-incidences. Boundedness of a halfspace intersection needs no second
-hull: once the normals span, the cone is pointed, and the intersection
-is bounded exactly when no extreme ray has t = 0.
+incidences. The rays decide the rest, with no second rank: the pivot
+search is the only full-rank test, an intersection is bounded exactly
+when no ray has t = 0 and has interior exactly when no row vanishes on
+every ray (an implicit equality; Schrijver 1986, ch. 8), and a plane is
+a facet exactly when no other plane's vertices strictly contain its own.
 
 The face lattice holds the faces of codim 1 to min(3, d), the ones the
 certificate reads. It walks down from the facets: the faces a face
@@ -30,8 +32,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from operator import and_, mul
 
 from . import linalg
 from .errors import GeometryError
@@ -67,11 +69,12 @@ def _bits(z: int):
         z ^= low
 
 
-def _extreme_rays(rows: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
+def _extreme_rays(rows: list[list[int]], unpointed: str = "the cone is not pointed"
+                  ) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the pointed cone {y : <a, y> >= 0 for every row a},
     sorted, as primitive integer vectors, each with the bit set of the
     rows it vanishes on, by double description (Motzkin et al. 1953;
-    Fukuda & Prodon 1996).
+    Fukuda & Prodon 1996). Rows of rank below D raise `unpointed`.
 
     The simplicial cone of the first D independent rows has one ray per
     basis row: the integer kernel of the other D - 1, which vanishes on
@@ -85,7 +88,7 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
     # the first independent rows are the pivot columns of the transpose
     basis, _ = linalg._bareiss([list(col) for col in zip(*rows)])
     if len(basis) < dim:
-        raise GeometryError("the cone is not pointed")
+        raise GeometryError(unpointed)
     rays: list[tuple[int, ...]] = []
     zeros: list[int] = []  # per ray, the bit set of the rows it vanishes on
     for i in basis:
@@ -145,10 +148,8 @@ def _facets_from_points(points: list[Vec], dim: int
     """
     ints, scale = linalg.integer_rows(points)
     rows = [[1] + [-x for x in p] for p in ints]
-    if linalg.rank(rows) != dim + 1:
-        raise GeometryError("input is not full-dimensional")
     facets = []
-    for (b, *normal), on in _extreme_rays(rows):
+    for (b, *normal), on in _extreme_rays(rows, "input is not full-dimensional"):
         g = math.gcd(*normal)
         if linalg.rank([rows[i] for i in _bits(on)]) != dim:
             raise GeometryError("hull produced a supporting hyperplane "
@@ -220,27 +221,26 @@ class Polytope:
             row_of[tuple(x // g for x in n), Fraction(b, g)] = [b] + [-x for x in n]
         planes = sorted(row_of)
         rows = [row_of[plane] for plane in planes]
-        if linalg.rank([row[1:] for row in rows]) < dim:
-            raise GeometryError("halfspace normals do not span the space")
-        rays = _extreme_rays([[1] + [0] * dim] + rows)
+        rays = _extreme_rays([[1] + [0] * dim] + rows,
+                             "halfspace normals do not span the space")
         if any(ray[0] == 0 for ray, _ in rays):
             raise GeometryError("halfspace intersection is unbounded")
-        # the affine rank of vertices is the rank of their rays (t, y), less 1
-        if linalg.rank([ray for ray, _ in rays]) != dim + 1:
+        # a row zero on all rays is an implicit equality (no rays: the apex)
+        if reduce(and_, (on for _, on in rays), -1):
             raise GeometryError("halfspace intersection has empty interior")
-        vertices = sorted((tuple(Fraction(x, ray[0]) for x in ray[1:]), ray, on)
+        vertices = sorted((tuple(Fraction(x, ray[0]) for x in ray[1:]), on)
                           for ray, on in rays)
-        # per row, the ids of the vertices on it; plane k is row k, after
-        # t >= 0 (row 0)
-        on_row: list[list[int]] = [[] for _ in range(len(planes) + 1)]
-        for i, (_, _, on) in enumerate(vertices):
-            for k in _bits(on):
-                on_row[k].append(i)
-        facets = [(plane, tuple(ids)) for plane, ids in zip(planes, on_row[1:])
-                  if linalg.rank([vertices[i][1] for i in ids]) == dim]
+        # per plane, the bit set of its vertices (row 0 is t >= 0); planes
+        # are distinct, so a facet is a plane no other one strictly contains
+        on_plane = [0] * len(planes)
+        for i, (_, on) in enumerate(vertices):
+            for k in _bits(on >> 1):
+                on_plane[k] |= 1 << i
+        facets = [(plane, tuple(_bits(z))) for plane, z in zip(planes, on_plane)
+                  if not any(o != z and o & z == z for o in on_plane)]
         return Polytope(
             dim,
-            tuple(v for v, _, _ in vertices),
+            tuple(v for v, _ in vertices),
             tuple(linalg.vec(n) for (n, _), _ in facets),
             tuple(b for (_, b), _ in facets),
             tuple(ids for _, ids in facets),

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import an_star, fixture_polytope
@@ -307,11 +307,17 @@ def test_round_trip_halfspaces():
 def test_unbounded_and_degenerate_inputs_rejected():
     with pytest.raises(GeometryError):
         Polytope.from_halfspaces([((1, 0), F(1)), ((0, 1), F(1))], 2)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="empty interior"):
         Polytope.from_halfspaces(
             [((1, 0), F(1)), ((-1, 0), F(-1)), ((0, 1), F(0)), ((0, -1), F(0))],
             2,
         )  # a segment: empty interior
+    with pytest.raises(GeometryError, match="empty interior"):
+        Polytope.from_halfspaces(
+            [((1, 0, 0), F(1)), ((-1, 0, 0), F(0)), ((0, 1, 0), F(1)),
+             ((0, -1, 0), F(0)), ((0, 0, 1), F(0)), ((0, 0, -1), F(0))],
+            3,
+        )  # the unit square pinned by z <= 0 and -z <= 0
     with pytest.raises(GeometryError, match="empty interior"):
         Polytope.from_halfspaces(
             [((1, 0), F(1)), ((-1, 0), F(-2)), ((0, 1), F(1)), ((0, -1), F(1))],
@@ -345,9 +351,9 @@ def test_a_non_symmetric_halfspace_input_builds_one_hull(monkeypatch):
     calls = []
     rays = polytope._extreme_rays
 
-    def counted(rows):
+    def counted(rows, *args):
         calls.append(len(rows))
-        return rays(rows)
+        return rays(rows, *args)
 
     monkeypatch.setattr(polytope, "_extreme_rays", counted)
     e = [linalg.vec(row) for row in linalg.identity(3)]
@@ -355,6 +361,25 @@ def test_a_non_symmetric_halfspace_input_builds_one_hull(monkeypatch):
         [((1, 1, 1), F(1))] + [(linalg.vneg(x), F(0)) for x in e], 3)
     assert simplex.n_vertices == 4
     assert len(calls) == 1
+
+
+def test_the_hulls_rank_only_the_facets_of_a_point_set(monkeypatch):
+    """The double description decides full rank, interior and facets:
+    the one rank left is the point hull's check of each facet."""
+    cell = catalog("lattice-D4").polytope
+    solid = catalog("truncated-octahedron").polytope
+    calls = []
+    rank = linalg.rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    assert Polytope.from_halfspaces(halfspaces(cell), 4) == cell
+    assert calls == []
+    assert Polytope.from_vertices(solid.vertices) == solid
+    assert len(calls) == solid.n_facets == 14
 
 
 # -- the integer kernels against the Fraction loops they replaced ------
@@ -484,16 +509,39 @@ def test_extreme_rays_of_small_cones():
         polytope._extreme_rays([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
 
 
-@given(point_sets())
+@st.composite
+def point_sets_with_redundant_planes(draw):
+    """A point set of `point_sets` and two planes that cut nothing off
+    its hull: <n, x> <= max <n, p> over the points for a drawn integer
+    n, tight at a vertex or along a face, and the same plane moved out
+    by 1, tight nowhere."""
+    dim, pts = draw(point_sets())
+    n = draw(st.tuples(*[st.integers(-3, 3)] * dim).filter(any))
+    top = max(linalg.dot(n, p) for p in pts)
+    return dim, pts, [(n, top), (n, top + 1)]
+
+
+_CUBE = list(product((-1, 1), repeat=3))
+
+
+@given(point_sets_with_redundant_planes())
+# the cube [-1, 1]^3 with planes tight at a vertex, along an edge and,
+# twice, nowhere
+@example((3, _CUBE, [((1, 1, 1), F(3)), ((1, 1, 0), F(2)),
+                     ((1, 0, 0), F(2)), ((1, 1, 1), F(9))]))
 @settings(max_examples=80, deadline=None)
 def test_halfspace_round_trip_of_a_point_hull(case):
-    dim, pts = case
+    dim, pts, redundant = case
     assume(fraction_affine_rank(pts) == dim)
     p = Polytope.from_vertices(pts)
     q = Polytope.from_halfspaces(halfspaces(p), dim)
     assert q.vertices == p.vertices == \
         tuple(fraction_vertices_from_halfspaces(halfspaces(p), dim))
     assert halfspaces(q) == halfspaces(p)
+    # redundant planes are not facets, and change nothing
+    r = Polytope.from_halfspaces(halfspaces(p) + redundant, dim)
+    assert (r.vertices, halfspaces(r), r.facet_vertex_ids) == \
+        (p.vertices, halfspaces(p), p.facet_vertex_ids)
 
 
 def test_hull_rejects_an_unbounded_set_without_the_span_test():
