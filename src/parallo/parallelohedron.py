@@ -5,11 +5,12 @@ A polytope gets here only once it has passed the Venkov conditions
 vectors t_F = 2*c_F. Then each facet F determines the neighbor
 translate by t_F, the facet vectors generate the tile-center lattice,
 and local stars of the tiling can be reconstructed without ever
-materializing the tiling itself: a face of the polytope belongs to the
-translate by t exactly when all its vertices satisfy the shifted
-inequalities. So a face's dual cell, the tiles that hold it, is a bit
-set over the translates, and a codim-k face is primitive when k + 1 of
-its bits are set; a ridge is primitive iff its belt has 6 facets.
+materializing the tiling itself. The tiling is face-to-face, so P
+meets a translate P + t, t in 2P, in the face of P cut out by the
+facets through t/2, and a face of P belongs to P + t exactly when it
+lies in that face. So a face's dual cell, the tiles that hold it, is a
+bit set over the translates, and a codim-k face is primitive when k + 1
+of its bits are set; a ridge is primitive iff its belt has 6 facets.
 
 The surface partitions of the facets are decided here and nowhere
 else: the delta-surface joins the two facets of each primitive ridge,
@@ -19,7 +20,6 @@ its opposite.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -89,7 +89,10 @@ class Parallelohedron:
     def _check_neighbors(self):
         """P and P + t_F must intersect in exactly the facet F: the row
         of t_F in the translate table must be the bit set of the facet's
-        vertices (a facet vector with no row lies outside 2P and fails)."""
+        vertices. When t_F / 2 is F's centre, F is the one facet through
+        it and the row is F's by construction; so the check guards facet
+        vectors that are not twice a facet centre (one with no row lies
+        outside 2P and fails)."""
         p = self.polytope
         for fi, t in enumerate(self.facet_vectors):
             if self._translate_members.get(t) != sum(
@@ -144,19 +147,20 @@ class Parallelohedron:
     @cached_property
     def _translate_members(self) -> dict[Vec, int]:
         """Per lattice translate t in 2P, in sorted order, the bit set of
-        the vertices v with v - t in P, that is <n, v> <= b + <n, t> on
-        every facet (n, b).
+        the vertices v with v - t in P, that is of P's vertices in P + t.
 
         P is centred, so P - P = 2P: P + t meets P exactly when
-        <n, t> <= 2 b on every facet. Those t lie in 2E, for E the
+        <n, t> <= 2 b on every facet (n, b). Those t lie in 2E, for E the
         ellipsoid x^T S^-1 x <= r, S = sum v v^T over the vertices and r
         its largest value on them; the other vectors of 2E get no row.
         A linear map of P carries E to its image's E, so skew coordinates
         do not grow the ball; the form D S^-1, D > 0, is read off the
-        reduced rows of [S | I]. Each facet sorts the vertex heights
-        <n, v> once and keeps one prefix bit set per distinct height; the
-        vertices under a cap are then a prefix, found by bisection, and a
-        row is the AND of one prefix per facet. The
+        reduced rows of [S | I]. A tiling by translates of a
+        parallelohedron is face-to-face (Venkov 1954; McMullen 1980), so
+        P ∩ (P + t) is a face f of P. x -> t - x swaps the two tiles and
+        maps f onto itself, so t/2 lies in the relative interior of f,
+        and f is the meet of the facets through t/2: a row is the AND of
+        the vertex bit sets of the facets with <n, t> = 2 b. The
         Voronoi proof (`scaling.voronoi_mismatch`) sweeps the same rows,
         so this is the run's one lattice enumeration once the cell exists.
         """
@@ -171,28 +175,20 @@ class Parallelohedron:
         ball = vectors_in_ball(Lattice(self.lattice.basis, form),
                                Fraction(4 * r, s * s))
         shifts, ts = linalg.integer_rows(ball)
-        levels = []  # per facet: its distinct heights, and the prefix bit sets
-        for n in normals:
-            heights, prefix = [], [0]
-            for h, i in sorted((sum(map(mul, n, v)), i)
-                               for i, v in enumerate(rows)):
-                if heights and heights[-1] == h:
-                    prefix[-1] |= 1 << i
-                else:
-                    heights.append(h)
-                    prefix.append(prefix[-1] | 1 << i)
-            levels.append((heights, prefix))
+        facets = [(n, 2 * ts * b, sum(1 << i for i in ids))
+                  for n, b, ids in zip(normals, offsets, p.facet_vertex_ids)]
         out = {}
         for t, v in zip(ball, shifts):
-            # <n, t> <= 2 b iff s <N, T> <= 2 ts B (N = ns n, T = ts t),
-            # and v - t is in P iff <N, s v> <= B + s <N, T> / ts
-            dots = [s * sum(map(mul, n, v)) for n in normals]
-            if any(x > 2 * ts * b for x, b in zip(dots, offsets)):
-                continue
-            members = -1
-            for x, b, (heights, prefix) in zip(dots, offsets, levels):
-                members &= prefix[bisect_right(heights, b + x // ts)]
-            out[t] = members
+            # <n, t> <= 2 b iff s <N, T> <= 2 ts B (N = ns n, T = ts t)
+            members = (1 << len(rows)) - 1
+            for n, cap, bits in facets:
+                x = s * sum(map(mul, n, v))
+                if x > cap:
+                    break
+                if x == cap:
+                    members &= bits
+            else:
+                out[t] = members
         return out
 
     @cached_property

@@ -15,6 +15,7 @@ from conftest import (
     built,
     fixture_polytope,
 )
+from generators import cartan, d_edges
 from oracles import (
     apply_affine,
     ball_translate_members,
@@ -29,6 +30,7 @@ from oracles import (
 from parallo import linalg, parallelohedron, report, venkov
 from parallo.catalog import catalog
 from parallo.errors import DualCellAnomaly, GeometryError, NotAParallelohedron
+from parallo.lattice import Lattice
 from parallo.parallelohedron import (
     DUAL3_TYPES,
     Parallelohedron,
@@ -360,9 +362,12 @@ def shear(k):
 
 def built_or_skewed(name):
     """The built catalog entry, or its image: NAME-skewed under SKEW,
-    NAME-shearK under `shear(K)`; or the cell of A5*."""
+    NAME-shearK under `shear(K)`; or the cell of A5* or of D5."""
     if name == "A5*":
         return Parallelohedron.build(an_star(5).cell)
+    if name == "D5":
+        d5 = Lattice.create(linalg.identity(5), cartan(5, d_edges(5)))
+        return Parallelohedron.build(d5.cell)
     base, _, kind = name.rpartition("-")
     if kind == "skewed" or kind.startswith("shear"):
         a = SKEW if kind == "skewed" else shear(int(kind[len("shear"):]))
@@ -433,14 +438,13 @@ def whole_ball_table(name):
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG
                          + tuple(f"{n}-skewed" for n in POLYTOPE_CATALOG)
                          + ("elongated-dodecahedron-shear30",
-                            "elongated-dodecahedron-shear60", "A5*"))
+                            "elongated-dodecahedron-shear60", "A5*", "D5"))
 def test_translate_table_matches_a_whole_ball_sweep(name):
     """Skipping the ball vectors outside 2P loses no translate that meets
-    P: the table has exactly the nonempty rows of a sweep over the whole
-    ball of twice the circumradius, on every catalog entry, on their
-    skewed images, on two shears and on A5*, whose 720 vertices take 6
-    to 10 distinct heights on each of its 62 facets, so that most of its
-    prefix bit sets merge."""
+    P, and the meet of the facets through t/2 is P's part of P + t: the
+    table has exactly the nonempty rows of a sweep over the whole ball
+    of twice the circumradius, on every catalog entry, on their skewed
+    images, on two shears, on A5* and on D5 (131 rows)."""
     assert built_or_skewed(name)._translate_members == whole_ball_table(name)
 
 

@@ -10,6 +10,7 @@ form its own `verify` recovers. A factor that fails the Venkov checks
 fails them in the product too.
 """
 
+from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement
 
@@ -19,6 +20,7 @@ from conftest import LATTICE_CATALOG, POLYTOPE_CATALOG, fixture_polytope
 from generators import SEGMENT, product
 from parallo import report
 from parallo.catalog import catalog
+from parallo.parallelohedron import Parallelohedron
 
 
 @cache
@@ -92,3 +94,37 @@ def test_a_product_with_a_non_parallelohedron_fails_the_venkov_checks(
     doc = report.verify(product(fixture_polytope(fixture), SEGMENT))
     assert doc["verdict"] == "venkov-fails"
     assert len(doc["venkov"]["witnesses"]) == witnesses
+
+
+@cache
+def dual_cell_sizes(name: str) -> dict[int, list[int]]:
+    """codim -> the tile count of each face of that codim of the factor:
+    the whole factor lies in 1 tile, each endpoint of a segment in 2."""
+    if name == "segment":
+        return {0: [1], 1: [2, 2]}
+    para = Parallelohedron.build(factor(name))
+    faces = para.polytope.face_lattice.faces
+    return {0: [1], **{k: [para.dual_cell(f).bit_count()
+                           for f in faces(para.dim - k)]
+                       for k in range(1, para.dim + 1)}}
+
+
+@cache
+def built_product(a: str, b: str) -> Parallelohedron:
+    return Parallelohedron.build(product(factor(a), factor(b)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_a_product_face_lies_in_the_products_of_the_factors_tiles(a, b, k):
+    """The tiles of P x Q are products of tiles, so the codim-k face
+    f x g lies in |dual f| |dual g| of them, over the pairs of factor
+    faces whose codims sum to k; non-primitive faces included."""
+    para = built_product(a, b)
+    sizes = [para.dual_cell(f).bit_count()
+             for f in para.polytope.face_lattice.faces(para.dim - k)]
+    expected = [x * y
+                for i, xs in dual_cell_sizes(a).items()
+                for j, ys in dual_cell_sizes(b).items() if i + j == k
+                for x in xs for y in ys]
+    assert Counter(sizes) == Counter(expected)

@@ -28,6 +28,7 @@ from parallo import linalg, report
 from parallo.catalog import catalog
 from parallo.lattice import Lattice
 from parallo.parallelohedron import Parallelohedron
+from parallo.polytope import Polytope
 from parallo.scaling import voronoi_mismatch
 
 DRAWS = {3: 40, 4: 12, 5: 2}
@@ -112,6 +113,21 @@ def test_an_affine_image_certifies_under_the_pushed_form(d):
     assert voronoi_mismatch(para, pushed) is None
     if all(para.primitivity_profile().values()):
         assert _proportional(doc["certificate"]["gram"], pushed)
+
+
+@pytest.mark.parametrize("antipode", [False, True])
+@pytest.mark.parametrize("d", [3, 4])
+def test_a_moved_vertex_does_not_certify(d, antipode):
+    """Negative control: the first draw's cell with one seeded vertex
+    scaled by 11/10, alone or together with its antipode (which keeps
+    the cell centrally symmetric), gets no `certified`."""
+    vertices = list(_draws(d)[0][1].cell.vertices)
+    v = vertices[random.Random(SEED + d).randrange(len(vertices))]
+    moved = {v} | ({linalg.vneg(v)} if antipode else set())
+    doc = report.verify(Polytope.from_vertices(
+        [linalg.vscale(Fraction(11, 10), w) if w in moved else w
+         for w in vertices]))
+    assert doc["verdict"] != "certified"
 
 
 def test_the_three_dimensional_draws_reach_all_five_types():
