@@ -18,8 +18,8 @@ failure witness of the certificate is also written at the top level.
 The `surface` documents are `surface_dicts`.
 
 For d = 3 one dual-block complex (see `topology`) gives both surface
-blocks and the half-belt span, which is written under both the "delta"
-and the "pi" surface. A component reads "compact" exactly when no ridge
+blocks and the half-belt span, which is written under the "pi" surface,
+whose H1 it spans. A component reads "compact" exactly when no ridge
 is non-primitive: the boundary is connected, so once anything is
 removed every component touches it.
 
@@ -31,7 +31,7 @@ sorted, and the timing field is null unless explicitly requested.
 
 from __future__ import annotations
 
-import time
+from time import perf_counter as now
 
 from .polytope import Polytope
 from .venkov import _analyze
@@ -59,9 +59,9 @@ def _gram_match(recovered, source) -> dict:
             "scale": scale}
 
 
-def _surface_dict(block: dict, span: dict, expected: dict | None) -> dict:
-    """A surface block with the half-belt span, and flags where its
-    values disagree with the stored reference values."""
+def _surface_dict(block: dict, expected: dict | None) -> dict:
+    """A surface block with flags where its values disagree with the
+    stored reference values."""
     flags = []
     ref = (expected or {}).get(block["surface"])
     if ref is not None:
@@ -79,7 +79,7 @@ def _surface_dict(block: dict, span: dict, expected: dict | None) -> dict:
                     "reference_source": ref.get("source", "unknown"),
                     "reference_disputed": bool(ref.get("disputed", False)),
                 })
-    return {**block, "half_belt_span": span, "flags": flags}
+    return {**block, "flags": flags}
 
 
 def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
@@ -87,9 +87,9 @@ def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
     computed values disagree with stored reference values.
 
     Both come from one `topology.surface_topology` call, and the
-    pi-surface's half-belt span is written under either surface. For
-    d != 3 each report only gives the ridge-graph component count, the
-    number of delta-surface components.
+    pi-surface's half-belt span is written under "pi". For d != 3 each
+    report only gives the ridge-graph component count, the number of
+    delta-surface components.
     """
     if para.dim != 3:
         n = len(set(para.delta_roots))
@@ -97,24 +97,29 @@ def surface_dicts(para: Parallelohedron, expected: dict | None = None) -> dict:
                        "ridge_components": n} for kind in ("delta", "pi")}
     from . import topology
 
-    *blocks, span = topology.surface_topology(para)
-    return {b["surface"]: _surface_dict(b, span, expected) for b in blocks}
+    delta, pi, span = topology.surface_topology(para)
+    return {"delta": _surface_dict(delta, expected),
+            "pi": {**_surface_dict(pi, expected), "half_belt_span": span}}
 
 
 def verify(source: Polytope | Lattice, name: str | None = None,
            expected: dict | None = None, timing: bool = False) -> dict:
     """The report `parallo verify` prints, for a polytope or a lattice's
-    cell; `timing_ms` is null unless `timing` is set.
+    cell; `timing_ms` is null unless `timing` is set, else the `total`
+    milliseconds and those of each stage that ran, which are, in order,
+    `cell`, `venkov`, `tiling`, `profile`, `certify` and `topology`.
 
     The Venkov checks run once, on the polytope as given, and hand the
     tiling stages its translate centred at the origin; those stages are
     imported, and their keys written, only once the checks pass."""
-    t0 = time.perf_counter()
+    start, laps = now(), {}  # laps: stage -> when it ended
     if isinstance(source, Polytope):
         p, source_gram = source, None
     else:
         p, source_gram = source.cell, source.gram
+        laps["cell"] = now()
     venkov, *tiling = _analyze(p)
+    laps["venkov"] = now()
     doc: dict = {"name": name, "dim": p.dim, "venkov": venkov}
     verdict = "venkov-fails"
     if venkov["ok"]:
@@ -125,13 +130,15 @@ def verify(source: Polytope | Lattice, name: str | None = None,
         components = len(set(para.delta_roots))
         doc["belts"] = [{"length": b.length, "facets": b.facets}
                         for b in para.belts]
-        doc["primitivity"] = {
-            str(k): v for k, v in para.primitivity_profile().items()}
         doc["ridge_graph"] = {
             "nodes": p.n_facets,
             "edges": len(para.primitive_ridges),
             "components": components,
         }
+        laps["tiling"] = now()
+        doc["primitivity"] = {
+            str(k): v for k, v in para.primitivity_profile().items()}
+        laps["profile"] = now()
         scaling, cert = certify(para)
         verdict = cert["verdict"]
         if scaling is not None:
@@ -141,10 +148,18 @@ def verify(source: Polytope | Lattice, name: str | None = None,
         doc["certificate"] = cert
         if verdict == "certified" and source_gram is not None:
             doc["gram_match"] = _gram_match(cert["gram"], source_gram)
-        doc["topology"] = (surface_dicts(para, expected) if p.dim == 3
-                           else {"ridge_components": components})
+        laps["certify"] = now()
+        if p.dim == 3:
+            doc["topology"] = surface_dicts(para, expected)
+            laps["topology"] = now()
+        else:
+            doc["topology"] = {"ridge_components": components}
     doc["verdict"] = verdict
     doc["exit_code"] = EXIT_CODES[verdict]
-    doc["timing_ms"] = (round((time.perf_counter() - t0) * 1e3, 3)
-                        if timing else None)
+    doc["timing_ms"] = None
+    if timing:  # each stage runs from the end of the one before it
+        ends = [start, *laps.values(), now()]
+        seconds = {s: b - a for s, a, b in zip(laps, ends, ends[1:])}
+        seconds["total"] = ends[-1] - start
+        doc["timing_ms"] = {k: round(t * 1e3, 3) for k, t in seconds.items()}
     return doc

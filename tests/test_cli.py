@@ -94,24 +94,48 @@ def test_verify_certified(capsys):
 
 
 
-@pytest.mark.parametrize("name, fixture, exit_code", [
-    ("cube", None, 0), ("octahedron.json", "octahedron", 3)])
-def test_verify_timing_changes_only_timing_ms(monkeypatch, capsys, name,
-                                              fixture, exit_code):
-    """`--timing` fills `timing_ms` with a non-negative number of
-    milliseconds, rounded to 3 decimals; every other key is the golden's."""
-    monkeypatch.chdir(FIXTURES)  # a file report's name is the path as typed
+D4_DOCUMENT = {"basis": [["1", "-1", "0", "0"], ["0", "1", "-1", "0"],
+                         ["0", "0", "1", "-1"], ["0", "0", "1", "1"]]}
+STAGES_TO_CERTIFY = ["venkov", "tiling", "profile", "certify"]
+
+
+@pytest.mark.parametrize("name, fixture, exit_code, stages", [
+    ("cube", "cube", 0, STAGES_TO_CERTIFY + ["topology"]),
+    ("octahedron.json", "octahedron", 3, ["venkov"]),
+    ("d4.json", None, 0, ["cell"] + STAGES_TO_CERTIFY),
+], ids=["solid", "venkov-fails", "lattice-document"])
+def test_verify_timing_changes_only_timing_ms(monkeypatch, tmp_path, capsys,
+                                              name, fixture, exit_code,
+                                              stages):
+    """`--timing` fills `timing_ms` with the milliseconds of the whole
+    run, `total`, and of each stage that ran: a lattice document's cell,
+    and after a Venkov rejection no stage past the checks. Each is
+    non-negative and rounded to 3 decimals, and the stages, run one after
+    another, take at most the total. Every other key is the report
+    without `--timing`, and a fixture's is the golden."""
+    # a file report's name is the path as typed
+    monkeypatch.chdir(FIXTURES if fixture else tmp_path)
+    if fixture is None:
+        (tmp_path / name).write_text(json.dumps(D4_DOCUMENT))
+    code, plain, _ = run(capsys, "verify", name)
+    assert code == exit_code
+    if fixture is not None:
+        with open(os.path.join(FIXTURES, "reports", f"{fixture}.json"),
+                  encoding="utf-8") as fh:
+            assert plain == fh.read()
     code, out, _ = run(capsys, "verify", name, "--timing")
     assert code == exit_code
-    doc = json.loads(out)
-    with open(os.path.join(FIXTURES, "reports", f"{fixture or name}.json"),
-              encoding="utf-8") as fh:
-        golden = json.load(fh)
+    doc, golden = json.loads(out), json.loads(plain)
     timing = doc.pop("timing_ms")
     assert golden.pop("timing_ms") is None
     assert doc == golden
-    assert isinstance(timing, float) and timing >= 0
-    assert round(timing, 3) == timing
+    assert sorted(timing) == sorted(stages + ["total"])
+    assert all(isinstance(t, float) and t >= 0 and round(t, 3) == t
+               for t in timing.values())
+    # each rounded value is off by at most half a microsecond
+    slack = 5e-4 * len(timing)
+    assert sum(timing[s] for s in stages) <= timing["total"] + slack
+
 
 def test_verify_builds_a_catalog_cell_once(monkeypatch, capsys):
     """`verify lattice-D4` builds the Voronoi cell for the catalog entry
@@ -547,6 +571,22 @@ def test_a_thin_lattice_gets_one_error_line(tmp_path, capsys, command, aspect):
     assert err.splitlines() == [
         "error: lattice enumeration needs more than 1000000 nodes; "
         "the input is too large, too thin or too skewed"]
+
+
+def test_a_thin_rectangle_given_by_its_vertices_certifies(tmp_path, capsys):
+    """The cell of the 10^6 x 1 lattice above, given as its four
+    vertices, certifies: the translate table's ellipsoid is that of the
+    polytope, so it is a disc in the lattice's own coordinates."""
+    path = tmp_path / "thin.json"
+    half = ["500000", "-500000"]
+    path.write_text(json.dumps({"dim": 2, "vertices": [
+        [x, y] for x in half for y in ("1/2", "-1/2")]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "certified"
+    assert [belt["length"] for belt in doc["belts"]] == [4]
+    assert doc["certificate"]["gram"] == [["1", "0"], ["0", "1"]]
 
 
 RATIONALS = st.builds(lambda p, q: str(p) if q == 1 else f"{p}/{q}",

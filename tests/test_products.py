@@ -6,8 +6,9 @@ the factors' forms, each block free up to a positive multiple. So every
 product of two of {the segment, the catalog cells of dimension <= 3}
 with 4 <= d <= 5 must certify with m_P + m_Q facets, no coupling between
 the factors' coordinates, and each factor's block proportional to the
-form its own `verify` recovers. A factor that fails the Venkov checks
-fails them in the product too.
+form its own `verify` recovers; its faces, belts and dual cells follow
+from the factors'. A factor that fails the Venkov checks fails them in
+the product too.
 """
 
 from collections import Counter
@@ -128,3 +129,32 @@ def test_a_product_face_lies_in_the_products_of_the_factors_tiles(a, b, k):
                 for j, ys in dual_cell_sizes(b).items() if i + j == k
                 for x in xs for y in ys]
     assert Counter(sizes) == Counter(expected)
+
+
+@cache
+def belt_lengths(name: str) -> Counter:
+    """The factor's belts per length; a segment has no ridges."""
+    if name == "segment":
+        return Counter()
+    return Counter(b.length for b in Parallelohedron.build(factor(name)).belts)
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_a_products_faces_and_belts_come_from_the_factors(a, b):
+    """The faces of P x Q are the products f x g of nonempty faces, whose
+    codims add up. A belt of P times Q is a belt of P x Q, and so is one
+    of Q times P; and facets F of P and G of Q give the 4-belt F x Q,
+    P x G, F' x Q, P x G' of the ridges F x G, F' x G, F' x G' and
+    F x G', so n6 = n6(P) + n6(Q) and n4 = n4(P) + n4(Q) + m_P m_Q / 4."""
+    para = built_product(a, b)
+    p, d = para.polytope, para.dim
+    counts = {k: len(p.face_lattice.faces(d - k)) for k in (1, 2, 3)}
+    counts[d] = p.n_vertices  # the face lattice stops at codim 3
+    assert counts == {k: sum(len(xs) * len(ys)
+                             for i, xs in dual_cell_sizes(a).items()
+                             for j, ys in dual_cell_sizes(b).items()
+                             if i + j == k)
+                      for k in counts}
+    m_p, m_q = (len(dual_cell_sizes(name)[1]) for name in (a, b))
+    assert Counter(belt.length for belt in para.belts) == (
+        belt_lengths(a) + belt_lengths(b) + Counter({4: m_p * m_q // 4}))
