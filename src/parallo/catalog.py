@@ -26,17 +26,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import Lattice
+from .polytope import Polytope
 
 F = Fraction
 
 
-class CatalogEntry(namedtuple("CatalogEntry",
-                              "name kind polytope lattice expected")):
+class CatalogEntry(namedtuple("CatalogEntry", "name kind lattice expected")):
     """A named input of kind "polytope" (a solid, verified as a polytope)
-    or "lattice" (verified as a lattice), its lattice, that lattice's
-    Voronoi cell as its polytope, and its expected invariants."""
+    or "lattice" (verified as a lattice), its lattice and its expected
+    invariants."""
 
     __slots__ = ()
+
+    @property
+    def polytope(self) -> Polytope:
+        """The lattice's Voronoi cell, built on first read (`Lattice.cell`),
+        so a lattice entry's `verify` builds it inside its clock."""
+        return self.lattice.cell
 
 
 # name -> (kind, basis, gram or None). The solids are the Voronoi cells
@@ -166,10 +172,9 @@ def catalog_names() -> tuple[str, ...]:
 @lru_cache(maxsize=None)
 def catalog(name: str) -> CatalogEntry:
     """Exact rational realization of a built-in reference input: its
-    lattice and that lattice's Voronoi cell; KeyError for a name not in
-    `NAMES`."""
+    lattice, whose Voronoi cell is built on first read; KeyError for a
+    name not in `NAMES`."""
     kind, basis, gram = _ENTRIES[name]
-    lat = Lattice.create(basis, gram)
     expected = (_POLYTOPE_EXPECTED if kind == "polytope"
                 else _LATTICE_EXPECTED)[name]
-    return CatalogEntry(name, kind, lat.cell, lat, expected)
+    return CatalogEntry(name, kind, Lattice.create(basis, gram), expected)

@@ -111,9 +111,6 @@ class Lattice:
         cols, s = linalg.integer_rows(linalg.transpose(self.basis))
         return [[sum(map(mul, col, row)) for row in u] for col in cols], s
 
-    def from_coefficients(self, coeffs) -> Vec:
-        return linalg.matvec(linalg.transpose(self.basis), linalg.vec(coeffs))
-
     def to_coefficients(self, v: Vec) -> Vec:
         return linalg.solve_linear(linalg.transpose(self.basis), v)
 

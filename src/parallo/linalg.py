@@ -45,10 +45,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def identity(n: int) -> Mat:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -59,17 +55,8 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * x for x in a)
 
 
 def dot(a: Vec, b: Vec) -> Fraction:

@@ -13,8 +13,7 @@ stage that owns it has run: belts, primitivity, topology (d = 3) and the
 certificate appear only once the Venkov checks pass. The verdict is the
 certificate's, or "venkov-fails", and one table, `EXIT_CODES`, gives
 its exit code: 0 certified, 2 scaling inconsistency, 3 Venkov failure,
-4 form/cell mismatch (1 is reserved for parse errors in the CLI). A
-failure witness of the certificate is also written at the top level.
+4 form/cell mismatch (1 is reserved for parse errors in the CLI).
 The `surface` documents are `surface_dicts`.
 
 For d = 3 one dual-block complex (see `topology`) gives both surface
@@ -143,8 +142,6 @@ def verify(source: Polytope | Lattice, name: str | None = None,
         verdict = cert["verdict"]
         if scaling is not None:
             doc["scaling"] = scaling
-        if "witness" in cert:
-            doc["witness"] = cert["witness"]
         doc["certificate"] = cert
         if verdict == "certified" and source_gram is not None:
             doc["gram_match"] = _gram_match(cert["gram"], source_gram)

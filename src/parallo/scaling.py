@@ -234,7 +234,7 @@ def voronoi_form(para: Parallelohedron, scaling: dict) -> dict:
     and no row of the translate table (the lattice vectors of 2P) cuts a
     vertex. The block then holds the form ("gram") and the component
     factors, and "certified", or "dv-mismatch" with the failed check as
-    its "witness". Every block carries the scaling values ("scaling").
+    its "witness".
     """
     p = para.polytope
     d = p.dim
@@ -275,15 +275,15 @@ def voronoi_form(para: Parallelohedron, scaling: dict) -> dict:
         v = linalg.primitive(v)
         basis.append(v if next(filter(None, v)) > 0 else tuple(-x for x in v))
     if not basis:
-        return {"verdict": "scaling-fails", "scaling": values}
+        return {"verdict": "scaling-fails"}
     u = tuple(map(sum, zip(*basis)))
     if (any(c <= 0 for c in u[n_upper:])
             or not linalg.is_positive_definite(sym(u))):
-        return {"verdict": "form-not-pd", "scaling": values,
+        return {"verdict": "form-not-pd",
                 "solution_basis": tuple(map(linalg.vec, basis))}
     u = linalg.vec(linalg.primitive(u))
     gram = sym(u)
-    cert = {"verdict": "certified", "scaling": values, "gram": gram,
+    cert = {"verdict": "certified", "gram": gram,
             "component_factors": u[n_upper:]}
     # `gram` is positive definite, as tested above
     mismatch = voronoi_mismatch(para, gram)

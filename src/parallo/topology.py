@@ -31,8 +31,8 @@ half-belt is a walk there; its three steps end on the opposite facet,
 so it closes in the antipodal quotient. Its span in the pi-surface's
 rational H1 comes from one elimination of the 2-cell columns followed
 by the cycles: the pivots among the 2-cells count the rank of the
-boundary map, the others the span. Reports write this span under both
-the delta and the pi surface.
+boundary map, the others the span. Reports write this span under the
+pi surface.
 """
 
 from __future__ import annotations

@@ -27,9 +27,11 @@ checks from the `Fraction` centroid of each point set, the belts from a
 walk out of every ridge, and the vertex-facet incidences of a hull from
 a dot product per vertex and facet.
 
-It also holds the helpers only the tests read: the image of a polytope
-under an affine map, its halfspace list, the exact matrix inverse, and
-the neighbours and walk products of a ridge-gain table.
+It also holds the helpers only the tests read: vector arithmetic
+(`zeros`, `vsub`, `vscale`), a lattice vector from its coefficients,
+the image of a polytope under an affine map, its halfspace list, the
+exact matrix inverse, and the neighbours and walk products of a
+ridge-gain table.
 """
 
 import math
@@ -149,7 +151,7 @@ def per_ridge_analyze(p):
             continue
         mirrors.append({i: ids[k] for i, k in zip(ids, image)})
         _, c = central_symmetry([p.vertices[i] for i in ids])
-        facet_vectors.append(linalg.vscale(2, c))
+        facet_vectors.append(vscale(2, c))
     if witnesses:
         return _failed(p, witnesses)
     ridges = p.face_lattice.faces(p.dim - 2)
@@ -253,14 +255,14 @@ def affine_hull_polytope(points):
     p0 = pts[0]
     basis = []
     for p in pts[1:]:
-        d = linalg.vsub(p, p0)
+        d = vsub(p, p0)
         if linalg.rank(tuple(basis) + (d,)) > len(basis):
             basis.append(d)
     k = len(basis)
     if k == 0:
         raise GeometryError("a single point has no hull")
     bt = linalg.transpose(tuple(basis))
-    coords = [linalg.solve_linear(bt, linalg.vsub(p, p0)) for p in pts]
+    coords = [linalg.solve_linear(bt, vsub(p, p0)) for p in pts]
     return Polytope.from_vertices(coords), k, p0, tuple(basis)
 
 
@@ -317,7 +319,7 @@ def covering_counts(lat, cell, x) -> tuple[int, int]:
     r2 = max(lat.norm_sq(v) for v in cell.vertices)
     closed = interior = 0
     for t in box_vectors_in_ball(lat, r2, around=x):
-        p = linalg.vsub(x, t)
+        p = vsub(x, t)
         if contains(cell, p):
             closed += 1
             if all(linalg.dot(n, p) < b
@@ -362,7 +364,7 @@ def ridge_dependence(para, ridge_id: int, normal_scale=None):
     f3 = belt.facets[(pos + 2) % m]
     t1, t2 = para.facet_vectors[f1], para.facet_vectors[f2]
     t3 = para.facet_vectors[f3]
-    diff = linalg.vsub(t1, t2)
+    diff = vsub(t1, t2)
     if diff != t3 and diff != linalg.vneg(t3):
         raise GeometryError(
             "belt successor does not carry the neighbor-difference direction"
@@ -374,7 +376,7 @@ def ridge_dependence(para, ridge_id: int, normal_scale=None):
             factor = linalg.frac(normal_scale[fi])
             if factor <= 0:
                 raise ValueError("normal rescaling must be positive")
-            n = linalg.vscale(factor, n)
+            n = vscale(factor, n)
         return n
 
     n1, n2, n3 = normal(f1), normal(f2), normal(f3)
@@ -498,7 +500,7 @@ def tiling_facet_normals_at(para, face) -> list:
         for t2 in centers:
             if t1 == t2:
                 continue
-            fi = vec_to_facet.get(linalg.vsub(t2, t1))
+            fi = vec_to_facet.get(vsub(t2, t1))
             if fi is not None:
                 n = para.polytope.facet_normals[fi]
                 lines.add(max(fraction_primitive(n),
@@ -670,7 +672,7 @@ def fraction_affine_rank(points) -> int:
     if not points:
         return -1
     p0 = points[0]
-    return fraction_rank(tuple(linalg.vsub(p, p0) for p in points[1:]))
+    return fraction_rank(tuple(vsub(p, p0) for p in points[1:]))
 
 
 def scanned_face_facets(p, vertex_ids) -> tuple[int, ...]:
@@ -846,12 +848,12 @@ def box_vectors_in_ball(lat, r2, around=None, parity=None):
     Fraction sweep over the whole coefficient box."""
     d = lat.dim
     basis_t = linalg.transpose(lat.basis)
-    center = (linalg.zeros(d) if around is None
+    center = (zeros(d) if around is None
               else fraction_solve(basis_t, linalg.vec(around)))
     q = lat.coefficient_form
     out = []
     for k in product(*coefficient_box(lat, r2, center, parity)):
-        x = linalg.vsub(linalg.vec(k), center)
+        x = vsub(linalg.vec(k), center)
         if linalg.dot(x, linalg.matvec(q, x)) <= r2:
             out.append(linalg.matvec(basis_t, linalg.vec(k)))
     return sorted(out)
@@ -870,7 +872,7 @@ def fraction_voronoi_mismatch(para, lattice):
         g = linalg.matvec(lattice.gram, t)
         lead = next(i for i, x in enumerate(n) if x != 0)
         lam = g[lead] / n[lead]
-        if (lam <= 0 or g != linalg.vscale(lam, n)
+        if (lam <= 0 or g != vscale(lam, n)
                 or lattice.norm_sq(t) != 2 * lam * b):
             return {"kind": "facet", "facet": fi}
     r2 = max(lattice.norm_sq(x) for x in p.vertices)
@@ -1216,6 +1218,24 @@ def cut_half_belt_span(para) -> dict:
 # -- helpers only the tests read ----------------------------------------
 
 
+def zeros(n: int):
+    return (Fraction(0),) * n
+
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def vscale(c, a):
+    c = linalg.frac(c)
+    return tuple(c * x for x in a)
+
+
+def from_coefficients(lat, coeffs):
+    """The lattice vector with the given coefficients in `lat`'s basis."""
+    return linalg.matvec(linalg.transpose(lat.basis), linalg.vec(coeffs))
+
+
 def inverse(m):
     """The exact inverse, from the fraction-free reduction of [m | I]."""
     n = len(m)
@@ -1241,7 +1261,7 @@ def apply_affine(p, a, shift=None):
     a = linalg.mat(a)
     if linalg.det(a) == 0:
         raise GeometryError("affine map must be invertible")
-    shift = linalg.vec(shift) if shift is not None else linalg.zeros(p.dim)
+    shift = linalg.vec(shift) if shift is not None else zeros(p.dim)
     verts = tuple(sorted(
         linalg.vadd(linalg.matvec(a, v), shift) for v in p.vertices))
     inv_t = linalg.transpose(inverse(a))

@@ -19,6 +19,7 @@ from conftest import (
 from oracles import (
     apply_affine,
     covering_counts,
+    from_coefficients,
     half_belt_check,
     local_cycle_check,
     per_ridge_graph,
@@ -278,7 +279,7 @@ def test_criterion_7_soundness_cross_check():
             interior_hits = 0
             for _ in range(200):
                 coeffs = [F(rng.randint(0, 996), 997) for _ in range(d)]
-                x = tiling.from_coefficients(coeffs)
+                x = from_coefficients(tiling, coeffs)
                 closed, interior = covering_counts(tiling, cell, x)
                 assert closed >= 1 and interior <= 1, (name, x)
                 if interior == 1:

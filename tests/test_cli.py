@@ -90,7 +90,7 @@ def test_verify_certified(capsys):
                                           ["0", "2", "0"],
                                           ["0", "0", "2"]]
     assert doc["timing_ms"] is None
-    assert sorted(doc["certificate"]["scaling"]) == ["1"] * 8 + ["2"] * 6
+    assert sorted(doc["scaling"]["values"]) == ["1"] * 8 + ["2"] * 6
 
 
 
@@ -156,6 +156,18 @@ def test_verify_builds_a_catalog_cell_once(monkeypatch, capsys):
     with open(os.path.join(FIXTURES, "reports", "lattice-D4.json"),
               encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_a_fresh_catalog_entry_builds_no_cell(monkeypatch):
+    """A catalog entry leaves its lattice's cell to the first reader, so
+    `verify` of a lattice entry builds it inside its `cell` stage."""
+    calls = []
+    dv_cell = lattice.dv_cell
+    monkeypatch.setattr(lattice, "dv_cell",
+                        lambda lat: calls.append(lat) or dv_cell(lat))
+    entry = catalog.catalog.__wrapped__("lattice-D4")
+    assert calls == []
+    assert entry.polytope is entry.lattice.cell and calls == [entry.lattice]
 
 
 def test_verify_exit_codes(capsys):

@@ -5,9 +5,10 @@ output of every entry (its cell's facets, its lattice and its expected
 invariants), the `parallo surface NAME [--pi]` output of every 3-D
 entry, which is the topology block of its verify report, and of the
 2-D and 4-D lattices, the `parallo dual-cells NAME --codim k` output of
-every entry, the `venkov-fails` report of one input per Venkov
-condition, the `scaling-fails` report of two doctored gain tables, and
-one `form-not-pd` certificate.
+every entry, the `verify` report of the root lattices D5, E6 and E7
+given by their Cartan Grams, the `venkov-fails` report of one input per
+Venkov condition, the `scaling-fails` report of two doctored gain
+tables, and one `form-not-pd` certificate.
 Refactors must leave these bytes alone; a deliberate change to the
 report format regenerates them."""
 
@@ -84,6 +85,19 @@ def test_dual_cells_command_bytes(capsys, name, codim, doc):
     every k <= min(3, d), against `dual-cells.json`."""
     assert main(["dual-cells", name, "--codim", str(codim)]) == 0
     assert capsys.readouterr().out == serialize.dumps(doc)
+
+
+@pytest.mark.parametrize("fixture, facets", [("D5", 40), ("E6", 72), ("E7", 126)])
+def test_root_lattice_report_bytes(capsys, monkeypatch, fixture, facets):
+    """A root lattice in d = 5-7, as the identity basis and its Cartan
+    Gram, certifies with the Gram matched; its cell has one facet per
+    root (Conway & Sloane, ch. 21)."""
+    monkeypatch.chdir(FIXTURES)
+    assert main(["verify", f"{fixture}.json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["ridge_graph"]["nodes"] == facets and doc["gram_match"]["matched"]
+    assert out == _golden(f"{fixture}.json")
 
 
 @pytest.mark.parametrize("fixture", [

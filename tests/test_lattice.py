@@ -21,10 +21,13 @@ from oracles import (
     fraction_det,
     fraction_ldl,
     fraction_primitive,
+    from_coefficients,
     hull_counts,
     inverse,
     random_unimodular,
     reduced_form,
+    vscale,
+    zeros,
 )
 from parallo import lattice, linalg, report, serialize
 from parallo.catalog import catalog
@@ -82,7 +85,7 @@ def test_shortest_in_coset_bcc_against_oracle():
     ])
     for parity in [(0, 0, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]:
         oracle = exhaustive_coset_minimizers(lat.basis, lat.gram, parity)
-        assert shortest_in_coset(lat, lat.from_coefficients(parity)) == oracle
+        assert shortest_in_coset(lat, from_coefficients(lat, parity)) == oracle
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -99,11 +102,11 @@ def test_shortest_in_coset_of_skewed_bases_against_oracle(seed):
         lat = Lattice.create(basis, base.gram)
         for parity in product((0, 1), repeat=lat.dim):
             rep = parity if any(parity) else tuple(2 * (i == 0) for i in range(lat.dim))
-            axes = coefficient_box(lat, lat.norm_sq(lat.from_coefficients(rep)),
-                                   linalg.zeros(lat.dim))
+            axes = coefficient_box(lat, lat.norm_sq(from_coefficients(lat, rep)),
+                                   zeros(lat.dim))
             box = [max(-r.start, r.stop - 1) // 2 + 1 for r in axes]
             oracle = exhaustive_coset_minimizers(lat.basis, lat.gram, parity, box)
-            coset = lat.from_coefficients(parity)
+            coset = from_coefficients(lat, parity)
             assert shortest_in_coset(lat, coset) == oracle
 
 
@@ -169,7 +172,7 @@ def test_dv_cell_central_symmetry_and_facet_centers():
             matches = [
                 fi for fi, n in enumerate(cell.facet_normals)
                 if fraction_primitive(normal) == n
-                and linalg.dot(n, linalg.vscale(F(1, 2), v)) == cell.facet_offsets[fi]
+                and linalg.dot(n, vscale(F(1, 2), v)) == cell.facet_offsets[fi]
             ]
             assert len(matches) == 1
             ids = cell.facet_vertex_ids[matches[0]]
@@ -177,7 +180,7 @@ def test_dv_cell_central_symmetry_and_facet_centers():
                 sum((cell.vertices[i][k] for i in ids), F(0)) / len(ids)
                 for k in range(cell.dim)
             )
-            assert facet_center == linalg.vscale(F(1, 2), v)
+            assert facet_center == vscale(F(1, 2), v)
         for ids in cell.facet_vertex_ids:
             ok, _ = central_symmetry([cell.vertices[i] for i in ids])
             assert ok
@@ -197,7 +200,7 @@ def test_tiling_identity(rng):
         interior_hits = 0
         for _ in range(200):
             coeffs = [F(rng.randint(0, 996), 997) for _ in range(d)]
-            x = lat.from_coefficients(coeffs)
+            x = from_coefficients(lat, coeffs)
             closed, interior = covering_counts(lat, cell, x)
             # partition property: interior of exactly one tile, or on the
             # common boundary of several
@@ -248,7 +251,7 @@ def test_vectors_in_ball_matches_the_coefficient_box(case):
     coefficient-box sweep, for d = 1-5; the radius is halved until the
     box has at most 1,500 points, so the oracle stays quick."""
     lat, r2 = case
-    center = linalg.zeros(lat.dim)
+    center = zeros(lat.dim)
     while math.prod(len(r) for r in coefficient_box(lat, r2, center)) > 1500:
         r2 /= 2
     assert vectors_in_ball(lat, r2) == box_vectors_in_ball(lat, r2)
@@ -278,7 +281,7 @@ def test_coset_minima_match_the_coefficient_box(lat):
     exhaustive coset sweep over that box. Only the lattices whose
     sum_i D_i ball has a box of at most 10,000 points are swept, so the
     oracles stay quick."""
-    d, center = lat.dim, linalg.zeros(lat.dim)
+    d, center = lat.dim, zeros(lat.dim)
     assume(math.prod(len(r) for r in coefficient_box(lat, _ball_radius(lat), center))
            <= 10_000)
     minima = lattice._coset_minima(lat)

@@ -26,6 +26,9 @@ from oracles import (
     dual_cell_centers,
     is_k_irreducible,
     per_ridge_analyze,
+    vscale,
+    vsub,
+    zeros,
 )
 from parallo import linalg, parallelohedron, report, venkov
 from parallo.catalog import catalog
@@ -126,7 +129,7 @@ def test_analyze_keeps_a_centred_polytope():
 
 def zonotope(generators):
     return Polytope.from_vertices(
-        [tuple(map(sum, zip(*chosen, linalg.zeros(3))))
+        [tuple(map(sum, zip(*chosen, zeros(3))))
          for k in range(len(generators) + 1)
          for chosen in combinations(generators, k)])
 
@@ -326,7 +329,7 @@ def test_facet_vectors_and_neighbor_identity():
             assert p.facet_offsets[fi] == linalg.dot(p.facet_normals[fi], t) / 2
             shared = {
                 i for i, v in enumerate(p.vertices)
-                if contains(p, linalg.vsub(v, t))
+                if contains(p, vsub(v, t))
             }
             assert shared == set(p.facet_vertex_ids[fi])
 
@@ -340,7 +343,7 @@ def test_neighbor_check_rejects_wrong_facet_vectors(vectors):
     row of another facet."""
     cube = built("cube")
     if vectors == "doubled":
-        wrong = tuple(linalg.vscale(2, t) for t in cube.facet_vectors)
+        wrong = tuple(vscale(2, t) for t in cube.facet_vectors)
     else:
         wrong = cube.facet_vectors[1:] + cube.facet_vectors[:1]
     with pytest.raises(GeometryError, match="does not reproduce the facet"):
@@ -382,7 +385,7 @@ def test_unnormalized_halfspaces_give_the_same_dual_cells():
     cube = catalog("cube").polytope
     halved = Polytope(
         3, cube.vertices,
-        tuple(linalg.vscale(F(1, 2), n) for n in cube.facet_normals),
+        tuple(vscale(F(1, 2), n) for n in cube.facet_normals),
         tuple(b / 2 for b in cube.facet_offsets),
         cube.facet_vertex_ids,
     )
@@ -396,7 +399,7 @@ def test_dual_cell_center_counts():
     para = built("truncated-octahedron")
     for centers in dual_cells(para, 1):
         assert len(centers) == 2
-        assert linalg.zeros(3) in centers
+        assert zeros(3) in centers
     ridges = para.polytope.face_lattice.faces(1)
     assert all(para.dual_cell(r).bit_count() == 3 for r in ridges)  # all primitive
     prism = built("hexagonal-prism")

@@ -25,6 +25,8 @@ from oracles import (
     random_unimodular,
     scanned_face_facets,
     scanned_superfaces,
+    vscale,
+    zeros,
 )
 from parallo import linalg, polytope
 from parallo.catalog import catalog, catalog_names
@@ -231,8 +233,8 @@ def test_point_hull_incidences_skip_the_points_that_are_not_vertices():
     """Edge midpoints and the centre lie on facets of the cube but are
     not vertices, so no facet lists them."""
     cube = half_cube()
-    points = list(cube.vertices) + [linalg.zeros(3)] + [
-        linalg.vscale(F(1, 2), linalg.vadd(a, b))
+    points = list(cube.vertices) + [zeros(3)] + [
+        vscale(F(1, 2), linalg.vadd(a, b))
         for a, b in combinations(cube.vertices, 2)]
     hull = Polytope.from_vertices(points)
     assert hull == cube
@@ -260,7 +262,7 @@ def test_cross_polytope_faces_grade_by_normal_rank(d, f_vector,
 
 def test_central_symmetry():
     ok, center = central_symmetry(list(half_cube().vertices))
-    assert ok and center == linalg.zeros(3)
+    assert ok and center == zeros(3)
     ok, _ = central_symmetry([linalg.vec([0, 0]), linalg.vec([1, 0]),
                               linalg.vec([0, 1])])
     assert not ok
@@ -342,7 +344,7 @@ def test_boundedness_controls():
     with pytest.raises(GeometryError, match="halfspace intersection is unbounded"):
         Polytope.from_halfspaces(open_box, 3)
     # symmetric but spanning only a plane
-    slab = [(linalg.vscale(s, x), F(1)) for x in e[:2] for s in (1, -1)]
+    slab = [(vscale(s, x), F(1)) for x in e[:2] for s in (1, -1)]
     with pytest.raises(GeometryError, match="do not span the space"):
         Polytope.from_halfspaces(slab, 3)
 

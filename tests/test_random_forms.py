@@ -23,7 +23,7 @@ import pytest
 
 from conftest import SEED
 from generators import random_form
-from oracles import apply_affine, inverse, random_unimodular
+from oracles import apply_affine, inverse, random_unimodular, vscale
 from parallo import linalg, report
 from parallo.catalog import catalog
 from parallo.lattice import Lattice
@@ -125,7 +125,7 @@ def test_a_moved_vertex_does_not_certify(d, antipode):
     v = vertices[random.Random(SEED + d).randrange(len(vertices))]
     moved = {v} | ({linalg.vneg(v)} if antipode else set())
     doc = report.verify(Polytope.from_vertices(
-        [linalg.vscale(Fraction(11, 10), w) if w in moved else w
+        [vscale(Fraction(11, 10), w) if w in moved else w
          for w in vertices]))
     assert doc["verdict"] != "certified"
 
