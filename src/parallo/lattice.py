@@ -52,6 +52,8 @@ class Lattice:
         if linalg.det(basis) == 0:
             raise GeometryError("lattice basis is singular")
         gram = linalg.mat(gram) if gram is not None else linalg.identity(d)
+        if len(gram) != d:
+            raise GeometryError(f"gram matrix must be {d}x{d}")
         if not linalg.is_symmetric(gram):
             raise GeometryError("gram matrix must be symmetric")
         if not linalg.is_positive_definite(gram):

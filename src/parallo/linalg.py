@@ -10,7 +10,7 @@ All elimination is one fraction-free routine on integer rows (Bareiss
 minor of the input, so each division is exact. A rational matrix is
 first scaled by the lcm s of all its denominators (`integer_rows`),
 which keeps its rank, kernel and solutions and scales an n-square
-determinant by s ** n. Rank, determinant and the positive-definite test
+determinant by s ** n. The determinant and the positive-definite test
 read the echelon rows; kernels (`int_kernel`, on integer rows) and
 solutions read the fully reduced rows.
 """
@@ -134,10 +134,6 @@ def int_kernel(rows: list[list[int]]) -> list[list[int]]:
     d = rows[0][pivots[0]] if pivots else 1
     return [[d if c == f else -row_of[c][f] if c in row_of else 0
              for c in range(nc)] for f in range(nc) if f not in row_of]
-
-
-def rank(m: Mat) -> int:
-    return len(_bareiss(integer_rows(m)[0])[0])
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from . import linalg
 from .errors import DualCellAnomaly, GeometryError, NotAParallelohedron
 from .lattice import Lattice, lattice_basis_from_generators, vectors_in_ball
 from .linalg import Vec
-from .polytope import Face, Polytope, _bits
+from .polytope import Face, Polytope, _bits, _transpose
 from .venkov import _analyze
 
 
@@ -195,11 +195,8 @@ class Parallelohedron:
     def _rows_at(self) -> tuple[tuple[Vec, ...], list[int]]:
         """The translates of `_translate_members` in order, and per vertex
         the bit set of the rows that hold it."""
-        at = [0] * self.polytope.n_vertices
-        for j, members in enumerate(self._translate_members.values()):
-            for i in _bits(members):
-                at[i] |= 1 << j
-        return tuple(self._translate_members), at
+        rows = self._translate_members
+        return tuple(rows), _transpose(rows.values(), self.polytope.n_vertices)
 
     def dual_cell(self, face: Face) -> int:
         """The face's dual cell: the bit set of the translate-table rows

@@ -12,11 +12,14 @@ b t - <n, y> >= 0, at x = y / t (a ray with t = 0 is a direction of
 unboundedness). Every ray is a primitive integer vector, so the results
 are exact, and it carries the rows it vanishes on: the points on a
 facet, or the planes through a vertex, which are the vertex-facet
-incidences. The rays decide the rest, with no second rank: the pivot
-search is the only full-rank test, an intersection is bounded exactly
-when no ray has t = 0 and has interior exactly when no row vanishes on
-every ray (an implicit equality; Schrijver 1986, ch. 8), and a plane is
-a facet exactly when no other plane's vertices strictly contain its own.
+incidences. The rays decide the rest, with no second rank (Schrijver
+1986, ch. 8): the pivot search is the only full-rank test; a ray of a
+point set vanishes on rows (1, -p) of rank d, so it is a facet; an
+intersection is bounded exactly when no ray has t = 0 and has interior
+exactly when no row vanishes on every ray (an implicit equality); and
+one rule prunes both directions, which are polar duals: a point is a
+vertex, or a plane a facet, exactly when no other point's facets, or
+plane's vertices, strictly contain its own (`_irredundant`).
 
 The face lattice holds the faces of codim 1 to min(3, d), the ones the
 certificate reads. It walks down from the facets: the faces a face
@@ -38,8 +41,6 @@ from operator import and_, mul
 from . import linalg
 from .errors import GeometryError
 from .linalg import Vec
-
-Halfspace = tuple[Vec, Fraction]  # (normal, offset): <normal, x> <= offset
 
 
 class Face(namedtuple("Face", "dim vertex_ids facets")):
@@ -69,12 +70,31 @@ def _bits(z: int):
         z ^= low
 
 
+def _transpose(sets, n: int) -> list[int]:
+    """The transpose of a bit matrix: per column j < n, the bit set of
+    the rows whose set holds j."""
+    cols = [0] * n
+    for i, z in enumerate(sets):
+        for j in _bits(z):
+            cols[j] |= 1 << i
+    return cols
+
+
+def _irredundant(sets: list[int]) -> list[int]:
+    """The indices whose incidence set no other set strictly contains:
+    a point hull's vertices, or a halfspace hull's facets."""
+    return [i for i, z in enumerate(sets)
+            if not any(o != z and o & z == z for o in sets)]
+
+
 def _extreme_rays(rows: list[list[int]], unpointed: str = "the cone is not pointed"
                   ) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the pointed cone {y : <a, y> >= 0 for every row a},
     sorted, as primitive integer vectors, each with the bit set of the
     rows it vanishes on, by double description (Motzkin et al. 1953;
     Fukuda & Prodon 1996). Rows of rank below D raise `unpointed`.
+    Every ray vanishes on rows of rank D - 1 (Schrijver 1986, ch. 8):
+    for the rows (1, -p) of a point set, on points that span a facet.
 
     The simplicial cone of the first D independent rows has one ray per
     basis row: the integer kernel of the other D - 1, which vanishes on
@@ -102,11 +122,7 @@ def _extreme_rays(rows: list[list[int]], unpointed: str = "the cone is not point
         if k in done:
             continue
         values = [sum(map(mul, a, ray)) for ray in rays]
-        # per row, the bit set of the rays that vanish on it
-        on_row: dict[int, int] = {}
-        for r, z in enumerate(zeros):
-            for j in _bits(z):
-                on_row[j] = on_row.get(j, 0) | 1 << r
+        on_row = _transpose(zeros, len(rows))  # per row, the rays on it
         every = (1 << len(rays)) - 1
         pos = [r for r, v in enumerate(values) if v > 0]
         neg = [r for r, v in enumerate(values) if v < 0]
@@ -134,29 +150,6 @@ def _extreme_rays(rows: list[list[int]], unpointed: str = "the cone is not point
                 new_zeros.append(common | 1 << k)
         rays, zeros = new_rays, new_zeros
     return sorted(zip(rays, zeros))
-
-
-def _facets_from_points(points: list[Vec], dim: int
-                        ) -> list[tuple[Halfspace, int]]:
-    """Facet halfspaces of a full-dimensional point set, sorted, each
-    with the bit set of the points on it.
-
-    With the points scaled to integers, the valid inequalities
-    <n, x> <= b form the cone b - <n, p> >= 0 over the points p, and its
-    extreme rays (b, n) are the facets. Rows (1, -p) have rank one more
-    than the affine rank of their points p.
-    """
-    ints, scale = linalg.integer_rows(points)
-    rows = [[1] + [-x for x in p] for p in ints]
-    facets = []
-    for (b, *normal), on in _extreme_rays(rows, "input is not full-dimensional"):
-        g = math.gcd(*normal)
-        if linalg.rank([rows[i] for i in _bits(on)]) != dim:
-            raise GeometryError("hull produced a supporting hyperplane "
-                                "that is not a facet")
-        facets.append(((tuple(Fraction(n // g) for n in normal),
-                        Fraction(b, g * scale)), on))
-    return sorted(facets)
 
 
 class Polytope:
@@ -187,27 +180,34 @@ class Polytope:
         if not pts:
             raise GeometryError("empty vertex set")
         dim = len(pts[0])
+        if not dim:
+            raise GeometryError("points have no coordinates")
         if any(len(p) != dim for p in pts):
             raise GeometryError("inconsistent point dimensions")
-        facets = _facets_from_points(pts, dim)
-        # p is a vertex iff the facets through it share no other point
-        meet = [-1] * len(pts)
-        for _, on in facets:
-            for i in _bits(on):
-                meet[i] &= on
-        kept = [i for i in range(len(pts)) if meet[i] == 1 << i]
+        # the facets <n, x> <= b are the rays (b, n) of b - <n, p> >= 0
+        ints, scale = linalg.integer_rows(pts)
+        facets = []
+        for (b, *normal), on in _extreme_rays(
+                [[1] + [-x for x in p] for p in ints], "input is not full-dimensional"):
+            g = math.gcd(*normal)
+            facets.append((tuple(Fraction(n // g) for n in normal),
+                           Fraction(b, g * scale), on))
+        facets.sort()
+        kept = _irredundant(_transpose([on for *_, on in facets], len(pts)))
         vertex_id = dict(zip(kept, range(len(kept))))
         return Polytope(
             dim,
             tuple(pts[i] for i in kept),
-            tuple(n for (n, _), _ in facets),
-            tuple(b for (_, b), _ in facets),
+            tuple(n for n, _, _ in facets),
+            tuple(b for _, b, _ in facets),
             tuple(tuple(vertex_id[i] for i in _bits(on) if i in vertex_id)
-                  for _, on in facets),
+                  for *_, on in facets),
         )
 
     @staticmethod
     def from_halfspaces(halfspaces, dim: int) -> "Polytope":
+        if dim < 1:
+            raise GeometryError("dim must be positive")
         # <n, x> <= b as the integer row (B, N) = s (b, n); the plane, with
         # the primitive normal N / g and offset B / g for the content g of
         # N, keys its row of the cone t >= 0, B t - <N, y> >= 0, whose rays
@@ -215,6 +215,8 @@ class Polytope:
         ints, _ = linalg.integer_rows(linalg.vec((*n, b)) for n, b in halfspaces)
         row_of = {}
         for *n, b in ints:
+            if len(n) != dim:
+                raise GeometryError(f"a halfspace normal does not have {dim} coordinates")
             g = math.gcd(*n)
             if not g:
                 raise GeometryError("a halfspace normal is the zero vector")
@@ -230,20 +232,15 @@ class Polytope:
             raise GeometryError("halfspace intersection has empty interior")
         vertices = sorted((tuple(Fraction(x, ray[0]) for x in ray[1:]), on)
                           for ray, on in rays)
-        # per plane, the bit set of its vertices (row 0 is t >= 0); planes
-        # are distinct, so a facet is a plane no other one strictly contains
-        on_plane = [0] * len(planes)
-        for i, (_, on) in enumerate(vertices):
-            for k in _bits(on >> 1):
-                on_plane[k] |= 1 << i
-        facets = [(plane, tuple(_bits(z))) for plane, z in zip(planes, on_plane)
-                  if not any(o != z and o & z == z for o in on_plane)]
+        # per plane, the bit set of its vertices (row 0 is t >= 0)
+        on_plane = _transpose([on >> 1 for _, on in vertices], len(planes))
+        kept = _irredundant(on_plane)
         return Polytope(
             dim,
             tuple(v for v, _ in vertices),
-            tuple(linalg.vec(n) for (n, _), _ in facets),
-            tuple(b for (_, b), _ in facets),
-            tuple(ids for _, ids in facets),
+            tuple(linalg.vec(planes[k][0]) for k in kept),
+            tuple(planes[k][1] for k in kept),
+            tuple(tuple(_bits(on_plane[k])) for k in kept),
         )
 
     # -- basic queries -----------------------------------------------
@@ -272,10 +269,7 @@ class Polytope:
     @cached_property
     def face_lattice(self) -> FaceLattice:
         facet_masks = [sum(1 << i for i in ids) for ids in self.facet_vertex_ids]
-        through = [0] * self.n_vertices  # per vertex, the bit set of its facets
-        for f, ids in enumerate(self.facet_vertex_ids):
-            for i in ids:
-                through[i] |= 1 << f
+        through = _transpose(facet_masks, self.n_vertices)  # per vertex, its facets
         by_dim = {}
         level = set(facet_masks)
         last = self.dim - min(3, self.dim)

@@ -28,7 +28,8 @@ walk out of every ridge, and the vertex-facet incidences of a hull from
 a dot product per vertex and facet.
 
 It also holds the helpers only the tests read: vector arithmetic
-(`zeros`, `vsub`, `vscale`), a lattice vector from its coefficients,
+(`zeros`, `vsub`, `vscale`), the rank of a rational matrix (the pivots
+of one fraction-free elimination), a lattice vector from its coefficients,
 the image of a polytope under an affine map, its halfspace list, the
 exact matrix inverse, and the neighbours and walk products of a
 ridge-gain table.
@@ -256,7 +257,7 @@ def affine_hull_polytope(points):
     basis = []
     for p in pts[1:]:
         d = vsub(p, p0)
-        if linalg.rank(tuple(basis) + (d,)) > len(basis):
+        if rank(tuple(basis) + (d,)) > len(basis):
             basis.append(d)
     k = len(basis)
     if k == 0:
@@ -516,11 +517,11 @@ def is_k_irreducible(para, k: int):
     for face in para.polytope.face_lattice.faces(para.dim - k):
         lines = tiling_facet_normals_at(para, face)
         m = len(lines)
-        total = linalg.rank(tuple(lines))
+        total = rank(tuple(lines))
         for mask in range(1, 2 ** (m - 1)):
             n1 = [lines[i] for i in range(m) if mask >> i & 1]
             n2 = [lines[i] for i in range(m) if not mask >> i & 1]
-            if linalg.rank(tuple(n1)) + linalg.rank(tuple(n2)) == total:
+            if rank(tuple(n1)) + rank(tuple(n2)) == total:
                 return False, (face, tuple(n1), tuple(n2))
     return True, None
 
@@ -1155,12 +1156,12 @@ class ChainComplex:
 
     @cached_property
     def rank_b2(self) -> int:
-        return linalg.rank(self.b2_chains)
+        return rank(self.b2_chains)
 
     @cached_property
     def rank_b1(self) -> int:
         n0 = len(self.v_ids)
-        return linalg.rank(tuple(_dense(c, n0) for c in self.b1_cols))
+        return rank(tuple(_dense(c, n0) for c in self.b1_cols))
 
     @property
     def h0_rank(self) -> int:
@@ -1210,7 +1211,7 @@ def cut_half_belt_span(para) -> dict:
     h1 = chain.h1_rank
     span = 0
     if cycles:
-        span = linalg.rank(chain.b2_chains + tuple(cycles)) - chain.rank_b2
+        span = rank(chain.b2_chains + tuple(cycles)) - chain.rank_b2
     return {"h1_rank": h1, "span_rank": span, "spanned": span == h1,
             "cycles": len(cycles)}
 
@@ -1220,6 +1221,10 @@ def cut_half_belt_span(para) -> dict:
 
 def zeros(n: int):
     return (Fraction(0),) * n
+
+
+def rank(m) -> int:
+    return len(linalg._bareiss(linalg.integer_rows(m)[0])[0])
 
 
 def vsub(a, b):

@@ -63,6 +63,9 @@ def test_create_validation():
         Lattice.create([[1, 0], [0, 1]], [[1, 2], [2, 1]])
     with pytest.raises(GeometryError):
         Lattice.create([[1, 0], [0, 1]], [[1, 2], [3, 1]])
+    # a Gram matrix of the wrong size, symmetric and positive definite
+    with pytest.raises(GeometryError, match="gram matrix must be 2x2"):
+        Lattice.create([[1, 0], [0, 1]], linalg.identity(3))
 
 
 def test_shortest_in_coset_z3():

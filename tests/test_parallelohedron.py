@@ -26,6 +26,7 @@ from oracles import (
     dual_cell_centers,
     is_k_irreducible,
     per_ridge_analyze,
+    rank,
     vscale,
     vsub,
     zeros,
@@ -142,7 +143,7 @@ def seeded_zonotopes(seed, count=6):
     while len(out) < count:
         gens = [linalg.vec(rng.choice(range(-2, 3)) for _ in range(3))
                 for _ in range(rng.randint(3, 6))]
-        if linalg.rank(gens) == 3:
+        if rank(gens) == 3:
             out.append(zonotope(gens))
     return out
 
@@ -615,7 +616,7 @@ def test_k_irreducibility():
     ok, witness = is_k_irreducible(built("cube"), 2)
     assert not ok and witness is not None
     face, n1, n2 = witness
-    assert linalg.rank(n1) + linalg.rank(n2) == linalg.rank(n1 + n2)
+    assert rank(n1) + rank(n2) == rank(n1 + n2)
     assert not is_k_irreducible(built("elongated-dodecahedron"), 2)[0]
     assert is_k_irreducible(built("truncated-octahedron"), 2)[0]
 

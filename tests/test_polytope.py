@@ -23,6 +23,7 @@ from oracles import (
     halfspaces,
     hull_counts,
     random_unimodular,
+    rank,
     scanned_face_facets,
     scanned_superfaces,
     vscale,
@@ -333,6 +334,20 @@ def test_unbounded_and_degenerate_inputs_rejected():
         Polytope.from_vertices([(0, 0), (1, 0), (2, 0)])
 
 
+def test_hull_inputs_of_the_wrong_dimension_rejected():
+    square = [((1, 0), F(1)), ((-1, 0), F(1)), ((0, 1), F(1)), ((0, -1), F(1))]
+    with pytest.raises(GeometryError, match="does not have 2 coordinates"):
+        Polytope.from_halfspaces(square + [((1, 1, 5), F(1))], 2)
+    with pytest.raises(GeometryError, match="does not have 2 coordinates"):
+        Polytope.from_halfspaces([(n + (0,), b) for n, b in square], 2)
+    with pytest.raises(GeometryError, match="dim must be positive"):
+        Polytope.from_halfspaces([], 0)
+    with pytest.raises(GeometryError, match="no coordinates"):
+        Polytope.from_vertices([()])
+    # control: the same square at its own dimension is a hull
+    assert Polytope.from_halfspaces(square, 2).n_vertices == 4
+
+
 def test_boundedness_controls():
     e = [linalg.vec(row) for row in linalg.identity(3)]
     # non-symmetric and bounded: a simplex
@@ -365,23 +380,26 @@ def test_a_non_symmetric_halfspace_input_builds_one_hull(monkeypatch):
     assert len(calls) == 1
 
 
-def test_the_hulls_rank_only_the_facets_of_a_point_set(monkeypatch):
-    """The double description decides full rank, interior and facets:
-    the one rank left is the point hull's check of each facet."""
+def test_each_hull_makes_d_plus_two_eliminations(monkeypatch):
+    """The double description decides full rank, interior, facets and
+    vertices from its incidences: each hull eliminates once for its
+    pivot search and once per kernel of its D = d + 1 basis rows, and
+    ranks nothing else."""
     cell = catalog("lattice-D4").polytope
     solid = catalog("truncated-octahedron").polytope
     calls = []
-    rank = linalg.rank
+    bareiss = linalg._bareiss
 
-    def counted(rows):
+    def counted(rows, reduce=False):
         calls.append(len(rows))
-        return rank(rows)
+        return bareiss(rows, reduce)
 
-    monkeypatch.setattr(linalg, "rank", counted)
-    assert Polytope.from_halfspaces(halfspaces(cell), 4) == cell
-    assert calls == []
+    monkeypatch.setattr(linalg, "_bareiss", counted)
     assert Polytope.from_vertices(solid.vertices) == solid
-    assert len(calls) == solid.n_facets == 14
+    assert len(calls) == 3 + 2
+    calls.clear()
+    assert Polytope.from_halfspaces(halfspaces(cell), 4) == cell
+    assert len(calls) == 4 + 2
 
 
 # -- the integer kernels against the Fraction loops they replaced ------
@@ -419,6 +437,47 @@ def test_point_hull_matches_the_fraction_loop(case):
     assert list(hull.vertices) == fraction_point_vertices(pts, facets)
 
 
+def _cube_point_sets():
+    """Every full-dimensional subset of the unit cube's vertices, alone,
+    with its centroid, and with the midpoint of its first cube edge."""
+    cube = [linalg.vec(p) for p in product((0, 1), repeat=3)]
+    for k in range(4, 9):
+        for pts in map(list, combinations(cube, k)):
+            if fraction_affine_rank(pts) < 3:
+                continue
+            yield pts
+            yield pts + [tuple(sum(xs) / k for xs in zip(*pts))]
+            edge = next(((a, b) for a, b in combinations(pts, 2)
+                         if sum(x != y for x, y in zip(a, b)) == 1), None)
+            if edge:
+                yield pts + [tuple((x + y) / 2 for x, y in zip(*edge))]
+
+
+def _first_cube_hull_mismatch():
+    """The first cube point set whose hull disagrees with the Fraction
+    loop or with qhull's counts, or None."""
+    for pts in _cube_point_sets():
+        facets = fraction_facets_from_points(pts, 3)
+        hull = Polytope.from_vertices(pts)
+        if (halfspaces(hull) != facets
+                or list(hull.vertices) != fraction_point_vertices(pts, facets)
+                or (hull.n_vertices, hull.n_facets) != hull_counts(pts)):
+            return pts
+    return None
+
+
+def test_point_hull_matches_the_oracles_on_every_cube_subset():
+    assert _first_cube_hull_mismatch() is None
+
+
+def test_the_cube_sweep_rejects_a_hull_that_keeps_every_point(monkeypatch):
+    """Negative control: with no pruning, a centroid or an edge midpoint
+    is kept as a vertex, and the sweep sees it."""
+    monkeypatch.setattr(polytope, "_irredundant",
+                        lambda sets: list(range(len(sets))))
+    assert _first_cube_hull_mismatch() is not None
+
+
 @st.composite
 def symmetric_halfspaces(draw):
     """Normals closed under negation, spanning R^d, with positive
@@ -433,7 +492,7 @@ def symmetric_halfspaces(draw):
         assume(any(normal))
         hs.append((normal, draw(offset)))
         hs.append((tuple(-x for x in normal), draw(offset)))
-    assume(linalg.rank(tuple(linalg.vec(h) for h, _ in hs)) == dim)
+    assume(rank(tuple(linalg.vec(h) for h, _ in hs)) == dim)
     return dim, hs
 
 
@@ -483,7 +542,7 @@ def pointed_cones(draw):
     entry = st.integers(-3, 3)
     rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
                          min_size=dim, max_size=dim + 5))
-    assume(linalg.rank(tuple(linalg.vec(r) for r in rows)) == dim)
+    assume(rank(tuple(linalg.vec(r) for r in rows)) == dim)
     return rows
 
 

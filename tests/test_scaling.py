@@ -14,6 +14,7 @@ from oracles import (
     local_cycle_check,
     per_ridge_graph,
     random_unimodular,
+    rank,
     ridge_dependence,
     ridge_image_map,
     ridge_neighbors,
@@ -330,7 +331,7 @@ def test_voronoi_mismatch_names_a_facet_under_a_perturbed_form():
     t = para.facet_vectors[witness["facet"]]
     n = para.polytope.facet_normals[witness["facet"]]
     # G t is not a positive multiple of the facet normal
-    assert linalg.rank((linalg.matvec(gram, t), n)) == 2
+    assert rank((linalg.matvec(gram, t), n)) == 2
 
 
 def doctored(para, lattice):
@@ -670,7 +671,7 @@ def test_a_perturbed_normal_in_a_6_belt_raises(name, change, message):
         moved = n0
     else:
         moved = next(m for m in (linalg.vadd(n1, e) for e in linalg.identity(p.dim))
-                     if linalg.rank((n0, m, n2)) == 3)
+                     if rank((n0, m, n2)) == 3)
     normals = list(p.facet_normals)
     normals[belt.facets[1]] = moved
     para.polytope = Polytope(p.dim, p.vertices, tuple(normals), p.facet_offsets,
