@@ -3,8 +3,8 @@
 The cell comes out of the body-centered cubic lattice, passes the
 Venkov conditions, gets a canonical scaling from its ridge gains, and
 is finally proved to be the Voronoi cell under the recovered quadratic
-form: every facet is a bisector, and no short lattice vector cuts off a
-vertex.
+form: every facet is the bisector of its facet vector, and every
+relevant vector of the lattice under that form is a facet vector.
 """
 
 from fractions import Fraction

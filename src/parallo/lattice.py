@@ -16,9 +16,10 @@ computes and scaled to integers, so Q(x) is a sum of squares in which
 level i depends only on the coefficients above it. Walking the levels
 from the last coordinate down, each coefficient is confined to the
 exact integer interval the remaining bound leaves it; every node works
-on Python ints, and the norms come out as integers on one scale. One
-ball of radius sum_i D_i holds the minima of every class of L/2L, and so
-the relevant vectors (Babai 1986; `_coset_minima`).
+on Python ints, and the norms come out as integers on one scale. The
+minima of every class of L/2L, and so the relevant vectors, come from d
+graded searches, one per highest odd coefficient m, of radius
+sum_{i<=m} D_i (Babai 1986; `_coset_minima`).
 
 The lattice generated by a set of vectors (the facet vectors of a
 parallelohedron) gets its basis from the Hermite normal form of their
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import mul
 
 from . import linalg
@@ -45,14 +47,16 @@ class Lattice:
 
     @staticmethod
     def create(basis, gram=None) -> "Lattice":
-        basis = linalg.mat(basis)
+        basis = tuple(map(linalg.vec, basis))
         d = len(basis)
+        if d == 0:
+            raise GeometryError("lattice basis is empty")
         if any(len(r) != d for r in basis):
             raise GeometryError("lattice basis must be square")
         if linalg.det(basis) == 0:
             raise GeometryError("lattice basis is singular")
-        gram = linalg.mat(gram) if gram is not None else linalg.identity(d)
-        if len(gram) != d:
+        gram = linalg.identity(d) if gram is None else tuple(map(linalg.vec, gram))
+        if len(gram) != d or any(len(r) != d for r in gram):
             raise GeometryError(f"gram matrix must be {d}x{d}")
         if not linalg.is_symmetric(gram):
             raise GeometryError("gram matrix must be symmetric")
@@ -169,14 +173,17 @@ def _integer_interval(p: int, a: int, m: int) -> range:
 _NODE_BUDGET = 10**6
 
 
-def _enumerate(lat: Lattice, r2: Fraction) -> list[tuple[int, tuple[int, ...]]]:
-    """(N, k) for every integer k with Q(k) <= r2, where N = ds * us^2 * Q(k).
+def _enumerate(lat: Lattice, r2: Fraction,
+               top: int | None = None) -> list[tuple[int, tuple[int, ...]]]:
+    """(N, k) for every integer k with Q(k) <= r2, where N = ds * us^2 * Q(k);
+    with `top`, only those with k_top odd and k_i even above it.
 
     Fincke-Pohst: level i (from the last coordinate down) sees the
     integer Z_i = us * (k_i + sum_{j>i} U_ij k_j) = us k_i - p_i, and
     k_i ranges over the integers with (ds D_i) Z_i^2 at most what the
-    levels above left of the scaled bound. Each level's candidates are
-    counted against `_NODE_BUDGET` before they are walked.
+    levels above left of the scaled bound, every other one of them at
+    the levels from `top` up. Each level's candidates are counted
+    against `_NODE_BUDGET` before they are walked.
     """
     rows, us, diag, ds = lat._ldl
     d = lat.dim
@@ -191,8 +198,10 @@ def _enumerate(lat: Lattice, r2: Fraction) -> list[tuple[int, tuple[int, ...]]]:
         nonlocal left
         p = -lin[i]
         ks = _integer_interval(p, us, (bound - used) // diag[i])
+        if top is not None and i >= top:
+            ks = ks[(ks.start - (i == top)) % 2::2]
         # len() overflows on a huge range
-        left -= max(0, ks.stop - ks.start)
+        left -= max(0, -((ks.start - ks.stop) // ks.step))
         if left < 0:
             raise GeometryError(
                 f"lattice enumeration needs more than {_NODE_BUDGET} nodes; "
@@ -229,16 +238,21 @@ def _coset_minima(lat: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     basis, the coefficients in the reduced basis (`_basis_columns`) of
     its members of least positive norm.
 
-    One ball of radius sum_i D_i holds them all. For v in a class other
-    than 2L, Babai's nearest-plane rounding of v/2 from the last level
-    gives a lattice point w with |x_i + sum_{j>i} U_ij x_j| <= 1/2 at
-    every level for x = v/2 - w. So Q(x) <= sum_i D_i / 4, which also
-    bounds the squared covering radius, and v - 2w is a nonzero member
-    of norm at most sum_i D_i. The ball holds L's shortest vectors too,
-    as Q(e_0) = D_0, and 2L's minima are twice those.
+    A class other than 2L has a highest odd reduced coefficient m, and
+    one search per m (`_enumerate` with top m) holds its minima within
+    radius sum_{i<=m} D_i. For v in the class, Babai's nearest-plane
+    rounding of v/2 from the last level gives a lattice point w with
+    x = v/2 - w exactly 0 at the levels above m, where v/2 has integer
+    coefficients, and |x_i + sum_{j>i} U_ij x_j| <= 1/2 at the rest. So
+    Q(x) <= sum_{i<=m} D_i / 4, and v - 2w is a nonzero member of norm
+    at most sum_{i<=m} D_i. No search holds the origin, and together
+    they hold L's shortest vectors: each lies in some class, and
+    Q(e_0) = D_0 bounds their norm. 2L's minima are twice those.
     """
     _, _, diag, ds = lat._ldl
-    hits = sorted(_enumerate(lat, Fraction(sum(diag), ds)))[1:]  # no origin
+    hits = sorted(chain.from_iterable(
+        _enumerate(lat, Fraction(sum(diag[:m + 1]), ds), m)
+        for m in range(lat.dim)))
     least, minima = {}, {}
     for n, k in hits:
         c = tuple(x % 2 for x in k)
@@ -326,4 +340,3 @@ def lattice_basis_from_generators(rows: list[list[int]], s: int) -> Mat:
     """Basis (HNF rows) of the lattice of integer combinations of the
     vectors rows / s, given as `linalg.integer_rows` writes them."""
     return tuple(tuple(Fraction(x, s) for x in row) for row in _hnf_rows(rows))
-

@@ -3,14 +3,15 @@
 A polytope gets here only once it has passed the Venkov conditions
 (`venkov`), which also centre it and give its belts and its facet
 vectors t_F = 2*c_F. Then each facet F determines the neighbor
-translate by t_F, the facet vectors generate the tile-center lattice,
+translate by t_F, the facet vectors generate the tile-center lattice L,
 and local stars of the tiling can be reconstructed without ever
-materializing the tiling itself. The tiling is face-to-face, so P
-meets a translate P + t, t in 2P, in the face of P cut out by the
-facets through t/2, and a face of P belongs to P + t exactly when it
-lies in that face. So a face's dual cell, the tiles that hold it, is a
-bit set over the translates, and a codim-k face is primitive when k + 1
-of its bits are set; a ridge is primitive iff its belt has 6 facets.
+materializing the tiling itself. The tiling is face-to-face (Venkov
+1954; McMullen 1980), so a vertex v of P lies in P + t exactly when
+v - t is a vertex of P: the tiles at v are v - w over the vertices w of
+v's class mod L. So a face's dual cell, the tiles that hold all its
+vertices, is a bit set over the tiles that meet P, and a codim-k face
+is primitive when k + 1 of its bits are set; a ridge is primitive iff
+its belt has 6 facets.
 
 The surface partitions of the facets are decided here and nowhere
 else: the delta-surface joins the two facets of each primitive ridge,
@@ -20,16 +21,17 @@ its opposite.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import mul
+from itertools import chain, product
+from operator import sub
 
 from . import linalg
 from .errors import DualCellAnomaly, GeometryError, NotAParallelohedron
-from .lattice import Lattice, lattice_basis_from_generators, vectors_in_ball
+from .lattice import Lattice, lattice_basis_from_generators
 from .linalg import Vec
-from .polytope import Face, Polytope, _bits, _transpose
+from .polytope import Face, Polytope, _bits
 from .venkov import _analyze
 
 
@@ -87,16 +89,19 @@ class Parallelohedron:
         return Parallelohedron(*tiling)
 
     def _check_neighbors(self):
-        """P and P + t_F must intersect in exactly the facet F: the row
-        of t_F in the translate table must be the bit set of the facet's
-        vertices. When t_F / 2 is F's centre, F is the one facet through
-        it and the row is F's by construction; so the check guards facet
-        vectors that are not twice a facet centre (one with no row lies
-        outside 2P and fails)."""
+        """P and P + t_F must intersect in exactly the facet F: F - t_F
+        must be the vertex set of F's opposite facet, which lies on the
+        plane <n_F, x> = -b_F, so P + t_F lies on the far side of F's
+        plane and meets P in F alone."""
         p = self.polytope
-        for fi, t in enumerate(self.facet_vectors):
-            if self._translate_members.get(t) != sum(
-                    1 << i for i in p.facet_vertex_ids[fi]):
+        xints, xs, *_ = p.integer_form
+        tints, ts = self.facet_vector_rows
+        # on the scale xs ts: x - t is (ts X - xs T) / (xs ts)
+        index = {tuple(ts * a for a in x): i for i, x in enumerate(xints)}
+        for fi, (t, ids) in enumerate(zip(tints, p.facet_vertex_ids)):
+            moved = {index.get(tuple(ts * a - xs * b for a, b in zip(xints[i], t)))
+                     for i in ids}
+            if moved != set(p.facet_vertex_ids[self.opposite_facet[fi]]):
                 raise GeometryError(
                     f"facet vector of facet {fi} does not reproduce the facet "
                     "as the neighbor intersection"
@@ -145,62 +150,37 @@ class Parallelohedron:
     # -- dual cells -------------------------------------------------------
 
     @cached_property
-    def _translate_members(self) -> dict[Vec, int]:
-        """Per lattice translate t in 2P, in sorted order, the bit set of
-        the vertices v with v - t in P, that is of P's vertices in P + t.
-
-        P is centred, so P - P = 2P: P + t meets P exactly when
-        <n, t> <= 2 b on every facet (n, b). Those t lie in 2E, for E the
-        ellipsoid x^T S^-1 x <= r, S = sum v v^T over the vertices and r
-        its largest value on them; the other vectors of 2E get no row.
-        A linear map of P carries E to its image's E, so skew coordinates
-        do not grow the ball; the form D S^-1, D > 0, is read off the
-        reduced rows of [S | I]. A tiling by translates of a
-        parallelohedron is face-to-face (Venkov 1954; McMullen 1980), so
-        P ∩ (P + t) is a face f of P. x -> t - x swaps the two tiles and
-        maps f onto itself, so t/2 lies in the relative interior of f,
-        and f is the meet of the facets through t/2: a row is the AND of
-        the vertex bit sets of the facets with <n, t> = 2 b. The
-        Voronoi proof (`scaling.voronoi_mismatch`) sweeps the same rows,
-        so this is the run's one lattice enumeration once the cell exists.
-        """
-        p, d = self.polytope, self.dim
-        rows, s, normals, _, offsets = p.integer_form
-        cols = list(zip(*rows))
-        aug = [[sum(map(mul, a, b)) for b in cols] + [int(i == j) for j in range(d)]
-               for i, a in enumerate(cols)]
-        linalg._bareiss(aug, reduce=True)
-        form = [row[d:] for row in aug]
-        r = max(sum(map(mul, v, (sum(map(mul, f, v)) for f in form))) for v in rows)
-        ball = vectors_in_ball(Lattice(self.lattice.basis, form),
-                               Fraction(4 * r, s * s))
-        shifts, ts = linalg.integer_rows(ball)
-        facets = [(n, 2 * ts * b, sum(1 << i for i in ids))
-                  for n, b, ids in zip(normals, offsets, p.facet_vertex_ids)]
-        out = {}
-        for t, v in zip(ball, shifts):
-            # <n, t> <= 2 b iff s <N, T> <= 2 ts B (N = ns n, T = ts t)
-            members = (1 << len(rows)) - 1
-            for n, cap, bits in facets:
-                x = s * sum(map(mul, n, v))
-                if x > cap:
-                    break
-                if x == cap:
-                    members &= bits
-            else:
-                out[t] = members
-        return out
-
-    @cached_property
     def _rows_at(self) -> tuple[tuple[Vec, ...], list[int]]:
-        """The translates of `_translate_members` in order, and per vertex
-        the bit set of the rows that hold it."""
-        rows = self._translate_members
-        return tuple(rows), _transpose(rows.values(), self.polytope.n_vertices)
+        """The centres t of the tiles P + t that meet P, sorted, and per
+        vertex v the bit set of those that hold it: v - w over the
+        vertices w of v's class mod L. The class is v's residue against
+        L's Hermite rows, upper triangular with positive pivots, each
+        coordinate in turn reduced into [0, pivot); the facet vectors
+        generate L, so on their scale those rows are integral."""
+        xints, xs, *_ = self.polytope.integer_form
+        s = math.lcm(xs, self.facet_vector_rows[1])
+        vertices = [[s // xs * a for a in x] for x in xints]
+        basis = [[int(s * x) for x in row] for row in self.lattice.basis]
+        classes = {}
+        for i, x in enumerate(vertices):
+            for j, row in enumerate(basis):
+                q = x[j] // row[j]
+                x = [a - q * b for a, b in zip(x, row)]
+            classes.setdefault(tuple(x), []).append(i)
+        tiles = {}  # t -> the vertices v with v - t a vertex
+        for ids in classes.values():
+            for i, j in product(ids, repeat=2):
+                tiles.setdefault(tuple(map(sub, vertices[i], vertices[j])), []).append(i)
+        translates = sorted(tiles)
+        at = [0] * len(vertices)
+        for row, t in enumerate(translates):
+            for i in tiles[t]:
+                at[i] |= 1 << row
+        return tuple(tuple(Fraction(a, s) for a in t) for t in translates), at
 
     def dual_cell(self, face: Face) -> int:
-        """The face's dual cell: the bit set of the translate-table rows
-        that hold every vertex of the face, one bit per tile."""
+        """The face's dual cell: the bit set of the tiles of `_rows_at`
+        that hold every vertex of the face."""
         translates, at = self._rows_at
         rows = (1 << len(translates)) - 1
         for i in face.vertex_ids:

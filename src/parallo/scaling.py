@@ -23,12 +23,10 @@ sum of the solution basis. When the basis has one vector per merged
 scaling component, as on every input so far, the sum sets every
 component factor to 1. It then *independently* proves P = Vor_G(L)
 with exact inequalities (`voronoi_mismatch`): every facet is the
-G-bisector of its facet vector (so Vor is inside P), and no lattice
-vector of 2P, a row of the parallelohedron's translate table, cuts a
-vertex (so P is inside Vor). No second enumeration is needed: once
-Vor is inside P, every facet vector of Vor lies in 2P. A failure is a
-"dv-mismatch" carrying the offending facet, or the lattice vector and
-vertex.
+G-bisector of its facet vector (so Vor is inside P), and every relevant
+vector of (L, G) is a facet vector (so P is inside Vor). A failure is a
+"dv-mismatch" carrying the offending facet, or a relevant vector and
+the first vertex it cuts.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from operator import mul
 
 from . import linalg
 from .errors import GeometryError
+from .lattice import Lattice, relevant_vectors
 from .linalg import Mat, Vec
 from .parallelohedron import Parallelohedron
 
@@ -174,23 +173,25 @@ def voronoi_mismatch(para: Parallelohedron, gram: Mat) -> dict | None:
 
     Vor is inside P when every facet <n_F, x> <= b_F is the G-bisector
     of its facet vector t_F: G t_F = lam * n_F with lam > 0 and
-    |t_F|^2 = 2 * lam * b_F. P is inside Vor when every vertex x has
-    2 <x, v> <= |v|^2 for every facet vector v of Vor. Each such v has
-    v/2 on its facet (Voronoi 1908; Conway & Sloane, ch. 21), so once
-    the bisector check has put Vor inside P, v/2 lies in P and v in 2P:
-    the rows of the translate table, the lattice vectors of 2P, hold
-    every v that could cut a vertex. The sweep is sound only after the
-    bisector check passes, so it runs second.
-    Both checks compare integers: G, the facet vectors, each facet's
-    (n, b), the vertices and the table rows are scaled once to integer
-    rows. The sweep runs vertex by vertex over the sorted table, and the
-    first cut found is the witness.
+    |t_F|^2 = 2 * lam * b_F. Vor is the meet of the bisector halfspaces
+    H(v) of the relevant vectors v of (L, G), those whose class in L/2L
+    has +-v as its only least vectors (Voronoi 1908; Conway & Sloane,
+    ch. 21). So if every relevant vector is a facet vector, P, the meet
+    of the H(t_F), lies inside Vor, and P = Vor. If a relevant v is not,
+    a point in the relative interior of v's facet of Vor has 0 and v as
+    its only nearest lattice points, so it lies strictly inside every
+    H(t_F), and points just across v's bisector lie in P but not in
+    H(v): v cuts a vertex. A vertex is cut by a lattice vector exactly
+    when a relevant one cuts it, and no facet vector does once the
+    bisector check passes, so a sweep of the vertices, in order, against
+    the relevant vectors that are not facet vectors finds the first
+    vertex any lattice vector cuts. Both checks compare integer rows.
     """
     p = para.polytope
-    gram, _ = linalg.integer_rows(gram)
+    gints, _ = linalg.integer_rows(gram)
 
     def form(y):
-        gy = [sum(map(mul, row, y)) for row in gram]
+        gy = [sum(map(mul, row, y)) for row in gints]
         return gy, sum(map(mul, y, gy))
 
     # with T = ts t, GT = gs ts G t and (N, B) = (ns n, ns xs b) from
@@ -205,16 +206,18 @@ def voronoi_mismatch(para: Parallelohedron, gram: Mat) -> dict | None:
                 or any(g * n[k] != x * gt[k] for g, x in zip(gt, n))
                 or tgt * n[k] * xs != 2 * ts * gt[k] * b):
             return {"kind": "facet", "facet": fi}
+    facet_vectors = set(para.facet_vectors)
+    extra = [v for v in relevant_vectors(Lattice(para.lattice.basis, gram))
+             if v not in facet_vectors]
     # on integer rows X, V = vs v and GV = gs G V:
     # 2 <x, Gv> > <v, Gv>  iff  2 vs <X, GV> > xs <V, GV>
-    table = tuple(para._translate_members)
-    vints, vs = linalg.integer_rows(table)
+    vints, vs = linalg.integer_rows(extra)
     cuts = []
     for v in vints:
         gv, vgv = form(v)
         cuts.append(([2 * vs * a for a in gv], xs * vgv))
     for x, xi in zip(p.vertices, xints):
-        for v, (gv2, cap) in zip(table, cuts):
+        for v, (gv2, cap) in zip(extra, cuts):
             if sum(map(mul, xi, gv2)) > cap:
                 return {"kind": "cut", "lattice_vector": v, "vertex": x}
     return None
@@ -231,8 +234,8 @@ def voronoi_form(para: Parallelohedron, scaling: dict) -> dict:
     positive definite, and no basis at all is "scaling-fails". Otherwise
     it proves P = Vor_G(L) for the center lattice L with
     `voronoi_mismatch`: each facet is the G-bisector of its facet vector,
-    and no row of the translate table (the lattice vectors of 2P) cuts a
-    vertex. The block then holds the form ("gram") and the component
+    and every relevant vector of (L, G) is a facet vector. The block
+    then holds the form ("gram") and the component
     factors, and "certified", or "dv-mismatch" with the failed check as
     its "witness".
     """

@@ -279,9 +279,9 @@ def dual3_signature(centers):
                tuple(sorted(len(ids) for ids in hull.facet_vertex_ids)))
 
 
-def ball_translate_members(para):
-    """The nonempty rows of the translate table by a sweep over the whole
-    ball of twice the circumradius: per t, the ids of the vertices v
+def ball_tile_members(para):
+    """The tiles P + t that meet P, by a sweep over the whole ball of
+    twice the circumradius: per t, the ids of the vertices v
     with v - t in P, from every facet inequality of every (v, t) pair.
 
     The points and the facets are each brought to integers by one common
@@ -862,7 +862,7 @@ def box_vectors_in_ball(lat, r2, around=None, parity=None):
 
 def fraction_voronoi_mismatch(para, lattice):
     """The witness of the Voronoi proof by `Fraction` dot products, read
-    off the whole G-ball of `lattice` rather than the translate table
+    off the whole G-ball of `lattice` rather than the relevant vectors
     `scaling.voronoi_mismatch` sweeps: the first facet that is not the
     G-bisector of its facet vector, else the first (vertex, lattice
     vector) pair, vertex by vertex over the sorted box ball of

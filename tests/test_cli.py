@@ -573,12 +573,28 @@ def test_options_go_anywhere_and_take_an_equals_sign(capsys):
     ["verify"], ["check"], ["surface"], ["dual-cells", "--codim", "1"],
     ["voronoi-cell"], ["export"]])
 @pytest.mark.parametrize("aspect", ["1000000", "1e4000"])
-def test_a_thin_lattice_gets_one_error_line(tmp_path, capsys, command, aspect):
-    """The Voronoi cell of a thin lattice is a long rectangle: every
-    command stops at the enumeration budget instead of hanging."""
+def test_a_thin_lattice_succeeds_on_every_command(tmp_path, capsys, command, aspect):
+    """The Voronoi cell of a thin lattice is a long rectangle. Each
+    graded class search of its relevant vectors walks a handful of
+    nodes, however long the rectangle, so every command succeeds and
+    `verify` certifies."""
     path = tmp_path / "thin.json"
     path.write_text(json.dumps({"basis": [[aspect, 0], [0, 1]]}))
     code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, err) == (0, "")
+    assert command != ["verify"] or json.loads(out)["verdict"] == "certified"
+
+
+@pytest.mark.parametrize("command", ["verify", "check"])
+def test_a_lattice_past_the_node_budget_gets_one_error_line(tmp_path, capsys, command):
+    """Z^12 in its identity basis: the class search with top level m
+    has radius m + 1, and the one with m = 10 needs more than 10^6
+    nodes, so the command stops at the enumeration budget instead of
+    hanging."""
+    path = tmp_path / "z12.json"
+    path.write_text(json.dumps(
+        {"basis": [[int(i == j) for j in range(12)] for i in range(12)]}))
+    code, out, err = run(capsys, command, str(path))
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         "error: lattice enumeration needs more than 1000000 nodes; "
@@ -587,8 +603,9 @@ def test_a_thin_lattice_gets_one_error_line(tmp_path, capsys, command, aspect):
 
 def test_a_thin_rectangle_given_by_its_vertices_certifies(tmp_path, capsys):
     """The cell of the 10^6 x 1 lattice above, given as its four
-    vertices, certifies: the translate table's ellipsoid is that of the
-    polytope, so it is a disc in the lattice's own coordinates."""
+    vertices, certifies: its tiles are read off the classes of its
+    vertices, and the graded class searches of the Voronoi proof stay
+    small under the recovered form."""
     path = tmp_path / "thin.json"
     half = ["500000", "-500000"]
     path.write_text(json.dumps({"dim": 2, "vertices": [

@@ -66,6 +66,12 @@ def test_create_validation():
     # a Gram matrix of the wrong size, symmetric and positive definite
     with pytest.raises(GeometryError, match="gram matrix must be 2x2"):
         Lattice.create([[1, 0], [0, 1]], linalg.identity(3))
+    # a ragged Gram matrix
+    with pytest.raises(GeometryError, match="gram matrix must be 2x2"):
+        Lattice.create([[1, 0], [0, 1]], [[1, 0], [0, 1, 0]])
+    # an empty basis, which the JSON reader refuses too
+    with pytest.raises(GeometryError, match="lattice basis is empty"):
+        Lattice.create([])
 
 
 def test_shortest_in_coset_z3():
@@ -270,7 +276,7 @@ def test_vectors_in_ball_edge_radii():
 
 
 def _ball_radius(lat):
-    """sum_i D_i, the radius of the one ball `_coset_minima` enumerates."""
+    """sum_i D_i, the radius of `_coset_minima`'s widest class search."""
     _, _, diag, ds = lat._ldl
     return F(sum(diag), ds)
 
@@ -278,7 +284,7 @@ def _ball_radius(lat):
 @given(skewed_lattices())
 @settings(max_examples=40, deadline=None)
 def test_coset_minima_match_the_coefficient_box(lat):
-    """Every class of L/2L gets its minima from the one ball: the
+    """Every class of L/2L gets its minima from the class searches: the
     coefficient-box sweep of the class, within the norm `_coset_minima`
     found, finds no shorter member and the same minima, and so does the
     exhaustive coset sweep over that box. Only the lattices whose
@@ -301,23 +307,33 @@ def test_coset_minima_match_the_coefficient_box(lat):
 
 
 def test_a_quarter_of_the_ball_misses_relevant_vectors(monkeypatch):
-    """Negative control: a ball of radius sum_i D_i / 4 is too small;
-    Z3 (sum D_i = 3) loses all six relevant vectors, and BCC and A2
-    lose all of theirs too."""
+    """Negative control: class searches of radius sum_{i<=m} D_i / 4
+    are too small; Z3 (sum D_i = 3) loses all six relevant vectors, and
+    BCC and A2 lose all of theirs too."""
     enumerate_ = lattice._enumerate
-    monkeypatch.setattr(lattice, "_enumerate", lambda lat, r2: enumerate_(lat, r2 / 4))
+    monkeypatch.setattr(lattice, "_enumerate",
+                        lambda lat, r2, *a: enumerate_(lat, r2 / 4, *a))
     for lat in (z3(), bcc(), a2()):
         assert relevant_vectors(lat) == []
 
 
 def test_enumeration_counts_every_candidate_against_the_budget(monkeypatch):
     """The Z^2 ball of radius 1 has 3 candidates on the top level and
-    1 + 3 + 1 below it: 8 nodes pass the budget and 7 do not."""
+    1 + 3 + 1 below it: 8 nodes pass the budget and 7 do not. A graded
+    search counts only the members of its stepped range: with top 1 the
+    top level keeps k_1 = +-1, each with 1 candidate below it, so 4
+    nodes pass the budget and 3 do not."""
+    z2 = Lattice.create(linalg.identity(2))
     monkeypatch.setattr(lattice, "_NODE_BUDGET", 8)
-    assert len(vectors_in_ball(Lattice.create(linalg.identity(2)), 1)) == 5
+    assert len(vectors_in_ball(z2, 1)) == 5
     monkeypatch.setattr(lattice, "_NODE_BUDGET", 7)
     with pytest.raises(GeometryError, match="more than 7 nodes"):
-        vectors_in_ball(Lattice.create(linalg.identity(2)), 1)
+        vectors_in_ball(z2, 1)
+    monkeypatch.setattr(lattice, "_NODE_BUDGET", 4)
+    assert len(lattice._enumerate(z2, 1, 1)) == 2
+    monkeypatch.setattr(lattice, "_NODE_BUDGET", 3)
+    with pytest.raises(GeometryError, match="more than 3 nodes"):
+        lattice._enumerate(z2, 1, 1)
 
 
 def d_n(n):
@@ -351,20 +367,28 @@ def test_e7_star_certifies():
 @pytest.mark.parametrize("name", LATTICE_CATALOG)
 def test_a_lattice_verify_enumerates_the_lattice_twice(name, monkeypatch):
     """A whole `verify` of a fresh `Lattice`, whose cell is built inside
-    the count, runs two Fincke-Pohst enumerations: the one ball of the
-    relevant vectors and the translate table's."""
+    the count, finds the least vectors of the classes of L/2L twice: for
+    the relevant vectors of the cell, and for the Voronoi proof under
+    the recovered form. Each time it runs d graded Fincke-Pohst
+    searches, one per top level."""
     entry = catalog(name)
-    calls = []
-    enumerate_ = lattice._enumerate
+    minima, searches = [], []
+    coset_minima, enumerate_ = lattice._coset_minima, lattice._enumerate
+
+    def counted_minima(lat):
+        minima.append(lat)
+        return coset_minima(lat)
 
     def counted(*args):
-        calls.append(args)
+        searches.append(args)
         return enumerate_(*args)
 
+    monkeypatch.setattr(lattice, "_coset_minima", counted_minima)
     monkeypatch.setattr(lattice, "_enumerate", counted)
     lat = Lattice.create(entry.lattice.basis, entry.lattice.gram)
     assert report.verify(lat, name=name)["verdict"] == "certified"
-    assert len(calls) == 2
+    assert len(minima) == 2
+    assert len(searches) == 2 * lat.dim
 
 
 @given(skewed_lattices())

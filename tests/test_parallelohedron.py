@@ -18,7 +18,7 @@ from conftest import (
 from generators import cartan, d_edges
 from oracles import (
     apply_affine,
-    ball_translate_members,
+    ball_tile_members,
     central_symmetry,
     contains,
     dot_product_facet_vertex_ids,
@@ -31,7 +31,7 @@ from oracles import (
     vsub,
     zeros,
 )
-from parallo import linalg, parallelohedron, report, venkov
+from parallo import lattice, linalg, parallelohedron, report, venkov
 from parallo.catalog import catalog
 from parallo.errors import DualCellAnomaly, GeometryError, NotAParallelohedron
 from parallo.lattice import Lattice
@@ -41,7 +41,7 @@ from parallo.parallelohedron import (
     classify_dual3,
     dual3_census,
 )
-from parallo.polytope import FaceLattice, Polytope
+from parallo.polytope import FaceLattice, Polytope, _transpose
 from parallo.venkov import _analyze, _involution, venkov_check
 
 F = Fraction
@@ -338,10 +338,9 @@ def test_facet_vectors_and_neighbor_identity():
 
 @pytest.mark.parametrize("vectors", ["doubled", "rotated"])
 def test_neighbor_check_rejects_wrong_facet_vectors(vectors):
-    """Negative controls of the neighbor check: doubled vectors put each
-    2 t_F = 4 c_F outside the 2R ball of the coarser lattice, so it has
-    no row in the translate table; rotated vectors give each facet the
-    row of another facet."""
+    """Negative controls of the neighbor check: doubled vectors move each
+    facet F by 2 t_F = 4 c_F, off the polytope, and rotated vectors move
+    it by another facet's vector, so F - t_F is not F's opposite facet."""
     cube = built("cube")
     if vectors == "doubled":
         wrong = tuple(vscale(2, t) for t in cube.facet_vectors)
@@ -380,9 +379,9 @@ def built_or_skewed(name):
 
 
 def test_unnormalized_halfspaces_give_the_same_dual_cells():
-    """A cube stored with normals (1/2, 0, 0) and offsets 1/4: the
-    translate table scales normals and offsets together, as the integer
-    dot-product incidences do."""
+    """A cube stored with normals (1/2, 0, 0) and offsets 1/4 has the
+    same dual cells: the integer dot-product incidences scale normals
+    and offsets together."""
     cube = catalog("cube").polytope
     halved = Polytope(
         3, cube.vertices,
@@ -423,20 +422,27 @@ def test_dual_cells_match_per_face_sweep(name):
 
 def whole_ball_table(name):
     """The translate table of a sweep over the whole Euclidean ball of
-    twice the circumradius (`ball_translate_members`), as bit sets. A
+    twice the circumradius (`ball_tile_members`), as bit sets. A
     shear's own ball is too large to sweep (382,269 vectors at k = 30),
     so its table is the unsheared entry's, carried over by the shear:
     t goes to A t, and vertex v to the vertex A v."""
     base, _, kind = name.rpartition("-")
     if not kind.startswith("shear"):
         return {t: sum(1 << i for i in ids)
-                for t, ids in ball_translate_members(built_or_skewed(name)).items()}
+                for t, ids in ball_tile_members(built_or_skewed(name)).items()}
     a = linalg.mat(shear(int(kind[len("shear"):])))
     source = built(base).polytope.vertices
     image = built_or_skewed(name).polytope.vertices
     return {linalg.matvec(a, t):
             sum(1 << image.index(linalg.matvec(a, source[i])) for i in ids)
-            for t, ids in ball_translate_members(built(base)).items()}
+            for t, ids in ball_tile_members(built(base)).items()}
+
+
+def tile_table(para):
+    """Per tile centre of `_rows_at`, the bit set of the vertices of P
+    it holds: the transpose of the per-vertex bit sets."""
+    translates, at = para._rows_at
+    return dict(zip(translates, _transpose(at, len(translates))))
 
 
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG
@@ -444,46 +450,60 @@ def whole_ball_table(name):
                          + ("elongated-dodecahedron-shear30",
                             "elongated-dodecahedron-shear60", "A5*", "D5"))
 def test_translate_table_matches_a_whole_ball_sweep(name):
-    """Skipping the ball vectors outside 2P loses no translate that meets
-    P, and the meet of the facets through t/2 is P's part of P + t: the
-    table has exactly the nonempty rows of a sweep over the whole ball
-    of twice the circumradius, on every catalog entry, on their skewed
-    images, on two shears, on A5* and on D5 (131 rows)."""
-    assert built_or_skewed(name)._translate_members == whole_ball_table(name)
+    """The tiles read off the vertices' classes mod L are exactly the
+    nonempty rows of a sweep over the whole ball of twice the
+    circumradius, each with the vertices it holds, on every catalog
+    entry, on their skewed images, on two shears, on A5* and on D5 (131
+    rows)."""
+    assert tile_table(built_or_skewed(name)) == whole_ball_table(name)
+
+
+# lattice vectors the class searches find, unsheared and under shear(k)
+SHEAR_SEARCH_HITS = {"cube": (26, 26), "hexagonal-prism": (20, 20),
+                     "rhombic-dodecahedron": (18, 18),
+                     "elongated-dodecahedron": (16, 16),
+                     "truncated-octahedron": (14, 22)}
 
 
 @pytest.mark.parametrize("k", [30, 60])
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG)
-def test_a_shear_does_not_grow_the_translate_ball(name, k, monkeypatch):
-    """The translate ball is an ellipsoid that moves with the polytope:
-    each 3-D type sheared by `shear(k)` enumerates as many vectors as at
-    k = 0 (17 for the elongated dodecahedron), and certifies."""
-    sizes = []
-    vectors_in_ball = parallelohedron.vectors_in_ball
+def test_a_shear_does_not_grow_the_class_search(name, k, monkeypatch):
+    """The Voronoi proof searches the classes of L/2L in an LLL-reduced
+    basis of the recovered form, so the search moves with the polytope:
+    each 3-D type sheared by `shear(k)` certifies, and its class
+    searches find as many lattice vectors at k = 30 as at k = 60, and
+    as at k = 0 on four types. The truncated octahedron's form has two
+    LLL-reduced bases here, with diagonals (3/2, 4/3, 1) unsheared and
+    (2, 1, 1) sheared, whose searches find 14 and 22 vectors."""
+    images = [apply_affine(catalog(name).polytope, a) for a in (shear(0), shear(k))]
+    hits = []
+    enumerate_ = lattice._enumerate
 
-    def counted(lat, r2):
-        ball = vectors_in_ball(lat, r2)
-        sizes.append(len(ball))
-        return ball
+    def counted(*args):
+        out = enumerate_(*args)
+        hits[-1] += len(out)
+        return out
 
-    monkeypatch.setattr(parallelohedron, "vectors_in_ball", counted)
-    for a in (shear(0), shear(k)):
-        image = apply_affine(catalog(name).polytope, a)
+    monkeypatch.setattr(lattice, "_enumerate", counted)
+    for image in images:
+        hits.append(0)
         assert report.verify(image)["verdict"] == "certified"
-    assert sizes[0] == sizes[1]
-    assert name != "elongated-dodecahedron" or sizes[0] == 17
+    assert tuple(hits) == SHEAR_SEARCH_HITS[name]
 
 
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG + LATTICE_CATALOG)
-def test_the_ellipsoid_of_p_alone_loses_facet_vectors(name, monkeypatch):
-    """Negative control: the ellipsoid E around P, 2E with a quarter of
-    its squared radius, misses translates that meet P, so the
-    facet-vector check fails on every catalog entry."""
-    vectors_in_ball = parallelohedron.vectors_in_ball
-    monkeypatch.setattr(parallelohedron, "vectors_in_ball",
-                        lambda lat, r2: vectors_in_ball(lat, r2 / 4))
-    with pytest.raises(GeometryError, match="does not reproduce the facet"):
-        Parallelohedron.build(catalog(name).polytope)
+def test_classes_mod_a_sublattice_lose_the_tiles(name):
+    """Negative control: read mod 2L, with `para.lattice` doubled, every
+    class is one vertex, so each vertex lies in P alone. The table then
+    differs from the whole-ball sweep, and no facet lies in two tiles,
+    on every catalog entry."""
+    para = Parallelohedron.build(catalog(name).polytope)
+    basis = para.lattice.basis
+    para.lattice = Lattice(tuple(vscale(2, row) for row in basis), para.lattice.gram)
+    _, at = para._rows_at
+    assert all(tiles.bit_count() == 1 for tiles in at)
+    assert tile_table(para) != whole_ball_table(name)
+    assert para.primitivity_profile()[1] is False
 
 
 def test_verify_builds_no_dual_cell_hull(monkeypatch):

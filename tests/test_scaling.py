@@ -28,7 +28,7 @@ from oracles import (
 from parallo import lattice, linalg, report, scaling, serialize
 from parallo.catalog import catalog, catalog_names
 from parallo.errors import GeometryError
-from parallo.lattice import Lattice, dv_cell, vectors_in_ball
+from parallo.lattice import Lattice, dv_cell, relevant_vectors, vectors_in_ball
 from parallo.parallelohedron import Parallelohedron
 from parallo.polytope import Polytope
 from parallo.scaling import (
@@ -335,13 +335,13 @@ def test_voronoi_mismatch_names_a_facet_under_a_perturbed_form():
 
 
 def doctored(para, lattice):
-    """A copy of `para` whose translate table is rebuilt over `lattice`:
-    a negative control for the vertex sweep, which reads only that table
-    (the facet vectors, and so the bisector check, stay as they are)."""
+    """A copy of `para` over `lattice`: a negative control for the
+    Voronoi proof's inclusion, which reads only that lattice's relevant
+    vectors (the facet vectors, and so the bisector check, stay as they
+    are). Its tiles are read again from the classes mod `lattice`."""
     para = copy.copy(para)
     para.lattice = lattice
-    for cached in ("_translate_members", "_rows_at"):
-        para.__dict__.pop(cached, None)
+    para.__dict__.pop("_rows_at", None)
     return para
 
 
@@ -360,11 +360,10 @@ def test_voronoi_mismatch_finds_a_cut_by_a_finer_lattice():
 def assert_matches_the_oracle(para, lattice):
     """`voronoi_mismatch` under the Gram of `lattice` against the oracle's
     sweep over the whole G-ball of `lattice`, and the witness kind (or
-    None). Over the cell's own table the witness is the oracle's. Over a
-    table doctored to a finer lattice a cut names the oracle's vertex,
-    as both sweeps hold every facet vector of Vor once the bisector check
-    passes, but its vector may differ, so that vector must cut the
-    vertex."""
+    None). Over the cell's own lattice the witness is the oracle's. Over
+    a finer lattice a cut names the oracle's vertex, as the first vertex
+    any lattice vector cuts is the first a relevant vector cuts, but its
+    vector may differ, so that vector must cut the vertex."""
     expected = fraction_voronoi_mismatch(para, lattice)
     own = lattice.basis == para.lattice.basis
     witness = voronoi_mismatch(para if own else doctored(para, lattice),
@@ -380,21 +379,29 @@ def assert_matches_the_oracle(para, lattice):
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_a_certified_verify_enumerates_the_lattice_once(name, monkeypatch):
-    """Once the cell exists, `verify` runs one Fincke-Pohst enumeration,
-    the translate table's: the Voronoi proof sweeps that table instead
-    of a second ball."""
-    entry = catalog(name)  # a lattice entry's cell is built here
-    calls = []
-    enumerate_ = lattice._enumerate
+    """Once the cell exists, `verify` finds the least vectors of the
+    classes of L/2L once, for the Voronoi proof under the recovered
+    form, in d graded Fincke-Pohst searches; the tiles are read off the
+    vertices' classes with no enumeration."""
+    entry = catalog(name)
+    entry.polytope  # the cell, cached on the catalog's lattice
+    minima, searches = [], []
+    coset_minima, enumerate_ = lattice._coset_minima, lattice._enumerate
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_(*args, **kwargs)
+    def counted_minima(lat):
+        minima.append(lat)
+        return coset_minima(lat)
 
+    def counted(*args):
+        searches.append(args)
+        return enumerate_(*args)
+
+    monkeypatch.setattr(lattice, "_coset_minima", counted_minima)
     monkeypatch.setattr(lattice, "_enumerate", counted)
     source = entry.lattice if entry.kind == "lattice" else entry.polytope
     assert report.verify(source, name=name)["verdict"] == "certified"
-    assert len(calls) == 1
+    assert len(minima) == 1
+    assert len(searches) == entry.polytope.dim
 
 
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG)
@@ -427,8 +434,7 @@ def test_a_verify_scales_each_exact_table_to_integers_once(name, monkeypatch):
 
 
 def _z4_basis_change():
-    """Z4 under a seeded unimodular basis change: its table, L in 2P, has
-    81 vectors, and the G-ball of 4 max |x|^2 has 89 (the +-2 e_i)."""
+    """Z4 under a seeded unimodular basis change."""
     lat = Lattice.create(random_unimodular(random.Random(4), 4),
                          linalg.identity(4))
     return Parallelohedron.build(lat.cell)
@@ -438,8 +444,9 @@ def _z4_basis_change():
 def test_voronoi_mismatch_matches_the_oracle_on_the_recovered_forms(name):
     """The recovered form gives no witness, as the oracle does; the form
     with its first off-diagonal entry moved names the oracle's facet, and
-    a table doctored to the lattice with the first basis row halved cuts
-    the oracle's vertex."""
+    the lattice with the first basis row halved cuts the oracle's
+    vertex. Z4's relevant vectors under its form are its 8 facet
+    vectors."""
     para = _z4_basis_change() if name == "Z4" else built(name)
     gram = certify(para)[1]["gram"]
     moved = [list(row) for row in gram]
@@ -447,10 +454,9 @@ def test_voronoi_mismatch_matches_the_oracle_on_the_recovered_forms(name):
     moved[1][0] += F(1, 7)
     centers = para.lattice.basis
     if name == "Z4":
-        ball = vectors_in_ball(Lattice(centers, gram), 4 * max(
-            linalg.dot(x, linalg.matvec(gram, x)) for x in para.polytope.vertices))
-        assert len(para._translate_members) == 81 and len(ball) == 89
-        assert set(para._translate_members) < set(ball)
+        relevant = relevant_vectors(Lattice(centers, gram))
+        assert len(relevant) == 8
+        assert set(relevant) == set(para.facet_vectors)
     finer = [[x / 2 for x in centers[0]], *centers[1:]]
     assert [assert_matches_the_oracle(para, lat) for lat in (
         Lattice.create(centers, gram),
@@ -464,9 +470,8 @@ def test_voronoi_mismatch_matches_the_fraction_sweep_on_perturbed_forms(seed):
     """The integer sweep agrees with the `Fraction` sweep over the
     coefficient box: for the Voronoi cell of a lattice under a randomly
     perturbed Gram (no witness), for that cell against a second
-    perturbation (a facet), and over tables doctored to finer lattices
-    with one basis row halved under the same Gram (a cut of the same
-    vertex)."""
+    perturbation (a facet), and over finer lattices with one basis row
+    halved under the same Gram (a cut of the same vertex)."""
     rng = random.Random(seed)
     kinds = set()
     for basis in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -505,7 +510,7 @@ def perturbed(rng, gram):
 
 def test_dv_mismatch_certificate_reports_its_witness(monkeypatch):
     """The certificate carries the witness of a failed Voronoi proof: a
-    cut found over a table doctored to the half lattice, and a facet."""
+    cut found by a relevant vector of the half lattice, and a facet."""
     cube = built("cube")
     s, _ = canonical_scaling(cube, ridge_graph("cube"))
     assert "witness" not in voronoi_form(cube, s)
@@ -514,7 +519,7 @@ def test_dv_mismatch_certificate_reports_its_witness(monkeypatch):
     assert (doc["verdict"], doc["gram"]) == ("dv-mismatch",
                                              [["1", "0", "0"], ["0", "1", "0"],
                                               ["0", "0", "1"]])
-    assert doc["witness"] == {"kind": "cut", "lattice_vector": ["-1", "-1", "-1/2"],
+    assert doc["witness"] == {"kind": "cut", "lattice_vector": ["-1/2", "0", "0"],
                               "vertex": ["-1/2", "-1/2", "-1/2"]}
     facet = {"kind": "facet", "facet": 3}
     monkeypatch.setattr(scaling, "voronoi_mismatch", lambda para, gram: facet)
