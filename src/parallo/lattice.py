@@ -298,7 +298,7 @@ def dv_cell(lat: Lattice) -> Polytope:
 
 def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form of an integer matrix (nonzero rows)."""
-    rows = [r[:] for r in rows if any(r)]
+    rows = [list(r) for r in rows if any(r)]
     if not rows:
         return []
     nc = len(rows[0])
@@ -336,7 +336,7 @@ def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     return done
 
 
-def lattice_basis_from_generators(rows: list[list[int]], s: int) -> Mat:
+def lattice_basis_from_generators(rows, s: int) -> Mat:
     """Basis (HNF rows) of the lattice of integer combinations of the
-    vectors rows / s, given as `linalg.integer_rows` writes them."""
+    vectors rows / s, for integer rows and a positive scale s."""
     return tuple(tuple(Fraction(x, s) for x in row) for row in _hnf_rows(rows))

@@ -3,7 +3,7 @@
 Vectors are tuples of Fraction, matrices are tuples of row tuples.
 Everything here is pure, immutable and exact; no floating point is used
 anywhere, so results can serve as certificates. Sized for desk-scale
-geometry (dimensions up to ~6, a few dozen rows).
+geometry (dimensions up to 8, as in E8's cell with 240 facets).
 
 All elimination is one fraction-free routine on integer rows (Bareiss
 1968; Nakos, Turner & Williams 1997): every intermediate entry is a

@@ -2,16 +2,17 @@
 
 A polytope gets here only once it has passed the Venkov conditions
 (`venkov`), which also centre it and give its belts and its facet
-vectors t_F = 2*c_F. Then each facet F determines the neighbor
-translate by t_F, the facet vectors generate the tile-center lattice L,
-and local stars of the tiling can be reconstructed without ever
-materializing the tiling itself. The tiling is face-to-face (Venkov
-1954; McMullen 1980), so a vertex v of P lies in P + t exactly when
-v - t is a vertex of P: the tiles at v are v - w over the vertices w of
-v's class mod L. So a face's dual cell, the tiles that hold all its
-vertices, is a bit set over the tiles that meet P, and a codim-k face
-is primitive when k + 1 of its bits are set; a ridge is primitive iff
-its belt has 6 facets.
+vectors t_F = 2*c_F as integer rows s t_F on the scale s of its vertex
+rows (`Polytope.integer_form`), the one scale of every tiling stage.
+Each facet F determines the neighbor translate by t_F, the facet vectors
+generate the tile-center lattice L, and local stars of the tiling can be
+reconstructed without ever materializing the tiling itself. The tiling
+is face-to-face (Venkov 1954; McMullen 1980), so a vertex v of P lies in
+P + t exactly when v - t is a vertex of P: the tiles at v are v - w over
+the vertices w of v's class mod L. So a face's dual cell, the tiles that
+hold all its vertices, is a bit set over the tiles that meet P, and a
+codim-k face is primitive when k + 1 of its bits are set; a ridge is
+primitive iff its belt has 6 facets.
 
 The surface partitions of the facets are decided here and nowhere
 else: the delta-surface joins the two facets of each primitive ridge,
@@ -21,7 +22,6 @@ its opposite.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
@@ -56,14 +56,16 @@ def component_roots(n: int, pairs) -> tuple[int, ...]:
 class Parallelohedron:
     """A centred polytope past the Venkov conditions, with its tiling data."""
 
-    def __init__(self, polytope, belts, facet_vectors):
+    def __init__(self, polytope, belts, facet_vector_rows):
         p = self.polytope = polytope
         self.belts = belts
-        self.facet_vectors = facet_vectors
+        self.facet_vector_rows = facet_vector_rows
+        s = p.integer_form[1]
+        self.facet_vectors = tuple(tuple(Fraction(x, s) for x in row)
+                                   for row in facet_vector_rows)
         # per ridge its two facets, and the ridge of each such facet pair
         self.ridge_facets = tuple(r.facets for r in self.ridges)
         self.ridge_of = {pair: r for r, pair in enumerate(self.ridge_facets)}
-        self.facet_vector_rows = linalg.integer_rows(self.facet_vectors)
         # opposite facet: normal negated, same offset (we are centered)
         planes = tuple(zip(p.facet_normals, p.facet_offsets))
         key = {plane: i for i, plane in enumerate(planes)}
@@ -72,7 +74,7 @@ class Parallelohedron:
         except KeyError:
             raise GeometryError(
                 "facet pairing failed on a symmetric polytope") from None
-        basis = lattice_basis_from_generators(*self.facet_vector_rows)
+        basis = lattice_basis_from_generators(facet_vector_rows, s)
         if len(basis) != p.dim:
             raise GeometryError("facet vectors do not span a full-rank lattice")
         # d HNF rows with distinct pivot columns: a nonsingular basis
@@ -94,13 +96,11 @@ class Parallelohedron:
         plane <n_F, x> = -b_F, so P + t_F lies on the far side of F's
         plane and meets P in F alone."""
         p = self.polytope
-        xints, xs, *_ = p.integer_form
-        tints, ts = self.facet_vector_rows
-        # on the scale xs ts: x - t is (ts X - xs T) / (xs ts)
-        index = {tuple(ts * a for a in x): i for i, x in enumerate(xints)}
-        for fi, (t, ids) in enumerate(zip(tints, p.facet_vertex_ids)):
-            moved = {index.get(tuple(ts * a - xs * b for a, b in zip(xints[i], t)))
-                     for i in ids}
+        xints = p.integer_form[0]
+        index = {tuple(x): i for i, x in enumerate(xints)}
+        for fi, (t, ids) in enumerate(zip(self.facet_vector_rows,
+                                          p.facet_vertex_ids)):
+            moved = {index.get(tuple(map(sub, xints[i], t))) for i in ids}
             if moved != set(p.facet_vertex_ids[self.opposite_facet[fi]]):
                 raise GeometryError(
                     f"facet vector of facet {fi} does not reproduce the facet "
@@ -156,10 +156,8 @@ class Parallelohedron:
         vertices w of v's class mod L. The class is v's residue against
         L's Hermite rows, upper triangular with positive pivots, each
         coordinate in turn reduced into [0, pivot); the facet vectors
-        generate L, so on their scale those rows are integral."""
-        xints, xs, *_ = self.polytope.integer_form
-        s = math.lcm(xs, self.facet_vector_rows[1])
-        vertices = [[s // xs * a for a in x] for x in xints]
+        generate L, so on the vertex scale those rows are integral."""
+        vertices, s, *_ = self.polytope.integer_form
         basis = [[int(s * x) for x in row] for row in self.lattice.basis]
         classes = {}
         for i, x in enumerate(vertices):

@@ -32,7 +32,7 @@ the first vertex it cuts.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from . import linalg
 from .errors import GeometryError
@@ -54,7 +54,7 @@ def build_ridge_graph(para: Parallelohedron) -> dict[int, Fraction]:
     ridge still checks t_i - t_(i+1) = +-t_(i+2) on its facet vectors.
     """
     _, _, normals, _, _ = para.polytope.integer_form
-    vectors, _ = para.facet_vector_rows
+    vectors = para.facet_vector_rows
     gains = {}
     for belt in para.belts:
         if belt.length != 6:
@@ -74,8 +74,8 @@ def build_ridge_graph(para: Parallelohedron) -> dict[int, Fraction]:
             raise GeometryError("degenerate dependence at a primitive ridge")
         for i, rid in enumerate(belt.ridges):
             t1, t2, t3 = (vectors[f[(i + k) % 6]] for k in range(3))
-            diff = [x - y for x, y in zip(t1, t2)]
-            if diff != t3 and diff != [-x for x in t3]:
+            diff = tuple(map(sub, t1, t2))
+            if diff != t3 and diff != tuple(-x for x in t3):
                 raise GeometryError(
                     "belt successor does not carry the neighbor-difference "
                     "direction"
@@ -194,17 +194,17 @@ def voronoi_mismatch(para: Parallelohedron, gram: Mat) -> dict | None:
         gy = [sum(map(mul, row, y)) for row in gints]
         return gy, sum(map(mul, y, gy))
 
-    # with T = ts t, GT = gs ts G t and (N, B) = (ns n, ns xs b) from
+    # with T = xs t, GT = gs xs G t and (N, B) = (ns n, ns xs b) from
     # `integer_form`: G t = lam n, lam > 0  iff  GT = mu N, mu > 0, and
-    # then <t, G t> = 2 lam b  iff  <T, GT> N_k xs = 2 ts GT_k B at N_k != 0
+    # then <t, G t> = 2 lam b  iff  <T, GT> N_k = 2 GT_k B at N_k != 0
     xints, xs, normals, _, offsets = p.integer_form
-    tints, ts = para.facet_vector_rows
-    for fi, (t, n, b) in enumerate(zip(tints, normals, offsets)):
+    for fi, (t, n, b) in enumerate(zip(para.facet_vector_rows, normals,
+                                       offsets)):
         gt, tgt = form(t)
         k = next(i for i, x in enumerate(n) if x != 0)
         if (gt[k] * n[k] <= 0
                 or any(g * n[k] != x * gt[k] for g, x in zip(gt, n))
-                or tgt * n[k] * xs != 2 * ts * gt[k] * b):
+                or tgt * n[k] != 2 * gt[k] * b):
             return {"kind": "facet", "facet": fi}
     facet_vectors = set(para.facet_vectors)
     extra = [v for v in relevant_vectors(Lattice(para.lattice.basis, gram))
@@ -235,9 +235,8 @@ def voronoi_form(para: Parallelohedron, scaling: dict) -> dict:
     it proves P = Vor_G(L) for the center lattice L with
     `voronoi_mismatch`: each facet is the G-bisector of its facet vector,
     and every relevant vector of (L, G) is a facet vector. The block
-    then holds the form ("gram") and the component
-    factors, and "certified", or "dv-mismatch" with the failed check as
-    its "witness".
+    then holds the form ("gram") and the component factors, and
+    "certified", or "dv-mismatch" with the failed check as its "witness".
     """
     p = para.polytope
     d = p.dim
@@ -252,11 +251,11 @@ def voronoi_form(para: Parallelohedron, scaling: dict) -> dict:
         return tuple(tuple(u[upper[min(i, j), max(i, j)]] for j in range(d))
                      for i in range(d))
 
-    # on integer rows T = ts t and N = ns n, the equations of facet F
-    # times ts ns den(s(F)) > 0; its opposite has t and n negated and,
-    # once scaled, the same s and k, so one block serves the pair
-    tints, ts = para.facet_vector_rows
-    _, _, normals, ns, _ = p.integer_form
+    # on integer rows T = xs t and N = ns n: facet F's equations times
+    # xs ns den(s(F)) / content > 0, so the kernel's minors stay small;
+    # its opposite has -t, -n and the same s and k: one block per pair
+    tints = para.facet_vector_rows
+    _, xs, normals, ns, _ = p.integer_form
     rows = []
     for fi, fo in enumerate(para.opposite_facet):
         if fo < fi:
@@ -265,12 +264,13 @@ def voronoi_form(para: Parallelohedron, scaling: dict) -> dict:
         if (s, k) != (values[fo], groups[fo]):
             raise GeometryError(f"opposite facets {fi} and {fo} differ in "
                                 "scaling value or group")
-        t = [ns * s.denominator * x for x in tints[fi]]
+        *t, c = linalg.primitive([ns * s.denominator * x for x in tints[fi]]
+                                 + [xs * s.numerator])
         for r in range(d):
             row = [0] * (n_upper + n_groups)
             for j in range(d):
                 row[upper[min(r, j), max(r, j)]] += t[j]
-            row[n_upper + k] = -ts * s.numerator * normals[fi][r]
+            row[n_upper + k] = -c * normals[fi][r]
             rows.append(row)
     # the kernel, each vector primitive with a positive leading entry
     basis = []

@@ -9,16 +9,17 @@ face lattice, so a rejection loads no lattice or tiling code (see
 
 Both symmetry conditions are read off vertex-id involutions: the point
 reflection of P, and of each facet through its center, computed once on
-one integer scaling of the vertices. The column sums of the first give
-P's centre of symmetry, so this stage also fixes the tiling frame: it
-translates P once to put that centre at the origin, and hands the
-tiling stages that polytope with its facet vectors t_F = 2 c_F, twice
-the facet centers (Venkov 1954; McMullen 1980). Belts are found by
-walking: enter a facet through a ridge, map the ridge's vertex ids
-through the facet's involution to find the parallel exit ridge, cross
-to the other facet, repeat. Each belt is walked once, from its least
-ridge, whatever its length; a ridge is primitive iff its belt closes
-after 6 facets (three tiles meet at it rather than four).
+the integer vertex rows X = s x of `Polytope.integer_form`. The column
+sums of the first give P's centre of symmetry, so this stage also fixes
+the tiling frame: it translates P once to put that centre at the origin,
+and hands the tiling stages that polytope with its facet vectors
+t_F = 2 c_F (Venkov 1954; McMullen 1980) as the integer rows
+s t_F = X + X' of any vertex X of F and its mirror X'. Belts are found
+by walking: enter a facet through a ridge, map the ridge's vertex ids
+through the facet's involution to find the parallel exit ridge, cross to
+the other facet, repeat. Each belt is walked once, from its least ridge,
+whatever its length; a ridge is primitive iff its belt closes after 6
+facets (three tiles meet at it rather than four).
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def _analyze(p: Polytope):
     `venkov` block (`ok` and the failure witnesses), the polytope with
     its centre of symmetry at the origin (`p` itself when it is there
     already, or when there is none), its belts and its facet vectors
-    t_F = 2 c_F, the last two empty on failure."""
+    t_F = 2 c_F as the integer rows s t_F on the scale s of that
+    polytope's `integer_form`, the last two empty on failure."""
     if p.dim < 2:
         raise UnsupportedDimensionError(
             f"dimension {p.dim} is not supported: the belt conditions "
@@ -135,7 +137,7 @@ def _analyze(p: Polytope):
     if any(sums):
         # the centre is S / (m s); a translation keeps the vertex order
         p = p.translated(tuple(Fraction(-x, len(rows) * scale) for x in sums))
-        rows, scale, *_ = p.integer_form
+        rows = p.integer_form[0]
     witnesses = []
     mirrors, facet_vectors = [], []
     for fi, ids in enumerate(p.facet_vertex_ids):
@@ -145,8 +147,7 @@ def _analyze(p: Polytope):
                 "facet-symmetry", f"facet {fi} is not centrally symmetric", ids))
             continue
         mirrors.append({i: ids[k] for i, k in zip(ids, image)})
-        facet_vectors.append(tuple(Fraction(2 * s, len(ids) * scale)
-                                   for s in sums))
+        facet_vectors.append(tuple(2 * s // len(ids) for s in sums))
     if witnesses:
         return _failed(p, witnesses)
 

@@ -133,7 +133,9 @@ def central_symmetry(points) -> tuple[bool, tuple]:
 def per_ridge_analyze(p):
     """`venkov._analyze` with a belt walk out of every ridge that no good
     belt holds, so a belt of the wrong length is walked once per ridge;
-    the centre and the facet vectors come from `Fraction` centroids."""
+    the centre and the facet vectors come from `Fraction` centroids, the
+    latter handed on as the integer rows s t_F on the centred polytope's
+    vertex scale s."""
     if p.dim < 2:
         raise UnsupportedDimensionError(f"dimension {p.dim} is not supported")
     symmetric, center = central_symmetry(p.vertices)
@@ -143,7 +145,8 @@ def per_ridge_analyze(p):
     if any(center):
         p = p.translated(linalg.vneg(center))
     rows, _ = linalg.integer_rows(p.vertices)
-    witnesses, mirrors, facet_vectors = [], [], []
+    s = p.integer_form[1]
+    witnesses, mirrors, facet_vector_rows = [], [], []
     for fi, ids in enumerate(p.facet_vertex_ids):
         image, _ = _involution([rows[i] for i in ids])
         if image is None:
@@ -152,7 +155,7 @@ def per_ridge_analyze(p):
             continue
         mirrors.append({i: ids[k] for i, k in zip(ids, image)})
         _, c = central_symmetry([p.vertices[i] for i in ids])
-        facet_vectors.append(vscale(2, c))
+        facet_vector_rows.append(tuple(int(2 * x * s) for x in c))
     if witnesses:
         return _failed(p, witnesses)
     ridges = p.face_lattice.faces(p.dim - 2)
@@ -176,7 +179,8 @@ def per_ridge_analyze(p):
         belts.append(belt)
     if witnesses:
         return _failed(p, witnesses)
-    return {"ok": True, "witnesses": []}, p, tuple(belts), tuple(facet_vectors)
+    return ({"ok": True, "witnesses": []}, p, tuple(belts),
+            tuple(facet_vector_rows))
 
 
 def dot_product_facet_vertex_ids(p) -> tuple[tuple[int, ...], ...]:

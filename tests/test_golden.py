@@ -6,8 +6,8 @@ invariants), the `parallo surface NAME [--pi]` output of every 3-D
 entry, which is the topology block of its verify report, and of the
 2-D and 4-D lattices, the `parallo dual-cells NAME --codim k` output of
 every entry, the `verify` report of the root lattices D5, D6, E6 and
-E7 given by their Cartan Grams and of A4*, A5* and E6* given by the
-inverses, the `venkov-fails` report of one input per Venkov condition,
+E7 given by their Cartan Grams and of A4*, A5*, E6* and E7* given by
+the inverses, the `venkov-fails` report of one input per Venkov condition,
 the `scaling-fails` report of two doctored gain tables, and one
 `form-not-pd` certificate.
 Refactors must leave these bytes alone; a deliberate change to the
@@ -96,13 +96,14 @@ def test_dual_cells_command_bytes(capsys, name, codim, doc):
     ("D6", 60),
     ("A5star", 62),
     ("E6star", 126),  # computed
+    ("E7star", 182),  # computed
 ])
 def test_root_lattice_report_bytes(capsys, monkeypatch, fixture, facets):
     """A root lattice or its dual in d = 4-7, as the identity basis and
     its Cartan Gram or the Gram's inverse, certifies with the Gram
     matched. The cell of a root lattice has one facet per root (Conway
-    & Sloane, ch. 21), and A_n*'s cell is the permutohedron; E6*'s count
-    was computed here."""
+    & Sloane, ch. 21), and A_n*'s cell is the permutohedron; E6*'s and
+    E7*'s counts were computed here."""
     monkeypatch.chdir(FIXTURES)
     assert main(["verify", f"{fixture}.json"]) == 0
     out = capsys.readouterr().out

@@ -107,11 +107,13 @@ def test_involution_matches_the_fraction_reflection(points):
 
 def test_analyze_centres_a_shifted_polytope():
     """A shifted half cube comes back translated onto the centred one,
-    with the facet vectors of the centred cube, t_F = 2 c_F."""
+    with the facet vectors of the centred cube, t_F = 2 c_F, as rows on
+    its vertex scale."""
     cube = catalog("cube").polytope  # [-1/2, 1/2]^3
-    verdict, q, belts, vectors = _analyze(cube.translated((F(1, 3), -2, F(5, 7))))
+    verdict, q, belts, rows = _analyze(cube.translated((F(1, 3), -2, F(5, 7))))
     assert verdict["ok"] and q == cube
-    assert sorted(vectors) == sorted(
+    scale = q.integer_form[1]
+    assert sorted(tuple(F(x, scale) for x in row) for row in rows) == sorted(
         tuple(F(s) if i == j else F(0) for j in range(3))
         for i in range(3) for s in (-1, 1))
     assert len(belts) == 3
@@ -319,15 +321,36 @@ def test_ridge_primitive():
     assert rd.primitive_ridges == frozenset(range(len(rd.ridges)))
 
 
-def test_facet_vectors_and_neighbor_identity():
-    for name in ("cube", "truncated-octahedron", "elongated-dodecahedron"):
+ROOT_LATTICES_TO_E6STAR = ("D5", "D6", "E6", "A4star", "A5star", "E6star")
+
+
+@pytest.mark.parametrize("name", [*POLYTOPE_CATALOG, *ROOT_LATTICES_TO_E6STAR])
+def test_facet_vectors_and_neighbor_identity(name):
+    """Each facet vector is born as the integer row 2 c_F s, c_F the
+    `Fraction` centroid of facet F and s the vertex scale of the centred
+    polytope's `integer_form`, and `facet_vectors` are those rows over
+    s. Opposite facets have opposite vectors, and each facet's plane
+    bisects 0 and t_F. On the catalog solids a sweep of the vertices
+    finds that P and P + t_F share exactly F's vertices."""
+    if name in POLYTOPE_CATALOG:
         para = built(name)
-        p = para.polytope
-        for fi, t in enumerate(para.facet_vectors):
-            opp = para.opposite_facet[fi]
-            assert para.facet_vectors[opp] == linalg.vneg(t)
-            # facet hyperplane bisects 0 and t_F
-            assert p.facet_offsets[fi] == linalg.dot(p.facet_normals[fi], t) / 2
+    else:
+        para = Parallelohedron.build(fixture_polytope(name).cell)
+    p = para.polytope
+    s = p.integer_form[1]
+    rows = para.facet_vector_rows
+    for row, ids in zip(rows, p.facet_vertex_ids):
+        _, center = central_symmetry([p.vertices[i] for i in ids])
+        assert all(type(x) is int for x in row)
+        assert row == tuple(2 * c * s for c in center)
+    assert para.facet_vectors == tuple(tuple(F(x, s) for x in row)
+                                       for row in rows)
+    for fi, t in enumerate(para.facet_vectors):
+        opp = para.opposite_facet[fi]
+        assert para.facet_vectors[opp] == linalg.vneg(t)
+        # facet hyperplane bisects 0 and t_F
+        assert p.facet_offsets[fi] == linalg.dot(p.facet_normals[fi], t) / 2
+        if name in POLYTOPE_CATALOG:
             shared = {
                 i for i, v in enumerate(p.vertices)
                 if contains(p, vsub(v, t))
@@ -342,10 +365,11 @@ def test_neighbor_check_rejects_wrong_facet_vectors(vectors):
     facet F by 2 t_F = 4 c_F, off the polytope, and rotated vectors move
     it by another facet's vector, so F - t_F is not F's opposite facet."""
     cube = built("cube")
+    rows = cube.facet_vector_rows
     if vectors == "doubled":
-        wrong = tuple(vscale(2, t) for t in cube.facet_vectors)
+        wrong = tuple(tuple(2 * x for x in row) for row in rows)
     else:
-        wrong = cube.facet_vectors[1:] + cube.facet_vectors[:1]
+        wrong = rows[1:] + rows[:1]
     with pytest.raises(GeometryError, match="does not reproduce the facet"):
         Parallelohedron(cube.polytope, cube.belts, wrong)
 

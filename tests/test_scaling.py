@@ -407,10 +407,11 @@ def test_a_certified_verify_enumerates_the_lattice_once(name, monkeypatch):
 @pytest.mark.parametrize("name", POLYTOPE_CATALOG)
 def test_a_verify_scales_each_exact_table_to_integers_once(name, monkeypatch):
     """Over one `verify`, `linalg.integer_rows` receives the recentred
-    polytope's vertices, its facet normals and the facet vectors at most
-    once each: `Polytope.integer_form` and `facet_vector_rows` keep the
-    scaled rows for every stage. A table equal to another, such as the
-    cube's normals and facet vectors, may be read once for each."""
+    polytope's vertices and its facet normals at most once each, and the
+    facet vectors never: `Polytope.integer_form` keeps the scaled rows
+    for every stage, and the facet vectors are born as integer rows on
+    its vertex scale. A table equal to another, such as the cube's
+    normals and facet vectors, may be read once for the other."""
     polytope = catalog(name).polytope
     para = Parallelohedron.build(Polytope.from_vertices(polytope.vertices))
     tables = {"vertices": para.polytope.vertices,
@@ -430,7 +431,10 @@ def test_a_verify_scales_each_exact_table_to_integers_once(name, monkeypatch):
     assert report.verify(fresh, name=name)["verdict"] == "certified"
     for what, table in tables.items():
         reads = sum(rows[:len(table)] == list(table) for rows in received)
-        assert 0 < reads <= budget[table], what
+        if what == "facet vectors":
+            assert reads <= budget[table] - 1, what
+        else:
+            assert 0 < reads <= budget[table], what
 
 
 def _z4_basis_change():
